@@ -228,6 +228,14 @@ def jacobian_rows(f: Callable, x: Payload, dim: int) -> Payload:
     return directional(f, broadcast_batch(x, dim), directions)
 
 
+def axis0_to_last(x: Payload) -> Payload:
+    """Move the leading (direction) axis of every leaf to the end."""
+    if type(x) is Dual:
+        return Dual(axis0_to_last(x.val), axis0_to_last(x.eps))
+    arr = np.asarray(x, dtype=float)
+    return arr.transpose(tuple(range(1, arr.ndim)) + (0,))
+
+
 # ---------------------------------------------------------------------------
 # finite-difference cross-checks (independent of the dual machinery)
 

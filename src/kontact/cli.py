@@ -8,9 +8,7 @@ usage errors.  ``describe`` prints the generators, frozen sign
 conventions, and golden constants; ``energy`` estimates the energy of a
 unit field by Monte Carlo.
 
-The environment variable ``KONTACT_THREADS`` bounds check-level
-parallelism (unset: serial; 0: one thread per CPU).  Report order and
-content are independent of the thread count, and rerunning a config
+Checks run one after another in catalog order, and rerunning a config
 reproduces the output byte for byte (timestamps are opt-in).
 """
 
@@ -20,9 +18,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -221,58 +217,25 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
 
 
 def check_names(manifold: str) -> list[str]:
-    dim = MANIFOLDS[manifold]
-    names = ["contact_axioms", "kcontact", "sasakian", "double_invariants",
-             "gradient_identity", "transnormal_profile", "laplacian_formula"]
-    if dim in (3, 5):
-        names.append("dimension_theorem")
-    if dim >= 5:
-        names.extend(["phi_product_spectrum", "hessian_restricted"])
-    names.extend(["geodesic_field", "mean_curvature_identity", "ricci_normal",
-                  "nu_form", "critical_condition", "energy_reeb"])
-    return names
-
-
-def _thread_budget() -> int:
-    raw = os.environ.get("KONTACT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        k = int(raw)
-    except ValueError:
-        return 1
-    if k == 0:
-        return os.cpu_count() or 1
-    return max(1, k)
+    """Report names of the suite on ``manifold``, in report order."""
+    config = SuiteConfig(manifold=manifold)
+    pair = standard_pair(MANIFOLDS[manifold])
+    return [name for name, _ in _check_catalog(pair, [], config)]
 
 
 def run_suite(config: SuiteConfig) -> list[ResidualReport]:
     """Run every check for the configured manifold, in declaration order."""
-    dim = MANIFOLDS[config.manifold]
-    valid = set(check_names(config.manifold))
-    for name in config.tol_overrides:
-        if name not in valid:
-            raise ValueError(f"unknown check name in tolerance override: {name}")
-    pair = standard_pair(dim)
+    pair = standard_pair(MANIFOLDS[config.manifold])
     f = pair.angle_function()
     cutoff = config.exclusion
     points = sample_points(config.samples, config.seed, pair.ambient_dim,
                            exclusion=lambda p: abs(f.value(p)) > cutoff)
     catalog = _check_catalog(pair, points, config)
-
-    def run_one(entry):
-        name, fn = entry
-        if name in config.tol_overrides:
-            return fn(config.tol_overrides[name])
-        return fn()
-
-    workers = _thread_budget()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_one, catalog))
-    else:
-        reports = [run_one(entry) for entry in catalog]
-    return reports
+    unknown = sorted(set(config.tol_overrides) - {name for name, _ in catalog})
+    if unknown:
+        raise ValueError(f"unknown check name in tolerance override: {unknown[0]}")
+    return [fn(config.tol_overrides[name]) if name in config.tol_overrides else fn()
+            for name, fn in catalog]
 
 
 def describe(manifold: str) -> dict:

@@ -15,6 +15,13 @@ convention is frozen package-wide without a 1/2 factor:
 
 Checkers cover the three contact-metric axioms, the Killing property of
 the Reeb field, and the Sasakian identity (∇_A φ)B = g(A,B)Z − α(B)A.
+
+Batch convention: kernels (:func:`exterior_derivative_batch`,
+:func:`pfaffian`, :func:`volume_form_batch`,
+:meth:`ContactMetricStructure.phi_at`) take plain arrays with leading
+batch axes — points (N, m+1) plus per-point direction or frame axes —
+and per-point functions are one-row calls into them.  The axiom checks
+evaluate points in blocks of ``manifold.BLOCK``.
 """
 
 from __future__ import annotations
@@ -33,15 +40,21 @@ from .manifold import (
     OrthoComplexStructure,
     SpherePoint,
     TangentVector,
+    apply,
+    blocks,
+    constant_field,
     cov_deriv,
     extension_of,
-    lie_bracket,
+    frame_batch,
+    inner,
+    lie_bracket_batch,
     linear_field,
     metric,
     projected_eval,
+    random_tangent_batch,
     random_tangents,
     sample_points,
-    tangent_basis,
+    stack_coords,
 )
 from .report import ResidualReport
 
@@ -83,12 +96,15 @@ class ContactMetricStructure:
         """Ambient coefficient field of alpha (one-form as a covector field)."""
         return matvec(self.j_ambient.mat, x)
 
+    def phi_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Structure tensor at the points x applied to the vectors u (batched)."""
+        jm = self.j_ambient.mat
+        a = inner(u, apply(jm, x))[..., None]
+        return self.sigma * (apply(jm, u) + a * x)
+
     def phi(self, u: TangentVector) -> TangentVector:
         """Structure tensor applied to a tangent vector."""
-        jm = self.j_ambient.mat
-        p = u.base.coords
-        a = float(u.vec @ (jm @ p))
-        return TangentVector(u.base, self.sigma * (jm @ u.vec + a * p))
+        return TangentVector(u.base, self.phi_at(u.base.coords, u.vec))
 
     def phi_field(self, V: AmbientVectorField) -> AmbientVectorField:
         """phi applied to a whole field, as a dual-evaluable ambient formula."""
@@ -117,19 +133,26 @@ class ContactMetricStructure:
                    int(desc["sigma"]), label=label)
 
 
+def exterior_derivative_batch(coeff_field: Callable, x: np.ndarray,
+                              a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """dω(a,b) at the points x for a one-form given by ambient
+    coefficients, using projected-constant extensions of a and b; leading
+    axes of x, a and b broadcast."""
+    ext_a, ext_b = constant_field(a), constant_field(b)
+    t1 = value(directional(
+        lambda y: dot(coeff_field(y), projected_eval(ext_b, y)), x, a))
+    t2 = value(directional(
+        lambda y: dot(coeff_field(y), projected_eval(ext_a, y)), x, b))
+    bracket = lie_bracket_batch(ext_a, ext_b, x)
+    t3 = inner(np.asarray(value(coeff_field(x)), dtype=float), bracket)
+    return t1 - t2 - t3
+
+
 def exterior_derivative(coeff_field: Callable, a: TangentVector,
                         b: TangentVector) -> float:
     """dω(a,b) for a one-form given by ambient coefficients, using
     projected-constant extensions of a and b."""
-    p = a.base
-    ext_a, ext_b = extension_of(a), extension_of(b)
-    t1 = value(directional(
-        lambda x: dot(coeff_field(x), projected_eval(ext_b, x)), p.coords, a.vec))
-    t2 = value(directional(
-        lambda x: dot(coeff_field(x), projected_eval(ext_a, x)), p.coords, b.vec))
-    bracket = lie_bracket(ext_a, ext_b, p)
-    t3 = float(np.asarray(value(coeff_field(p.coords)), dtype=float) @ bracket.vec)
-    return float(t1 - t2 - t3)
+    return float(exterior_derivative_batch(coeff_field, a.base.coords, a.vec, b.vec))
 
 
 def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha",
@@ -171,22 +194,46 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha",
 # ---------------------------------------------------------------------------
 # top-form evaluation (axiom i)
 
-def pfaffian(mat: np.ndarray) -> float:
-    """Pfaffian of a small skew-symmetric matrix, by recursive expansion."""
-    k = mat.shape[0]
+def pfaffian(mat: np.ndarray):
+    """Pfaffian of small skew-symmetric matrices (..., k, k), by recursive
+    expansion along the first row; leading axes broadcast."""
+    k = mat.shape[-1]
     if k % 2 == 1:
-        return 0.0
+        return np.zeros(mat.shape[:-2])[()]
     if k == 0:
-        return 1.0
+        return np.ones(mat.shape[:-2])[()]
     if k == 2:
-        return float(mat[0, 1])
+        return mat[..., 0, 1]
     total = 0.0
     rest = list(range(1, k))
     for pos, jcol in enumerate(rest):
         sign = -1.0 if pos % 2 else 1.0
         keep = [i for i in rest if i != jcol]
-        total += sign * mat[0, jcol] * pfaffian(mat[np.ix_(keep, keep)])
-    return float(total)
+        total = total + sign * mat[..., 0, jcol] * pfaffian(mat[..., keep, :][..., keep])
+    return total
+
+
+def volume_form_batch(coeff_field: Callable, x: np.ndarray, frames: np.ndarray,
+                      n: int) -> np.ndarray:
+    """α∧(dα)^n on the frames (..., m, m+1) at the points x (..., m+1),
+    corrected for frame orientation."""
+    m = frames.shape[-2]
+    omega = np.asarray(value(coeff_field(x)), dtype=float)
+    a = inner(omega[..., None, :], frames)
+    upper, lower = np.triu_indices(m, 1)
+    d_pairs = exterior_derivative_batch(coeff_field, x[..., None, :],
+                                        frames[..., upper, :], frames[..., lower, :])
+    w = np.zeros(frames.shape[:-1] + (m,))
+    w[..., upper, lower] = d_pairs
+    w[..., lower, upper] = -d_pairs
+    fact_n = float(math.factorial(n))
+    total = 0.0
+    for k in range(m):
+        keep = [i for i in range(m) if i != k]
+        sign = -1.0 if k % 2 else 1.0
+        total = total + sign * a[..., k] * fact_n * pfaffian(w[..., keep, :][..., keep])
+    orientation = np.sign(np.linalg.det(np.concatenate([x[..., None, :], frames], axis=-2)))
+    return total * orientation
 
 
 def volume_form_value(coeff_field: Callable, frame: Frame, n: int) -> float:
@@ -196,23 +243,7 @@ def volume_form_value(coeff_field: Callable, frame: Frame, n: int) -> float:
     independent of which orthonormal frame was produced, so constancy of
     sign across points is meaningful.
     """
-    p = frame.base
-    m = len(frame)
-    omega_p = np.asarray(value(coeff_field(p.coords)), dtype=float)
-    a = np.array([omega_p @ e.vec for e in frame])
-    w = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            w[i, j] = exterior_derivative(coeff_field, frame[i], frame[j])
-            w[j, i] = -w[i, j]
-    fact_n = float(math.factorial(n))
-    total = 0.0
-    for k in range(m):
-        keep = [i for i in range(m) if i != k]
-        sign = -1.0 if k % 2 else 1.0
-        total += sign * a[k] * fact_n * pfaffian(w[np.ix_(keep, keep)])
-    orientation = np.sign(np.linalg.det(np.vstack([p.coords[None, :], frame.matrix])))
-    return float(total * orientation)
+    return float(volume_form_batch(coeff_field, frame.base.coords, frame.matrix, n))
 
 
 def volume_form_constant(n: int) -> float:
@@ -234,17 +265,18 @@ def check_axiom_volume(s: ContactMetricStructure, points: Sequence[SpherePoint],
     """
     coeff = coeff_field if coeff_field is not None else s.alpha_coeffs
     ref = golden if golden is not None else volume_form_constant(s.n)
-    residuals = []
-    first_sign = 0.0
-    for p in points:
-        v = volume_form_value(coeff, tangent_basis(p), s.n)
-        r = max(0.0, 0.5 * ref - abs(v))
-        sgn = np.sign(v)
-        if first_sign == 0.0:
-            first_sign = sgn
-        elif sgn != first_sign:
-            r += ref
-        residuals.append(r)
+    x = stack_coords(points, s.ambient_dim)
+    values = np.concatenate([np.zeros(0)] + [
+        volume_form_batch(coeff, x[sl], frame_batch(x[sl]), s.n)
+        for sl in blocks(len(x))])
+    residuals = np.maximum(0.0, 0.5 * ref - np.abs(values))
+    signs = np.sign(values)
+    signed = np.flatnonzero(signs)
+    if signed.size:
+        # The first point with a nonzero value fixes the sign.
+        flips = signs != signs[signed[0]]
+        flips[:signed[0] + 1] = False
+        residuals = residuals + ref * flips
     return ResidualReport.from_residuals(
         f"axiom_volume_{s.label}", residuals, tol,
         provenance="top form nonvanishing with constant sign")
@@ -255,12 +287,15 @@ def check_axiom_ii(s: ContactMetricStructure, points: Sequence[SpherePoint],
                    ) -> ResidualReport:
     """‖φ²u + u − α(u)Z‖ over random tangent directions."""
     rng = np.random.default_rng(seed)
+    x = stack_coords(points, s.ambient_dim)
     residuals = []
-    for p in points:
-        z = s.reeb_at(p)
-        for u in random_tangents(p, rng, directions):
-            lhs = s.phi(s.phi(u))
-            residuals.append((lhs + u - s.alpha(u) * z).norm())
+    for sl in blocks(len(x)):
+        p = x[sl, None, :]
+        u = random_tangent_batch(x[sl], rng, (directions,))
+        z = apply(s.j_ambient.mat, p)
+        lhs = s.phi_at(p, s.phi_at(p, u))
+        r = lhs + u - inner(u, z)[..., None] * z
+        residuals.extend(np.sqrt(inner(r, r)).ravel())
     return ResidualReport.from_residuals(
         f"axiom_ii_{s.label}", residuals, tol,
         provenance="phi squared is -Id + alpha tensor reeb")
@@ -271,12 +306,14 @@ def check_axiom_iii(s: ContactMetricStructure, points: Sequence[SpherePoint],
                     ) -> ResidualReport:
     """|dα(u,v) − 2 g(u, φv)| over random tangent pairs."""
     rng = np.random.default_rng(seed)
+    x = stack_coords(points, s.ambient_dim)
     residuals = []
-    for p in points:
-        for _ in range(directions):
-            u, v = random_tangents(p, rng, 2)
-            residuals.append(abs(exterior_derivative(s.alpha_coeffs, u, v)
-                                 - 2.0 * metric(u, s.phi(v))))
+    for sl in blocks(len(x)):
+        p = x[sl, None, :]
+        uv = random_tangent_batch(x[sl], rng, (directions, 2))
+        u, v = uv[..., 0, :], uv[..., 1, :]
+        d_alpha = exterior_derivative_batch(s.alpha_coeffs, p, u, v)
+        residuals.extend(np.abs(d_alpha - 2.0 * inner(u, s.phi_at(p, v))).ravel())
     return ResidualReport.from_residuals(
         f"axiom_iii_{s.label}", residuals, tol,
         provenance=D_ALPHA_CONVENTION + " against 2 g(., phi .)")

@@ -14,6 +14,13 @@ orthogonal complement this reduces to x(h) = ric(x, N) where h is the
 mean curvature of the orthogonal distribution; both forms are
 implemented, the frame-based one exactly (dual numbers), the reduced one
 with five-point finite differences of h along great circles.
+
+Batch convention: kernels (:func:`shape_matrix`, :func:`harmonicity_form_batch`)
+take plain arrays with leading batch axes — points (N, m+1) plus any
+per-point direction or frame axes — and per-point functions such as
+:func:`harmonicity_form` and :func:`weingarten_ambient_matrix` are
+one-row calls into them.  Checks evaluate points in blocks of
+``manifold.BLOCK`` to bound memory.
 """
 
 from __future__ import annotations
@@ -34,13 +41,15 @@ from .manifold import (
     AmbientVectorField,
     SpherePoint,
     TangentVector,
+    blocks,
     cov_deriv,
-    extension_of,
+    frame_batch,
     gram_schmidt_frame,
     metric,
-    project,
+    proj_np,
     projected_eval,
     ricci,
+    shape_matrix,
     sphere_volume,
     tangent_basis,
 )
@@ -167,13 +176,7 @@ def weingarten_ambient_matrix(zf: UnitVectorField, p: SpherePoint) -> np.ndarray
     """Ambient matrix of A_Z at p: −P·(D of the projected field)·P."""
     if not zf.guard(p):
         raise RegularityError("Weingarten operator outside the guarded domain")
-    dim = p.ambient_dim
-    eye = np.eye(dim)
-    rows = np.asarray(value(ad.jacobian_rows(
-        lambda x: projected_eval(zf.field, x), p.coords, dim)), dtype=float)
-    jac = rows.T
-    proj = eye - np.outer(p.coords, p.coords)
-    return -proj @ jac @ proj
+    return -shape_matrix(zf.field, p.coords)
 
 
 def weingarten_transpose(zf: UnitVectorField, u: TangentVector) -> TangentVector:
@@ -268,12 +271,41 @@ def _adjoint_apply(zf_field: AmbientVectorField, x, w):
 
     Row i of the batched Jacobian is D_{e_i}(projected field), so dotting
     the rows with P·w assembles (Jacobian)^T · P·w in one evaluation.
+    Leading axes of x and w broadcast.
     """
     dim = value(x).shape[-1]
     pw = proj_tangent(x, w)
     rows = ad.jacobian_rows(lambda y: projected_eval(zf_field, y), x, dim)
-    jt_pw = dot(rows, pw)
+    jt_pw = ad.axis0_to_last(dot(rows, pw))
     return -proj_tangent(x, jt_pw)
+
+
+def harmonicity_form_batch(field: AmbientVectorField, x: np.ndarray,
+                           directions: np.ndarray,
+                           frames: Optional[np.ndarray] = None) -> np.ndarray:
+    """nu_Z at the points x (..., m+1) for directions (..., k, m+1).
+
+    nu_Z(x) = Σ_i g(D_{u_i}(A^t x̃), u_i) with x̃ the projected-constant
+    extension; the term A^t(∇_u x̃) of (∇_u A^t)x vanishes because
+    ∇_u x̃ = 0 at the base point.  The sum over an orthonormal frame u_i
+    is the ambient Jacobian of A^t x̃ contracted with Σ_i u_i u_iᵀ, which
+    is P = I − x xᵀ unless ``frames`` (..., m, m+1) are given.  Returns
+    shape (..., k).
+    """
+    dim = x.shape[-1]
+    base = x[..., None, None, :]                          # (..., 1, 1, m+1)
+    # Both leaves of the outer dual need the same number of axes, since
+    # the nested jacobian_rows prepends its direction axis to each leaf.
+    axes = np.broadcast_to(np.eye(dim)[:, None, :],
+                           x.shape[:-1] + (dim, 1, dim))  # (..., m+1, 1, m+1)
+    w = directions[..., None, :, :]                       # (..., 1, k, m+1)
+    jac = value(directional(
+        lambda y: _adjoint_apply(field, y, ad.lift(w, y)), base, axes))
+    if frames is None:
+        trace = np.eye(dim) - x[..., :, None] * x[..., None, :]
+    else:
+        trace = np.swapaxes(frames, -1, -2) @ frames
+    return np.einsum("...bka,...ba->...k", jac, trace)
 
 
 def harmonicity_form(zf: UnitVectorField, x: TangentVector,
@@ -281,7 +313,8 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector,
     """nu_Z(x) = Σ_i g((∇_{u_i} A^t) x, u_i) over a full orthonormal frame.
 
     (∇_u A^t)x = ∇_u(A^t x̃) − A^t(∇_u x̃) with x̃ the projected-constant
-    extension of x; the result is extension-independent.
+    extension of x; the result is extension-independent.  Without a
+    ``frame`` the trace is taken frame-free, as the contraction with P.
     """
     p = x.base
     if not zf.guard(p):
@@ -289,38 +322,22 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector,
     z = zf.at(p)
     if abs(metric(x, z)) > 1e-8:
         raise PreconditionError("direction must be orthogonal to the field")
-    fr = frame if frame is not None else tangent_basis(p)
-    x_const = x.vec.copy()
-
-    def adjoint_field(y):
-        return _adjoint_apply(zf.field, y, ad.lift(x_const, y))
-
-    ext_x = extension_of(x)
-    total = 0.0
-    for u in fr:
-        d1 = project(p, value(directional(adjoint_field, p.coords, u.vec)))
-        d2 = _adjoint_apply(zf.field, p.coords,
-                            cov_deriv(ext_x, u).vec)
-        d2 = project(p, value(d2))
-        total += metric(d1 - d2, u)
-    return float(total)
+    frames = frame.matrix if frame is not None else None
+    return float(harmonicity_form_batch(zf.field, p.coords, x.vec[None, :],
+                                        frames)[0])
 
 
 def harmonicity_check(zf: UnitVectorField, points: Sequence[SpherePoint],
                       tol: float = 1e-6) -> ResidualReport:
     """max |nu_Z(x)| over frame directions x ⟂ Z at each point."""
-    residuals, skipped = [], 0
-    for p in points:
-        try:
-            z = zf.at(p)
-        except RegularityError:
-            skipped += 1
-            continue
-        frame = gram_schmidt_frame(p, [z])
-        worst = 0.0
-        for x in frame.vectors[1:]:
-            worst = max(worst, abs(harmonicity_form(zf, x, frame=frame)))
-        residuals.append(worst)
+    kept = [p.coords for p in points if zf.guard(p)]
+    skipped = len(points) - len(kept)
+    residuals = []
+    for sl in blocks(len(kept)):
+        x = np.array(kept[sl])
+        z = proj_np(x, value(zf.field.eval(x)))
+        nu = harmonicity_form_batch(zf.field, x, frame_batch(x, z[:, None, :])[:, 1:])
+        residuals.extend(np.max(np.abs(nu), axis=-1))
     return ResidualReport.from_residuals(
         "nu_form", residuals, tol, skipped,
         provenance="first variation of the energy on the orthogonal complement")

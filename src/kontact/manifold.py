@@ -8,6 +8,12 @@ formula).  Curvature and Ricci come in two flavours each: the exact
 constant-curvature expressions and numerical versions assembled from
 covariant derivatives, kept as mutual cross-checks.
 
+Kernels ending in ``_batch`` (frames, brackets, numerical curvature) and
+:func:`shape_matrix` take plain arrays whose leading axes are batch axes
+(points, directions, frame slots) and broadcast them; the per-point
+functions taking :class:`SpherePoint`/:class:`TangentVector` are one-row
+calls into the same kernels, and validation happens at that boundary.
+
 Sign conventions (frozen package-wide, pinned by tests):
 
 * curvature  R(u,v)w = ∇_u∇_v w − ∇_v∇_u w − ∇_[u,v] w, so that
@@ -35,6 +41,8 @@ from .errors import (
 
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
+FRAME_TOL = 1e-8    # Gram-Schmidt drops (or, for seeds, rejects) shorter residues
+BLOCK = 32          # points per batched evaluation; bounds peak memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,16 +247,33 @@ def cov_deriv(V: AmbientVectorField, u: TangentVector) -> TangentVector:
     return project(p, value(d))
 
 
+def lie_bracket_batch(V: AmbientVectorField, W: AmbientVectorField,
+                      x: np.ndarray) -> np.ndarray:
+    """[V, W] at the points x, from the ambient extensions (batched)."""
+    vp = value(projected_eval(V, x))
+    wp = value(projected_eval(W, x))
+    dw = value(directional(lambda y: projected_eval(W, y), x, vp))
+    dv = value(directional(lambda y: projected_eval(V, y), x, wp))
+    return dw - dv
+
+
 def lie_bracket(V: AmbientVectorField, W: AmbientVectorField,
                 p: SpherePoint) -> TangentVector:
     """[V, W] at p, computed from the ambient extensions."""
     if not (V.tangent and W.tangent):
         raise TangencyError("lie_bracket requires tangent-flagged fields")
-    vp = value(projected_eval(V, p.coords))
-    wp = value(projected_eval(W, p.coords))
-    dw = value(directional(lambda x: projected_eval(W, x), p.coords, vp))
-    dv = value(directional(lambda x: projected_eval(V, x), p.coords, wp))
-    return TangentVector(p, dw - dv)
+    return TangentVector(p, lie_bracket_batch(V, W, p.coords))
+
+
+def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
+    """P·J·P at the points x: J is the ambient Jacobian of the projected
+    field and P = I − x xᵀ, so u ↦ (P·J·P) u is u ↦ ∇_u V on T_x."""
+    x = np.asarray(x, dtype=float)
+    dim = x.shape[-1]
+    rows = ad.jacobian_rows(lambda y: projected_eval(field, y), x, dim)
+    jac = ad.axis0_to_last(value(rows))
+    proj = np.eye(dim) - x[..., :, None] * x[..., None, :]
+    return proj @ jac @ proj
 
 
 def scalar_curve_derivative(s: Callable, p: SpherePoint, u: TangentVector) -> float:
@@ -297,19 +322,25 @@ def _second_cov_field(W: AmbientVectorField, V: AmbientVectorField) -> Callable:
     return evaluator
 
 
+def curvature_numeric_batch(x: np.ndarray, u: np.ndarray, v: np.ndarray,
+                            w: np.ndarray) -> np.ndarray:
+    """R(u,v)w at the points x from nested covariant derivatives of the
+    projected-constant extensions (batched)."""
+    U, V, W = constant_field(u), constant_field(v), constant_field(w)
+    t1 = value(directional(_second_cov_field(W, V), x, u))
+    t2 = value(directional(_second_cov_field(W, U), x, v))
+    bracket = lie_bracket_batch(U, V, x)
+    t3 = value(directional(lambda y: projected_eval(W, y), x, bracket))
+    return proj_np(x, t1 - t2 - t3)
+
+
 def curvature_numeric(u: TangentVector, v: TangentVector,
                       w: TangentVector) -> TangentVector:
     """R(u,v)w from nested covariant derivatives of extension fields."""
     _require_same_base(u, v)
     _require_same_base(u, w)
     p = u.base
-    U, V, W = extension_of(u), extension_of(v), extension_of(w)
-    t1 = value(directional(_second_cov_field(W, V), p.coords, u.vec))
-    t2 = value(directional(_second_cov_field(W, U), p.coords, v.vec))
-    bracket = lie_bracket(U, V, p)
-    t3 = value(directional(lambda x: projected_eval(W, x), p.coords, bracket.vec))
-    raw = t1 - t2 - t3
-    return project(p, raw)
+    return TangentVector(p, curvature_numeric_batch(p.coords, u.vec, v.vec, w.vec))
 
 
 def ricci(u: TangentVector, v: TangentVector) -> float:
@@ -346,6 +377,61 @@ def ricci_operator_frame_sum(u: TangentVector,
 # ---------------------------------------------------------------------------
 # frames
 
+def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None,
+                completion: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Orthonormal tangent frames at the points x, shape (..., m, m+1).
+
+    Batched :func:`gram_schmidt_frame`: the leading rows span the seeds
+    (shape (..., k, m+1)), and each frame is completed with projections of
+    the canonical ambient basis in ``completion`` order, dropping a
+    candidate whose residue is shorter than FRAME_TOL at that point.  Each
+    candidate becomes one slot, zero at the points that drop it, so
+    orthogonalizing against every slot repeats the per-point arithmetic
+    exactly; each point's nonzero slots then form its frame.  Once a point
+    has m slots, the residue of any further tangent candidate is rounding
+    noise, far below FRAME_TOL, so it drops them by itself.
+    """
+    x = np.asarray(x, dtype=float)
+    lead, dim = x.shape[:-1], x.shape[-1]
+    m = dim - 1
+    pts = x.reshape(-1, dim)
+    if seeds is None:
+        seeds = np.zeros((0, dim))
+    k = np.shape(seeds)[-2]
+    seeds = proj_np(pts[:, None, :],
+                    np.broadcast_to(seeds, lead + (k, dim)).reshape(len(pts), k, dim))
+    if k and np.any(np.abs(np.linalg.det(seeds @ np.swapaxes(seeds, -1, -2))) < 1e-10):
+        raise DegenerateInputError("seed vectors are rank deficient")
+    order = list(completion if completion is not None else range(dim))
+    candidates = proj_np(pts[:, None, :], np.eye(dim)[order])
+    slots, kept = [], []
+    uniform = True          # every point has kept every slot so far
+    for j in range(k + len(order)):
+        w = (seeds[:, j] if j < k else candidates[:, j - k]).copy()
+        for b in slots:
+            w -= inner(w, b)[:, None] * b
+        r = np.sqrt(inner(w, w))
+        keep = r >= FRAME_TOL
+        everywhere = keep.all()
+        if j < k and not everywhere:
+            raise DegenerateInputError("seed vectors are rank deficient")
+        if everywhere or keep.any():
+            slots.append(np.divide(w, r[:, None], out=np.zeros_like(w),
+                                   where=keep[:, None]))
+            kept.append(keep)
+            uniform = uniform and everywhere
+        if uniform and len(slots) == m:
+            break
+    accepted = np.stack(kept, axis=1) if kept else np.zeros((len(pts), 0), dtype=bool)
+    if np.any(accepted.sum(axis=1) != m):
+        raise DegenerateInputError("could not complete an orthonormal frame")
+    basis = np.stack(slots, axis=1)
+    if len(slots) > m:
+        picks = np.argsort(~accepted, axis=1, kind="stable")[:, :m]
+        basis = np.take_along_axis(basis, picks[:, :, None], axis=1)
+    return basis.reshape(lead + (m, dim))
+
+
 def gram_schmidt_frame(p: SpherePoint,
                        seeds: Sequence[TangentVector] = (),
                        completion: Optional[Sequence[int]] = None) -> Frame:
@@ -356,48 +442,34 @@ def gram_schmidt_frame(p: SpherePoint,
     order), dropping near-dependent candidates.  Deterministic given the
     seed order.
     """
-    seed_vecs = []
     for s in seeds:
         _require_same_base_point(p, s)
-        seed_vecs.append(proj_np(p.coords, s.vec))
-    if seed_vecs:
-        gram = np.array([[a @ b for b in seed_vecs] for a in seed_vecs])
-        if abs(np.linalg.det(gram)) < 1e-10:
-            raise DegenerateInputError("seed vectors are rank deficient")
-
-    m = p.dim
-    basis: list[np.ndarray] = []
-
-    def push(candidate: np.ndarray, hard: bool, threshold: float) -> None:
-        w = candidate.copy()
-        for b in basis:
-            w -= (w @ b) * b
-        r = np.linalg.norm(w)
-        if r < threshold:
-            if hard:
-                raise DegenerateInputError("seed vectors are rank deficient")
-            return
-        basis.append(w / r)
-
-    for sv_ in seed_vecs:
-        push(sv_, hard=True, threshold=1e-8)
-    eye = np.eye(p.ambient_dim)
-    order = completion if completion is not None else range(p.ambient_dim)
-    for i in order:
-        if len(basis) == m:
-            break
-        push(proj_np(p.coords, eye[i]), hard=False, threshold=1e-8)
-    if len(basis) != m:
-        raise DegenerateInputError("could not complete an orthonormal frame")
-    return Frame(p, tuple(TangentVector(p, b) for b in basis))
+    seed_arr = np.array([s.vec for s in seeds]).reshape(len(seeds), p.ambient_dim)
+    rows = frame_batch(p.coords, seed_arr, completion)
+    return Frame(p, tuple(TangentVector(p, b) for b in rows))
 
 
 def tangent_basis(p: SpherePoint) -> Frame:
     return gram_schmidt_frame(p)
 
 
-def proj_np(p_coords: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return v - (v @ p_coords) * p_coords
+def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """⟨a, b⟩ over the last axis, leading axes broadcast.
+
+    Stacked matmul rounds each row exactly as the one-row ``a @ b`` does,
+    so batched kernels reproduce the per-point arithmetic.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat·v for vectors v (..., n), rounded as the one-row ``mat @ v``."""
+    return (mat @ v[..., :, None])[..., 0]
+
+
+def proj_np(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Tangential projection v − ⟨v,x⟩x at unit points x (leading axes broadcast)."""
+    return v - inner(v, x)[..., None] * x
 
 
 def _require_same_base_point(p: SpherePoint, u: TangentVector) -> None:
@@ -458,6 +530,37 @@ def random_tangents(p: SpherePoint, rng: np.random.Generator, k: int,
             continue
         out.append(TangentVector(p, v / r if unit else v))
     return out
+
+
+def random_tangent_batch(x: np.ndarray, rng: np.random.Generator,
+                         shape: tuple) -> np.ndarray:
+    """Unit tangent directions, shape (N,) + shape + (m+1,), at the N points x.
+
+    One normal draw for all of them, consumed in the order of a loop of
+    :func:`random_tangents` calls over the points.  A draw whose tangential
+    part is shorter than 1e-8 is redrawn where it stands, where the loop
+    would shift the stream instead; for m ≥ 3 that has probability below
+    1e-20 per draw.
+    """
+    base = x.reshape((x.shape[0],) + (1,) * len(shape) + (x.shape[-1],))
+    v = proj_np(base, rng.standard_normal((x.shape[0],) + tuple(shape) + (x.shape[-1],)))
+    r = np.sqrt(inner(v, v))
+    while np.any(r < 1e-8):
+        bad = np.nonzero(r < 1e-8)
+        v[bad] = proj_np(np.broadcast_to(base, v.shape)[bad],
+                         rng.standard_normal((len(bad[0]), x.shape[-1])))
+        r = np.sqrt(inner(v, v))
+    return v / r[..., None]
+
+
+def stack_coords(points: Sequence[SpherePoint], ambient_dim: int) -> np.ndarray:
+    """Ambient coordinates of validated points as an (N, m+1) array."""
+    return np.array([p.coords for p in points], dtype=float).reshape(len(points), ambient_dim)
+
+
+def blocks(count: int) -> list:
+    """Slices of at most BLOCK consecutive points covering range(count)."""
+    return [slice(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK)]
 
 
 def sphere_volume(m: int) -> float:

@@ -30,6 +30,7 @@ from .manifold import (
     metric,
     project,
     projected_eval,
+    shape_matrix,
     tangent_basis,
 )
 from .report import ResidualReport
@@ -90,18 +91,12 @@ def quadratic_form_field(mat: np.ndarray, label: str = "") -> ScalarField:
 # ---------------------------------------------------------------------------
 # derivatives
 
-def _axis0_to_last(payload):
-    if isinstance(payload, ad.Dual):
-        return ad.Dual(_axis0_to_last(payload.val), _axis0_to_last(payload.eps))
-    return np.moveaxis(np.asarray(payload, dtype=float), 0, -1)
-
-
 def ambient_gradient(f: ScalarField, x):
     """Euclidean gradient of the ambient formula (dual-evaluable)."""
     if f.grad is not None:
         return f.grad(x)
     dim = value(x).shape[-1]
-    return _axis0_to_last(ad.jacobian_rows(f.eval, x, dim))
+    return ad.axis0_to_last(ad.jacobian_rows(f.eval, x, dim))
 
 
 def gradient(f: ScalarField, p: SpherePoint) -> TangentVector:
@@ -155,16 +150,9 @@ def normalized_gradient_field(f: ScalarField) -> AmbientVectorField:
 
 def _tangential_shape_trace(field: AmbientVectorField, p: SpherePoint):
     """Jacobian bookkeeping for h: returns (tr_T(∇V), g(∇_V V, V))."""
-    dim = p.ambient_dim
-    eye = np.eye(dim)
-    rows = np.asarray(value(ad.jacobian_rows(
-        lambda x: projected_eval(field, x), p.coords, dim)), dtype=float)
-    jac = rows.T
-    proj = eye - np.outer(p.coords, p.coords)
-    trace_tangent = float(np.trace(proj @ jac @ proj))
+    shape = shape_matrix(field, p.coords)
     vp = np.asarray(value(projected_eval(field, p.coords)), dtype=float)
-    radial = float(vp @ (proj @ (jac @ vp)))
-    return trace_tangent, radial
+    return float(np.trace(shape)), float(vp @ (shape @ vp))
 
 
 def level_mean_curvature(f: ScalarField, p: SpherePoint,
