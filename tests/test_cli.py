@@ -199,3 +199,9 @@ def test_thread_env_does_not_change_output(small_reports, monkeypatch):
         monkeypatch.setenv("KONTACT_THREADS", value)
         reports = run_suite(SuiteConfig(manifold="s3", samples=25, seed=42))
         assert reports == list(small_reports)
+
+
+def test_thread_env_auto(monkeypatch):
+    monkeypatch.setenv("KONTACT_THREADS", "0")
+    reports = run_suite(SuiteConfig(manifold="s3", samples=5, seed=1))
+    assert len(reports) == 14
