@@ -101,11 +101,9 @@ from .harmonic import (
     mean_curvature_of_field,
     normalized_constant_unit_field,
     normalized_gradient_unit_field,
-    principal_gradient_residual,
     pullback_metric,
     reeb_energy_closed_form,
     reeb_unit_field,
-    ricci_gradient_residual,
     shape_spectrum,
     trace_l,
     twisted_unit_field,

@@ -207,12 +207,25 @@ def jacobian_columns(f: Callable, x: Payload, dim: int) -> list:
     return [directional(f, x, eye[i]) for i in range(dim)]
 
 
-def broadcast_batch(x: Payload, count: int) -> Payload:
-    """Prepend a broadcast axis of length ``count`` to every leaf."""
+def _batch_shape(x: Payload) -> tuple:
+    """Common broadcast shape of every leaf of ``x``."""
     if type(x) is Dual:
-        return Dual(broadcast_batch(x.val, count), broadcast_batch(x.eps, count))
-    arr = np.asarray(x, dtype=float)
-    return np.broadcast_to(arr, (count,) + arr.shape)
+        return np.broadcast_shapes(_batch_shape(x.val), _batch_shape(x.eps))
+    return np.shape(x)
+
+
+def _leafwise(fn: Callable, x: Payload) -> Payload:
+    """Apply ``fn`` to every leaf of ``x``, keeping the dual structure."""
+    if type(x) is Dual:
+        return Dual(_leafwise(fn, x.val), _leafwise(fn, x.eps))
+    return fn(np.asarray(x, dtype=float))
+
+
+def broadcast_batch(x: Payload, count: int) -> Payload:
+    """Prepend a broadcast axis of length ``count`` to every leaf, after
+    broadcasting the leaves to their common shape so the axis lines up."""
+    shape = (count,) + _batch_shape(x)
+    return _leafwise(lambda leaf: np.broadcast_to(leaf, shape), x)
 
 
 def jacobian_rows(f: Callable, x: Payload, dim: int) -> Payload:
@@ -223,17 +236,14 @@ def jacobian_rows(f: Callable, x: Payload, dim: int) -> Payload:
     evaluation instead of ``dim`` separate ones.  Existing batch axes of
     ``x`` are kept distinct from the new direction axis.
     """
-    lead = np.ndim(value(x)) - 1
+    lead = len(_batch_shape(x)) - 1
     directions = np.eye(dim).reshape((dim,) + (1,) * lead + (dim,))
     return directional(f, broadcast_batch(x, dim), directions)
 
 
 def axis0_to_last(x: Payload) -> Payload:
     """Move the leading (direction) axis of every leaf to the end."""
-    if type(x) is Dual:
-        return Dual(axis0_to_last(x.val), axis0_to_last(x.eps))
-    arr = np.asarray(x, dtype=float)
-    return arr.transpose(tuple(range(1, arr.ndim)) + (0,))
+    return _leafwise(lambda leaf: np.moveaxis(leaf, 0, -1), x)
 
 
 # ---------------------------------------------------------------------------

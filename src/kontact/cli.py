@@ -24,6 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .ad import value
 from .contact import (
     D_ALPHA_CONVENTION,
     check_axiom_ii,
@@ -49,6 +50,7 @@ from .double_kcontact import (
     transnormal_b_check,
 )
 from .harmonic import (
+    UnitVectorField,
     critical_condition_check,
     energy,
     harmonicity_check,
@@ -210,7 +212,7 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
          lambda tol=1e-8: ricci_normal_check(pair, points, tol=tol)),
         ("nu_form", lambda tol=1e-6: harmonicity_check(n_field, points, tol=tol)),
         ("critical_condition",
-         lambda tol=1e-5: critical_condition_check(n_field, points, tol=tol)),
+         lambda tol=1e-6: critical_condition_check(n_field, points, tol=tol)),
         ("energy_reeb", lambda tol=None: energy_reeb(tol)),
     ])
     return catalog
@@ -383,31 +385,35 @@ def _cmd_describe(args) -> int:
     return 0
 
 
-def _cmd_energy(args) -> int:
-    dim = MANIFOLDS[args.manifold]
-    pair = standard_pair(dim)
-    closed = None
-    if args.field == "reeb_alpha":
-        zf = reeb_unit_field(pair.s_alpha)
-        closed = reeb_energy_closed_form(dim)
-    elif args.field == "reeb_beta":
-        zf = reeb_unit_field(pair.s_beta)
-        closed = reeb_energy_closed_form(dim)
-    else:
-        f = pair.angle_function()
-        zf = normalized_gradient_unit_field(f)
+def _energy_field(args, pair) -> tuple[UnitVectorField, Optional[float]]:
+    """The unit field named by ``--field`` and its closed-form energy, if any."""
+    if args.samples < 2:
+        raise ValueError("samples must be >= 2 for a standard error")
+    if args.field != "gradient":
         if args.exclusion is not None:
-            cutoff = args.exclusion
-            base_guard_batch = zf.guard_batch
+            raise ValueError("--exclusion applies to the gradient field only")
+        structure = pair.s_alpha if args.field == "reeb_alpha" else pair.s_beta
+        return reeb_unit_field(structure), reeb_energy_closed_form(pair.dim)
+    f = pair.angle_function()
+    zf = normalized_gradient_unit_field(f)
+    if args.exclusion is None:
+        return zf, None
+    if not (0.0 < args.exclusion < 1.0):
+        raise ValueError("exclusion must lie in (0, 1)")
+    cutoff = args.exclusion
+    return UnitVectorField(
+        zf.field, label=zf.label,
+        guard=lambda x: zf.guard(x) & (np.abs(value(f.eval(x))) <= cutoff)), None
 
-            def guard_batch(points):
-                fv = np.asarray([f.eval(row) for row in points])
-                return base_guard_batch(points) & (np.abs(fv) <= cutoff)
 
-            from .harmonic import UnitVectorField
-            zf = UnitVectorField(zf.field, guard=zf.guard,
-                                 guard_batch=guard_batch, label=zf.label)
-    est = energy(zf, args.samples, args.seed, pair.ambient_dim)
+def _cmd_energy(args) -> int:
+    pair = standard_pair(MANIFOLDS[args.manifold])
+    try:
+        zf, closed = _energy_field(args, pair)
+        est = energy(zf, args.samples, args.seed, pair.ambient_dim)
+    except (ValueError, GeometryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     doc = {
         "manifold": args.manifold,
         "field": args.field,

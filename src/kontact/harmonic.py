@@ -11,15 +11,17 @@ Critical points are exactly the fields whose first-variation one-form
 
 vanishes for all x ⟂ Z.  For a geodesic field N with integrable
 orthogonal complement this reduces to x(h) = ric(x, N) where h is the
-mean curvature of the orthogonal distribution; both forms are
-implemented, the frame-based one exactly (dual numbers), the reduced one
-with five-point finite differences of h along great circles.
+mean curvature of the orthogonal distribution.  Both forms are exact:
+h is minus the ambient divergence of N, and x(h) differentiates it with
+a further level of dual numbers.
 
-Batch convention: kernels (:func:`shape_matrix`, :func:`harmonicity_form_batch`)
-take plain arrays with leading batch axes — points (N, m+1) plus any
-per-point direction or frame axes — and per-point functions such as
-:func:`harmonicity_form` and :func:`weingarten_ambient_matrix` are
-one-row calls into them.  Checks evaluate points in blocks of
+Batch convention: kernels (:func:`shape_matrix`, :func:`harmonicity_form_batch`,
+:func:`mean_curvature_derivative`) take plain arrays with leading batch
+axes — points (N, m+1) plus any per-point direction or frame axes — and
+per-point functions such as :func:`harmonicity_form`,
+:func:`mean_curvature_of_field` and :func:`weingarten_ambient_matrix` are
+one-row calls into them.  A unit field's guard maps points (..., m+1) to
+a mask in the same way.  Checks evaluate points in blocks of
 ``manifold.BLOCK`` to bound memory.
 """
 
@@ -31,7 +33,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import ad
-from .ad import directional, dot, fd_curve_derivative_5pt, proj_tangent, value
+from .ad import directional, dot, proj_tangent, value
 from .errors import (
     IntegrabilityError,
     PreconditionError,
@@ -45,34 +47,38 @@ from .manifold import (
     cov_deriv,
     frame_batch,
     gram_schmidt_frame,
+    inner,
     metric,
     proj_np,
     projected_eval,
-    ricci,
     shape_matrix,
     sphere_volume,
-    tangent_basis,
 )
 from .report import EnergyEstimate, ResidualReport
 from .scalar_fields import ScalarField, ambient_gradient
 
 GEODESIC_TOL = 1e-6
 SYMMETRY_TOL = 1e-7
-EIGEN_GAP = 1e-4
-FD_STEP = 1e-3
+
+
+def _everywhere(x: np.ndarray) -> np.ndarray:
+    return np.ones(np.shape(x)[:-1], dtype=bool)
 
 
 @dataclass(frozen=True, eq=False)
 class UnitVectorField:
-    """Tangent unit field with a domain guard for its singular set."""
+    """Tangent unit field with a domain guard for its singular set.
+
+    ``guard`` maps points (..., m+1) to a boolean mask (..., ), False
+    where the field is undefined; a single point is a 1-D array.
+    """
 
     field: AmbientVectorField
-    guard: Callable[[SpherePoint], bool] = lambda p: True
-    guard_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    guard: Callable[[np.ndarray], np.ndarray] = _everywhere
     label: str = ""
 
     def at(self, p: SpherePoint) -> TangentVector:
-        if not self.guard(p):
+        if not self.guard(p.coords):
             raise RegularityError(f"field {self.label or '?'} undefined here")
         return self.field.at(p)
 
@@ -99,19 +105,14 @@ def normalized_gradient_unit_field(f: ScalarField,
     def evaluator(x):
         return ad.unit(proj_tangent(x, ambient_gradient(f, x)))
 
-    def guard(p: SpherePoint) -> bool:
-        g = value(ambient_gradient(f, p.coords))
-        g = g - (g @ p.coords) * p.coords
-        return float(np.linalg.norm(g)) >= eps_reg
-
-    def guard_batch(points: np.ndarray) -> np.ndarray:
+    def guard(points: np.ndarray) -> np.ndarray:
         g = np.asarray(value(ambient_gradient(f, points)), dtype=float)
         g = g - np.sum(g * points, axis=-1, keepdims=True) * points
         return np.linalg.norm(g, axis=-1) >= eps_reg
 
     return UnitVectorField(
         AmbientVectorField(evaluator, tangent=True, label=f"unit grad({f.label})"),
-        guard=guard, guard_batch=guard_batch, label=f"N({f.label})")
+        guard=guard, label=f"N({f.label})")
 
 
 def normalized_constant_unit_field(c: np.ndarray,
@@ -128,9 +129,8 @@ def normalized_constant_unit_field(c: np.ndarray,
     def evaluator(x):
         return ad.unit(proj_tangent(x, ad.lift(c, x)))
 
-    def guard(p: SpherePoint) -> bool:
-        v = c - (c @ p.coords) * p.coords
-        return float(np.linalg.norm(v)) >= eps_reg
+    def guard(points: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(proj_np(points, c), axis=-1) >= eps_reg
 
     return UnitVectorField(
         AmbientVectorField(evaluator, tangent=True, label="unit constant"),
@@ -152,10 +152,9 @@ def twisted_unit_field(c: np.ndarray, a: np.ndarray, d: np.ndarray,
         base = ad.lift(c, x) + ad.sv(dot(x, a), ad.lift(d, x))
         return ad.unit(proj_tangent(x, base))
 
-    def guard(p: SpherePoint) -> bool:
-        v = c + (p.coords @ a) * d
-        v = v - (v @ p.coords) * p.coords
-        return float(np.linalg.norm(v)) >= eps_reg
+    def guard(points: np.ndarray) -> np.ndarray:
+        v = c + inner(points, a)[..., None] * d
+        return np.linalg.norm(proj_np(points, v), axis=-1) >= eps_reg
 
     return UnitVectorField(
         AmbientVectorField(evaluator, tangent=True, label="twisted affine"),
@@ -167,28 +166,22 @@ def twisted_unit_field(c: np.ndarray, a: np.ndarray, d: np.ndarray,
 
 def weingarten(zf: UnitVectorField, u: TangentVector) -> TangentVector:
     """A_Z u = −∇_u Z."""
-    if not zf.guard(u.base):
+    if not zf.guard(u.base.coords):
         raise RegularityError("Weingarten operator outside the guarded domain")
     return -1.0 * cov_deriv(zf.field, u)
 
 
 def weingarten_ambient_matrix(zf: UnitVectorField, p: SpherePoint) -> np.ndarray:
     """Ambient matrix of A_Z at p: −P·(D of the projected field)·P."""
-    if not zf.guard(p):
+    if not zf.guard(p.coords):
         raise RegularityError("Weingarten operator outside the guarded domain")
     return -shape_matrix(zf.field, p.coords)
 
 
 def weingarten_transpose(zf: UnitVectorField, u: TangentVector) -> TangentVector:
-    """Metric adjoint A_Z^t, assembled from the matrix of A_Z on a frame."""
-    p = u.base
-    frame = tangent_basis(p)
-    amat = np.array([[metric(weingarten(zf, ej), ei) for ej in frame]
-                     for ei in frame])
-    coords = np.array([metric(u, e) for e in frame])
-    out_coords = amat.T @ coords
-    out = sum(c * e.vec for c, e in zip(out_coords, frame))
-    return TangentVector(p, out)
+    """Metric adjoint A_Z^t: the transpose of the ambient matrix of A_Z,
+    which maps T_p into itself."""
+    return TangentVector(u.base, weingarten_ambient_matrix(zf, u.base).T @ u.vec)
 
 
 def l_operator(zf: UnitVectorField, u: TangentVector) -> TangentVector:
@@ -239,11 +232,7 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
     points = g / norms[:, None]
-    if zf.guard_batch is not None:
-        mask = np.asarray(zf.guard_batch(points), dtype=bool)
-    else:
-        mask = np.fromiter((zf.guard(SpherePoint(row)) for row in points),
-                           dtype=bool, count=sample_size)
+    mask = np.asarray(zf.guard(points), dtype=bool)
     vals = np.zeros(sample_size)
     if np.any(mask):
         vals[mask] = _trace_l_batch(zf, points[mask])
@@ -294,10 +283,7 @@ def harmonicity_form_batch(field: AmbientVectorField, x: np.ndarray,
     """
     dim = x.shape[-1]
     base = x[..., None, None, :]                          # (..., 1, 1, m+1)
-    # Both leaves of the outer dual need the same number of axes, since
-    # the nested jacobian_rows prepends its direction axis to each leaf.
-    axes = np.broadcast_to(np.eye(dim)[:, None, :],
-                           x.shape[:-1] + (dim, 1, dim))  # (..., m+1, 1, m+1)
+    axes = np.eye(dim)[:, None, :]                        # (m+1, 1, m+1)
     w = directions[..., None, :, :]                       # (..., 1, k, m+1)
     jac = value(directional(
         lambda y: _adjoint_apply(field, y, ad.lift(w, y)), base, axes))
@@ -317,7 +303,7 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector,
     ``frame`` the trace is taken frame-free, as the contraction with P.
     """
     p = x.base
-    if not zf.guard(p):
+    if not zf.guard(p.coords):
         raise RegularityError("harmonicity form outside the guarded domain")
     z = zf.at(p)
     if abs(metric(x, z)) > 1e-8:
@@ -327,30 +313,65 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector,
                                         frames)[0])
 
 
+def _frame_check(name: str, zf: UnitVectorField, points: Sequence[SpherePoint],
+                 tol: float, residual: Callable, provenance: str) -> ResidualReport:
+    """max over the frame directions of Z^⊥ of |residual(x, z, frames)|
+    at each point inside the guard; ``residual`` maps points x (B, m+1),
+    field values z (B, m+1) and frames (B, m−1, m+1) to (B, m−1)."""
+    x_all = np.array([p.coords for p in points])
+    keep = zf.guard(x_all) if len(points) else np.zeros(0, dtype=bool)
+    kept = x_all[keep]
+    residuals = []
+    for sl in blocks(len(kept)):
+        x = kept[sl]
+        z = proj_np(x, value(zf.field.eval(x)))
+        frames = frame_batch(x, z[:, None, :])[:, 1:]
+        residuals.extend(np.max(np.abs(residual(x, z, frames)), axis=-1))
+    return ResidualReport.from_residuals(
+        name, residuals, tol, len(points) - len(kept), provenance=provenance)
+
+
 def harmonicity_check(zf: UnitVectorField, points: Sequence[SpherePoint],
                       tol: float = 1e-6) -> ResidualReport:
     """max |nu_Z(x)| over frame directions x ⟂ Z at each point."""
-    kept = [p.coords for p in points if zf.guard(p)]
-    skipped = len(points) - len(kept)
-    residuals = []
-    for sl in blocks(len(kept)):
-        x = np.array(kept[sl])
-        z = proj_np(x, value(zf.field.eval(x)))
-        nu = harmonicity_form_batch(zf.field, x, frame_batch(x, z[:, None, :])[:, 1:])
-        residuals.extend(np.max(np.abs(nu), axis=-1))
-    return ResidualReport.from_residuals(
-        "nu_form", residuals, tol, skipped,
-        provenance="first variation of the energy on the orthogonal complement")
+    return _frame_check(
+        "nu_form", zf, points, tol,
+        lambda x, z, frames: harmonicity_form_batch(zf.field, x, frames),
+        "first variation of the energy on the orthogonal complement")
 
 
 # ---------------------------------------------------------------------------
 # shape spectrum and the reduced critical condition
 
+def _mean_curvature(field: AmbientVectorField, y):
+    """h at y as a dual-evaluable ambient formula: minus the ambient
+    divergence −Σᵢ ∂ᵢFᵢ of the projected field F.
+
+    On the sphere the trace of A_Z on Z^⊥ is −Σᵢ ∂ᵢFᵢ + ⟨y, D_y F⟩ +
+    ⟨z, D_z F⟩ with z = F(y).  The first extra term vanishes identically
+    because F ⟂ y near the sphere, the second on the sphere because
+    |F| = 1 there, so neither contributes to h or to x(h) for tangent x.
+    Leading axes of y broadcast.
+    """
+    dim = value(y).shape[-1]
+    jac = ad.axis0_to_last(
+        ad.jacobian_rows(lambda w: projected_eval(field, w), y, dim))
+    return -dot(dot(jac, np.eye(dim)), np.ones(dim))
+
+
+def mean_curvature_derivative(field: AmbientVectorField, x: np.ndarray,
+                              directions: np.ndarray) -> np.ndarray:
+    """Directional derivatives of h at the points x (..., m+1) along
+    tangent directions (..., k, m+1), exact; returns shape (..., k)."""
+    return value(directional(lambda y: _mean_curvature(field, y),
+                             x[..., None, :], directions))
+
+
 def mean_curvature_of_field(zf: UnitVectorField, p: SpherePoint) -> float:
     """h = −Σ g(∇_{E_i}Z, E_i) over a frame of Z^⊥ (trace of A_Z there)."""
-    a = weingarten_ambient_matrix(zf, p)
-    z = zf.at(p)
-    return float(np.trace(a) - z.vec @ (a @ z.vec))
+    if not zf.guard(p.coords):
+        raise RegularityError("mean curvature outside the guarded domain")
+    return float(value(_mean_curvature(zf.field, p.coords)))
 
 
 def shape_spectrum(zf: UnitVectorField, p: SpherePoint,
@@ -365,141 +386,30 @@ def shape_spectrum(zf: UnitVectorField, p: SpherePoint,
     geo = cov_deriv(zf.field, z).norm()
     if geo > geodesic_tol:
         raise RegularityError(f"field is not geodesic here (|∇_Z Z| = {geo:.2e})")
-    frame = gram_schmidt_frame(p, [z])
-    basis = frame.vectors[1:]
-    k = len(basis)
-    amat = np.zeros((k, k))
-    a_amb = weingarten_ambient_matrix(zf, p)
-    bmat = np.stack([e.vec for e in basis])
-    amat = bmat @ a_amb @ bmat.T
+    basis = gram_schmidt_frame(p, [z]).matrix[1:]
+    amat = basis @ weingarten_ambient_matrix(zf, p) @ basis.T
     asym = float(np.max(np.abs(amat - amat.T)))
     if asym > symmetry_tol:
         raise IntegrabilityError(
             f"shape operator asymmetry {asym:.2e} beyond {symmetry_tol}")
-    sym = 0.5 * (amat + amat.T)
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    eigenframe = tuple(
-        TangentVector(p, sum(float(eigvecs[i, j]) * basis[i].vec
-                             for i in range(k)))
-        for j in range(k))
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (amat + amat.T))
+    eigenframe = tuple(TangentVector(p, v) for v in eigvecs.T @ basis)
     return ShapeSpectrum(base=p, eigenvalues=eigvals, eigenframe=eigenframe,
                          mean_curvature=float(np.sum(eigvals)))
 
 
-def _spectrum_along(zf: UnitVectorField, p: SpherePoint, direction: np.ndarray,
-                    t: float, reference: ShapeSpectrum
-                    ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Matched eigenvalues/eigenvectors at the great-circle point γ(t)."""
-    q = SpherePoint.from_array(ad.great_circle(p.coords, direction, t))
-    spec = shape_spectrum(zf, q)
-    k = len(reference.eigenframe)
-    overlaps = np.array([[abs(float(spec.eigenframe[j].vec
-                                    @ reference.eigenframe[i].vec))
-                          for j in range(k)] for i in range(k)])
-    matched_vals = np.empty(k)
-    matched_vecs: list[np.ndarray] = [None] * k
-    taken: set[int] = set()
-    for i in np.argsort(-overlaps.max(axis=1)):
-        j = int(np.argmax([overlaps[i, j] if j not in taken else -1.0
-                           for j in range(k)]))
-        taken.add(j)
-        v = spec.eigenframe[j].vec
-        if float(v @ reference.eigenframe[i].vec) < 0.0:
-            v = -v
-        matched_vals[i] = spec.eigenvalues[j]
-        matched_vecs[i] = v
-    return matched_vals, matched_vecs
-
-
-def _five_point(values: Sequence, step: float):
-    f2, f1, fm1, fm2 = values
-    return (-f2 + 8.0 * f1 - 8.0 * fm1 + fm2) / (12.0 * step)
-
-
-def principal_gradient_residual(zf: UnitVectorField, p: SpherePoint,
-                                step: float = FD_STEP,
-                                gap: float = EIGEN_GAP) -> list[float]:
-    """Per-eigendirection residual of the balance between the derivative
-    of each principal curvature along its own direction and the
-    divergence terms weighted by eigenvalue gaps:
-
-        E_j(λ_j) + Σ_i (λ_i − λ_j) g(∇_{E_i}E_i, E_j).
-
-    The sum runs over the N^⊥ eigenframe (its size, not the ambient
-    dimension, sets the index range).  Requires a simple spectrum.
-    """
-    spec = shape_spectrum(zf, p)
-    vals = spec.eigenvalues
-    if np.min(np.diff(vals)) < gap:
-        raise PreconditionError("eigenvalue gap below threshold (multiplicity)")
-    k = len(vals)
-    dvals = np.zeros((k, k))  # dvals[i][j] = derivative of λ_j along E_i
-    dvecs: list[list[np.ndarray]] = []
-    proj = np.eye(p.ambient_dim) - np.outer(p.coords, p.coords)
-    for i in range(k):
-        direction = spec.eigenframe[i].vec
-        samples = [_spectrum_along(zf, p, direction, t, spec)
-                   for t in (2 * step, step, -step, -2 * step)]
-        dvals[i] = _five_point([s[0] for s in samples], step)
-        dvecs.append([proj @ _five_point([s[1][jj] for s in samples], step)
-                      for jj in range(k)])
-    residuals = []
-    for j in range(k):
-        divergence = sum((vals[i] - vals[j])
-                         * float(dvecs[i][i] @ spec.eigenframe[j].vec)
-                         for i in range(k))
-        residuals.append(abs(dvals[j][j] + divergence))
-    return residuals
-
-
-def ricci_gradient_residual(zf: UnitVectorField, p: SpherePoint,
-                            step: float = FD_STEP,
-                            gap: float = EIGEN_GAP) -> list[float]:
-    """Per-direction residual |ric(E_j, N) − E_j(h)| with h = Σ λ_i."""
-    spec = shape_spectrum(zf, p)
-    if np.min(np.diff(spec.eigenvalues)) < gap:
-        raise PreconditionError("eigenvalue gap below threshold (multiplicity)")
-    n = zf.at(p)
-    k = len(spec.eigenvalues)
-    residuals = []
-    for j in range(k):
-        direction = spec.eigenframe[j].vec
-        samples = [_spectrum_along(zf, p, direction, t, spec)[0].sum()
-                   for t in (2 * step, step, -step, -2 * step)]
-        dh = float(_five_point(samples, step))
-        residuals.append(abs(ricci(spec.eigenframe[j], n) - dh))
-    return residuals
-
-
 def critical_condition_check(zf: UnitVectorField, points: Sequence[SpherePoint],
-                             tol: float = 1e-5, step: float = FD_STEP
-                             ) -> ResidualReport:
+                             tol: float = 1e-6) -> ResidualReport:
     """x(h) = ric(x, N) for all frame directions x ⟂ N.
 
-    Directional derivatives of h use five-point central differences
-    along great circles, so the tolerance is looser than the exact
-    frame-based harmonicity form.
+    x(h) is exact (:func:`mean_curvature_derivative`), so the default
+    tolerance matches the frame-based harmonicity form's.  On the unit
+    sphere ric(x, N) = (m−1)·g(x, N).
     """
-    residuals, skipped = [], 0
-    for p in points:
-        try:
-            n = zf.at(p)
-        except RegularityError:
-            skipped += 1
-            continue
-        frame = gram_schmidt_frame(p, [n])
-        worst = 0.0
-        for x in frame.vectors[1:]:
-            try:
-                dh = fd_curve_derivative_5pt(
-                    lambda c: mean_curvature_of_field(zf, SpherePoint.from_array(c)),
-                    p.coords, x.vec, step)
-            except RegularityError:
-                skipped += 1
-                break
-            worst = max(worst, abs(dh - ricci(x, n)))
-        else:
-            residuals.append(worst)
-    return ResidualReport.from_residuals(
-        "critical_condition", residuals, tol, skipped,
-        provenance="derivative of the mean curvature against ricci(., N)")
+    def residual(x, n, frames):
+        ric = (x.shape[-1] - 2) * inner(frames, n[:, None, :])
+        return mean_curvature_derivative(zf.field, x, frames) - ric
+
+    return _frame_check(
+        "critical_condition", zf, points, tol, residual,
+        "derivative of the mean curvature against ricci(., N)")

@@ -170,13 +170,13 @@ def test_criterion_09_harmonic_unit_field():
     for dim in (3, 5):
         n_field = kt.normalized_gradient_unit_field(angle(dim))
         rep_nu = kt.harmonicity_check(n_field, points(dim), tol=1e-6)
-        rep_cr = kt.critical_condition_check(n_field, points(dim), tol=1e-5)
+        rep_cr = kt.critical_condition_check(n_field, points(dim), tol=1e-6)
         worst_nu = max(worst_nu, rep_nu.max)
         worst_crit = max(worst_crit, rep_cr.max)
         assert rep_nu.passed and rep_cr.passed
-    ok = worst_nu <= 1e-6 and worst_crit <= 1e-5
+    ok = worst_nu <= 1e-6 and worst_crit <= 1e-6
     report_line(9, ok, f"nu_N max {worst_nu:.2e} <= 1e-6, "
-                       f"|x(h) - ric(x,N)| max {worst_crit:.2e} <= 1e-5")
+                       f"|x(h) - ric(x,N)| max {worst_crit:.2e} <= 1e-6")
     assert ok
 
 

@@ -122,6 +122,23 @@ def test_jacobian_rows_nested_inside_dual_context():
     assert np.max(np.abs(exact - approx)) < 1e-7
 
 
+def test_jacobian_rows_aligns_leaves_of_different_rank():
+    # an outer dual whose val (5,1,1,3) and eps (4,1,3) have different
+    # numbers of axes: the direction axis must line up across both leaves
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((5, 1, 1, 3))
+    d = rng.standard_normal((4, 1, 3))
+    out = ad.value(ad.directional(lambda y: ad.jacobian_rows(vector_fn, y, 3), x, d))
+    assert out.shape == (3, 5, 4, 1, 3)
+    eye = np.eye(3)
+    for b in range(5):
+        for k in range(4):
+            for i in range(3):
+                ref = ad.value(ad.directional(
+                    lambda y: ad.directional(vector_fn, y, eye[i]), x[b, 0, 0], d[k, 0]))
+                assert np.max(np.abs(out[i, b, k, 0] - ref)) <= 1e-14
+
+
 def test_value_and_lift_round_trip():
     x = np.array([1.0, 2.0])
     d = ad.make_dual(x, np.array([0.0, 1.0]))

@@ -145,7 +145,7 @@ def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
     pair, f, pts, x = setting
     dim = x.shape[1] - 1
     for zf in (kt.normalized_gradient_unit_field(f), twisted(dim)):
-        kept = [p for p in pts if zf.guard(p)]
+        kept = [p for p in pts if zf.guard(p.coords)]
         xk = np.array([p.coords for p in kept])
         z = kt.manifold.proj_np(xk, ad.value(zf.field.eval(xk)))
         frames = frame_batch(xk, z[:, None, :])
@@ -197,7 +197,9 @@ def test_guarded_point_is_skipped(dim):
     critical = kt.SpherePoint(np.eye(dim + 1)[0])      # |f| = 1, grad f = 0
     assert abs(abs(f.value(critical)) - 1.0) < 1e-15
     mixed = pts[:3] + [critical] + pts[3:]
-    for check in (lambda ps: kt.harmonicity_check(kt.normalized_gradient_unit_field(f), ps),
+    n_field = kt.normalized_gradient_unit_field(f)
+    for check in (lambda ps: kt.harmonicity_check(n_field, ps),
+                  lambda ps: kt.critical_condition_check(n_field, ps),
                   lambda ps: kt.ricci_normal_check(pair, ps)):
         with_crit, without = check(mixed), check(pts)
         assert (with_crit.count, with_crit.skipped) == (6, 1)

@@ -193,6 +193,22 @@ def test_cli_energy_gradient_with_exclusion(capsys):
     assert "closed_form" not in doc
 
 
+@pytest.mark.parametrize("args", [
+    ["--samples", "0"],
+    ["--samples", "1"],
+    ["--field", "gradient", "--exclusion", "-1"],
+    ["--field", "gradient", "--exclusion", "1.0"],
+    ["--field", "reeb_alpha", "--exclusion", "0.5"],
+], ids=["samples-0", "samples-1", "exclusion-negative", "exclusion-one",
+        "exclusion-with-reeb"])
+def test_cli_energy_rejects_bad_input(args, capsys):
+    code = main(["energy", "s3", *args])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
 def test_thread_env_does_not_change_output(small_reports, monkeypatch):
     # KONTACT_THREADS is no longer read: any value gives the serial reports
     for value in ("3", "0"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kontact as kt
+from kontact import ad
 from kontact.errors import (
     IntegrabilityError,
     PreconditionError,
@@ -11,6 +12,7 @@ from kontact.errors import (
 )
 from kontact.harmonic import (
     harmonicity_form,
+    mean_curvature_derivative,
     mean_curvature_of_field,
     normalized_constant_unit_field,
     weingarten_ambient_matrix,
@@ -161,14 +163,12 @@ def test_energy_parallel_stub(reeb3, monkeypatch):
 def test_energy_regression_of_gradient_field(angle3, nfield3):
     # restricted-domain golden value, frozen from two verified seeds
     from kontact.harmonic import UnitVectorField
-    from kontact import ad
 
-    def guard_batch(points):
+    def guard(points):
         fv = np.asarray(ad.value(angle3.eval(points)), dtype=float)
-        return nfield3.guard_batch(points) & (np.abs(fv) <= 0.9)
+        return nfield3.guard(points) & (np.abs(fv) <= 0.9)
 
-    zf = UnitVectorField(nfield3.field, guard=nfield3.guard,
-                         guard_batch=guard_batch, label="N|f|<=0.9")
+    zf = UnitVectorField(nfield3.field, guard=guard, label="N|f|<=0.9")
     e1 = kt.energy(zf, 100_000, 1, 4)
     e2 = kt.energy(zf, 100_000, 2, 4)
     assert abs(e1.estimate - 66.925276) < 1e-5  # exact reproduction, seed 1
@@ -274,22 +274,32 @@ def test_mean_curvature_of_field_matches_level(angle3, nfield3, pts3):
                    - kt.level_mean_curvature(angle3, p)) < 1e-10
 
 
-def test_principal_gradient_residual_s3(nfield3, pts3):
-    for p in pts3[:8]:
-        residuals = kt.principal_gradient_residual(nfield3, p)
-        assert max(residuals) < 1e-5
+@pytest.mark.parametrize("dim", (3, 5, 7))
+def test_exact_mean_curvature_derivative_matches_finite_differences(dim):
+    # generic tangents, not only directions orthogonal to the field
+    f = kt.standard_pair(dim).angle_function()
+    zf = kt.normalized_gradient_unit_field(f)
+    pts = kt.sample_points(8, 3, dim + 1, exclusion=lambda p: abs(f.value(p)) > 0.9)
+    rng = np.random.default_rng(dim)
+    x = np.array([p.coords for p in pts])
+    u = np.array([[t.vec for t in random_tangents(p, rng, 3)] for p in pts])
+    exact = mean_curvature_derivative(zf.field, x, u)
+    for p, row, dirs in zip(pts, exact, u):
+        for value, d in zip(row, dirs):
+            fd = ad.fd_curve_derivative_5pt(
+                lambda c: mean_curvature_of_field(zf, kt.SpherePoint.from_array(c)),
+                p.coords, d)
+            assert abs(value - fd) <= 1e-6
 
 
-def test_ricci_gradient_residual_s3(nfield3, pts3):
-    for p in pts3[:8]:
-        residuals = kt.ricci_gradient_residual(nfield3, p)
-        assert max(residuals) < 1e-5
-
-
-def test_eigen_multiplicity_flagged_on_s5(nfield5, pts5):
-    # the level spectra on this pair have a triple eigenvalue
-    with pytest.raises(PreconditionError):
-        kt.principal_gradient_residual(nfield5, pts5[0])
+@pytest.mark.parametrize("dim", (3, 5, 7))
+def test_critical_condition_at_machine_precision(dim):
+    f = kt.standard_pair(dim).angle_function()
+    pts = kt.sample_points(500, 42, dim + 1, exclusion=lambda p: abs(f.value(p)) > 0.9)
+    rep = kt.critical_condition_check(kt.normalized_gradient_unit_field(f), pts)
+    assert rep.passed and rep.tolerance == 1e-6
+    assert (rep.count, rep.skipped) == (500, 0)
+    assert rep.max <= 1e-10
 
 
 def test_critical_condition_s3(nfield3, pts3):
