@@ -197,16 +197,6 @@ def proj_tangent(x, v):
     return v - sv(dot(v, x) / dot(x, x), x)
 
 
-def ambient_basis(dim: int) -> np.ndarray:
-    return np.eye(dim)
-
-
-def jacobian_columns(f: Callable, x: Payload, dim: int) -> list:
-    """Directional derivatives of ``f`` along each ambient axis."""
-    eye = np.eye(dim)
-    return [directional(f, x, eye[i]) for i in range(dim)]
-
-
 def _batch_shape(x: Payload) -> tuple:
     """Common broadcast shape of every leaf of ``x``."""
     if type(x) is Dual:

@@ -387,8 +387,6 @@ def _cmd_describe(args) -> int:
 
 def _energy_field(args, pair) -> tuple[UnitVectorField, Optional[float]]:
     """The unit field named by ``--field`` and its closed-form energy, if any."""
-    if args.samples < 2:
-        raise ValueError("samples must be >= 2 for a standard error")
     if args.field != "gradient":
         if args.exclusion is not None:
             raise ValueError("--exclusion applies to the gradient field only")

@@ -22,7 +22,8 @@ per-point functions such as :func:`harmonicity_form`,
 :func:`mean_curvature_of_field` and :func:`weingarten_ambient_matrix` are
 one-row calls into them.  A unit field's guard maps points (..., m+1) to
 a mask in the same way.  Checks evaluate points in blocks of
-``manifold.BLOCK`` to bound memory.
+``manifold.BLOCK``, and :func:`energy` its samples in blocks of
+``ENERGY_BLOCK``, to bound memory.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .errors import (
     IntegrabilityError,
     PreconditionError,
     RegularityError,
+    SamplingExhaustedError,
 )
 from .manifold import (
     AmbientVectorField,
@@ -59,6 +61,7 @@ from .scalar_fields import ScalarField, ambient_gradient
 
 GEODESIC_TOL = 1e-6
 SYMMETRY_TOL = 1e-7
+ENERGY_BLOCK = 1024  # samples per guard and tr L_Z evaluation in `energy`
 
 
 def _everywhere(x: np.ndarray) -> np.ndarray:
@@ -205,18 +208,9 @@ def trace_l(zf: UnitVectorField, p: SpherePoint) -> float:
 # energy
 
 def _trace_l_batch(zf: UnitVectorField, points: np.ndarray) -> np.ndarray:
-    """Vectorized tr L_Z over a batch of points (rows of unit vectors)."""
-    count, dim = points.shape
-    eye = np.eye(dim)
-    cols = []
-    for i in range(dim):
-        d = value(directional(lambda x: projected_eval(zf.field, x),
-                              points, eye[i]))
-        cols.append(np.asarray(d, dtype=float))
-    jac = np.stack(cols, axis=-1)
-    proj = eye[None, :, :] - points[:, :, None] * points[:, None, :]
-    pjp = np.einsum("nij,njk,nkl->nil", proj, jac, proj)
-    return (dim - 1) + np.einsum("nij,nij->n", pjp, pjp)
+    """tr L_Z = m + ‖P·J·P‖²_F over a batch of points (rows of unit vectors)."""
+    a = shape_matrix(zf.field, points)
+    return (points.shape[-1] - 1) + np.sum(a * a, axis=(-2, -1))
 
 
 def energy(zf: UnitVectorField, sample_size: int, seed: int,
@@ -225,26 +219,32 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
 
     Guarded-out points contribute zero, so for a guard that excludes a
     positive-measure region this estimates the energy of the restricted
-    domain.  Summation is a single deterministic pairwise reduction.
+    domain.  The guard and tr L_Z run over blocks of ``ENERGY_BLOCK``
+    samples to bound memory; summation is a single deterministic pairwise
+    reduction over all samples.
     """
+    if sample_size < 2:
+        raise ValueError("samples must be >= 2 for a standard error")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((sample_size, ambient_dim))
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
     points = g / norms[:, None]
-    mask = np.asarray(zf.guard(points), dtype=bool)
     vals = np.zeros(sample_size)
-    if np.any(mask):
-        vals[mask] = _trace_l_batch(zf, points[mask])
-    skipped = int(sample_size - np.count_nonzero(mask))
-    if skipped == sample_size:
-        from .errors import SamplingExhaustedError
+    kept = 0
+    for sl in blocks(sample_size, ENERGY_BLOCK):
+        x = points[sl]
+        mask = np.asarray(zf.guard(x), dtype=bool)
+        if np.any(mask):
+            vals[sl][mask] = _trace_l_batch(zf, x[mask])
+        kept += int(np.count_nonzero(mask))
+    if kept == 0:
         raise SamplingExhaustedError("the guard rejected every sample")
     vol = sphere_volume(ambient_dim - 1)
     estimate = 0.5 * vol * float(np.mean(vals))
     stderr = 0.5 * vol * float(np.std(vals, ddof=1)) / np.sqrt(sample_size)
     return EnergyEstimate(estimate=estimate, stderr=stderr,
-                          samples=sample_size, skipped=skipped)
+                          samples=sample_size, skipped=sample_size - kept)
 
 
 def reeb_energy_closed_form(m: int) -> float:

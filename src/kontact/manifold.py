@@ -558,9 +558,9 @@ def stack_coords(points: Sequence[SpherePoint], ambient_dim: int) -> np.ndarray:
     return np.array([p.coords for p in points], dtype=float).reshape(len(points), ambient_dim)
 
 
-def blocks(count: int) -> list:
-    """Slices of at most BLOCK consecutive points covering range(count)."""
-    return [slice(lo, min(lo + BLOCK, count)) for lo in range(0, count, BLOCK)]
+def blocks(count: int, size: int = BLOCK) -> list:
+    """Slices of at most ``size`` consecutive points covering range(count)."""
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def sphere_volume(m: int) -> float:

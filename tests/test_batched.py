@@ -1,15 +1,23 @@
 """Batched kernels against their one-row calls and the per-point loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import kontact as kt
 from kontact import ad
 from kontact.contact import exterior_derivative_batch, volume_form_batch
-from kontact.harmonic import _adjoint_apply, harmonicity_form_batch
+from kontact.harmonic import (
+    ENERGY_BLOCK,
+    _adjoint_apply,
+    _trace_l_batch,
+    harmonicity_form_batch,
+)
 from kontact.manifold import (
     curvature_numeric_batch,
     frame_batch,
+    projected_eval,
     random_tangent_batch,
     random_tangents,
 )
@@ -205,3 +213,74 @@ def test_guarded_point_is_skipped(dim):
         assert (with_crit.count, with_crit.skipped) == (6, 1)
         assert (without.count, without.skipped) == (6, 0)
         assert abs(with_crit.max - without.max) <= 1e-13
+
+
+def excluded_gradient_field(dim, cutoff=0.9):
+    """The unit gradient of the angle function on |f| <= cutoff, as
+    ``kontact energy --field gradient --exclusion`` builds it."""
+    f = kt.standard_pair(dim).angle_function()
+    zf = kt.normalized_gradient_unit_field(f)
+    return kt.UnitVectorField(
+        zf.field, label=zf.label,
+        guard=lambda x: zf.guard(x) & (np.abs(ad.value(f.eval(x))) <= cutoff))
+
+
+def unblocked_energy(zf, sample_size, seed, ambient_dim):
+    """Estimate, stderr and skipped of the Monte Carlo energy in one pass
+    over all samples: per-axis directional derivatives, then P·J·P."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((sample_size, ambient_dim))
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0.0] = 1.0
+    points = g / norms[:, None]
+    mask = zf.guard(points)
+    x = points[mask]
+    eye = np.eye(ambient_dim)
+    jac = np.stack([ad.value(ad.directional(
+        lambda y: projected_eval(zf.field, y), x, eye[i]))
+        for i in range(ambient_dim)], axis=-1)
+    proj = eye - x[:, :, None] * x[:, None, :]
+    pjp = proj @ jac @ proj
+    vals = np.zeros(sample_size)
+    vals[mask] = (ambient_dim - 1) + np.sum(pjp * pjp, axis=(1, 2))
+    half_vol = 0.5 * kt.sphere_volume(ambient_dim - 1)
+    return (half_vol * np.mean(vals),
+            half_vol * np.std(vals, ddof=1) / np.sqrt(sample_size),
+            sample_size - int(np.count_nonzero(mask)))
+
+
+@pytest.mark.parametrize("dim", (3, 5))
+@pytest.mark.parametrize("size", (ENERGY_BLOCK - 1, ENERGY_BLOCK,
+                                  ENERGY_BLOCK + 1, 2 * ENERGY_BLOCK + 3))
+def test_blocked_energy_matches_one_pass(dim, size):
+    zf = excluded_gradient_field(dim)
+    est = kt.energy(zf, size, 17, dim + 1)
+    estimate, stderr, skipped = unblocked_energy(zf, size, 17, dim + 1)
+    assert est.samples == size
+    assert est.skipped == skipped > 0
+    assert abs(est.estimate - estimate) <= 1e-13 * abs(estimate)
+    assert abs(est.stderr - stderr) <= 1e-13 * abs(stderr)
+
+
+def test_trace_l_batch_matches_the_point_loop(setting):
+    pair, f, pts, x = setting
+    dim = x.shape[1] - 1
+    for zf in (kt.reeb_unit_field(pair.s_alpha),
+               kt.normalized_gradient_unit_field(f), twisted(dim)):
+        kept = [p for p in pts if zf.guard(p.coords)]
+        batch = _trace_l_batch(zf, np.array([p.coords for p in kept]))
+        loop = np.array([kt.trace_l(zf, p) for p in kept])
+        assert len(kept) > 0
+        assert np.max(np.abs(batch - loop)) <= 1e-12
+
+
+def test_energy_peak_memory_is_bounded():
+    # evaluating all 100 000 samples in one pass peaks above 100 MB traced
+    zf = excluded_gradient_field(5)
+    tracemalloc.start()
+    try:
+        kt.energy(zf, 100_000, 3, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2 ** 20

@@ -152,6 +152,12 @@ def test_energy_two_seeds_agree(reeb3):
     assert abs(e1.estimate - e2.estimate) <= band
 
 
+@pytest.mark.parametrize("samples", (0, 1))
+def test_energy_needs_two_samples(reeb3, samples):
+    with pytest.raises(ValueError, match="samples must be >= 2"):
+        kt.energy(reeb3, samples, 1, 4)
+
+
 def test_energy_parallel_stub(reeb3, monkeypatch):
     # zero shape operator: E = (m/2) Vol
     monkeypatch.setattr("kontact.harmonic._trace_l_batch",
