@@ -18,10 +18,11 @@ the Reeb field, and the Sasakian identity (∇_A φ)B = g(A,B)Z − α(B)A.
 
 Batch convention: kernels (:func:`exterior_derivative_batch`,
 :func:`pfaffian`, :func:`volume_form_batch`,
+:func:`killing_residual_batch`, :func:`sasakian_residual_batch`,
 :meth:`ContactMetricStructure.phi_at`) take plain arrays with leading
 batch axes — points (N, m+1) plus per-point direction or frame axes —
-and per-point functions are one-row calls into them.  The axiom checks
-evaluate points in blocks of ``manifold.BLOCK``.
+and per-point functions are one-row calls into them.  Every check
+evaluates points in blocks of ``manifold.BLOCK``.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .manifold import (
     TangentVector,
     apply,
     blocks,
+    blockwise,
     constant_field,
-    cov_deriv,
-    extension_of,
+    cov_deriv_batch,
     frame_batch,
     inner,
     lie_bracket_batch,
@@ -265,10 +266,8 @@ def check_axiom_volume(s: ContactMetricStructure, points: Sequence[SpherePoint],
     """
     coeff = coeff_field if coeff_field is not None else s.alpha_coeffs
     ref = golden if golden is not None else volume_form_constant(s.n)
-    x = stack_coords(points, s.ambient_dim)
-    values = np.concatenate([np.zeros(0)] + [
-        volume_form_batch(coeff, x[sl], frame_batch(x[sl]), s.n)
-        for sl in blocks(len(x))])
+    values = blockwise(lambda x: volume_form_batch(coeff, x, frame_batch(x), s.n),
+                       stack_coords(points, s.ambient_dim))
     residuals = np.maximum(0.0, 0.5 * ref - np.abs(values))
     signs = np.sign(values)
     signed = np.flatnonzero(signs)
@@ -301,40 +300,53 @@ def check_axiom_ii(s: ContactMetricStructure, points: Sequence[SpherePoint],
         provenance="phi squared is -Id + alpha tensor reeb")
 
 
+def _pair_sweep(points: Sequence[SpherePoint], seed: int, directions: int,
+                residual: Callable) -> np.ndarray:
+    """``residual(x, u, v)`` over ``directions`` random tangent pairs per
+    point, in point order; x is (B, 1, m+1) and u, v are (B, directions,
+    m+1) for each block of points, drawn from one stream."""
+    rng = np.random.default_rng(seed)
+    x = np.array([p.coords for p in points], dtype=float)
+    out = [np.zeros(0)]
+    for sl in blocks(len(x)):
+        uv = random_tangent_batch(x[sl], rng, (directions, 2))
+        out.append(np.ravel(residual(x[sl, None, :], uv[..., 0, :], uv[..., 1, :])))
+    return np.concatenate(out)
+
+
 def check_axiom_iii(s: ContactMetricStructure, points: Sequence[SpherePoint],
                     tol: float = 1e-8, seed: int = 11, directions: int = 2
                     ) -> ResidualReport:
     """|dα(u,v) − 2 g(u, φv)| over random tangent pairs."""
-    rng = np.random.default_rng(seed)
-    x = stack_coords(points, s.ambient_dim)
-    residuals = []
-    for sl in blocks(len(x)):
-        p = x[sl, None, :]
-        uv = random_tangent_batch(x[sl], rng, (directions, 2))
-        u, v = uv[..., 0, :], uv[..., 1, :]
-        d_alpha = exterior_derivative_batch(s.alpha_coeffs, p, u, v)
-        residuals.extend(np.abs(d_alpha - 2.0 * inner(u, s.phi_at(p, v))).ravel())
+    def residual(x, u, v):
+        d_alpha = exterior_derivative_batch(s.alpha_coeffs, x, u, v)
+        return np.abs(d_alpha - 2.0 * inner(u, s.phi_at(x, v)))
+
     return ResidualReport.from_residuals(
-        f"axiom_iii_{s.label}", residuals, tol,
+        f"axiom_iii_{s.label}", _pair_sweep(points, seed, directions, residual), tol,
         provenance=D_ALPHA_CONVENTION + " against 2 g(., phi .)")
+
+
+def killing_residual_batch(field: AmbientVectorField, x: np.ndarray,
+                           u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(L_V g)(u,v) = g(∇_u V, v) + g(u, ∇_v V) at the points x (batched)."""
+    return (inner(cov_deriv_batch(field, x, u), v)
+            + inner(u, cov_deriv_batch(field, x, v)))
 
 
 def killing_residual(field: AmbientVectorField, u: TangentVector,
                      v: TangentVector) -> float:
     """(L_V g)(u,v) = g(∇_u V, v) + g(u, ∇_v V)."""
-    return metric(cov_deriv(field, u), v) + metric(u, cov_deriv(field, v))
+    metric(u, v)  # raises unless u and v share a base point
+    return float(killing_residual_batch(field, u.base.coords, u.vec, v.vec))
 
 
 def check_killing(field: AmbientVectorField, points: Sequence[SpherePoint],
                   check_name: str = "killing", tol: float = 1e-9,
                   seed: int = 13, directions: int = 2) -> ResidualReport:
     """Vanishing of the symmetrized covariant derivative (Killing equation)."""
-    rng = np.random.default_rng(seed)
-    residuals = []
-    for p in points:
-        for _ in range(directions):
-            u, v = random_tangents(p, rng, 2)
-            residuals.append(abs(killing_residual(field, u, v)))
+    residuals = _pair_sweep(points, seed, directions,
+                            lambda x, u, v: killing_residual_batch(field, x, u, v))
     return ResidualReport.from_residuals(
         check_name, residuals, tol,
         provenance="symmetrized covariant derivative of the field")
@@ -349,28 +361,30 @@ def check_kcontact(s: ContactMetricStructure, points: Sequence[SpherePoint],
                          seed=seed, directions=directions)
 
 
+def sasakian_residual_batch(s: ContactMetricStructure, x: np.ndarray,
+                            u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """‖(∇_u φ)(v) − (g(u,v)Z − α(v)u)‖ at the points x (batched), with
+    (∇_uφ)v = ∇_u(φṽ) − φ(∇_u ṽ) for the projected-constant extension ṽ."""
+    ext_v = constant_field(v)
+    lhs = cov_deriv_batch(s.phi_field(ext_v), x, u) - s.phi_at(x, cov_deriv_batch(ext_v, x, u))
+    z = apply(s.j_ambient.mat, x)
+    r = lhs - (inner(u, v)[..., None] * z - inner(v, z)[..., None] * u)
+    return np.sqrt(inner(r, r))
+
+
 def sasakian_residual(s: ContactMetricStructure, u: TangentVector,
                       v: TangentVector) -> float:
     """‖(∇_u φ)(v) − (g(u,v)Z − α(v)u)‖ with (∇_uφ)v = ∇_u(φV) − φ(∇_u V)."""
-    p = u.base
-    ext_v = extension_of(v)
-    nabla_phi_v = cov_deriv(s.phi_field(ext_v), u)
-    phi_nabla_v = s.phi(cov_deriv(ext_v, u))
-    lhs = nabla_phi_v - phi_nabla_v
-    rhs = metric(u, v) * s.reeb_at(p) - s.alpha(v) * u
-    return (lhs - rhs).norm()
+    metric(u, v)  # raises unless u and v share a base point
+    return float(sasakian_residual_batch(s, u.base.coords, u.vec, v.vec))
 
 
 def check_sasakian(s: ContactMetricStructure, points: Sequence[SpherePoint],
                    tol: float = 1e-8, seed: int = 17, directions: int = 2
                    ) -> ResidualReport:
     """(∇_A φ)B = g(A,B)Z − α(B)A over random tangent pairs."""
-    rng = np.random.default_rng(seed)
-    residuals = []
-    for p in points:
-        for _ in range(directions):
-            u, v = random_tangents(p, rng, 2)
-            residuals.append(sasakian_residual(s, u, v))
+    residuals = _pair_sweep(points, seed, directions,
+                            lambda x, u, v: sasakian_residual_batch(s, x, u, v))
     return ResidualReport.from_residuals(
         f"sasakian_{s.label}", residuals, tol,
         provenance="covariant derivative of phi against the defining identity")
@@ -380,12 +394,9 @@ def check_phi_skew(s: ContactMetricStructure, points: Sequence[SpherePoint],
                    tol: float = 1e-9, seed: int = 19, directions: int = 2
                    ) -> ResidualReport:
     """|g(φu, v) + g(u, φv)| — metric skewness of the structure tensor."""
-    rng = np.random.default_rng(seed)
-    residuals = []
-    for p in points:
-        for _ in range(directions):
-            u, v = random_tangents(p, rng, 2)
-            residuals.append(abs(metric(s.phi(u), v) + metric(u, s.phi(v))))
+    def residual(x, u, v):
+        return np.abs(inner(s.phi_at(x, u), v) + inner(u, s.phi_at(x, v)))
+
     return ResidualReport.from_residuals(
-        f"phi_skew_{s.label}", residuals, tol,
+        f"phi_skew_{s.label}", _pair_sweep(points, seed, directions, residual), tol,
         provenance="structure tensor is metric-skew")

@@ -8,11 +8,12 @@ formula).  Curvature and Ricci come in two flavours each: the exact
 constant-curvature expressions and numerical versions assembled from
 covariant derivatives, kept as mutual cross-checks.
 
-Kernels ending in ``_batch`` (frames, brackets, numerical curvature) and
-:func:`shape_matrix` take plain arrays whose leading axes are batch axes
-(points, directions, frame slots) and broadcast them; the per-point
-functions taking :class:`SpherePoint`/:class:`TangentVector` are one-row
-calls into the same kernels, and validation happens at that boundary.
+Kernels ending in ``_batch`` (covariant derivatives, frames, brackets,
+numerical curvature) and :func:`shape_matrix` take plain arrays whose
+leading axes are batch axes (points, directions, frame slots) and
+broadcast them; the per-point functions taking
+:class:`SpherePoint`/:class:`TangentVector` are one-row calls into the
+same kernels, and validation happens at that boundary.
 
 Sign conventions (frozen package-wide, pinned by tests):
 
@@ -238,13 +239,19 @@ def projected_eval(field: AmbientVectorField, x):
     return proj_tangent(x, field.eval(x))
 
 
-def cov_deriv(V: AmbientVectorField, u: TangentVector) -> TangentVector:
-    """Levi-Civita connection ∇_u V by the Gauss formula."""
+def cov_deriv_batch(V: AmbientVectorField, x: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """∇_u V at the points x by the Gauss formula (batched): the tangential
+    part of the ambient derivative of the projected field along u."""
     if not V.tangent:
         raise TangencyError("covariant derivative requires a tangent-flagged field")
-    p = u.base
-    d = directional(lambda x: projected_eval(V, x), p.coords, u.vec)
-    return project(p, value(d))
+    d = directional(lambda y: projected_eval(V, y), x, u)
+    return proj_np(x, value(d))
+
+
+def cov_deriv(V: AmbientVectorField, u: TangentVector) -> TangentVector:
+    """Levi-Civita connection ∇_u V by the Gauss formula."""
+    return TangentVector(u.base, cov_deriv_batch(V, u.base.coords, u.vec))
 
 
 def lie_bracket_batch(V: AmbientVectorField, W: AmbientVectorField,
@@ -561,6 +568,12 @@ def stack_coords(points: Sequence[SpherePoint], ambient_dim: int) -> np.ndarray:
 def blocks(count: int, size: int = BLOCK) -> list:
     """Slices of at most ``size`` consecutive points covering range(count)."""
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def blockwise(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """fn over the blocks of :func:`blocks` of the points x, concatenated
+    along the first axis in point order; empty for no points."""
+    return np.concatenate([np.zeros(0)] + [fn(x[sl]) for sl in blocks(len(x))])
 
 
 def sphere_volume(m: int) -> float:

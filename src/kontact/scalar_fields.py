@@ -9,6 +9,15 @@ restriction of a degree-k harmonic polynomial to S^m is an eigenfunction
 with eigenvalue k(k+m−1), and the transnormal level-surface identity
 h = Δf/‖∇f‖ + b'(f)/(2√b) holds with the mean-curvature sign
 h = −Σ g(∇_{E_i}N, E_i).
+
+Batch convention: kernels (:func:`gradient_batch`, :func:`hessian_matrix`,
+:func:`laplacian_batch`, :func:`level_mean_curvature_batch`) take plain
+arrays with leading batch axes — points (N, m+1) plus any per-point
+axes — and per-point functions such as :func:`hessian`,
+:func:`laplacian` and :func:`level_mean_curvature` are one-row calls
+into them.  Field formulas must therefore contract over the last axis
+(``x[..., i]``, never ``x[i]``).  Checks evaluate points in blocks of
+``manifold.BLOCK``.
 """
 
 from __future__ import annotations
@@ -26,12 +35,17 @@ from .manifold import (
     Frame,
     SpherePoint,
     TangentVector,
+    apply,
+    blocks,
+    blockwise,
     cov_deriv,
+    cov_deriv_batch,
+    inner,
     metric,
+    proj_np,
     project,
     projected_eval,
     shape_matrix,
-    tangent_basis,
 )
 from .report import ResidualReport
 
@@ -104,6 +118,11 @@ def gradient(f: ScalarField, p: SpherePoint) -> TangentVector:
     return project(p, np.asarray(value(ambient_gradient(f, p.coords)), dtype=float))
 
 
+def gradient_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
+    """Riemannian gradients at the points x (batched)."""
+    return proj_np(x, np.asarray(value(ambient_gradient(f, x)), dtype=float))
+
+
 def gradient_field(f: ScalarField) -> AmbientVectorField:
     """∇f as a tangent-flagged ambient field."""
     return AmbientVectorField(
@@ -116,16 +135,31 @@ def directional_derivative(f: ScalarField, u: TangentVector) -> float:
     return float(value(directional(f.eval, u.base.coords, u.vec)))
 
 
+def hessian_matrix(f: ScalarField, x: np.ndarray) -> np.ndarray:
+    """Ambient matrix S of Hess_f at the points x (batched): the shape
+    matrix P·J·P of ∇f, so Hess_f(a, b) = g(∇_a ∇f, b) = ⟨S a, b⟩."""
+    return shape_matrix(gradient_field(f), x)
+
+
 def hessian(f: ScalarField, u: TangentVector, v: TangentVector) -> float:
     """Hess_f(u,v) = g(∇_u ∇f, v)."""
-    return metric(cov_deriv(gradient_field(f), u), v)
+    metric(u, v)  # raises unless u and v share a base point
+    return float(inner(apply(hessian_matrix(f, u.base.coords), u.vec), v.vec))
+
+
+def laplacian_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
+    """Δf = −tr S at the points x (batched), S the Hessian matrix; S
+    vanishes along the normal, so its trace is the tangential one."""
+    return -np.trace(hessian_matrix(f, x), axis1=-2, axis2=-1)
 
 
 def laplacian(f: ScalarField, p: SpherePoint, frame: Optional[Frame] = None) -> float:
-    """Δf = −Σ_i Hess_f(E_i, E_i) over an orthonormal frame (frame-independent)."""
-    fr = frame if frame is not None else tangent_basis(p)
-    gf = gradient_field(f)
-    return -sum(metric(cov_deriv(gf, e), e) for e in fr)
+    """Δf = −Σ_i Hess_f(E_i, E_i) over an orthonormal frame (frame-independent);
+    without a frame, the frame-free −tr S."""
+    if frame is None:
+        return float(laplacian_batch(f, p.coords))
+    e = frame.matrix
+    return -float(np.sum(inner(apply(hessian_matrix(f, p.coords), e), e)))
 
 
 def normalized_gradient(f: ScalarField, p: SpherePoint,
@@ -148,11 +182,14 @@ def normalized_gradient_field(f: ScalarField) -> AmbientVectorField:
 # ---------------------------------------------------------------------------
 # level-surface mean curvature
 
-def _tangential_shape_trace(field: AmbientVectorField, p: SpherePoint):
-    """Jacobian bookkeeping for h: returns (tr_T(∇V), g(∇_V V, V))."""
-    shape = shape_matrix(field, p.coords)
-    vp = np.asarray(value(projected_eval(field, p.coords)), dtype=float)
-    return float(np.trace(shape)), float(vp @ (shape @ vp))
+def level_mean_curvature_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
+    """Mean curvature h of the level sets through the regular points x
+    (batched), frame-free as −(tr ∇N − g(∇_N N, N)) from one shape matrix
+    of the unit gradient N."""
+    nf = normalized_gradient_field(f)
+    shape = shape_matrix(nf, x)
+    n = np.asarray(value(projected_eval(nf, x)), dtype=float)
+    return -(np.trace(shape, axis1=-2, axis2=-1) - inner(n, apply(shape, n)))
 
 
 def level_mean_curvature(f: ScalarField, p: SpherePoint,
@@ -163,9 +200,7 @@ def level_mean_curvature(f: ScalarField, p: SpherePoint,
     set; it is evaluated frame-free as −(tr_T ∇N − g(∇_N N, N)).
     """
     normalized_gradient(f, p, eps_reg)  # regularity gate
-    nf = normalized_gradient_field(f)
-    trace_tangent, radial = _tangential_shape_trace(nf, p)
-    return -(trace_tangent - radial)
+    return float(level_mean_curvature_batch(f, p.coords))
 
 
 def mean_curvature_frame_sum(f: ScalarField, p: SpherePoint) -> float:
@@ -180,19 +215,47 @@ def mean_curvature_frame_sum(f: ScalarField, p: SpherePoint) -> float:
 # ---------------------------------------------------------------------------
 # checkers
 
+def _coords(points: Sequence[SpherePoint]) -> np.ndarray:
+    return np.array([p.coords for p in points], dtype=float)
+
+
+def _regular_sweep(f: ScalarField, points: Sequence[SpherePoint], eps_reg: float,
+                   residual: Callable) -> tuple[np.ndarray, int]:
+    """``residual(x, n, r)`` over blocks of the points where r = ‖∇f‖ is at
+    least eps_reg, with n = ∇f/r; returns the residuals in point order and
+    the number of points skipped."""
+    x_all = _coords(points)
+    out, skipped = [np.zeros(0)], 0
+    for sl in blocks(len(points)):
+        x = x_all[sl]
+        g = gradient_batch(f, x)
+        r = np.sqrt(inner(g, g))
+        keep = r >= eps_reg
+        skipped += int(np.count_nonzero(~keep))
+        if keep.any():
+            out.append(residual(x[keep], g[keep] / r[keep, None], r[keep]))
+    return np.concatenate(out), skipped
+
+
+def _values_and_laplacians(f: ScalarField, points: Sequence[SpherePoint]
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """f and Δf at the points, evaluated in blocks."""
+    x = _coords(points)
+    fv = blockwise(lambda y: np.broadcast_to(value(f.eval(y)), y.shape[:-1]), x)
+    return fv, blockwise(lambda y: laplacian_batch(f, y), x)
+
+
 def check_geodesic(f: ScalarField, points: Sequence[SpherePoint],
                    tol: float = 1e-7, eps_reg: float = EPS_REGULAR) -> ResidualReport:
     """‖∇_N N‖ at every regular point; the unit gradient of a transnormal
     function is a geodesic field, so this must vanish."""
     nf = normalized_gradient_field(f)
-    residuals, skipped = [], 0
-    for p in points:
-        try:
-            n = normalized_gradient(f, p, eps_reg)
-        except RegularityError:
-            skipped += 1
-            continue
-        residuals.append(cov_deriv(nf, n).norm())
+
+    def residual(x, n, r):
+        d = cov_deriv_batch(nf, x, n)
+        return np.sqrt(inner(d, d))
+
+    residuals, skipped = _regular_sweep(f, points, eps_reg, residual)
     return ResidualReport.from_residuals(
         "geodesic_field", residuals, tol, skipped,
         provenance=f"|cov_deriv(N, N)| for N = unit grad({f.label})")
@@ -202,13 +265,12 @@ def check_transnormal(f: ScalarField, profile: TransnormalProfile,
                       points: Sequence[SpherePoint],
                       tol: float = 1e-9) -> ResidualReport:
     """| ‖∇f‖² − b(f) | pointwise."""
-    residuals = []
-    for p in points:
-        g = gradient(f, p)
-        fv = f.value(p)
-        residuals.append(abs(float(g.vec @ g.vec) - profile.b(fv)))
+    def residual(x):
+        g = gradient_batch(f, x)
+        return np.abs(inner(g, g) - profile.b(np.asarray(value(f.eval(x)), dtype=float)))
+
     return ResidualReport.from_residuals(
-        "transnormal_profile", residuals, tol,
+        "transnormal_profile", blockwise(residual, _coords(points)), tol,
         provenance=f"|grad norm squared - b(f)| for f = {f.label}")
 
 
@@ -216,9 +278,9 @@ def check_isoparametric(f: ScalarField, profile: IsoparametricProfile,
                         points: Sequence[SpherePoint],
                         tol: float = 1e-7) -> ResidualReport:
     """| Δf − a(f) | pointwise."""
-    residuals = [abs(laplacian(f, p) - profile.a(f.value(p))) for p in points]
+    fv, lap = _values_and_laplacians(f, points)
     return ResidualReport.from_residuals(
-        "isoparametric_profile", residuals, tol,
+        "isoparametric_profile", np.abs(lap - profile.a(fv)), tol,
         provenance=f"|laplacian - a(f)| for f = {f.label}")
 
 
@@ -228,8 +290,7 @@ def fit_affine_profile(f: ScalarField, points: Sequence[SpherePoint]
 
     Returns (c1, c0, residual) with residual the max absolute deviation.
     """
-    fv = np.array([f.value(p) for p in points])
-    lap = np.array([laplacian(f, p) for p in points])
+    fv, lap = _values_and_laplacians(f, points)
     design = np.stack([fv, np.ones_like(fv)], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, lap, rcond=None)
     c1, c0 = float(coeffs[0]), float(coeffs[1])
@@ -242,21 +303,17 @@ def mean_curvature_identity_check(f: ScalarField, profile: TransnormalProfile,
                                   tol: float = 1e-7,
                                   eps_reg: float = EPS_REGULAR) -> ResidualReport:
     """Level mean curvature against Δf/‖∇f‖ + b'(f)/(2√b) for transnormal f."""
-    residuals, skipped = [], 0
-    for p in points:
-        try:
-            h = level_mean_curvature(f, p, eps_reg)
-        except RegularityError:
-            skipped += 1
-            continue
-        fv = f.value(p)
-        gn = gradient(f, p).norm()
-        b_raw = profile.b(fv)
-        if b_raw < -SQRT_B_FLOOR:
-            raise ValueError(f"profile b({fv}) = {b_raw} is negative")
-        b = max(b_raw, SQRT_B_FLOOR)
-        rhs = laplacian(f, p) / gn + profile.b_prime(fv) / (2.0 * np.sqrt(b))
-        residuals.append(abs(h - rhs))
+    def residual(x, n, gn):
+        fv = np.asarray(value(f.eval(x)), dtype=float)
+        b_raw = np.broadcast_to(profile.b(fv), fv.shape)
+        bad = np.flatnonzero(b_raw < -SQRT_B_FLOOR)
+        if bad.size:
+            raise ValueError(f"profile b({fv[bad[0]]}) = {b_raw[bad[0]]} is negative")
+        b = np.maximum(b_raw, SQRT_B_FLOOR)
+        rhs = laplacian_batch(f, x) / gn + profile.b_prime(fv) / (2.0 * np.sqrt(b))
+        return np.abs(level_mean_curvature_batch(f, x) - rhs)
+
+    residuals, skipped = _regular_sweep(f, points, eps_reg, residual)
     return ResidualReport.from_residuals(
         "mean_curvature_identity", residuals, tol, skipped,
         provenance=f"|h - (laplacian/|grad| + b'/(2 sqrt b))| for f = {f.label}")

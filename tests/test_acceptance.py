@@ -285,7 +285,7 @@ def test_criterion_13_property_suites_and_negative_controls():
                                    - 2.0 * (mdim + 1) * q.value(p)))
     # negative controls must fail
     def bad_eval(x):
-        return x[0] + x[0] * x[2]
+        return x[..., 0] + x[..., 0] * x[..., 2]
 
     bad_f = ScalarField(eval=bad_eval, label="x1 + x1 x2")
     geo_bad = kt.check_geodesic(bad_f, points(3))

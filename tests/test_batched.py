@@ -1,5 +1,6 @@
 """Batched kernels against their one-row calls and the per-point loops."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 
 import kontact as kt
 from kontact import ad
-from kontact.contact import exterior_derivative_batch, volume_form_batch
+from kontact.contact import (
+    exterior_derivative_batch,
+    killing_residual,
+    sasakian_residual,
+    volume_form_batch,
+)
 from kontact.harmonic import (
     ENERGY_BLOCK,
     _adjoint_apply,
@@ -21,6 +27,7 @@ from kontact.manifold import (
     random_tangent_batch,
     random_tangents,
 )
+from kontact.scalar_fields import normalized_gradient_field
 
 DIMS = (3, 5, 7)
 
@@ -206,12 +213,21 @@ def test_guarded_point_is_skipped(dim):
     assert abs(abs(f.value(critical)) - 1.0) < 1e-15
     mixed = pts[:3] + [critical] + pts[3:]
     n_field = kt.normalized_gradient_unit_field(f)
-    for check in (lambda ps: kt.harmonicity_check(n_field, ps),
-                  lambda ps: kt.critical_condition_check(n_field, ps),
-                  lambda ps: kt.ricci_normal_check(pair, ps)):
+    k = dim - 3                                         # sub-bundle rank
+    for check, per_point in (
+            (lambda ps: kt.harmonicity_check(n_field, ps), 1),
+            (lambda ps: kt.critical_condition_check(n_field, ps), 1),
+            (lambda ps: kt.ricci_normal_check(pair, ps), 1),
+            (lambda ps: kt.check_geodesic(f, ps), 1),
+            (lambda ps: kt.mean_curvature_identity_check(f, kt.ANGLE_PROFILE, ps), 1),
+            # |f| = 1 there as well, so the sub-bundle is undefined
+            (lambda ps: kt.laplacian_formula_check(pair, ps), 1),
+            (lambda ps: kt.phi_product_spectrum_check(pair, ps, verify_sasakian=False), 1),
+            (lambda ps: kt.hessian_restriction_check(pair, ps, verify_sasakian=False),
+             max(1, k * (k + 1) // 2))):
         with_crit, without = check(mixed), check(pts)
-        assert (with_crit.count, with_crit.skipped) == (6, 1)
-        assert (without.count, without.skipped) == (6, 0)
+        assert (with_crit.count, with_crit.skipped) == (6 * per_point, 1)
+        assert (without.count, without.skipped) == (6 * per_point, 0)
         assert abs(with_crit.max - without.max) <= 1e-13
 
 
@@ -284,3 +300,277 @@ def test_energy_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# suite checks on point blocks against per-point loops of one-row helpers
+
+def loop_pairs(points, seed, residual):
+    """residual(u, v) over two random tangent pairs per point, drawn as the
+    per-point checks drew them."""
+    rng = np.random.default_rng(seed)
+    return [residual(*random_tangents(p, rng, 2)) for p in points for _ in range(2)]
+
+
+def loop_hbundle(d, points, residual):
+    """residual(p, basis) at the points where the sub-bundle is defined."""
+    out, skipped = [], 0
+    for p in points:
+        try:
+            basis = kt.hbundle_basis(d, p)
+        except kt.RegularityError:
+            skipped += 1
+            continue
+        out.extend(residual(p, basis))
+    return out, skipped
+
+
+def loop_regular(f, points, residual):
+    """residual(p, n) at the points where the unit gradient n is defined."""
+    out, skipped = [], 0
+    for p in points:
+        try:
+            n = kt.normalized_gradient(f, p)
+        except kt.RegularityError:
+            skipped += 1
+            continue
+        out.append(residual(p, n))
+    return out, skipped
+
+
+def jphi(d, u):
+    return d.s_alpha.phi(d.s_beta.phi(u))
+
+
+def loop_laplacian_formula(d, points):
+    f = d.angle_function()
+    return loop_hbundle(d, points, lambda p, basis: [abs(
+        kt.laplacian(f, p) - (4.0 * d.n + 4.0) * f.value(p)
+        - 2.0 * sum(kt.metric(jphi(d, e), e) for e in basis))])
+
+
+def loop_phi_product(d, points):
+    def residual(p, basis):
+        k = len(basis)
+        if k == 0:
+            return [0.0]
+        mat = np.array([[kt.metric(d.s_beta.phi(d.s_alpha.phi(e)), e2) for e in basis]
+                        for e2 in basis])
+        commute = max((d.s_beta.phi(d.s_alpha.phi(e)) - jphi(d, e)).norm() for e in basis)
+        eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+        return [max(np.max(np.abs(mat - mat.T)) * 10.0, commute * 10.0,
+                    np.max(np.abs(mat @ mat - np.eye(k))) * 10.0,
+                    np.max(np.abs(np.abs(eig) - 1.0)))]
+    return loop_hbundle(d, points, residual)
+
+
+def loop_hessian(d, points):
+    f = d.angle_function()
+
+    def residual(p, basis):
+        if len(basis) == 0:
+            return [0.0]
+        return [abs(kt.hessian(f, a, b) + 2.0 * f.value(p) * kt.metric(a, b)
+                    + 2.0 * kt.metric(jphi(d, a), b))
+                for i, a in enumerate(basis) for b in basis[i:]]
+    return loop_hbundle(d, points, residual)
+
+
+def hessian_diagnostic(d, points):
+    """Max over the points with a nonempty sub-bundle of the full-argument
+    Hessian identity at one random pair (u, v) each, seed 29."""
+    f = d.angle_function()
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for p in points:
+        try:
+            if len(kt.hbundle_basis(d, p)) == 0:
+                continue
+        except kt.RegularityError:
+            continue
+        u, v = random_tangents(p, rng, 2)
+        full = (2.0 * kt.metric(u, d.reeb_beta_at(p)) * kt.metric(d.reeb_alpha_at(p), v)
+                - 2.0 * f.value(p) * kt.metric(u, v) - 2.0 * kt.metric(jphi(d, u), v))
+        worst = max(worst, abs(kt.hessian(f, u, v) - full))
+    return worst
+
+
+def loop_dim_theorem(d, points):
+    f = d.angle_function()
+    if d.dim == 3:
+        return [abs(kt.laplacian(f, p) - 8.0 * f.value(p)) for p in points], 0
+    est = kt.laplacian(f, points[0]) - 12.0 * f.value(points[0])
+    c0 = 4.0 if abs(est - 4.0) <= abs(est + 4.0) else -4.0
+    return [abs(kt.laplacian(f, p) - 12.0 * f.value(p) - c0) for p in points] + [
+        abs(est - c0)], 0
+
+
+def loop_mean_curvature(d, points):
+    f = d.angle_function()
+
+    def residual(p, n):
+        fv = f.value(p)
+        b = 4.0 * (1.0 - fv * fv)
+        rhs = kt.laplacian(f, p) / kt.gradient(f, p).norm() - 8.0 * fv / (2.0 * np.sqrt(b))
+        return abs(kt.level_mean_curvature(f, p) - rhs)
+    return loop_regular(f, points, residual)
+
+
+def loop_geodesic(d, points):
+    nf = normalized_gradient_field(d.angle_function())
+    return loop_regular(d.angle_function(), points,
+                        lambda p, n: kt.cov_deriv(nf, n).norm())
+
+
+def loop_sasakian(d, points):
+    return [r for s in (d.s_alpha, d.s_beta)
+            for r in loop_pairs(points, 17, lambda u, v: sasakian_residual(s, u, v))], 0
+
+
+def loop_kcontact(d, points):
+    return [abs(r) for s in (d.s_alpha, d.s_beta)
+            for r in loop_pairs(points, 13,
+                                lambda u, v: killing_residual(s.reeb_field(), u, v))], 0
+
+
+PORTED = {
+    "sasakian": (kt.check_sasakian, loop_sasakian),
+    "kcontact": (kt.check_kcontact, loop_kcontact),
+    "laplacian_formula": (kt.laplacian_formula_check, loop_laplacian_formula),
+    "dimension_theorem": (kt.dim_theorem_check, loop_dim_theorem),
+    "phi_product_spectrum": (
+        lambda d, pts: kt.phi_product_spectrum_check(d, pts, verify_sasakian=False),
+        loop_phi_product),
+    "hessian_restricted": (
+        lambda d, pts: kt.hessian_restriction_check(d, pts, verify_sasakian=False),
+        loop_hessian),
+    "geodesic_field": (lambda d, pts: kt.check_geodesic(d.angle_function(), pts),
+                       loop_geodesic),
+    "mean_curvature_identity": (
+        lambda d, pts: kt.mean_curvature_identity_check(
+            d.angle_function(), kt.ANGLE_PROFILE, pts), loop_mean_curvature),
+}
+
+
+@pytest.fixture(scope="module", params=DIMS, ids=lambda d: f"s{d}")
+def two_blocks(request):
+    """40 points (more than one block of 32), alone and with a point where
+    |f| = 1 and grad f = 0 inserted at index 35, in the second block."""
+    dim = request.param
+    pair = kt.standard_pair(dim)
+    f = pair.angle_function()
+    pts = kt.sample_points(40, 200 + dim, dim + 1,
+                           exclusion=lambda p: abs(f.value(p)) > 0.9)
+    critical = kt.SpherePoint(np.eye(dim + 1)[0])
+    return pair, pts, pts[:35] + [critical] + pts[35:]
+
+
+@pytest.mark.parametrize("name", sorted(PORTED))
+def test_ported_check_matches_the_point_loop(two_blocks, name):
+    pair, pts, with_critical = two_blocks
+    batched, loop = PORTED[name]
+    if name == "dimension_theorem" and pair.dim == 7:
+        with pytest.raises(kt.UnsupportedDimensionError):
+            batched(pair, pts)
+        return
+    for points in (pts, with_critical):
+        if name in ("sasakian", "kcontact"):
+            subs = [batched(s, points) for s in (pair.s_alpha, pair.s_beta)]
+            count, skipped = sum(r.count for r in subs), sum(r.skipped for r in subs)
+            mx = max(r.max for r in subs)
+        else:
+            rep = batched(pair, points)
+            count, skipped, mx = rep.count, rep.skipped, rep.max
+        residuals, loop_skipped = loop(pair, points)
+        assert (count, skipped) == (len(residuals), loop_skipped)
+        loop_max = max(abs(r) for r in residuals)
+        assert mx <= 10.0 * loop_max or mx <= 1e-13
+
+
+def recorded_draws(monkeypatch, module):
+    drawn = []
+
+    def recording(x, rng, shape):
+        out = random_tangent_batch(x, rng, shape)
+        drawn.append(out.reshape(-1, x.shape[-1]))
+        return out
+
+    monkeypatch.setattr(module, "random_tangent_batch", recording)
+    return drawn
+
+
+@pytest.mark.parametrize("check, seed", [(kt.check_sasakian, 17),
+                                         (kt.check_kcontact, 13)])
+def test_pair_checks_draw_the_loop_stream(two_blocks, monkeypatch, check, seed):
+    pair, pts, with_critical = two_blocks
+    drawn = recorded_draws(monkeypatch, kt.contact)
+    check(pair.s_alpha, with_critical)
+    rng = np.random.default_rng(seed)
+    loop = [t.vec for p in with_critical for _ in range(2) for t in random_tangents(p, rng, 2)]
+    assert np.array_equal(np.concatenate(drawn), np.array(loop))
+
+
+def test_hessian_diagnostic_draws_the_loop_stream_at_kept_points(two_blocks, monkeypatch):
+    pair, pts, with_critical = two_blocks
+    drawn = recorded_draws(monkeypatch, kt.double_kcontact)
+    kt.hessian_restriction_check(pair, with_critical, verify_sasakian=False)
+    if pair.dim == 3:                   # the sub-bundle is zero: nothing drawn
+        assert drawn == []
+        return
+    rng = np.random.default_rng(29)
+    loop = [t.vec for p in pts for t in random_tangents(p, rng, 2)]
+    assert np.array_equal(np.concatenate(drawn), np.array(loop))
+
+
+@pytest.mark.parametrize("dim", (5, 7))
+def test_hessian_diagnostic_is_reported(dim):
+    pair = kt.standard_pair(dim)
+    f = pair.angle_function()
+    pts = kt.sample_points(40, 31, dim + 1, exclusion=lambda p: abs(f.value(p)) > 0.9)
+    rep = kt.hessian_restriction_check(pair, pts)
+    match = re.search(r"full-argument diagnostic \(ungated\) max (\S+)$", rep.provenance)
+    assert match is not None
+    assert abs(float(match.group(1)) - hessian_diagnostic(pair, pts)) <= 1e-13
+    assert rep.provenance == kt.hessian_restriction_check(pair, pts).provenance
+
+
+def loop_invariants(d, points):
+    za, xb, f = d.s_alpha.reeb_field(), d.s_beta.reeb_field(), d.angle_function()
+    out = []
+    for p in points:
+        z, x = d.reeb_alpha_at(p), d.reeb_beta_at(p)
+        out.append(max(kt.lie_bracket(xb, za, p).norm(),
+                       abs(kt.metric(z, z) - 1.0), abs(kt.metric(x, x) - 1.0),
+                       abs(d.s_alpha.alpha(z) - 1.0), abs(d.s_beta.alpha(x) - 1.0),
+                       d.s_alpha.phi(z).norm(), d.s_beta.phi(x).norm(),
+                       max(0.0, abs(f.value(p)) - 1.0)))
+    return out
+
+
+def loop_gradient_identity(d, points):
+    f = d.angle_function()
+    res_a = [(kt.gradient(f, p) - 2.0 * d.s_alpha.phi(d.reeb_beta_at(p))).norm()
+             for p in points]
+    res_b = [(kt.gradient(f, p) - 2.0 * d.s_beta.phi(d.reeb_alpha_at(p))).norm()
+             for p in points]
+    return res_a if max(res_a) <= max(res_b) else res_b
+
+
+def loop_transnormal(d, points):
+    f = d.angle_function()
+    return [abs(float(kt.gradient(f, p).vec @ kt.gradient(f, p).vec)
+                - kt.ANGLE_PROFILE.b(f.value(p))) for p in points]
+
+
+@pytest.mark.parametrize("check, loop", [
+    (kt.commuting_invariants_check, loop_invariants),
+    (kt.gradient_identity_check, loop_gradient_identity),
+    (kt.transnormal_b_check, loop_transnormal)], ids=lambda c: c.__name__)
+def test_headroom_checks_are_bitwise_the_point_loop(two_blocks, check, loop):
+    # these checks sit at about 1 ulp and set the suite's smallest headroom
+    pair, pts, with_critical = two_blocks
+    for points in (pts, with_critical):
+        rep = check(pair, points)
+        ref = kt.ResidualReport.from_residuals(rep.check_name, loop(pair, points),
+                                               rep.tolerance)
+        assert (rep.count, rep.max, rep.mean) == (ref.count, ref.max, ref.mean)

@@ -207,6 +207,12 @@ def test_dim_theorem_unsupported_dimension():
         kt.dim_theorem_check(pair7, pts)
 
 
+@pytest.mark.parametrize("dim", (3, 5))
+def test_dim_theorem_without_points_is_vacuous(dim):
+    rep = kt.dim_theorem_check(kt.standard_pair(dim), [])
+    assert (rep.count, rep.skipped, rep.max, rep.passed) == (0, 0, 0.0, True)
+
+
 def test_s7_laplacian_profile_from_generators():
     pair7 = kt.standard_pair(7)
     slope, offset = kt.expected_laplacian_profile(pair7)

@@ -25,12 +25,12 @@ HEIGHT_PROFILE = kt.TransnormalProfile(b=lambda t: 1.0 - t * t,
 def non_transnormal_field():
     # x1 + x1*x2 in the (x1, y1, x2, y2) coordinates
     def evaluator(x):
-        return x[0] + x[0] * x[2]
+        return x[..., 0] + x[..., 0] * x[..., 2]
 
     def grad(x):
         one = ad.lift(np.eye(4)[0], x)
         e2 = ad.lift(np.eye(4)[2], x)
-        return one + ad.sv(x[2], one) + ad.sv(x[0], e2)
+        return one + ad.sv(x[..., 2], one) + ad.sv(x[..., 0], e2)
 
     return ScalarField(eval=evaluator, grad=grad, label="x1 + x1 x2")
 
