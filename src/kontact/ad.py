@@ -12,11 +12,18 @@ implemented without touching the dual machinery.
 Payloads (``val``/``eps``) are floats, numpy arrays, or further Duals.
 Leading axes broadcast, and all contractions act on the last axis, so the
 same field code evaluates one point or a batch of points.
+
+:func:`jacobian_rows` is vector forward mode (Griewank & Walther,
+*Evaluating Derivatives*, 2008): the m+1 ambient directions ride on a
+leading axis of the eps leaves only, while the val leaves keep the
+point's shape.  numpy's right-aligned broadcasting keeps the two apart,
+so each value inside a field is computed once per Jacobian, nested
+Jacobians included, rather than once per direction.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -141,7 +148,7 @@ def dot(x, y):
         return Dual(dot(x.val, y), dot(x.eps, y))
     if type(y) is Dual:
         return Dual(dot(x, y.val), dot(x, y.eps))
-    return np.sum(x * y, axis=-1)
+    return np.einsum("...i,...i->...", x, y)
 
 
 def matvec(mat: np.ndarray, x):
@@ -160,7 +167,7 @@ def sv(s, v):
     if type(v) is Dual:
         return Dual(sv(s, v.val), sv(s, v.eps))
     if np.ndim(s) > 0:
-        return np.expand_dims(s, -1) * v
+        return s[..., None] * v
     return s * v
 
 
@@ -170,26 +177,12 @@ def sqrt(x):
     return np.sqrt(x)
 
 
-def norm_sq(x):
-    return dot(x, x)
-
-
 def norm(x):
     return sqrt(dot(x, x))
 
 
 def unit(x):
     return sv(1.0 / norm(x), x)
-
-
-def stack(scalars: Sequence) -> Payload:
-    """Assemble scalars into a vector along a new last axis."""
-    if any(type(s) is Dual for s in scalars):
-        ref = next(s for s in scalars if type(s) is Dual)
-        lifted = [s if type(s) is Dual else lift(s, ref) for s in scalars]
-        return Dual(stack([s.val for s in lifted]),
-                    stack([s.eps for s in lifted]))
-    return np.stack([np.asarray(s, dtype=float) for s in scalars], axis=-1)
 
 
 def proj_tangent(x, v):
@@ -211,24 +204,22 @@ def _leafwise(fn: Callable, x: Payload) -> Payload:
     return fn(np.asarray(x, dtype=float))
 
 
-def broadcast_batch(x: Payload, count: int) -> Payload:
-    """Prepend a broadcast axis of length ``count`` to every leaf, after
-    broadcasting the leaves to their common shape so the axis lines up."""
-    shape = (count,) + _batch_shape(x)
-    return _leafwise(lambda leaf: np.broadcast_to(leaf, shape), x)
-
-
 def jacobian_rows(f: Callable, x: Payload, dim: int) -> Payload:
     """All ambient directional derivatives of ``f`` at once.
 
     Returns a payload whose leading axis indexes the direction: row i is
-    the derivative of ``f`` along ambient axis e_i.  One broadcast dual
-    evaluation instead of ``dim`` separate ones.  Existing batch axes of
-    ``x`` are kept distinct from the new direction axis.
+    the derivative of ``f`` along ambient axis e_i.  One dual evaluation
+    in vector forward mode: ``x`` is passed unbroadcast and the directions
+    have shape (dim,) + (1,)*lead + (dim,), one axis more than any leaf of
+    ``x``, so the direction axis lands on the eps leaves only.  Values
+    inside ``f`` keep the shape of ``x`` and are computed once; every
+    returned leaf carries the direction axis in front.  Existing batch
+    axes of ``x`` stay distinct from it, also when the val and eps leaves
+    of ``x`` differ in rank.
     """
     lead = len(_batch_shape(x)) - 1
     directions = np.eye(dim).reshape((dim,) + (1,) * lead + (dim,))
-    return directional(f, broadcast_batch(x, dim), directions)
+    return directional(f, x, directions)
 
 
 def axis0_to_last(x: Payload) -> Payload:
@@ -258,12 +249,6 @@ def great_circle(p: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
     if w == 0.0:
         return p.copy()
     return np.cos(w * t) * p + (np.sin(w * t) / w) * u
-
-
-def fd_curve_derivative(s: Callable, p: np.ndarray, u: np.ndarray,
-                        step: float = 1e-5) -> float:
-    """d/dt s(γ(t)) at t=0 along the great circle with velocity u."""
-    return (s(great_circle(p, u, step)) - s(great_circle(p, u, -step))) / (2.0 * step)
 
 
 def fd_curve_derivative_5pt(s: Callable, p: np.ndarray, u: np.ndarray,

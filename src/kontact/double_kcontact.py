@@ -19,8 +19,9 @@ Batch convention: kernels such as :func:`hbundle_frames` take plain
 arrays with leading batch axes — points (N, m+1) plus any per-point
 axes — and per-point functions such as :func:`hbundle_basis` are
 one-row calls into them.  Checks evaluate points in blocks of
-``manifold.BLOCK``; a point where the sub-bundle is undefined
-(|f| ≥ 1 − 1e-9) counts as skipped.
+``manifold.BLOCK``; a point where Z, X and JX fail the seed rank test of
+``manifold.frame_batch`` (Gram determinant ≈ (1 − f²)² below 1e-10, so
+1 − |f| ≲ 5e-6) counts as skipped.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .manifold import (
     lie_bracket_batch,
     random_tangent_batch,
     sample_points,
+    seeds_span,
     stack_coords,
 )
 from .report import ResidualReport
@@ -228,25 +230,30 @@ def expected_laplacian_profile(d: DoubleKContact) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # the sub-bundle orthogonal to {Z, X, JX}
 
-def _spans(fv: np.ndarray) -> np.ndarray:
-    """Where Z, X and JX span a 3-plane, from the angle function's values."""
-    return np.abs(fv) < 1.0 - 1e-9
+def _hbundle_seeds(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
+    """Z, X and JX at the points x, shape (..., 3, m+1)."""
+    z = apply(d.s_alpha.j_ambient.mat, x)
+    xb = apply(d.s_beta.j_ambient.mat, x)
+    return np.stack([z, xb, d.s_alpha.phi_at(x, xb)], axis=-2)
+
+
+def _spans(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
+    """Where Z, X and JX span a 3-plane, by the very test that
+    :func:`hbundle_frames` must pass (the Gram determinant is ≈ (1 − f²)²)."""
+    return seeds_span(x, _hbundle_seeds(d, x))
 
 
 def hbundle_frames(d: DoubleKContact, x: np.ndarray,
                    completion: Optional[Sequence[int]] = None) -> np.ndarray:
     """Orthonormal bases of {Z, X, JX}^⊥ at the regular points x (batched),
     shape (..., m−3, m+1): the tail of the frame seeded by Z, X, JX."""
-    z = apply(d.s_alpha.j_ambient.mat, x)
-    xb = apply(d.s_beta.j_ambient.mat, x)
-    seeds = np.stack([z, xb, d.s_alpha.phi_at(x, xb)], axis=-2)
-    return frame_batch(x, seeds, completion)[..., 3:, :]
+    return frame_batch(x, _hbundle_seeds(d, x), completion)[..., 3:, :]
 
 
 def hbundle_basis(d: DoubleKContact, p: SpherePoint,
                   reverse_completion: bool = False) -> HBundleBasis:
     """Deterministic orthonormal basis of {Z, X, JX}^⊥ inside T_p."""
-    if not _spans(d.angle_function().value(p)):
+    if not _spans(d, p.coords):
         raise RegularityError("the spanning fields degenerate where |f| ~ 1")
     completion = None
     if reverse_completion:
@@ -336,7 +343,7 @@ def _hbundle_sweep(d: DoubleKContact, points: Sequence[SpherePoint],
     point order and the number of points skipped."""
     x_all = stack_coords(points, d.ambient_dim)
     fv_all = np.asarray(value(d.angle_function().eval(x_all)), dtype=float)
-    kept = np.flatnonzero(_spans(fv_all))
+    kept = np.flatnonzero(_spans(d, x_all))
     out = [np.zeros(0)]
     for sl in blocks(len(kept)):
         x = x_all[kept[sl]]

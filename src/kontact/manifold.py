@@ -43,6 +43,7 @@ from .errors import (
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
 FRAME_TOL = 1e-8    # Gram-Schmidt drops (or, for seeds, rejects) shorter residues
+SEED_GRAM_TOL = 1e-10   # frame seeds with a smaller Gram determinant are rank deficient
 BLOCK = 32          # points per batched evaluation; bounds peak memory
 
 
@@ -384,6 +385,15 @@ def ricci_operator_frame_sum(u: TangentVector,
 # ---------------------------------------------------------------------------
 # frames
 
+def seeds_span(x: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Where the seeds (..., k, m+1), projected to T_x, are independent:
+    their Gram determinant is at least SEED_GRAM_TOL.  This is the rank
+    test of :func:`frame_batch`, row by row the same arithmetic, so a
+    frame seeded where it holds is built and one seeded elsewhere raises."""
+    t = proj_np(x[..., None, :], seeds)
+    return np.abs(np.linalg.det(t @ np.swapaxes(t, -1, -2))) >= SEED_GRAM_TOL
+
+
 def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None,
                 completion: Optional[Sequence[int]] = None) -> np.ndarray:
     """Orthonormal tangent frames at the points x, shape (..., m, m+1).
@@ -405,10 +415,10 @@ def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None,
     if seeds is None:
         seeds = np.zeros((0, dim))
     k = np.shape(seeds)[-2]
-    seeds = proj_np(pts[:, None, :],
-                    np.broadcast_to(seeds, lead + (k, dim)).reshape(len(pts), k, dim))
-    if k and np.any(np.abs(np.linalg.det(seeds @ np.swapaxes(seeds, -1, -2))) < 1e-10):
+    seeds = np.broadcast_to(seeds, lead + (k, dim)).reshape(len(pts), k, dim)
+    if k and not seeds_span(pts, seeds).all():
         raise DegenerateInputError("seed vectors are rank deficient")
+    seeds = proj_np(pts[:, None, :], seeds)
     order = list(completion if completion is not None else range(dim))
     candidates = proj_np(pts[:, None, :], np.eye(dim)[order])
     slots, kept = [], []

@@ -139,6 +139,68 @@ def test_jacobian_rows_aligns_leaves_of_different_rank():
                 assert np.max(np.abs(out[i, b, k, 0] - ref)) <= 1e-14
 
 
+def test_jacobian_rows_computes_each_value_once():
+    # vector forward mode: the direction axis rides on the eps leaves, so
+    # the field sees the unbroadcast point and its values keep that shape
+    seen = []
+
+    def recording(y):
+        s = ad.dot(y, y)
+        seen.append((np.shape(ad.value(y)), np.shape(ad.value(s))))
+        return vector_fn(y)
+
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((5, 3))
+    rows = ad.jacobian_rows(recording, x, 3)
+    assert seen == [((5, 3), (5,))] and rows.shape == (3, 5, 3)
+
+    seen.clear()
+    nested = ad.directional(lambda y: ad.jacobian_rows(recording, y, 3),
+                            x, rng.standard_normal((5, 3)))
+    assert seen == [((5, 3), (5,))] and nested.shape == (3, 5, 3)
+
+    seen.clear()
+    hess = ad.jacobian_rows(lambda y: ad.jacobian_rows(recording, y, 3), x, 3)
+    assert seen == [((5, 3), (5,))] and hess.shape == (3, 3, 5, 3)
+
+
+def test_nested_jacobian_rows_on_leaves_of_different_rank():
+    # second derivatives of a batch whose val (5,1,1,3) and eps leaves
+    # differ in rank, against cross differences
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((5, 1, 1, 3))
+    d = rng.standard_normal((4, 1, 3))
+    eye = np.eye(3)
+    # the inner call sees val (5,1,1,3) and eps (3,1,1,1,3)
+    hess = ad.jacobian_rows(lambda y: ad.jacobian_rows(scalar_fn, y, 3), x, 3)
+    assert hess.shape == (3, 3, 5, 1, 1)
+    # the inner call sees val (5,1,1,3) and eps (4,1,3)
+    mixed = ad.value(ad.directional(lambda y: ad.jacobian_rows(scalar_fn, y, 3), x, d))
+    assert mixed.shape == (3, 5, 4, 1)
+    for b in range(5):
+        p = x[b, 0, 0]
+        for i in range(3):
+            for j in range(3):
+                ref = ad.fd_second_directional(scalar_fn, p, eye[i], eye[j])
+                assert abs(hess[i, j, b, 0, 0] - ref) <= 1e-6
+            for k in range(4):
+                ref = ad.fd_second_directional(scalar_fn, p, d[k, 0], eye[i])
+                assert abs(mixed[i, b, k, 0] - ref) <= 1e-6
+
+
+def test_dot_leaf_matches_the_summed_product():
+    # the contraction leaf against np.sum(x * y, axis=-1) on the broadcast
+    # shapes of nu_form, within 4 ulps of the sum of |x_i y_i|
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((8, 8, 32, 1, 6, 8))
+    y = rng.standard_normal((8, 32, 6, 1, 8))
+    out = ad.dot(x, y)
+    ref = np.sum(x * y, axis=-1)
+    assert out.shape == ref.shape == (8, 8, 32, 6, 6)
+    scale = np.sum(np.abs(x * y), axis=-1)
+    assert np.all(np.abs(out - ref) <= 4 * np.spacing(scale))
+
+
 def test_value_and_lift_round_trip():
     x = np.array([1.0, 2.0])
     d = ad.make_dual(x, np.array([0.0, 1.0]))

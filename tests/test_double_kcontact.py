@@ -144,6 +144,37 @@ def test_hbundle_regularity_error(pair5):
         kt.hbundle_basis(pair5, p)
 
 
+def near_pole(delta):
+    # f = 1 − 2t² on s5 at (t, 0, √(1−t²), 0, 0, 0)
+    t = np.sqrt(delta / 2.0)
+    return kt.SpherePoint(np.array([t, 0.0, np.sqrt(1.0 - t * t), 0.0, 0.0, 0.0]))
+
+
+SUB_BUNDLE_CHECKS = (kt.laplacian_formula_check, kt.phi_product_spectrum_check,
+                     kt.hessian_restriction_check)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8])
+def test_sub_bundle_checks_skip_points_near_the_pole(pair5, delta):
+    # the Gram determinant of Z, X, JX is ≈ (1 − f²)², below the frame's
+    # 1e-10 rank test here although |f| < 1 − 1e-9
+    p = near_pole(delta)
+    assert abs(pair5.angle_function().value(p) - (1.0 - delta)) < 1e-15
+    for check in SUB_BUNDLE_CHECKS:
+        rep = check(pair5, [p])
+        assert (rep.count, rep.skipped) == (0, 1)
+    with pytest.raises(RegularityError):
+        kt.hbundle_basis(pair5, p)
+
+
+def test_sub_bundle_checks_evaluate_just_outside_the_skip_band(pair5):
+    p = near_pole(1e-5)
+    for check in SUB_BUNDLE_CHECKS:
+        rep = check(pair5, [p])
+        assert rep.skipped == 0 and rep.count > 0 and rep.passed
+    assert len(kt.hbundle_basis(pair5, p)) == 2
+
+
 def test_laplacian_formula_s3_reduces_to_8f(pair3, pts3):
     rep = kt.laplacian_formula_check(pair3, pts3)
     assert rep.passed and rep.max < 1e-7

@@ -11,6 +11,7 @@ from kontact.errors import (
     RegularityError,
 )
 from kontact.harmonic import (
+    _trace_l_batch,
     harmonicity_form,
     mean_curvature_derivative,
     mean_curvature_of_field,
@@ -111,6 +112,23 @@ def test_l_operator_with_zero_shape_stub(reeb3, pts3, rng, monkeypatch):
                         lambda zf, w: zero)
     out = kt.l_operator(reeb3, u)
     assert np.allclose(out.vec, u.vec, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_trace_l_of_unit_gradient_matches_the_closed_form(dim):
+    # the levels of f = xᵀAx, A = diag(−1, −1, 1, …, 1), are the tori
+    # S¹ × S^{m−2}, so tr L_N = m + (1+f)/(1−f) + (m−2)(1−f)/(1+f)
+    f = kt.standard_pair(dim).angle_function()
+    g = np.random.default_rng(dim).standard_normal((4000, dim + 1))
+    x = g / np.linalg.norm(g, axis=1, keepdims=True)
+    fv = np.sum(np.where(np.arange(dim + 1) < 2, -1.0, 1.0) * x * x, axis=1)
+    assert np.max(np.abs(fv - ad.value(f.eval(x)))) <= 1e-15
+    keep = np.abs(fv) <= 0.9
+    x, fv = x[keep][:2000], fv[keep][:2000]
+    assert len(x) == 2000
+    tr = _trace_l_batch(kt.normalized_gradient_unit_field(f), x)
+    closed = dim + (1 + fv) / (1 - fv) + (dim - 2) * (1 - fv) / (1 + fv)
+    assert np.max(np.abs(tr - closed) / closed) <= 1e-12
 
 
 def test_trace_l_equals_frame_sum(reeb3, nfield3, pts3):
