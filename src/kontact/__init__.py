@@ -76,7 +76,6 @@ from .contact import (
 from .double_kcontact import (
     ANGLE_PROFILE,
     DoubleKContact,
-    HBundleBasis,
     commuting_invariants_check,
     dim_theorem_check,
     expected_laplacian_profile,

@@ -58,7 +58,7 @@ from .harmonic import (
     reeb_energy_closed_form,
     reeb_unit_field,
 )
-from .manifold import sample_points
+from .manifold import sample_coords
 from .report import ResidualReport
 from .scalar_fields import check_geodesic, mean_curvature_identity_check
 from .errors import GeometryError
@@ -229,9 +229,8 @@ def run_suite(config: SuiteConfig) -> list[ResidualReport]:
     """Run every check for the configured manifold, in declaration order."""
     pair = standard_pair(MANIFOLDS[config.manifold])
     f = pair.angle_function()
-    cutoff = config.exclusion
-    points = sample_points(config.samples, config.seed, pair.ambient_dim,
-                           exclusion=lambda p: abs(f.value(p)) > cutoff)
+    points = sample_coords(config.samples, config.seed, pair.ambient_dim,
+                           exclusion=lambda x: np.abs(value(f.eval(x))) > config.exclusion)
     catalog = _check_catalog(pair, points, config)
     unknown = sorted(set(config.tol_overrides) - {name for name, _ in catalog})
     if unknown:

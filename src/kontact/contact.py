@@ -21,17 +21,20 @@ Batch convention: kernels (:func:`exterior_derivative_batch`,
 :func:`killing_residual_batch`, :func:`sasakian_residual_batch`,
 :meth:`ContactMetricStructure.phi_at`) take plain arrays with leading
 batch axes — points (N, m+1) plus per-point direction or frame axes —
-and per-point functions are one-row calls into them.  Every check
-evaluates points in blocks of ``manifold.BLOCK``.
+and per-point functions are one-row calls into them.  Checks take the
+points as an (N, m+1) array or a list of ``SpherePoint``, validated once
+by ``manifold.as_points``, and evaluate them in blocks of
+``manifold.BLOCK``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .ad import directional, dot, matvec, proj_tangent, sv, value
 from .errors import ConstructionError
@@ -42,6 +45,7 @@ from .manifold import (
     SpherePoint,
     TangentVector,
     apply,
+    as_points,
     blocks,
     blockwise,
     constant_field,
@@ -53,9 +57,7 @@ from .manifold import (
     metric,
     projected_eval,
     random_tangent_batch,
-    random_tangents,
-    sample_points,
-    stack_coords,
+    sample_coords,
 )
 from .report import ResidualReport
 
@@ -166,23 +168,21 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha",
     dα(u,v) = 2 g(u, φv) is kept.  If neither works the generator is
     inconsistent with the frozen conventions.
     """
-    probes = sample_points(4, probe_seed, j.ambient_dim)
+    x = sample_coords(4, probe_seed, j.ambient_dim)
     rng = np.random.default_rng(probe_seed + 1)
     chosen = None
     for sigma in (1, -1):
         s = ContactMetricStructure(j, sigma, label=label)
-        worst = 0.0
-        for p in probes:
-            u, v = random_tangents(p, rng, 2)
-            lhs = exterior_derivative(s.alpha_coeffs, u, v)
-            worst = max(worst, abs(lhs - 2.0 * metric(u, s.phi(v))))
-        if worst < 1e-6:
+        uv = random_tangent_batch(x, rng, (2,))
+        u, v = uv[:, 0], uv[:, 1]
+        lhs = exterior_derivative_batch(s.alpha_coeffs, x, u, v)
+        if np.max(np.abs(lhs - 2.0 * inner(u, s.phi_at(x, v)))) < 1e-6:
             chosen = s
             break
     if chosen is None:
         raise ConstructionError("neither sign satisfies the dα compatibility")
     if validate:
-        pts = sample_points(200, probe_seed + 7, j.ambient_dim)
+        pts = sample_coords(200, probe_seed + 7, j.ambient_dim)
         for rep in (check_axiom_volume(chosen, pts),
                     check_axiom_ii(chosen, pts),
                     check_axiom_iii(chosen, pts),
@@ -255,7 +255,7 @@ def volume_form_constant(n: int) -> float:
 # ---------------------------------------------------------------------------
 # checkers
 
-def check_axiom_volume(s: ContactMetricStructure, points: Sequence[SpherePoint],
+def check_axiom_volume(s: ContactMetricStructure, points: ArrayLike,
                        coeff_field: Optional[Callable] = None,
                        golden: Optional[float] = None,
                        tol: float = 1e-9) -> ResidualReport:
@@ -267,7 +267,7 @@ def check_axiom_volume(s: ContactMetricStructure, points: Sequence[SpherePoint],
     coeff = coeff_field if coeff_field is not None else s.alpha_coeffs
     ref = golden if golden is not None else volume_form_constant(s.n)
     values = blockwise(lambda x: volume_form_batch(coeff, x, frame_batch(x), s.n),
-                       stack_coords(points, s.ambient_dim))
+                       as_points(points, s.ambient_dim))
     residuals = np.maximum(0.0, 0.5 * ref - np.abs(values))
     signs = np.sign(values)
     signed = np.flatnonzero(signs)
@@ -281,32 +281,31 @@ def check_axiom_volume(s: ContactMetricStructure, points: Sequence[SpherePoint],
         provenance="top form nonvanishing with constant sign")
 
 
-def check_axiom_ii(s: ContactMetricStructure, points: Sequence[SpherePoint],
+def check_axiom_ii(s: ContactMetricStructure, points: ArrayLike,
                    tol: float = 1e-9, seed: int = 7, directions: int = 2
                    ) -> ResidualReport:
     """‖φ²u + u − α(u)Z‖ over random tangent directions."""
     rng = np.random.default_rng(seed)
-    x = stack_coords(points, s.ambient_dim)
-    residuals = []
+    x = as_points(points, s.ambient_dim)
+    residuals = [np.zeros(0)]
     for sl in blocks(len(x)):
         p = x[sl, None, :]
         u = random_tangent_batch(x[sl], rng, (directions,))
         z = apply(s.j_ambient.mat, p)
         lhs = s.phi_at(p, s.phi_at(p, u))
         r = lhs + u - inner(u, z)[..., None] * z
-        residuals.extend(np.sqrt(inner(r, r)).ravel())
+        residuals.append(np.sqrt(inner(r, r)).ravel())
     return ResidualReport.from_residuals(
-        f"axiom_ii_{s.label}", residuals, tol,
+        f"axiom_ii_{s.label}", np.concatenate(residuals), tol,
         provenance="phi squared is -Id + alpha tensor reeb")
 
 
-def _pair_sweep(points: Sequence[SpherePoint], seed: int, directions: int,
+def _pair_sweep(x: np.ndarray, seed: int, directions: int,
                 residual: Callable) -> np.ndarray:
     """``residual(x, u, v)`` over ``directions`` random tangent pairs per
-    point, in point order; x is (B, 1, m+1) and u, v are (B, directions,
-    m+1) for each block of points, drawn from one stream."""
+    point of x (N, m+1), in point order; x is (B, 1, m+1) and u, v are
+    (B, directions, m+1) for each block of points, drawn from one stream."""
     rng = np.random.default_rng(seed)
-    x = np.array([p.coords for p in points], dtype=float)
     out = [np.zeros(0)]
     for sl in blocks(len(x)):
         uv = random_tangent_batch(x[sl], rng, (directions, 2))
@@ -314,7 +313,7 @@ def _pair_sweep(points: Sequence[SpherePoint], seed: int, directions: int,
     return np.concatenate(out)
 
 
-def check_axiom_iii(s: ContactMetricStructure, points: Sequence[SpherePoint],
+def check_axiom_iii(s: ContactMetricStructure, points: ArrayLike,
                     tol: float = 1e-8, seed: int = 11, directions: int = 2
                     ) -> ResidualReport:
     """|dα(u,v) − 2 g(u, φv)| over random tangent pairs."""
@@ -323,7 +322,8 @@ def check_axiom_iii(s: ContactMetricStructure, points: Sequence[SpherePoint],
         return np.abs(d_alpha - 2.0 * inner(u, s.phi_at(x, v)))
 
     return ResidualReport.from_residuals(
-        f"axiom_iii_{s.label}", _pair_sweep(points, seed, directions, residual), tol,
+        f"axiom_iii_{s.label}",
+        _pair_sweep(as_points(points, s.ambient_dim), seed, directions, residual), tol,
         provenance=D_ALPHA_CONVENTION + " against 2 g(., phi .)")
 
 
@@ -341,22 +341,22 @@ def killing_residual(field: AmbientVectorField, u: TangentVector,
     return float(killing_residual_batch(field, u.base.coords, u.vec, v.vec))
 
 
-def check_killing(field: AmbientVectorField, points: Sequence[SpherePoint],
+def check_killing(field: AmbientVectorField, points: ArrayLike,
                   check_name: str = "killing", tol: float = 1e-9,
                   seed: int = 13, directions: int = 2) -> ResidualReport:
     """Vanishing of the symmetrized covariant derivative (Killing equation)."""
-    residuals = _pair_sweep(points, seed, directions,
+    residuals = _pair_sweep(as_points(points), seed, directions,
                             lambda x, u, v: killing_residual_batch(field, x, u, v))
     return ResidualReport.from_residuals(
         check_name, residuals, tol,
         provenance="symmetrized covariant derivative of the field")
 
 
-def check_kcontact(s: ContactMetricStructure, points: Sequence[SpherePoint],
+def check_kcontact(s: ContactMetricStructure, points: ArrayLike,
                    tol: float = 1e-9, seed: int = 13, directions: int = 2
                    ) -> ResidualReport:
     """The Reeb field must be an infinitesimal isometry."""
-    return check_killing(s.reeb_field(), points,
+    return check_killing(s.reeb_field(), as_points(points, s.ambient_dim),
                          check_name=f"kcontact_{s.label}", tol=tol,
                          seed=seed, directions=directions)
 
@@ -379,18 +379,18 @@ def sasakian_residual(s: ContactMetricStructure, u: TangentVector,
     return float(sasakian_residual_batch(s, u.base.coords, u.vec, v.vec))
 
 
-def check_sasakian(s: ContactMetricStructure, points: Sequence[SpherePoint],
+def check_sasakian(s: ContactMetricStructure, points: ArrayLike,
                    tol: float = 1e-8, seed: int = 17, directions: int = 2
                    ) -> ResidualReport:
     """(∇_A φ)B = g(A,B)Z − α(B)A over random tangent pairs."""
-    residuals = _pair_sweep(points, seed, directions,
+    residuals = _pair_sweep(as_points(points, s.ambient_dim), seed, directions,
                             lambda x, u, v: sasakian_residual_batch(s, x, u, v))
     return ResidualReport.from_residuals(
         f"sasakian_{s.label}", residuals, tol,
         provenance="covariant derivative of phi against the defining identity")
 
 
-def check_phi_skew(s: ContactMetricStructure, points: Sequence[SpherePoint],
+def check_phi_skew(s: ContactMetricStructure, points: ArrayLike,
                    tol: float = 1e-9, seed: int = 19, directions: int = 2
                    ) -> ResidualReport:
     """|g(φu, v) + g(u, φv)| — metric skewness of the structure tensor."""
@@ -398,5 +398,6 @@ def check_phi_skew(s: ContactMetricStructure, points: Sequence[SpherePoint],
         return np.abs(inner(s.phi_at(x, u), v) + inner(u, s.phi_at(x, v)))
 
     return ResidualReport.from_residuals(
-        f"phi_skew_{s.label}", _pair_sweep(points, seed, directions, residual), tol,
+        f"phi_skew_{s.label}",
+        _pair_sweep(as_points(points, s.ambient_dim), seed, directions, residual), tol,
         provenance="structure tensor is metric-skew")

@@ -18,8 +18,10 @@ structure is Sasakian; its eigenvalue pattern decides the ±4 branch.
 Batch convention: kernels such as :func:`hbundle_frames` take plain
 arrays with leading batch axes — points (N, m+1) plus any per-point
 axes — and per-point functions such as :func:`hbundle_basis` are
-one-row calls into them.  Checks evaluate points in blocks of
-``manifold.BLOCK``; a point where Z, X and JX fail the seed rank test of
+one-row calls into them.  Checks take the points as an (N, m+1) array
+or a list of ``SpherePoint``, validated once by ``manifold.as_points``,
+and evaluate them in blocks of ``manifold.BLOCK``; a point where Z, X
+and JX fail the seed rank test of
 ``manifold.frame_batch`` (Gram determinant ≈ (1 − f²)² below 1e-10, so
 1 − |f| ≲ 5e-6) counts as skipped.
 """
@@ -27,10 +29,11 @@ one-row calls into them.  Checks evaluate points in blocks of
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .ad import value
 from .contact import (
@@ -45,10 +48,12 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .manifold import (
+    Frame,
     OrthoComplexStructure,
     SpherePoint,
     TangentVector,
     apply,
+    as_points,
     block_diag_complex_structure,
     blocks,
     blockwise,
@@ -57,9 +62,8 @@ from .manifold import (
     inner,
     lie_bracket_batch,
     random_tangent_batch,
-    sample_points,
+    sample_coords,
     seeds_span,
-    stack_coords,
 )
 from .report import ResidualReport
 from .scalar_fields import (
@@ -134,23 +138,6 @@ class DoubleKContact:
                              j2_signs=desc["J2_blocks"])
 
 
-@dataclass(frozen=True, eq=False)
-class HBundleBasis:
-    """Orthonormal basis of the sub-bundle orthogonal to {Z, X, JX}."""
-
-    base: SpherePoint
-    vectors: tuple
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __getitem__(self, i: int) -> TangentVector:
-        return self.vectors[i]
-
-
 def _block_signs(mat: np.ndarray) -> Optional[tuple]:
     """Recover ±1 block signs if the matrix is block-diagonal quarter turns."""
     dim = mat.shape[0]
@@ -210,10 +197,6 @@ def standard_pair(dim: int, j1_signs: Optional[Sequence[int]] = None,
                        block_diag_complex_structure(j2_signs))
 
 
-def angle_function(d: DoubleKContact) -> ScalarField:
-    return d.angle_function()
-
-
 def expected_laplacian_profile(d: DoubleKContact) -> tuple[float, float]:
     """Exact affine profile of Δf from the generators alone.
 
@@ -251,7 +234,7 @@ def hbundle_frames(d: DoubleKContact, x: np.ndarray,
 
 
 def hbundle_basis(d: DoubleKContact, p: SpherePoint,
-                  reverse_completion: bool = False) -> HBundleBasis:
+                  reverse_completion: bool = False) -> Frame:
     """Deterministic orthonormal basis of {Z, X, JX}^⊥ inside T_p."""
     if not _spans(d, p.coords):
         raise RegularityError("the spanning fields degenerate where |f| ~ 1")
@@ -259,12 +242,11 @@ def hbundle_basis(d: DoubleKContact, p: SpherePoint,
     if reverse_completion:
         completion = list(reversed(range(p.ambient_dim)))
     rows = hbundle_frames(d, p.coords, completion)
-    return HBundleBasis(p, tuple(TangentVector(p, e) for e in rows))
+    return Frame(p, tuple(TangentVector(p, e) for e in rows))
 
 
 def _sasakian_gate(d: DoubleKContact, seed: int = 23) -> None:
-    pts = sample_points(6, seed, d.ambient_dim)
-    rep = check_sasakian(d.s_alpha, pts)
+    rep = check_sasakian(d.s_alpha, sample_coords(6, seed, d.ambient_dim))
     if not rep.passed:
         raise PreconditionError("first structure is not Sasakian at probe points")
 
@@ -272,7 +254,7 @@ def _sasakian_gate(d: DoubleKContact, seed: int = 23) -> None:
 # ---------------------------------------------------------------------------
 # checkers
 
-def commuting_invariants_check(d: DoubleKContact, points: Sequence[SpherePoint],
+def commuting_invariants_check(d: DoubleKContact, points: ArrayLike,
                                tol: float = 1e-10) -> ResidualReport:
     """Pair invariants: [X,Z] = 0, unit Reeb fields, α(Z)=1, φZ=0, |f| ≤ 1.
 
@@ -295,16 +277,16 @@ def commuting_invariants_check(d: DoubleKContact, points: Sequence[SpherePoint],
         return np.maximum(r, np.maximum(0.0, np.abs(fv) - 1.0))
 
     return ResidualReport.from_residuals(
-        "double_invariants", blockwise(residual, stack_coords(points, d.ambient_dim)), tol,
+        "double_invariants", blockwise(residual, as_points(points, d.ambient_dim)), tol,
         provenance="commuting Reeb fields, unit length, structure algebra")
 
 
-def gradient_identity_check(d: DoubleKContact, points: Sequence[SpherePoint],
+def gradient_identity_check(d: DoubleKContact, points: ArrayLike,
                             tol: float = 1e-9) -> ResidualReport:
     """grad f against 2·phi_alpha(X) and 2·phi_beta(Z); at least one
     pairing must hold uniformly (for block pairs both do)."""
     f = d.angle_function()
-    x_all = stack_coords(points, d.ambient_dim)
+    x_all = as_points(points, d.ambient_dim)
 
     def pairing(s, reeb):
         def residual(x):
@@ -325,30 +307,27 @@ def gradient_identity_check(d: DoubleKContact, points: Sequence[SpherePoint],
         provenance=f"{GRADIENT_PAIRING}; {which}")
 
 
-def transnormal_b_check(d: DoubleKContact, points: Sequence[SpherePoint],
+def transnormal_b_check(d: DoubleKContact, points: ArrayLike,
                         tol: float = 1e-9) -> ResidualReport:
     """‖grad f‖² = 4(1 − f²) for the angle function."""
-    rep = check_transnormal(d.angle_function(), ANGLE_PROFILE, points, tol=tol)
-    return ResidualReport(check_name="transnormal_profile", count=rep.count,
-                          skipped=rep.skipped, max=rep.max, mean=rep.mean,
-                          tolerance=rep.tolerance, passed=rep.passed,
-                          provenance="angle function with b(t) = 4(1-t^2)")
+    rep = check_transnormal(d.angle_function(), ANGLE_PROFILE,
+                            as_points(points, d.ambient_dim), tol=tol)
+    return replace(rep, provenance="angle function with b(t) = 4(1-t^2)")
 
 
-def _hbundle_sweep(d: DoubleKContact, points: Sequence[SpherePoint],
+def _hbundle_sweep(d: DoubleKContact, x_all: np.ndarray,
                    residual) -> tuple[np.ndarray, int]:
-    """``residual(x, fv, basis)`` over blocks of the points where the
-    sub-bundle is defined, with fv the angle function and basis
+    """``residual(x, fv, basis)`` over blocks of the points x_all (N, m+1)
+    where the sub-bundle is defined, with fv the angle function and basis
     (B, m−3, m+1) from :func:`hbundle_frames`; returns the residuals in
     point order and the number of points skipped."""
-    x_all = stack_coords(points, d.ambient_dim)
     fv_all = np.asarray(value(d.angle_function().eval(x_all)), dtype=float)
     kept = np.flatnonzero(_spans(d, x_all))
     out = [np.zeros(0)]
     for sl in blocks(len(kept)):
         x = x_all[kept[sl]]
         out.append(np.ravel(residual(x, fv_all[kept[sl]], hbundle_frames(d, x))))
-    return np.concatenate(out), len(points) - len(kept)
+    return np.concatenate(out), len(x_all) - len(kept)
 
 
 def _phi_chain(x: np.ndarray, first, second, u: np.ndarray) -> np.ndarray:
@@ -357,7 +336,7 @@ def _phi_chain(x: np.ndarray, first, second, u: np.ndarray) -> np.ndarray:
     return second.phi_at(p, first.phi_at(p, u))
 
 
-def laplacian_formula_check(d: DoubleKContact, points: Sequence[SpherePoint],
+def laplacian_formula_check(d: DoubleKContact, points: ArrayLike,
                             tol: float = 1e-7) -> ResidualReport:
     """Δf against (4n+4)·f + 2·Σ g(JφE_i, E_i) over the orthogonal sub-bundle."""
     f = d.angle_function()
@@ -368,13 +347,13 @@ def laplacian_formula_check(d: DoubleKContact, points: Sequence[SpherePoint],
         rhs = (4.0 * d.n + 4.0) * fv + 2.0 * trace_term
         return np.abs(laplacian_batch(f, x) - rhs)
 
-    residuals, skipped = _hbundle_sweep(d, points, residual)
+    residuals, skipped = _hbundle_sweep(d, as_points(points, d.ambient_dim), residual)
     return ResidualReport.from_residuals(
         "laplacian_formula", residuals, tol, skipped,
         provenance="laplacian vs (4n+4) f + 2 tr(J phi) on the sub-bundle")
 
 
-def dim_theorem_check(d: DoubleKContact, points: Sequence[SpherePoint],
+def dim_theorem_check(d: DoubleKContact, points: ArrayLike,
                       tol_dim3: float = 1e-7, tol_dim5: float = 1e-6
                       ) -> ResidualReport:
     """Isoparametricity in low dimensions: Δf = 8f on S³; Δf = 12f + c0 on
@@ -384,7 +363,7 @@ def dim_theorem_check(d: DoubleKContact, points: Sequence[SpherePoint],
         raise UnsupportedDimensionError(
             "the low-dimension statement covers dimensions 3 and 5 only")
     f = d.angle_function()
-    x = stack_coords(points, d.ambient_dim)
+    x = as_points(points, d.ambient_dim)
     fv = np.asarray(value(f.eval(x)), dtype=float)
     lap = blockwise(lambda y: laplacian_batch(f, y), x)
     if d.dim == 3:
@@ -392,7 +371,7 @@ def dim_theorem_check(d: DoubleKContact, points: Sequence[SpherePoint],
             "dimension_theorem", np.abs(lap - 8.0 * fv), tol_dim3,
             provenance="laplacian = 8 f in dimension 3")
     residuals, provenance = [], "laplacian = 12 f + c0 in dimension 5"
-    if len(points):
+    if len(x):
         est = lap[0] - 12.0 * fv[0]
         c0 = 4.0 if abs(est - 4.0) <= abs(est + 4.0) else -4.0
         residuals = np.append(np.abs(lap - 12.0 * fv - c0), abs(est - c0))
@@ -401,7 +380,7 @@ def dim_theorem_check(d: DoubleKContact, points: Sequence[SpherePoint],
                                          provenance=provenance)
 
 
-def phi_product_spectrum_check(d: DoubleKContact, points: Sequence[SpherePoint],
+def phi_product_spectrum_check(d: DoubleKContact, points: ArrayLike,
                                tol: float = 1e-7, sym_tol: float = 1e-8,
                                commute_tol: float = 1e-8, eig_tol: float = 1e-7,
                                square_tol: float = 1e-8,
@@ -437,13 +416,13 @@ def phi_product_spectrum_check(d: DoubleKContact, points: Sequence[SpherePoint],
                                   square_res * (tol / square_tol),
                                   eig_res * (tol / eig_tol)])
 
-    residuals, skipped = _hbundle_sweep(d, points, residual)
+    residuals, skipped = _hbundle_sweep(d, as_points(points, d.ambient_dim), residual)
     return ResidualReport.from_residuals(
         "phi_product_spectrum", residuals, tol, skipped,
         provenance=f"phi-product on the sub-bundle; eigenvalues seen: {sorted(eigs_seen)}")
 
 
-def hessian_restriction_check(d: DoubleKContact, points: Sequence[SpherePoint],
+def hessian_restriction_check(d: DoubleKContact, points: ArrayLike,
                               tol: float = 1e-7,
                               verify_sasakian: bool = True) -> ResidualReport:
     """Hess_f(A,B) = −2 f g(A,B) − 2 g(JφA, B) for A, B in {Z,X,JX}^⊥.
@@ -477,17 +456,17 @@ def hessian_restriction_check(d: DoubleKContact, points: Sequence[SpherePoint],
         jphi_u = d.s_alpha.phi_at(x, d.s_beta.phi_at(x, u))
         full = (2.0 * inner(u, xb) * inner(z, v) - 2.0 * fv * inner(u, v)
                 - 2.0 * inner(jphi_u, v))
-        full_domain.extend(np.abs(inner(apply(hess, u), v) - full))
+        full_domain.append(np.max(np.abs(inner(apply(hess, u), v) - full)))
         return np.abs(lhs - rhs)
 
-    residuals, skipped = _hbundle_sweep(d, points, residual)
+    residuals, skipped = _hbundle_sweep(d, as_points(points, d.ambient_dim), residual)
     return ResidualReport.from_residuals(
         "hessian_restricted", residuals, tol, skipped,
         provenance=("hessian vs -2 f g - 2 g(J phi ., .) on the sub-bundle; "
                     f"full-argument diagnostic (ungated) max {max(full_domain):.3e}"))
 
 
-def ricci_normal_check(d: DoubleKContact, points: Sequence[SpherePoint],
+def ricci_normal_check(d: DoubleKContact, points: ArrayLike,
                        tol: float = 1e-8, numeric_subset: int = 25
                        ) -> ResidualReport:
     """ric(E, N) must vanish for every E tangent to the level set, and the
@@ -498,13 +477,13 @@ def ricci_normal_check(d: DoubleKContact, points: Sequence[SpherePoint],
     curvature; a sub-sample (the first ``numeric_subset`` points) repeats
     it with the numerical curvature to pin the implementation.
     """
-    x_all = stack_coords(points, d.ambient_dim)
+    x_all = as_points(points, d.ambient_dim)
     grads = gradient_batch(d.angle_function(), x_all)
     norms = np.sqrt(inner(grads, grads))
     kept = np.flatnonzero(norms >= EPS_REGULAR)
     mdim = d.dim
     jm2 = d.s_beta.j_ambient.mat
-    residuals = []
+    residuals = [np.zeros(0)]
     for sl in blocks(len(kept)):
         idx = kept[sl]
         x = x_all[idx]
@@ -527,7 +506,7 @@ def ricci_normal_check(d: DoubleKContact, points: Sequence[SpherePoint],
                                           level[sub, None, :2], n_b[sub])
             ric = np.sum(inner(num, e_i[sub]), axis=1)
             r[sub] = np.maximum(r[sub], np.max(np.abs(ric), axis=-1))
-        residuals.extend(r)
+        residuals.append(r)
     return ResidualReport.from_residuals(
-        "ricci_normal", residuals, tol, len(points) - len(kept),
+        "ricci_normal", np.concatenate(residuals), tol, len(x_all) - len(kept),
         provenance="ricci(E, N) = 0 and Q(JX) = J(QX) along level frames")

@@ -21,17 +21,20 @@ axes — points (N, m+1) plus any per-point direction or frame axes — and
 per-point functions such as :func:`harmonicity_form`,
 :func:`mean_curvature_of_field` and :func:`weingarten_ambient_matrix` are
 one-row calls into them.  A unit field's guard maps points (..., m+1) to
-a mask in the same way.  Checks evaluate points in blocks of
-``manifold.BLOCK``, and :func:`energy` its samples in blocks of
+a mask in the same way.  Checks take the points as an (N, m+1) array or
+a list of ``SpherePoint``, validated once by ``manifold.as_points``, and
+evaluate them in blocks of ``manifold.BLOCK``; :func:`energy` draws its
+samples with ``manifold.sample_coords`` and evaluates them in blocks of
 ``ENERGY_BLOCK``, to bound memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import ad
 from .ad import directional, dot, proj_tangent, value
@@ -45,6 +48,7 @@ from .manifold import (
     AmbientVectorField,
     SpherePoint,
     TangentVector,
+    as_points,
     blocks,
     cov_deriv,
     frame_batch,
@@ -53,6 +57,7 @@ from .manifold import (
     metric,
     proj_np,
     projected_eval,
+    sample_coords,
     shape_matrix,
     sphere_volume,
 )
@@ -225,11 +230,7 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     """
     if sample_size < 2:
         raise ValueError("samples must be >= 2 for a standard error")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((sample_size, ambient_dim))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    points = g / norms[:, None]
+    points = sample_coords(sample_size, seed, ambient_dim)
     vals = np.zeros(sample_size)
     kept = 0
     for sl in blocks(sample_size, ENERGY_BLOCK):
@@ -313,29 +314,30 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector,
                                         frames)[0])
 
 
-def _frame_check(name: str, zf: UnitVectorField, points: Sequence[SpherePoint],
+def _frame_check(name: str, zf: UnitVectorField, x_all: np.ndarray,
                  tol: float, residual: Callable, provenance: str) -> ResidualReport:
     """max over the frame directions of Z^⊥ of |residual(x, z, frames)|
-    at each point inside the guard; ``residual`` maps points x (B, m+1),
-    field values z (B, m+1) and frames (B, m−1, m+1) to (B, m−1)."""
-    x_all = np.array([p.coords for p in points])
-    keep = zf.guard(x_all) if len(points) else np.zeros(0, dtype=bool)
+    at each of the points x_all (N, m+1) inside the guard; ``residual``
+    maps points x (B, m+1), field values z (B, m+1) and frames
+    (B, m−1, m+1) to (B, m−1)."""
+    keep = zf.guard(x_all) if len(x_all) else np.zeros(0, dtype=bool)
     kept = x_all[keep]
-    residuals = []
+    residuals = [np.zeros(0)]
     for sl in blocks(len(kept)):
         x = kept[sl]
         z = proj_np(x, value(zf.field.eval(x)))
         frames = frame_batch(x, z[:, None, :])[:, 1:]
-        residuals.extend(np.max(np.abs(residual(x, z, frames)), axis=-1))
+        residuals.append(np.max(np.abs(residual(x, z, frames)), axis=-1))
     return ResidualReport.from_residuals(
-        name, residuals, tol, len(points) - len(kept), provenance=provenance)
+        name, np.concatenate(residuals), tol, len(x_all) - len(kept),
+        provenance=provenance)
 
 
-def harmonicity_check(zf: UnitVectorField, points: Sequence[SpherePoint],
+def harmonicity_check(zf: UnitVectorField, points: ArrayLike,
                       tol: float = 1e-6) -> ResidualReport:
     """max |nu_Z(x)| over frame directions x ⟂ Z at each point."""
     return _frame_check(
-        "nu_form", zf, points, tol,
+        "nu_form", zf, as_points(points), tol,
         lambda x, z, frames: harmonicity_form_batch(zf.field, x, frames),
         "first variation of the energy on the orthogonal complement")
 
@@ -398,7 +400,7 @@ def shape_spectrum(zf: UnitVectorField, p: SpherePoint,
                          mean_curvature=float(np.sum(eigvals)))
 
 
-def critical_condition_check(zf: UnitVectorField, points: Sequence[SpherePoint],
+def critical_condition_check(zf: UnitVectorField, points: ArrayLike,
                              tol: float = 1e-6) -> ResidualReport:
     """x(h) = ric(x, N) for all frame directions x ⟂ N.
 
@@ -411,5 +413,5 @@ def critical_condition_check(zf: UnitVectorField, points: Sequence[SpherePoint],
         return mean_curvature_derivative(zf.field, x, frames) - ric
 
     return _frame_check(
-        "critical_condition", zf, points, tol, residual,
+        "critical_condition", zf, as_points(points), tol, residual,
         "derivative of the mean curvature against ricci(., N)")

@@ -8,12 +8,14 @@ formula).  Curvature and Ricci come in two flavours each: the exact
 constant-curvature expressions and numerical versions assembled from
 covariant derivatives, kept as mutual cross-checks.
 
-Kernels ending in ``_batch`` (covariant derivatives, frames, brackets,
-numerical curvature) and :func:`shape_matrix` take plain arrays whose
-leading axes are batch axes (points, directions, frame slots) and
-broadcast them; the per-point functions taking
-:class:`SpherePoint`/:class:`TangentVector` are one-row calls into the
-same kernels, and validation happens at that boundary.
+Points are (N, m+1) arrays of unit rows, drawn in batches by
+:func:`sample_coords` and validated by :func:`as_points`, which also
+takes a list of :class:`SpherePoint`.  Kernels ending in ``_batch``
+(covariant derivatives, frames, brackets, numerical curvature) and
+:func:`shape_matrix` take plain arrays whose leading axes are batch axes
+(points, directions, frame slots) and broadcast them; the per-point
+functions taking :class:`SpherePoint`/:class:`TangentVector` are one-row
+calls into the same kernels.
 
 Sign conventions (frozen package-wide, pinned by tests):
 
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import ad
 from .ad import directional, dot, matvec, proj_tangent, sv, value
@@ -67,6 +70,9 @@ class SpherePoint:
             raise GeometryError("cannot normalize the zero vector")
         return cls(v / r)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.coords, dtype=dtype, copy=copy)
+
     @property
     def ambient_dim(self) -> int:
         return self.coords.shape[0]
@@ -100,11 +106,11 @@ class TangentVector:
         return TangentVector(self.base, self.vec / r)
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
-        _require_same_base(self, other)
+        _require_same_base(self.base, other)
         return TangentVector(self.base, self.vec + other.vec)
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
-        _require_same_base(self, other)
+        _require_same_base(self.base, other)
         return TangentVector(self.base, self.vec - other.vec)
 
     def __mul__(self, scalar: float) -> "TangentVector":
@@ -213,11 +219,12 @@ class Frame:
         return np.stack([v.vec for v in self.vectors])
 
 
-def _require_same_base(u: TangentVector, v: TangentVector) -> None:
-    if u.base is v.base:
-        return
-    if not np.allclose(u.base.coords, v.base.coords, rtol=0.0, atol=POINT_TOL):
-        raise BasePointMismatchError("tangent vectors live at different points")
+def _require_same_base(p: SpherePoint, *vectors: TangentVector) -> None:
+    """Raise unless every vector is attached to p."""
+    for u in vectors:
+        if u.base is not p and not np.allclose(u.base.coords, p.coords,
+                                               rtol=0.0, atol=POINT_TOL):
+            raise BasePointMismatchError("tangent vectors live at different points")
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,7 @@ def project(p: SpherePoint, v: Iterable[float]) -> TangentVector:
 
 def metric(u: TangentVector, v: TangentVector) -> float:
     """Round metric: the ambient dot product of tangent representatives."""
-    _require_same_base(u, v)
+    _require_same_base(u.base, v)
     return float(u.vec @ v.vec)
 
 
@@ -315,8 +322,7 @@ def _sin(t):
 
 def curvature(u: TangentVector, v: TangentVector, w: TangentVector) -> TangentVector:
     """R(u,v)w on the unit sphere: g(v,w)u − g(u,w)v."""
-    _require_same_base(u, v)
-    _require_same_base(u, w)
+    _require_same_base(u.base, v, w)
     return TangentVector(u.base, metric(v, w) * u.vec - metric(u, w) * v.vec)
 
 
@@ -345,15 +351,14 @@ def curvature_numeric_batch(x: np.ndarray, u: np.ndarray, v: np.ndarray,
 def curvature_numeric(u: TangentVector, v: TangentVector,
                       w: TangentVector) -> TangentVector:
     """R(u,v)w from nested covariant derivatives of extension fields."""
-    _require_same_base(u, v)
-    _require_same_base(u, w)
+    _require_same_base(u.base, v, w)
     p = u.base
     return TangentVector(p, curvature_numeric_batch(p.coords, u.vec, v.vec, w.vec))
 
 
 def ricci(u: TangentVector, v: TangentVector) -> float:
     """Ricci tensor of the unit sphere: (m−1)·g(u,v)."""
-    _require_same_base(u, v)
+    _require_same_base(u.base, v)
     return (u.base.dim - 1) * metric(u, v)
 
 
@@ -366,7 +371,7 @@ def ricci_frame_sum(u: TangentVector, v: TangentVector,
                     curvature_fn: Callable = curvature,
                     frame: Optional[Frame] = None) -> float:
     """ric(u,v) = Σ_i g(R(E_i,u)v, E_i) over an orthonormal frame."""
-    _require_same_base(u, v)
+    _require_same_base(u.base, v)
     fr = frame if frame is not None else tangent_basis(u.base)
     return float(sum(metric(curvature_fn(e, u, v), e) for e in fr))
 
@@ -459,8 +464,7 @@ def gram_schmidt_frame(p: SpherePoint,
     order), dropping near-dependent candidates.  Deterministic given the
     seed order.
     """
-    for s in seeds:
-        _require_same_base_point(p, s)
+    _require_same_base(p, *seeds)
     seed_arr = np.array([s.vec for s in seeds]).reshape(len(seeds), p.ambient_dim)
     rows = frame_batch(p.coords, seed_arr, completion)
     return Frame(p, tuple(TangentVector(p, b) for b in rows))
@@ -489,51 +493,73 @@ def proj_np(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - inner(v, x)[..., None] * x
 
 
-def _require_same_base_point(p: SpherePoint, u: TangentVector) -> None:
-    if u.base is p:
-        return
-    if not np.allclose(u.base.coords, p.coords, rtol=0.0, atol=POINT_TOL):
-        raise BasePointMismatchError("tangent vector lives at a different point")
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
-def sample_points(count: int, seed: int, ambient_dim: int,
-                  exclusion: Optional[Callable[[SpherePoint], bool]] = None
-                  ) -> list[SpherePoint]:
-    """Deterministic uniform points (normalized Gaussians), optionally filtered.
+def sample_coords(count: int, seed: int, ambient_dim: int,
+                  exclusion: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                  ) -> np.ndarray:
+    """Deterministic uniform points (normalized Gaussians) as a (count,
+    ambient_dim) array, optionally filtered.
 
-    ``exclusion`` returns True for points to reject.  Raises
+    ``exclusion`` maps a block of points (B, ambient_dim) to a mask that
+    is True for points to reject.  Draws come in batches of
+    max(remaining, 64) rows and are accepted in draw order.  Raises
     :class:`SamplingExhaustedError` when more than 99% of draws are
     rejected.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    accepted: list[SpherePoint] = []
-    drawn = 0
+    parts, accepted, drawn = [], 0, 0
     max_draws = max(10_000, 200 * count)
-    while len(accepted) < count:
-        batch = max(count - len(accepted), 64)
-        g = rng.standard_normal((batch, ambient_dim))
+    while accepted < count:
+        g = rng.standard_normal((max(count - accepted, 64), ambient_dim))
         norms = np.linalg.norm(g, axis=1)
-        for row, r in zip(g, norms):
-            drawn += 1
-            if r == 0.0:
-                continue
-            p = SpherePoint(row / r)
-            if exclusion is not None and exclusion(p):
-                continue
-            accepted.append(p)
-            if len(accepted) == count:
-                break
-        if drawn >= max_draws and len(accepted) < max(1, drawn // 100):
+        keep = norms != 0.0
+        np.divide(g, norms[:, None], out=g, where=keep[:, None])
+        if exclusion is not None:
+            keep[keep] = ~np.asarray(exclusion(g[keep]), dtype=bool)
+        rows = np.flatnonzero(keep)[:count - accepted]
+        # Rows are examined in order up to the last one accepted.
+        drawn += len(g) if accepted + len(rows) < count else int(rows[-1]) + 1
+        accepted += len(rows)
+        parts.append(g if len(rows) == len(g) else g[rows])
+        if drawn >= max_draws and accepted < max(1, drawn // 100):
             raise SamplingExhaustedError(
-                f"exclusion rejected {drawn - len(accepted)} of {drawn} draws")
+                f"exclusion rejected {drawn - accepted} of {drawn} draws")
         if drawn >= 100 * max_draws:
             raise SamplingExhaustedError("sampling budget exhausted")
-    return accepted
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def sample_points(count: int, seed: int, ambient_dim: int,
+                  exclusion: Optional[Callable[[SpherePoint], bool]] = None
+                  ) -> list[SpherePoint]:
+    """The points of :func:`sample_coords` as :class:`SpherePoint` objects;
+    ``exclusion`` returns True for a point to reject."""
+    mask = None if exclusion is None else (
+        lambda x: np.array([bool(exclusion(SpherePoint(r))) for r in x], dtype=bool))
+    return [SpherePoint(r) for r in sample_coords(count, seed, ambient_dim, mask)]
+
+
+def as_points(points: ArrayLike, ambient_dim: Optional[int] = None) -> np.ndarray:
+    """Points as an (N, ambient_dim) float array of unit rows, from such an
+    array or a sequence of :class:`SpherePoint`; ``ambient_dim`` None
+    allows any width.  Raises :class:`GeometryError` on another shape or
+    on a row whose norm is not 1 within POINT_TOL."""
+    x = np.asarray(points, dtype=float)
+    if x.shape == (0,):
+        x = x.reshape(0, ambient_dim or 0)
+    if x.ndim != 2 or (ambient_dim is not None and x.shape[1] != ambient_dim):
+        raise GeometryError(
+            f"points of shape {x.shape} are not (N, {ambient_dim or 'm+1'})")
+    r = np.linalg.norm(x, axis=1)
+    bad = np.flatnonzero(~(np.abs(r - 1.0) <= POINT_TOL))
+    if bad.size:
+        raise GeometryError(
+            f"point {bad[0]} has norm {r[bad[0]]}, not 1 within {POINT_TOL}")
+    return x
 
 
 def random_tangents(p: SpherePoint, rng: np.random.Generator, k: int,
@@ -568,11 +594,6 @@ def random_tangent_batch(x: np.ndarray, rng: np.random.Generator,
                          rng.standard_normal((len(bad[0]), x.shape[-1])))
         r = np.sqrt(inner(v, v))
     return v / r[..., None]
-
-
-def stack_coords(points: Sequence[SpherePoint], ambient_dim: int) -> np.ndarray:
-    """Ambient coordinates of validated points as an (N, m+1) array."""
-    return np.array([p.coords for p in points], dtype=float).reshape(len(points), ambient_dim)
 
 
 def blocks(count: int, size: int = BLOCK) -> list:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 
 @dataclass(frozen=True)
@@ -24,13 +26,15 @@ class ResidualReport:
     provenance: str = ""
 
     @classmethod
-    def from_residuals(cls, check_name: str, residuals: Sequence[float],
+    def from_residuals(cls, check_name: str, residuals: ArrayLike,
                        tolerance: float, skipped: int = 0,
                        provenance: str = "") -> "ResidualReport":
-        vals = [abs(float(r)) for r in residuals]
-        mx = max(vals) if vals else 0.0
-        mn = sum(vals) / len(vals) if vals else 0.0
-        return cls(check_name=check_name, count=len(vals), skipped=int(skipped),
+        """Aggregate the residuals.  The mean sums left to right, not
+        pairwise as ``np.mean`` does, so reported means keep their digits."""
+        vals = np.abs(np.asarray(residuals, dtype=float)).ravel()
+        mx = float(np.max(vals)) if vals.size else 0.0
+        mn = float(np.add.accumulate(vals)[-1]) / vals.size if vals.size else 0.0
+        return cls(check_name=check_name, count=vals.size, skipped=int(skipped),
                    max=mx, mean=mn, tolerance=float(tolerance),
                    passed=bool(mx <= tolerance), provenance=provenance)
 

@@ -16,16 +16,18 @@ arrays with leading batch axes — points (N, m+1) plus any per-point
 axes — and per-point functions such as :func:`hessian`,
 :func:`laplacian` and :func:`level_mean_curvature` are one-row calls
 into them.  Field formulas must therefore contract over the last axis
-(``x[..., i]``, never ``x[i]``).  Checks evaluate points in blocks of
-``manifold.BLOCK``.
+(``x[..., i]``, never ``x[i]``).  Checks take the points as an (N, m+1)
+array or a list of ``SpherePoint``, validated once by
+``manifold.as_points``, and evaluate them in blocks of ``manifold.BLOCK``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import ad
 from .ad import directional, dot, matvec, proj_tangent, value
@@ -36,6 +38,7 @@ from .manifold import (
     SpherePoint,
     TangentVector,
     apply,
+    as_points,
     blocks,
     blockwise,
     cov_deriv,
@@ -215,18 +218,13 @@ def mean_curvature_frame_sum(f: ScalarField, p: SpherePoint) -> float:
 # ---------------------------------------------------------------------------
 # checkers
 
-def _coords(points: Sequence[SpherePoint]) -> np.ndarray:
-    return np.array([p.coords for p in points], dtype=float)
-
-
-def _regular_sweep(f: ScalarField, points: Sequence[SpherePoint], eps_reg: float,
+def _regular_sweep(f: ScalarField, x_all: np.ndarray, eps_reg: float,
                    residual: Callable) -> tuple[np.ndarray, int]:
-    """``residual(x, n, r)`` over blocks of the points where r = ‖∇f‖ is at
-    least eps_reg, with n = ∇f/r; returns the residuals in point order and
-    the number of points skipped."""
-    x_all = _coords(points)
+    """``residual(x, n, r)`` over blocks of the points x_all (N, m+1) where
+    r = ‖∇f‖ is at least eps_reg, with n = ∇f/r; returns the residuals in
+    point order and the number of points skipped."""
     out, skipped = [np.zeros(0)], 0
-    for sl in blocks(len(points)):
+    for sl in blocks(len(x_all)):
         x = x_all[sl]
         g = gradient_batch(f, x)
         r = np.sqrt(inner(g, g))
@@ -237,15 +235,14 @@ def _regular_sweep(f: ScalarField, points: Sequence[SpherePoint], eps_reg: float
     return np.concatenate(out), skipped
 
 
-def _values_and_laplacians(f: ScalarField, points: Sequence[SpherePoint]
+def _values_and_laplacians(f: ScalarField, x: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """f and Δf at the points, evaluated in blocks."""
-    x = _coords(points)
+    """f and Δf at the points x (N, m+1), evaluated in blocks."""
     fv = blockwise(lambda y: np.broadcast_to(value(f.eval(y)), y.shape[:-1]), x)
     return fv, blockwise(lambda y: laplacian_batch(f, y), x)
 
 
-def check_geodesic(f: ScalarField, points: Sequence[SpherePoint],
+def check_geodesic(f: ScalarField, points: ArrayLike,
                    tol: float = 1e-7, eps_reg: float = EPS_REGULAR) -> ResidualReport:
     """‖∇_N N‖ at every regular point; the unit gradient of a transnormal
     function is a geodesic field, so this must vanish."""
@@ -255,42 +252,40 @@ def check_geodesic(f: ScalarField, points: Sequence[SpherePoint],
         d = cov_deriv_batch(nf, x, n)
         return np.sqrt(inner(d, d))
 
-    residuals, skipped = _regular_sweep(f, points, eps_reg, residual)
+    residuals, skipped = _regular_sweep(f, as_points(points), eps_reg, residual)
     return ResidualReport.from_residuals(
         "geodesic_field", residuals, tol, skipped,
         provenance=f"|cov_deriv(N, N)| for N = unit grad({f.label})")
 
 
 def check_transnormal(f: ScalarField, profile: TransnormalProfile,
-                      points: Sequence[SpherePoint],
-                      tol: float = 1e-9) -> ResidualReport:
+                      points: ArrayLike, tol: float = 1e-9) -> ResidualReport:
     """| ‖∇f‖² − b(f) | pointwise."""
     def residual(x):
         g = gradient_batch(f, x)
         return np.abs(inner(g, g) - profile.b(np.asarray(value(f.eval(x)), dtype=float)))
 
     return ResidualReport.from_residuals(
-        "transnormal_profile", blockwise(residual, _coords(points)), tol,
+        "transnormal_profile", blockwise(residual, as_points(points)), tol,
         provenance=f"|grad norm squared - b(f)| for f = {f.label}")
 
 
 def check_isoparametric(f: ScalarField, profile: IsoparametricProfile,
-                        points: Sequence[SpherePoint],
-                        tol: float = 1e-7) -> ResidualReport:
+                        points: ArrayLike, tol: float = 1e-7) -> ResidualReport:
     """| Δf − a(f) | pointwise."""
-    fv, lap = _values_and_laplacians(f, points)
+    fv, lap = _values_and_laplacians(f, as_points(points))
     return ResidualReport.from_residuals(
         "isoparametric_profile", np.abs(lap - profile.a(fv)), tol,
         provenance=f"|laplacian - a(f)| for f = {f.label}")
 
 
-def fit_affine_profile(f: ScalarField, points: Sequence[SpherePoint]
+def fit_affine_profile(f: ScalarField, points: ArrayLike
                        ) -> tuple[float, float, float]:
     """Least-squares fit Δf ≈ c1·f + c0 over the samples.
 
     Returns (c1, c0, residual) with residual the max absolute deviation.
     """
-    fv, lap = _values_and_laplacians(f, points)
+    fv, lap = _values_and_laplacians(f, as_points(points))
     design = np.stack([fv, np.ones_like(fv)], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, lap, rcond=None)
     c1, c0 = float(coeffs[0]), float(coeffs[1])
@@ -299,8 +294,7 @@ def fit_affine_profile(f: ScalarField, points: Sequence[SpherePoint]
 
 
 def mean_curvature_identity_check(f: ScalarField, profile: TransnormalProfile,
-                                  points: Sequence[SpherePoint],
-                                  tol: float = 1e-7,
+                                  points: ArrayLike, tol: float = 1e-7,
                                   eps_reg: float = EPS_REGULAR) -> ResidualReport:
     """Level mean curvature against Δf/‖∇f‖ + b'(f)/(2√b) for transnormal f."""
     def residual(x, n, gn):
@@ -313,7 +307,7 @@ def mean_curvature_identity_check(f: ScalarField, profile: TransnormalProfile,
         rhs = laplacian_batch(f, x) / gn + profile.b_prime(fv) / (2.0 * np.sqrt(b))
         return np.abs(level_mean_curvature_batch(f, x) - rhs)
 
-    residuals, skipped = _regular_sweep(f, points, eps_reg, residual)
+    residuals, skipped = _regular_sweep(f, as_points(points), eps_reg, residual)
     return ResidualReport.from_residuals(
         "mean_curvature_identity", residuals, tol, skipped,
         provenance=f"|h - (laplacian/|grad| + b'/(2 sqrt b))| for f = {f.label}")

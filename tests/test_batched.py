@@ -26,6 +26,7 @@ from kontact.manifold import (
     projected_eval,
     random_tangent_batch,
     random_tangents,
+    sample_coords,
 )
 from kontact.scalar_fields import normalized_gradient_field
 
@@ -128,6 +129,60 @@ def test_random_tangent_batch_redraws_a_normal_draw():
     assert np.all(np.isfinite(u))
     assert np.allclose(np.linalg.norm(u, axis=-1), 1.0)
     assert np.max(np.abs(np.sum(u * x[:, None, :], axis=-1))) < 1e-15
+
+
+def loop_sample(count, seed, ambient_dim, exclusion=None):
+    """The per-draw sampling loop that sample_coords replaces; ``exclusion``
+    takes one point."""
+    rng = np.random.default_rng(seed)
+    accepted, drawn = [], 0
+    max_draws = max(10_000, 200 * count)
+    while len(accepted) < count:
+        g = rng.standard_normal((max(count - len(accepted), 64), ambient_dim))
+        for row, r in zip(g, np.linalg.norm(g, axis=1)):
+            drawn += 1
+            if r == 0.0 or (exclusion is not None and exclusion(row / r)):
+                continue
+            accepted.append(row / r)
+            if len(accepted) == count:
+                break
+        if drawn >= max_draws and len(accepted) < max(1, drawn // 100):
+            raise kt.SamplingExhaustedError(
+                f"exclusion rejected {drawn - len(accepted)} of {drawn} draws")
+    return np.array(accepted)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("count", (1, 7, 80, 500))
+def test_sample_coords_is_bitwise_the_draw_loop(dim, count):
+    f = kt.standard_pair(dim).angle_function()
+    for seed in (0, 1, 2):
+        batch = sample_coords(count, seed, dim + 1,
+                              exclusion=lambda x: np.abs(ad.value(f.eval(x))) > 0.9)
+        loop = loop_sample(count, seed, dim + 1,
+                           exclusion=lambda p: abs(float(ad.value(f.eval(p)))) > 0.9)
+        assert np.array_equal(batch, loop)
+    assert np.array_equal(sample_coords(count, 3, dim + 1), loop_sample(count, 3, dim + 1))
+
+
+@pytest.mark.parametrize("count, seed, cutoff, raises", [
+    # near 1% of S^3 has x_0 >= 0.95, close to the 99% rejection bound
+    (100, 4, 0.95, False), (100, 4, 0.96, True),
+    # the last batch straddles the 10 000-draw bound: only the draws up to
+    # the last accepted point count, so the first run completes and the
+    # second raises with a draw count inside its last batch
+    (10, 153, 0.98, False), (10, 57, 0.985, True)])
+def test_sample_coords_exhausts_where_the_draw_loop_does(count, seed, cutoff, raises):
+    outcomes = []
+    for sampler, exclusion in ((sample_coords, lambda x: x[:, 0] < cutoff),
+                               (loop_sample, lambda p: p[0] < cutoff)):
+        try:
+            outcomes.append(sampler(count, seed, 4, exclusion=exclusion))
+        except kt.SamplingExhaustedError as exc:
+            outcomes.append(str(exc))
+    batch, loop = outcomes
+    assert isinstance(batch, str) == raises
+    assert batch == loop if raises else np.array_equal(batch, loop)
 
 
 def test_exterior_derivative_batch_matches_one_row(setting):

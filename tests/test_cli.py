@@ -7,8 +7,12 @@ import json
 import numpy as np
 import pytest
 
+from kontact import SpherePoint, standard_pair
+from kontact.ad import value
 from kontact.cli import (
+    MANIFOLDS,
     SuiteConfig,
+    _check_catalog,
     check_names,
     describe,
     document,
@@ -17,6 +21,7 @@ from kontact.cli import (
     render_json,
     run_suite,
 )
+from kontact.manifold import sample_coords
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +56,18 @@ def test_suite_deterministic(small_reports):
     again = run_suite(SuiteConfig(manifold="s3", samples=25, seed=42))
     for a, b in zip(small_reports, again):
         assert a == b
+
+
+@pytest.mark.parametrize("manifold", sorted(MANIFOLDS))
+def test_catalog_reports_equal_for_arrays_and_point_lists(manifold):
+    config = SuiteConfig(manifold=manifold, samples=40, seed=7)
+    pair = standard_pair(MANIFOLDS[manifold])
+    f = pair.angle_function()
+    x = sample_coords(40, 7, pair.ambient_dim,
+                      exclusion=lambda y: np.abs(value(f.eval(y))) > 0.9)
+    listed = _check_catalog(pair, [SpherePoint(r) for r in x], config)
+    for (name, check), (_, check_listed) in zip(_check_catalog(pair, x, config), listed):
+        assert check() == check_listed(), name
 
 
 def test_json_document_byte_identical(small_reports):

@@ -1,5 +1,7 @@
 """Sphere geometry core: projection, connection, curvature, frames, sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from kontact.errors import (
     SamplingExhaustedError,
 )
 from kontact.manifold import (
+    as_points,
     constant_field,
     extension_of,
     proj_np,
     random_tangents,
+    sample_coords,
     scalar_curve_derivative,
 )
 
@@ -291,6 +295,58 @@ def test_sample_points_exclusion_contract(angle3):
 def test_sample_points_exhaustion():
     with pytest.raises(SamplingExhaustedError):
         kt.sample_points(10, 1, 4, exclusion=lambda p: True)
+
+
+def test_sample_points_are_the_sample_coords_rows(angle3):
+    pts = kt.sample_points(100, 5, 4, exclusion=lambda p: abs(angle3.value(p)) > 0.9)
+    x = sample_coords(100, 5, 4,
+                      exclusion=lambda x: np.abs(ad.value(angle3.eval(x))) > 0.9)
+    assert np.array_equal(np.array([p.coords for p in pts]), x)
+
+
+@pytest.mark.parametrize("dim, digest", [(3, "80d56b6bdbb9d782"),
+                                         (5, "cf35fd7599ac71bb"),
+                                         (7, "1282b15d7801bbbf")])
+def test_sample_coords_digest_is_pinned(dim, digest):
+    # the verify suite's default points; a change here changes every report
+    f = kt.standard_pair(dim).angle_function()
+    x = sample_coords(500, 42, dim + 1,
+                      exclusion=lambda x: np.abs(ad.value(f.eval(x))) > 0.9)
+    assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
+
+
+def test_as_points_takes_arrays_and_point_lists(pts3):
+    x = np.array([p.coords for p in pts3])
+    assert np.array_equal(as_points(pts3, 4), x)
+    assert as_points(x, 4) is x
+    assert as_points([], 4).shape == (0, 4)
+
+
+def malformed(x, case):
+    bad = x.copy()
+    if case == "non-unit row":
+        bad[1] *= 1.0 + 1e-9
+    elif case == "nan row":
+        bad[2, 0] = np.nan
+    elif case == "wrong width":
+        bad = np.hstack([x, np.zeros((len(x), 1))])
+    else:
+        bad = x[0]
+    return bad
+
+
+@pytest.mark.parametrize("case", ["non-unit row", "nan row", "wrong width", "one point"])
+def test_as_points_and_checkers_reject_malformed_points(pair3, pts3, angle3, case):
+    bad = malformed(np.array([p.coords for p in pts3[:5]]), case)
+    for check in (lambda: as_points(bad, 4),
+                  lambda: kt.check_axiom_ii(pair3.s_alpha, bad),
+                  lambda: kt.commuting_invariants_check(pair3, bad),
+                  lambda: kt.laplacian_formula_check(pair3, bad)):
+        with pytest.raises(GeometryError):
+            check()
+    if case != "wrong width":
+        with pytest.raises(GeometryError):
+            kt.check_geodesic(angle3, bad)
 
 
 def test_extension_field_restriction(pts3, rng):
