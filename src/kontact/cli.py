@@ -20,6 +20,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -104,9 +105,9 @@ class SuiteConfig:
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
         for name, tol in self.tol_overrides.items():
-            if tol > MAX_TOLERANCE:
+            if not 0.0 <= tol <= MAX_TOLERANCE:
                 raise ValueError(
-                    f"override {name}={tol} loosens beyond {MAX_TOLERANCE}")
+                    f"override {name}={tol} is not a tolerance in [0, {MAX_TOLERANCE}]")
 
     def as_dict(self) -> dict:
         return {
@@ -134,39 +135,35 @@ def combine_scaled(name: str, reports: Sequence[ResidualReport], tol: float,
 
 
 def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
-                   ) -> list[tuple[str, Callable[[float], ResidualReport]]]:
-    """Ordered catalog of suite checks; each entry maps a tolerance to a
-    report.  Declaration order here is the report order in the output."""
+                   ) -> list[tuple[str, Callable[..., ResidualReport]]]:
+    """Ordered catalog of suite checks; each entry makes its report, with
+    the check's default tolerance or with ``tol=`` an override.
+    Declaration order here is the report order in the output."""
     f = pair.angle_function()
     n_field = normalized_gradient_unit_field(f)
     dim = pair.dim
+    structures = (pair.s_alpha, pair.s_beta)
 
-    def contact_axioms(tol):
-        subs = []
-        for s in (pair.s_alpha, pair.s_beta):
-            subs.extend([check_axiom_ii(s, points),
-                         check_axiom_iii(s, points),
-                         check_axiom_volume(s, points)])
+    def contact_axioms(tol=1e-8):
+        subs = [check(s, points) for s in structures
+                for check in (check_axiom_ii, check_axiom_iii, check_axiom_volume)]
         return combine_scaled(
             "contact_axioms", subs, tol,
             "axioms i-iii for both structures, sub-residuals scaled")
 
-    def kcontact(tol):
-        subs = [check_kcontact(s, points) for s in (pair.s_alpha, pair.s_beta)]
-        return combine_scaled("kcontact", subs, tol,
-                              "both Reeb fields are infinitesimal isometries")
+    def kcontact(tol=1e-9):
+        return combine_scaled("kcontact", [check_kcontact(s, points) for s in structures],
+                              tol, "both Reeb fields are infinitesimal isometries")
 
-    def sasakian(tol):
-        subs = [check_sasakian(s, points) for s in (pair.s_alpha, pair.s_beta)]
-        return combine_scaled("sasakian", subs, tol,
-                              "covariant derivative identity for both structures")
+    def sasakian(tol=1e-8):
+        return combine_scaled("sasakian", [check_sasakian(s, points) for s in structures],
+                              tol, "covariant derivative identity for both structures")
 
-    def dimension_theorem(tol):
-        if dim == 3:
-            return dim_theorem_check(pair, points, tol_dim3=tol)
-        return dim_theorem_check(pair, points, tol_dim5=tol)
+    def dimension_theorem(tol=None):
+        overrides = {} if tol is None else {f"tol_dim{dim}": tol}
+        return dim_theorem_check(pair, points, **overrides)
 
-    def energy_reeb(tol):
+    def energy_reeb(tol=None):
         est = energy(reeb_unit_field(pair.s_alpha), ENERGY_SAMPLES,
                      config.seed + 1, pair.ambient_dim)
         closed = reeb_energy_closed_form(dim)
@@ -180,40 +177,29 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
                         f"closed form {closed!r}"))
 
     catalog: list[tuple[str, Callable]] = [
-        ("contact_axioms", lambda tol=1e-8: contact_axioms(tol)),
-        ("kcontact", lambda tol=1e-9: kcontact(tol)),
-        ("sasakian", lambda tol=1e-8: sasakian(tol)),
-        ("double_invariants",
-         lambda tol=1e-10: commuting_invariants_check(pair, points, tol=tol)),
-        ("gradient_identity",
-         lambda tol=1e-9: gradient_identity_check(pair, points, tol=tol)),
-        ("transnormal_profile",
-         lambda tol=1e-9: transnormal_b_check(pair, points, tol=tol)),
-        ("laplacian_formula",
-         lambda tol=1e-7: laplacian_formula_check(pair, points, tol=tol)),
+        ("contact_axioms", contact_axioms),
+        ("kcontact", kcontact),
+        ("sasakian", sasakian),
+        ("double_invariants", partial(commuting_invariants_check, pair, points)),
+        ("gradient_identity", partial(gradient_identity_check, pair, points)),
+        ("transnormal_profile", partial(transnormal_b_check, pair, points)),
+        ("laplacian_formula", partial(laplacian_formula_check, pair, points)),
     ]
     if dim in (3, 5):
-        default_dim_tol = 1e-7 if dim == 3 else 1e-6
-        catalog.append(("dimension_theorem",
-                        lambda tol=default_dim_tol: dimension_theorem(tol)))
+        catalog.append(("dimension_theorem", dimension_theorem))
     if dim >= 5:
         catalog.append(("phi_product_spectrum",
-                        lambda tol=1e-7: phi_product_spectrum_check(
-                            pair, points, tol=tol)))
+                        partial(phi_product_spectrum_check, pair, points)))
         catalog.append(("hessian_restricted",
-                        lambda tol=1e-7: hessian_restriction_check(
-                            pair, points, tol=tol)))
+                        partial(hessian_restriction_check, pair, points)))
     catalog.extend([
-        ("geodesic_field", lambda tol=1e-7: check_geodesic(f, points, tol=tol)),
+        ("geodesic_field", partial(check_geodesic, f, points)),
         ("mean_curvature_identity",
-         lambda tol=1e-7: mean_curvature_identity_check(
-             f, ANGLE_PROFILE, points, tol=tol)),
-        ("ricci_normal",
-         lambda tol=1e-8: ricci_normal_check(pair, points, tol=tol)),
-        ("nu_form", lambda tol=1e-6: harmonicity_check(n_field, points, tol=tol)),
-        ("critical_condition",
-         lambda tol=1e-6: critical_condition_check(n_field, points, tol=tol)),
-        ("energy_reeb", lambda tol=None: energy_reeb(tol)),
+         partial(mean_curvature_identity_check, f, ANGLE_PROFILE, points)),
+        ("ricci_normal", partial(ricci_normal_check, pair, points)),
+        ("nu_form", partial(harmonicity_check, n_field, points)),
+        ("critical_condition", partial(critical_condition_check, n_field, points)),
+        ("energy_reeb", energy_reeb),
     ])
     return catalog
 
@@ -235,7 +221,7 @@ def run_suite(config: SuiteConfig) -> list[ResidualReport]:
     unknown = sorted(set(config.tol_overrides) - {name for name, _ in catalog})
     if unknown:
         raise ValueError(f"unknown check name in tolerance override: {unknown[0]}")
-    return [fn(config.tol_overrides[name]) if name in config.tol_overrides else fn()
+    return [fn(tol=config.tol_overrides[name]) if name in config.tol_overrides else fn()
             for name, fn in catalog]
 
 

@@ -16,15 +16,9 @@ convention is frozen package-wide without a 1/2 factor:
 Checkers cover the three contact-metric axioms, the Killing property of
 the Reeb field, and the Sasakian identity (∇_A φ)B = g(A,B)Z − α(B)A.
 
-Batch convention: kernels (:func:`exterior_derivative_batch`,
-:func:`pfaffian`, :func:`volume_form_batch`,
-:func:`killing_residual_batch`, :func:`sasakian_residual_batch`,
-:meth:`ContactMetricStructure.phi_at`) take plain arrays with leading
-batch axes — points (N, m+1) plus per-point direction or frame axes —
-and per-point functions are one-row calls into them.  Checks take the
-points as an (N, m+1) array or a list of ``SpherePoint``, validated once
-by ``manifold.as_points``, and evaluate them in blocks of
-``manifold.BLOCK``.
+Kernels and checks follow the batch convention of :mod:`kontact.manifold`;
+the random tangent directions of a check come from one seeded stream,
+drawn block by block in point order.
 """
 
 from __future__ import annotations
@@ -46,8 +40,6 @@ from .manifold import (
     TangentVector,
     apply,
     as_points,
-    blocks,
-    blockwise,
     constant_field,
     cov_deriv_batch,
     frame_batch,
@@ -58,10 +50,19 @@ from .manifold import (
     projected_eval,
     random_tangent_batch,
     sample_coords,
+    sweep,
 )
 from .report import ResidualReport
 
 D_ALPHA_CONVENTION = "d(alpha)(A,B) = A(alpha(B)) - B(alpha(A)) - alpha([A,B])"
+
+PROBE_SEED = 90125      # probe points and directions that fix sigma
+DIRECTIONS = 2          # random tangent directions (or pairs) per point
+AXIOM_II_SEED = 7
+AXIOM_III_SEED = 11
+KILLING_SEED = 13
+SASAKIAN_SEED = 17
+PHI_SKEW_SEED = 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +160,6 @@ def exterior_derivative(coeff_field: Callable, a: TangentVector,
 
 
 def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha",
-                                 probe_seed: int = 90125,
                                  validate: bool = False
                                  ) -> ContactMetricStructure:
     """Build the contact metric structure, fixing sigma via the dα axiom.
@@ -168,8 +168,8 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha",
     dα(u,v) = 2 g(u, φv) is kept.  If neither works the generator is
     inconsistent with the frozen conventions.
     """
-    x = sample_coords(4, probe_seed, j.ambient_dim)
-    rng = np.random.default_rng(probe_seed + 1)
+    x = sample_coords(4, PROBE_SEED, j.ambient_dim)
+    rng = np.random.default_rng(PROBE_SEED + 1)
     chosen = None
     for sigma in (1, -1):
         s = ContactMetricStructure(j, sigma, label=label)
@@ -182,7 +182,7 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha",
     if chosen is None:
         raise ConstructionError("neither sign satisfies the dα compatibility")
     if validate:
-        pts = sample_coords(200, probe_seed + 7, j.ambient_dim)
+        pts = sample_coords(200, PROBE_SEED + 7, j.ambient_dim)
         for rep in (check_axiom_volume(chosen, pts),
                     check_axiom_ii(chosen, pts),
                     check_axiom_iii(chosen, pts),
@@ -257,7 +257,6 @@ def volume_form_constant(n: int) -> float:
 
 def check_axiom_volume(s: ContactMetricStructure, points: ArrayLike,
                        coeff_field: Optional[Callable] = None,
-                       golden: Optional[float] = None,
                        tol: float = 1e-9) -> ResidualReport:
     """α∧(dα)^n must be nowhere-vanishing with constant sign.
 
@@ -265,9 +264,9 @@ def check_axiom_volume(s: ContactMetricStructure, points: ArrayLike,
     plus a full-constant penalty on any sign flip.
     """
     coeff = coeff_field if coeff_field is not None else s.alpha_coeffs
-    ref = golden if golden is not None else volume_form_constant(s.n)
-    values = blockwise(lambda x: volume_form_batch(coeff, x, frame_batch(x), s.n),
-                       as_points(points, s.ambient_dim))
+    ref = volume_form_constant(s.n)
+    values, _ = sweep(lambda x: volume_form_batch(coeff, x, frame_batch(x), s.n),
+                      as_points(points, s.ambient_dim))
     residuals = np.maximum(0.0, 0.5 * ref - np.abs(values))
     signs = np.sign(values)
     signed = np.flatnonzero(signs)
@@ -281,41 +280,41 @@ def check_axiom_volume(s: ContactMetricStructure, points: ArrayLike,
         provenance="top form nonvanishing with constant sign")
 
 
-def check_axiom_ii(s: ContactMetricStructure, points: ArrayLike,
-                   tol: float = 1e-9, seed: int = 7, directions: int = 2
-                   ) -> ResidualReport:
-    """‖φ²u + u − α(u)Z‖ over random tangent directions."""
+def _direction_sweep(x: np.ndarray, seed: int, residual: Callable,
+                     pairs: bool = True) -> np.ndarray:
+    """``residual(p, u, v)`` over DIRECTIONS random tangent pairs at each
+    point of x (N, m+1), or ``residual(p, u)`` over DIRECTIONS single
+    directions if not ``pairs``, in point order.  Per block, p is
+    (B, 1, m+1) and u, v are (B, DIRECTIONS, m+1), drawn from one stream
+    seeded by ``seed``."""
     rng = np.random.default_rng(seed)
-    x = as_points(points, s.ambient_dim)
-    residuals = [np.zeros(0)]
-    for sl in blocks(len(x)):
-        p = x[sl, None, :]
-        u = random_tangent_batch(x[sl], rng, (directions,))
+
+    def block(p):
+        if not pairs:
+            return residual(p[:, None, :], random_tangent_batch(p, rng, (DIRECTIONS,)))
+        uv = random_tangent_batch(p, rng, (DIRECTIONS, 2))
+        return residual(p[:, None, :], uv[..., 0, :], uv[..., 1, :])
+
+    return sweep(block, x)[0]
+
+
+def check_axiom_ii(s: ContactMetricStructure, points: ArrayLike,
+                   tol: float = 1e-9) -> ResidualReport:
+    """‖φ²u + u − α(u)Z‖ over random tangent directions."""
+    def residual(p, u):
         z = apply(s.j_ambient.mat, p)
-        lhs = s.phi_at(p, s.phi_at(p, u))
-        r = lhs + u - inner(u, z)[..., None] * z
-        residuals.append(np.sqrt(inner(r, r)).ravel())
+        r = s.phi_at(p, s.phi_at(p, u)) + u - inner(u, z)[..., None] * z
+        return np.sqrt(inner(r, r))
+
     return ResidualReport.from_residuals(
-        f"axiom_ii_{s.label}", np.concatenate(residuals), tol,
+        f"axiom_ii_{s.label}",
+        _direction_sweep(as_points(points, s.ambient_dim), AXIOM_II_SEED, residual,
+                         pairs=False), tol,
         provenance="phi squared is -Id + alpha tensor reeb")
 
 
-def _pair_sweep(x: np.ndarray, seed: int, directions: int,
-                residual: Callable) -> np.ndarray:
-    """``residual(x, u, v)`` over ``directions`` random tangent pairs per
-    point of x (N, m+1), in point order; x is (B, 1, m+1) and u, v are
-    (B, directions, m+1) for each block of points, drawn from one stream."""
-    rng = np.random.default_rng(seed)
-    out = [np.zeros(0)]
-    for sl in blocks(len(x)):
-        uv = random_tangent_batch(x[sl], rng, (directions, 2))
-        out.append(np.ravel(residual(x[sl, None, :], uv[..., 0, :], uv[..., 1, :])))
-    return np.concatenate(out)
-
-
 def check_axiom_iii(s: ContactMetricStructure, points: ArrayLike,
-                    tol: float = 1e-8, seed: int = 11, directions: int = 2
-                    ) -> ResidualReport:
+                    tol: float = 1e-8) -> ResidualReport:
     """|dα(u,v) − 2 g(u, φv)| over random tangent pairs."""
     def residual(x, u, v):
         d_alpha = exterior_derivative_batch(s.alpha_coeffs, x, u, v)
@@ -323,7 +322,7 @@ def check_axiom_iii(s: ContactMetricStructure, points: ArrayLike,
 
     return ResidualReport.from_residuals(
         f"axiom_iii_{s.label}",
-        _pair_sweep(as_points(points, s.ambient_dim), seed, directions, residual), tol,
+        _direction_sweep(as_points(points, s.ambient_dim), AXIOM_III_SEED, residual), tol,
         provenance=D_ALPHA_CONVENTION + " against 2 g(., phi .)")
 
 
@@ -342,23 +341,20 @@ def killing_residual(field: AmbientVectorField, u: TangentVector,
 
 
 def check_killing(field: AmbientVectorField, points: ArrayLike,
-                  check_name: str = "killing", tol: float = 1e-9,
-                  seed: int = 13, directions: int = 2) -> ResidualReport:
+                  check_name: str = "killing", tol: float = 1e-9) -> ResidualReport:
     """Vanishing of the symmetrized covariant derivative (Killing equation)."""
-    residuals = _pair_sweep(as_points(points), seed, directions,
-                            lambda x, u, v: killing_residual_batch(field, x, u, v))
+    residuals = _direction_sweep(as_points(points), KILLING_SEED,
+                                 lambda x, u, v: killing_residual_batch(field, x, u, v))
     return ResidualReport.from_residuals(
         check_name, residuals, tol,
         provenance="symmetrized covariant derivative of the field")
 
 
 def check_kcontact(s: ContactMetricStructure, points: ArrayLike,
-                   tol: float = 1e-9, seed: int = 13, directions: int = 2
-                   ) -> ResidualReport:
+                   tol: float = 1e-9) -> ResidualReport:
     """The Reeb field must be an infinitesimal isometry."""
     return check_killing(s.reeb_field(), as_points(points, s.ambient_dim),
-                         check_name=f"kcontact_{s.label}", tol=tol,
-                         seed=seed, directions=directions)
+                         check_name=f"kcontact_{s.label}", tol=tol)
 
 
 def sasakian_residual_batch(s: ContactMetricStructure, x: np.ndarray,
@@ -380,24 +376,22 @@ def sasakian_residual(s: ContactMetricStructure, u: TangentVector,
 
 
 def check_sasakian(s: ContactMetricStructure, points: ArrayLike,
-                   tol: float = 1e-8, seed: int = 17, directions: int = 2
-                   ) -> ResidualReport:
+                   tol: float = 1e-8) -> ResidualReport:
     """(∇_A φ)B = g(A,B)Z − α(B)A over random tangent pairs."""
-    residuals = _pair_sweep(as_points(points, s.ambient_dim), seed, directions,
-                            lambda x, u, v: sasakian_residual_batch(s, x, u, v))
+    residuals = _direction_sweep(as_points(points, s.ambient_dim), SASAKIAN_SEED,
+                                 lambda x, u, v: sasakian_residual_batch(s, x, u, v))
     return ResidualReport.from_residuals(
         f"sasakian_{s.label}", residuals, tol,
         provenance="covariant derivative of phi against the defining identity")
 
 
 def check_phi_skew(s: ContactMetricStructure, points: ArrayLike,
-                   tol: float = 1e-9, seed: int = 19, directions: int = 2
-                   ) -> ResidualReport:
+                   tol: float = 1e-9) -> ResidualReport:
     """|g(φu, v) + g(u, φv)| — metric skewness of the structure tensor."""
     def residual(x, u, v):
         return np.abs(inner(s.phi_at(x, u), v) + inner(u, s.phi_at(x, v)))
 
     return ResidualReport.from_residuals(
         f"phi_skew_{s.label}",
-        _pair_sweep(as_points(points, s.ambient_dim), seed, directions, residual), tol,
-        provenance="structure tensor is metric-skew")
+        _direction_sweep(as_points(points, s.ambient_dim), PHI_SKEW_SEED, residual),
+        tol, provenance="structure tensor is metric-skew")

@@ -15,15 +15,10 @@ The composite J φ (first structure's tensor after the second's) is, on
 that sub-bundle, symmetric with eigenvalues ±1 whenever the first
 structure is Sasakian; its eigenvalue pattern decides the ±4 branch.
 
-Batch convention: kernels such as :func:`hbundle_frames` take plain
-arrays with leading batch axes — points (N, m+1) plus any per-point
-axes — and per-point functions such as :func:`hbundle_basis` are
-one-row calls into them.  Checks take the points as an (N, m+1) array
-or a list of ``SpherePoint``, validated once by ``manifold.as_points``,
-and evaluate them in blocks of ``manifold.BLOCK``; a point where Z, X
-and JX fail the seed rank test of
-``manifold.frame_batch`` (Gram determinant ≈ (1 − f²)² below 1e-10, so
-1 − |f| ≲ 5e-6) counts as skipped.
+Kernels and checks follow the batch convention of :mod:`kontact.manifold`.
+A sub-bundle check skips a point where Z, X and JX fail the seed rank
+test of ``manifold.frame_batch`` (Gram determinant ≈ (1 − f²)² below
+1e-10, so 1 − |f| ≲ 5e-6).
 """
 
 from __future__ import annotations
@@ -55,8 +50,6 @@ from .manifold import (
     apply,
     as_points,
     block_diag_complex_structure,
-    blocks,
-    blockwise,
     curvature_numeric_batch,
     frame_batch,
     inner,
@@ -64,6 +57,7 @@ from .manifold import (
     random_tangent_batch,
     sample_coords,
     seeds_span,
+    sweep,
 )
 from .report import ResidualReport
 from .scalar_fields import (
@@ -81,6 +75,13 @@ GRADIENT_PAIRING = ("grad(angle) = 2*phi_alpha(reeb_beta) = 2*phi_beta(reeb_alph
 
 ANGLE_PROFILE = TransnormalProfile(b=lambda t: 4.0 * (1.0 - t * t),
                                    b_prime=lambda t: -8.0 * t)
+
+# Sub-residual bounds of phi_product_spectrum_check, rescaled to its tolerance.
+SYM_TOL = 1e-8
+COMMUTE_TOL = 1e-8
+EIG_TOL = 1e-7
+SQUARE_TOL = 1e-8
+NUMERIC_SUBSET = 25     # leading points whose Ricci check repeats with numeric curvature
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +278,7 @@ def commuting_invariants_check(d: DoubleKContact, points: ArrayLike,
         return np.maximum(r, np.maximum(0.0, np.abs(fv) - 1.0))
 
     return ResidualReport.from_residuals(
-        "double_invariants", blockwise(residual, as_points(points, d.ambient_dim)), tol,
+        "double_invariants", sweep(residual, as_points(points, d.ambient_dim))[0], tol,
         provenance="commuting Reeb fields, unit length, structure algebra")
 
 
@@ -292,7 +293,7 @@ def gradient_identity_check(d: DoubleKContact, points: ArrayLike,
         def residual(x):
             r = gradient_batch(f, x) - 2.0 * s.phi_at(x, apply(reeb, x))
             return np.sqrt(inner(r, r))
-        return blockwise(residual, x_all)
+        return sweep(residual, x_all)[0]
 
     res_a = pairing(d.s_alpha, d.s_beta.j_ambient.mat)
     res_b = pairing(d.s_beta, d.s_alpha.j_ambient.mat)
@@ -315,19 +316,15 @@ def transnormal_b_check(d: DoubleKContact, points: ArrayLike,
     return replace(rep, provenance="angle function with b(t) = 4(1-t^2)")
 
 
-def _hbundle_sweep(d: DoubleKContact, x_all: np.ndarray,
+def _hbundle_sweep(d: DoubleKContact, x: np.ndarray,
                    residual) -> tuple[np.ndarray, int]:
-    """``residual(x, fv, basis)`` over blocks of the points x_all (N, m+1)
-    where the sub-bundle is defined, with fv the angle function and basis
+    """``residual(y, fv, basis)`` over the points x (N, m+1) where the
+    sub-bundle is defined, with fv the angle function and basis
     (B, m−3, m+1) from :func:`hbundle_frames`; returns the residuals in
     point order and the number of points skipped."""
-    fv_all = np.asarray(value(d.angle_function().eval(x_all)), dtype=float)
-    kept = np.flatnonzero(_spans(d, x_all))
-    out = [np.zeros(0)]
-    for sl in blocks(len(kept)):
-        x = x_all[kept[sl]]
-        out.append(np.ravel(residual(x, fv_all[kept[sl]], hbundle_frames(d, x))))
-    return np.concatenate(out), len(x_all) - len(kept)
+    fv = np.asarray(value(d.angle_function().eval(x)), dtype=float)
+    return sweep(lambda y, fy: residual(y, fy, hbundle_frames(d, y)), x, fv,
+                 keep=_spans(d, x))
 
 
 def _phi_chain(x: np.ndarray, first, second, u: np.ndarray) -> np.ndarray:
@@ -365,7 +362,7 @@ def dim_theorem_check(d: DoubleKContact, points: ArrayLike,
     f = d.angle_function()
     x = as_points(points, d.ambient_dim)
     fv = np.asarray(value(f.eval(x)), dtype=float)
-    lap = blockwise(lambda y: laplacian_batch(f, y), x)
+    lap, _ = sweep(lambda y: laplacian_batch(f, y), x)
     if d.dim == 3:
         return ResidualReport.from_residuals(
             "dimension_theorem", np.abs(lap - 8.0 * fv), tol_dim3,
@@ -381,9 +378,7 @@ def dim_theorem_check(d: DoubleKContact, points: ArrayLike,
 
 
 def phi_product_spectrum_check(d: DoubleKContact, points: ArrayLike,
-                               tol: float = 1e-7, sym_tol: float = 1e-8,
-                               commute_tol: float = 1e-8, eig_tol: float = 1e-7,
-                               square_tol: float = 1e-8,
+                               tol: float = 1e-7,
                                verify_sasakian: bool = True) -> ResidualReport:
     """On {Z,X,JX}^⊥ the composite φJ must be symmetric, square to the
     identity, commute with Jφ, and have eigenvalues ±1.
@@ -411,10 +406,10 @@ def phi_product_spectrum_check(d: DoubleKContact, points: ArrayLike,
         eigvals = np.linalg.eigvalsh(0.5 * (m_phi_j + m_t))
         eig_res = np.max(np.abs(np.abs(eigvals) - 1.0), axis=-1)
         eigs_seen.update(np.rint(eigvals).astype(int).ravel().tolist())
-        return np.maximum.reduce([sym_res * (tol / sym_tol),
-                                  commute_res * (tol / commute_tol),
-                                  square_res * (tol / square_tol),
-                                  eig_res * (tol / eig_tol)])
+        return np.maximum.reduce([sym_res * (tol / SYM_TOL),
+                                  commute_res * (tol / COMMUTE_TOL),
+                                  square_res * (tol / SQUARE_TOL),
+                                  eig_res * (tol / EIG_TOL)])
 
     residuals, skipped = _hbundle_sweep(d, as_points(points, d.ambient_dim), residual)
     return ResidualReport.from_residuals(
@@ -467,27 +462,23 @@ def hessian_restriction_check(d: DoubleKContact, points: ArrayLike,
 
 
 def ricci_normal_check(d: DoubleKContact, points: ArrayLike,
-                       tol: float = 1e-8, numeric_subset: int = 25
-                       ) -> ResidualReport:
+                       tol: float = 1e-8) -> ResidualReport:
     """ric(E, N) must vanish for every E tangent to the level set, and the
     Ricci endomorphism must commute with the structure tensor chain:
     g(E, Q(JX)) = g(E, J(QX)).
 
     The sweep uses the frame-contracted Ricci tensor with the analytic
-    curvature; a sub-sample (the first ``numeric_subset`` points) repeats
-    it with the numerical curvature to pin the implementation.
+    curvature; a sub-sample (the first NUMERIC_SUBSET points) repeats it
+    with the numerical curvature to pin the implementation.
     """
     x_all = as_points(points, d.ambient_dim)
     grads = gradient_batch(d.angle_function(), x_all)
     norms = np.sqrt(inner(grads, grads))
-    kept = np.flatnonzero(norms >= EPS_REGULAR)
     mdim = d.dim
     jm2 = d.s_beta.j_ambient.mat
-    residuals = [np.zeros(0)]
-    for sl in blocks(len(kept)):
-        idx = kept[sl]
-        x = x_all[idx]
-        nvec = grads[idx] / norms[idx, None]
+
+    def residual(x, g, gn, idx):
+        nvec = g / gn[:, None]
         frames = frame_batch(x, nvec[:, None, :])
         level = frames[:, 1:]
         # Analytic curvature R(a,b)c = g(b,c)a − g(a,c)b, traced over the frame.
@@ -500,13 +491,16 @@ def ricci_normal_check(d: DoubleKContact, points: ArrayLike,
         jqx = d.s_alpha.phi_at(x, (mdim - 1) * reeb_b)
         commute = np.abs(inner(frames, qjx[:, None, :]) - inner(frames, jqx[:, None, :]))
         r = np.maximum(r, np.max(commute, axis=-1))
-        sub = np.flatnonzero(idx < numeric_subset)
+        sub = np.flatnonzero(idx < NUMERIC_SUBSET)
         if sub.size:
             num = curvature_numeric_batch(x[sub, None, None, :], e_i[sub],
                                           level[sub, None, :2], n_b[sub])
             ric = np.sum(inner(num, e_i[sub]), axis=1)
             r[sub] = np.maximum(r[sub], np.max(np.abs(ric), axis=-1))
-        residuals.append(r)
+        return r
+
+    residuals, skipped = sweep(residual, x_all, grads, norms, np.arange(len(x_all)),
+                               keep=norms >= EPS_REGULAR)
     return ResidualReport.from_residuals(
-        "ricci_normal", np.concatenate(residuals), tol, len(x_all) - len(kept),
+        "ricci_normal", residuals, tol, skipped,
         provenance="ricci(E, N) = 0 and Q(JX) = J(QX) along level frames")

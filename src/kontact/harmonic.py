@@ -15,15 +15,9 @@ mean curvature of the orthogonal distribution.  Both forms are exact:
 h is minus the ambient divergence of N, and x(h) differentiates it with
 a further level of dual numbers.
 
-Batch convention: kernels (:func:`shape_matrix`, :func:`harmonicity_form_batch`,
-:func:`mean_curvature_derivative`) take plain arrays with leading batch
-axes — points (N, m+1) plus any per-point direction or frame axes — and
-per-point functions such as :func:`harmonicity_form`,
-:func:`mean_curvature_of_field` and :func:`weingarten_ambient_matrix` are
-one-row calls into them.  A unit field's guard maps points (..., m+1) to
-a mask in the same way.  Checks take the points as an (N, m+1) array or
-a list of ``SpherePoint``, validated once by ``manifold.as_points``, and
-evaluate them in blocks of ``manifold.BLOCK``; :func:`energy` draws its
+Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
+and a unit field's guard maps points (..., m+1) to a mask the same way;
+checks skip the points outside the guard.  :func:`energy` draws its
 samples with ``manifold.sample_coords`` and evaluates them in blocks of
 ``ENERGY_BLOCK``, to bound memory.
 """
@@ -51,6 +45,7 @@ from .manifold import (
     as_points,
     blocks,
     cov_deriv,
+    divergence,
     frame_batch,
     gram_schmidt_frame,
     inner,
@@ -60,12 +55,19 @@ from .manifold import (
     sample_coords,
     shape_matrix,
     sphere_volume,
+    sweep,
 )
 from .report import EnergyEstimate, ResidualReport
-from .scalar_fields import ScalarField, ambient_gradient
+from .scalar_fields import (
+    EPS_REGULAR,
+    ScalarField,
+    gradient_batch,
+    normalized_gradient_field,
+)
 
 GEODESIC_TOL = 1e-6
 SYMMETRY_TOL = 1e-7
+TWISTED_EPS_REG = 1e-4  # guard of twisted_unit_field: |projected affine field| floor
 ENERGY_BLOCK = 1024  # samples per guard and tr L_Z evaluation in `energy`
 
 
@@ -106,27 +108,20 @@ def reeb_unit_field(structure) -> UnitVectorField:
                            label=f"reeb_{structure.label}")
 
 
-def normalized_gradient_unit_field(f: ScalarField,
-                                   eps_reg: float = 1e-6) -> UnitVectorField:
-    """N = ∇f/‖∇f‖ guarded away from the critical set."""
-
-    def evaluator(x):
-        return ad.unit(proj_tangent(x, ambient_gradient(f, x)))
+def normalized_gradient_unit_field(f: ScalarField) -> UnitVectorField:
+    """N = ∇f/‖∇f‖ guarded away from the critical set (‖∇f‖ < EPS_REGULAR)."""
 
     def guard(points: np.ndarray) -> np.ndarray:
-        g = np.asarray(value(ambient_gradient(f, points)), dtype=float)
-        g = g - np.sum(g * points, axis=-1, keepdims=True) * points
-        return np.linalg.norm(g, axis=-1) >= eps_reg
+        g = gradient_batch(f, points)
+        return np.sqrt(inner(g, g)) >= EPS_REGULAR
 
-    return UnitVectorField(
-        AmbientVectorField(evaluator, tangent=True, label=f"unit grad({f.label})"),
-        guard=guard, label=f"N({f.label})")
+    return UnitVectorField(normalized_gradient_field(f), guard=guard,
+                           label=f"N({f.label})")
 
 
-def normalized_constant_unit_field(c: np.ndarray,
-                                   eps_reg: float = 1e-6) -> UnitVectorField:
+def normalized_constant_unit_field(c: np.ndarray) -> UnitVectorField:
     """Unit projection of a constant vector (the radial field between the
-    poles ±c/|c|).
+    poles ±c/|c|), guarded where the projection is shorter than EPS_REGULAR.
 
     Note this is the normalized gradient of the height function along c,
     which is isoparametric, so the field is itself harmonic; use
@@ -138,15 +133,14 @@ def normalized_constant_unit_field(c: np.ndarray,
         return ad.unit(proj_tangent(x, ad.lift(c, x)))
 
     def guard(points: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(proj_np(points, c), axis=-1) >= eps_reg
+        return np.linalg.norm(proj_np(points, c), axis=-1) >= EPS_REGULAR
 
     return UnitVectorField(
         AmbientVectorField(evaluator, tangent=True, label="unit constant"),
         guard=guard, label="unit projected constant")
 
 
-def twisted_unit_field(c: np.ndarray, a: np.ndarray, d: np.ndarray,
-                       eps_reg: float = 1e-4) -> UnitVectorField:
+def twisted_unit_field(c: np.ndarray, a: np.ndarray, d: np.ndarray) -> UnitVectorField:
     """Normalized projection of the affine field x ↦ c + ⟨x,a⟩·d.
 
     For generic coefficient vectors this unit field is not a critical
@@ -162,7 +156,7 @@ def twisted_unit_field(c: np.ndarray, a: np.ndarray, d: np.ndarray,
 
     def guard(points: np.ndarray) -> np.ndarray:
         v = c + inner(points, a)[..., None] * d
-        return np.linalg.norm(proj_np(points, v), axis=-1) >= eps_reg
+        return np.linalg.norm(proj_np(points, v), axis=-1) >= TWISTED_EPS_REG
 
     return UnitVectorField(
         AmbientVectorField(evaluator, tangent=True, label="twisted affine"),
@@ -320,17 +314,14 @@ def _frame_check(name: str, zf: UnitVectorField, x_all: np.ndarray,
     at each of the points x_all (N, m+1) inside the guard; ``residual``
     maps points x (B, m+1), field values z (B, m+1) and frames
     (B, m−1, m+1) to (B, m−1)."""
-    keep = zf.guard(x_all) if len(x_all) else np.zeros(0, dtype=bool)
-    kept = x_all[keep]
-    residuals = [np.zeros(0)]
-    for sl in blocks(len(kept)):
-        x = kept[sl]
+    def block(x):
         z = proj_np(x, value(zf.field.eval(x)))
         frames = frame_batch(x, z[:, None, :])[:, 1:]
-        residuals.append(np.max(np.abs(residual(x, z, frames)), axis=-1))
-    return ResidualReport.from_residuals(
-        name, np.concatenate(residuals), tol, len(x_all) - len(kept),
-        provenance=provenance)
+        return np.max(np.abs(residual(x, z, frames)), axis=-1)
+
+    residuals, skipped = sweep(block, x_all, keep=zf.guard(x_all))
+    return ResidualReport.from_residuals(name, residuals, tol, skipped,
+                                         provenance=provenance)
 
 
 def harmonicity_check(zf: UnitVectorField, points: ArrayLike,
@@ -345,27 +336,16 @@ def harmonicity_check(zf: UnitVectorField, points: ArrayLike,
 # ---------------------------------------------------------------------------
 # shape spectrum and the reduced critical condition
 
-def _mean_curvature(field: AmbientVectorField, y):
-    """h at y as a dual-evaluable ambient formula: minus the ambient
-    divergence −Σᵢ ∂ᵢFᵢ of the projected field F.
-
-    On the sphere the trace of A_Z on Z^⊥ is −Σᵢ ∂ᵢFᵢ + ⟨y, D_y F⟩ +
-    ⟨z, D_z F⟩ with z = F(y).  The first extra term vanishes identically
-    because F ⟂ y near the sphere, the second on the sphere because
-    |F| = 1 there, so neither contributes to h or to x(h) for tangent x.
-    Leading axes of y broadcast.
-    """
-    dim = value(y).shape[-1]
-    jac = ad.axis0_to_last(
-        ad.jacobian_rows(lambda w: projected_eval(field, w), y, dim))
-    return -dot(dot(jac, np.eye(dim)), np.ones(dim))
-
-
 def mean_curvature_derivative(field: AmbientVectorField, x: np.ndarray,
                               directions: np.ndarray) -> np.ndarray:
-    """Directional derivatives of h at the points x (..., m+1) along
-    tangent directions (..., k, m+1), exact; returns shape (..., k)."""
-    return value(directional(lambda y: _mean_curvature(field, y),
+    """Directional derivatives of h = −div Z at the points x (..., m+1)
+    along tangent directions (..., k, m+1), exact; returns shape (..., k).
+
+    On the sphere the trace of A_Z on Z^⊥ is −div Z + ⟨z, D_z F⟩ with
+    z = F(y); the extra term vanishes on the sphere because |F| = 1
+    there, so it contributes neither to h nor to x(h) for tangent x.
+    """
+    return value(directional(lambda y: -divergence(field, y),
                              x[..., None, :], directions))
 
 
@@ -373,12 +353,10 @@ def mean_curvature_of_field(zf: UnitVectorField, p: SpherePoint) -> float:
     """h = −Σ g(∇_{E_i}Z, E_i) over a frame of Z^⊥ (trace of A_Z there)."""
     if not zf.guard(p.coords):
         raise RegularityError("mean curvature outside the guarded domain")
-    return float(value(_mean_curvature(zf.field, p.coords)))
+    return -float(divergence(zf.field, p.coords))
 
 
-def shape_spectrum(zf: UnitVectorField, p: SpherePoint,
-                   geodesic_tol: float = GEODESIC_TOL,
-                   symmetry_tol: float = SYMMETRY_TOL) -> ShapeSpectrum:
+def shape_spectrum(zf: UnitVectorField, p: SpherePoint) -> ShapeSpectrum:
     """Spectral decomposition of A_Z restricted to Z^⊥.
 
     Requires a geodesic field (∇_Z Z ≈ 0) and a symmetric restriction;
@@ -386,14 +364,14 @@ def shape_spectrum(zf: UnitVectorField, p: SpherePoint,
     """
     z = zf.at(p)
     geo = cov_deriv(zf.field, z).norm()
-    if geo > geodesic_tol:
+    if geo > GEODESIC_TOL:
         raise RegularityError(f"field is not geodesic here (|∇_Z Z| = {geo:.2e})")
     basis = gram_schmidt_frame(p, [z]).matrix[1:]
     amat = basis @ weingarten_ambient_matrix(zf, p) @ basis.T
     asym = float(np.max(np.abs(amat - amat.T)))
-    if asym > symmetry_tol:
+    if asym > SYMMETRY_TOL:
         raise IntegrabilityError(
-            f"shape operator asymmetry {asym:.2e} beyond {symmetry_tol}")
+            f"shape operator asymmetry {asym:.2e} beyond {SYMMETRY_TOL}")
     eigvals, eigvecs = np.linalg.eigh(0.5 * (amat + amat.T))
     eigenframe = tuple(TangentVector(p, v) for v in eigvecs.T @ basis)
     return ShapeSpectrum(base=p, eigenvalues=eigvals, eigenframe=eigenframe,

@@ -8,14 +8,18 @@ formula).  Curvature and Ricci come in two flavours each: the exact
 constant-curvature expressions and numerical versions assembled from
 covariant derivatives, kept as mutual cross-checks.
 
-Points are (N, m+1) arrays of unit rows, drawn in batches by
-:func:`sample_coords` and validated by :func:`as_points`, which also
-takes a list of :class:`SpherePoint`.  Kernels ending in ``_batch``
-(covariant derivatives, frames, brackets, numerical curvature) and
-:func:`shape_matrix` take plain arrays whose leading axes are batch axes
-(points, directions, frame slots) and broadcast them; the per-point
-functions taking :class:`SpherePoint`/:class:`TangentVector` are one-row
-calls into the same kernels.
+Batch convention (package-wide): points are (N, m+1) arrays of unit
+rows, drawn in batches by :func:`sample_coords` and validated once per
+check by :func:`as_points`, which also takes a list of
+:class:`SpherePoint`.  Kernels (names ending in ``_batch``, and
+:func:`shape_matrix`, :func:`divergence`, :func:`frame_batch` and their
+kin in the other modules) take plain arrays whose leading axes are batch
+axes (points, directions, frame slots) and broadcast them, contracting
+over the last axis only; the per-point functions taking
+:class:`SpherePoint`/:class:`TangentVector` are one-row calls into the
+same kernels.  Every check evaluates its points through :func:`sweep`,
+in blocks of ``BLOCK`` points to bound memory, and counts the points its
+mask leaves out as skipped.
 
 Sign conventions (frozen package-wide, pinned by tests):
 
@@ -59,7 +63,7 @@ class SpherePoint:
     def __post_init__(self):
         object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
         r = float(np.linalg.norm(self.coords))
-        if abs(r - 1.0) > POINT_TOL:
+        if not abs(r - 1.0) <= POINT_TOL:
             raise GeometryError(f"point norm {r} is not 1 within {POINT_TOL}")
 
     @classmethod
@@ -93,7 +97,7 @@ class TangentVector:
     def __post_init__(self):
         object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
         straying = abs(float(self.vec @ self.base.coords))
-        if straying > TANGENT_TOL * max(1.0, float(np.linalg.norm(self.vec))):
+        if not straying <= TANGENT_TOL * max(1.0, float(np.linalg.norm(self.vec))):
             raise TangencyError(f"vector strays {straying} from the tangent space")
 
     def norm(self) -> float:
@@ -289,6 +293,19 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     jac = ad.axis0_to_last(value(rows))
     proj = np.eye(dim) - x[..., :, None] * x[..., None, :]
     return proj @ jac @ proj
+
+
+def divergence(field: AmbientVectorField, y):
+    """Ambient divergence Σᵢ ∂ᵢFᵢ of the projected field F = P·field at
+    the points y (dual-evaluable, leading axes broadcast).
+
+    On the sphere this is the tangential trace tr(P·J·P) of the shape
+    matrix, because F ⟂ y near the sphere makes yᵀJy = −⟨F, y⟩ = 0.
+    """
+    dim = value(y).shape[-1]
+    jac = ad.axis0_to_last(
+        ad.jacobian_rows(lambda w: projected_eval(field, w), y, dim))
+    return dot(dot(jac, np.eye(dim)), np.ones(dim))
 
 
 def scalar_curve_derivative(s: Callable, p: SpherePoint, u: TangentVector) -> float:
@@ -601,10 +618,21 @@ def blocks(count: int, size: int = BLOCK) -> list:
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-def blockwise(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """fn over the blocks of :func:`blocks` of the points x, concatenated
-    along the first axis in point order; empty for no points."""
-    return np.concatenate([np.zeros(0)] + [fn(x[sl]) for sl in blocks(len(x))])
+def sweep(fn: Callable, x: np.ndarray, *aligned: np.ndarray,
+          keep: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
+    """``fn`` over the points of x (N, m+1) where the mask ``keep`` holds
+    (default: every point), in blocks of at most BLOCK kept points.
+
+    ``fn`` gets a block of points and the same rows of each per-point
+    array in ``aligned``.  Returns its results raveled into one float
+    array in point order, and the number of points not kept.
+    """
+    if keep is not None:
+        rows = np.flatnonzero(keep)
+        x, aligned = x[rows], [a[rows] for a in aligned]
+    values = [np.ravel(fn(x[sl], *(a[sl] for a in aligned))) for sl in blocks(len(x))]
+    skipped = 0 if keep is None else len(keep) - len(x)
+    return np.concatenate([np.zeros(0)] + values), skipped
 
 
 def sphere_volume(m: int) -> float:

@@ -10,15 +10,12 @@ with eigenvalue k(k+m−1), and the transnormal level-surface identity
 h = Δf/‖∇f‖ + b'(f)/(2√b) holds with the mean-curvature sign
 h = −Σ g(∇_{E_i}N, E_i).
 
-Batch convention: kernels (:func:`gradient_batch`, :func:`hessian_matrix`,
-:func:`laplacian_batch`, :func:`level_mean_curvature_batch`) take plain
-arrays with leading batch axes — points (N, m+1) plus any per-point
-axes — and per-point functions such as :func:`hessian`,
-:func:`laplacian` and :func:`level_mean_curvature` are one-row calls
-into them.  Field formulas must therefore contract over the last axis
-(``x[..., i]``, never ``x[i]``).  Checks take the points as an (N, m+1)
-array or a list of ``SpherePoint``, validated once by
-``manifold.as_points``, and evaluate them in blocks of ``manifold.BLOCK``.
+Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
+so field formulas must contract over the last axis (``x[..., i]``, never
+``x[i]``).  Δf and the level mean curvature are both minus the ambient
+divergence (``manifold.divergence``) of a projected field, ∇f and
+N = ∇f/‖∇f‖.  Checks that need N skip the points where ‖∇f‖ is below
+EPS_REGULAR.
 """
 
 from __future__ import annotations
@@ -39,16 +36,15 @@ from .manifold import (
     TangentVector,
     apply,
     as_points,
-    blocks,
-    blockwise,
     cov_deriv,
     cov_deriv_batch,
+    divergence,
     inner,
     metric,
     proj_np,
     project,
-    projected_eval,
     shape_matrix,
+    sweep,
 )
 from .report import ResidualReport
 
@@ -151,9 +147,9 @@ def hessian(f: ScalarField, u: TangentVector, v: TangentVector) -> float:
 
 
 def laplacian_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
-    """Δf = −tr S at the points x (batched), S the Hessian matrix; S
-    vanishes along the normal, so its trace is the tangential one."""
-    return -np.trace(hessian_matrix(f, x), axis1=-2, axis2=-1)
+    """Δf = −div ∇f at the points x (batched), the ambient divergence of
+    the projected gradient being the trace of the Hessian matrix."""
+    return -divergence(gradient_field(f), x)
 
 
 def laplacian(f: ScalarField, p: SpherePoint, frame: Optional[Frame] = None) -> float:
@@ -165,13 +161,12 @@ def laplacian(f: ScalarField, p: SpherePoint, frame: Optional[Frame] = None) -> 
     return -float(np.sum(inner(apply(hessian_matrix(f, p.coords), e), e)))
 
 
-def normalized_gradient(f: ScalarField, p: SpherePoint,
-                        eps_reg: float = EPS_REGULAR) -> TangentVector:
+def normalized_gradient(f: ScalarField, p: SpherePoint) -> TangentVector:
     """N = ∇f/‖∇f‖; raises :class:`RegularityError` near the critical set."""
     g = gradient(f, p)
     r = g.norm()
-    if r < eps_reg:
-        raise RegularityError(f"gradient norm {r} below {eps_reg} at this point")
+    if r < EPS_REGULAR:
+        raise RegularityError(f"gradient norm {r} below {EPS_REGULAR} at this point")
     return TangentVector(p, g.vec / r)
 
 
@@ -186,23 +181,19 @@ def normalized_gradient_field(f: ScalarField) -> AmbientVectorField:
 # level-surface mean curvature
 
 def level_mean_curvature_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
-    """Mean curvature h of the level sets through the regular points x
-    (batched), frame-free as −(tr ∇N − g(∇_N N, N)) from one shape matrix
-    of the unit gradient N."""
-    nf = normalized_gradient_field(f)
-    shape = shape_matrix(nf, x)
-    n = np.asarray(value(projected_eval(nf, x)), dtype=float)
-    return -(np.trace(shape, axis1=-2, axis2=-1) - inner(n, apply(shape, n)))
+    """Mean curvature h = −div N of the level sets through the regular
+    points x (batched), N the unit gradient: the full tangential trace of
+    ∇N equals its trace on N^⊥, since g(∇_N N, N) = 0 for a unit field."""
+    return -divergence(normalized_gradient_field(f), x)
 
 
-def level_mean_curvature(f: ScalarField, p: SpherePoint,
-                         eps_reg: float = EPS_REGULAR) -> float:
+def level_mean_curvature(f: ScalarField, p: SpherePoint) -> float:
     """Mean curvature h = −Σ g(∇_{E_i}N, E_i) of the level set through p.
 
     The sum runs over an orthonormal frame of N^⊥ tangent to the level
-    set; it is evaluated frame-free as −(tr_T ∇N − g(∇_N N, N)).
+    set; it is evaluated frame-free as −div N.
     """
-    normalized_gradient(f, p, eps_reg)  # regularity gate
+    normalized_gradient(f, p)  # regularity gate
     return float(level_mean_curvature_batch(f, p.coords))
 
 
@@ -218,32 +209,26 @@ def mean_curvature_frame_sum(f: ScalarField, p: SpherePoint) -> float:
 # ---------------------------------------------------------------------------
 # checkers
 
-def _regular_sweep(f: ScalarField, x_all: np.ndarray, eps_reg: float,
+def _regular_sweep(f: ScalarField, x: np.ndarray,
                    residual: Callable) -> tuple[np.ndarray, int]:
-    """``residual(x, n, r)`` over blocks of the points x_all (N, m+1) where
-    r = ‖∇f‖ is at least eps_reg, with n = ∇f/r; returns the residuals in
-    point order and the number of points skipped."""
-    out, skipped = [np.zeros(0)], 0
-    for sl in blocks(len(x_all)):
-        x = x_all[sl]
-        g = gradient_batch(f, x)
-        r = np.sqrt(inner(g, g))
-        keep = r >= eps_reg
-        skipped += int(np.count_nonzero(~keep))
-        if keep.any():
-            out.append(residual(x[keep], g[keep] / r[keep, None], r[keep]))
-    return np.concatenate(out), skipped
+    """``residual(y, n, r)`` over the points x (N, m+1) where r = ‖∇f‖ is
+    at least EPS_REGULAR, with n = ∇f/r; returns the residuals in point
+    order and the number of points skipped."""
+    g = gradient_batch(f, x)
+    r = np.sqrt(inner(g, g))
+    return sweep(lambda y, gy, ry: residual(y, gy / ry[:, None], ry), x, g, r,
+                 keep=r >= EPS_REGULAR)
 
 
 def _values_and_laplacians(f: ScalarField, x: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """f and Δf at the points x (N, m+1), evaluated in blocks."""
-    fv = blockwise(lambda y: np.broadcast_to(value(f.eval(y)), y.shape[:-1]), x)
-    return fv, blockwise(lambda y: laplacian_batch(f, y), x)
+    """f and Δf at the points x (N, m+1)."""
+    fv, _ = sweep(lambda y: np.broadcast_to(value(f.eval(y)), y.shape[:-1]), x)
+    return fv, sweep(lambda y: laplacian_batch(f, y), x)[0]
 
 
 def check_geodesic(f: ScalarField, points: ArrayLike,
-                   tol: float = 1e-7, eps_reg: float = EPS_REGULAR) -> ResidualReport:
+                   tol: float = 1e-7) -> ResidualReport:
     """‖∇_N N‖ at every regular point; the unit gradient of a transnormal
     function is a geodesic field, so this must vanish."""
     nf = normalized_gradient_field(f)
@@ -252,7 +237,7 @@ def check_geodesic(f: ScalarField, points: ArrayLike,
         d = cov_deriv_batch(nf, x, n)
         return np.sqrt(inner(d, d))
 
-    residuals, skipped = _regular_sweep(f, as_points(points), eps_reg, residual)
+    residuals, skipped = _regular_sweep(f, as_points(points), residual)
     return ResidualReport.from_residuals(
         "geodesic_field", residuals, tol, skipped,
         provenance=f"|cov_deriv(N, N)| for N = unit grad({f.label})")
@@ -266,7 +251,7 @@ def check_transnormal(f: ScalarField, profile: TransnormalProfile,
         return np.abs(inner(g, g) - profile.b(np.asarray(value(f.eval(x)), dtype=float)))
 
     return ResidualReport.from_residuals(
-        "transnormal_profile", blockwise(residual, as_points(points)), tol,
+        "transnormal_profile", sweep(residual, as_points(points))[0], tol,
         provenance=f"|grad norm squared - b(f)| for f = {f.label}")
 
 
@@ -294,8 +279,7 @@ def fit_affine_profile(f: ScalarField, points: ArrayLike
 
 
 def mean_curvature_identity_check(f: ScalarField, profile: TransnormalProfile,
-                                  points: ArrayLike, tol: float = 1e-7,
-                                  eps_reg: float = EPS_REGULAR) -> ResidualReport:
+                                  points: ArrayLike, tol: float = 1e-7) -> ResidualReport:
     """Level mean curvature against Δf/‖∇f‖ + b'(f)/(2√b) for transnormal f."""
     def residual(x, n, gn):
         fv = np.asarray(value(f.eval(x)), dtype=float)
@@ -307,7 +291,7 @@ def mean_curvature_identity_check(f: ScalarField, profile: TransnormalProfile,
         rhs = laplacian_batch(f, x) / gn + profile.b_prime(fv) / (2.0 * np.sqrt(b))
         return np.abs(level_mean_curvature_batch(f, x) - rhs)
 
-    residuals, skipped = _regular_sweep(f, as_points(points), eps_reg, residual)
+    residuals, skipped = _regular_sweep(f, as_points(points), residual)
     return ResidualReport.from_residuals(
         "mean_curvature_identity", residuals, tol, skipped,
         provenance=f"|h - (laplacian/|grad| + b'/(2 sqrt b))| for f = {f.label}")

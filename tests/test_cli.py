@@ -154,6 +154,15 @@ def test_cli_rejects_loose_tolerance(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_cli_rejects_tolerance_outside_the_closed_range(value, capsys):
+    code = main(["verify", "s3", "--samples", "5", "--tol", f"nu_form={value}"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ")
+
+
 def test_cli_rejects_unknown_check_name(capsys):
     code = main(["verify", "s3", "--samples", "5", "--tol", "bogus=1e-9"])
     assert code == 2
@@ -238,3 +247,73 @@ def test_thread_env_auto(monkeypatch):
     monkeypatch.setenv("KONTACT_THREADS", "0")
     reports = run_suite(SuiteConfig(manifold="s3", samples=5, seed=1))
     assert len(reports) == 14
+
+
+# The CI smoke config (verify sN --samples 40 --seed 3), recorded before
+# the checkers shared one block sweep: (check_name, count, skipped,
+# tolerance, pass).  energy_reeb's tolerance is 3 stderr of its estimate,
+# so it is not listed.
+SMOKE_SHAPE = {
+    "s3": [
+        ("contact_axioms", 400, 0, 1e-08, True),
+        ("kcontact", 160, 0, 1e-09, True),
+        ("sasakian", 160, 0, 1e-08, True),
+        ("double_invariants", 40, 0, 1e-10, True),
+        ("gradient_identity", 40, 0, 1e-09, True),
+        ("transnormal_profile", 40, 0, 1e-09, True),
+        ("laplacian_formula", 40, 0, 1e-07, True),
+        ("dimension_theorem", 40, 0, 1e-07, True),
+        ("geodesic_field", 40, 0, 1e-07, True),
+        ("mean_curvature_identity", 40, 0, 1e-07, True),
+        ("ricci_normal", 40, 0, 1e-08, True),
+        ("nu_form", 40, 0, 1e-06, True),
+        ("critical_condition", 40, 0, 1e-06, True),
+        ("energy_reeb", 20000, 0, None, True),
+    ],
+    "s5": [
+        ("contact_axioms", 400, 0, 1e-08, True),
+        ("kcontact", 160, 0, 1e-09, True),
+        ("sasakian", 160, 0, 1e-08, True),
+        ("double_invariants", 40, 0, 1e-10, True),
+        ("gradient_identity", 40, 0, 1e-09, True),
+        ("transnormal_profile", 40, 0, 1e-09, True),
+        ("laplacian_formula", 40, 0, 1e-07, True),
+        ("dimension_theorem", 41, 0, 1e-06, True),
+        ("phi_product_spectrum", 40, 0, 1e-07, True),
+        ("hessian_restricted", 120, 0, 1e-07, True),
+        ("geodesic_field", 40, 0, 1e-07, True),
+        ("mean_curvature_identity", 40, 0, 1e-07, True),
+        ("ricci_normal", 40, 0, 1e-08, True),
+        ("nu_form", 40, 0, 1e-06, True),
+        ("critical_condition", 40, 0, 1e-06, True),
+        ("energy_reeb", 20000, 0, None, True),
+    ],
+    "s7": [
+        ("contact_axioms", 400, 0, 1e-08, True),
+        ("kcontact", 160, 0, 1e-09, True),
+        ("sasakian", 160, 0, 1e-08, True),
+        ("double_invariants", 40, 0, 1e-10, True),
+        ("gradient_identity", 40, 0, 1e-09, True),
+        ("transnormal_profile", 40, 0, 1e-09, True),
+        ("laplacian_formula", 40, 0, 1e-07, True),
+        ("phi_product_spectrum", 40, 0, 1e-07, True),
+        ("hessian_restricted", 400, 0, 1e-07, True),
+        ("geodesic_field", 40, 0, 1e-07, True),
+        ("mean_curvature_identity", 40, 0, 1e-07, True),
+        ("ricci_normal", 40, 0, 1e-08, True),
+        ("nu_form", 40, 0, 1e-06, True),
+        ("critical_condition", 40, 0, 1e-06, True),
+        ("energy_reeb", 20000, 0, None, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("manifold", sorted(SMOKE_SHAPE))
+def test_smoke_config_keeps_the_suite_shape(manifold, capsys):
+    code = main(["verify", manifold, "--samples", "40", "--seed", "3"])
+    assert code == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    shape = [(r["check_name"], r["count"], r["skipped"],
+              None if r["check_name"] == "energy_reeb" else r["tolerance"], r["pass"])
+             for r in reports]
+    assert shape == SMOKE_SHAPE[manifold]

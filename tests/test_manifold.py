@@ -16,11 +16,14 @@ from kontact.errors import (
 from kontact.manifold import (
     as_points,
     constant_field,
+    divergence,
     extension_of,
     proj_np,
     random_tangents,
     sample_coords,
     scalar_curve_derivative,
+    shape_matrix,
+    sweep,
 )
 
 E1 = kt.SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -58,6 +61,15 @@ def test_project_idempotent_and_tangent():
 def test_point_norm_validated():
     with pytest.raises(GeometryError):
         kt.SpherePoint(np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: kt.SpherePoint(np.array([np.nan, 0.0, 0.0, 0.0])),
+    lambda: kt.TangentVector(E1, np.array([np.nan, 1.0, 0.0, 0.0])),
+], ids=["point", "tangent vector"])
+def test_one_row_validators_reject_nan(make):
+    with pytest.raises(GeometryError):
+        make()
 
 
 def test_metric_reeb_values(pair3):
@@ -347,6 +359,48 @@ def test_as_points_and_checkers_reject_malformed_points(pair3, pts3, angle3, cas
     if case != "wrong width":
         with pytest.raises(GeometryError):
             kt.check_geodesic(angle3, bad)
+
+
+def test_sweep_keeps_point_order_across_blocks():
+    x = sample_coords(70, 3, 4)
+    tag = np.arange(70.0)
+    seen = []
+
+    def fn(y, t):
+        seen.append(len(y))
+        return np.stack([y[:, 0], t], axis=1)
+
+    values, skipped = sweep(fn, x, tag)
+    assert seen == [32, 32, 6] and skipped == 0
+    assert np.array_equal(values, np.stack([x[:, 0], tag], axis=1).ravel())
+
+
+def test_sweep_mask_slices_aligned_arrays_and_counts_skips():
+    x = sample_coords(70, 3, 4)
+    keep = np.arange(70) % 3 != 0
+    values, skipped = sweep(lambda y, t: t + y[:, 1], x, np.arange(70.0), keep=keep)
+    assert skipped == 70 - np.count_nonzero(keep)
+    assert np.array_equal(values, (np.arange(70.0) + x[:, 1])[keep])
+
+
+@pytest.mark.parametrize("count, keep", [(0, None), (0, []), (5, [False] * 5)],
+                         ids=["no points", "no points masked", "no point kept"])
+def test_sweep_of_nothing_is_an_empty_float_array(count, keep):
+    def fn(y):
+        raise AssertionError("called on an empty block")
+
+    values, skipped = sweep(fn, sample_coords(5, 3, 4)[:count],
+                            keep=None if keep is None else np.array(keep, dtype=bool))
+    assert values.dtype == float and values.shape == (0,)
+    assert skipped == count
+
+
+def test_divergence_is_the_trace_of_the_shape_matrix(pair3, angle3, pts3_plain):
+    x = np.array([p.coords for p in pts3_plain])
+    for field in (pair3.s_alpha.reeb_field(), constant_field(np.arange(4.0)),
+                  kt.gradient_field(angle3)):
+        trace = np.trace(shape_matrix(field, x), axis1=-2, axis2=-1)
+        assert np.max(np.abs(divergence(field, x) - trace)) < 1e-13
 
 
 def test_extension_field_restriction(pts3, rng):
