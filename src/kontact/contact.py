@@ -30,7 +30,16 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .ad import directional, dot, matvec, proj_tangent, sv, value
+from .ad import (
+    axis0_to_last,
+    directional,
+    dot,
+    jacobian_rows,
+    matvec,
+    proj_tangent,
+    sv,
+    value,
+)
 from .errors import ConstructionError
 from .manifold import (
     AmbientVectorField,
@@ -214,19 +223,27 @@ def pfaffian(mat: np.ndarray):
     return total
 
 
+def _d_on_frames(coeff_field: Callable, x: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """W[..., k, l] = dω(f_k, f_l) on the frames F (..., m, m+1) at x (..., m+1).
+
+    One ambient Jacobian of the coefficient field, J[..., i, j] = ∂_j ω_i,
+    gives every pair at once: W = F (Jᵀ − J) Fᵀ.  This is exact for any
+    coefficient field, because d commutes with restriction to the sphere,
+    and agrees with :func:`exterior_derivative_batch` on each pair.
+    """
+    jac = axis0_to_last(value(jacobian_rows(coeff_field, x, x.shape[-1])))
+    return frames @ (np.swapaxes(jac, -1, -2) - jac) @ np.swapaxes(frames, -1, -2)
+
+
 def volume_form_batch(coeff_field: Callable, x: np.ndarray, frames: np.ndarray,
                       n: int) -> np.ndarray:
     """α∧(dα)^n on the frames (..., m, m+1) at the points x (..., m+1),
-    corrected for frame orientation."""
+    corrected for frame orientation; dα on the frame pairs comes from one
+    Jacobian (:func:`_d_on_frames`)."""
     m = frames.shape[-2]
     omega = np.asarray(value(coeff_field(x)), dtype=float)
     a = inner(omega[..., None, :], frames)
-    upper, lower = np.triu_indices(m, 1)
-    d_pairs = exterior_derivative_batch(coeff_field, x[..., None, :],
-                                        frames[..., upper, :], frames[..., lower, :])
-    w = np.zeros(frames.shape[:-1] + (m,))
-    w[..., upper, lower] = d_pairs
-    w[..., lower, upper] = -d_pairs
+    w = _d_on_frames(coeff_field, x, frames)
     fact_n = float(math.factorial(n))
     total = 0.0
     for k in range(m):

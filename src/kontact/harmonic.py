@@ -19,7 +19,7 @@ Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 and a unit field's guard maps points (..., m+1) to a mask the same way;
 checks skip the points outside the guard.  :func:`energy` draws its
 samples with ``manifold.sample_coords`` and evaluates them in blocks of
-``ENERGY_BLOCK``, to bound memory.
+``manifold.BLOCK``, the block size of every check, to bound memory.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from . import ad
+from . import ad, manifold
 from .ad import directional, dot, proj_tangent, value
 from .errors import (
     IntegrabilityError,
@@ -68,7 +68,6 @@ from .scalar_fields import (
 GEODESIC_TOL = 1e-6
 SYMMETRY_TOL = 1e-7
 TWISTED_EPS_REG = 1e-4  # guard of twisted_unit_field: |projected affine field| floor
-ENERGY_BLOCK = 1024  # samples per guard and tr L_Z evaluation in `energy`
 
 
 def _everywhere(x: np.ndarray) -> np.ndarray:
@@ -218,7 +217,7 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
 
     Guarded-out points contribute zero, so for a guard that excludes a
     positive-measure region this estimates the energy of the restricted
-    domain.  The guard and tr L_Z run over blocks of ``ENERGY_BLOCK``
+    domain.  The guard and tr L_Z run over blocks of ``manifold.BLOCK``
     samples to bound memory; summation is a single deterministic pairwise
     reduction over all samples.
     """
@@ -227,7 +226,7 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     points = sample_coords(sample_size, seed, ambient_dim)
     vals = np.zeros(sample_size)
     kept = 0
-    for sl in blocks(sample_size, ENERGY_BLOCK):
+    for sl in blocks(sample_size, manifold.BLOCK):
         x = points[sl]
         mask = np.asarray(zf.guard(x), dtype=bool)
         if np.any(mask):

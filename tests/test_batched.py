@@ -7,20 +7,21 @@ import numpy as np
 import pytest
 
 import kontact as kt
-from kontact import ad
+from kontact import ad, manifold
 from kontact.contact import (
+    _d_on_frames,
     exterior_derivative_batch,
     killing_residual,
     sasakian_residual,
     volume_form_batch,
 )
 from kontact.harmonic import (
-    ENERGY_BLOCK,
     _adjoint_apply,
     _trace_l_batch,
     harmonicity_form_batch,
 )
 from kontact.manifold import (
+    BLOCK,
     curvature_numeric_batch,
     frame_batch,
     projected_eval,
@@ -211,6 +212,24 @@ def test_volume_form_batch_matches_one_row(setting):
         assert np.max(np.abs(batch - one)) <= 1e-13
 
 
+def test_jacobian_d_on_frames_is_the_exterior_derivative_on_every_pair(setting):
+    pair, f, pts, x = setting
+    s = pair.s_alpha
+
+    def scaled_coeffs(y):
+        return ad.sv(f.eval(y), s.alpha_coeffs(y))
+
+    frames = frame_batch(x)
+    m = frames.shape[1]
+    k, l = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
+    for coeff in (s.alpha_coeffs, scaled_coeffs):
+        w = _d_on_frames(coeff, x, frames)
+        pairs = exterior_derivative_batch(coeff, x[:, None, None, :],
+                                          frames[:, k, :], frames[:, l, :])
+        assert w.shape == (len(x), m, m)
+        assert np.max(np.abs(w - pairs)) <= 1e-13
+
+
 def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
     pair, f, pts, x = setting
     dim = x.shape[1] - 1
@@ -321,8 +340,7 @@ def unblocked_energy(zf, sample_size, seed, ambient_dim):
 
 
 @pytest.mark.parametrize("dim", (3, 5))
-@pytest.mark.parametrize("size", (ENERGY_BLOCK - 1, ENERGY_BLOCK,
-                                  ENERGY_BLOCK + 1, 2 * ENERGY_BLOCK + 3))
+@pytest.mark.parametrize("size", (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3))
 def test_blocked_energy_matches_one_pass(dim, size):
     zf = excluded_gradient_field(dim)
     est = kt.energy(zf, size, 17, dim + 1)
@@ -355,6 +373,22 @@ def test_energy_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2 ** 20
+
+
+def test_check_peak_memory_is_bounded():
+    # nu_form on s7 traces 24 MB per block of 1024 points; one pass over
+    # all 4 * BLOCK points would trace four times that
+    f = kt.standard_pair(7).angle_function()
+    zf = kt.normalized_gradient_unit_field(f)
+    x = sample_coords(4 * BLOCK, 5, 8)
+    tracemalloc.start()
+    try:
+        rep = kt.harmonicity_check(zf, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.count + rep.skipped == 4 * BLOCK
+    assert peak <= 48 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +542,7 @@ PORTED = {
 
 
 @pytest.fixture(scope="module", params=DIMS, ids=lambda d: f"s{d}")
-def two_blocks(request):
-    """40 points (more than one block of 32), alone and with a point where
-    |f| = 1 and grad f = 0 inserted at index 35, in the second block."""
+def two_block_points(request):
     dim = request.param
     pair = kt.standard_pair(dim)
     f = pair.angle_function()
@@ -518,6 +550,15 @@ def two_blocks(request):
                            exclusion=lambda p: abs(f.value(p)) > 0.9)
     critical = kt.SpherePoint(np.eye(dim + 1)[0])
     return pair, pts, pts[:35] + [critical] + pts[35:]
+
+
+@pytest.fixture
+def two_blocks(two_block_points, monkeypatch):
+    """40 points in blocks of 32, so the checks sweep more than one block,
+    alone and with a point where |f| = 1 and grad f = 0 inserted at index
+    35, in the second block."""
+    monkeypatch.setattr(manifold, "BLOCK", 32)
+    return two_block_points
 
 
 @pytest.mark.parametrize("name", sorted(PORTED))

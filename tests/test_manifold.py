@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import kontact as kt
-from kontact import ad
+from kontact import ad, manifold
 from kontact.errors import (
     BasePointMismatchError,
     DegenerateInputError,
@@ -361,7 +361,8 @@ def test_as_points_and_checkers_reject_malformed_points(pair3, pts3, angle3, cas
             kt.check_geodesic(angle3, bad)
 
 
-def test_sweep_keeps_point_order_across_blocks():
+def test_sweep_keeps_point_order_across_blocks(monkeypatch):
+    monkeypatch.setattr(manifold, "BLOCK", 32)
     x = sample_coords(70, 3, 4)
     tag = np.arange(70.0)
     seen = []
