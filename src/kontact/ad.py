@@ -5,9 +5,9 @@ ambient point, written with the vector helpers below (``dot``, ``matvec``,
 ``sv``, ``proj_tangent`` ...).  Feeding such a function a :class:`Dual`
 whose perturbation encodes a direction returns the directional derivative
 alongside the value, to machine precision.  Duals nest, so second and
-third derivatives come from the same code paths.  Central finite
-differences are kept as an independent cross-check and are deliberately
-implemented without touching the dual machinery.
+third derivatives come from the same code paths.  The test suite checks
+them against central finite differences, implemented there without
+touching the dual machinery.
 
 Payloads (``val``/``eps``) are floats, numpy arrays, or further Duals.
 Leading axes broadcast, and all contractions act on the last axis, so the
@@ -217,45 +217,19 @@ def jacobian_rows(f: Callable, x: Payload, dim: int) -> Payload:
     axes of ``x`` stay distinct from it, also when the val and eps leaves
     of ``x`` differ in rank.
     """
+    return directional(f, x, axis_directions(x, dim))
+
+
+def axis_directions(x: Payload, dim: int) -> np.ndarray:
+    """The ambient axes e_i as directions for vector forward mode at ``x``:
+    shape (dim,) + (1,)*lead + (dim,), one axis more than any leaf of
+    ``x``, so ``make_dual(x, axis_directions(x, dim))`` carries the
+    direction axis on its eps leaves only (see :func:`jacobian_rows`)."""
     lead = len(_batch_shape(x)) - 1
-    directions = np.eye(dim).reshape((dim,) + (1,) * lead + (dim,))
-    return directional(f, x, directions)
+    return np.eye(dim).reshape((dim,) + (1,) * lead + (dim,))
 
 
 def axis0_to_last(x: Payload) -> Payload:
     """Move the leading (direction) axis of every leaf to the end."""
     return _leafwise(lambda leaf: np.moveaxis(leaf, 0, -1), x)
 
-
-# ---------------------------------------------------------------------------
-# finite-difference cross-checks (independent of the dual machinery)
-
-def fd_directional(f: Callable, x: np.ndarray, d: np.ndarray,
-                   step: float = 1e-5):
-    """Central-difference directional derivative, O(step²) error."""
-    return (f(x + step * d) - f(x - step * d)) / (2.0 * step)
-
-
-def fd_second_directional(f: Callable, x: np.ndarray, d1: np.ndarray,
-                          d2: np.ndarray, step: float = 1e-4):
-    """Mixed second directional derivative by cross differences."""
-    return (f(x + step * (d1 + d2)) - f(x + step * (d1 - d2))
-            - f(x + step * (d2 - d1)) + f(x - step * (d1 + d2))) / (4.0 * step ** 2)
-
-
-def great_circle(p: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-    """Unit-speed-scaled circle through p with initial velocity u."""
-    w = float(np.linalg.norm(u))
-    if w == 0.0:
-        return p.copy()
-    return np.cos(w * t) * p + (np.sin(w * t) / w) * u
-
-
-def fd_curve_derivative_5pt(s: Callable, p: np.ndarray, u: np.ndarray,
-                            step: float = 1e-3) -> float:
-    """Five-point stencil along the great circle, O(step⁴) error."""
-    f1 = s(great_circle(p, u, step))
-    f2 = s(great_circle(p, u, 2.0 * step))
-    fm1 = s(great_circle(p, u, -step))
-    fm2 = s(great_circle(p, u, -2.0 * step))
-    return (-f2 + 8.0 * f1 - 8.0 * fm1 + fm2) / (12.0 * step)

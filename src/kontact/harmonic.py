@@ -42,7 +42,7 @@ from .manifold import (
     AmbientVectorField,
     SpherePoint,
     TangentVector,
-    as_points,
+    as_field_points,
     blocks,
     cov_deriv,
     divergence,
@@ -173,7 +173,7 @@ def weingarten(zf: UnitVectorField, u: TangentVector) -> TangentVector:
 
 
 def weingarten_ambient_matrix(zf: UnitVectorField, p: SpherePoint) -> np.ndarray:
-    """Ambient matrix of A_Z at p: −P·(D of the projected field)·P."""
+    """Ambient matrix of A_Z at p: minus the shape matrix of the field."""
     if not zf.guard(p.coords):
         raise RegularityError("Weingarten operator outside the guarded domain")
     return -shape_matrix(zf.field, p.coords)
@@ -206,7 +206,8 @@ def trace_l(zf: UnitVectorField, p: SpherePoint) -> float:
 # energy
 
 def _trace_l_batch(zf: UnitVectorField, points: np.ndarray) -> np.ndarray:
-    """tr L_Z = m + ‖P·J·P‖²_F over a batch of points (rows of unit vectors)."""
+    """tr L_Z = m + ‖S‖²_F over a batch of points (rows of unit vectors),
+    S the shape matrix of the field."""
     a = shape_matrix(zf.field, points)
     return (points.shape[-1] - 1) + np.sum(a * a, axis=(-2, -1))
 
@@ -307,12 +308,14 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector,
                                         frames)[0])
 
 
-def _frame_check(name: str, zf: UnitVectorField, x_all: np.ndarray,
+def _frame_check(name: str, zf: UnitVectorField, points: ArrayLike,
                  tol: float, residual: Callable, provenance: str) -> ResidualReport:
     """max over the frame directions of Z^⊥ of |residual(x, z, frames)|
-    at each of the points x_all (N, m+1) inside the guard; ``residual``
-    maps points x (B, m+1), field values z (B, m+1) and frames
-    (B, m−1, m+1) to (B, m−1)."""
+    at each of the points (N, m+1) inside the guard; ``residual`` maps
+    points x (B, m+1), field values z (B, m+1) and frames (B, m−1, m+1)
+    to (B, m−1)."""
+    x_all = as_field_points(points, zf.field.eval)
+
     def block(x):
         z = proj_np(x, value(zf.field.eval(x)))
         frames = frame_batch(x, z[:, None, :])[:, 1:]
@@ -327,7 +330,7 @@ def harmonicity_check(zf: UnitVectorField, points: ArrayLike,
                       tol: float = 1e-6) -> ResidualReport:
     """max |nu_Z(x)| over frame directions x ⟂ Z at each point."""
     return _frame_check(
-        "nu_form", zf, as_points(points), tol,
+        "nu_form", zf, points, tol,
         lambda x, z, frames: harmonicity_form_batch(zf.field, x, frames),
         "first variation of the energy on the orthogonal complement")
 
@@ -390,5 +393,5 @@ def critical_condition_check(zf: UnitVectorField, points: ArrayLike,
         return mean_curvature_derivative(zf.field, x, frames) - ric
 
     return _frame_check(
-        "critical_condition", zf, as_points(points), tol, residual,
+        "critical_condition", zf, points, tol, residual,
         "derivative of the mean curvature against ricci(., N)")

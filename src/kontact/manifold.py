@@ -1,12 +1,18 @@
 """Round unit sphere S^m embedded in R^(m+1).
 
 Points and tangent vectors live in ambient coordinates.  Vector fields
-are ambient formulas evaluated through :mod:`kontact.ad`, tangency is
-enforced by projection at evaluation, and the Levi-Civita connection is
-the tangential projection of the ambient directional derivative (Gauss
-formula).  Curvature and Ricci come in two flavours each: the exact
-constant-curvature expressions and numerical versions assembled from
-covariant derivatives, kept as mutual cross-checks.
+are ambient formulas V evaluated through :mod:`kontact.ad`, and a field
+stands for its projection F = P·V, P = I − x xᵀ, so the raw formula
+need not be tangent off the sphere.  The Levi-Civita connection is the
+tangential part of the ambient derivative of F (Gauss formula), which
+on the unit sphere has the closed form P·D_u F = P·D_u V − ⟨x, V⟩·P u:
+:func:`shape_matrix` and :func:`cov_deriv_batch` differentiate the raw
+formula only.  The kernels that nest derivatives (:func:`divergence`,
+:func:`lie_bracket_batch` and their kin) differentiate F itself through
+:func:`projected_eval`, off the sphere too.  Curvature and Ricci come in
+two flavours each: the exact constant-curvature expressions and
+numerical versions assembled from covariant derivatives, kept as mutual
+cross-checks.
 
 Batch convention (package-wide): points are (N, m+1) arrays of unit
 rows, drawn in batches by :func:`sample_coords` and validated once per
@@ -136,9 +142,9 @@ class AmbientVectorField:
     """Vector field given by an ambient formula defined near the sphere.
 
     ``eval`` must be written with the :mod:`kontact.ad` helpers so it
-    accepts dual inputs; covariant derivatives differentiate the
-    projected composite x ↦ P(x)·eval(x), so the raw formula need not be
-    tangent away from the sphere.
+    accepts dual inputs.  Derivatives are those of the projected
+    composite x ↦ P(x)·eval(x), so the raw formula need not be tangent
+    away from the sphere.
     """
 
     eval: Callable
@@ -256,14 +262,30 @@ def projected_eval(field: AmbientVectorField, x):
     return proj_tangent(x, field.eval(x))
 
 
+def _raw_dual(field: AmbientVectorField, x: np.ndarray, d: np.ndarray):
+    """V(x) and D_d V(x) for the raw formula V = ``field.eval``, from one
+    dual evaluation; a formula that returns no dual part is constant and
+    differentiates to 0.  Both broadcast against the leaves of the dual
+    point, so V may carry size-1 axes where the derivative has d's axes."""
+    out = field.eval(ad.make_dual(x, d))
+    if type(out) is ad.Dual:
+        return out.val, out.eps
+    return out, np.zeros(np.shape(d))
+
+
 def cov_deriv_batch(V: AmbientVectorField, x: np.ndarray,
                     u: np.ndarray) -> np.ndarray:
-    """∇_u V at the points x by the Gauss formula (batched): the tangential
-    part of the ambient derivative of the projected field along u."""
+    """∇_u V at the points x (batched), by the Gauss formula in closed form.
+
+    With F = P·V the projected field and P = I − x xᵀ, the tangential part
+    of D_u F on the unit sphere is P·D_u V − ⟨x, V⟩·P u, so only the raw
+    formula V is differentiated; this holds whether or not V is tangent
+    off the sphere.
+    """
     if not V.tangent:
         raise TangencyError("covariant derivative requires a tangent-flagged field")
-    d = directional(lambda y: projected_eval(V, y), x, u)
-    return proj_np(x, value(d))
+    v, dv = _raw_dual(V, x, u)
+    return proj_np(x, dv) - inner(x, v)[..., None] * proj_np(x, u)
 
 
 def cov_deriv(V: AmbientVectorField, u: TangentVector) -> TangentVector:
@@ -290,22 +312,29 @@ def lie_bracket(V: AmbientVectorField, W: AmbientVectorField,
 
 
 def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
-    """P·J·P at the points x: J is the ambient Jacobian of the projected
-    field and P = I − x xᵀ, so u ↦ (P·J·P) u is u ↦ ∇_u V on T_x."""
+    """S = P·J·P − ⟨x, V⟩·P at the points x, shape (..., m+1, m+1), so
+    that u ↦ S u is u ↦ ∇_u V on T_x.
+
+    J is the ambient Jacobian of the raw formula V = ``field.eval`` and
+    P = I − x xᵀ.  This is P·J_F·P for the projected field F = P·V (the
+    Gauss formula) in closed form: P·D_u F = P·D_u V − ⟨x, V⟩·P u on the
+    unit sphere, for tangent and non-tangent raw formulas alike.
+    """
     x = np.asarray(x, dtype=float)
     dim = x.shape[-1]
-    rows = ad.jacobian_rows(lambda y: projected_eval(field, y), x, dim)
-    jac = ad.axis0_to_last(value(rows))
+    v, rows = _raw_dual(field, x, ad.axis_directions(x, dim))
+    v = np.broadcast_to(v, (dim,) + x.shape)[0]
+    jac = np.moveaxis(np.broadcast_to(rows, (dim,) + x.shape), 0, -1)
     proj = np.eye(dim) - x[..., :, None] * x[..., None, :]
-    return proj @ jac @ proj
+    return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
 
 
 def divergence(field: AmbientVectorField, y):
     """Ambient divergence Σᵢ ∂ᵢFᵢ of the projected field F = P·field at
     the points y (dual-evaluable, leading axes broadcast).
 
-    On the sphere this is the tangential trace tr(P·J·P) of the shape
-    matrix, because F ⟂ y near the sphere makes yᵀJy = −⟨F, y⟩ = 0.
+    On the sphere this is the trace of the shape matrix P·J·P, J the
+    Jacobian of F, because F ⟂ y near the sphere makes yᵀJy = −⟨F, y⟩ = 0.
     """
     dim = value(y).shape[-1]
     jac = ad.axis0_to_last(
@@ -581,6 +610,24 @@ def as_points(points: ArrayLike, ambient_dim: Optional[int] = None) -> np.ndarra
     if bad.size:
         raise GeometryError(
             f"point {bad[0]} has norm {r[bad[0]]}, not 1 within {POINT_TOL}")
+    return x
+
+
+def as_field_points(points: ArrayLike, field_eval: Callable) -> np.ndarray:
+    """:func:`as_points` for a check of a vector field: ``field_eval`` at
+    the first row must also evaluate, to a vector as wide as the row.
+    Raises :class:`GeometryError` otherwise, as on rows of another width
+    than the field's."""
+    x = as_points(points)
+    try:
+        with np.errstate(all="ignore"):     # only the shape is wanted
+            out = np.shape(value(field_eval(x[:1])))
+    except ValueError as exc:
+        raise GeometryError(
+            f"points of width {x.shape[1]} do not fit the field: {exc}") from None
+    if out[-1:] != x.shape[1:]:
+        raise GeometryError(
+            f"points of width {x.shape[1]} give field values of shape {out}")
     return x
 
 

@@ -35,7 +35,7 @@ from .manifold import (
     SpherePoint,
     TangentVector,
     apply,
-    as_points,
+    as_field_points,
     cov_deriv,
     cov_deriv_batch,
     divergence,
@@ -136,7 +136,7 @@ def directional_derivative(f: ScalarField, u: TangentVector) -> float:
 
 def hessian_matrix(f: ScalarField, x: np.ndarray) -> np.ndarray:
     """Ambient matrix S of Hess_f at the points x (batched): the shape
-    matrix P·J·P of ∇f, so Hess_f(a, b) = g(∇_a ∇f, b) = ⟨S a, b⟩."""
+    matrix of ∇f, so Hess_f(a, b) = g(∇_a ∇f, b) = ⟨S a, b⟩."""
     return shape_matrix(gradient_field(f), x)
 
 
@@ -209,6 +209,11 @@ def mean_curvature_frame_sum(f: ScalarField, p: SpherePoint) -> float:
 # ---------------------------------------------------------------------------
 # checkers
 
+def _gradient_points(f: ScalarField, points: ArrayLike) -> np.ndarray:
+    """The points of a check on f, as wide as its ambient gradient."""
+    return as_field_points(points, lambda y: ambient_gradient(f, y))
+
+
 def _regular_sweep(f: ScalarField, x: np.ndarray,
                    residual: Callable) -> tuple[np.ndarray, int]:
     """``residual(y, n, r)`` over the points x (N, m+1) where r = ‖∇f‖ is
@@ -237,7 +242,7 @@ def check_geodesic(f: ScalarField, points: ArrayLike,
         d = cov_deriv_batch(nf, x, n)
         return np.sqrt(inner(d, d))
 
-    residuals, skipped = _regular_sweep(f, as_points(points), residual)
+    residuals, skipped = _regular_sweep(f, _gradient_points(f, points), residual)
     return ResidualReport.from_residuals(
         "geodesic_field", residuals, tol, skipped,
         provenance=f"|cov_deriv(N, N)| for N = unit grad({f.label})")
@@ -251,14 +256,14 @@ def check_transnormal(f: ScalarField, profile: TransnormalProfile,
         return np.abs(inner(g, g) - profile.b(np.asarray(value(f.eval(x)), dtype=float)))
 
     return ResidualReport.from_residuals(
-        "transnormal_profile", sweep(residual, as_points(points))[0], tol,
+        "transnormal_profile", sweep(residual, _gradient_points(f, points))[0], tol,
         provenance=f"|grad norm squared - b(f)| for f = {f.label}")
 
 
 def check_isoparametric(f: ScalarField, profile: IsoparametricProfile,
                         points: ArrayLike, tol: float = 1e-7) -> ResidualReport:
     """| Δf − a(f) | pointwise."""
-    fv, lap = _values_and_laplacians(f, as_points(points))
+    fv, lap = _values_and_laplacians(f, _gradient_points(f, points))
     return ResidualReport.from_residuals(
         "isoparametric_profile", np.abs(lap - profile.a(fv)), tol,
         provenance=f"|laplacian - a(f)| for f = {f.label}")
@@ -270,7 +275,7 @@ def fit_affine_profile(f: ScalarField, points: ArrayLike
 
     Returns (c1, c0, residual) with residual the max absolute deviation.
     """
-    fv, lap = _values_and_laplacians(f, as_points(points))
+    fv, lap = _values_and_laplacians(f, _gradient_points(f, points))
     design = np.stack([fv, np.ones_like(fv)], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, lap, rcond=None)
     c1, c0 = float(coeffs[0]), float(coeffs[1])
@@ -291,7 +296,7 @@ def mean_curvature_identity_check(f: ScalarField, profile: TransnormalProfile,
         rhs = laplacian_batch(f, x) / gn + profile.b_prime(fv) / (2.0 * np.sqrt(b))
         return np.abs(level_mean_curvature_batch(f, x) - rhs)
 
-    residuals, skipped = _regular_sweep(f, as_points(points), residual)
+    residuals, skipped = _regular_sweep(f, _gradient_points(f, points), residual)
     return ResidualReport.from_residuals(
         "mean_curvature_identity", residuals, tol, skipped,
         provenance=f"|h - (laplacian/|grad| + b'/(2 sqrt b))| for f = {f.label}")

@@ -20,6 +20,8 @@ from kontact.harmonic import (
 )
 from kontact.manifold import random_tangents
 
+from finite_differences import fd_curve_derivative_5pt
+
 
 @pytest.fixture(scope="module")
 def reeb3(pair3):
@@ -310,7 +312,7 @@ def test_exact_mean_curvature_derivative_matches_finite_differences(dim):
     exact = mean_curvature_derivative(zf.field, x, u)
     for p, row, dirs in zip(pts, exact, u):
         for value, d in zip(row, dirs):
-            fd = ad.fd_curve_derivative_5pt(
+            fd = fd_curve_derivative_5pt(
                 lambda c: mean_curvature_of_field(zf, kt.SpherePoint.from_array(c)),
                 p.coords, d)
             assert abs(value - fd) <= 1e-6

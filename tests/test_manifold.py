@@ -19,6 +19,7 @@ from kontact.manifold import (
     divergence,
     extension_of,
     proj_np,
+    projected_eval,
     random_tangents,
     sample_coords,
     scalar_curve_derivative,
@@ -350,15 +351,17 @@ def malformed(x, case):
 @pytest.mark.parametrize("case", ["non-unit row", "nan row", "wrong width", "one point"])
 def test_as_points_and_checkers_reject_malformed_points(pair3, pts3, angle3, case):
     bad = malformed(np.array([p.coords for p in pts3[:5]]), case)
+    n_field = kt.normalized_gradient_unit_field(angle3)
     for check in (lambda: as_points(bad, 4),
                   lambda: kt.check_axiom_ii(pair3.s_alpha, bad),
                   lambda: kt.commuting_invariants_check(pair3, bad),
-                  lambda: kt.laplacian_formula_check(pair3, bad)):
+                  lambda: kt.laplacian_formula_check(pair3, bad),
+                  lambda: kt.check_geodesic(angle3, bad),
+                  lambda: kt.mean_curvature_identity_check(angle3, kt.ANGLE_PROFILE, bad),
+                  lambda: kt.harmonicity_check(n_field, bad),
+                  lambda: kt.critical_condition_check(n_field, bad)):
         with pytest.raises(GeometryError):
             check()
-    if case != "wrong width":
-        with pytest.raises(GeometryError):
-            kt.check_geodesic(angle3, bad)
 
 
 def test_sweep_keeps_point_order_across_blocks(monkeypatch):
@@ -438,3 +441,83 @@ def test_sphere_volume_values():
     assert abs(kt.sphere_volume(3) - 2.0 * np.pi ** 2) < 1e-12
     assert abs(kt.sphere_volume(5) - np.pi ** 3) < 1e-12
     assert abs(kt.sphere_volume(7) - np.pi ** 4 / 3.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# shape_matrix and cov_deriv_batch against the projected-field Jacobian
+
+def projected_shape_matrix(field, x):
+    """Oracle: P·Jac(P·V)·P, the Jacobian of the projected composite."""
+    dim = x.shape[-1]
+    rows = ad.jacobian_rows(lambda y: projected_eval(field, y), x, dim)
+    proj = np.eye(dim) - x[..., :, None] * x[..., None, :]
+    return proj @ ad.axis0_to_last(ad.value(rows)) @ proj
+
+
+def projected_cov_deriv(field, x, u):
+    """Oracle: P·D_u(P·V), the derivative of the projected composite."""
+    return proj_np(x, ad.value(ad.directional(lambda y: projected_eval(field, y), x, u)))
+
+
+def gauss_fields(dim):
+    """(label, field, guard) on S^(dim-1): fields whose raw formulas are
+    tangent on the sphere, and two whose raw formulas have ⟨x, V⟩ ≠ 0."""
+    pair = kt.standard_pair(dim - 1)
+    angle = pair.angle_function()
+    coeff = np.random.default_rng(dim).standard_normal((3, dim))
+    jm = pair.s_alpha.j_ambient.mat
+    twisted = kt.twisted_unit_field(*coeff)
+    gradient = kt.normalized_gradient_unit_field(angle)
+    return [
+        ("reeb", pair.s_alpha.reeb_field(), None),
+        ("unit gradient", gradient.field, gradient.guard),
+        ("twisted", twisted.field, twisted.guard),
+        ("projected constant", constant_field(coeff[0]), None),
+        ("raw constant", kt.AmbientVectorField(lambda x: ad.lift(coeff[0], x)), None),
+        ("x + Jx", kt.AmbientVectorField(lambda x: x + ad.matvec(jm, x)), None),
+    ]
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8], ids=["s3", "s5", "s7"])
+def test_closed_form_gauss_derivative_matches_the_projected_jacobian(dim):
+    x = sample_coords(300, dim, dim)
+    u = proj_np(x, np.random.default_rng(dim + 1).standard_normal(x.shape))
+    off_tangent = 0.0
+    for label, field, guard in gauss_fields(dim):
+        keep = np.ones(len(x), dtype=bool) if guard is None else guard(x)
+        y, w = x[keep], u[keep]
+        assert len(y) > 200, label
+        xv = manifold.inner(y, np.asarray(ad.value(field.eval(y))))
+        off_tangent = max(off_tangent, float(np.max(np.abs(xv))))
+        ref = projected_shape_matrix(field, y)
+        got = shape_matrix(field, y)
+        scale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
+        err = np.max(np.abs(got - ref), axis=(-2, -1)) / scale
+        assert np.max(err) < 1e-13, (label, np.max(err))
+        ref = projected_cov_deriv(field, y, w)
+        got = manifold.cov_deriv_batch(field, y, w)
+        scale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
+        err = np.max(np.abs(got - ref), axis=-1) / scale
+        assert np.max(err) < 1e-13, (label, np.max(err))
+    # Only where ⟨x, V⟩ ≠ 0 does the −⟨x, V⟩·P term of the closed form count.
+    assert off_tangent > 0.1
+
+
+@pytest.mark.parametrize("make", [lambda c: (lambda x: ad.lift(c, x)),
+                                  lambda c: (lambda x: c)],
+                         ids=["zero dual part", "no dual part"])
+def test_shape_matrix_keeps_its_shape_for_constant_raw_formulas(make):
+    c = np.array([0.3, -1.0, 0.2, 0.7])
+    field = kt.AmbientVectorField(make(c))
+    x = sample_coords(5, 4, 4)
+    u = proj_np(x, np.ones(4))
+    one = shape_matrix(field, x[0])
+    batch = shape_matrix(field, x)
+    assert one.shape == (4, 4) and batch.shape == (5, 4, 4)
+    assert np.array_equal(one, batch[0])
+    assert np.max(np.abs(batch - projected_shape_matrix(field, x))) < 1e-14
+    assert manifold.cov_deriv_batch(field, x[0], u[0]).shape == (4,)
+    fan = np.repeat(u[:, None], 3, axis=1)
+    assert manifold.cov_deriv_batch(field, x[:, None], fan).shape == (5, 3, 4)
+    assert np.max(np.abs(manifold.cov_deriv_batch(field, x, u)
+                         - projected_cov_deriv(field, x, u))) < 1e-14

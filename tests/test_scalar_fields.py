@@ -14,6 +14,8 @@ from kontact.scalar_fields import (
     mean_curvature_frame_sum,
 )
 
+from finite_differences import fd_second_directional
+
 Q = kt.SpherePoint(np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0))
 
 CONST = ScalarField(eval=lambda x: ad.dot(x, x) * 0.0 + 2.5, label="const")
@@ -97,7 +99,7 @@ def test_hessian_finite_difference_cross_check(angle3, pts3, rng):
     for p in pts3[:3]:
         u, v = random_tangents(p, rng, 2)
         got = kt.hessian(angle3, u, v)
-        approx = ad.fd_second_directional(
+        approx = fd_second_directional(
             lambda x: float(ad.value(angle3.eval(x / np.linalg.norm(x)))),
             p.coords, u.vec, v.vec)
         assert abs(got - approx) < 1e-5
