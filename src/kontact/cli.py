@@ -331,6 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Bad input, and a --samples too large to allocate, end a command with
+# exit status 2 and a one-line message instead of a traceback.
+_RUN_ERRORS = (ValueError, GeometryError, MemoryError)
+
+
 def _cmd_verify(args) -> int:
     try:
         config = SuiteConfig(manifold=args.manifold, samples=args.samples,
@@ -339,7 +344,7 @@ def _cmd_verify(args) -> int:
                              output_path=args.output_path, format=args.format,
                              include_timestamp=args.timestamp)
         reports = run_suite(config)
-    except (ValueError, GeometryError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for r in reports:
@@ -394,7 +399,7 @@ def _cmd_energy(args) -> int:
     try:
         zf, closed = _energy_field(args, pair)
         est = energy(zf, args.samples, args.seed, pair.ambient_dim)
-    except (ValueError, GeometryError) as exc:
+    except _RUN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = {

@@ -19,7 +19,14 @@ Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 and a unit field's guard maps points (..., m+1) to a mask the same way;
 checks skip the points outside the guard.  :func:`energy` draws its
 samples with ``manifold.sample_coords`` and evaluates them in blocks of
-``manifold.BLOCK``, the block size of every check, to bound memory.
+``manifold.BLOCK``, the block size of every check.  Its integrand is
+tr L_Z = m + ‖S‖²_F (S the shape matrix, ∇_u Z = S u), and ‖S‖²_F
+comes from invariants of the raw Jacobian J of Z's formula: with
+a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, Z⟩,
+
+    ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
+
+so neither P = I − x xᵀ nor S is formed (``manifold.shape_norm_sq``).
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .manifold import (
     projected_eval,
     sample_coords,
     shape_matrix,
+    shape_norm_sq,
     sphere_volume,
     sweep,
 )
@@ -197,7 +205,9 @@ def pullback_metric(zf: UnitVectorField, u: TangentVector,
 
 
 def trace_l(zf: UnitVectorField, p: SpherePoint) -> float:
-    """tr L_Z = m + ‖∇Z‖²  (Frobenius norm of the shape operator)."""
+    """tr L_Z = m + ‖∇Z‖² (Frobenius norm of the shape operator), from the
+    shape matrix itself: the one-point reference for :func:`_trace_l_batch`,
+    which takes the same norm from invariants of the raw Jacobian."""
     a = weingarten_ambient_matrix(zf, p)
     return p.dim + float(np.sum(a * a))
 
@@ -207,9 +217,10 @@ def trace_l(zf: UnitVectorField, p: SpherePoint) -> float:
 
 def _trace_l_batch(zf: UnitVectorField, points: np.ndarray) -> np.ndarray:
     """tr L_Z = m + ‖S‖²_F over a batch of points (rows of unit vectors),
-    S the shape matrix of the field."""
-    a = shape_matrix(zf.field, points)
-    return (points.shape[-1] - 1) + np.sum(a * a, axis=(-2, -1))
+    S the shape matrix of the field, with ‖S‖²_F taken from invariants of
+    the raw Jacobian (``manifold.shape_norm_sq``, formula in the module
+    docstring), so no (m+1)×(m+1) matrix per point is built."""
+    return (points.shape[-1] - 1) + shape_norm_sq(zf.field, points)
 
 
 def energy(zf: UnitVectorField, sample_size: int, seed: int,
@@ -218,9 +229,11 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
 
     Guarded-out points contribute zero, so for a guard that excludes a
     positive-measure region this estimates the energy of the restricted
-    domain.  The guard and tr L_Z run over blocks of ``manifold.BLOCK``
-    samples to bound memory; summation is a single deterministic pairwise
-    reduction over all samples.
+    domain.  The points and the integrand values are held for all samples,
+    so memory is O(sample_size); the guard and tr L_Z run over blocks of
+    ``manifold.BLOCK`` samples, which bounds only the per-block Jacobians.
+    Summation is a single deterministic pairwise reduction over all
+    samples.
     """
     if sample_size < 2:
         raise ValueError("samples must be >= 2 for a standard error")

@@ -6,13 +6,13 @@ stands for its projection F = P·V, P = I − x xᵀ, so the raw formula
 need not be tangent off the sphere.  The Levi-Civita connection is the
 tangential part of the ambient derivative of F (Gauss formula), which
 on the unit sphere has the closed form P·D_u F = P·D_u V − ⟨x, V⟩·P u:
-:func:`shape_matrix` and :func:`cov_deriv_batch` differentiate the raw
-formula only.  The kernels that nest derivatives (:func:`divergence`,
-:func:`lie_bracket_batch` and their kin) differentiate F itself through
-:func:`projected_eval`, off the sphere too.  Curvature and Ricci come in
-two flavours each: the exact constant-curvature expressions and
-numerical versions assembled from covariant derivatives, kept as mutual
-cross-checks.
+:func:`shape_matrix`, its Frobenius norm :func:`shape_norm_sq` and
+:func:`cov_deriv_batch` differentiate the raw formula only.  The kernels
+that nest derivatives (:func:`divergence`, :func:`lie_bracket_batch` and
+their kin) differentiate F itself through :func:`projected_eval`, off
+the sphere too.  Curvature and Ricci come in two flavours each: the
+exact constant-curvature expressions and numerical versions assembled
+from covariant derivatives, kept as mutual cross-checks.
 
 Batch convention (package-wide): points are (N, m+1) arrays of unit
 rows, drawn in batches by :func:`sample_coords` and validated once per
@@ -311,6 +311,19 @@ def lie_bracket(V: AmbientVectorField, W: AmbientVectorField,
     return TangentVector(p, lie_bracket_batch(V, W, p.coords))
 
 
+def _raw_jacobian(field: AmbientVectorField, x: np.ndarray):
+    """x as floats, V(x) and the Jacobian rows of the raw formula V =
+    ``field.eval`` from one dual evaluation: rows[j, ..., i] = ∂_j V_i, the
+    direction axis leading.  V and the rows are broadcast to the full batch
+    shape, so constant formulas, formulas with no dual part and size-1
+    direction axes give one row per point."""
+    x = np.asarray(x, dtype=float)
+    dim = x.shape[-1]
+    v, rows = _raw_dual(field, x, ad.axis_directions(x, dim))
+    v = np.broadcast_to(v, (dim,) + x.shape)[0]
+    return x, v, np.broadcast_to(rows, (dim,) + x.shape)
+
+
 def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     """S = P·J·P − ⟨x, V⟩·P at the points x, shape (..., m+1, m+1), so
     that u ↦ S u is u ↦ ∇_u V on T_x.
@@ -320,13 +333,33 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     Gauss formula) in closed form: P·D_u F = P·D_u V − ⟨x, V⟩·P u on the
     unit sphere, for tangent and non-tangent raw formulas alike.
     """
-    x = np.asarray(x, dtype=float)
-    dim = x.shape[-1]
-    v, rows = _raw_dual(field, x, ad.axis_directions(x, dim))
-    v = np.broadcast_to(v, (dim,) + x.shape)[0]
-    jac = np.moveaxis(np.broadcast_to(rows, (dim,) + x.shape), 0, -1)
-    proj = np.eye(dim) - x[..., :, None] * x[..., None, :]
+    x, v, rows = _raw_jacobian(field, x)
+    jac = np.moveaxis(rows, 0, -1)
+    proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
     return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
+
+
+def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
+    """‖S‖²_F for the shape matrix S of :func:`shape_matrix` at the points
+    x, shape (...), without forming P or S.
+
+    With J the raw Jacobian, a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, V⟩,
+    expanding S = P·J·P − k·P at unit x gives
+
+        ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
+
+    which costs O((m+1)²) per point instead of two (m+1)×(m+1) products.
+    """
+    x, v, rows = _raw_jacobian(field, x)
+    a = np.einsum("j...i,...j->...i", rows, x)
+    b = np.einsum("j...i,...i->...j", rows, x)
+    c = np.einsum("...i,...i->...", a, x)
+    k = np.einsum("...i,...i->...", v, x)
+    return (np.einsum("j...i,j...i->...", rows, rows)
+            - np.einsum("...i,...i->...", a, a)
+            - np.einsum("...i,...i->...", b, b) + c * c
+            - 2.0 * k * (np.einsum("i...i->...", rows) - c)
+            + k * k * (x.shape[-1] - np.einsum("...i,...i->...", x, x)))
 
 
 def divergence(field: AmbientVectorField, y):

@@ -235,6 +235,25 @@ def test_cli_energy_rejects_bad_input(args, capsys):
     assert out.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, where", [
+    (["verify", "s3"], "kontact.cli.sample_coords"),
+    (["energy", "s3"], "kontact.harmonic.sample_coords"),
+], ids=["verify", "energy"])
+def test_cli_reports_samples_too_large_to_allocate(command, where, monkeypatch,
+                                                   capsys):
+    def too_large(count, *args, **kwargs):
+        raise MemoryError(f"Unable to allocate 29.1 TiB for an array with "
+                          f"shape ({count}, 4) and data type float64")
+
+    monkeypatch.setattr(where, too_large)
+    code = main([*command, "--samples", "1000000000000"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("error: Unable to allocate 29.1 TiB for an array with "
+                       "shape (1000000000000, 4) and data type float64\n")
+
+
 def test_thread_env_does_not_change_output(small_reports, monkeypatch):
     # KONTACT_THREADS is no longer read: any value gives the serial reports
     for value in ("3", "0"):

@@ -24,6 +24,7 @@ from kontact.manifold import (
     sample_coords,
     scalar_curve_derivative,
     shape_matrix,
+    shape_norm_sq,
     sweep,
 )
 
@@ -494,12 +495,17 @@ def test_closed_form_gauss_derivative_matches_the_projected_jacobian(dim):
         scale = np.maximum(1.0, np.max(np.abs(ref), axis=(-2, -1)))
         err = np.max(np.abs(got - ref), axis=(-2, -1)) / scale
         assert np.max(err) < 1e-13, (label, np.max(err))
+        # tr L = m + ‖S‖²_F from the Jacobian invariants against the matrix
+        trace = (dim - 1) + np.sum(got * got, axis=(-2, -1))
+        err = np.abs((dim - 1) + shape_norm_sq(field, y) - trace) / trace
+        assert np.max(err) < 1e-13, (label, np.max(err))
         ref = projected_cov_deriv(field, y, w)
         got = manifold.cov_deriv_batch(field, y, w)
         scale = np.maximum(1.0, np.max(np.abs(ref), axis=-1))
         err = np.max(np.abs(got - ref), axis=-1) / scale
         assert np.max(err) < 1e-13, (label, np.max(err))
-    # Only where ⟨x, V⟩ ≠ 0 does the −⟨x, V⟩·P term of the closed form count.
+    # Only where ⟨x, V⟩ ≠ 0 do the −⟨x, V⟩·P term of the closed form and the
+    # k = ⟨x, V⟩ terms of shape_norm_sq count.
     assert off_tangent > 0.1
 
 
@@ -516,6 +522,10 @@ def test_shape_matrix_keeps_its_shape_for_constant_raw_formulas(make):
     assert one.shape == (4, 4) and batch.shape == (5, 4, 4)
     assert np.array_equal(one, batch[0])
     assert np.max(np.abs(batch - projected_shape_matrix(field, x))) < 1e-14
+    norm_one, norm_batch = shape_norm_sq(field, x[0]), shape_norm_sq(field, x)
+    assert norm_one.shape == () and norm_batch.shape == (5,)
+    assert norm_one == norm_batch[0]
+    assert np.max(np.abs(norm_batch - np.sum(batch * batch, axis=(-2, -1)))) < 1e-14
     assert manifold.cov_deriv_batch(field, x[0], u[0]).shape == (4,)
     fan = np.repeat(u[:, None], 3, axis=1)
     assert manifold.cov_deriv_batch(field, x[:, None], fan).shape == (5, 3, 4)
