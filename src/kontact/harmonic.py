@@ -27,6 +27,10 @@ a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, Z⟩,
     ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
 
 so neither P = I − x xᵀ nor S is formed (``manifold.shape_norm_sq``).
+Where J does not depend on x, as for every Reeb field x ↦ Jx, it stays
+one (m+1)×(m+1) matrix: a and b are one matmul each per block, and
+‖J‖²_F and tr J are computed once.  A block the guard keeps whole is
+written in place, without a mask.
 """
 
 from __future__ import annotations
@@ -243,7 +247,9 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     for sl in blocks(sample_size, manifold.BLOCK):
         x = points[sl]
         mask = np.asarray(zf.guard(x), dtype=bool)
-        if np.any(mask):
+        if mask.all():
+            vals[sl] = _trace_l_batch(zf, x)
+        elif mask.any():
             vals[sl][mask] = _trace_l_batch(zf, x[mask])
         kept += int(np.count_nonzero(mask))
     if kept == 0:

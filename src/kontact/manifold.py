@@ -314,14 +314,19 @@ def lie_bracket(V: AmbientVectorField, W: AmbientVectorField,
 def _raw_jacobian(field: AmbientVectorField, x: np.ndarray):
     """x as floats, V(x) and the Jacobian rows of the raw formula V =
     ``field.eval`` from one dual evaluation: rows[j, ..., i] = ∂_j V_i, the
-    direction axis leading.  V and the rows are broadcast to the full batch
-    shape, so constant formulas, formulas with no dual part and size-1
-    direction axes give one row per point."""
+    direction axis leading, and whether the rows are constant.  V is
+    broadcast to the shape of x.  Rows whose dual part has no batch axes
+    (any linear or constant formula) do not depend on x; they keep size-1
+    batch axes, shape (m+1,) + (1,)*lead + (m+1,).  Other rows are
+    broadcast to the full batch shape (m+1,) + x.shape."""
     x = np.asarray(x, dtype=float)
     dim = x.shape[-1]
-    v, rows = _raw_dual(field, x, ad.axis_directions(x, dim))
+    d = ad.axis_directions(x, dim)
+    v, rows = _raw_dual(field, x, d)
     v = np.broadcast_to(v, (dim,) + x.shape)[0]
-    return x, v, np.broadcast_to(rows, (dim,) + x.shape)
+    if np.broadcast_shapes(np.shape(rows), d.shape) == d.shape:
+        return x, v, np.broadcast_to(rows, d.shape), True
+    return x, v, np.broadcast_to(rows, (dim,) + x.shape), False
 
 
 def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
@@ -333,8 +338,8 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     Gauss formula) in closed form: P·D_u F = P·D_u V − ⟨x, V⟩·P u on the
     unit sphere, for tangent and non-tangent raw formulas alike.
     """
-    x, v, rows = _raw_jacobian(field, x)
-    jac = np.moveaxis(rows, 0, -1)
+    x, v, rows, _ = _raw_jacobian(field, x)
+    jac = np.moveaxis(np.broadcast_to(rows, (x.shape[-1],) + x.shape), 0, -1)
     proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
     return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
 
@@ -349,16 +354,29 @@ def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
         ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
 
     which costs O((m+1)²) per point instead of two (m+1)×(m+1) products.
+    When J does not depend on x (a linear formula, as every Reeb field,
+    or a constant one), it stays one (m+1)×(m+1) matrix: a and b are one
+    matmul each over all the points, and ‖J‖²_F and tr J are scalars.
+    Otherwise the invariants are contracted point by point.
     """
-    x, v, rows = _raw_jacobian(field, x)
-    a = np.einsum("j...i,...j->...i", rows, x)
-    b = np.einsum("j...i,...i->...j", rows, x)
+    x, v, rows, constant = _raw_jacobian(field, x)
+    if constant:
+        jt = rows.reshape(x.shape[-1], x.shape[-1])     # jt[j, i] = J[i, j]
+        a = x @ jt
+        b = x @ jt.T
+        frob = np.einsum("ji,ji->", jt, jt)
+        trace = np.trace(jt)
+    else:
+        a = np.einsum("j...i,...j->...i", rows, x)
+        b = np.einsum("j...i,...i->...j", rows, x)
+        frob = np.einsum("j...i,j...i->...", rows, rows)
+        trace = np.einsum("i...i->...", rows)
     c = np.einsum("...i,...i->...", a, x)
     k = np.einsum("...i,...i->...", v, x)
-    return (np.einsum("j...i,j...i->...", rows, rows)
+    return (frob
             - np.einsum("...i,...i->...", a, a)
             - np.einsum("...i,...i->...", b, b) + c * c
-            - 2.0 * k * (np.einsum("i...i->...", rows) - c)
+            - 2.0 * k * (trace - c)
             + k * k * (x.shape[-1] - np.einsum("...i,...i->...", x, x)))
 
 
@@ -599,9 +617,12 @@ def sample_coords(count: int, seed: int, ambient_dim: int,
     max_draws = max(10_000, 200 * count)
     while accepted < count:
         g = rng.standard_normal((max(count - accepted, 64), ambient_dim))
-        norms = np.linalg.norm(g, axis=1)
+        norms = np.sqrt(np.add.reduce(g * g, axis=1))   # np.linalg.norm's sum
         keep = norms != 0.0
-        np.divide(g, norms[:, None], out=g, where=keep[:, None])
+        if keep.all():
+            g /= norms[:, None]
+        else:
+            np.divide(g, norms[:, None], out=g, where=keep[:, None])
         if exclusion is not None:
             keep[keep] = ~np.asarray(exclusion(g[keep]), dtype=bool)
         rows = np.flatnonzero(keep)[:count - accepted]

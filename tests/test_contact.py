@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kontact as kt
-from kontact import ad
+from kontact import ad, contact
 from kontact.contact import (
     check_phi_skew,
     exterior_derivative,
@@ -25,6 +25,40 @@ def test_standard_structure_reeb_values(pair3):
 def test_build_validates_on_sample(pair3):
     s = kt.build_from_complex_structure(pair3.s_alpha.j_ambient, validate=True)
     assert s.sigma in (1, -1)
+
+
+def seeded_generators(dim):
+    """The shipped generators of S^dim, and ±Q·J·Qᵀ for a seeded orthogonal Q."""
+    pair = kt.standard_pair(dim)
+    q, _ = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim + 1, dim + 1)))
+    j = pair.s_alpha.j_ambient.mat
+    return [pair.s_alpha.j_ambient, pair.s_beta.j_ambient,
+            kt.OrthoComplexStructure(q @ j @ q.T),
+            kt.OrthoComplexStructure(-(q @ j @ q.T))]
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_sigma_probe_takes_d_alpha_once(dim, monkeypatch):
+    calls = []
+    real = contact.exterior_derivative_batch
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(contact, "exterior_derivative_batch", counting)
+    for j in seeded_generators(dim):
+        calls.clear()
+        assert kt.build_from_complex_structure(j).sigma == -1
+        assert len(calls) == 1
+
+
+def test_sigma_probe_rejects_a_phi_that_fits_neither_sign(pair3, monkeypatch):
+    real = contact.ContactMetricStructure.phi_at
+    monkeypatch.setattr(contact.ContactMetricStructure, "phi_at",
+                        lambda self, x, u: 2.0 * real(self, x, u))
+    with pytest.raises(kt.ConstructionError):
+        kt.build_from_complex_structure(pair3.s_alpha.j_ambient)
 
 
 def test_s5_structure_passes_axioms(pair5, pts5):

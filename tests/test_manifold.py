@@ -329,6 +329,37 @@ def test_sample_coords_digest_is_pinned(dim, digest):
     assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("dim, digest", [(3, "456bbe3c660c78b2"),
+                                         (7, "6ef07b233069cd31")])
+def test_energy_draw_digest_is_pinned(dim, digest):
+    # the 20 000 energy_reeb samples of a default verify (seed 42 + 1)
+    x = sample_coords(20_000, 43, dim + 1)
+    assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
+
+
+def test_sample_coords_rejects_an_all_zero_draw(monkeypatch):
+    real = np.random.default_rng
+
+    class ZeroRowFirst:
+        def __init__(self, seed):
+            self.rng, self.first = real(seed), True
+
+        def standard_normal(self, shape):
+            g = self.rng.standard_normal(shape)
+            if self.first:
+                g[3], self.first = 0.0, False
+            return g
+
+    monkeypatch.setattr(np.random, "default_rng", ZeroRowFirst)
+    x = sample_coords(100, 5, 4)
+    monkeypatch.undo()
+    rng = np.random.default_rng(5)
+    g = np.concatenate([np.delete(rng.standard_normal((100, 4)), 3, axis=0),
+                        rng.standard_normal((64, 4))[:1]])
+    assert np.array_equal(x, g / np.linalg.norm(g, axis=1)[:, None])
+    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) < 1e-15
+
+
 def test_as_points_takes_arrays_and_point_lists(pts3):
     x = np.array([p.coords for p in pts3])
     assert np.array_equal(as_points(pts3, 4), x)
@@ -507,6 +538,37 @@ def test_closed_form_gauss_derivative_matches_the_projected_jacobian(dim):
     # Only where ⟨x, V⟩ ≠ 0 do the −⟨x, V⟩·P term of the closed form and the
     # k = ⟨x, V⟩ terms of shape_norm_sq count.
     assert off_tangent > 0.1
+
+
+def constant_jacobian_fields(dim):
+    """(label, field) on S^(dim-1) whose raw Jacobian does not depend on x."""
+    pair = kt.standard_pair(dim - 1)
+    mat = np.random.default_rng(dim + 2).standard_normal((dim, dim))
+    c = np.linspace(-1.0, 1.0, dim)
+    return [
+        ("reeb alpha", pair.s_alpha.reeb_field()),
+        ("reeb beta", pair.s_beta.reeb_field()),
+        ("non-skew linear", kt.linear_field(mat)),
+        ("zero dual part", kt.AmbientVectorField(lambda x: ad.lift(c, x))),
+        ("no dual part", kt.AmbientVectorField(lambda x: c)),
+    ]
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8], ids=["s3", "s5", "s7"])
+def test_shape_norm_sq_keeps_a_constant_jacobian_as_one_matrix(dim):
+    x = sample_coords(60, dim + 3, dim)
+    gradient = kt.normalized_gradient_unit_field(kt.standard_pair(dim - 1).angle_function())
+    assert not manifold._raw_jacobian(gradient.field, x)[3]
+    for label, field in constant_jacobian_fields(dim):
+        if label == "non-skew linear":
+            assert np.max(np.abs(manifold.inner(x, ad.value(field.eval(x))))) > 0.1
+        for y in (x, x[0], x[:1], x[:6].reshape(2, 3, dim)):
+            assert manifold._raw_jacobian(field, y)[3], label
+            s = shape_matrix(field, y)
+            ref = (dim - 1) + np.sum(s * s, axis=(-2, -1))
+            got = (dim - 1) + shape_norm_sq(field, y)
+            assert got.shape == ref.shape == y.shape[:-1], label
+            assert np.max(np.abs(got - ref) / ref) < 1e-13, (label, y.shape)
 
 
 @pytest.mark.parametrize("make", [lambda c: (lambda x: ad.lift(c, x)),
