@@ -173,25 +173,20 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha",
                                  ) -> ContactMetricStructure:
     """Build the contact metric structure, fixing sigma via the dα axiom.
 
-    α does not depend on sigma, so dα is taken once, on seeded probe
-    points and tangent directions u, v, and both signs are tested
-    against it; the one satisfying dα(u,v) = 2 g(u, φv) is kept.  Under
-    the frozen convention dα(u,v) = ⟨D_u α, v⟩ − ⟨D_v α, u⟩ = 2⟨v, Ju⟩ =
-    −2⟨u, Jv⟩ for skew J, while 2 g(u, φv) = 2σ⟨u, Jv⟩ for u ⟂ x, so
-    sigma = −1 for every generator; the probe checks that rather than
-    assuming it.  If neither sign works the generator is inconsistent
-    with the frozen conventions.
+    Under the frozen convention dα(u,v) = ⟨D_u α, v⟩ − ⟨D_v α, u⟩ =
+    2⟨v, Ju⟩ = −2⟨u, Jv⟩ for skew J, while 2 g(u, φv) = 2σ⟨u, Jv⟩ for
+    u ⟂ x, so sigma = −1 for every generator.  The structure is built
+    with sigma = −1 and dα is taken once, on seeded probe points and
+    tangent directions u, v, to check that rather than assume it; if
+    it fails the generator is inconsistent with the frozen conventions.
     """
     x = sample_coords(4, PROBE_SEED, j.ambient_dim)
     uv = random_tangent_batch(x, np.random.default_rng(PROBE_SEED + 1), (2,))
     u, v = uv[:, 0], uv[:, 1]
-    candidates = [ContactMetricStructure(j, sigma, label=label) for sigma in (-1, 1)]
-    lhs = exterior_derivative_batch(candidates[0].alpha_coeffs, x, u, v)
-    chosen = next((s for s in candidates
-                   if np.max(np.abs(lhs - 2.0 * inner(u, s.phi_at(x, v)))) < 1e-6),
-                  None)
-    if chosen is None:
-        raise ConstructionError("neither sign satisfies the dα compatibility")
+    chosen = ContactMetricStructure(j, -1, label=label)
+    lhs = exterior_derivative_batch(chosen.alpha_coeffs, x, u, v)
+    if np.max(np.abs(lhs - 2.0 * inner(u, chosen.phi_at(x, v)))) >= 1e-6:
+        raise ConstructionError("sigma = -1 does not satisfy the dα compatibility")
     if validate:
         pts = sample_coords(200, PROBE_SEED + 7, j.ambient_dim)
         for rep in (check_axiom_volume(chosen, pts),

@@ -29,8 +29,7 @@ a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, Z⟩,
 so neither P = I − x xᵀ nor S is formed (``manifold.shape_norm_sq``).
 Where J does not depend on x, as for every Reeb field x ↦ Jx, it stays
 one (m+1)×(m+1) matrix: a and b are one matmul each per block, and
-‖J‖²_F and tr J are computed once.  A block the guard keeps whole is
-written in place, without a mask.
+‖J‖²_F and tr J are computed once.
 """
 
 from __future__ import annotations
@@ -247,9 +246,7 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     for sl in blocks(sample_size, manifold.BLOCK):
         x = points[sl]
         mask = np.asarray(zf.guard(x), dtype=bool)
-        if mask.all():
-            vals[sl] = _trace_l_batch(zf, x)
-        elif mask.any():
+        if np.any(mask):
             vals[sl][mask] = _trace_l_batch(zf, x[mask])
         kept += int(np.count_nonzero(mask))
     if kept == 0:

@@ -314,19 +314,15 @@ def lie_bracket(V: AmbientVectorField, W: AmbientVectorField,
 def _raw_jacobian(field: AmbientVectorField, x: np.ndarray):
     """x as floats, V(x) and the Jacobian rows of the raw formula V =
     ``field.eval`` from one dual evaluation: rows[j, ..., i] = ∂_j V_i, the
-    direction axis leading, and whether the rows are constant.  V is
-    broadcast to the shape of x.  Rows whose dual part has no batch axes
-    (any linear or constant formula) do not depend on x; they keep size-1
-    batch axes, shape (m+1,) + (1,)*lead + (m+1,).  Other rows are
-    broadcast to the full batch shape (m+1,) + x.shape."""
+    direction axis leading.  V is broadcast to the shape of x and the rows
+    only against the axis directions, so rows that do not depend on x (any
+    linear or constant formula) keep size-1 batch axes."""
     x = np.asarray(x, dtype=float)
     dim = x.shape[-1]
     d = ad.axis_directions(x, dim)
     v, rows = _raw_dual(field, x, d)
     v = np.broadcast_to(v, (dim,) + x.shape)[0]
-    if np.broadcast_shapes(np.shape(rows), d.shape) == d.shape:
-        return x, v, np.broadcast_to(rows, d.shape), True
-    return x, v, np.broadcast_to(rows, (dim,) + x.shape), False
+    return x, v, np.broadcast_to(rows, np.broadcast_shapes(np.shape(rows), d.shape))
 
 
 def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
@@ -338,7 +334,7 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     Gauss formula) in closed form: P·D_u F = P·D_u V − ⟨x, V⟩·P u on the
     unit sphere, for tangent and non-tangent raw formulas alike.
     """
-    x, v, rows, _ = _raw_jacobian(field, x)
+    x, v, rows = _raw_jacobian(field, x)
     jac = np.moveaxis(np.broadcast_to(rows, (x.shape[-1],) + x.shape), 0, -1)
     proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
     return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
@@ -354,13 +350,14 @@ def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
         ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
 
     which costs O((m+1)²) per point instead of two (m+1)×(m+1) products.
-    When J does not depend on x (a linear formula, as every Reeb field,
-    or a constant one), it stays one (m+1)×(m+1) matrix: a and b are one
+    When the rows have only size-1 batch axes, because J does not depend
+    on x (a linear formula, as every Reeb field, or a constant one) or
+    there is one point, J stays one (m+1)×(m+1) matrix: a and b are one
     matmul each over all the points, and ‖J‖²_F and tr J are scalars.
     Otherwise the invariants are contracted point by point.
     """
-    x, v, rows, constant = _raw_jacobian(field, x)
-    if constant:
+    x, v, rows = _raw_jacobian(field, x)
+    if all(n == 1 for n in rows.shape[1:-1]):
         jt = rows.reshape(x.shape[-1], x.shape[-1])     # jt[j, i] = J[i, j]
         a = x @ jt
         b = x @ jt.T
@@ -619,10 +616,7 @@ def sample_coords(count: int, seed: int, ambient_dim: int,
         g = rng.standard_normal((max(count - accepted, 64), ambient_dim))
         norms = np.sqrt(np.add.reduce(g * g, axis=1))   # np.linalg.norm's sum
         keep = norms != 0.0
-        if keep.all():
-            g /= norms[:, None]
-        else:
-            np.divide(g, norms[:, None], out=g, where=keep[:, None])
+        g /= np.where(keep, norms, 1.0)[:, None]
         if exclusion is not None:
             keep[keep] = ~np.asarray(exclusion(g[keep]), dtype=bool)
         rows = np.flatnonzero(keep)[:count - accepted]

@@ -558,12 +558,13 @@ def constant_jacobian_fields(dim):
 def test_shape_norm_sq_keeps_a_constant_jacobian_as_one_matrix(dim):
     x = sample_coords(60, dim + 3, dim)
     gradient = kt.normalized_gradient_unit_field(kt.standard_pair(dim - 1).angle_function())
-    assert not manifold._raw_jacobian(gradient.field, x)[3]
+    assert manifold._raw_jacobian(gradient.field, x)[2].shape == (dim,) + x.shape
     for label, field in constant_jacobian_fields(dim):
         if label == "non-skew linear":
             assert np.max(np.abs(manifold.inner(x, ad.value(field.eval(x))))) > 0.1
         for y in (x, x[0], x[:1], x[:6].reshape(2, 3, dim)):
-            assert manifold._raw_jacobian(field, y)[3], label
+            rows = manifold._raw_jacobian(field, y)[2]
+            assert rows.shape == (dim,) + (1,) * (y.ndim - 1) + (dim,), label
             s = shape_matrix(field, y)
             ref = (dim - 1) + np.sum(s * s, axis=(-2, -1))
             got = (dim - 1) + shape_norm_sq(field, y)
