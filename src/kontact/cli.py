@@ -120,14 +120,21 @@ class SuiteConfig:
         }
 
 
+# Default tolerances of the checks that combine sub-reports.
+COMBINED_TOL = {"contact_axioms": 1e-8, "kcontact": 1e-9, "sasakian": 1e-8}
+
+
 def combine_scaled(name: str, reports: Sequence[ResidualReport], tol: float,
                    provenance: str) -> ResidualReport:
-    """Aggregate sub-reports, rescaling each residual by tol/sub-tolerance
-    so that `max <= tol` still means every sub-check met its own bound."""
+    """Aggregate sub-reports gated at ``tol``.  Each residual is rescaled by
+    ``COMBINED_TOL[name]``/sub-tolerance, so at the default `max <= tol`
+    means every sub-check met its own bound and a tighter ``tol`` tightens
+    every one."""
+    unit = COMBINED_TOL[name]
     count = sum(r.count for r in reports)
     skipped = sum(r.skipped for r in reports)
-    mx = max((r.max * (tol / r.tolerance) for r in reports), default=0.0)
-    mean = (sum(r.mean * (tol / r.tolerance) * r.count for r in reports) / count
+    mx = max((r.max * (unit / r.tolerance) for r in reports), default=0.0)
+    mean = (sum(r.mean * (unit / r.tolerance) * r.count for r in reports) / count
             if count else 0.0)
     return ResidualReport(check_name=name, count=count, skipped=skipped,
                           max=float(mx), mean=float(mean), tolerance=float(tol),
@@ -144,18 +151,18 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
     dim = pair.dim
     structures = (pair.s_alpha, pair.s_beta)
 
-    def contact_axioms(tol=1e-8):
+    def contact_axioms(tol=COMBINED_TOL["contact_axioms"]):
         subs = [check(s, points) for s in structures
                 for check in (check_axiom_ii, check_axiom_iii, check_axiom_volume)]
         return combine_scaled(
             "contact_axioms", subs, tol,
             "axioms i-iii for both structures, sub-residuals scaled")
 
-    def kcontact(tol=1e-9):
+    def kcontact(tol=COMBINED_TOL["kcontact"]):
         return combine_scaled("kcontact", [check_kcontact(s, points) for s in structures],
                               tol, "both Reeb fields are infinitesimal isometries")
 
-    def sasakian(tol=1e-8):
+    def sasakian(tol=COMBINED_TOL["sasakian"]):
         return combine_scaled("sasakian", [check_sasakian(s, points) for s in structures],
                               tol, "covariant derivative identity for both structures")
 
@@ -234,9 +241,7 @@ def describe(manifold: str) -> dict:
     slope, offset = expected_laplacian_profile(pair)
     return {
         "manifold": manifold,
-        "dimension": dim,
-        "J1_blocks": list(pair.j1_blocks),
-        "J2_blocks": list(pair.j2_blocks),
+        **pair.to_descriptor(),
         "sigma_alpha": pair.s_alpha.sigma,
         "sigma_beta": pair.s_beta.sigma,
         "convention_ledger": dict(CONVENTION_LEDGER),

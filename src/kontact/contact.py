@@ -168,8 +168,7 @@ def exterior_derivative(coeff_field: Callable, a: TangentVector,
     return float(exterior_derivative_batch(coeff_field, a.base.coords, a.vec, b.vec))
 
 
-def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha",
-                                 validate: bool = False
+def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha"
                                  ) -> ContactMetricStructure:
     """Build the contact metric structure, fixing sigma via the dα axiom.
 
@@ -187,14 +186,6 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha",
     lhs = exterior_derivative_batch(chosen.alpha_coeffs, x, u, v)
     if np.max(np.abs(lhs - 2.0 * inner(u, chosen.phi_at(x, v)))) >= 1e-6:
         raise ConstructionError("sigma = -1 does not satisfy the dα compatibility")
-    if validate:
-        pts = sample_coords(200, PROBE_SEED + 7, j.ambient_dim)
-        for rep in (check_axiom_volume(chosen, pts),
-                    check_axiom_ii(chosen, pts),
-                    check_axiom_iii(chosen, pts),
-                    check_kcontact(chosen, pts)):
-            if not rep.passed:
-                raise ConstructionError(f"built structure fails {rep.check_name}")
     return chosen
 
 

@@ -76,7 +76,8 @@ GRADIENT_PAIRING = ("grad(angle) = 2*phi_alpha(reeb_beta) = 2*phi_beta(reeb_alph
 ANGLE_PROFILE = TransnormalProfile(b=lambda t: 4.0 * (1.0 - t * t),
                                    b_prime=lambda t: -8.0 * t)
 
-# Sub-residual bounds of phi_product_spectrum_check, rescaled to its tolerance.
+# Sub-residual bounds of phi_product_spectrum_check; its residual is in units
+# of EIG_TOL, its default tolerance.
 SYM_TOL = 1e-8
 COMMUTE_TOL = 1e-8
 EIG_TOL = 1e-7
@@ -90,10 +91,7 @@ class DoubleKContact:
 
     s_alpha: ContactMetricStructure
     s_beta: ContactMetricStructure
-    j1_blocks: Optional[tuple] = None
-    j2_blocks: Optional[tuple] = None
     degenerate: bool = False
-    experimental: bool = False
 
     @property
     def ambient_dim(self) -> int:
@@ -124,36 +122,20 @@ class DoubleKContact:
         return self.s_beta.reeb_at(p)
 
     def to_descriptor(self) -> dict:
-        if self.j1_blocks is None or self.j2_blocks is None:
-            raise ValueError("only block-generated pairs serialize to descriptors")
         return {
             "dimension": self.dim,
-            "J1_blocks": list(self.j1_blocks),
-            "J2_blocks": list(self.j2_blocks),
+            "J1": self.s_alpha.j_ambient.mat.tolist(),
+            "J2": self.s_beta.j_ambient.mat.tolist(),
         }
 
     @classmethod
     def from_descriptor(cls, desc: dict) -> "DoubleKContact":
-        return standard_pair(int(desc["dimension"]),
-                             j1_signs=desc["J1_blocks"],
-                             j2_signs=desc["J2_blocks"])
-
-
-def _block_signs(mat: np.ndarray) -> Optional[tuple]:
-    """Recover ±1 block signs if the matrix is block-diagonal quarter turns."""
-    dim = mat.shape[0]
-    if dim % 2:
-        return None
-    signs = []
-    for k in range(dim // 2):
-        s = mat[2 * k, 2 * k + 1]
-        if s not in (1.0, -1.0):
-            return None
-        signs.append(int(s))
-    rebuilt = block_diag_complex_structure(signs).mat
-    if np.array_equal(rebuilt, mat):
-        return tuple(signs)
-    return None
+        pair = make_double(OrthoComplexStructure(np.asarray(desc["J1"], dtype=float)),
+                           OrthoComplexStructure(np.asarray(desc["J2"], dtype=float)))
+        if pair.dim != int(desc["dimension"]):
+            raise ConstructionError(f"generators act on S^{pair.dim}, not on "
+                                    f"S^{desc['dimension']}")
+        return pair
 
 
 def make_double(j1: OrthoComplexStructure, j2: OrthoComplexStructure
@@ -166,36 +148,22 @@ def make_double(j1: OrthoComplexStructure, j2: OrthoComplexStructure
         raise ConstructionError(f"generators do not commute (residual {comm})")
     s_alpha = build_from_complex_structure(j1, label="alpha")
     s_beta = build_from_complex_structure(j2, label="beta")
-    b1, b2 = _block_signs(j1.mat), _block_signs(j2.mat)
-    experimental = b1 is None or b2 is None
     degenerate = bool(np.allclose(j1.mat, j2.mat) or np.allclose(j1.mat, -j2.mat))
     if degenerate:
         warnings.warn("generators coincide up to sign: the angle function is "
                       "constant +/-1 and every point is critical", stacklevel=2)
-    if experimental:
-        warnings.warn("non-block generators: pair accepted but flagged "
-                      "experimental", stacklevel=2)
-    return DoubleKContact(s_alpha, s_beta, j1_blocks=b1, j2_blocks=b2,
-                          degenerate=degenerate, experimental=experimental)
+    return DoubleKContact(s_alpha, s_beta, degenerate=degenerate)
 
 
-def standard_pair(dim: int, j1_signs: Optional[Sequence[int]] = None,
-                  j2_signs: Optional[Sequence[int]] = None) -> DoubleKContact:
-    """The shipped example pair on S^dim (dim odd ≥ 3).
-
-    Defaults: J1 = diag(j, j, ...), J2 = diag(−j, j, ...), which on S³
-    reproduces the standard commuting pair of Reeb fields."""
+def standard_pair(dim: int) -> DoubleKContact:
+    """The shipped example pair on S^dim (dim odd ≥ 3): J1 = diag(j, j, ...),
+    J2 = diag(−j, j, ...), which on S³ reproduces the standard commuting
+    pair of Reeb fields."""
     if dim % 2 == 0 or dim < 3:
         raise UnsupportedDimensionError("pairs live on odd spheres of dim >= 3")
     blocks = (dim + 1) // 2
-    if j1_signs is None:
-        j1_signs = [1] * blocks
-    if j2_signs is None:
-        j2_signs = [-1] + [1] * (blocks - 1)
-    if len(j1_signs) != blocks or len(j2_signs) != blocks:
-        raise ConstructionError(f"expected {blocks} block signs")
-    return make_double(block_diag_complex_structure(j1_signs),
-                       block_diag_complex_structure(j2_signs))
+    return make_double(block_diag_complex_structure([1] * blocks),
+                       block_diag_complex_structure([-1] + [1] * (blocks - 1)))
 
 
 def expected_laplacian_profile(d: DoubleKContact) -> tuple[float, float]:
@@ -284,8 +252,8 @@ def commuting_invariants_check(d: DoubleKContact, points: ArrayLike,
 
 def gradient_identity_check(d: DoubleKContact, points: ArrayLike,
                             tol: float = 1e-9) -> ResidualReport:
-    """grad f against 2·phi_alpha(X) and 2·phi_beta(Z); at least one
-    pairing must hold uniformly (for block pairs both do)."""
+    """grad f against 2·phi_alpha(X) and 2·phi_beta(Z).  Both pairings
+    hold for every commuting pair; the report gates the closer one."""
     f = d.angle_function()
     x_all = as_points(points, d.ambient_dim)
 
@@ -378,14 +346,15 @@ def dim_theorem_check(d: DoubleKContact, points: ArrayLike,
 
 
 def phi_product_spectrum_check(d: DoubleKContact, points: ArrayLike,
-                               tol: float = 1e-7,
+                               tol: float = EIG_TOL,
                                verify_sasakian: bool = True) -> ResidualReport:
     """On {Z,X,JX}^⊥ the composite φJ must be symmetric, square to the
     identity, commute with Jφ, and have eigenvalues ±1.
 
-    Sub-residuals are rescaled so the report tolerance gates each at its
-    own bound (symmetry/square/commutation at 1e−8, eigenvalues at 1e−7
-    by default).  Vacuous in dimension 3, where the sub-bundle is zero.
+    Sub-residuals are rescaled to units of the default tolerance, so at
+    the default each meets its own bound (symmetry/square/commutation at
+    1e−8, eigenvalues at 1e−7) and a tighter ``tol`` tightens every one.
+    Vacuous in dimension 3, where the sub-bundle is zero.
     """
     if verify_sasakian:
         _sasakian_gate(d)
@@ -406,10 +375,10 @@ def phi_product_spectrum_check(d: DoubleKContact, points: ArrayLike,
         eigvals = np.linalg.eigvalsh(0.5 * (m_phi_j + m_t))
         eig_res = np.max(np.abs(np.abs(eigvals) - 1.0), axis=-1)
         eigs_seen.update(np.rint(eigvals).astype(int).ravel().tolist())
-        return np.maximum.reduce([sym_res * (tol / SYM_TOL),
-                                  commute_res * (tol / COMMUTE_TOL),
-                                  square_res * (tol / SQUARE_TOL),
-                                  eig_res * (tol / EIG_TOL)])
+        return np.maximum.reduce([sym_res * (EIG_TOL / SYM_TOL),
+                                  commute_res * (EIG_TOL / COMMUTE_TOL),
+                                  square_res * (EIG_TOL / SQUARE_TOL),
+                                  eig_res])
 
     residuals, skipped = _hbundle_sweep(d, as_points(points, d.ambient_dim), residual)
     return ResidualReport.from_residuals(

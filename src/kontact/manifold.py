@@ -203,12 +203,9 @@ class OrthoComplexStructure:
 
 def block_diag_complex_structure(signs: Sequence[int]) -> OrthoComplexStructure:
     """Block-diagonal structure from 2x2 quarter-turn blocks s·[[0,1],[-1,0]]."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    blocks = [s * j for s in signs]
-    n = 2 * len(blocks)
-    mat = np.zeros((n, n))
-    for k, b in enumerate(blocks):
-        mat[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = b
+    mat = np.zeros((2 * len(signs), 2 * len(signs)))
+    for k, s in enumerate(signs):
+        mat[2 * k, 2 * k + 1], mat[2 * k + 1, 2 * k] = s, -s
     return OrthoComplexStructure(mat)
 
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from kontact import SpherePoint, standard_pair
+from kontact import DoubleKContact, SpherePoint, standard_pair
 from kontact.ad import value
 from kontact.cli import (
     MANIFOLDS,
@@ -21,7 +21,7 @@ from kontact.cli import (
     render_json,
     run_suite,
 )
-from kontact.manifold import sample_coords
+from kontact.manifold import block_diag_complex_structure, sample_coords
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +149,15 @@ def test_cli_tolerance_plumbing_forces_failure(capsys):
     assert "failed: nu_form" in err
 
 
+@pytest.mark.parametrize("name", ["contact_axioms", "kcontact", "sasakian",
+                                  "phi_product_spectrum"])
+def test_cli_tolerance_override_gates_combined_checks(name, capsys):
+    # these checks rescale sub-residuals; the override must still gate them
+    code = main(["verify", "s5", "--samples", "5", "--tol", f"{name}=1e-30"])
+    assert code == 1
+    assert f"failed: {name} " in capsys.readouterr().err
+
+
 def test_cli_rejects_loose_tolerance(capsys):
     code = main(["verify", "s3", "--samples", "5", "--tol", "nu_form=1.0"])
     assert code == 2
@@ -178,8 +187,8 @@ def test_cli_describe_s3(capsys):
     code = main(["describe", "s3"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["J1_blocks"] == [1, 1]
-    assert doc["J2_blocks"] == [-1, 1]
+    assert doc["J1"] == block_diag_complex_structure([1, 1]).mat.tolist()
+    assert doc["J2"] == block_diag_complex_structure([-1, 1]).mat.tolist()
     assert doc["golden"]["laplacian_slope"] == 8.0
     assert doc["golden"]["laplacian_offset"] == 0.0
     assert abs(doc["golden"]["reeb_energy"] - 5.0 * np.pi ** 2) < 1e-9
@@ -190,7 +199,9 @@ def test_cli_describe_s5(capsys):
     code = main(["describe", "s5"])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["J2_blocks"] == [-1, 1, 1]
+    assert doc["J2"] == block_diag_complex_structure([-1, 1, 1]).mat.tolist()
+    desc = {key: doc[key] for key in ("dimension", "J1", "J2")}
+    assert DoubleKContact.from_descriptor(desc).to_descriptor() == desc
     assert doc["golden"]["laplacian_slope"] == 12.0
     assert doc["golden"]["laplacian_offset"] == -4.0
 

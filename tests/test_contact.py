@@ -12,7 +12,7 @@ from kontact.contact import (
     sasakian_residual,
     volume_form_value,
 )
-from kontact.manifold import constant_field, random_tangents
+from kontact.manifold import constant_field, random_tangents, sample_coords
 
 E1 = kt.SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
 
@@ -23,8 +23,12 @@ def test_standard_structure_reeb_values(pair3):
 
 
 def test_build_validates_on_sample(pair3):
-    s = kt.build_from_complex_structure(pair3.s_alpha.j_ambient, validate=True)
+    s = kt.build_from_complex_structure(pair3.s_alpha.j_ambient)
     assert s.sigma in (1, -1)
+    pts = sample_coords(200, 7, s.ambient_dim)
+    for check in (kt.check_axiom_volume, kt.check_axiom_ii, kt.check_axiom_iii,
+                  kt.check_kcontact):
+        assert check(s, pts).passed, check.__name__
 
 
 def seeded_generators(dim):

@@ -1,26 +1,36 @@
 """Commuting pairs: angle function identities, spectra, Hessian, Ricci."""
 
+import itertools
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 import kontact as kt
+from kontact.ad import value
+from kontact.cli import SuiteConfig, _check_catalog
 from kontact.errors import (
     ConstructionError,
     RegularityError,
     UnsupportedDimensionError,
 )
-from kontact.manifold import block_diag_complex_structure
+from kontact.manifold import block_diag_complex_structure, sample_coords
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
+def block_pair(j1_signs, j2_signs):
+    return kt.make_double(block_diag_complex_structure(j1_signs),
+                          block_diag_complex_structure(j2_signs))
+
+
 def test_standard_pair_is_the_shipped_example(pair3):
-    assert pair3.j1_blocks == (1, 1)
-    assert pair3.j2_blocks == (-1, 1)
+    assert np.array_equal(pair3.s_alpha.j_ambient.mat,
+                          block_diag_complex_structure([1, 1]).mat)
+    assert np.array_equal(pair3.s_beta.j_ambient.mat,
+                          block_diag_complex_structure([-1, 1]).mat)
     assert not pair3.degenerate
-    assert not pair3.experimental
 
 
 def test_make_double_rejects_non_commuting():
@@ -223,7 +233,7 @@ def test_dim_theorem_s5_offset_minus_four(pair5, pts5):
 
 
 def test_dim_theorem_alternate_pair_offset_plus_four():
-    pair = kt.standard_pair(5, j2_signs=[-1, -1, 1])
+    pair = block_pair([1, 1, 1], [-1, -1, 1])
     f = pair.angle_function()
     pts = kt.sample_points(30, 13, 6, exclusion=lambda p: abs(f.value(p)) > 0.9)
     rep = kt.dim_theorem_check(pair, pts)
@@ -275,7 +285,7 @@ def test_phi_product_spectrum_vacuous_on_s3(pair3, pts3):
 
 
 def test_phi_product_alternate_pair_mixed_spectrum():
-    pair = kt.standard_pair(5, j2_signs=[-1, -1, 1])
+    pair = block_pair([1, 1, 1], [-1, -1, 1])
     f = pair.angle_function()
     pts = kt.sample_points(20, 13, 6, exclusion=lambda p: abs(f.value(p)) > 0.9)
     rep = kt.phi_product_spectrum_check(pair, pts)
@@ -311,11 +321,58 @@ def test_ricci_normal_check(pair3, pair5, pts3, pts5):
 
 def test_pair_descriptor_round_trip(pair5):
     desc = pair5.to_descriptor()
-    assert desc == {"dimension": 5, "J1_blocks": [1, 1, 1],
-                    "J2_blocks": [-1, 1, 1]}
+    assert desc == {"dimension": 5,
+                    "J1": block_diag_complex_structure([1, 1, 1]).mat.tolist(),
+                    "J2": block_diag_complex_structure([-1, 1, 1]).mat.tolist()}
     rebuilt = kt.DoubleKContact.from_descriptor(desc)
     p = kt.SpherePoint(np.array([0, 1.0, 0, 0, 0, 0]))
     assert np.allclose(rebuilt.reeb_alpha_at(p).vec, pair5.reeb_alpha_at(p).vec)
+
+
+def test_pair_descriptor_rejects_a_wrong_dimension(pair5):
+    desc = dict(pair5.to_descriptor(), dimension=3)
+    with pytest.raises(ConstructionError):
+        kt.DoubleKContact.from_descriptor(desc)
+
+
+def rotated_pair(dim, j2_signs):
+    """Q·diag(j, j, ...)·Qᵀ against Q·diag(±j, ...)·Qᵀ, with one seeded
+    orthogonal Q per dimension."""
+    q, _ = np.linalg.qr(np.random.default_rng(dim).standard_normal((dim + 1, dim + 1)))
+    j1, j2 = (kt.OrthoComplexStructure(q @ block_diag_complex_structure(signs).mat @ q.T)
+              for signs in ([1] * len(j2_signs), j2_signs))
+    return kt.make_double(j1, j2)
+
+
+# every block sign pattern of J2 other than ±J1
+ROTATED = [(dim, signs) for dim in (3, 5, 7)
+           for signs in itertools.product((1, -1), repeat=(dim + 1) // 2)
+           if abs(sum(signs)) < (dim + 1) // 2]
+
+
+@pytest.mark.parametrize("dim, signs", ROTATED, ids=[
+    f"s{dim}{''.join('+-'[s < 0] for s in signs)}" for dim, signs in ROTATED])
+def test_rotated_pairs_pass_every_catalog_check(dim, signs):
+    pair = rotated_pair(dim, signs)
+    assert not pair.degenerate
+    config = SuiteConfig(manifold=f"s{dim}", samples=30, seed=1)
+    f = pair.angle_function()
+    x = sample_coords(config.samples, config.seed, pair.ambient_dim,
+                      exclusion=lambda y: np.abs(value(f.eval(y))) > config.exclusion)
+    for name, check in _check_catalog(pair, x, config):
+        rep = check()
+        assert rep.passed, (name, rep.max, rep.tolerance)
+        if name == "gradient_identity":
+            assert "both pairings hold" in rep.provenance
+
+
+def test_rotated_pair_descriptor_round_trip():
+    pair = rotated_pair(5, (1, -1, 1))
+    desc = json.loads(json.dumps(pair.to_descriptor()))
+    rebuilt = kt.DoubleKContact.from_descriptor(desc)
+    assert rebuilt.to_descriptor() == desc == pair.to_descriptor()
+    assert ((rebuilt.s_alpha.sigma, rebuilt.s_beta.sigma)
+            == (pair.s_alpha.sigma, pair.s_beta.sigma))
 
 
 def test_seven_sphere_pair_invariants():
