@@ -220,6 +220,22 @@ def jacobian_rows(f: Callable, x: Payload, dim: int) -> Payload:
     return directional(f, x, axis_directions(x, dim))
 
 
+def second_jet(f: Callable, x: Payload, dim: int) -> tuple:
+    """``f``, its ambient first and its second derivatives at ``x`` from one
+    nested evaluation in vector forward mode.
+
+    Returns (F, rows, second): ``rows`` as :func:`jacobian_rows` returns
+    them (rows[a] = ∂_a f), and ``second`` with two direction axes in
+    front (second[a, b] = ∂_a∂_b f).  The outer directions ride on one
+    axis more than any leaf of ``x``, the inner ones on one axis more
+    again, so each value inside ``f`` is computed once and each first
+    derivative once per direction.
+    """
+    outer = make_dual(x, axis_directions(x, dim))
+    out = f(make_dual(outer, axis_directions(outer, dim)))
+    return out.val.val, out.val.eps, out.eps.eps
+
+
 def axis_directions(x: Payload, dim: int) -> np.ndarray:
     """The ambient axes e_i as directions for vector forward mode at ``x``:
     shape (dim,) + (1,)*lead + (dim,), one axis more than any leaf of

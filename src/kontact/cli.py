@@ -20,7 +20,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -51,10 +51,10 @@ from .double_kcontact import (
     transnormal_b_check,
 )
 from .harmonic import (
+    HARMONIC_TOL,
     UnitVectorField,
-    critical_condition_check,
     energy,
-    harmonicity_check,
+    harmonic_residuals,
     normalized_gradient_unit_field,
     reeb_energy_closed_form,
     reeb_unit_field,
@@ -147,8 +147,10 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
     the check's default tolerance or with ``tol=`` an override.
     Declaration order here is the report order in the output."""
     f = pair.angle_function()
-    n_field = normalized_gradient_unit_field(f)
     dim = pair.dim
+    # nu_form and critical_condition are two contractions of one sweep
+    harmonic = cache(partial(harmonic_residuals,
+                             normalized_gradient_unit_field(f), points))
     structures = (pair.s_alpha, pair.s_beta)
 
     def contact_axioms(tol=COMBINED_TOL["contact_axioms"]):
@@ -169,6 +171,12 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
     def dimension_theorem(tol=None):
         overrides = {} if tol is None else {f"tol_dim{dim}": tol}
         return dim_theorem_check(pair, points, **overrides)
+
+    def nu_form(tol=HARMONIC_TOL):
+        return harmonic().nu_report(tol)
+
+    def critical_condition(tol=HARMONIC_TOL):
+        return harmonic().critical_report(tol)
 
     def energy_reeb(tol=None):
         est = energy(reeb_unit_field(pair.s_alpha), ENERGY_SAMPLES,
@@ -204,8 +212,8 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
         ("mean_curvature_identity",
          partial(mean_curvature_identity_check, f, ANGLE_PROFILE, points)),
         ("ricci_normal", partial(ricci_normal_check, pair, points)),
-        ("nu_form", partial(harmonicity_check, n_field, points)),
-        ("critical_condition", partial(critical_condition_check, n_field, points)),
+        ("nu_form", nu_form),
+        ("critical_condition", critical_condition),
         ("energy_reeb", energy_reeb),
     ])
     return catalog

@@ -253,27 +253,21 @@ def commuting_invariants_check(d: DoubleKContact, points: ArrayLike,
 def gradient_identity_check(d: DoubleKContact, points: ArrayLike,
                             tol: float = 1e-9) -> ResidualReport:
     """grad f against 2·phi_alpha(X) and 2·phi_beta(Z).  Both pairings
-    hold for every commuting pair; the report gates the closer one."""
+    hold for every commuting pair; the residual at a point is the larger
+    of the two."""
     f = d.angle_function()
-    x_all = as_points(points, d.ambient_dim)
+    pairings = ((d.s_alpha, d.s_beta.j_ambient.mat),
+                (d.s_beta, d.s_alpha.j_ambient.mat))
 
-    def pairing(s, reeb):
-        def residual(x):
-            r = gradient_batch(f, x) - 2.0 * s.phi_at(x, apply(reeb, x))
-            return np.sqrt(inner(r, r))
-        return sweep(residual, x_all)[0]
+    def residual(x):
+        g = gradient_batch(f, x)
+        res = [g - 2.0 * s.phi_at(x, apply(reeb, x)) for s, reeb in pairings]
+        return np.maximum(*(np.sqrt(inner(r, r)) for r in res))
 
-    res_a = pairing(d.s_alpha, d.s_beta.j_ambient.mat)
-    res_b = pairing(d.s_beta, d.s_alpha.j_ambient.mat)
-    max_a = float(np.max(res_a)) if len(res_a) else 0.0
-    max_b = float(np.max(res_b)) if len(res_b) else 0.0
-    both = max_a <= tol and max_b <= tol
-    chosen = res_a if max_a <= max_b else res_b
-    which = "both pairings hold" if both else (
-        "first pairing holds" if max_a <= max_b else "second pairing holds")
     return ResidualReport.from_residuals(
-        "gradient_identity", chosen, tol,
-        provenance=f"{GRADIENT_PAIRING}; {which}")
+        "gradient_identity", sweep(residual, as_points(points, d.ambient_dim))[0],
+        tol, provenance=f"{GRADIENT_PAIRING}; gated on the worse pairing, "
+                        "so a pass means both pairings hold")
 
 
 def transnormal_b_check(d: DoubleKContact, points: ArrayLike,

@@ -11,9 +11,26 @@ Critical points are exactly the fields whose first-variation one-form
 
 vanishes for all x ⟂ Z.  For a geodesic field N with integrable
 orthogonal complement this reduces to x(h) = ric(x, N) where h is the
-mean curvature of the orthogonal distribution.  Both forms are exact:
-h is minus the ambient divergence of N, and x(h) differentiates it with
-a further level of dual numbers.
+mean curvature of the orthogonal distribution.
+
+The suite checks both forms as contractions of one second-order jet
+(F, ∂F, ∂²F) of the projected field F = P·Z, P = I − y yᵀ/|y|², taken
+by ``ad.second_jet`` once per block of points.  At a unit point y, for
+tangent w and m the sphere dimension:
+
+    w(h)  = −⟨w, ∇div F⟩,              (∇div F)_b = Σ_i ∂_b∂_i F_i
+    nu(w) = m⟨w, D_y F⟩ − ⟨w, F⟩ − ⟨w, ΔF − D²_{y,y} F⟩,   ΔF = Σ_a ∂_a∂_a F
+
+The first holds because h = −div F.  For the second, nu(w) is the trace
+with P of D(A^t w̃), where A^t w̃ = −P·Jᵀ·P·w and J = ∂F:
+  - D_a P = −(e_a yᵀ + y e_aᵀ) + 2y_a·y yᵀ, and the trace with P drops
+    every term that carries P·y = 0;
+  - the derivative of the outer P gives m⟨w, D_y F⟩, that of the inner
+    P gives ⟨y, D_w F⟩, and that of Jᵀ gives −⟨w, ΔF − D²_{y,y} F⟩;
+  - ⟨y, F⟩ ≡ 0 off the sphere, so ⟨y, D_w F⟩ = −⟨w, F⟩.
+:func:`harmonicity_form_batch` and :func:`mean_curvature_derivative`
+take the same quantities by nested directional derivatives, one
+evaluation per direction set, and serve as the contractions' oracles.
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 and a unit field's guard maps points (..., m+1) to a mask the same way;
@@ -79,6 +96,7 @@ from .scalar_fields import (
 GEODESIC_TOL = 1e-6
 SYMMETRY_TOL = 1e-7
 TWISTED_EPS_REG = 1e-4  # guard of twisted_unit_field: |projected affine field| floor
+HARMONIC_TOL = 1e-6     # default gate of nu_form and critical_condition
 
 
 def _everywhere(x: np.ndarray) -> np.ndarray:
@@ -324,31 +342,69 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector,
                                         frames)[0])
 
 
-def _frame_check(name: str, zf: UnitVectorField, points: ArrayLike,
-                 tol: float, residual: Callable, provenance: str) -> ResidualReport:
-    """max over the frame directions of Z^⊥ of |residual(x, z, frames)|
-    at each of the points (N, m+1) inside the guard; ``residual`` maps
-    points x (B, m+1), field values z (B, m+1) and frames (B, m−1, m+1)
-    to (B, m−1)."""
+def _jet(field: AmbientVectorField, x: np.ndarray) -> tuple:
+    """(F, ∂F, ∂²F) of F = P·field at the points x (B, m+1)."""
+    return ad.second_jet(lambda y: projected_eval(field, y), x, x.shape[-1])
+
+
+def _contract(x, f, rows, second, w):
+    """nu_Z(w) and w(h), each (B, k), for tangent directions w (B, k, m+1)
+    at the points x (B, m+1) from the jet of F there (:func:`_jet`: f
+    (B, m+1), rows (m+1, B, m+1), second (m+1, m+1, B, m+1)), by the
+    contractions of the module docstring."""
+    m = x.shape[-1] - 1
+    d_y = np.einsum("apj,pa->pj", rows, x)                  # D_y F
+    laplacian = np.einsum("aapj->pj", second)               # Σ_a ∂_a∂_a F
+    d_yy = np.einsum("abpj,pa,pb->pj", second, x, x)        # D²_{y,y} F
+    grad_div = np.einsum("ajpa->pj", second)                # ∇ div F
+    nu = m * d_y - f - (laplacian - d_yy)
+    return inner(w, nu[:, None, :]), -inner(w, grad_div[:, None, :])
+
+
+@dataclass(frozen=True, eq=False)
+class HarmonicResiduals:
+    """Per-point residuals of the two harmonicity checks from one sweep:
+    max over the frame directions x of Z^⊥ of |nu_Z(x)| and of
+    |x(h) − ric(x, Z)|, at the points inside the guard."""
+
+    nu: np.ndarray
+    critical: np.ndarray
+    skipped: int
+
+    def nu_report(self, tol: float = HARMONIC_TOL) -> ResidualReport:
+        return ResidualReport.from_residuals(
+            "nu_form", self.nu, tol, self.skipped,
+            provenance="first variation of the energy on the orthogonal complement")
+
+    def critical_report(self, tol: float = HARMONIC_TOL) -> ResidualReport:
+        return ResidualReport.from_residuals(
+            "critical_condition", self.critical, tol, self.skipped,
+            provenance="derivative of the mean curvature against ricci(., N)")
+
+
+def harmonic_residuals(zf: UnitVectorField, points: ArrayLike) -> HarmonicResiduals:
+    """Both harmonicity residuals at the points (N, m+1) in one sweep: per
+    block one jet of F, one set of Z^⊥ frames (built from F = Z), and
+    both contractions.  On the unit sphere ric(x, Z) = (m−1)·g(x, Z)."""
     x_all = as_field_points(points, zf.field.eval)
 
     def block(x):
-        z = proj_np(x, value(zf.field.eval(x)))
-        frames = frame_batch(x, z[:, None, :])[:, 1:]
-        return np.max(np.abs(residual(x, z, frames)), axis=-1)
+        f, rows, second = _jet(zf.field, x)
+        frames = frame_batch(x, f[:, None, :])[:, 1:]
+        nu, xh = _contract(x, f, rows, second, frames)
+        ric = (x.shape[-1] - 2) * inner(frames, f[:, None, :])
+        return np.stack([np.max(np.abs(nu), axis=-1),
+                         np.max(np.abs(xh - ric), axis=-1)], axis=-1)
 
     residuals, skipped = sweep(block, x_all, keep=zf.guard(x_all))
-    return ResidualReport.from_residuals(name, residuals, tol, skipped,
-                                         provenance=provenance)
+    pairs = residuals.reshape(-1, 2)
+    return HarmonicResiduals(nu=pairs[:, 0], critical=pairs[:, 1], skipped=skipped)
 
 
 def harmonicity_check(zf: UnitVectorField, points: ArrayLike,
-                      tol: float = 1e-6) -> ResidualReport:
+                      tol: float = HARMONIC_TOL) -> ResidualReport:
     """max |nu_Z(x)| over frame directions x ⟂ Z at each point."""
-    return _frame_check(
-        "nu_form", zf, points, tol,
-        lambda x, z, frames: harmonicity_form_batch(zf.field, x, frames),
-        "first variation of the energy on the orthogonal complement")
+    return harmonic_residuals(zf, points).nu_report(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -397,17 +453,11 @@ def shape_spectrum(zf: UnitVectorField, p: SpherePoint) -> ShapeSpectrum:
 
 
 def critical_condition_check(zf: UnitVectorField, points: ArrayLike,
-                             tol: float = 1e-6) -> ResidualReport:
+                             tol: float = HARMONIC_TOL) -> ResidualReport:
     """x(h) = ric(x, N) for all frame directions x ⟂ N.
 
-    x(h) is exact (:func:`mean_curvature_derivative`), so the default
-    tolerance matches the frame-based harmonicity form's.  On the unit
-    sphere ric(x, N) = (m−1)·g(x, N).
+    x(h) is exact (a contraction of the same jet as the harmonicity
+    form), so the default tolerance matches the harmonicity form's.  On
+    the unit sphere ric(x, N) = (m−1)·g(x, N).
     """
-    def residual(x, n, frames):
-        ric = (x.shape[-1] - 2) * inner(frames, n[:, None, :])
-        return mean_curvature_derivative(zf.field, x, frames) - ric
-
-    return _frame_check(
-        "critical_condition", zf, points, tol, residual,
-        "derivative of the mean curvature against ricci(., N)")
+    return harmonic_residuals(zf, points).critical_report(tol)

@@ -1,6 +1,7 @@
 """Dual-number engine against closed forms and finite differences."""
 
 import numpy as np
+import pytest
 
 from kontact import ad
 
@@ -236,3 +237,23 @@ def test_five_point_curve_derivative_accuracy():
     # d/dt [ sin(t)^3 + sin(cos(t)) ] at 0 = -? derivative: 3 sin^2 cos + cos(cos t)(-sin t) -> 0
     val = fd_curve_derivative_5pt(s, p, u)
     assert abs(val - 0.0) < 1e-10
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_second_jet_matches_nested_jacobian_rows(lead):
+    rng = np.random.default_rng(len(lead))
+    x = rng.standard_normal(lead + (4,))
+    mat = rng.standard_normal((4, 4))
+
+    def f(y):
+        scale = ad.sqrt(ad.dot(y, y)) / (1.0 + ad.dot(y, mat[0]) ** 2.0)
+        return ad.sv(scale, ad.matvec(mat, y))
+
+    val, rows, second = ad.second_jet(f, x, 4)
+    nested = ad.jacobian_rows(lambda y: ad.jacobian_rows(f, y, 4), x, 4)
+    assert np.array_equal(val, f(x))
+    assert np.array_equal(rows, ad.jacobian_rows(f, x, 4))
+    assert np.array_equal(second, nested)
+    assert second.shape == (4, 4) + lead + (4,)
+    asym = np.max(np.abs(second - np.swapaxes(second, 0, 1)))
+    assert asym <= 1e-13 * np.max(np.abs(second))

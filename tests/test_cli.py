@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from kontact import DoubleKContact, SpherePoint, standard_pair
+from kontact import DoubleKContact, SpherePoint, ad, manifold, standard_pair
 from kontact.ad import value
 from kontact.cli import (
     MANIFOLDS,
@@ -68,6 +68,28 @@ def test_catalog_reports_equal_for_arrays_and_point_lists(manifold):
     listed = _check_catalog(pair, [SpherePoint(r) for r in x], config)
     for (name, check), (_, check_listed) in zip(_check_catalog(pair, x, config), listed):
         assert check() == check_listed(), name
+
+
+def test_suite_evaluates_the_harmonic_jet_once_per_block(monkeypatch):
+    # nu_form and critical_condition share one sweep: 40 points in blocks
+    # of 16 are three jets, not six
+    calls = []
+    second_jet = ad.second_jet
+
+    def counted(*args):
+        calls.append(1)
+        return second_jet(*args)
+
+    monkeypatch.setattr(ad, "second_jet", counted)
+    monkeypatch.setattr(manifold, "BLOCK", 16)
+    config = SuiteConfig(manifold="s3", samples=40, seed=3,
+                         tol_overrides={"critical_condition": 1e-5})
+    reports = {r.check_name: r for r in run_suite(config)}
+    assert len(calls) == 3
+    assert reports["nu_form"].tolerance == 1e-6
+    assert reports["critical_condition"].tolerance == 1e-5
+    for name in ("nu_form", "critical_condition"):
+        assert reports[name].passed and reports[name].count == 40
 
 
 def test_json_document_byte_identical(small_reports):

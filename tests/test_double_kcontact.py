@@ -1,5 +1,6 @@
 """Commuting pairs: angle function identities, spectra, Hessian, Ricci."""
 
+import dataclasses
 import itertools
 import json
 import warnings
@@ -112,6 +113,18 @@ def test_gradient_identity(pair3, pair5, pts3, pts5):
     assert rep3.passed and rep3.max < 1e-9
     assert rep5.passed and rep5.max < 1e-9
     assert "both pairings hold" in rep3.provenance
+
+
+def test_gradient_identity_gates_both_pairings(pair5):
+    # phi_beta at the wrong sign breaks only the second pairing; gating
+    # the closer pairing alone let this pair pass
+    broken = dataclasses.replace(
+        pair5, s_beta=dataclasses.replace(pair5.s_beta, sigma=-pair5.s_beta.sigma))
+    f = broken.angle_function()
+    x = sample_coords(30, 1, 6, exclusion=lambda y: np.abs(value(f.eval(y))) > 0.9)
+    assert kt.gradient_identity_check(pair5, x).passed
+    rep = kt.gradient_identity_check(broken, x)
+    assert not rep.passed and rep.max > 1.0
 
 
 def test_gradient_identity_zero_length_at_critical(pair3):

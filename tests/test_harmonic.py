@@ -11,14 +11,17 @@ from kontact.errors import (
     RegularityError,
 )
 from kontact.harmonic import (
+    _contract,
+    _jet,
     _trace_l_batch,
     harmonicity_form,
+    harmonicity_form_batch,
     mean_curvature_derivative,
     mean_curvature_of_field,
     normalized_constant_unit_field,
     weingarten_ambient_matrix,
 )
-from kontact.manifold import random_tangents
+from kontact.manifold import frame_batch, proj_np, random_tangents, sample_coords
 
 from finite_differences import fd_curve_derivative_5pt
 
@@ -353,3 +356,30 @@ def test_unit_field_norm_invariant(nfield3, nfield5, pts3, pts5):
     for zf, pts in ((nfield3, pts3), (nfield5, pts5)):
         for p in pts[:20]:
             assert abs(zf.at(p).norm() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("dim", (3, 5, 7))
+def test_jet_contractions_match_the_oracles(dim):
+    pair = kt.standard_pair(dim)
+    f = pair.angle_function()
+    rng = np.random.default_rng(dim)
+    c, a, d = rng.standard_normal((3, dim + 1))
+    x_all = sample_coords(60, 11, dim + 1,
+                          exclusion=lambda y: np.abs(ad.value(f.eval(y))) > 0.9)
+    for zf, harmonic in ((kt.normalized_gradient_unit_field(f), True),
+                         (kt.twisted_unit_field(c, a, d), False),
+                         (kt.reeb_unit_field(pair.s_beta), True),
+                         (normalized_constant_unit_field(c), True)):
+        x = x_all[zf.guard(x_all)]
+        z = proj_np(x, ad.value(zf.field.eval(x)))
+        # frame_batch rows can leave the tangent space by ~1e-12, and the
+        # two sides extend a non-tangent w differently
+        frames = proj_np(x[:, None, :], frame_batch(x, z[:, None, :])[:, 1:])
+        # generic tangents, along Z too, where nu is not rounding noise
+        generic = proj_np(x[:, None, :], rng.standard_normal((len(x), 3, dim + 1)))
+        for w, noise in ((generic, False), (frames, harmonic)):
+            nu, xh = _contract(x, *_jet(zf.field, x), w)
+            for got, oracle in ((nu, harmonicity_form_batch(zf.field, x, w)),
+                                (xh, mean_curvature_derivative(zf.field, x, w))):
+                bound = 1e-11 if noise else 1e-13 * np.maximum(1.0, np.abs(oracle))
+                assert np.all(np.abs(got - oracle) <= bound), zf.label
