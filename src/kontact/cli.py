@@ -37,15 +37,16 @@ from .contact import (
 )
 from .double_kcontact import (
     ANGLE_PROFILE,
+    EIG_TOL,
     GRADIENT_PAIRING,
+    HESSIAN_TOL,
+    LAPLACIAN_TOL,
     DoubleKContact,
     commuting_invariants_check,
     dim_theorem_check,
     expected_laplacian_profile,
     gradient_identity_check,
-    hessian_restriction_check,
-    laplacian_formula_check,
-    phi_product_spectrum_check,
+    hbundle_residuals,
     ricci_normal_check,
     standard_pair,
     transnormal_b_check,
@@ -148,9 +149,11 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
     Declaration order here is the report order in the output."""
     f = pair.angle_function()
     dim = pair.dim
-    # nu_form and critical_condition are two contractions of one sweep
+    # nu_form and critical_condition are two contractions of one sweep, and
+    # so are the three checks on the sub-bundle {Z, X, JX}^⊥
     harmonic = cache(partial(harmonic_residuals,
                              normalized_gradient_unit_field(f), points))
+    hbundle = cache(partial(hbundle_residuals, pair, points))
     structures = (pair.s_alpha, pair.s_beta)
 
     def contact_axioms(tol=COMBINED_TOL["contact_axioms"]):
@@ -171,6 +174,15 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
     def dimension_theorem(tol=None):
         overrides = {} if tol is None else {f"tol_dim{dim}": tol}
         return dim_theorem_check(pair, points, **overrides)
+
+    def laplacian_formula(tol=LAPLACIAN_TOL):
+        return hbundle().laplacian_report(tol)
+
+    def phi_product_spectrum(tol=EIG_TOL):
+        return hbundle().phi_product_report(tol)
+
+    def hessian_restricted(tol=HESSIAN_TOL):
+        return hbundle().hessian_report(tol)
 
     def nu_form(tol=HARMONIC_TOL):
         return harmonic().nu_report(tol)
@@ -198,15 +210,13 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
         ("double_invariants", partial(commuting_invariants_check, pair, points)),
         ("gradient_identity", partial(gradient_identity_check, pair, points)),
         ("transnormal_profile", partial(transnormal_b_check, pair, points)),
-        ("laplacian_formula", partial(laplacian_formula_check, pair, points)),
+        ("laplacian_formula", laplacian_formula),
     ]
     if dim in (3, 5):
         catalog.append(("dimension_theorem", dimension_theorem))
     if dim >= 5:
-        catalog.append(("phi_product_spectrum",
-                        partial(phi_product_spectrum_check, pair, points)))
-        catalog.append(("hessian_restricted",
-                        partial(hessian_restriction_check, pair, points)))
+        catalog.append(("phi_product_spectrum", phi_product_spectrum))
+        catalog.append(("hessian_restricted", hessian_restricted))
     catalog.extend([
         ("geodesic_field", partial(check_geodesic, f, points)),
         ("mean_curvature_identity",

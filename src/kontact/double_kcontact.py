@@ -16,16 +16,18 @@ that sub-bundle, symmetric with eigenvalues ±1 whenever the first
 structure is Sasakian; its eigenvalue pattern decides the ±4 branch.
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`.
-A sub-bundle check skips a point where Z, X and JX fail the seed rank
-test of ``manifold.frame_batch`` (Gram determinant ≈ (1 − f²)² below
-1e-10, so 1 − |f| ≲ 5e-6).
+The three checks on the sub-bundle (the Laplacian formula, the φJ
+spectrum and the restricted Hessian) are contractions of one sweep,
+:func:`hbundle_residuals`: one sub-bundle frame per block of points.
+They skip a point where Z, X and JX fail ``manifold.seeds_span``, the
+rank test ``manifold.frame_batch`` applies to its seeds (Gram determinant
+≈ (1 − f²)² below 1e-10, so 1 − |f| ≲ 5e-6).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -82,6 +84,8 @@ SYM_TOL = 1e-8
 COMMUTE_TOL = 1e-8
 EIG_TOL = 1e-7
 SQUARE_TOL = 1e-8
+LAPLACIAN_TOL = 1e-7    # default tolerances of the Laplacian and Hessian checks
+HESSIAN_TOL = 1e-7
 NUMERIC_SUBSET = 25     # leading points whose Ricci check repeats with numeric curvature
 
 
@@ -195,23 +199,17 @@ def _spans(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
     return seeds_span(x, _hbundle_seeds(d, x))
 
 
-def hbundle_frames(d: DoubleKContact, x: np.ndarray,
-                   completion: Optional[Sequence[int]] = None) -> np.ndarray:
+def hbundle_frames(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
     """Orthonormal bases of {Z, X, JX}^⊥ at the regular points x (batched),
     shape (..., m−3, m+1): the tail of the frame seeded by Z, X, JX."""
-    return frame_batch(x, _hbundle_seeds(d, x), completion)[..., 3:, :]
+    return frame_batch(x, _hbundle_seeds(d, x))[..., 3:, :]
 
 
-def hbundle_basis(d: DoubleKContact, p: SpherePoint,
-                  reverse_completion: bool = False) -> Frame:
+def hbundle_basis(d: DoubleKContact, p: SpherePoint) -> Frame:
     """Deterministic orthonormal basis of {Z, X, JX}^⊥ inside T_p."""
     if not _spans(d, p.coords):
         raise RegularityError("the spanning fields degenerate where |f| ~ 1")
-    completion = None
-    if reverse_completion:
-        completion = list(reversed(range(p.ambient_dim)))
-    rows = hbundle_frames(d, p.coords, completion)
-    return Frame(p, tuple(TangentVector(p, e) for e in rows))
+    return Frame(p, tuple(TangentVector(p, e) for e in hbundle_frames(d, p.coords)))
 
 
 def _sasakian_gate(d: DoubleKContact, seed: int = 23) -> None:
@@ -278,38 +276,133 @@ def transnormal_b_check(d: DoubleKContact, points: ArrayLike,
     return replace(rep, provenance="angle function with b(t) = 4(1-t^2)")
 
 
-def _hbundle_sweep(d: DoubleKContact, x: np.ndarray,
-                   residual) -> tuple[np.ndarray, int]:
-    """``residual(y, fv, basis)`` over the points x (N, m+1) where the
-    sub-bundle is defined, with fv the angle function and basis
-    (B, m−3, m+1) from :func:`hbundle_frames`; returns the residuals in
-    point order and the number of points skipped."""
-    fv = np.asarray(value(d.angle_function().eval(x)), dtype=float)
-    return sweep(lambda y, fy: residual(y, fy, hbundle_frames(d, y)), x, fv,
-                 keep=_spans(d, x))
-
-
 def _phi_chain(x: np.ndarray, first, second, u: np.ndarray) -> np.ndarray:
     """second.phi(first.phi(u)) at the points x for vectors u (..., k, m+1)."""
     p = x[..., None, :]
     return second.phi_at(p, first.phi_at(p, u))
 
 
-def laplacian_formula_check(d: DoubleKContact, points: ArrayLike,
-                            tol: float = 1e-7) -> ResidualReport:
-    """Δf against (4n+4)·f + 2·Σ g(JφE_i, E_i) over the orthogonal sub-bundle."""
-    f = d.angle_function()
+@dataclass(frozen=True, eq=False)
+class HBundleResiduals:
+    """Residuals of the three sub-bundle checks from one sweep, at the
+    points where {Z, X, JX} spans a 3-plane: one per point for the
+    Laplacian and φJ, one per point and pair of sub-bundle rows for the
+    Hessian.  With them, what the provenance of two of the reports says:
+    the eigenvalues of φJ seen and the largest residual of the ungated
+    full-argument Hessian identity."""
 
-    def residual(x, fv, basis):
+    laplacian: np.ndarray
+    phi_product: np.ndarray
+    hessian: np.ndarray
+    skipped: int
+    eigenvalues: tuple
+    full_hessian_max: float
+
+    def laplacian_report(self, tol: float = LAPLACIAN_TOL) -> ResidualReport:
+        return ResidualReport.from_residuals(
+            "laplacian_formula", self.laplacian, tol, self.skipped,
+            provenance="laplacian vs (4n+4) f + 2 tr(J phi) on the sub-bundle")
+
+    def phi_product_report(self, tol: float = EIG_TOL) -> ResidualReport:
+        return ResidualReport.from_residuals(
+            "phi_product_spectrum", self.phi_product, tol, self.skipped,
+            provenance=("phi-product on the sub-bundle; eigenvalues seen: "
+                        f"{list(self.eigenvalues)}"))
+
+    def hessian_report(self, tol: float = HESSIAN_TOL) -> ResidualReport:
+        return ResidualReport.from_residuals(
+            "hessian_restricted", self.hessian, tol, self.skipped,
+            provenance=("hessian vs -2 f g - 2 g(J phi ., .) on the sub-bundle; "
+                        "full-argument diagnostic (ungated) max "
+                        f"{self.full_hessian_max:.3e}"))
+
+
+def hbundle_residuals(d: DoubleKContact, points: ArrayLike,
+                      verify_sasakian: bool = True) -> HBundleResiduals:
+    """The residuals of :func:`laplacian_formula_check`,
+    :func:`phi_product_spectrum_check` and :func:`hessian_restriction_check`
+    at the points (N, m+1) in one sweep: one mask of the points where the
+    sub-bundle is defined, and per block one angle-function value, one
+    sub-bundle frame and the three residuals.  The φJ and Hessian parts
+    need the first structure to be Sasakian; with ``verify_sasakian`` that
+    is probed once first (:func:`_sasakian_gate`), where the sub-bundle is
+    not zero (m ≥ 5).  Hessian directions come from one stream seeded
+    by 29, drawn block by block."""
+    x_all = as_points(points, d.ambient_dim)
+    if verify_sasakian and d.dim >= 5:
+        _sasakian_gate(d)
+    f = d.angle_function()
+    rng = np.random.default_rng(29)
+    eigs_seen = set()
+    full_domain = [0.0]
+
+    def laplacian(x, fv, basis):
         jphi = _phi_chain(x, d.s_beta, d.s_alpha, basis)
-        trace_term = np.sum(inner(jphi, basis), axis=-1)
-        rhs = (4.0 * d.n + 4.0) * fv + 2.0 * trace_term
+        rhs = (4.0 * d.n + 4.0) * fv + 2.0 * np.sum(inner(jphi, basis), axis=-1)
         return np.abs(laplacian_batch(f, x) - rhs)
 
-    residuals, skipped = _hbundle_sweep(d, as_points(points, d.ambient_dim), residual)
-    return ResidualReport.from_residuals(
-        "laplacian_formula", residuals, tol, skipped,
-        provenance="laplacian vs (4n+4) f + 2 tr(J phi) on the sub-bundle")
+    def phi_product(x, basis):
+        # On {Z,X,JX}^⊥ the composite φJ must be symmetric, square to the
+        # identity, commute with Jφ, and have eigenvalues ±1; sub-residuals
+        # are in units of EIG_TOL.
+        k = basis.shape[-2]
+        phi_j = _phi_chain(x, d.s_alpha, d.s_beta, basis)
+        diff = phi_j - _phi_chain(x, d.s_beta, d.s_alpha, basis)
+        commute_res = np.max(np.sqrt(inner(diff, diff)), axis=-1)
+        # m_phi_j[j, i] = g(φJ e_i, e_j)
+        m_phi_j = inner(phi_j[:, None, :, :], basis[:, :, None, :])
+        m_t = np.swapaxes(m_phi_j, -1, -2)
+        sym_res = np.max(np.abs(m_phi_j - m_t), axis=(-2, -1))
+        square_res = np.max(np.abs(m_phi_j @ m_phi_j - np.eye(k)), axis=(-2, -1))
+        eigvals = np.linalg.eigvalsh(0.5 * (m_phi_j + m_t))
+        eig_res = np.max(np.abs(np.abs(eigvals) - 1.0), axis=-1)
+        eigs_seen.update(np.rint(eigvals).astype(int).ravel().tolist())
+        return np.maximum.reduce([sym_res * (EIG_TOL / SYM_TOL),
+                                  commute_res * (EIG_TOL / COMMUTE_TOL),
+                                  square_res * (EIG_TOL / SQUARE_TOL),
+                                  eig_res])
+
+    def hessian(x, fv, basis):
+        hess = hessian_matrix(f, x)
+        i, j = np.triu_indices(basis.shape[-2])
+        a, b = basis[:, i], basis[:, j]
+        lhs = inner(apply(hess[:, None], a), b)
+        rhs = (-2.0 * fv[:, None] * inner(a, b)
+               - 2.0 * inner(_phi_chain(x, d.s_beta, d.s_alpha, a), b))
+        uv = random_tangent_batch(x, rng, (2,))
+        u, v = uv[:, 0], uv[:, 1]
+        xb = apply(d.s_beta.j_ambient.mat, x)
+        z = apply(d.s_alpha.j_ambient.mat, x)
+        jphi_u = d.s_alpha.phi_at(x, d.s_beta.phi_at(x, u))
+        full = (2.0 * inner(u, xb) * inner(z, v) - 2.0 * fv * inner(u, v)
+                - 2.0 * inner(jphi_u, v))
+        full_domain.append(np.max(np.abs(inner(apply(hess, u), v) - full)))
+        return np.abs(lhs - rhs)
+
+    def block(x, fv):
+        # Row per point: the Laplacian and φJ residuals, then one Hessian
+        # residual per pair of sub-bundle rows (one zero if there are none).
+        basis = hbundle_frames(d, x)
+        lap = laplacian(x, fv, basis)[:, None]
+        if basis.shape[-2] == 0:
+            return np.concatenate([lap, np.zeros((len(x), 2))], axis=-1)
+        return np.concatenate([lap, phi_product(x, basis)[:, None],
+                               hessian(x, fv, basis)], axis=-1)
+
+    k = d.dim - 3
+    fv = np.asarray(value(f.eval(x_all)), dtype=float)
+    residuals, skipped = sweep(block, x_all, fv, keep=_spans(d, x_all))
+    rows = residuals.reshape(-1, 2 + max(k * (k + 1) // 2, 1))
+    return HBundleResiduals(laplacian=rows[:, 0], phi_product=rows[:, 1],
+                            hessian=rows[:, 2:].ravel(), skipped=skipped,
+                            eigenvalues=tuple(sorted(eigs_seen)),
+                            full_hessian_max=float(max(full_domain)))
+
+
+def laplacian_formula_check(d: DoubleKContact, points: ArrayLike,
+                            tol: float = LAPLACIAN_TOL) -> ResidualReport:
+    """Δf against (4n+4)·f + 2·Σ g(JφE_i, E_i) over the orthogonal sub-bundle."""
+    return hbundle_residuals(d, points, verify_sasakian=False).laplacian_report(tol)
 
 
 def dim_theorem_check(d: DoubleKContact, points: ArrayLike,
@@ -350,38 +443,11 @@ def phi_product_spectrum_check(d: DoubleKContact, points: ArrayLike,
     1e−8, eigenvalues at 1e−7) and a tighter ``tol`` tightens every one.
     Vacuous in dimension 3, where the sub-bundle is zero.
     """
-    if verify_sasakian:
-        _sasakian_gate(d)
-    eigs_seen = set()
-
-    def residual(x, fv, basis):
-        k = basis.shape[-2]
-        if k == 0:
-            return np.zeros(len(x))
-        phi_j = _phi_chain(x, d.s_alpha, d.s_beta, basis)
-        diff = phi_j - _phi_chain(x, d.s_beta, d.s_alpha, basis)
-        commute_res = np.max(np.sqrt(inner(diff, diff)), axis=-1)
-        # m_phi_j[j, i] = g(φJ e_i, e_j)
-        m_phi_j = inner(phi_j[:, None, :, :], basis[:, :, None, :])
-        m_t = np.swapaxes(m_phi_j, -1, -2)
-        sym_res = np.max(np.abs(m_phi_j - m_t), axis=(-2, -1))
-        square_res = np.max(np.abs(m_phi_j @ m_phi_j - np.eye(k)), axis=(-2, -1))
-        eigvals = np.linalg.eigvalsh(0.5 * (m_phi_j + m_t))
-        eig_res = np.max(np.abs(np.abs(eigvals) - 1.0), axis=-1)
-        eigs_seen.update(np.rint(eigvals).astype(int).ravel().tolist())
-        return np.maximum.reduce([sym_res * (EIG_TOL / SYM_TOL),
-                                  commute_res * (EIG_TOL / COMMUTE_TOL),
-                                  square_res * (EIG_TOL / SQUARE_TOL),
-                                  eig_res])
-
-    residuals, skipped = _hbundle_sweep(d, as_points(points, d.ambient_dim), residual)
-    return ResidualReport.from_residuals(
-        "phi_product_spectrum", residuals, tol, skipped,
-        provenance=f"phi-product on the sub-bundle; eigenvalues seen: {sorted(eigs_seen)}")
+    return hbundle_residuals(d, points, verify_sasakian).phi_product_report(tol)
 
 
 def hessian_restriction_check(d: DoubleKContact, points: ArrayLike,
-                              tol: float = 1e-7,
+                              tol: float = HESSIAN_TOL,
                               verify_sasakian: bool = True) -> ResidualReport:
     """Hess_f(A,B) = −2 f g(A,B) − 2 g(JφA, B) for A, B in {Z,X,JX}^⊥.
 
@@ -391,37 +457,7 @@ def hessian_restriction_check(d: DoubleKContact, points: ArrayLike,
     restriction to the sub-bundle is the part with an unambiguous
     symmetric reading.
     """
-    if verify_sasakian:
-        _sasakian_gate(d)
-    f = d.angle_function()
-    rng = np.random.default_rng(29)
-    full_domain = [0.0]
-
-    def residual(x, fv, basis):
-        k = basis.shape[-2]
-        if k == 0:
-            return np.zeros(len(x))
-        hess = hessian_matrix(f, x)
-        i, j = np.triu_indices(k)
-        a, b = basis[:, i], basis[:, j]
-        lhs = inner(apply(hess[:, None], a), b)
-        rhs = (-2.0 * fv[:, None] * inner(a, b)
-               - 2.0 * inner(_phi_chain(x, d.s_beta, d.s_alpha, a), b))
-        uv = random_tangent_batch(x, rng, (2,))
-        u, v = uv[:, 0], uv[:, 1]
-        xb = apply(d.s_beta.j_ambient.mat, x)
-        z = apply(d.s_alpha.j_ambient.mat, x)
-        jphi_u = d.s_alpha.phi_at(x, d.s_beta.phi_at(x, u))
-        full = (2.0 * inner(u, xb) * inner(z, v) - 2.0 * fv * inner(u, v)
-                - 2.0 * inner(jphi_u, v))
-        full_domain.append(np.max(np.abs(inner(apply(hess, u), v) - full)))
-        return np.abs(lhs - rhs)
-
-    residuals, skipped = _hbundle_sweep(d, as_points(points, d.ambient_dim), residual)
-    return ResidualReport.from_residuals(
-        "hessian_restricted", residuals, tol, skipped,
-        provenance=("hessian vs -2 f g - 2 g(J phi ., .) on the sub-bundle; "
-                    f"full-argument diagnostic (ungated) max {max(full_domain):.3e}"))
+    return hbundle_residuals(d, points, verify_sasakian).hessian_report(tol)
 
 
 def ricci_normal_check(d: DoubleKContact, points: ArrayLike,

@@ -32,6 +32,14 @@ points per block and falls at 32, while the traced peak of the largest
 check stays near 24 MB (s7).  It is read at call time, so a test can
 shrink it to cover more than one block.
 
+Frames: :func:`frame_batch` builds the orthonormal tangent frames every
+frame-based check contracts over, from k+1 Householder reflectors of
+[x | seeds] applied to a block of points at once.  Its rows are tangent
+and orthonormal to a few units of rounding at every point, so a frame
+sum reads the same in any frame; the leading rows follow the seeds, and
+the completion after them is whatever orthonormal basis the reflectors
+give.  :func:`seeds_span` is its rank test on the seeds.
+
 Sign conventions (frozen package-wide, pinned by tests):
 
 * curvature  R(u,v)w = ∇_u∇_v w − ∇_v∇_u w − ∇_[u,v] w, so that
@@ -60,7 +68,6 @@ from .errors import (
 
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
-FRAME_TOL = 1e-8    # Gram-Schmidt drops (or, for seeds, rejects) shorter residues
 SEED_GRAM_TOL = 1e-10   # frame seeds with a smaller Gram determinant are rank deficient
 BLOCK = 1024        # points per batched evaluation; bounds peak memory
 
@@ -495,23 +502,25 @@ def seeds_span(x: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(t @ np.swapaxes(t, -1, -2))) >= SEED_GRAM_TOL
 
 
-def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None,
-                completion: Optional[Sequence[int]] = None) -> np.ndarray:
-    """Orthonormal tangent frames at the points x, shape (..., m, m+1).
+def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None) -> np.ndarray:
+    """Orthonormal tangent frames at the points x, shape (..., m, m+1),
+    whose leading k rows are the Gram–Schmidt directions of the seeds
+    (..., k, m+1) projected to T_x.
 
-    Batched :func:`gram_schmidt_frame`: the leading rows span the seeds
-    (shape (..., k, m+1)), and each frame is completed with projections of
-    the canonical ambient basis in ``completion`` order, dropping a
-    candidate whose residue is shorter than FRAME_TOL at that point.  Each
-    candidate becomes one slot, zero at the points that drop it, so
-    orthogonalizing against every slot repeats the per-point arithmetic
-    exactly; each point's nonzero slots then form its frame.  Once a point
-    has m slots, the residue of any further tangent candidate is rounding
-    noise, far below FRAME_TOL, so it drops them by itself.
+    The frame is rows 1..m of Qᵀ for the Householder QR factorization
+    [x | seeds] = Q·R (Householder, J. ACM 5, 1958; Golub & Van Loan,
+    *Matrix Computations*, §5.1–5.2): k+1 reflectors H_j = I − 2vvᵀ/vᵀv,
+    applied to all the points at once, so Qᵀ = H_k ⋯ H_0.  Column 0 of Q
+    is ±x, so the other columns are tangent; column j ≤ k spans the
+    residue of seed j against x and the earlier seeds, and its row is
+    flipped by the sign of R_jj to point the way of that residue.  The
+    rest of Q completes the frame.  Every row is orthonormal and tangent
+    to a few units of rounding, whatever the point: no candidate is
+    dropped and nothing is divided by a short residue.  Seeds that fail
+    :func:`seeds_span` anywhere raise :class:`DegenerateInputError`.
     """
     x = np.asarray(x, dtype=float)
     lead, dim = x.shape[:-1], x.shape[-1]
-    m = dim - 1
     pts = x.reshape(-1, dim)
     if seeds is None:
         seeds = np.zeros((0, dim))
@@ -519,50 +528,35 @@ def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None,
     seeds = np.broadcast_to(seeds, lead + (k, dim)).reshape(len(pts), k, dim)
     if k and not seeds_span(pts, seeds).all():
         raise DegenerateInputError("seed vectors are rank deficient")
-    seeds = proj_np(pts[:, None, :], seeds)
-    order = list(completion if completion is not None else range(dim))
-    candidates = proj_np(pts[:, None, :], np.eye(dim)[order])
-    slots, kept = [], []
-    uniform = True          # every point has kept every slot so far
-    for j in range(k + len(order)):
-        w = (seeds[:, j] if j < k else candidates[:, j - k]).copy()
-        for b in slots:
-            w -= inner(w, b)[:, None] * b
-        r = np.sqrt(inner(w, w))
-        keep = r >= FRAME_TOL
-        everywhere = keep.all()
-        if j < k and not everywhere:
-            raise DegenerateInputError("seed vectors are rank deficient")
-        if everywhere or keep.any():
-            slots.append(np.divide(w, r[:, None], out=np.zeros_like(w),
-                                   where=keep[:, None]))
-            kept.append(keep)
-            uniform = uniform and everywhere
-        if uniform and len(slots) == m:
-            break
-    accepted = np.stack(kept, axis=1) if kept else np.zeros((len(pts), 0), dtype=bool)
-    if np.any(accepted.sum(axis=1) != m):
-        raise DegenerateInputError("could not complete an orthonormal frame")
-    basis = np.stack(slots, axis=1)
-    if len(slots) > m:
-        picks = np.argsort(~accepted, axis=1, kind="stable")[:, :m]
-        basis = np.take_along_axis(basis, picks[:, :, None], axis=1)
-    return basis.reshape(lead + (m, dim))
+    cols = np.concatenate([pts[:, None, :], seeds], axis=1)     # columns of [x | seeds]
+    reflectors, signs = [], []
+    for j in range(k + 1):
+        v = cols[:, j].copy()
+        v[:, :j] = 0.0                          # the part of column j that H_j reduces
+        s = np.where(v[:, j] >= 0.0, 1.0, -1.0)
+        v[:, j] += s * np.sqrt(inner(v, v))     # H_j maps that part to −s·|part|·e_j
+        c = 2.0 / inner(v, v)
+        rest = cols[:, j + 1:]
+        cols[:, j + 1:] = rest - (c[:, None] * apply(rest, v))[..., None] * v[:, None, :]
+        reflectors.append((v, c))
+        signs.append(-s)                        # sign of R_jj
+    v, c = reflectors[-1]
+    frames = np.eye(dim)[1:] - (c[:, None] * v[:, 1:])[..., None] * v[:, None, :]
+    for v, c in reversed(reflectors[:-1]):
+        frames -= (c[:, None] * apply(frames, v))[..., None] * v[:, None, :]
+    if k:
+        frames[:, :k] *= np.stack(signs[1:], axis=1)[..., None]
+    return frames.reshape(lead + (dim - 1, dim))
 
 
 def gram_schmidt_frame(p: SpherePoint,
-                       seeds: Sequence[TangentVector] = (),
-                       completion: Optional[Sequence[int]] = None) -> Frame:
-    """Orthonormal tangent frame whose leading vectors span the seeds.
-
-    After the seeds, the frame is completed with projections of the
-    canonical ambient basis (in ``completion`` order, default index
-    order), dropping near-dependent candidates.  Deterministic given the
-    seed order.
-    """
+                       seeds: Sequence[TangentVector] = ()) -> Frame:
+    """Orthonormal tangent frame whose leading vectors are the Gram–Schmidt
+    directions of the seeds: one row of :func:`frame_batch`, which builds
+    it from Householder reflectors."""
     _require_same_base(p, *seeds)
     seed_arr = np.array([s.vec for s in seeds]).reshape(len(seeds), p.ambient_dim)
-    rows = frame_batch(p.coords, seed_arr, completion)
+    rows = frame_batch(p.coords, seed_arr)
     return Frame(p, tuple(TangentVector(p, b) for b in rows))
 
 

@@ -10,6 +10,7 @@ import kontact as kt
 from kontact import ad, manifold
 from kontact.contact import (
     _d_on_frames,
+    d_on_pairs,
     exterior_derivative_batch,
     killing_residual,
     sasakian_residual,
@@ -50,51 +51,56 @@ def twisted(dim):
     return kt.twisted_unit_field(c, a, d)
 
 
-def loop_frame(p, seeds=(), completion=None):
-    """The per-point Gram-Schmidt loop the batched frames replace."""
-    basis = []
-
-    def push(candidate):
-        w = candidate.copy()
-        for b in basis:
-            w -= (w @ b) * b
-        r = np.linalg.norm(w)
-        if r >= 1e-8:
-            basis.append(w / r)
-
-    for s in seeds:
-        push(s - (s @ p) * p)
-    eye = np.eye(len(p))
-    for i in completion if completion is not None else range(len(p)):
-        if len(basis) == len(p) - 1:
-            break
-        push(eye[i] - (eye[i] @ p) * p)
-    return np.array(basis)
+def seed_directions(x, seeds):
+    """Unit Gram-Schmidt directions of the seeds (N, k, m+1) against x and
+    each other, point by point: the rows a frame seeded by them must lead
+    with.  Two passes per seed, so the reference is exact to rounding."""
+    out = np.zeros_like(seeds)
+    for n, p in enumerate(x):
+        basis = [p]
+        for j, s in enumerate(seeds[n]):
+            w = s.copy()
+            for _ in range(2):
+                for b in basis:
+                    w -= (w @ b) * b
+            out[n, j] = w / np.linalg.norm(w)
+            basis.append(out[n, j])
+    return out
 
 
-def test_frames_match_loop_and_one_row(setting):
-    pair, f, pts, x = setting
-    seeds = x @ pair.s_alpha.j_ambient.mat.T
-    reverse = list(reversed(range(x.shape[1])))
-    for kwargs in ({}, {"completion": reverse}):
-        batch = frame_batch(x, seeds[:, None, :], **kwargs)
-        plain = frame_batch(x, **kwargs)
-        for p, row, seed, free in zip(pts, batch, seeds, plain):
-            z = pair.s_alpha.reeb_at(p)
-            one = kt.gram_schmidt_frame(p, [z], **kwargs).matrix
-            assert np.max(np.abs(row - one)) <= 1e-15
-            assert np.max(np.abs(row - loop_frame(p.coords, [seed], **kwargs))) <= 1e-15
-            assert np.max(np.abs(free - loop_frame(p.coords, **kwargs))) <= 1e-15
-
-
-@pytest.mark.parametrize("dim", DIMS)
-def test_frames_drop_candidates_per_point(dim):
-    # on coordinate axes some completion candidates vanish after projection
+def axis_points(dim):
+    """Coordinate-axis points, where projected axis vectors vanish."""
     eye = np.eye(dim + 1)
-    x = np.vstack([eye[[0, 1, dim]], (eye[0] + eye[1]) / np.sqrt(2.0),
-                   kt.sample_points(2, 9, dim + 1)[0].coords])
-    for row, p in zip(frame_batch(x), x):
-        assert np.max(np.abs(row - loop_frame(p))) <= 1e-15
+    return np.vstack([eye[[0, 1, dim]], (eye[0] + eye[1]) / np.sqrt(2.0)])
+
+
+def test_frames_are_orthonormal_tangent_and_seeded(setting):
+    pair, f, pts, x = setting
+    dim = x.shape[1] - 1
+    with_axes = np.vstack([x, axis_points(dim)])
+    z = with_axes @ pair.s_alpha.j_ambient.mat.T
+    cases = [(with_axes, None), (with_axes, z[:, None, :]),
+             (x, kt.double_kcontact._hbundle_seeds(pair, x))]
+    for points, seeds in cases:
+        frames = frame_batch(points, seeds)
+        assert frames.shape == (len(points), dim, dim + 1)
+        assert np.max(np.abs(frames @ points[:, :, None])) <= 1e-15
+        gram = frames @ np.swapaxes(frames, 1, 2)
+        assert np.max(np.abs(gram - np.eye(dim))) <= 1e-14
+        if seeds is not None:
+            k = seeds.shape[1]
+            assert np.max(np.abs(frames[:, :k] - seed_directions(points, seeds))) <= 1e-14
+
+
+def test_gram_schmidt_frame_is_one_row_of_frame_batch(setting):
+    pair, f, pts, x = setting
+    points = [*pts, *(kt.SpherePoint(p) for p in axis_points(x.shape[1] - 1))]
+    coords = np.array([p.coords for p in points])
+    seeded = frame_batch(coords, (coords @ pair.s_alpha.j_ambient.mat.T)[:, None, :])
+    plain = frame_batch(coords)
+    for p, row, free in zip(points, seeded, plain):
+        assert np.array_equal(kt.gram_schmidt_frame(p, [pair.s_alpha.reeb_at(p)]).matrix, row)
+        assert np.array_equal(kt.tangent_basis(p).matrix, free)
 
 
 def test_frame_batch_rejects_dependent_seeds(setting):
@@ -228,6 +234,25 @@ def test_jacobian_d_on_frames_is_the_exterior_derivative_on_every_pair(setting):
                                           frames[:, k, :], frames[:, l, :])
         assert w.shape == (len(x), m, m)
         assert np.max(np.abs(w - pairs)) <= 1e-13
+
+
+def test_one_jacobian_d_is_the_exterior_derivative_on_pairs(setting):
+    # the form check_axiom_iii takes dα in, for α's coefficients and for a
+    # coefficient field whose Jacobian varies from point to point
+    pair, f, pts, x = setting
+    s = pair.s_alpha
+    a = np.random.default_rng(5).standard_normal(x.shape[1])
+
+    def quadratic_coeffs(y):
+        return ad.sv(ad.dot(y, a), s.alpha_coeffs(y))
+
+    uv = random_tangent_batch(x, np.random.default_rng(11), (2, 2))
+    u, v = uv[..., 0, :], uv[..., 1, :]
+    for coeff in (s.alpha_coeffs, quadratic_coeffs):
+        one_jacobian = d_on_pairs(coeff, x[:, None, :], u, v)
+        oracle = exterior_derivative_batch(coeff, x[:, None, :], u, v)
+        assert one_jacobian.shape == (len(x), 2)
+        assert np.max(np.abs(one_jacobian - oracle)) <= 1e-14
 
 
 def test_nu_batch_matches_one_row_and_the_frame_loop(setting):

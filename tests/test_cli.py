@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import kontact as kt
 from kontact import DoubleKContact, SpherePoint, ad, manifold, standard_pair
 from kontact.ad import value
 from kontact.cli import (
@@ -90,6 +91,53 @@ def test_suite_evaluates_the_harmonic_jet_once_per_block(monkeypatch):
     assert reports["critical_condition"].tolerance == 1e-5
     for name in ("nu_form", "critical_condition"):
         assert reports[name].passed and reports[name].count == 40
+
+
+SUB_BUNDLE_CHECKS = {"laplacian_formula": kt.laplacian_formula_check,
+                     "phi_product_spectrum": kt.phi_product_spectrum_check,
+                     "hessian_restricted": kt.hessian_restriction_check}
+
+
+@pytest.mark.parametrize("name", ["s5", "s7"])
+def test_catalog_sub_bundle_reports_are_the_standalone_checkers(name, monkeypatch):
+    # blocks of 7 points, so the Hessian's direction stream crosses blocks;
+    # a critical point (f = -1) at index 10 is skipped
+    monkeypatch.setattr(manifold, "BLOCK", 7)
+    config = SuiteConfig(manifold=name, samples=40, seed=3)
+    pair = standard_pair(MANIFOLDS[name])
+    f = pair.angle_function()
+    x = sample_coords(40, 3, pair.ambient_dim,
+                      exclusion=lambda y: np.abs(value(f.eval(y))) > 0.9)
+    x = np.insert(x, 10, np.eye(pair.ambient_dim)[0], axis=0)
+    frames = []
+    hbundle_frames = kt.double_kcontact.hbundle_frames
+
+    def counted(*args):
+        frames.append(1)
+        return hbundle_frames(*args)
+
+    monkeypatch.setattr(kt.double_kcontact, "hbundle_frames", counted)
+    catalog = dict(_check_catalog(pair, x, config))
+    shared = {check: catalog[check]() for check in SUB_BUNDLE_CHECKS}
+    assert len(frames) == 6         # 40 kept points in blocks of 7, built once
+    for check, standalone in SUB_BUNDLE_CHECKS.items():
+        rep = standalone(pair, x)
+        assert shared[check] == rep, check
+        assert rep.skipped == 1 and rep.passed
+
+
+@pytest.mark.parametrize("name, gates", [("s3", 0), ("s5", 1), ("s7", 1)])
+def test_suite_probes_the_sasakian_precondition_once(name, gates, monkeypatch):
+    calls = []
+    gate = kt.double_kcontact._sasakian_gate
+
+    def counted(*args):
+        calls.append(1)
+        return gate(*args)
+
+    monkeypatch.setattr(kt.double_kcontact, "_sasakian_gate", counted)
+    assert all(r.passed for r in run_suite(SuiteConfig(manifold=name, samples=10, seed=3)))
+    assert len(calls) == gates
 
 
 def test_json_document_byte_identical(small_reports):

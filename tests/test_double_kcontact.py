@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from kontact.errors import (
     UnsupportedDimensionError,
 )
 from kontact.manifold import block_diag_complex_structure, sample_coords
+from rotated_frames import rotate_completion, rotated_frame_batch
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -217,7 +219,7 @@ def test_laplacian_formula_s5_trace_term(pair5, pts5):
 def test_laplacian_formula_frame_independence(pair5, pts5):
     for p in pts5[:10]:
         b1 = kt.hbundle_basis(pair5, p)
-        b2 = kt.hbundle_basis(pair5, p, reverse_completion=True)
+        b2 = [kt.TangentVector(p, e) for e in rotate_completion(b1.matrix, 0)]
         t1 = sum(kt.metric(pair5.s_alpha.phi(pair5.s_beta.phi(e)), e) for e in b1)
         t2 = sum(kt.metric(pair5.s_alpha.phi(pair5.s_beta.phi(e)), e) for e in b2)
         assert abs(t1 - t2) < 1e-8
@@ -377,6 +379,39 @@ def test_rotated_pairs_pass_every_catalog_check(dim, signs):
         assert rep.passed, (name, rep.max, rep.tolerance)
         if name == "gradient_identity":
             assert "both pairings hold" in rep.provenance
+
+
+FRAME_CHECKS = ("laplacian_formula", "phi_product_spectrum", "hessian_restricted",
+                "ricci_normal", "nu_form", "critical_condition")
+
+
+def catalog_reports(dim, samples=200, seed=1):
+    """The reports of the catalog checks built on frames, on the standard
+    pair at ``samples`` points drawn as ``run_suite`` draws them."""
+    pair = kt.standard_pair(dim)
+    config = SuiteConfig(manifold=f"s{dim}", samples=samples, seed=seed)
+    f = pair.angle_function()
+    x = sample_coords(samples, seed, pair.ambient_dim,
+                      exclusion=lambda y: np.abs(value(f.eval(y))) > config.exclusion)
+    return {name: check() for name, check in _check_catalog(pair, x, config)
+            if name in FRAME_CHECKS}
+
+
+@pytest.mark.parametrize("dim", (3, 5, 7))
+def test_frame_checks_do_not_depend_on_the_completion(dim, monkeypatch):
+    plain = catalog_reports(dim)
+    real = kt.manifold.frame_batch
+    binding = [mod for name, mod in list(sys.modules.items())
+               if name.split(".")[0] == "kontact" and vars(mod).get("frame_batch") is real]
+    assert len(binding) >= 4    # manifold, contact, double_kcontact, harmonic
+    for mod in binding:
+        monkeypatch.setattr(mod, "frame_batch", rotated_frame_batch(real))
+    turned = catalog_reports(dim)
+    assert turned.keys() == plain.keys()
+    for name, rep in turned.items():
+        assert (rep.count, rep.skipped, rep.passed) == (
+            plain[name].count, plain[name].skipped, plain[name].passed), name
+        assert rep.max <= 1e-13, (name, rep.max)
 
 
 def test_rotated_pair_descriptor_round_trip():
