@@ -141,8 +141,17 @@ def directional(f: Callable, x: Payload, d: Payload):
 # vector helpers (last-axis semantics, dual-aware)
 
 def dot(x, y):
-    """Inner product over the last axis."""
+    """Inner product over the last axis.
+
+    A self product ``dot(x, x)``, as :func:`norm`, :func:`unit` and
+    :func:`proj_tangent` take it, differentiates as 2⟨v, e⟩: one
+    contraction where the product rule takes two identical ones, at every
+    nesting level, and bitwise the same, since ⟨e, v⟩ = ⟨v, e⟩ and
+    d + d = 2·d exactly.
+    """
     if type(x) is Dual:
+        if y is x:
+            return Dual(dot(x.val, x.val), 2.0 * dot(x.val, x.eps))
         if type(y) is Dual:
             return Dual(dot(x.val, y.val), dot(x.val, y.eps) + dot(x.eps, y.val))
         return Dual(dot(x.val, y), dot(x.eps, y))

@@ -194,6 +194,27 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha"
 # ---------------------------------------------------------------------------
 # top-form evaluation (axiom i)
 
+def _minor_index(k: int, drop: tuple) -> tuple:
+    """Index arrays (rows, cols) that take the minor of a k×k matrix
+    without the rows and columns in ``drop`` in one fancy-indexing step."""
+    keep = [i for i in range(k) if i not in drop]
+    return np.ix_(keep, keep)
+
+
+# The minors the top form takes up to S⁷ (k ≤ 8): one dropped index for
+# the expansion of α∧(dα)^n, the first and one more for the Pfaffian's.
+_MINORS = {(k, drop): _minor_index(k, drop)
+           for k in range(1, 9)
+           for drop in [(j,) for j in range(k)] + [(0, j) for j in range(1, k)]}
+
+
+def _minor(mat: np.ndarray, drop: tuple) -> np.ndarray:
+    """``mat`` (..., k, k) without the rows and columns in ``drop``."""
+    k = mat.shape[-1]
+    rows, cols = _MINORS.get((k, drop)) or _minor_index(k, drop)
+    return mat[..., rows, cols]
+
+
 def pfaffian(mat: np.ndarray):
     """Pfaffian of small skew-symmetric matrices (..., k, k), by recursive
     expansion along the first row; leading axes broadcast."""
@@ -205,11 +226,9 @@ def pfaffian(mat: np.ndarray):
     if k == 2:
         return mat[..., 0, 1]
     total = 0.0
-    rest = list(range(1, k))
-    for pos, jcol in enumerate(rest):
-        sign = -1.0 if pos % 2 else 1.0
-        keep = [i for i in rest if i != jcol]
-        total = total + sign * mat[..., 0, jcol] * pfaffian(mat[..., keep, :][..., keep])
+    for jcol in range(1, k):
+        sign = -1.0 if jcol % 2 == 0 else 1.0
+        total = total + sign * mat[..., 0, jcol] * pfaffian(_minor(mat, (0, jcol)))
     return total
 
 
@@ -249,9 +268,8 @@ def volume_form_batch(coeff_field: Callable, x: np.ndarray, frames: np.ndarray,
     fact_n = float(math.factorial(n))
     total = 0.0
     for k in range(m):
-        keep = [i for i in range(m) if i != k]
         sign = -1.0 if k % 2 else 1.0
-        total = total + sign * a[..., k] * fact_n * pfaffian(w[..., keep, :][..., keep])
+        total = total + sign * a[..., k] * fact_n * pfaffian(_minor(w, (k,)))
     orientation = np.sign(np.linalg.det(np.concatenate([x[..., None, :], frames], axis=-2)))
     return total * orientation
 

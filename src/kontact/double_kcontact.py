@@ -201,7 +201,11 @@ def _spans(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
 
 def hbundle_frames(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
     """Orthonormal bases of {Z, X, JX}^⊥ at the regular points x (batched),
-    shape (..., m−3, m+1): the tail of the frame seeded by Z, X, JX."""
+    shape (..., m−3, m+1): the tail of the frame seeded by Z, X, JX.  On
+    S³ the sub-bundle is zero and the bases are empty, with no frame built;
+    callers mask the points where the seeds do not span (:func:`_spans`)."""
+    if d.dim == 3:
+        return np.empty(x.shape[:-1] + (0, x.shape[-1]))
     return frame_batch(x, _hbundle_seeds(d, x))[..., 3:, :]
 
 

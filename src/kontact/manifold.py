@@ -25,12 +25,14 @@ over the last axis only; the per-point functions taking
 :class:`SpherePoint`/:class:`TangentVector` are one-row calls into the
 same kernels.  Every check evaluates its points through :func:`sweep`,
 in blocks of ``BLOCK`` points to bound memory, and counts the points its
-mask leaves out as skipped; ``harmonic.energy`` uses the same blocks.
-``BLOCK`` is 1024 because a block's cost is mostly per-call numpy
-dispatch in the dual engine: check throughput is flat from 256 to 2048
-points per block and falls at 32, while the traced peak of the largest
-check stays near 24 MB (s7).  It is read at call time, so a test can
-shrink it to cover more than one block.
+mask leaves out as skipped.  ``BLOCK`` is 1024 because a block's cost
+is mostly per-call numpy dispatch in the dual engine: check throughput
+is flat from 256 to 2048 points per block and falls at 32, while the
+traced peak of the largest check, a second-order jet per point, stays
+near 24 MB (s7).  ``harmonic.energy`` sweeps blocks of 4 · ``BLOCK``
+samples, because its integrand holds only a first-order Jacobian per
+point.  ``BLOCK`` is read at call time, so a test can shrink it to cover
+more than one block.
 
 Frames: :func:`frame_batch` builds the orthonormal tangent frames every
 frame-based check contracts over, from k+1 Householder reflectors of

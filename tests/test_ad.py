@@ -209,6 +209,34 @@ def test_dot_leaf_matches_the_summed_product():
     assert np.all(np.abs(out - ref) <= 4 * np.spacing(scale))
 
 
+def leaves(x):
+    if type(x) is ad.Dual:
+        return leaves(x.val) + leaves(x.eps)
+    return [np.asarray(x)]
+
+
+def deep_copy(x):
+    """The same payload with no Dual or array shared with ``x``."""
+    if type(x) is ad.Dual:
+        return ad.Dual(deep_copy(x.val), deep_copy(x.eps))
+    return np.array(x, copy=True)
+
+
+@pytest.mark.parametrize("nested", (False, True), ids=("jacobian", "second_jet"))
+def test_self_dot_matches_the_product_rule_bitwise(nested):
+    # dot(x, x) takes 2⟨v, e⟩ where the product rule takes ⟨v, e⟩ + ⟨e, v⟩;
+    # a deep copy as the second argument takes the product rule throughout
+    x = np.random.default_rng(12).standard_normal((33, 6))
+    y = ad.make_dual(x, ad.axis_directions(x, 6))
+    if nested:
+        y = ad.make_dual(y, ad.axis_directions(y, 6))
+    v = vector_fn(y[..., :3])
+    same, rule = ad.dot(v, v), ad.dot(v, deep_copy(v))
+    assert ad.depth(same) == ad.depth(rule) == (2 if nested else 1)
+    for a, b in zip(leaves(same), leaves(rule)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
 def test_value_and_lift_round_trip():
     x = np.array([1.0, 2.0])
     d = ad.make_dual(x, np.array([0.0, 1.0]))

@@ -366,7 +366,10 @@ def unblocked_energy(zf, sample_size, seed, ambient_dim):
 
 @pytest.mark.parametrize("dim", (3, 5))
 @pytest.mark.parametrize("size", (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3))
-def test_blocked_energy_matches_one_pass(dim, size):
+def test_blocked_energy_matches_one_pass(dim, size, monkeypatch):
+    # energy sweeps blocks of 4 · manifold.BLOCK samples; a quarter BLOCK
+    # makes them BLOCK samples long, so the sizes straddle their boundaries
+    monkeypatch.setattr(manifold, "BLOCK", BLOCK // 4)
     zf = excluded_gradient_field(dim)
     est = kt.energy(zf, size, 17, dim + 1)
     estimate, stderr, skipped = unblocked_energy(zf, size, 17, dim + 1)

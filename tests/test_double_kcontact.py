@@ -148,6 +148,30 @@ def test_hbundle_empty_on_s3(pair3, pts3):
     assert len(basis) == 0
 
 
+def s3_points_with_poles(pts3):
+    # e₁ and e₃ sit where f = −1 and f = +1, so the sub-bundle checks skip them
+    return np.vstack([[p.coords for p in pts3], np.eye(4)[[0, 2]]])
+
+
+def test_s3_sub_bundle_builds_no_frame(pair3, pts3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame_batch called for the zero sub-bundle")
+
+    monkeypatch.setattr(kt.double_kcontact, "frame_batch", refuse)
+    rep = kt.laplacian_formula_check(pair3, s3_points_with_poles(pts3))
+    assert rep.passed and (rep.count, rep.skipped) == (len(pts3), 2)
+
+
+def test_s3_laplacian_report_matches_the_seeded_frame_tail(pair3, pts3, monkeypatch):
+    # the empty basis against the tail of the frame seeded by Z, X, JX
+    x = s3_points_with_poles(pts3)
+    empty = kt.laplacian_formula_check(pair3, x)
+    dk = kt.double_kcontact
+    monkeypatch.setattr(dk, "hbundle_frames", lambda d, y: dk.frame_batch(
+        y, dk._hbundle_seeds(d, y))[..., 3:, :])
+    assert kt.laplacian_formula_check(pair3, x) == empty
+
+
 def test_hbundle_s5_orthogonality(pair5, pts5):
     for p in pts5[:10]:
         basis = kt.hbundle_basis(pair5, p)

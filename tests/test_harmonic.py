@@ -210,6 +210,36 @@ def test_energy_regression_of_gradient_field(angle3, nfield3):
     assert e1.skipped > 0
 
 
+def gradient_energy_closed_form(dim, cutoff=0.9):
+    """½ ∫ tr L_N dV of the unit gradient of f over |f| ≤ cutoff on S^dim.
+
+    With f = 1 − 2s, s = x₁² + x₂², s is Beta(1, (m−1)/2) under the
+    uniform measure, and tr L_N = m + (1+f)/(1−f) + (m−2)(1−f)/(1+f)
+    depends on s alone (see the test above), so the integral is one
+    Gauss–Legendre sum over s ∈ [(1−cutoff)/2, (1+cutoff)/2]."""
+    b = 0.5 * (dim - 1)
+    lo, hi = 0.5 * (1.0 - cutoff), 0.5 * (1.0 + cutoff)
+    t, w = np.polynomial.legendre.leggauss(64)
+    s = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
+    f = 1.0 - 2.0 * s
+    tr = dim + (1 + f) / (1 - f) + (dim - 2) * (1 - f) / (1 + f)
+    density = b * (1.0 - s) ** (b - 1.0)
+    return 0.5 * kt.sphere_volume(dim) * 0.5 * (hi - lo) * np.sum(w * density * tr)
+
+
+@pytest.mark.parametrize("dim,closed", [(3, 67.00354), (5, 161.06021), (7, 201.15898)])
+def test_energy_of_gradient_field_matches_the_closed_form(dim, closed):
+    exact = gradient_energy_closed_form(dim)
+    assert abs(exact - closed) <= 1e-5
+    f = kt.standard_pair(dim).angle_function()
+    nfield = kt.normalized_gradient_unit_field(f)
+    zf = kt.UnitVectorField(
+        nfield.field, label=nfield.label,
+        guard=lambda x: nfield.guard(x) & (np.abs(ad.value(f.eval(x))) <= 0.9))
+    est = kt.energy(zf, 100_000, 3, dim + 1)
+    assert abs(est.estimate - exact) <= 4.0 * est.stderr
+
+
 def test_nu_vanishes_for_reeb(reeb3, pts3):
     rep = kt.harmonicity_check(reeb3, pts3)
     assert rep.passed and rep.max < 1e-6
