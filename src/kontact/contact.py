@@ -295,26 +295,29 @@ def volume_form_constant(n: int) -> float:
 def check_axiom_volume(s: ContactMetricStructure, points: ArrayLike,
                        coeff_field: Optional[Callable] = None,
                        tol: float = 1e-9) -> ResidualReport:
-    """α∧(dα)^n must be nowhere-vanishing with constant sign.
+    """α∧(dα)^n must equal ±2^n·n! with constant sign.
 
-    Per-point residual: the deficit below half the adapted-frame constant,
-    plus a full-constant penalty on any sign flip.
+    On every orthonormal frame of a contact metric structure
+    |α∧(dα)^n| = 2^n·n! exactly (Blair, *Riemannian Geometry of Contact
+    and Symplectic Manifolds*, 2nd ed., 2010), so the per-point residual
+    is the relative deviation of |α∧(dα)^n| from 2^n·n!, plus a penalty
+    of 1 on any sign flip.
     """
     coeff = coeff_field if coeff_field is not None else s.alpha_coeffs
     ref = volume_form_constant(s.n)
     values, _ = sweep(lambda x: volume_form_batch(coeff, x, frame_batch(x), s.n),
                       as_points(points, s.ambient_dim))
-    residuals = np.maximum(0.0, 0.5 * ref - np.abs(values))
+    residuals = np.abs(np.abs(values) - ref) / ref
     signs = np.sign(values)
     signed = np.flatnonzero(signs)
     if signed.size:
         # The first point with a nonzero value fixes the sign.
         flips = signs != signs[signed[0]]
         flips[:signed[0] + 1] = False
-        residuals = residuals + ref * flips
+        residuals = residuals + flips
     return ResidualReport.from_residuals(
         f"axiom_volume_{s.label}", residuals, tol,
-        provenance="top form nonvanishing with constant sign")
+        provenance="top form ±2^n·n! with constant sign")
 
 
 def _direction_sweep(x: np.ndarray, seed: int, residual: Callable,

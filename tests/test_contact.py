@@ -146,6 +146,18 @@ def test_volume_form_negative_control(pair3, angle3, pts3):
     assert not rep.passed
 
 
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_volume_form_gate_is_an_equality(dim):
+    # 1.001·α is a contact form whose top form is 1.001^(n+1)·2^n·n!: far
+    # from vanishing, yet not the form of a contact metric structure
+    s = kt.standard_pair(dim).s_alpha
+    pts = sample_coords(50, dim, s.ambient_dim)
+    rep = kt.check_axiom_volume(s, pts, coeff_field=lambda x: 1.001 * s.alpha_coeffs(x))
+    assert not rep.passed
+    assert abs(rep.max - (1.001 ** (s.n + 1) - 1.0)) <= 1e-12
+    assert kt.check_axiom_volume(s, pts).max <= 1e-14
+
+
 def test_kcontact_standard(pair3, pts3):
     rep = kt.check_kcontact(pair3.s_alpha, pts3)
     assert rep.passed and rep.max < 1e-9
