@@ -201,11 +201,13 @@ def _minor_index(k: int, drop: tuple) -> tuple:
     return np.ix_(keep, keep)
 
 
-# The minors the top form takes up to S⁷ (k ≤ 8): one dropped index for
-# the expansion of α∧(dα)^n, the first and one more for the Pfaffian's.
+# The minors the top form takes up to S⁷: one dropped index for the
+# expansion of α∧(dα)^n on m = 3, 5, 7 frame vectors, the first and one
+# more for the expansion of an even Pfaffian.
 _MINORS = {(k, drop): _minor_index(k, drop)
-           for k in range(1, 9)
-           for drop in [(j,) for j in range(k)] + [(0, j) for j in range(1, k)]}
+           for k in range(3, 8)
+           for drop in ([(j,) for j in range(k)] if k % 2
+                        else [(0, j) for j in range(1, k)])}
 
 
 def _minor(mat: np.ndarray, drop: tuple) -> np.ndarray:

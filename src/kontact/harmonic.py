@@ -259,11 +259,13 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     reduction over all samples, so the result does not depend on the
     block size.
 
-    The samples are drawn all at once, not block by block: drawing per
-    block ran 8–15% slower on energy s5 in a fresh process (15 161 minor
-    page faults per call against about 1 650), because glibc raises its
-    mmap and trim thresholds only once a large array is freed, which
-    the full-size temporaries of ``sample_coords`` do.
+    The samples are drawn all at once, not block by block.  Drawn per
+    block, one energy s5 call in a fresh process (100 000 samples) took
+    a median 0.147 s of CPU time against 0.118 s and about 14 100 minor
+    page faults against 2 360 (8 processes each): glibc raises its mmap
+    and trim thresholds only once a large array is freed, as the
+    full-size temporaries of ``sample_coords`` are, and until then it
+    maps and trims every block's temporaries afresh.
     """
     if sample_size < 2:
         raise ValueError("samples must be >= 2 for a standard error")
@@ -272,11 +274,12 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     kept = 0
     # A sample of this integrand carries one first-order Jacobian, (m+1)×
     # less than the second-order jet a check's point carries, so its
-    # blocks can be larger at the same peak.  On energy s5 at 100 000
-    # samples (2-vCPU VM, BLAS at one thread) 4× gives 25 blocks instead
-    # of 98 and ran 8.9% faster warm, against 6.6% for 2× and 7.6% for
-    # 8×; (m+1)× raised the peak RSS of verify s7 --samples 20 (its Reeb
-    # energy) from 39.8 to 40.7 MB, while 4× kept it at 39.5.
+    # blocks can be larger.  On energy s5 at 100 000 samples (2-vCPU VM,
+    # BLAS at one thread, warm, medians of 12 interleaved calls) blocks
+    # of 2, 4, 6 and 8 BLOCK ran 5.9%, 7.9%, 9.7% and 11.9% faster than
+    # blocks of one BLOCK.  Past 4× the peak RSS of verify s7 --samples 20
+    # (its Reeb energy) grows: 39.5 MB at one and at 4 BLOCK, 40.7 MB at
+    # 8 BLOCK, which is (m+1)× there.
     for sl in blocks(sample_size, 4 * manifold.BLOCK):
         x = points[sl]
         mask = np.asarray(zf.guard(x), dtype=bool)

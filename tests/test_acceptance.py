@@ -226,7 +226,7 @@ def test_criterion_11_contact_axioms_kcontact_sasakian():
     report_line(11, ok, f"axiom ii {worst['ii']:.2e}/killing "
                         f"{worst['kcontact']:.2e} <= 1e-9; axiom iii "
                         f"{worst['iii']:.2e}/sasakian {worst['sasakian']:.2e} "
-                        f"<= 1e-8; axiom i nonvanishing")
+                        f"<= 1e-8; axiom i |α∧(dα)^n| = 2^n n!")
     assert ok
 
 
