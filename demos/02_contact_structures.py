@@ -4,16 +4,17 @@
 import numpy as np
 
 import kontact as kt
+from kontact.manifold import sample_coords
 
 # the generator: block-diagonal quarter turns
 j = kt.block_diag_complex_structure([1, 1])
 s = kt.build_from_complex_structure(j)
 print("sigma chosen by the d(alpha) axiom:", s.sigma)
 
-p = kt.SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
-print("Reeb field at e1:", s.reeb_at(p).vec)
+e1 = np.array([1.0, 0.0, 0.0, 0.0])
+print("Reeb field at e1:", s.j_ambient.mat @ e1)
 
-pts = kt.sample_points(200, 11, 4)
+pts = sample_coords(200, 11, 4)
 for rep in (kt.check_axiom_volume(s, pts),
             kt.check_axiom_ii(s, pts),
             kt.check_axiom_iii(s, pts),
@@ -24,7 +25,7 @@ for rep in (kt.check_axiom_volume(s, pts),
 # the same construction works on any odd sphere
 j5 = kt.block_diag_complex_structure([-1, 1, 1])
 s5 = kt.build_from_complex_structure(j5)
-pts5 = kt.sample_points(100, 11, 6)
+pts5 = sample_coords(100, 11, 6)
 print("S^5 structure, Sasakian residual:", kt.check_sasakian(s5, pts5).max)
 
 # structures serialize to JSON-ready descriptors

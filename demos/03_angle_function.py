@@ -4,12 +4,15 @@
 import numpy as np
 
 import kontact as kt
+from kontact.ad import value
+from kontact.manifold import sample_coords
+from kontact.scalar_fields import level_mean_curvature_batch
 
 for dim in (3, 5, 7):
     pair = kt.standard_pair(dim)
     f = pair.angle_function()
-    pts = kt.sample_points(150, 42, dim + 1,
-                           exclusion=lambda p: abs(f.value(p)) > 0.9)
+    pts = sample_coords(150, 42, dim + 1,
+                        exclusion=lambda x: np.abs(value(f.eval(x))) > 0.9)
 
     # |grad f|^2 = 4(1 - f^2) pointwise
     trans = kt.transnormal_b_check(pair, pts)
@@ -25,17 +28,17 @@ for dim in (3, 5, 7):
 alt = kt.make_double(kt.block_diag_complex_structure([1, 1, 1]),
                      kt.block_diag_complex_structure([-1, -1, 1]))
 f_alt = alt.angle_function()
-pts = kt.sample_points(100, 7, 6, exclusion=lambda p: abs(f_alt.value(p)) > 0.9)
+pts = sample_coords(100, 7, 6, exclusion=lambda x: np.abs(value(f_alt.eval(x))) > 0.9)
 print("alternate S^5 pair offset:", kt.expected_laplacian_profile(alt)[1],
       "| dim theorem:", kt.dim_theorem_check(alt, pts).provenance)
 
 # level sets: the f = 0 level of the S^3 angle function is a minimal torus
 pair3 = kt.standard_pair(3)
 f3 = pair3.angle_function()
-torus_point = kt.SpherePoint(np.array([1.0, 0, 1.0, 0]) / np.sqrt(2))
-print("mean curvature at f=0:", kt.level_mean_curvature(f3, torus_point))
+torus_point = np.array([1.0, 0, 1.0, 0]) / np.sqrt(2)
+print("mean curvature at f=0:", level_mean_curvature_batch(f3, torus_point))
 
 # and h follows the transnormal identity h = lap/|grad| + b'/(2 sqrt b)
-pts3 = kt.sample_points(150, 42, 4, exclusion=lambda p: abs(f3.value(p)) > 0.9)
+pts3 = sample_coords(150, 42, 4, exclusion=lambda x: np.abs(value(f3.eval(x))) > 0.9)
 rep = kt.mean_curvature_identity_check(f3, kt.ANGLE_PROFILE, pts3)
 print("mean curvature identity residual:", rep.max)

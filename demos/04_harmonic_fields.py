@@ -4,10 +4,12 @@
 import numpy as np
 
 import kontact as kt
+from kontact.ad import value
+from kontact.manifold import frame_batch, sample_coords, shape_matrix
 
 pair = kt.standard_pair(3)
 f = pair.angle_function()
-pts = kt.sample_points(100, 42, 4, exclusion=lambda p: abs(f.value(p)) > 0.9)
+pts = sample_coords(100, 42, 4, exclusion=lambda x: np.abs(value(f.eval(x))) > 0.9)
 
 # the Reeb field is harmonic and its energy has a closed form
 reeb = kt.reeb_unit_field(pair.s_alpha)
@@ -21,9 +23,13 @@ n_field = kt.normalized_gradient_unit_field(f)
 print("nu residual (unit gradient):", kt.harmonicity_check(n_field, pts).max)
 print("critical condition:", kt.critical_condition_check(n_field, pts).max)
 
-# its shape operator on a level set: principal curvatures of the torus family
-spec = kt.shape_spectrum(n_field, pts[0])
-print("principal curvatures:", spec.eigenvalues, "h =", spec.mean_curvature)
+# its shape operator A = -grad N on a level set, in a frame of N^perp:
+# the principal curvatures of the torus family
+x = pts[:1]
+basis = frame_batch(x, value(n_field.field.eval(x))[:, None, :])[0, 1:]
+a_level = basis @ -shape_matrix(n_field.field, x[0]) @ basis.T
+curvatures = np.linalg.eigvalsh(0.5 * (a_level + a_level.T))
+print("principal curvatures:", curvatures, "h =", np.sum(curvatures))
 
 # a generic unit field is NOT harmonic: the residuals are order one
 twisted = kt.twisted_unit_field(np.array([1.0, 0.4, -0.2, 0.3]),

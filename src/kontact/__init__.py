@@ -13,7 +13,6 @@ from .errors import (
     ConstructionError,
     DegenerateInputError,
     GeometryError,
-    IntegrabilityError,
     PreconditionError,
     RegularityError,
     SamplingExhaustedError,
@@ -29,17 +28,10 @@ from .manifold import (
     block_diag_complex_structure,
     constant_field,
     cov_deriv,
-    curvature,
     curvature_numeric,
-    extension_of,
     gram_schmidt_frame,
     lie_bracket,
     linear_field,
-    metric,
-    project,
-    ricci,
-    ricci_frame_sum,
-    ricci_operator,
     sample_points,
     sphere_volume,
     tangent_basis,
@@ -55,11 +47,9 @@ from .scalar_fields import (
     fit_affine_profile,
     gradient,
     gradient_field,
-    hessian,
     laplacian,
     level_mean_curvature,
     mean_curvature_identity_check,
-    normalized_gradient,
     quadratic_form_field,
 )
 from .contact import (
@@ -90,24 +80,17 @@ from .double_kcontact import (
     transnormal_b_check,
 )
 from .harmonic import (
-    ShapeSpectrum,
     UnitVectorField,
     critical_condition_check,
     energy,
     harmonicity_check,
     harmonicity_form,
-    l_operator,
     mean_curvature_of_field,
     normalized_constant_unit_field,
     normalized_gradient_unit_field,
-    pullback_metric,
     reeb_energy_closed_form,
     reeb_unit_field,
-    shape_spectrum,
-    trace_l,
     twisted_unit_field,
-    weingarten,
-    weingarten_transpose,
 )
 from .report import EnergyEstimate, ResidualReport
 

@@ -354,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Bad input, and a --samples too large to allocate, end a command with
-# exit status 2 and a one-line message instead of a traceback.
+# Bad input, a --samples too large to allocate and an --out path that
+# cannot be written end a command with exit status 2 and a one-line
+# message instead of a traceback.
 _RUN_ERRORS = (ValueError, GeometryError, MemoryError)
 
 
@@ -380,8 +381,12 @@ def _cmd_verify(args) -> int:
     else:
         payload = render_csv(reports)
     if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(config.output_path, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     failures = [r for r in reports if not r.passed]

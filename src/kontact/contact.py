@@ -45,7 +45,6 @@ from .manifold import (
     AmbientVectorField,
     Frame,
     OrthoComplexStructure,
-    SpherePoint,
     TangentVector,
     apply,
     as_points,
@@ -55,7 +54,6 @@ from .manifold import (
     inner,
     lie_bracket_batch,
     linear_field,
-    metric,
     projected_eval,
     random_tangent_batch,
     sample_coords,
@@ -98,13 +96,6 @@ class ContactMetricStructure:
     def reeb_field(self) -> AmbientVectorField:
         return linear_field(self.j_ambient.mat, label=f"reeb_{self.label}")
 
-    def reeb_at(self, p: SpherePoint) -> TangentVector:
-        return TangentVector(p, self.j_ambient.mat @ p.coords)
-
-    def alpha(self, u: TangentVector) -> float:
-        """Contact form alpha(u) = g(u, Z)."""
-        return float(u.vec @ (self.j_ambient.mat @ u.base.coords))
-
     def alpha_coeffs(self, x):
         """Ambient coefficient field of alpha (one-form as a covector field)."""
         return matvec(self.j_ambient.mat, x)
@@ -114,10 +105,6 @@ class ContactMetricStructure:
         jm = self.j_ambient.mat
         a = inner(u, apply(jm, x))[..., None]
         return self.sigma * (apply(jm, u) + a * x)
-
-    def phi(self, u: TangentVector) -> TangentVector:
-        """Structure tensor applied to a tangent vector."""
-        return TangentVector(u.base, self.phi_at(u.base.coords, u.vec))
 
     def phi_field(self, V: AmbientVectorField) -> AmbientVectorField:
         """phi applied to a whole field, as a dual-evaluable ambient formula."""
@@ -376,13 +363,6 @@ def killing_residual_batch(field: AmbientVectorField, x: np.ndarray,
             + inner(u, cov_deriv_batch(field, x, v)))
 
 
-def killing_residual(field: AmbientVectorField, u: TangentVector,
-                     v: TangentVector) -> float:
-    """(L_V g)(u,v) = g(∇_u V, v) + g(u, ∇_v V)."""
-    metric(u, v)  # raises unless u and v share a base point
-    return float(killing_residual_batch(field, u.base.coords, u.vec, v.vec))
-
-
 def check_killing(field: AmbientVectorField, points: ArrayLike,
                   check_name: str = "killing", tol: float = 1e-9) -> ResidualReport:
     """Vanishing of the symmetrized covariant derivative (Killing equation)."""
@@ -409,13 +389,6 @@ def sasakian_residual_batch(s: ContactMetricStructure, x: np.ndarray,
     z = apply(s.j_ambient.mat, x)
     r = lhs - (inner(u, v)[..., None] * z - inner(v, z)[..., None] * u)
     return np.sqrt(inner(r, r))
-
-
-def sasakian_residual(s: ContactMetricStructure, u: TangentVector,
-                      v: TangentVector) -> float:
-    """‖(∇_u φ)(v) − (g(u,v)Z − α(v)u)‖ with (∇_uφ)v = ∇_u(φV) − φ(∇_u V)."""
-    metric(u, v)  # raises unless u and v share a base point
-    return float(sasakian_residual_batch(s, u.base.coords, u.vec, v.vec))
 
 
 def check_sasakian(s: ContactMetricStructure, points: ArrayLike,

@@ -119,12 +119,6 @@ class DoubleKContact:
                            grad=lambda x: matvec(grad_mat, x),
                            label="angle")
 
-    def reeb_alpha_at(self, p: SpherePoint) -> TangentVector:
-        return self.s_alpha.reeb_at(p)
-
-    def reeb_beta_at(self, p: SpherePoint) -> TangentVector:
-        return self.s_beta.reeb_at(p)
-
     def to_descriptor(self) -> dict:
         return {
             "dimension": self.dim,

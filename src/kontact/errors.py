@@ -36,6 +36,3 @@ class UnsupportedDimensionError(GeometryError):
 class PreconditionError(GeometryError):
     """A checker's structural precondition does not hold."""
 
-
-class IntegrabilityError(GeometryError):
-    """The shape operator is asymmetric beyond tolerance."""

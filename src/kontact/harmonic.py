@@ -1,4 +1,4 @@
-"""Harmonic unit vector fields: energy, first variation, shape spectra.
+"""Harmonic unit vector fields: energy, first variation, mean curvature.
 
 A unit field Z immerses the sphere into its unit tangent bundle; the
 induced metric is Z*g(u,v) = g(u,v) + g(∇_u Z, ∇_v Z) and the energy is
@@ -28,9 +28,9 @@ with P of D(A^t w̃), where A^t w̃ = −P·Jᵀ·P·w and J = ∂F:
   - the derivative of the outer P gives m⟨w, D_y F⟩, that of the inner
     P gives ⟨y, D_w F⟩, and that of Jᵀ gives −⟨w, ΔF − D²_{y,y} F⟩;
   - ⟨y, F⟩ ≡ 0 off the sphere, so ⟨y, D_w F⟩ = −⟨w, F⟩.
-:func:`harmonicity_form_batch` and :func:`mean_curvature_derivative`
-take the same quantities by nested directional derivatives, one
-evaluation per direction set, and serve as the contractions' oracles.
+:func:`harmonicity_form_batch` takes nu by nested directional
+derivatives, one evaluation per direction set, and serves as the
+oracle of the first contraction.
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 and a unit field's guard maps points (..., m+1) to a mask the same way;
@@ -61,24 +61,16 @@ from numpy.typing import ArrayLike
 
 from . import ad, manifold
 from .ad import directional, dot, proj_tangent, value
-from .errors import (
-    IntegrabilityError,
-    PreconditionError,
-    RegularityError,
-    SamplingExhaustedError,
-)
+from .errors import PreconditionError, RegularityError, SamplingExhaustedError
 from .manifold import (
     AmbientVectorField,
     SpherePoint,
     TangentVector,
     as_field_points,
     blocks,
-    cov_deriv,
     divergence,
     frame_batch,
-    gram_schmidt_frame,
     inner,
-    metric,
     proj_np,
     projected_eval,
     sample_coords,
@@ -95,8 +87,6 @@ from .scalar_fields import (
     normalized_gradient_field,
 )
 
-GEODESIC_TOL = 1e-6
-SYMMETRY_TOL = 1e-7
 TWISTED_EPS_REG = 1e-4  # guard of twisted_unit_field: |projected affine field| floor
 HARMONIC_TOL = 1e-6     # default gate of nu_form and critical_condition
 
@@ -116,21 +106,6 @@ class UnitVectorField:
     field: AmbientVectorField
     guard: Callable[[np.ndarray], np.ndarray] = _everywhere
     label: str = ""
-
-    def at(self, p: SpherePoint) -> TangentVector:
-        if not self.guard(p.coords):
-            raise RegularityError(f"field {self.label or '?'} undefined here")
-        return self.field.at(p)
-
-
-@dataclass(frozen=True, eq=False)
-class ShapeSpectrum:
-    """Eigen-decomposition of the shape operator on N^⊥ (ascending)."""
-
-    base: SpherePoint
-    eigenvalues: np.ndarray
-    eigenframe: tuple
-    mean_curvature: float
 
 
 def reeb_unit_field(structure) -> UnitVectorField:
@@ -194,45 +169,13 @@ def twisted_unit_field(c: np.ndarray, a: np.ndarray, d: np.ndarray) -> UnitVecto
 
 
 # ---------------------------------------------------------------------------
-# shape operator and friends
-
-def weingarten(zf: UnitVectorField, u: TangentVector) -> TangentVector:
-    """A_Z u = −∇_u Z."""
-    if not zf.guard(u.base.coords):
-        raise RegularityError("Weingarten operator outside the guarded domain")
-    return -1.0 * cov_deriv(zf.field, u)
-
+# shape operator
 
 def weingarten_ambient_matrix(zf: UnitVectorField, p: SpherePoint) -> np.ndarray:
     """Ambient matrix of A_Z at p: minus the shape matrix of the field."""
     if not zf.guard(p.coords):
         raise RegularityError("Weingarten operator outside the guarded domain")
     return -shape_matrix(zf.field, p.coords)
-
-
-def weingarten_transpose(zf: UnitVectorField, u: TangentVector) -> TangentVector:
-    """Metric adjoint A_Z^t: the transpose of the ambient matrix of A_Z,
-    which maps T_p into itself."""
-    return TangentVector(u.base, weingarten_ambient_matrix(zf, u.base).T @ u.vec)
-
-
-def l_operator(zf: UnitVectorField, u: TangentVector) -> TangentVector:
-    """L_Z u = u + A^t(A u)."""
-    return u + weingarten_transpose(zf, weingarten(zf, u))
-
-
-def pullback_metric(zf: UnitVectorField, u: TangentVector,
-                    v: TangentVector) -> float:
-    """Induced metric g(u,v) + g(∇_u Z, ∇_v Z)."""
-    return metric(u, v) + metric(cov_deriv(zf.field, u), cov_deriv(zf.field, v))
-
-
-def trace_l(zf: UnitVectorField, p: SpherePoint) -> float:
-    """tr L_Z = m + ‖∇Z‖² (Frobenius norm of the shape operator), from the
-    shape matrix itself: the one-point reference for :func:`_trace_l_batch`,
-    which takes the same norm from invariants of the raw Jacobian."""
-    a = weingarten_ambient_matrix(zf, p)
-    return p.dim + float(np.sum(a * a))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +296,8 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector,
     p = x.base
     if not zf.guard(p.coords):
         raise RegularityError("harmonicity form outside the guarded domain")
-    z = zf.at(p)
-    if abs(metric(x, z)) > 1e-8:
+    z = proj_np(p.coords, np.asarray(value(zf.field.eval(p.coords)), dtype=float))
+    if abs(inner(x.vec, z)) > 1e-8:
         raise PreconditionError("direction must be orthogonal to the field")
     frames = frame.matrix if frame is not None else None
     return float(harmonicity_form_batch(zf.field, p.coords, x.vec[None, :],
@@ -427,48 +370,13 @@ def harmonicity_check(zf: UnitVectorField, points: ArrayLike,
 
 
 # ---------------------------------------------------------------------------
-# shape spectrum and the reduced critical condition
-
-def mean_curvature_derivative(field: AmbientVectorField, x: np.ndarray,
-                              directions: np.ndarray) -> np.ndarray:
-    """Directional derivatives of h = −div Z at the points x (..., m+1)
-    along tangent directions (..., k, m+1), exact; returns shape (..., k).
-
-    On the sphere the trace of A_Z on Z^⊥ is −div Z + ⟨z, D_z F⟩ with
-    z = F(y); the extra term vanishes on the sphere because |F| = 1
-    there, so it contributes neither to h nor to x(h) for tangent x.
-    """
-    return value(directional(lambda y: -divergence(field, y),
-                             x[..., None, :], directions))
-
+# mean curvature and the reduced critical condition
 
 def mean_curvature_of_field(zf: UnitVectorField, p: SpherePoint) -> float:
     """h = −Σ g(∇_{E_i}Z, E_i) over a frame of Z^⊥ (trace of A_Z there)."""
     if not zf.guard(p.coords):
         raise RegularityError("mean curvature outside the guarded domain")
     return -float(divergence(zf.field, p.coords))
-
-
-def shape_spectrum(zf: UnitVectorField, p: SpherePoint) -> ShapeSpectrum:
-    """Spectral decomposition of A_Z restricted to Z^⊥.
-
-    Requires a geodesic field (∇_Z Z ≈ 0) and a symmetric restriction;
-    asymmetry beyond tolerance signals a non-integrable complement.
-    """
-    z = zf.at(p)
-    geo = cov_deriv(zf.field, z).norm()
-    if geo > GEODESIC_TOL:
-        raise RegularityError(f"field is not geodesic here (|∇_Z Z| = {geo:.2e})")
-    basis = gram_schmidt_frame(p, [z]).matrix[1:]
-    amat = basis @ weingarten_ambient_matrix(zf, p) @ basis.T
-    asym = float(np.max(np.abs(amat - amat.T)))
-    if asym > SYMMETRY_TOL:
-        raise IntegrabilityError(
-            f"shape operator asymmetry {asym:.2e} beyond {SYMMETRY_TOL}")
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (amat + amat.T))
-    eigenframe = tuple(TangentVector(p, v) for v in eigvecs.T @ basis)
-    return ShapeSpectrum(base=p, eigenvalues=eigvals, eigenframe=eigenframe,
-                         mean_curvature=float(np.sum(eigvals)))
 
 
 def critical_condition_check(zf: UnitVectorField, points: ArrayLike,

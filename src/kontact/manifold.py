@@ -10,9 +10,9 @@ on the unit sphere has the closed form P·D_u F = P·D_u V − ⟨x, V⟩·P u:
 :func:`cov_deriv_batch` differentiate the raw formula only.  The kernels
 that nest derivatives (:func:`divergence`, :func:`lie_bracket_batch` and
 their kin) differentiate F itself through :func:`projected_eval`, off
-the sphere too.  Curvature and Ricci come in two flavours each: the
-exact constant-curvature expressions and numerical versions assembled
-from covariant derivatives, kept as mutual cross-checks.
+the sphere too.  :func:`curvature_numeric_batch` assembles R(u,v)w
+from nested covariant derivatives; the checks use the constant-curvature
+expression g(v,w)u − g(u,w)v and repeat it with the numerical one.
 
 Batch convention (package-wide): points are (N, m+1) arrays of unit
 rows, drawn in batches by :func:`sample_coords` and validated once per
@@ -21,9 +21,13 @@ check by :func:`as_points`, which also takes a list of
 :func:`shape_matrix`, :func:`divergence`, :func:`frame_batch` and their
 kin in the other modules) take plain arrays whose leading axes are batch
 axes (points, directions, frame slots) and broadcast them, contracting
-over the last axis only; the per-point functions taking
-:class:`SpherePoint`/:class:`TangentVector` are one-row calls into the
-same kernels.  Every check evaluates its points through :func:`sweep`,
+over the last axis only.  :class:`SpherePoint`, :class:`TangentVector`,
+:class:`Frame` and the few functions that take them (here
+:func:`cov_deriv`, :func:`lie_bracket`, :func:`curvature_numeric`,
+:func:`gram_schmidt_frame`, :func:`tangent_basis` and
+:func:`sample_points`) are one-row wrappers over the kernels that the
+package itself does not call; the benchmark's tracer binds them by
+name.  Every check evaluates its points through :func:`sweep`,
 in blocks of ``BLOCK`` points to bound memory, and counts the points its
 mask leaves out as skipped.  ``BLOCK`` is 1024 because a block's cost
 is mostly per-call numpy dispatch in the dual engine: check throughput
@@ -52,14 +56,14 @@ Sign conventions (frozen package-wide, pinned by tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from . import ad
-from .ad import directional, dot, matvec, proj_tangent, sv, value
+from .ad import directional, dot, matvec, proj_tangent, value
 from .errors import (
     BasePointMismatchError,
     DegenerateInputError,
@@ -86,25 +90,12 @@ class SpherePoint:
         if not abs(r - 1.0) <= POINT_TOL:
             raise GeometryError(f"point norm {r} is not 1 within {POINT_TOL}")
 
-    @classmethod
-    def from_array(cls, arr: Iterable[float]) -> "SpherePoint":
-        v = np.asarray(arr, dtype=float)
-        r = np.linalg.norm(v)
-        if r == 0.0:
-            raise GeometryError("cannot normalize the zero vector")
-        return cls(v / r)
-
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         return np.array(self.coords, dtype=dtype, copy=copy)
 
     @property
     def ambient_dim(self) -> int:
         return self.coords.shape[0]
-
-    @property
-    def dim(self) -> int:
-        """Dimension m of the sphere itself."""
-        return self.ambient_dim - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,31 +110,6 @@ class TangentVector:
         straying = abs(float(self.vec @ self.base.coords))
         if not straying <= TANGENT_TOL * max(1.0, float(np.linalg.norm(self.vec))):
             raise TangencyError(f"vector strays {straying} from the tangent space")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    def unit(self) -> "TangentVector":
-        r = self.norm()
-        if r == 0.0:
-            raise GeometryError("cannot normalize a zero tangent vector")
-        return TangentVector(self.base, self.vec / r)
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        _require_same_base(self.base, other)
-        return TangentVector(self.base, self.vec + other.vec)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        _require_same_base(self.base, other)
-        return TangentVector(self.base, self.vec - other.vec)
-
-    def __mul__(self, scalar: float) -> "TangentVector":
-        return TangentVector(self.base, self.vec * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.vec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,13 +126,6 @@ class AmbientVectorField:
     tangent: bool = True
     label: str = ""
 
-    def at(self, p: SpherePoint) -> TangentVector:
-        raw = value(self.eval(p.coords))
-        return project(p, raw)
-
-    def raw(self, p: SpherePoint) -> np.ndarray:
-        return np.asarray(value(self.eval(p.coords)), dtype=float)
-
 
 def constant_field(c: np.ndarray, label: str = "") -> AmbientVectorField:
     """Projection of a constant ambient vector; tangent on the whole sphere."""
@@ -181,11 +140,6 @@ def linear_field(mat: np.ndarray, label: str = "") -> AmbientVectorField:
     tangent = bool(np.max(np.abs(mat + mat.T)) < 1e-12)
     return AmbientVectorField(lambda x: matvec(mat, x), tangent=tangent,
                               label=label or "linear")
-
-
-def extension_of(u: TangentVector, label: str = "") -> AmbientVectorField:
-    """Parallel-transport-free extension: project the frozen ambient vector."""
-    return constant_field(u.vec, label=label or "extension")
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,19 +203,7 @@ def _require_same_base(p: SpherePoint, *vectors: TangentVector) -> None:
 
 
 # ---------------------------------------------------------------------------
-# metric, connection, bracket
-
-def project(p: SpherePoint, v: Iterable[float]) -> TangentVector:
-    """Tangential projection v − ⟨v,p⟩p at p."""
-    v = np.asarray(v, dtype=float)
-    return TangentVector(p, v - (v @ p.coords) * p.coords)
-
-
-def metric(u: TangentVector, v: TangentVector) -> float:
-    """Round metric: the ambient dot product of tangent representatives."""
-    _require_same_base(u.base, v)
-    return float(u.vec @ v.vec)
-
+# connection, bracket
 
 def projected_eval(field: AmbientVectorField, x):
     """The composite x ↦ P(x)·field(x) used by all derivative formulas."""
@@ -396,40 +338,8 @@ def divergence(field: AmbientVectorField, y):
     return dot(dot(jac, np.eye(dim)), np.ones(dim))
 
 
-def scalar_curve_derivative(s: Callable, p: SpherePoint, u: TangentVector) -> float:
-    """u(s) computed through the great circle with velocity u (dual numbers)."""
-
-    def along(t):
-        w = float(np.linalg.norm(u.vec))
-        if w == 0.0:
-            return s(ad.lift(p.coords, t))
-        cos_t = _cos(t * w)
-        sin_t = _sin(t * w)
-        return sv(cos_t, ad.lift(p.coords, t)) + sv(sin_t, ad.lift(u.vec / w, t))
-
-    return float(value(directional(lambda t: s(along(t)), 0.0, 1.0)))
-
-
-def _cos(t):
-    if type(t) is ad.Dual:
-        return ad.Dual(_cos(t.val), -_sin(t.val) * t.eps)
-    return np.cos(t)
-
-
-def _sin(t):
-    if type(t) is ad.Dual:
-        return ad.Dual(_sin(t.val), _cos(t.val) * t.eps)
-    return np.sin(t)
-
-
 # ---------------------------------------------------------------------------
-# curvature and Ricci
-
-def curvature(u: TangentVector, v: TangentVector, w: TangentVector) -> TangentVector:
-    """R(u,v)w on the unit sphere: g(v,w)u − g(u,w)v."""
-    _require_same_base(u.base, v, w)
-    return TangentVector(u.base, metric(v, w) * u.vec - metric(u, w) * v.vec)
-
+# curvature
 
 def _second_cov_field(W: AmbientVectorField, V: AmbientVectorField) -> Callable:
     """Ambient formula for x ↦ P(x)·(∇_{V(x)} W), dual-evaluable."""
@@ -459,37 +369,6 @@ def curvature_numeric(u: TangentVector, v: TangentVector,
     _require_same_base(u.base, v, w)
     p = u.base
     return TangentVector(p, curvature_numeric_batch(p.coords, u.vec, v.vec, w.vec))
-
-
-def ricci(u: TangentVector, v: TangentVector) -> float:
-    """Ricci tensor of the unit sphere: (m−1)·g(u,v)."""
-    _require_same_base(u.base, v)
-    return (u.base.dim - 1) * metric(u, v)
-
-
-def ricci_operator(u: TangentVector) -> TangentVector:
-    """Ricci endomorphism Q with ric(u,v) = g(Qu, v); here (m−1)·Id."""
-    return TangentVector(u.base, (u.base.dim - 1) * u.vec)
-
-
-def ricci_frame_sum(u: TangentVector, v: TangentVector,
-                    curvature_fn: Callable = curvature,
-                    frame: Optional[Frame] = None) -> float:
-    """ric(u,v) = Σ_i g(R(E_i,u)v, E_i) over an orthonormal frame."""
-    _require_same_base(u.base, v)
-    fr = frame if frame is not None else tangent_basis(u.base)
-    return float(sum(metric(curvature_fn(e, u, v), e) for e in fr))
-
-
-def ricci_operator_frame_sum(u: TangentVector,
-                             curvature_fn: Callable = curvature,
-                             frame: Optional[Frame] = None) -> TangentVector:
-    """Q(u) assembled from the frame-sum Ricci tensor."""
-    fr = frame if frame is not None else tangent_basis(u.base)
-    out = np.zeros_like(u.vec)
-    for e in fr:
-        out += ricci_frame_sum(u, e, curvature_fn, fr) * e.vec
-    return TangentVector(u.base, out)
 
 
 # ---------------------------------------------------------------------------
@@ -672,28 +551,14 @@ def as_field_points(points: ArrayLike, field_eval: Callable) -> np.ndarray:
     return x
 
 
-def random_tangents(p: SpherePoint, rng: np.random.Generator, k: int,
-                    unit: bool = True) -> list[TangentVector]:
-    """k seeded pseudo-random tangent directions at p."""
-    out = []
-    while len(out) < k:
-        v = proj_np(p.coords, rng.standard_normal(p.ambient_dim))
-        r = np.linalg.norm(v)
-        if r < 1e-8:
-            continue
-        out.append(TangentVector(p, v / r if unit else v))
-    return out
-
-
 def random_tangent_batch(x: np.ndarray, rng: np.random.Generator,
                          shape: tuple) -> np.ndarray:
     """Unit tangent directions, shape (N,) + shape + (m+1,), at the N points x.
 
-    One normal draw for all of them, consumed in the order of a loop of
-    :func:`random_tangents` calls over the points.  A draw whose tangential
-    part is shorter than 1e-8 is redrawn where it stands, where the loop
-    would shift the stream instead; for m ≥ 3 that has probability below
-    1e-20 per draw.
+    One normal draw for all of them, in point order and then in the
+    order of ``shape``, each projected to T_x and normalized.  A draw whose
+    tangential part is shorter than 1e-8 is redrawn where it stands; for
+    m ≥ 3 that has probability below 1e-20 per draw.
     """
     base = x.reshape((x.shape[0],) + (1,) * len(shape) + (x.shape[-1],))
     v = proj_np(base, rng.standard_normal((x.shape[0],) + tuple(shape) + (x.shape[-1],)))

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import ad
-from .ad import directional, dot, matvec, proj_tangent, value
+from .ad import dot, matvec, proj_tangent, value
 from .errors import RegularityError
 from .manifold import (
     AmbientVectorField,
@@ -36,13 +36,10 @@ from .manifold import (
     TangentVector,
     apply,
     as_field_points,
-    cov_deriv,
     cov_deriv_batch,
     divergence,
     inner,
-    metric,
     proj_np,
-    project,
     shape_matrix,
     sweep,
 )
@@ -64,9 +61,6 @@ class ScalarField:
     eval: Callable
     grad: Optional[Callable] = None
     label: str = ""
-
-    def value(self, p: SpherePoint) -> float:
-        return float(value(self.eval(p.coords)))
 
 
 @dataclass(frozen=True)
@@ -112,14 +106,15 @@ def ambient_gradient(f: ScalarField, x):
     return ad.axis0_to_last(ad.jacobian_rows(f.eval, x, dim))
 
 
-def gradient(f: ScalarField, p: SpherePoint) -> TangentVector:
-    """Riemannian gradient: tangential projection of the ambient gradient."""
-    return project(p, np.asarray(value(ambient_gradient(f, p.coords)), dtype=float))
-
-
 def gradient_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
-    """Riemannian gradients at the points x (batched)."""
+    """Riemannian gradients at the points x (batched): the tangential
+    projection of the ambient gradient."""
     return proj_np(x, np.asarray(value(ambient_gradient(f, x)), dtype=float))
+
+
+def gradient(f: ScalarField, p: SpherePoint) -> TangentVector:
+    """Riemannian gradient at p: one row of :func:`gradient_batch`."""
+    return TangentVector(p, gradient_batch(f, p.coords))
 
 
 def gradient_field(f: ScalarField) -> AmbientVectorField:
@@ -129,21 +124,10 @@ def gradient_field(f: ScalarField) -> AmbientVectorField:
         tangent=True, label=f"grad({f.label})")
 
 
-def directional_derivative(f: ScalarField, u: TangentVector) -> float:
-    """u(f), exact via a dual evaluation of the ambient formula."""
-    return float(value(directional(f.eval, u.base.coords, u.vec)))
-
-
 def hessian_matrix(f: ScalarField, x: np.ndarray) -> np.ndarray:
     """Ambient matrix S of Hess_f at the points x (batched): the shape
     matrix of ∇f, so Hess_f(a, b) = g(∇_a ∇f, b) = ⟨S a, b⟩."""
     return shape_matrix(gradient_field(f), x)
-
-
-def hessian(f: ScalarField, u: TangentVector, v: TangentVector) -> float:
-    """Hess_f(u,v) = g(∇_u ∇f, v)."""
-    metric(u, v)  # raises unless u and v share a base point
-    return float(inner(apply(hessian_matrix(f, u.base.coords), u.vec), v.vec))
 
 
 def laplacian_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
@@ -159,15 +143,6 @@ def laplacian(f: ScalarField, p: SpherePoint, frame: Optional[Frame] = None) -> 
         return float(laplacian_batch(f, p.coords))
     e = frame.matrix
     return -float(np.sum(inner(apply(hessian_matrix(f, p.coords), e), e)))
-
-
-def normalized_gradient(f: ScalarField, p: SpherePoint) -> TangentVector:
-    """N = ∇f/‖∇f‖; raises :class:`RegularityError` near the critical set."""
-    g = gradient(f, p)
-    r = g.norm()
-    if r < EPS_REGULAR:
-        raise RegularityError(f"gradient norm {r} below {EPS_REGULAR} at this point")
-    return TangentVector(p, g.vec / r)
 
 
 def normalized_gradient_field(f: ScalarField) -> AmbientVectorField:
@@ -191,19 +166,13 @@ def level_mean_curvature(f: ScalarField, p: SpherePoint) -> float:
     """Mean curvature h = −Σ g(∇_{E_i}N, E_i) of the level set through p.
 
     The sum runs over an orthonormal frame of N^⊥ tangent to the level
-    set; it is evaluated frame-free as −div N.
+    set; it is evaluated frame-free as −div N.  Raises
+    :class:`RegularityError` where ‖∇f‖ is below EPS_REGULAR.
     """
-    normalized_gradient(f, p)  # regularity gate
+    r = float(np.linalg.norm(gradient_batch(f, p.coords)))
+    if r < EPS_REGULAR:
+        raise RegularityError(f"gradient norm {r} below {EPS_REGULAR} at this point")
     return float(level_mean_curvature_batch(f, p.coords))
-
-
-def mean_curvature_frame_sum(f: ScalarField, p: SpherePoint) -> float:
-    """Reference implementation of h by an explicit frame sum."""
-    from .manifold import gram_schmidt_frame
-    n = normalized_gradient(f, p)
-    nf = normalized_gradient_field(f)
-    fr = gram_schmidt_frame(p, [n])
-    return -sum(metric(cov_deriv(nf, e), e) for e in fr.vectors[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import kontact as kt
+from kontact.manifold import sample_coords
+from oracles import values
 
 
 @pytest.fixture(scope="session")
@@ -26,19 +28,17 @@ def angle5(pair5):
 
 @pytest.fixture(scope="session")
 def pts3(angle3):
-    return kt.sample_points(60, 42, 4,
-                            exclusion=lambda p: abs(angle3.value(p)) > 0.9)
+    return sample_coords(60, 42, 4, exclusion=lambda x: np.abs(values(angle3, x)) > 0.9)
 
 
 @pytest.fixture(scope="session")
 def pts5(angle5):
-    return kt.sample_points(40, 42, 6,
-                            exclusion=lambda p: abs(angle5.value(p)) > 0.9)
+    return sample_coords(40, 42, 6, exclusion=lambda x: np.abs(values(angle5, x)) > 0.9)
 
 
 @pytest.fixture(scope="session")
 def pts3_plain():
-    return kt.sample_points(40, 7, 4)
+    return sample_coords(40, 7, 4)
 
 
 @pytest.fixture

@@ -13,14 +13,22 @@ import pytest
 import kontact as kt
 from kontact import ad
 from kontact.contact import check_killing
+from kontact.double_kcontact import hbundle_frames
 from kontact.manifold import (
     constant_field,
+    cov_deriv_batch,
+    curvature_numeric_batch,
+    frame_batch,
+    inner,
+    lie_bracket_batch,
     linear_field,
-    random_tangents,
-    ricci_operator_frame_sum,
-    scalar_curve_derivative,
+    proj_np,
+    projected_eval,
+    random_tangent_batch,
+    sample_coords,
 )
-from kontact.scalar_fields import ScalarField
+from kontact.scalar_fields import ScalarField, gradient_batch, laplacian_batch
+from oracles import curvature, ricci_frame_sum, ricci_operator_frame_sum, values
 from rotated_frames import rotate_completion
 
 SAMPLES = 500
@@ -40,14 +48,24 @@ def angle(dim: int):
 @functools.lru_cache(maxsize=None)
 def points(dim: int, count: int = SAMPLES, seed: int = SEED):
     f = angle(dim)
-    return kt.sample_points(count, seed, dim + 1,
-                            exclusion=lambda p: abs(f.value(p)) > 0.9)
+    return sample_coords(count, seed, dim + 1,
+                         exclusion=lambda x: np.abs(values(f, x)) > 0.9)
 
 
 @functools.lru_cache(maxsize=None)
 def height_points(count: int = SAMPLES, seed: int = SEED):
-    return kt.sample_points(count, seed, 4,
-                            exclusion=lambda p: abs(p.coords[0]) > 0.9)
+    return sample_coords(count, seed, 4, exclusion=lambda x: np.abs(x[:, 0]) > 0.9)
+
+
+def jphi_trace(p, x, basis):
+    """Σ g(J φ E_i, E_i) over the sub-bundle frames (N, k, m+1) at x."""
+    y = x[:, None, :]
+    return np.sum(inner(p.s_alpha.phi_at(y, p.s_beta.phi_at(y, basis)), basis), axis=-1)
+
+
+def value_at(field, x):
+    """The projected field P·V at the points x."""
+    return proj_np(x, np.asarray(ad.value(field.eval(x)), dtype=float))
 
 
 def report_line(num: int, ok: bool, detail: str) -> None:
@@ -72,8 +90,8 @@ def test_criterion_02_dimension_three_theorem():
 
 def test_criterion_03_dimension_five_theorem():
     f = angle(5)
-    lap = np.array([kt.laplacian(f, p) for p in points(5)])
-    fv = np.array([f.value(p) for p in points(5)])
+    lap = laplacian_batch(f, points(5))
+    fv = values(f, points(5))
     offsets = lap - 12.0 * fv
     c0 = offsets[0]
     constant = float(np.max(np.abs(offsets - c0)))
@@ -90,15 +108,11 @@ def test_criterion_04_laplacian_formula():
         rep = kt.laplacian_formula_check(pair(dim), points(dim), tol=1e-7)
         worst = max(worst, rep.max)
         assert rep.passed
-    frame_dev = 0.0
-    for p in points(5)[:100]:
-        b1 = kt.hbundle_basis(pair(5), p)
-        b2 = [kt.TangentVector(p, e) for e in rotate_completion(b1.matrix, 0)]
-        t1 = sum(kt.metric(pair(5).s_alpha.phi(pair(5).s_beta.phi(e)), e)
-                 for e in b1)
-        t2 = sum(kt.metric(pair(5).s_alpha.phi(pair(5).s_beta.phi(e)), e)
-                 for e in b2)
-        frame_dev = max(frame_dev, abs(t1 - t2))
+    x = points(5)[:100]
+    b1 = hbundle_frames(pair(5), x)
+    b2 = rotate_completion(b1, 0)
+    frame_dev = float(np.max(np.abs(jphi_trace(pair(5), x, b1)
+                                    - jphi_trace(pair(5), x, b2))))
     ok = worst <= 1e-7 and frame_dev <= 1e-8
     report_line(4, ok, f"(4n+4)f + 2 sum residual max {worst:.2e} <= 1e-7, "
                        f"frame dev {frame_dev:.2e} <= 1e-8")
@@ -142,17 +156,17 @@ def test_criterion_06_mean_curvature_identity():
 
 
 def test_criterion_07_product_spectrum_on_s5():
-    sym = sq = eig = 0.0
     p5 = pair(5)
-    for p in points(5):
-        basis = kt.hbundle_basis(p5, p)
-        k = len(basis)
-        m = np.array([[kt.metric(p5.s_beta.phi(p5.s_alpha.phi(b)), a)
-                       for b in basis] for a in basis])
-        sym = max(sym, float(np.max(np.abs(m - m.T))))
-        sq = max(sq, float(np.max(np.abs(m @ m - np.eye(k)))))
-        vals = np.linalg.eigvalsh(0.5 * (m + m.T))
-        eig = max(eig, float(np.max(np.abs(np.abs(vals) - 1.0))))
+    x = points(5)
+    basis = hbundle_frames(p5, x)
+    y = x[:, None, :]
+    phi_j = p5.s_beta.phi_at(y, p5.s_alpha.phi_at(y, basis))
+    m = inner(phi_j[:, None, :, :], basis[:, :, None, :])     # m[j, i] = g(φJ e_i, e_j)
+    m_t = np.swapaxes(m, -1, -2)
+    sym = float(np.max(np.abs(m - m_t)))
+    sq = float(np.max(np.abs(m @ m - np.eye(basis.shape[1]))))
+    vals = np.linalg.eigvalsh(0.5 * (m + m_t))
+    eig = float(np.max(np.abs(np.abs(vals) - 1.0)))
     ok = sym <= 1e-8 and sq <= 1e-8 and eig <= 1e-7
     report_line(7, ok, f"phi-product on S5: sym {sym:.2e} <= 1e-8, "
                        f"square {sq:.2e} <= 1e-8, |eig|-1 {eig:.2e} <= 1e-7")
@@ -186,22 +200,22 @@ def test_criterion_10_ricci_pinning():
     for dim in (3, 5):
         pr = pair(dim)
         two_n = float(dim - 1)
-        f = angle(dim)
-        for p in points(dim)[:40]:
-            z = pr.s_alpha.reeb_at(p)
-            qz = ricci_operator_frame_sum(z, curvature_fn=kt.curvature_numeric)
-            worst_q = max(worst_q, (qz - two_n * z).norm())
-            n = kt.normalized_gradient(f, p)
-            frame = kt.gram_schmidt_frame(p, [n])
-            for e in frame.vectors[1:]:
-                worst_rho = max(worst_rho, abs(kt.ricci_frame_sum(
-                    e, n, curvature_fn=kt.curvature_numeric, frame=frame)))
-            x = pr.s_beta.reeb_at(p)
-            jx = pr.s_alpha.phi(x)
-            qjx = ricci_operator_frame_sum(jx, curvature_fn=kt.curvature_numeric)
-            qx = ricci_operator_frame_sum(x, curvature_fn=kt.curvature_numeric)
-            jqx = pr.s_alpha.phi(qx)
-            worst_comm = max(worst_comm, (qjx - jqx).norm())
+        x = points(dim)[:40]
+        z = x @ pr.s_alpha.j_ambient.mat.T
+        qz = ricci_operator_frame_sum(x, z, curvature_fn=curvature_numeric_batch)
+        worst_q = max(worst_q, float(np.max(np.linalg.norm(qz - two_n * z, axis=-1))))
+        g = gradient_batch(angle(dim), x)
+        n = g / np.sqrt(inner(g, g))[:, None]
+        frames = frame_batch(x, n[:, None, :])
+        for k in range(1, dim):
+            rho = ricci_frame_sum(x, frames[:, k], n, curvature_numeric_batch, frames)
+            worst_rho = max(worst_rho, float(np.max(np.abs(rho))))
+        xb = x @ pr.s_beta.j_ambient.mat.T
+        jx = pr.s_alpha.phi_at(x, xb)
+        qjx = ricci_operator_frame_sum(x, jx, curvature_fn=curvature_numeric_batch)
+        qx = ricci_operator_frame_sum(x, xb, curvature_fn=curvature_numeric_batch)
+        jqx = pr.s_alpha.phi_at(x, qx)
+        worst_comm = max(worst_comm, float(np.max(np.linalg.norm(qjx - jqx, axis=-1))))
     ok = worst_q <= 1e-8 and worst_rho <= 1e-8 and worst_comm <= 1e-8
     report_line(10, ok, f"|Q(Z)-2nZ| {worst_q:.2e}, ric(E,N) {worst_rho:.2e}, "
                         f"|Q(JX)-J(QX)| {worst_comm:.2e}, all <= 1e-8")
@@ -246,32 +260,28 @@ def test_criterion_12_energy_monte_carlo():
 
 def test_criterion_13_property_suites_and_negative_controls():
     rng = np.random.default_rng(SEED)
-    pts = kt.sample_points(100, 77, 4)
+    pts = sample_coords(100, 77, 4)
     # torsion-freeness on random linear fields at 100 points
     m1, m2 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
     v, w = linear_field(m1 - m1.T), linear_field(m2 - m2.T)
-    torsion = max(
-        (kt.cov_deriv(w, v.at(p)) - kt.cov_deriv(v, w.at(p))
-         - kt.project(p, kt.lie_bracket(v, w, p).vec)).norm() for p in pts)
-    # metric compatibility along great circles
-    compat = 0.0
-    for p in pts[:50]:
-        (u,) = random_tangents(p, rng, 1)
-
-        def inner(x):
-            return ad.dot(ad.proj_tangent(x, v.eval(x)),
-                          ad.proj_tangent(x, w.eval(x)))
-
-        lhs = scalar_curve_derivative(inner, p, u)
-        rhs = (kt.metric(kt.cov_deriv(v, u), w.at(p))
-               + kt.metric(v.at(p), kt.cov_deriv(w, u)))
-        compat = max(compat, abs(lhs - rhs))
+    v_at, w_at = (value_at(field, pts) for field in (v, w))
+    torsion = float(np.max(np.linalg.norm(
+        cov_deriv_batch(w, pts, v_at) - cov_deriv_batch(v, pts, w_at)
+        - proj_np(pts, lie_bracket_batch(v, w, pts)), axis=-1)))
+    # metric compatibility: a curve's first derivative at its start
+    # depends on its velocity alone, so along the great circle with
+    # velocity u it is the directional derivative along u
+    x = pts[:50]
+    u = random_tangent_batch(x, rng, ())
+    lhs = ad.value(ad.directional(
+        lambda y: ad.dot(projected_eval(v, y), projected_eval(w, y)), x, u))
+    rhs = (inner(cov_deriv_batch(v, x, u), w_at[:50])
+           + inner(v_at[:50], cov_deriv_batch(w, x, u)))
+    compat = float(np.max(np.abs(lhs - rhs)))
     # curvature cross-check
-    curv = 0.0
-    for p in pts[:50]:
-        a, b, c = random_tangents(p, rng, 3)
-        curv = max(curv, (kt.curvature_numeric(a, b, c)
-                          - kt.curvature(a, b, c)).norm())
+    a, b, c = np.moveaxis(random_tangent_batch(x, rng, (3,)), 1, 0)
+    curv = float(np.max(np.linalg.norm(
+        curvature_numeric_batch(x, a, b, c) - curvature(a, b, c), axis=-1)))
     # eigenfunction property for random degree-2 harmonics
     eig = 0.0
     for ambient in (4, 6):
@@ -281,9 +291,9 @@ def test_criterion_13_property_suites_and_negative_controls():
             amat = 0.5 * (amat + amat.T)
             amat -= np.eye(ambient) * np.trace(amat) / ambient
             q = kt.quadratic_form_field(amat)
-            for p in kt.sample_points(20, 5, ambient):
-                eig = max(eig, abs(kt.laplacian(q, p)
-                                   - 2.0 * (mdim + 1) * q.value(p)))
+            y = sample_coords(20, 5, ambient)
+            eig = max(eig, float(np.max(np.abs(
+                laplacian_batch(q, y) - 2.0 * (mdim + 1) * values(q, y)))))
     # negative controls must fail
     def bad_eval(x):
         return x[..., 0] + x[..., 0] * x[..., 2]

@@ -12,8 +12,8 @@ from kontact.contact import (
     _d_on_frames,
     d_on_pairs,
     exterior_derivative_batch,
-    killing_residual,
-    sasakian_residual,
+    killing_residual_batch,
+    sasakian_residual_batch,
     volume_form_batch,
 )
 from kontact.harmonic import (
@@ -23,14 +23,19 @@ from kontact.harmonic import (
 )
 from kontact.manifold import (
     BLOCK,
+    apply,
+    constant_field,
     curvature_numeric_batch,
     frame_batch,
+    inner,
+    proj_np,
     projected_eval,
     random_tangent_batch,
-    random_tangents,
     sample_coords,
 )
-from kontact.scalar_fields import normalized_gradient_field
+from kontact.scalar_fields import EPS_REGULAR, hessian_matrix, normalized_gradient_field
+
+from oracles import curvature, trace_l, values
 
 DIMS = (3, 5, 7)
 
@@ -40,9 +45,26 @@ def setting(request):
     dim = request.param
     pair = kt.standard_pair(dim)
     f = pair.angle_function()
-    pts = kt.sample_points(12, 100 + dim, dim + 1,
-                           exclusion=lambda p: abs(f.value(p)) > 0.9)
-    return pair, f, pts, np.array([p.coords for p in pts])
+    x = sample_coords(12, 100 + dim, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
+    return pair, f, [kt.SpherePoint(p) for p in x], x
+
+
+def loop_tangents(p, rng, k):
+    """k unit tangent directions at the point p (m+1,), one normal draw
+    at a time, skipping a draw whose tangential part is shorter than
+    1e-8: the loop that random_tangent_batch replaces."""
+    out = []
+    while len(out) < k:
+        v = proj_np(p, rng.standard_normal(p.shape[-1]))
+        r = np.linalg.norm(v)
+        if r >= 1e-8:
+            out.append(v / r)
+    return out
+
+
+def reeb_at(structure, p):
+    """The Reeb field of the structure at the point p, as a tangent vector."""
+    return kt.TangentVector(p, structure.j_ambient.mat @ p.coords)
 
 
 def twisted(dim):
@@ -99,7 +121,7 @@ def test_gram_schmidt_frame_is_one_row_of_frame_batch(setting):
     seeded = frame_batch(coords, (coords @ pair.s_alpha.j_ambient.mat.T)[:, None, :])
     plain = frame_batch(coords)
     for p, row, free in zip(points, seeded, plain):
-        assert np.array_equal(kt.gram_schmidt_frame(p, [pair.s_alpha.reeb_at(p)]).matrix, row)
+        assert np.array_equal(kt.gram_schmidt_frame(p, [reeb_at(pair.s_alpha, p)]).matrix, row)
         assert np.array_equal(kt.tangent_basis(p).matrix, free)
 
 
@@ -114,7 +136,7 @@ def test_random_tangent_batch_follows_the_loop_stream(setting):
     pair, f, pts, x = setting
     batch = random_tangent_batch(x, np.random.default_rng(7), (2, 2))
     rng = np.random.default_rng(7)
-    loop = [[[t.vec for t in random_tangents(p, rng, 2)] for _ in range(2)] for p in pts]
+    loop = [[loop_tangents(p, rng, 2) for _ in range(2)] for p in x]
     assert np.array_equal(batch, np.array(loop))
 
 
@@ -196,11 +218,11 @@ def test_exterior_derivative_batch_matches_one_row(setting):
     pair, f, pts, x = setting
     s = pair.s_beta
     rng = np.random.default_rng(3)
-    pairs = [random_tangents(p, rng, 2) for p in pts]
-    a = np.array([[u.vec for u in uv] for uv in pairs])
+    a = np.array([loop_tangents(p, rng, 2) for p in x])
     batch = exterior_derivative_batch(s.alpha_coeffs, x[:, None, :],
                                       a[:, :1, :], a[:, 1:, :])[:, 0]
-    one = [kt.exterior_derivative(s.alpha_coeffs, u, v) for u, v in pairs]
+    one = [kt.exterior_derivative(s.alpha_coeffs, kt.TangentVector(p, u),
+                                  kt.TangentVector(p, v)) for p, (u, v) in zip(pts, a)]
     assert np.max(np.abs(batch - one)) <= 1e-13
 
 
@@ -264,8 +286,8 @@ def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
         z = kt.manifold.proj_np(xk, ad.value(zf.field.eval(xk)))
         frames = frame_batch(xk, z[:, None, :])
         batch = harmonicity_form_batch(zf.field, xk, frames[:, 1:])
-        for p, row, fr in zip(kept, batch, frames):
-            frame = kt.gram_schmidt_frame(p, [zf.at(p)])
+        for p, row, fr, zp in zip(kept, batch, frames, z):
+            frame = kt.gram_schmidt_frame(p, [kt.TangentVector(p, zp)])
             for value, vec in zip(row, fr[1:]):
                 x_dir = kt.TangentVector(p, vec)
                 assert abs(value - kt.harmonicity_form(zf, x_dir)) <= 1e-13
@@ -275,42 +297,42 @@ def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
 def loop_nu(zf, x, frame):
     """The per-point frame sum the batched kernel replaces, including the
     A^t(∇_u x̃) term that vanishes at the base point."""
-    p = x.base
-    ext_x = kt.extension_of(x)
+    p = x.base.coords
+    ext_x = constant_field(x.vec)
     total = 0.0
     for u in frame:
         d1 = ad.value(ad.directional(
-            lambda y: _adjoint_apply(zf.field, y, ad.lift(x.vec, y)), p.coords, u.vec))
-        d2 = ad.value(_adjoint_apply(zf.field, p.coords, kt.cov_deriv(ext_x, u).vec))
-        total += kt.metric(kt.project(p, d1) - kt.project(p, d2), u)
+            lambda y: _adjoint_apply(zf.field, y, ad.lift(x.vec, y)), p, u.vec))
+        d2 = ad.value(_adjoint_apply(zf.field, p, kt.cov_deriv(ext_x, u).vec))
+        total += (proj_np(p, d1) - proj_np(p, d2)) @ u.vec
     return total
 
 
 def test_twisted_control_fails_batched_nu(setting):
     pair, f, pts, x = setting
-    rep = kt.harmonicity_check(twisted(x.shape[1] - 1), pts)
+    rep = kt.harmonicity_check(twisted(x.shape[1] - 1), x)
     assert not rep.passed and rep.max > 1e-3
 
 
 def test_curvature_numeric_batch_matches_one_row(setting):
     pair, f, pts, x = setting
     rng = np.random.default_rng(5)
-    uvw = [random_tangents(p, rng, 3) for p in pts]
-    arr = np.array([[t.vec for t in trio] for trio in uvw])
-    batch = curvature_numeric_batch(x, arr[:, 0], arr[:, 1], arr[:, 2])
-    for row, (u, v, w) in zip(batch, uvw):
-        assert np.max(np.abs(row - kt.curvature_numeric(u, v, w).vec)) <= 1e-13
-        assert np.max(np.abs(row - kt.curvature(u, v, w).vec)) <= 1e-9
+    uvw = np.array([loop_tangents(p, rng, 3) for p in x])
+    batch = curvature_numeric_batch(x, uvw[:, 0], uvw[:, 1], uvw[:, 2])
+    for p, row, trio in zip(pts, batch, uvw):
+        one = kt.curvature_numeric(*(kt.TangentVector(p, t) for t in trio))
+        assert np.max(np.abs(row - one.vec)) <= 1e-13
+    assert np.max(np.abs(batch - curvature(uvw[:, 0], uvw[:, 1], uvw[:, 2]))) <= 1e-9
 
 
 @pytest.mark.parametrize("dim", DIMS)
 def test_guarded_point_is_skipped(dim):
     pair = kt.standard_pair(dim)
     f = pair.angle_function()
-    pts = kt.sample_points(6, 7, dim + 1, exclusion=lambda p: abs(f.value(p)) > 0.9)
-    critical = kt.SpherePoint(np.eye(dim + 1)[0])      # |f| = 1, grad f = 0
-    assert abs(abs(f.value(critical)) - 1.0) < 1e-15
-    mixed = pts[:3] + [critical] + pts[3:]
+    pts = sample_coords(6, 7, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
+    critical = np.eye(dim + 1)[0]                       # |f| = 1, grad f = 0
+    assert abs(abs(values(f, critical)) - 1.0) < 1e-15
+    mixed = np.vstack([pts[:3], critical, pts[3:]])
     n_field = kt.normalized_gradient_unit_field(f)
     k = dim - 3                                         # sub-bundle rank
     for check, per_point in (
@@ -384,9 +406,9 @@ def test_trace_l_batch_matches_the_point_loop(setting):
     dim = x.shape[1] - 1
     for zf in (kt.reeb_unit_field(pair.s_alpha),
                kt.normalized_gradient_unit_field(f), twisted(dim)):
-        kept = [p for p in pts if zf.guard(p.coords)]
-        batch = _trace_l_batch(zf, np.array([p.coords for p in kept]))
-        loop = np.array([kt.trace_l(zf, p) for p in kept])
+        kept = x[zf.guard(x)]
+        batch = _trace_l_batch(zf, kept)
+        loop = np.array([trace_l(zf, p) for p in kept])
         assert len(kept) > 0
         assert np.max(np.abs(batch - loop)) <= 1e-12
 
@@ -434,16 +456,17 @@ def test_critical_condition_peak_memory_is_bounded():
 # suite checks on point blocks against per-point loops of one-row helpers
 
 def loop_pairs(points, seed, residual):
-    """residual(u, v) over two random tangent pairs per point, drawn as the
-    per-point checks drew them."""
+    """residual(p, u, v) over two random tangent pairs per point, drawn as
+    the per-point checks drew them."""
     rng = np.random.default_rng(seed)
-    return [residual(*random_tangents(p, rng, 2)) for p in points for _ in range(2)]
+    return [residual(p, *loop_tangents(p, rng, 2)) for p in points for _ in range(2)]
 
 
 def loop_hbundle(d, points, residual):
     """residual(p, basis) at the points where the sub-bundle is defined."""
     out, skipped = [], 0
-    for p in points:
+    for x in points:
+        p = kt.SpherePoint(x)
         try:
             basis = kt.hbundle_basis(d, p)
         except kt.RegularityError:
@@ -456,25 +479,33 @@ def loop_hbundle(d, points, residual):
 def loop_regular(f, points, residual):
     """residual(p, n) at the points where the unit gradient n is defined."""
     out, skipped = [], 0
-    for p in points:
-        try:
-            n = kt.normalized_gradient(f, p)
-        except kt.RegularityError:
+    for x in points:
+        p = kt.SpherePoint(x)
+        g = kt.gradient(f, p).vec
+        r = np.linalg.norm(g)
+        if r < EPS_REGULAR:
             skipped += 1
             continue
-        out.append(residual(p, n))
+        out.append(residual(p, g / r))
     return out, skipped
 
 
-def jphi(d, u):
-    return d.s_alpha.phi(d.s_beta.phi(u))
+def jphi(d, p, u):
+    """J φ u at the point p (m+1,): the first structure's tensor after the
+    second's."""
+    return d.s_alpha.phi_at(p, d.s_beta.phi_at(p, u))
+
+
+def hessian(f, p, u, v):
+    """Hess_f(u, v) at the point p (m+1,)."""
+    return float(inner(apply(hessian_matrix(f, p), u), v))
 
 
 def loop_laplacian_formula(d, points):
     f = d.angle_function()
     return loop_hbundle(d, points, lambda p, basis: [abs(
-        kt.laplacian(f, p) - (4.0 * d.n + 4.0) * f.value(p)
-        - 2.0 * sum(kt.metric(jphi(d, e), e) for e in basis))])
+        kt.laplacian(f, p) - (4.0 * d.n + 4.0) * values(f, p.coords)
+        - 2.0 * sum(jphi(d, p.coords, e.vec) @ e.vec for e in basis))])
 
 
 def loop_phi_product(d, points):
@@ -482,9 +513,10 @@ def loop_phi_product(d, points):
         k = len(basis)
         if k == 0:
             return [0.0]
-        mat = np.array([[kt.metric(d.s_beta.phi(d.s_alpha.phi(e)), e2) for e in basis]
-                        for e2 in basis])
-        commute = max((d.s_beta.phi(d.s_alpha.phi(e)) - jphi(d, e)).norm() for e in basis)
+        x = p.coords
+        phi_j = [d.s_beta.phi_at(x, d.s_alpha.phi_at(x, e.vec)) for e in basis]
+        mat = np.array([[pj @ e2.vec for pj in phi_j] for e2 in basis])
+        commute = max(np.linalg.norm(pj - jphi(d, x, e.vec)) for pj, e in zip(phi_j, basis))
         eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
         return [max(np.max(np.abs(mat - mat.T)) * 10.0, commute * 10.0,
                     np.max(np.abs(mat @ mat - np.eye(k))) * 10.0,
@@ -498,8 +530,9 @@ def loop_hessian(d, points):
     def residual(p, basis):
         if len(basis) == 0:
             return [0.0]
-        return [abs(kt.hessian(f, a, b) + 2.0 * f.value(p) * kt.metric(a, b)
-                    + 2.0 * kt.metric(jphi(d, a), b))
+        x = p.coords
+        return [abs(hessian(f, x, a.vec, b.vec) + 2.0 * values(f, x) * (a.vec @ b.vec)
+                    + 2.0 * (jphi(d, x, a.vec) @ b.vec))
                 for i, a in enumerate(basis) for b in basis[i:]]
     return loop_hbundle(d, points, residual)
 
@@ -510,36 +543,39 @@ def hessian_diagnostic(d, points):
     f = d.angle_function()
     rng = np.random.default_rng(29)
     worst = 0.0
-    for p in points:
+    for x in points:
         try:
-            if len(kt.hbundle_basis(d, p)) == 0:
+            if len(kt.hbundle_basis(d, kt.SpherePoint(x))) == 0:
                 continue
         except kt.RegularityError:
             continue
-        u, v = random_tangents(p, rng, 2)
-        full = (2.0 * kt.metric(u, d.reeb_beta_at(p)) * kt.metric(d.reeb_alpha_at(p), v)
-                - 2.0 * f.value(p) * kt.metric(u, v) - 2.0 * kt.metric(jphi(d, u), v))
-        worst = max(worst, abs(kt.hessian(f, u, v) - full))
+        u, v = loop_tangents(x, rng, 2)
+        z, xb = d.s_alpha.j_ambient.mat @ x, d.s_beta.j_ambient.mat @ x
+        full = (2.0 * (u @ xb) * (z @ v)
+                - 2.0 * values(f, x) * (u @ v) - 2.0 * (jphi(d, x, u) @ v))
+        worst = max(worst, abs(hessian(f, x, u, v) - full))
     return worst
 
 
 def loop_dim_theorem(d, points):
     f = d.angle_function()
+    lap = [kt.laplacian(f, kt.SpherePoint(x)) for x in points]
+    fv = [values(f, x) for x in points]
     if d.dim == 3:
-        return [abs(kt.laplacian(f, p) - 8.0 * f.value(p)) for p in points], 0
-    est = kt.laplacian(f, points[0]) - 12.0 * f.value(points[0])
+        return [abs(a - 8.0 * b) for a, b in zip(lap, fv)], 0
+    est = lap[0] - 12.0 * fv[0]
     c0 = 4.0 if abs(est - 4.0) <= abs(est + 4.0) else -4.0
-    return [abs(kt.laplacian(f, p) - 12.0 * f.value(p) - c0) for p in points] + [
-        abs(est - c0)], 0
+    return [abs(a - 12.0 * b - c0) for a, b in zip(lap, fv)] + [abs(est - c0)], 0
 
 
 def loop_mean_curvature(d, points):
     f = d.angle_function()
 
     def residual(p, n):
-        fv = f.value(p)
+        fv = values(f, p.coords)
         b = 4.0 * (1.0 - fv * fv)
-        rhs = kt.laplacian(f, p) / kt.gradient(f, p).norm() - 8.0 * fv / (2.0 * np.sqrt(b))
+        grad_norm = np.linalg.norm(kt.gradient(f, p).vec)
+        rhs = kt.laplacian(f, p) / grad_norm - 8.0 * fv / (2.0 * np.sqrt(b))
         return abs(kt.level_mean_curvature(f, p) - rhs)
     return loop_regular(f, points, residual)
 
@@ -547,18 +583,20 @@ def loop_mean_curvature(d, points):
 def loop_geodesic(d, points):
     nf = normalized_gradient_field(d.angle_function())
     return loop_regular(d.angle_function(), points,
-                        lambda p, n: kt.cov_deriv(nf, n).norm())
+                        lambda p, n: np.linalg.norm(
+                            kt.cov_deriv(nf, kt.TangentVector(p, n)).vec))
 
 
 def loop_sasakian(d, points):
     return [r for s in (d.s_alpha, d.s_beta)
-            for r in loop_pairs(points, 17, lambda u, v: sasakian_residual(s, u, v))], 0
+            for r in loop_pairs(points, 17,
+                                lambda p, u, v: sasakian_residual_batch(s, p, u, v))], 0
 
 
 def loop_kcontact(d, points):
     return [abs(r) for s in (d.s_alpha, d.s_beta)
-            for r in loop_pairs(points, 13,
-                                lambda u, v: killing_residual(s.reeb_field(), u, v))], 0
+            for r in loop_pairs(points, 13, lambda p, u, v: killing_residual_batch(
+                s.reeb_field(), p, u, v))], 0
 
 
 PORTED = {
@@ -585,10 +623,8 @@ def two_block_points(request):
     dim = request.param
     pair = kt.standard_pair(dim)
     f = pair.angle_function()
-    pts = kt.sample_points(40, 200 + dim, dim + 1,
-                           exclusion=lambda p: abs(f.value(p)) > 0.9)
-    critical = kt.SpherePoint(np.eye(dim + 1)[0])
-    return pair, pts, pts[:35] + [critical] + pts[35:]
+    pts = sample_coords(40, 200 + dim, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
+    return pair, pts, np.vstack([pts[:35], np.eye(dim + 1)[0], pts[35:]])
 
 
 @pytest.fixture
@@ -641,7 +677,7 @@ def test_pair_checks_draw_the_loop_stream(two_blocks, monkeypatch, check, seed):
     drawn = recorded_draws(monkeypatch, kt.contact)
     check(pair.s_alpha, with_critical)
     rng = np.random.default_rng(seed)
-    loop = [t.vec for p in with_critical for _ in range(2) for t in random_tangents(p, rng, 2)]
+    loop = [t for p in with_critical for _ in range(2) for t in loop_tangents(p, rng, 2)]
     assert np.array_equal(np.concatenate(drawn), np.array(loop))
 
 
@@ -653,7 +689,7 @@ def test_hessian_diagnostic_draws_the_loop_stream_at_kept_points(two_blocks, mon
         assert drawn == []
         return
     rng = np.random.default_rng(29)
-    loop = [t.vec for p in pts for t in random_tangents(p, rng, 2)]
+    loop = [t for p in pts for t in loop_tangents(p, rng, 2)]
     assert np.array_equal(np.concatenate(drawn), np.array(loop))
 
 
@@ -661,7 +697,7 @@ def test_hessian_diagnostic_draws_the_loop_stream_at_kept_points(two_blocks, mon
 def test_hessian_diagnostic_is_reported(dim):
     pair = kt.standard_pair(dim)
     f = pair.angle_function()
-    pts = kt.sample_points(40, 31, dim + 1, exclusion=lambda p: abs(f.value(p)) > 0.9)
+    pts = sample_coords(40, 31, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
     rep = kt.hessian_restriction_check(pair, pts)
     match = re.search(r"full-argument diagnostic \(ungated\) max (\S+)$", rep.provenance)
     assert match is not None
@@ -671,30 +707,35 @@ def test_hessian_diagnostic_is_reported(dim):
 
 def loop_invariants(d, points):
     za, xb, f = d.s_alpha.reeb_field(), d.s_beta.reeb_field(), d.angle_function()
+    j1, j2 = d.s_alpha.j_ambient.mat, d.s_beta.j_ambient.mat
     out = []
     for p in points:
-        z, x = d.reeb_alpha_at(p), d.reeb_beta_at(p)
-        out.append(max(kt.lie_bracket(xb, za, p).norm(),
-                       abs(kt.metric(z, z) - 1.0), abs(kt.metric(x, x) - 1.0),
-                       abs(d.s_alpha.alpha(z) - 1.0), abs(d.s_beta.alpha(x) - 1.0),
-                       d.s_alpha.phi(z).norm(), d.s_beta.phi(x).norm(),
-                       max(0.0, abs(f.value(p)) - 1.0)))
+        z, x = j1 @ p, j2 @ p
+        out.append(max(np.linalg.norm(kt.lie_bracket(xb, za, kt.SpherePoint(p)).vec),
+                       abs(float(z @ z) - 1.0), abs(float(x @ x) - 1.0),
+                       abs(float(z @ (j1 @ p)) - 1.0), abs(float(x @ (j2 @ p)) - 1.0),
+                       np.linalg.norm(d.s_alpha.phi_at(p, z)),
+                       np.linalg.norm(d.s_beta.phi_at(p, x)),
+                       max(0.0, abs(values(f, p)) - 1.0)))
     return out
 
 
 def loop_gradient_identity(d, points):
     f = d.angle_function()
-    res_a = [(kt.gradient(f, p) - 2.0 * d.s_alpha.phi(d.reeb_beta_at(p))).norm()
-             for p in points]
-    res_b = [(kt.gradient(f, p) - 2.0 * d.s_beta.phi(d.reeb_alpha_at(p))).norm()
-             for p in points]
+    j1, j2 = d.s_alpha.j_ambient.mat, d.s_beta.j_ambient.mat
+    grads = [kt.gradient(f, kt.SpherePoint(p)).vec for p in points]
+    res_a = [np.linalg.norm(g - 2.0 * d.s_alpha.phi_at(p, j2 @ p))
+             for p, g in zip(points, grads)]
+    res_b = [np.linalg.norm(g - 2.0 * d.s_beta.phi_at(p, j1 @ p))
+             for p, g in zip(points, grads)]
     return [max(a, b) for a, b in zip(res_a, res_b)]
 
 
 def loop_transnormal(d, points):
     f = d.angle_function()
-    return [abs(float(kt.gradient(f, p).vec @ kt.gradient(f, p).vec)
-                - kt.ANGLE_PROFILE.b(f.value(p))) for p in points]
+    grads = [kt.gradient(f, kt.SpherePoint(p)).vec for p in points]
+    return [abs(float(g @ g) - kt.ANGLE_PROFILE.b(values(f, p)))
+            for p, g in zip(points, grads)]
 
 
 @pytest.mark.parametrize("check, loop", [

@@ -204,6 +204,15 @@ def test_cli_verify_writes_json(tmp_path, capsys):
     assert "[PASS]" in err
 
 
+def test_cli_verify_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["verify", "s3", "--samples", "5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: ") and str(out) in err[-1]
+    assert not out.exists()
+
+
 def test_cli_verify_stdout_csv(capsys):
     code = main(["verify", "s3", "--samples", "5", "--format", "csv"])
     assert code == 0

@@ -8,18 +8,42 @@ from kontact import ad, contact
 from kontact.contact import (
     check_phi_skew,
     exterior_derivative,
+    killing_residual_batch,
     pfaffian,
-    sasakian_residual,
+    sasakian_residual_batch,
     volume_form_value,
 )
-from kontact.manifold import constant_field, random_tangents, sample_coords
+from kontact.manifold import (
+    constant_field,
+    inner,
+    random_tangent_batch,
+    sample_coords,
+)
 
-E1 = kt.SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
+E1 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def reeb(structure, x):
+    """The Reeb field Z = J x of the structure at the points x."""
+    return x @ structure.j_ambient.mat.T
+
+
+def alpha(structure, x, u):
+    """The contact form α(u) = g(u, Z) at the points x."""
+    return inner(u, reeb(structure, x))
+
+
+def unit_transverse(structure, x, rng):
+    """Random unit tangent directions orthogonal to the Reeb field."""
+    z = reeb(structure, x)
+    u = random_tangent_batch(x, rng, ())
+    u = u - inner(u, z)[..., None] * z
+    return u / np.sqrt(inner(u, u))[..., None]
 
 
 def test_standard_structure_reeb_values(pair3):
-    assert np.allclose(pair3.s_alpha.reeb_at(E1).vec, [0.0, -1.0, 0.0, 0.0])
-    assert np.allclose(pair3.s_beta.reeb_at(E1).vec, [0.0, 1.0, 0.0, 0.0])
+    assert np.allclose(reeb(pair3.s_alpha, E1), [0.0, -1.0, 0.0, 0.0])
+    assert np.allclose(reeb(pair3.s_beta, E1), [0.0, 1.0, 0.0, 0.0])
 
 
 def test_build_validates_on_sample(pair3):
@@ -74,34 +98,31 @@ def test_s5_structure_passes_axioms(pair5, pts5):
 
 
 def test_alpha_of_reeb_is_one(pair3, pts3):
-    for p in pts3[:10]:
-        z = pair3.s_alpha.reeb_at(p)
-        assert abs(pair3.s_alpha.alpha(z) - 1.0) < 1e-12
+    x = pts3[:10]
+    z = reeb(pair3.s_alpha, x)
+    assert np.max(np.abs(alpha(pair3.s_alpha, x, z) - 1.0)) < 1e-12
 
 
 def test_phi_kills_reeb(pair3, pts3):
-    for p in pts3[:10]:
-        z = pair3.s_alpha.reeb_at(p)
-        assert pair3.s_alpha.phi(z).norm() < 1e-12
+    x = pts3[:10]
+    phi_z = pair3.s_alpha.phi_at(x, reeb(pair3.s_alpha, x))
+    assert np.max(np.linalg.norm(phi_z, axis=-1)) < 1e-12
 
 
 def test_axiom_ii_on_reeb_direction(pair3, pts3):
     s = pair3.s_alpha
-    p = pts3[0]
-    z = s.reeb_at(p)
-    lhs = s.phi(s.phi(z))
-    rhs = -1.0 * z + s.alpha(z) * z
-    assert np.allclose(lhs.vec, rhs.vec, atol=1e-13)
+    x = pts3[0]
+    z = reeb(s, x)
+    lhs = s.phi_at(x, s.phi_at(x, z))
+    rhs = -z + alpha(s, x, z) * z
+    assert np.allclose(lhs, rhs, atol=1e-13)
 
 
 def test_axiom_ii_orthogonal_directions(pair3, pts3, rng):
     s = pair3.s_alpha
-    for p in pts3[:10]:
-        z = s.reeb_at(p)
-        (u,) = random_tangents(p, rng, 1)
-        u = (u - kt.metric(u, z) * z).unit()
-        lhs = s.phi(s.phi(u))
-        assert np.allclose(lhs.vec, -u.vec, atol=1e-9)
+    x = pts3[:10]
+    u = unit_transverse(s, x, rng)
+    assert np.allclose(s.phi_at(x, s.phi_at(x, u)), -u, atol=1e-9)
 
 
 def test_axiom_ii_both_structures(pair3, pts3):
@@ -116,10 +137,10 @@ def test_axiom_iii_standard_structure(pair3, pts3):
 
 def test_axiom_iii_antisymmetric_in_equal_arguments(pair3, pts3, rng):
     s = pair3.s_alpha
-    p = pts3[0]
-    (u,) = random_tangents(p, rng, 1)
+    p = kt.SpherePoint(pts3[0])
+    u = kt.TangentVector(p, random_tangent_batch(pts3[:1], rng, ())[0])
     assert abs(exterior_derivative(s.alpha_coeffs, u, u)) < 1e-12
-    assert abs(kt.metric(u, s.phi(u))) < 1e-12
+    assert abs(u.vec @ s.phi_at(p.coords, u.vec)) < 1e-12
 
 
 def test_volume_form_nonvanishing_constant_sign(pair3, pts3):
@@ -131,7 +152,7 @@ def test_volume_form_matches_adapted_constant(pair3, pts3):
     # |value| equals 2^n n! on every orthonormal frame
     s = pair3.s_alpha
     for p in pts3[:10]:
-        v = volume_form_value(s.alpha_coeffs, kt.tangent_basis(p), s.n)
+        v = volume_form_value(s.alpha_coeffs, kt.tangent_basis(kt.SpherePoint(p)), s.n)
         assert abs(abs(v) - kt.volume_form_constant(s.n)) < 1e-10
 
 
@@ -164,14 +185,10 @@ def test_kcontact_standard(pair3, pts3):
 
 
 def test_kcontact_killing_skew_diagonal(pair3, pts3, rng):
-    from kontact.contact import killing_residual
     s = pair3.s_alpha
-    zf = s.reeb_field()
-    for p in pts3[:10]:
-        z = s.reeb_at(p)
-        (u,) = random_tangents(p, rng, 1)
-        u = (u - kt.metric(u, z) * z).unit()
-        assert abs(killing_residual(zf, u, u)) < 1e-9
+    x = pts3[:10]
+    u = unit_transverse(s, x, rng)
+    assert np.max(np.abs(killing_residual_batch(s.reeb_field(), x, u, u))) < 1e-9
 
 
 def test_kcontact_negative_control(pts3):
@@ -189,9 +206,9 @@ def test_sasakian_standard(pair3, pts3):
 
 def test_sasakian_on_reeb_direction(pair3, pts3):
     s = pair3.s_alpha
-    p = pts3[0]
-    z = s.reeb_at(p)
-    assert sasakian_residual(s, z, z) < 1e-8
+    x = pts3[0]
+    z = reeb(s, x)
+    assert sasakian_residual_batch(s, x, z, z) < 1e-8
 
 
 def test_sasakian_s5(pair5, pts5):
@@ -204,23 +221,30 @@ def test_phi_metric_skew(pair3, pts3):
     assert rep.passed and rep.max < 1e-9
 
 
+def ricci_operator(x, u):
+    """Q(u) = Σ_j ric(u, E_j) E_j over a frame at x, with the
+    constant-curvature Ricci tensor ric = (m−1)·g."""
+    e = kt.manifold.frame_batch(x)
+    ric = (x.shape[-1] - 2) * inner(u[..., None, :], e)
+    return np.sum(ric[..., None] * e, axis=-2)
+
+
 def test_ricci_operator_pins_reeb(pair3, pair5, pts3, pts5):
     # Q(Reeb) = 2n Reeb for every built structure
     for pair, pts, twon in ((pair3, pts3, 2.0), (pair5, pts5, 4.0)):
-        for p in pts[:5]:
-            z = pair.s_alpha.reeb_at(p)
-            qz = kt.ricci_operator(z)
-            assert np.allclose(qz.vec, twon * z.vec, atol=1e-8)
+        x = pts[:5]
+        z = reeb(pair.s_alpha, x)
+        assert np.allclose(ricci_operator(x, z), twon * z, atol=1e-8)
 
 
 def test_q_commutes_with_phi(pair3, pts3, rng):
-    # trivially exact since Q = (m-1) Id; guards the implementation
+    # exact since Q = (m-1) Id on the sphere
     s = pair3.s_alpha
-    for p in pts3[:5]:
-        (u,) = random_tangents(p, rng, 1)
-        q_phi = kt.ricci_operator(s.phi(u))
-        phi_q = s.phi(kt.ricci_operator(u))
-        assert np.allclose(q_phi.vec, phi_q.vec, atol=1e-8)
+    x = pts3[:5]
+    u = random_tangent_batch(x, rng, ())
+    q_phi = ricci_operator(x, s.phi_at(x, u))
+    phi_q = s.phi_at(x, ricci_operator(x, u))
+    assert np.allclose(q_phi, phi_q, atol=1e-8)
 
 
 def test_builder_rejects_inconsistent_generator():
@@ -234,8 +258,9 @@ def test_descriptor_round_trip(pair3, pts3):
     assert desc["dimension"] == 3
     assert desc["sigma"] in (1, -1)
     rebuilt = kt.ContactMetricStructure.from_descriptor(desc)
-    p = pts3[0]
-    assert np.allclose(rebuilt.reeb_at(p).vec, pair3.s_alpha.reeb_at(p).vec)
+    x = pts3[:5]
+    assert np.array_equal(reeb(rebuilt, x), reeb(pair3.s_alpha, x))
+    assert np.array_equal(rebuilt.phi_at(x, x[::-1]), pair3.s_alpha.phi_at(x, x[::-1]))
 
 
 def test_pfaffian_known_values():

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with warnings raised as errors."""
 
 import os
 import subprocess
@@ -16,6 +16,6 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -17,10 +17,41 @@ from kontact.errors import (
     RegularityError,
     UnsupportedDimensionError,
 )
-from kontact.manifold import block_diag_complex_structure, sample_coords
+from kontact.manifold import (
+    apply,
+    block_diag_complex_structure,
+    inner,
+    sample_coords,
+)
+from kontact.scalar_fields import hessian_matrix, laplacian_batch
+from oracles import values
 from rotated_frames import rotate_completion, rotated_frame_batch
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def angle_points(pair, count, seed, cutoff=0.9):
+    """Points where the angle function of the pair is at most ``cutoff``
+    in magnitude, as the suite draws them."""
+    f = pair.angle_function()
+    return sample_coords(count, seed, pair.ambient_dim,
+                         exclusion=lambda y: np.abs(values(f, y)) > cutoff)
+
+
+def reebs(pair, x):
+    """The Reeb fields Z and X of the pair at the points x."""
+    return x @ pair.s_alpha.j_ambient.mat.T, x @ pair.s_beta.j_ambient.mat.T
+
+
+def jphi(pair, x, u):
+    """J φ u at the points x: the first structure's tensor after the second's."""
+    return pair.s_alpha.phi_at(x, pair.s_beta.phi_at(x, u))
+
+
+def sub_bundle(pair, x):
+    """Frames of {Z, X, JX}^⊥ at the points x (N, m+1), from the kept
+    one-point basis at each point."""
+    return np.array([kt.hbundle_basis(pair, kt.SpherePoint(p)).matrix for p in x])
 
 
 def block_pair(j1_signs, j2_signs):
@@ -60,8 +91,7 @@ def test_degenerate_pair_flagged_with_warning():
     assert pair.degenerate
     assert any("critical" in str(w.message) for w in caught)
     f = pair.angle_function()
-    pts = kt.sample_points(10, 3, 4)
-    assert all(abs(f.value(p) - 1.0) < 1e-12 for p in pts)
+    assert np.max(np.abs(values(f, sample_coords(10, 3, 4)) - 1.0)) < 1e-12
 
 
 def test_degenerate_pair_transnormal_vacuously():
@@ -69,39 +99,37 @@ def test_degenerate_pair_transnormal_vacuously():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pair = kt.make_double(j, j)
-    pts = kt.sample_points(10, 3, 4)
+    pts = sample_coords(10, 3, 4)
     rep = kt.transnormal_b_check(pair, pts)
     assert rep.passed  # f == 1, b(f) = 0, grad f = 0
 
 
 def test_angle_function_values(pair3, pair5):
     f3 = pair3.angle_function()
-    assert abs(f3.value(kt.SpherePoint(E1)) + 1.0) < 1e-15
-    assert abs(f3.value(kt.SpherePoint(np.array([0.0, 0.0, 1.0, 0.0]))) - 1.0) < 1e-15
+    assert abs(values(f3, E1) + 1.0) < 1e-15
+    assert abs(values(f3, np.array([0.0, 0.0, 1.0, 0.0])) - 1.0) < 1e-15
     f5 = pair5.angle_function()
-    mid = kt.SpherePoint(np.array([1.0, 0, 1.0, 0, 0, 0]) / np.sqrt(2.0))
-    assert abs(f5.value(mid)) < 1e-15
+    mid = np.array([1.0, 0, 1.0, 0, 0, 0]) / np.sqrt(2.0)
+    assert abs(values(f5, mid)) < 1e-15
 
 
 def test_angle_range_invariant(pair3):
     f = pair3.angle_function()
-    for p in kt.sample_points(200, 5, 4):
-        assert abs(f.value(p)) <= 1.0 + 1e-12
+    assert np.max(np.abs(values(f, sample_coords(200, 5, 4)))) <= 1.0 + 1e-12
 
 
 def test_reeb_coincidence_at_angle_extremes(pair3, pts3):
     # |X -+ Z|^2 = 2(1 -+ f) exactly; at exact critical points X = +-Z
     f = pair3.angle_function()
-    for p in pts3[:20]:
-        z = pair3.reeb_alpha_at(p)
-        x = pair3.reeb_beta_at(p)
-        fv = f.value(p)
-        assert abs((x - z).norm() ** 2 - 2.0 * (1.0 - fv)) < 1e-12
-        assert abs((x + z).norm() ** 2 - 2.0 * (1.0 + fv)) < 1e-12
-    plus = kt.SpherePoint(np.array([0.0, 0.0, 1.0, 0.0]))   # f = +1
-    minus = kt.SpherePoint(E1)                               # f = -1
-    assert (pair3.reeb_beta_at(plus) - pair3.reeb_alpha_at(plus)).norm() < 1e-6
-    assert (pair3.reeb_beta_at(minus) + pair3.reeb_alpha_at(minus)).norm() < 1e-6
+    x = pts3[:20]
+    z, xb = reebs(pair3, x)
+    fv = values(f, x)
+    assert np.max(np.abs(inner(xb - z, xb - z) - 2.0 * (1.0 - fv))) < 1e-12
+    assert np.max(np.abs(inner(xb + z, xb + z) - 2.0 * (1.0 + fv))) < 1e-12
+    plus = np.array([0.0, 0.0, 1.0, 0.0])   # f = +1
+    z, xb = reebs(pair3, np.vstack([plus, E1]))
+    assert np.linalg.norm(xb[0] - z[0]) < 1e-6
+    assert np.linalg.norm(xb[1] + z[1]) < 1e-6   # f = -1 at E1
 
 
 def test_commuting_invariants_check(pair3, pair5, pts3, pts5):
@@ -131,11 +159,10 @@ def test_gradient_identity_gates_both_pairings(pair5):
 
 def test_gradient_identity_zero_length_at_critical(pair3):
     f = pair3.angle_function()
-    p = kt.SpherePoint(E1)  # f = -1
-    g = kt.gradient(f, p)
-    x = pair3.reeb_beta_at(p)
-    assert g.norm() < 1e-12
-    assert (2.0 * pair3.s_alpha.phi(x)).norm() < 1e-12
+    g = kt.gradient(f, kt.SpherePoint(E1))  # f = -1
+    x = pair3.s_beta.j_ambient.mat @ E1
+    assert np.linalg.norm(g.vec) < 1e-12
+    assert np.linalg.norm(2.0 * pair3.s_alpha.phi_at(E1, x)) < 1e-12
 
 
 def test_transnormal_b_check(pair3, pair5, pts3, pts5):
@@ -144,13 +171,13 @@ def test_transnormal_b_check(pair3, pair5, pts3, pts5):
 
 
 def test_hbundle_empty_on_s3(pair3, pts3):
-    basis = kt.hbundle_basis(pair3, pts3[0])
+    basis = kt.hbundle_basis(pair3, kt.SpherePoint(pts3[0]))
     assert len(basis) == 0
 
 
 def s3_points_with_poles(pts3):
     # e₁ and e₃ sit where f = −1 and f = +1, so the sub-bundle checks skip them
-    return np.vstack([[p.coords for p in pts3], np.eye(4)[[0, 2]]])
+    return np.vstack([pts3, np.eye(4)[[0, 2]]])
 
 
 def test_s3_sub_bundle_builds_no_frame(pair3, pts3, monkeypatch):
@@ -173,18 +200,15 @@ def test_s3_laplacian_report_matches_the_seeded_frame_tail(pair3, pts3, monkeypa
 
 
 def test_hbundle_s5_orthogonality(pair5, pts5):
-    for p in pts5[:10]:
-        basis = kt.hbundle_basis(pair5, p)
-        assert len(basis) == 2
-        z = pair5.reeb_alpha_at(p)
-        x = pair5.reeb_beta_at(p)
-        jx = pair5.s_alpha.phi(x)
-        for e in basis:
-            assert abs(kt.metric(e, z)) < 1e-9
-            assert abs(kt.metric(e, x)) < 1e-9
-            assert abs(kt.metric(e, jx)) < 1e-9
-        gram = np.array([[kt.metric(a, b) for b in basis] for a in basis])
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-9
+    x = pts5[:10]
+    basis = sub_bundle(pair5, x)
+    assert basis.shape == (10, 2, 6)
+    z, xb = reebs(pair5, x)
+    jx = pair5.s_alpha.phi_at(x, xb)
+    for v in (z, xb, jx):
+        assert np.max(np.abs(inner(basis, v[:, None, :]))) < 1e-9
+    gram = basis @ np.swapaxes(basis, -1, -2)
+    assert np.max(np.abs(gram - np.eye(2))) < 1e-9
 
 
 def test_hbundle_regularity_error(pair5):
@@ -208,7 +232,7 @@ def test_sub_bundle_checks_skip_points_near_the_pole(pair5, delta):
     # the Gram determinant of Z, X, JX is ≈ (1 − f²)², below the frame's
     # 1e-10 rank test here although |f| < 1 − 1e-9
     p = near_pole(delta)
-    assert abs(pair5.angle_function().value(p) - (1.0 - delta)) < 1e-15
+    assert abs(values(pair5.angle_function(), p.coords) - (1.0 - delta)) < 1e-15
     for check in SUB_BUNDLE_CHECKS:
         rep = check(pair5, [p])
         assert (rep.count, rep.skipped) == (0, 1)
@@ -229,35 +253,32 @@ def test_laplacian_formula_s3_reduces_to_8f(pair3, pts3):
     assert rep.passed and rep.max < 1e-7
 
 
+def trace_jphi(pair, x, basis):
+    """Σ g(J φ E_i, E_i) over the rows E_i of the frames (N, k, m+1)."""
+    return np.sum(inner(jphi(pair, x[:, None, :], basis), basis), axis=-1)
+
+
 def test_laplacian_formula_s5_trace_term(pair5, pts5):
     # J phi = -Id on the sub-bundle for this pair: trace term is -2
-    for p in pts5[:10]:
-        basis = kt.hbundle_basis(pair5, p)
-        term = sum(kt.metric(pair5.s_alpha.phi(pair5.s_beta.phi(e)), e)
-                   for e in basis)
-        assert abs(term + 2.0) < 1e-12
+    x = pts5[:10]
+    assert np.max(np.abs(trace_jphi(pair5, x, sub_bundle(pair5, x)) + 2.0)) < 1e-12
     rep = kt.laplacian_formula_check(pair5, pts5)
     assert rep.passed and rep.max < 1e-7
 
 
 def test_laplacian_formula_frame_independence(pair5, pts5):
-    for p in pts5[:10]:
-        b1 = kt.hbundle_basis(pair5, p)
-        b2 = [kt.TangentVector(p, e) for e in rotate_completion(b1.matrix, 0)]
-        t1 = sum(kt.metric(pair5.s_alpha.phi(pair5.s_beta.phi(e)), e) for e in b1)
-        t2 = sum(kt.metric(pair5.s_alpha.phi(pair5.s_beta.phi(e)), e) for e in b2)
-        assert abs(t1 - t2) < 1e-8
+    x = pts5[:10]
+    b1 = sub_bundle(pair5, x)
+    b2 = rotate_completion(b1, 0)
+    assert np.max(np.abs(trace_jphi(pair5, x, b1) - trace_jphi(pair5, x, b2))) < 1e-8
 
 
 def test_laplacian_formula_matches_independent_laplacian(pair5, pts5):
     # two code paths, one number
     f = pair5.angle_function()
-    for p in pts5[:10]:
-        basis = kt.hbundle_basis(pair5, p)
-        trace_term = sum(kt.metric(pair5.s_alpha.phi(pair5.s_beta.phi(e)), e)
-                         for e in basis)
-        rhs = 12.0 * f.value(p) + 2.0 * trace_term
-        assert abs(kt.laplacian(f, p) - rhs) < 1e-7
+    x = pts5[:10]
+    rhs = 12.0 * values(f, x) + 2.0 * trace_jphi(pair5, x, sub_bundle(pair5, x))
+    assert np.max(np.abs(laplacian_batch(f, x) - rhs)) < 1e-7
 
 
 def test_dim_theorem_s3(pair3, pts3):
@@ -273,16 +294,14 @@ def test_dim_theorem_s5_offset_minus_four(pair5, pts5):
 
 def test_dim_theorem_alternate_pair_offset_plus_four():
     pair = block_pair([1, 1, 1], [-1, -1, 1])
-    f = pair.angle_function()
-    pts = kt.sample_points(30, 13, 6, exclusion=lambda p: abs(f.value(p)) > 0.9)
-    rep = kt.dim_theorem_check(pair, pts)
+    rep = kt.dim_theorem_check(pair, angle_points(pair, 30, 13))
     assert rep.passed
     assert "c0 = +4" in rep.provenance
 
 
 def test_dim_theorem_unsupported_dimension():
     pair7 = kt.standard_pair(7)
-    pts = kt.sample_points(5, 3, 8)
+    pts = sample_coords(5, 3, 8)
     with pytest.raises(UnsupportedDimensionError):
         kt.dim_theorem_check(pair7, pts)
 
@@ -298,9 +317,8 @@ def test_s7_laplacian_profile_from_generators():
     slope, offset = kt.expected_laplacian_profile(pair7)
     assert slope == 16.0 and offset == -8.0
     f = pair7.angle_function()
-    pts = kt.sample_points(10, 3, 8, exclusion=lambda p: abs(f.value(p)) > 0.9)
-    for p in pts:
-        assert abs(kt.laplacian(f, p) - (16.0 * f.value(p) - 8.0)) < 1e-10
+    x = angle_points(pair7, 10, 3)
+    assert np.max(np.abs(laplacian_batch(f, x) - (16.0 * values(f, x) - 8.0))) < 1e-10
 
 
 def test_phi_product_spectrum_s5(pair5, pts5):
@@ -309,13 +327,17 @@ def test_phi_product_spectrum_s5(pair5, pts5):
     assert "[-1]" in rep.provenance  # eigenvalues all -1 for this pair
 
 
+def phi_product_matrix(pair, x, basis):
+    """m[j, i] = g(φJ E_i, E_j) over the frames (N, k, m+1) at x."""
+    p = x[:, None, :]
+    phi_j = pair.s_beta.phi_at(p, pair.s_alpha.phi_at(p, basis))
+    return inner(phi_j[:, None, :, :], basis[:, :, None, :])
+
+
 def test_phi_product_squares_to_identity(pair5, pts5):
-    for p in pts5[:10]:
-        basis = kt.hbundle_basis(pair5, p)
-        k = len(basis)
-        m = np.array([[kt.metric(pair5.s_beta.phi(pair5.s_alpha.phi(b)), a)
-                       for b in basis] for a in basis])
-        assert np.max(np.abs(m @ m - np.eye(k))) < 1e-8
+    x = pts5[:10]
+    m = phi_product_matrix(pair5, x, sub_bundle(pair5, x))
+    assert np.max(np.abs(m @ m - np.eye(2))) < 1e-8
 
 
 def test_phi_product_spectrum_vacuous_on_s3(pair3, pts3):
@@ -325,9 +347,7 @@ def test_phi_product_spectrum_vacuous_on_s3(pair3, pts3):
 
 def test_phi_product_alternate_pair_mixed_spectrum():
     pair = block_pair([1, 1, 1], [-1, -1, 1])
-    f = pair.angle_function()
-    pts = kt.sample_points(20, 13, 6, exclusion=lambda p: abs(f.value(p)) > 0.9)
-    rep = kt.phi_product_spectrum_check(pair, pts)
+    rep = kt.phi_product_spectrum_check(pair, angle_points(pair, 20, 13))
     assert rep.passed
     assert "[1]" in rep.provenance  # J phi = +Id on the sub-bundle here
 
@@ -340,17 +360,18 @@ def test_hessian_restriction_s5(pair5, pts5):
 def test_hessian_diagonal_value_s5(pair5, pts5):
     # with J phi = -Id on the sub-bundle: Hess(E,E) = -2f + 2
     f = pair5.angle_function()
-    for p in pts5[:10]:
-        e = kt.hbundle_basis(pair5, p)[0]
-        assert abs(kt.hessian(f, e, e) - (2.0 - 2.0 * f.value(p))) < 1e-10
+    x = pts5[:10]
+    e = sub_bundle(pair5, x)[:, 0]
+    hess = inner(apply(hessian_matrix(f, x), e), e)
+    assert np.max(np.abs(hess - (2.0 - 2.0 * values(f, x)))) < 1e-10
 
 
 def test_hessian_restricted_rhs_symmetric(pair5, pts5):
-    for p in pts5[:10]:
-        a, b = kt.hbundle_basis(pair5, p)
-        lhs = kt.metric(pair5.s_alpha.phi(pair5.s_beta.phi(a)), b)
-        rhs = kt.metric(pair5.s_alpha.phi(pair5.s_beta.phi(b)), a)
-        assert abs(lhs - rhs) < 1e-8
+    x = pts5[:10]
+    a, b = np.moveaxis(sub_bundle(pair5, x), 1, 0)
+    lhs = inner(jphi(pair5, x, a), b)
+    rhs = inner(jphi(pair5, x, b), a)
+    assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
 def test_ricci_normal_check(pair3, pair5, pts3, pts5):
@@ -364,8 +385,8 @@ def test_pair_descriptor_round_trip(pair5):
                     "J1": block_diag_complex_structure([1, 1, 1]).mat.tolist(),
                     "J2": block_diag_complex_structure([-1, 1, 1]).mat.tolist()}
     rebuilt = kt.DoubleKContact.from_descriptor(desc)
-    p = kt.SpherePoint(np.array([0, 1.0, 0, 0, 0, 0]))
-    assert np.allclose(rebuilt.reeb_alpha_at(p).vec, pair5.reeb_alpha_at(p).vec)
+    p = np.array([0, 1.0, 0, 0, 0, 0])
+    assert np.allclose(reebs(rebuilt, p), reebs(pair5, p))
 
 
 def test_pair_descriptor_rejects_a_wrong_dimension(pair5):
@@ -449,8 +470,7 @@ def test_rotated_pair_descriptor_round_trip():
 
 def test_seven_sphere_pair_invariants():
     pair7 = kt.standard_pair(7)
-    f = pair7.angle_function()
-    pts = kt.sample_points(10, 3, 8, exclusion=lambda p: abs(f.value(p)) > 0.9)
+    pts = angle_points(pair7, 10, 3)
     assert kt.commuting_invariants_check(pair7, pts).passed
     assert kt.gradient_identity_check(pair7, pts).passed
     assert kt.transnormal_b_check(pair7, pts).passed

@@ -5,25 +5,30 @@ import pytest
 
 import kontact as kt
 from kontact import ad
-from kontact.errors import (
-    IntegrabilityError,
-    PreconditionError,
-    RegularityError,
-)
+from kontact.errors import PreconditionError, RegularityError
 from kontact.harmonic import (
     _contract,
     _jet,
     _trace_l_batch,
     harmonicity_form,
     harmonicity_form_batch,
-    mean_curvature_derivative,
     mean_curvature_of_field,
     normalized_constant_unit_field,
     weingarten_ambient_matrix,
 )
-from kontact.manifold import frame_batch, proj_np, random_tangents, sample_coords
+from kontact.manifold import (
+    cov_deriv_batch,
+    frame_batch,
+    inner,
+    proj_np,
+    random_tangent_batch,
+    sample_coords,
+    shape_matrix,
+)
+from kontact.scalar_fields import level_mean_curvature_batch
 
 from finite_differences import fd_curve_derivative_5pt
+from oracles import mean_curvature_derivative, trace_l, values
 
 
 @pytest.fixture(scope="module")
@@ -48,75 +53,93 @@ def twisted():
                                  np.array([-0.3, 0.2, 1.0, -0.5]))
 
 
+def field_at(zf, x):
+    """The unit field Z at the points x."""
+    return proj_np(x, np.asarray(ad.value(zf.field.eval(x)), dtype=float))
+
+
+def weingarten(zf, x, u):
+    """A_Z u = −∇_u Z at the points x."""
+    return -cov_deriv_batch(zf.field, x, u)
+
+
+def weingarten_matrix(zf, x):
+    """Ambient matrix of A_Z at the points x, minus the shape matrix."""
+    return -shape_matrix(zf.field, x)
+
+
+def level_shape_operator(zf, x):
+    """A_Z restricted to Z^⊥ at the points x, in a frame of Z^⊥: the
+    matrix (N, m−1, m−1) and that frame (N, m−1, m+1)."""
+    basis = frame_batch(x, field_at(zf, x)[:, None, :])[:, 1:]
+    return basis @ weingarten_matrix(zf, x) @ np.swapaxes(basis, -1, -2), basis
+
+
+def shape_spectrum(zf, x):
+    """Eigenvalues (ascending) and eigenvectors of the symmetric part of
+    A_Z on Z^⊥ at the points x, the eigenvectors as ambient rows."""
+    amat, basis = level_shape_operator(zf, x)
+    eigvals, eigvecs = np.linalg.eigh(0.5 * (amat + np.swapaxes(amat, -1, -2)))
+    return eigvals, np.swapaxes(eigvecs, -1, -2) @ basis
+
+
 def test_weingarten_of_reeb_is_phi(pair3, reeb3, pts3, rng):
     # A_Z = phi, pinned by |grad Z|^2 = 2n
-    for p in pts3[:10]:
-        (u,) = random_tangents(p, rng, 1)
-        a_u = kt.weingarten(reeb3, u)
-        assert np.allclose(a_u.vec, pair3.s_alpha.phi(u).vec, atol=1e-12)
-        a = weingarten_ambient_matrix(reeb3, p)
-        assert abs(np.sum(a * a) - 2.0) < 1e-12
+    x = pts3[:10]
+    u = random_tangent_batch(x, rng, ())
+    assert np.allclose(weingarten(reeb3, x, u), pair3.s_alpha.phi_at(x, u), atol=1e-12)
+    a = weingarten_matrix(reeb3, x)
+    assert np.max(np.abs(np.sum(a * a, axis=(-2, -1)) - 2.0)) < 1e-12
+    for p, row in zip(x[:3], a):
+        assert np.array_equal(weingarten_ambient_matrix(reeb3, kt.SpherePoint(p)), row)
 
 
 def test_weingarten_preserves_orthogonality_to_unit_field(reeb3, pts3):
-    p = pts3[0]
-    z = reeb3.at(p)
-    assert abs(kt.metric(kt.weingarten(reeb3, z), z)) < 1e-12
+    x = pts3[:1]
+    z = field_at(reeb3, x)
+    assert abs(inner(weingarten(reeb3, x, z), z)[0]) < 1e-12
 
 
 def test_weingarten_of_gradient_kills_normal(nfield3, pts3):
     # A_N N = 0 because N is geodesic
-    for p in pts3[:10]:
-        n = nfield3.at(p)
-        assert kt.weingarten(nfield3, n).norm() < 1e-10
+    x = pts3[:10]
+    n = field_at(nfield3, x)
+    assert np.max(np.linalg.norm(weingarten(nfield3, x, n), axis=-1)) < 1e-10
 
 
 def test_weingarten_guard(nfield3):
     pole = kt.SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))
-    u = kt.project(pole, np.array([0.0, 0.0, 1.0, 0.0]))
     with pytest.raises(RegularityError):
-        kt.weingarten(nfield3, u)
+        weingarten_ambient_matrix(nfield3, pole)
 
 
 def test_weingarten_transpose_adjoint_contract(reeb3, nfield3, pts3, rng):
+    # the transposed ambient matrix against the connection
+    x = pts3[:6]
     for zf in (reeb3, nfield3):
-        for p in pts3[:6]:
-            u, v = random_tangents(p, rng, 2)
-            lhs = kt.metric(kt.weingarten_transpose(zf, u), v)
-            rhs = kt.metric(u, kt.weingarten(zf, v))
-            assert abs(lhs - rhs) < 1e-10
+        u, v = np.moveaxis(random_tangent_batch(x, rng, (2,)), 1, 0)
+        at_u = np.einsum("pji,pj->pi", weingarten_matrix(zf, x), u)
+        lhs = inner(at_u, v)
+        rhs = inner(u, weingarten(zf, x, v))
+        assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
 def test_weingarten_transpose_skew_for_killing(reeb3, pts3, rng):
-    for p in pts3[:6]:
-        (u,) = random_tangents(p, rng, 1)
-        at_u = kt.weingarten_transpose(reeb3, u)
-        a_u = kt.weingarten(reeb3, u)
-        assert np.allclose(at_u.vec, -a_u.vec, atol=1e-8)
+    x = pts3[:6]
+    u = random_tangent_batch(x, rng, ())
+    at_u = np.einsum("pji,pj->pi", weingarten_matrix(reeb3, x), u)
+    assert np.allclose(at_u, -weingarten(reeb3, x, u), atol=1e-8)
 
 
 def test_weingarten_transpose_symmetric_for_gradient(nfield3, pts3, rng):
-    for p in pts3[:6]:
-        (u,) = random_tangents(p, rng, 1)
-        at_u = kt.weingarten_transpose(nfield3, u)
-        a_u = kt.weingarten(nfield3, u)
-        assert np.allclose(at_u.vec, a_u.vec, atol=1e-8)
+    x = pts3[:6]
+    u = random_tangent_batch(x, rng, ())
+    at_u = np.einsum("pji,pj->pi", weingarten_matrix(nfield3, x), u)
+    assert np.allclose(at_u, weingarten(nfield3, x, u), atol=1e-8)
 
 
 def test_trace_l_of_reeb_constant(reeb3, pts3):
-    for p in pts3[:10]:
-        assert abs(kt.trace_l(reeb3, p) - 5.0) < 1e-12
-
-
-def test_l_operator_with_zero_shape_stub(reeb3, pts3, rng, monkeypatch):
-    # synthetic parallel field: zero shape operator forces L = Id
-    p = pts3[0]
-    (u,) = random_tangents(p, rng, 1)
-    zero = kt.project(p, np.zeros(4))
-    monkeypatch.setattr("kontact.harmonic.weingarten",
-                        lambda zf, w: zero)
-    out = kt.l_operator(reeb3, u)
-    assert np.allclose(out.vec, u.vec, atol=1e-14)
+    assert np.max(np.abs(trace_l(reeb3, pts3[:10]) - 5.0)) < 1e-12
 
 
 @pytest.mark.parametrize("dim", [3, 5, 7])
@@ -137,27 +160,33 @@ def test_trace_l_of_unit_gradient_matches_the_closed_form(dim):
 
 
 def test_trace_l_equals_frame_sum(reeb3, nfield3, pts3):
+    x = pts3[:1]
+    frame = frame_batch(x)
     for zf in (reeb3, nfield3):
-        p = pts3[0]
-        fr = kt.tangent_basis(p)
-        frame_sum = 3.0 + sum(
-            kt.metric(kt.weingarten(zf, e), kt.weingarten(zf, e)) for e in fr)
-        assert abs(kt.trace_l(zf, p) - frame_sum) < 1e-10
+        a_e = weingarten(zf, x[:, None, :], frame)
+        frame_sum = 3.0 + np.sum(inner(a_e, a_e), axis=-1)
+        assert abs(trace_l(zf, x)[0] - frame_sum[0]) < 1e-10
+
+
+def pullback_metric(zf, x, u, v):
+    """Induced metric g(u,v) + g(∇_u Z, ∇_v Z) at the points x."""
+    return inner(u, v) + inner(cov_deriv_batch(zf.field, x, u), cov_deriv_batch(zf.field, x, v))
 
 
 def test_pullback_metric_dominates_round_metric(reeb3, pts3, rng):
-    for p in pts3[:6]:
-        (u,) = random_tangents(p, rng, 1)
-        assert kt.pullback_metric(reeb3, u, u) >= kt.metric(u, u) - 1e-14
+    x = pts3[:6]
+    u = random_tangent_batch(x, rng, ())
+    assert np.all(pullback_metric(reeb3, x, u, u) >= inner(u, u) - 1e-14)
 
 
 def test_pullback_metric_value_on_reeb(pair3, reeb3, pts3, rng):
     # g(u,v) + g(phi u, phi v) doubles the transverse part
-    p = pts3[0]
-    z = pair3.s_alpha.reeb_at(p)
-    (u,) = random_tangents(p, rng, 1)
-    u = (u - kt.metric(u, z) * z).unit()
-    assert abs(kt.pullback_metric(reeb3, u, u) - 2.0) < 1e-12
+    x = pts3[:1]
+    z = x @ pair3.s_alpha.j_ambient.mat.T
+    u = random_tangent_batch(x, rng, ())
+    u = u - inner(u, z)[:, None] * z
+    u = u / np.sqrt(inner(u, u))[:, None]
+    assert abs(pullback_metric(reeb3, x, u, u)[0] - 2.0) < 1e-12
 
 
 def test_energy_reeb_closed_form():
@@ -265,16 +294,18 @@ def test_nu_negative_control(twisted, pts3):
 
 
 def test_nu_requires_orthogonal_direction(reeb3, pts3):
-    p = pts3[0]
-    z = reeb3.at(p)
+    p = kt.SpherePoint(pts3[0])
+    z = kt.TangentVector(p, field_at(reeb3, p.coords))
     with pytest.raises(PreconditionError):
         harmonicity_form(reeb3, z)
 
 
 def test_nu_frame_independence(nfield3, pts3, rng):
-    for p in pts3[:4]:
-        n = nfield3.at(p)
-        (seed_vec,) = random_tangents(p, rng, 1)
+    x = pts3[:4]
+    seeds = random_tangent_batch(x, rng, ())
+    for row, n_row, seed_row in zip(x, field_at(nfield3, x), seeds):
+        p = kt.SpherePoint(row)
+        n, seed_vec = kt.TangentVector(p, n_row), kt.TangentVector(p, seed_row)
         fr1 = kt.gram_schmidt_frame(p, [n])
         try:
             fr2 = kt.gram_schmidt_frame(p, [n, seed_vec])
@@ -287,52 +318,53 @@ def test_nu_frame_independence(nfield3, pts3, rng):
 
 
 def test_shape_spectrum_clifford_torus(angle3, nfield3):
-    q = kt.SpherePoint(np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0))
-    spec = kt.shape_spectrum(nfield3, q)
-    assert abs(spec.mean_curvature) < 1e-7  # minimal level
-    assert len(spec.eigenvalues) == 2
+    q = np.array([[1.0, 0.0, 1.0, 0.0]]) / np.sqrt(2.0)
+    eigvals, _ = shape_spectrum(nfield3, q)
+    assert abs(np.sum(eigvals)) < 1e-7  # minimal level
+    assert eigvals.shape == (1, 2)
 
 
 def test_shape_spectrum_reconstruction(nfield3, pts3):
-    for p in pts3[:6]:
-        spec = kt.shape_spectrum(nfield3, p)
-        for lam, e in zip(spec.eigenvalues, spec.eigenframe):
-            residual = kt.weingarten(nfield3, e) - lam * e
-            assert residual.norm() < 1e-7
-        recon = sum(lam * np.outer(e.vec, e.vec)
-                    for lam, e in zip(spec.eigenvalues, spec.eigenframe))
-        a = weingarten_ambient_matrix(nfield3, p)
-        n = nfield3.at(p).vec
-        proj = np.eye(4) - np.outer(n, n) - np.outer(p.coords, p.coords)
-        assert np.max(np.abs(proj @ (a - recon) @ proj)) < 1e-7
+    x = pts3[:6]
+    eigvals, eigvecs = shape_spectrum(nfield3, x)
+    residual = weingarten(nfield3, x[:, None, :], eigvecs) - eigvals[..., None] * eigvecs
+    assert np.max(np.linalg.norm(residual, axis=-1)) < 1e-7
+    recon = np.einsum("pk,pki,pkj->pij", eigvals, eigvecs, eigvecs)
+    n = field_at(nfield3, x)
+    proj = np.eye(4) - n[:, :, None] * n[:, None, :] - x[:, :, None] * x[:, None, :]
+    assert np.max(np.abs(proj @ (weingarten_matrix(nfield3, x) - recon) @ proj)) < 1e-7
 
 
 def test_shape_spectrum_h_matches_level_mean_curvature(angle3, nfield3, pts3):
-    for p in pts3[:8]:
-        spec = kt.shape_spectrum(nfield3, p)
-        assert abs(spec.mean_curvature - kt.level_mean_curvature(angle3, p)) < 1e-7
+    x = pts3[:8]
+    eigvals, _ = shape_spectrum(nfield3, x)
+    assert np.max(np.abs(np.sum(eigvals, axis=-1) - level_mean_curvature_batch(angle3, x))) < 1e-7
 
 
 def test_shape_spectrum_rejects_skew_operator(reeb3, pts3):
     # the Reeb field is geodesic but its complement is not integrable:
-    # the shape operator is skew, not symmetric
-    with pytest.raises(IntegrabilityError):
-        kt.shape_spectrum(reeb3, pts3[0])
+    # the shape operator on it is skew, not symmetric
+    x = pts3[:10]
+    amat, _ = level_shape_operator(reeb3, x)
+    assert np.max(np.linalg.norm(weingarten(reeb3, x, field_at(reeb3, x)), axis=-1)) < 1e-12
+    assert np.max(np.abs(amat + np.swapaxes(amat, -1, -2))) < 1e-12
+    assert np.min(np.max(np.abs(amat - np.swapaxes(amat, -1, -2)), axis=(-2, -1))) > 1.0
 
 
 def test_shape_spectrum_rejects_non_geodesic(twisted, pts3):
-    raised = False
-    for p in pts3[:10]:
-        try:
-            kt.shape_spectrum(twisted, p)
-        except (RegularityError, IntegrabilityError):
-            raised = True
-            break
-    assert raised
+    # the control is not geodesic, or its shape operator is not symmetric
+    x = pts3[:10]
+    x = x[twisted.guard(x)]
+    z = field_at(twisted, x)
+    geodesic = np.linalg.norm(cov_deriv_batch(twisted.field, x, z), axis=-1)
+    amat, _ = level_shape_operator(twisted, x)
+    asym = np.max(np.abs(amat - np.swapaxes(amat, -1, -2)), axis=(-2, -1))
+    assert np.any((geodesic > 1e-6) | (asym > 1e-7))
 
 
 def test_mean_curvature_of_field_matches_level(angle3, nfield3, pts3):
-    for p in pts3[:8]:
+    for x in pts3[:8]:
+        p = kt.SpherePoint(x)
         assert abs(mean_curvature_of_field(nfield3, p)
                    - kt.level_mean_curvature(angle3, p)) < 1e-10
 
@@ -342,23 +374,21 @@ def test_exact_mean_curvature_derivative_matches_finite_differences(dim):
     # generic tangents, not only directions orthogonal to the field
     f = kt.standard_pair(dim).angle_function()
     zf = kt.normalized_gradient_unit_field(f)
-    pts = kt.sample_points(8, 3, dim + 1, exclusion=lambda p: abs(f.value(p)) > 0.9)
-    rng = np.random.default_rng(dim)
-    x = np.array([p.coords for p in pts])
-    u = np.array([[t.vec for t in random_tangents(p, rng, 3)] for p in pts])
+    x = sample_coords(8, 3, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
+    u = random_tangent_batch(x, np.random.default_rng(dim), (3,))
     exact = mean_curvature_derivative(zf.field, x, u)
-    for p, row, dirs in zip(pts, exact, u):
+    for p, row, dirs in zip(x, exact, u):
         for value, d in zip(row, dirs):
             fd = fd_curve_derivative_5pt(
-                lambda c: mean_curvature_of_field(zf, kt.SpherePoint.from_array(c)),
-                p.coords, d)
+                lambda c: mean_curvature_of_field(
+                    zf, kt.SpherePoint(c / np.linalg.norm(c))), p, d)
             assert abs(value - fd) <= 1e-6
 
 
 @pytest.mark.parametrize("dim", (3, 5, 7))
 def test_critical_condition_at_machine_precision(dim):
     f = kt.standard_pair(dim).angle_function()
-    pts = kt.sample_points(500, 42, dim + 1, exclusion=lambda p: abs(f.value(p)) > 0.9)
+    pts = sample_coords(500, 42, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
     rep = kt.critical_condition_check(kt.normalized_gradient_unit_field(f), pts)
     assert rep.passed and rep.tolerance == 1e-6
     assert (rep.count, rep.skipped) == (500, 0)
@@ -384,8 +414,8 @@ def test_harmonicity_equivalence(nfield3, pts3):
 
 def test_unit_field_norm_invariant(nfield3, nfield5, pts3, pts5):
     for zf, pts in ((nfield3, pts3), (nfield5, pts5)):
-        for p in pts[:20]:
-            assert abs(zf.at(p).norm() - 1.0) < 1e-10
+        z = field_at(zf, pts[:20])
+        assert np.max(np.abs(np.linalg.norm(z, axis=-1) - 1.0)) < 1e-10
 
 
 @pytest.mark.parametrize("dim", (3, 5, 7))
