@@ -19,7 +19,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
@@ -79,7 +79,8 @@ CONVENTION_LEDGER = {
     "phi_orientation": ("phi(u) = sigma (J u + alpha(u) p), sigma fixed at "
                         "build time by the d(alpha) compatibility axiom"),
     "gradient_pairing": GRADIENT_PAIRING,
-    "mean_curvature_sign": "h = -sum_i g(cov_deriv(N, E_i), E_i) over the level frame",
+    "mean_curvature_sign": ("h = -div N = -sum_i g(nabla_{E_i} N, E_i) over a frame "
+                            "E_i of the level set"),
 }
 
 
@@ -417,9 +418,8 @@ def _energy_field(args, pair) -> tuple[UnitVectorField, Optional[float]]:
     if not (0.0 < args.exclusion < 1.0):
         raise ValueError("exclusion must lie in (0, 1)")
     cutoff = args.exclusion
-    return UnitVectorField(
-        zf.field, label=zf.label,
-        guard=lambda x: zf.guard(x) & (np.abs(value(f.eval(x))) <= cutoff)), None
+    return replace(
+        zf, guard=lambda x: zf.guard(x) & (np.abs(value(f.eval(x))) <= cutoff)), None
 
 
 def _cmd_energy(args) -> int:

@@ -49,6 +49,21 @@ so neither P = I − x xᵀ nor S is formed (``manifold.shape_norm_sq``).
 Where J does not depend on x, as for every Reeb field x ↦ Jx, it stays
 one (m+1)×(m+1) matrix: a and b are one matmul each per block, and
 ‖J‖²_F and tr J are computed once.
+
+A unit gradient N = ∇f/r, r = |∇f|, whose field carries its potential
+f (``UnitVectorField.potential``, set by
+:func:`normalized_gradient_unit_field`) is not differentiated through
+its own formula.  With H the Hessian matrix of f, ∇_u N = (I − N Nᵀ)·H u / r,
+so
+
+    tr L_N = m + (‖H‖²_F − |H N|²)/r²,
+
+where H is the shape matrix of the raw ambient gradient V, whose
+Jacobian J is the ambient Hessian of f: ‖H‖²_F is the norm above, and
+H N = P·(J N) − ⟨x, V⟩·N (``manifold.unit_shape_norm_sq``).  For the
+angle function V is linear, so J is again one matrix.  Every other
+field, and a unit gradient built without its potential, takes the
+Jacobian of its own formula.
 """
 
 from __future__ import annotations
@@ -78,11 +93,13 @@ from .manifold import (
     shape_norm_sq,
     sphere_volume,
     sweep,
+    unit_shape_norm_sq,
 )
 from .report import EnergyEstimate, ResidualReport
 from .scalar_fields import (
     EPS_REGULAR,
     ScalarField,
+    ambient_gradient,
     gradient_batch,
     normalized_gradient_field,
 )
@@ -101,11 +118,14 @@ class UnitVectorField:
 
     ``guard`` maps points (..., m+1) to a boolean mask (..., ), False
     where the field is undefined; a single point is a 1-D array.
+    ``potential`` is f when the field is the unit gradient ∇f/|∇f|, and
+    None otherwise.
     """
 
     field: AmbientVectorField
     guard: Callable[[np.ndarray], np.ndarray] = _everywhere
     label: str = ""
+    potential: Optional[ScalarField] = None
 
 
 def reeb_unit_field(structure) -> UnitVectorField:
@@ -121,7 +141,7 @@ def normalized_gradient_unit_field(f: ScalarField) -> UnitVectorField:
         return np.sqrt(inner(g, g)) >= EPS_REGULAR
 
     return UnitVectorField(normalized_gradient_field(f), guard=guard,
-                           label=f"N({f.label})")
+                           label=f"N({f.label})", potential=f)
 
 
 def normalized_constant_unit_field(c: np.ndarray) -> UnitVectorField:
@@ -184,9 +204,17 @@ def weingarten_ambient_matrix(zf: UnitVectorField, p: SpherePoint) -> np.ndarray
 def _trace_l_batch(zf: UnitVectorField, points: np.ndarray) -> np.ndarray:
     """tr L_Z = m + ‖S‖²_F over a batch of points (rows of unit vectors),
     S the shape matrix of the field, with ‖S‖²_F taken from invariants of
-    the raw Jacobian (``manifold.shape_norm_sq``, formula in the module
-    docstring), so no (m+1)×(m+1) matrix per point is built."""
-    return (points.shape[-1] - 1) + shape_norm_sq(zf.field, points)
+    one raw Jacobian (formulas in the module docstring), so no
+    (m+1)×(m+1) matrix per point is built.  A unit gradient is
+    differentiated through the raw ambient gradient of its potential
+    (``manifold.unit_shape_norm_sq``), any other field through its own
+    formula (``manifold.shape_norm_sq``)."""
+    m = points.shape[-1] - 1
+    if zf.potential is None:
+        return m + shape_norm_sq(zf.field, points)
+    f = zf.potential
+    grad = AmbientVectorField(lambda y: ambient_gradient(f, y), tangent=False)
+    return m + unit_shape_norm_sq(grad, points)
 
 
 def energy(zf: UnitVectorField, sample_size: int, seed: int,
@@ -222,7 +250,9 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     # of 2, 4, 6 and 8 BLOCK ran 5.9%, 7.9%, 9.7% and 11.9% faster than
     # blocks of one BLOCK.  Past 4× the peak RSS of verify s7 --samples 20
     # (its Reeb energy) grows: 39.5 MB at one and at 4 BLOCK, 40.7 MB at
-    # 8 BLOCK, which is (m+1)× there.
+    # 8 BLOCK, which is (m+1)× there.  These were measured when the unit
+    # gradient still took the dual Jacobian of N; the Hessian route has
+    # not been re-tuned.
     for sl in blocks(sample_size, 4 * manifold.BLOCK):
         x = points[sl]
         mask = np.asarray(zf.guard(x), dtype=bool)

@@ -6,8 +6,9 @@ stands for its projection F = P·V, P = I − x xᵀ, so the raw formula
 need not be tangent off the sphere.  The Levi-Civita connection is the
 tangential part of the ambient derivative of F (Gauss formula), which
 on the unit sphere has the closed form P·D_u F = P·D_u V − ⟨x, V⟩·P u:
-:func:`shape_matrix`, its Frobenius norm :func:`shape_norm_sq` and
-:func:`cov_deriv_batch` differentiate the raw formula only.  The kernels
+:func:`shape_matrix`, its Frobenius norm :func:`shape_norm_sq`, that
+norm for the normalized field P·V/|P·V| (:func:`unit_shape_norm_sq`)
+and :func:`cov_deriv_batch` differentiate the raw formula only.  The kernels
 that nest derivatives (:func:`divergence`, :func:`lie_bracket_batch` and
 their kin) differentiate F itself through :func:`projected_eval`, off
 the sphere too.  :func:`curvature_numeric_batch` assembles R(u,v)w
@@ -288,6 +289,38 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
 
 
+def _shape_terms(field: AmbientVectorField, x: np.ndarray) -> tuple:
+    """From one raw Jacobian of V = ``field.eval`` at the points x: x as
+    floats, V(x), k = ⟨x, V⟩, ‖S‖²_F (:func:`shape_norm_sq`) and the map
+    y ↦ Jᵀy on vectors y (..., m+1) at the same points."""
+    x, v, rows = _raw_jacobian(field, x)
+    if all(n == 1 for n in rows.shape[1:-1]):
+        jt = rows.reshape(x.shape[-1], x.shape[-1])     # jt[j, i] = J[i, j]
+
+        def jt_apply(y):
+            return y @ jt.T
+
+        a = x @ jt
+        frob = np.einsum("ji,ji->", jt, jt)
+        trace = np.trace(jt)
+    else:
+        def jt_apply(y):
+            return np.einsum("j...i,...i->...j", rows, y)
+
+        a = np.einsum("j...i,...j->...i", rows, x)
+        frob = np.einsum("j...i,j...i->...", rows, rows)
+        trace = np.einsum("i...i->...", rows)
+    b = jt_apply(x)
+    c = np.einsum("...i,...i->...", a, x)
+    k = np.einsum("...i,...i->...", v, x)
+    norm_sq = (frob
+               - np.einsum("...i,...i->...", a, a)
+               - np.einsum("...i,...i->...", b, b) + c * c
+               - 2.0 * k * (trace - c)
+               + k * k * (x.shape[-1] - np.einsum("...i,...i->...", x, x)))
+    return x, v, k, norm_sq, jt_apply
+
+
 def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     """‖S‖²_F for the shape matrix S of :func:`shape_matrix` at the points
     x, shape (...), without forming P or S.
@@ -304,25 +337,25 @@ def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     matmul each over all the points, and ‖J‖²_F and tr J are scalars.
     Otherwise the invariants are contracted point by point.
     """
-    x, v, rows = _raw_jacobian(field, x)
-    if all(n == 1 for n in rows.shape[1:-1]):
-        jt = rows.reshape(x.shape[-1], x.shape[-1])     # jt[j, i] = J[i, j]
-        a = x @ jt
-        b = x @ jt.T
-        frob = np.einsum("ji,ji->", jt, jt)
-        trace = np.trace(jt)
-    else:
-        a = np.einsum("j...i,...j->...i", rows, x)
-        b = np.einsum("j...i,...i->...j", rows, x)
-        frob = np.einsum("j...i,j...i->...", rows, rows)
-        trace = np.einsum("i...i->...", rows)
-    c = np.einsum("...i,...i->...", a, x)
-    k = np.einsum("...i,...i->...", v, x)
-    return (frob
-            - np.einsum("...i,...i->...", a, a)
-            - np.einsum("...i,...i->...", b, b) + c * c
-            - 2.0 * k * (trace - c)
-            + k * k * (x.shape[-1] - np.einsum("...i,...i->...", x, x)))
+    return _shape_terms(field, x)[3]
+
+
+def unit_shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
+    """‖S_N‖²_F for the unit field N = P·V/|P·V| at the points x, shape
+    (...), from the same one raw Jacobian of V as :func:`shape_norm_sq`.
+
+    With S the shape matrix of V and r = |P·V|, ∇_u N = (I − N Nᵀ)·S u / r,
+    so ‖S_N‖²_F = (‖S‖²_F − |Sᵀ N|²)/r², and Sᵀ N = P·(Jᵀ N) − k·N for
+    tangent N.  Neither N nor its Jacobian goes through the dual engine;
+    for a gradient V = ∇f, S is the Hessian of f and symmetric.
+    """
+    x, v, k, norm_sq, jt_apply = _shape_terms(field, x)
+    g = v - k[..., None] * x                            # P·V at unit x
+    r_sq = inner(g, g)
+    n = g / np.sqrt(r_sq)[..., None]
+    w = jt_apply(n)
+    stn = w - inner(w, x)[..., None] * x - k[..., None] * n
+    return (norm_sq - inner(stn, stn)) / r_sq
 
 
 def divergence(field: AmbientVectorField, y):

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -357,9 +358,8 @@ def excluded_gradient_field(dim, cutoff=0.9):
     ``kontact energy --field gradient --exclusion`` builds it."""
     f = kt.standard_pair(dim).angle_function()
     zf = kt.normalized_gradient_unit_field(f)
-    return kt.UnitVectorField(
-        zf.field, label=zf.label,
-        guard=lambda x: zf.guard(x) & (np.abs(ad.value(f.eval(x))) <= cutoff))
+    return replace(
+        zf, guard=lambda x: zf.guard(x) & (np.abs(ad.value(f.eval(x))) <= cutoff))
 
 
 def unblocked_energy(zf, sample_size, seed, ambient_dim):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from kontact.cli import (
     MANIFOLDS,
     SuiteConfig,
     _check_catalog,
+    _energy_field,
+    build_parser,
     check_names,
     describe,
     document,
@@ -307,6 +310,36 @@ def test_cli_energy_gradient_with_exclusion(capsys):
     assert doc["skipped"] > 0
     assert np.isfinite(doc["estimate"])
     assert "closed_form" not in doc
+
+
+@pytest.mark.parametrize("exclusion", [[], ["--exclusion", "0.9"]],
+                         ids=["whole-sphere", "exclusion"])
+@pytest.mark.parametrize("sphere", ["s3", "s5", "s7"])
+def test_cli_gradient_energy_takes_the_hessian_route(sphere, exclusion, monkeypatch):
+    # the CLI's unit gradient keeps its potential, so energy differentiates
+    # the raw gradient of f and never N = ∇f/|∇f| itself; the same field
+    # without the potential goes through the dual Jacobian of N
+    args = build_parser().parse_args(["energy", sphere, "--field", "gradient",
+                                      "--samples", "100000", "--seed", "3", *exclusion])
+    pair = standard_pair(MANIFOLDS[sphere])
+    zf, _ = _energy_field(args, pair)
+    generic = replace(zf, potential=None)
+    differentiated = []
+    raw_jacobian = manifold._raw_jacobian
+
+    def counted(field, x):
+        differentiated.append(field)
+        return raw_jacobian(field, x)
+
+    monkeypatch.setattr(manifold, "_raw_jacobian", counted)
+    est = kt.energy(zf, args.samples, args.seed, pair.ambient_dim)
+    assert differentiated and zf.field not in differentiated
+    ref = kt.energy(generic, args.samples, args.seed, pair.ambient_dim)
+    assert zf.field in differentiated
+    assert est.skipped == ref.skipped
+    assert (est.skipped > 0) == bool(exclusion)
+    assert abs(est.estimate - ref.estimate) <= 1e-12 * ref.estimate
+    assert abs(est.stderr - ref.stderr) <= 1e-12 * ref.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,7 @@
 """Energy machinery: shape operators, first variation, spectra, criteria."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from kontact.manifold import (
     random_tangent_batch,
     sample_coords,
     shape_matrix,
+    shape_norm_sq,
 )
 from kontact.scalar_fields import level_mean_curvature_batch
 
@@ -159,6 +162,36 @@ def test_trace_l_of_unit_gradient_matches_the_closed_form(dim):
     assert np.max(np.abs(tr - closed) / closed) <= 1e-12
 
 
+def cubic_field(dim):
+    """x ↦ ⟨x, a⟩³ + |x|²⟨x, b⟩: no closed-form gradient, and a Jacobian of
+    the ambient gradient that depends on x."""
+    rng = np.random.default_rng(100 + dim)
+    a, b = rng.standard_normal((2, dim + 1))
+    return kt.ScalarField(
+        eval=lambda x: ad.dot(x, a) ** 3 + ad.dot(x, x) * ad.dot(x, b),
+        label="cubic")
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+@pytest.mark.parametrize("potential", ["angle", "height", "cubic"])
+def test_trace_l_of_unit_gradient_from_the_hessian(dim, potential):
+    # the Hessian route against the dual Jacobian of N = ∇f/|∇f| itself;
+    # a height function has J = 0, the cubic a Jacobian that varies by point
+    f = {"angle": lambda: kt.standard_pair(dim).angle_function(),
+         "height": lambda: kt.coordinate_field(1, dim + 1),
+         "cubic": lambda: cubic_field(dim)}[potential]()
+    zf = kt.normalized_gradient_unit_field(f)
+    assert zf.potential is f
+    x = sample_coords(500, dim, dim + 1)
+    x = x[zf.guard(x)]
+    if potential == "angle":
+        x = x[np.abs(values(f, x)) <= 0.9]
+    assert len(x) > 200
+    hessian = _trace_l_batch(zf, x)
+    dual = dim + shape_norm_sq(zf.field, x)
+    assert np.max(np.abs(hessian - dual) / dual) <= 1e-12
+
+
 def test_trace_l_equals_frame_sum(reeb3, nfield3, pts3):
     x = pts3[:1]
     frame = frame_batch(x)
@@ -262,9 +295,8 @@ def test_energy_of_gradient_field_matches_the_closed_form(dim, closed):
     assert abs(exact - closed) <= 1e-5
     f = kt.standard_pair(dim).angle_function()
     nfield = kt.normalized_gradient_unit_field(f)
-    zf = kt.UnitVectorField(
-        nfield.field, label=nfield.label,
-        guard=lambda x: nfield.guard(x) & (np.abs(ad.value(f.eval(x))) <= 0.9))
+    zf = replace(nfield,
+                 guard=lambda x: nfield.guard(x) & (np.abs(ad.value(f.eval(x))) <= 0.9))
     est = kt.energy(zf, 100_000, 3, dim + 1)
     assert abs(est.estimate - exact) <= 4.0 * est.stderr
 
