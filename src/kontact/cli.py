@@ -351,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--samples", type=int, default=100_000)
     en.add_argument("--seed", type=int, default=42)
     en.add_argument("--exclusion", type=float, default=None,
-                    help="restrict the gradient field's domain to |angle| <= X")
+                    help="restrict the gradient field's domain to |angle| <= X; "
+                         "unrestricted, the energy diverges logarithmically at "
+                         "the focal sphere angle = 1 (x1 = x2 = 0), and on s3 "
+                         "also at angle = -1, so the estimate does not settle")
     return parser
 
 

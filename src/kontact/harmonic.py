@@ -60,10 +60,15 @@ so
 
 where H is the shape matrix of the raw ambient gradient V, whose
 Jacobian J is the ambient Hessian of f: ‖H‖²_F is the norm above, and
-H N = P·(J N) − ⟨x, V⟩·N (``manifold.unit_shape_norm_sq``).  For the
+H N = P·(J N) − ⟨x, V⟩·N (``manifold.unit_shape_norm_sq``, which holds
+every per-point quantity coordinate-major, as (m+1, B) arrays).  For the
 angle function V is linear, so J is again one matrix.  Every other
 field, and a unit gradient built without its potential, takes the
-Jacobian of its own formula.
+Jacobian of its own formula.  The guard of such a field evaluates V once
+more, at every point of the block, for |P·V|.  It stays a pass of its
+own so that a guard composed over it (``dataclasses.replace(zf,
+guard=…)``, as the CLI's ``--exclusion``) still decides which points the
+integrand sees.
 """
 
 from __future__ import annotations
@@ -100,7 +105,6 @@ from .scalar_fields import (
     EPS_REGULAR,
     ScalarField,
     ambient_gradient,
-    gradient_batch,
     normalized_gradient_field,
 )
 
@@ -134,11 +138,20 @@ def reeb_unit_field(structure) -> UnitVectorField:
 
 
 def normalized_gradient_unit_field(f: ScalarField) -> UnitVectorField:
-    """N = ∇f/‖∇f‖ guarded away from the critical set (‖∇f‖ < EPS_REGULAR)."""
+    """N = ∇f/‖∇f‖ guarded away from the critical set (‖∇f‖ < EPS_REGULAR).
+
+    The guard evaluates the ambient gradient V once and takes ‖∇f‖ =
+    |V − ⟨x, V⟩x| with two einsum contractions over the rows of the
+    flattened points: the arithmetic of ``gradient_batch``, whose
+    stacked-matmul inner products round differently, at about three
+    quarters of its cost on a block of 4096 points."""
 
     def guard(points: np.ndarray) -> np.ndarray:
-        g = gradient_batch(f, points)
-        return np.sqrt(inner(g, g)) >= EPS_REGULAR
+        x = np.asarray(points, dtype=float)
+        v = np.broadcast_to(value(ambient_gradient(f, x)), x.shape)
+        x2, v2 = x.reshape(-1, x.shape[-1]), v.reshape(-1, x.shape[-1])
+        g = v2 - np.einsum("pi,pi->p", v2, x2)[:, None] * x2
+        return (np.sqrt(np.einsum("pi,pi->p", g, g)) >= EPS_REGULAR).reshape(x.shape[:-1])
 
     return UnitVectorField(normalized_gradient_field(f), guard=guard,
                            label=f"N({f.label})", potential=f)
@@ -245,14 +258,13 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     kept = 0
     # A sample of this integrand carries one first-order Jacobian, (m+1)×
     # less than the second-order jet a check's point carries, so its
-    # blocks can be larger.  On energy s5 at 100 000 samples (2-vCPU VM,
-    # BLAS at one thread, warm, medians of 12 interleaved calls) blocks
-    # of 2, 4, 6 and 8 BLOCK ran 5.9%, 7.9%, 9.7% and 11.9% faster than
-    # blocks of one BLOCK.  Past 4× the peak RSS of verify s7 --samples 20
-    # (its Reeb energy) grows: 39.5 MB at one and at 4 BLOCK, 40.7 MB at
-    # 8 BLOCK, which is (m+1)× there.  These were measured when the unit
-    # gradient still took the dual Jacobian of N; the Hessian route has
-    # not been re-tuned.
+    # blocks can be larger.  On energy s5 --field gradient --exclusion 0.9
+    # at 100 000 samples (2-vCPU VM, BLAS at one thread, three runs of 40
+    # to 60 interleaved in-process calls each) blocks of 2, 4 and 8 BLOCK
+    # took a median 10–14%, 15–16% and 18–20% less time than blocks of one
+    # BLOCK.  8 beats 4 by 3–6%, inside the quartiles of the calls, and it
+    # raises the peak RSS of verify s7 --samples 20 (its Reeb energy) from
+    # 40.0 MB at one, 2 and 4 BLOCK to 40.7 MB; 8 BLOCK is (m+1)× there.
     for sl in blocks(sample_size, 4 * manifold.BLOCK):
         x = points[sl]
         mask = np.asarray(zf.guard(x), dtype=bool)

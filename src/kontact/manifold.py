@@ -289,36 +289,13 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
 
 
-def _shape_terms(field: AmbientVectorField, x: np.ndarray) -> tuple:
-    """From one raw Jacobian of V = ``field.eval`` at the points x: x as
-    floats, V(x), k = ⟨x, V⟩, ‖S‖²_F (:func:`shape_norm_sq`) and the map
-    y ↦ Jᵀy on vectors y (..., m+1) at the same points."""
-    x, v, rows = _raw_jacobian(field, x)
-    if all(n == 1 for n in rows.shape[1:-1]):
-        jt = rows.reshape(x.shape[-1], x.shape[-1])     # jt[j, i] = J[i, j]
-
-        def jt_apply(y):
-            return y @ jt.T
-
-        a = x @ jt
-        frob = np.einsum("ji,ji->", jt, jt)
-        trace = np.trace(jt)
-    else:
-        def jt_apply(y):
-            return np.einsum("j...i,...i->...j", rows, y)
-
-        a = np.einsum("j...i,...j->...i", rows, x)
-        frob = np.einsum("j...i,j...i->...", rows, rows)
-        trace = np.einsum("i...i->...", rows)
-    b = jt_apply(x)
-    c = np.einsum("...i,...i->...", a, x)
-    k = np.einsum("...i,...i->...", v, x)
-    norm_sq = (frob
-               - np.einsum("...i,...i->...", a, a)
-               - np.einsum("...i,...i->...", b, b) + c * c
-               - 2.0 * k * (trace - c)
-               + k * k * (x.shape[-1] - np.einsum("...i,...i->...", x, x)))
-    return x, v, k, norm_sq, jt_apply
+def _norm_sq_from_invariants(dot: Callable, frob, trace, a, b, x, k, dim: int):
+    """‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
+    c = ⟨a, x⟩ (:func:`shape_norm_sq`), with ``dot`` the inner product of
+    the layout a, b and x are in, point-major or coordinate-major."""
+    c = dot(a, x)
+    return (frob - dot(a, a) - dot(b, b) + c * c - 2.0 * k * (trace - c)
+            + k * k * (dim - dot(x, x)))
 
 
 def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
@@ -337,7 +314,22 @@ def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     matmul each over all the points, and ‖J‖²_F and tr J are scalars.
     Otherwise the invariants are contracted point by point.
     """
-    return _shape_terms(field, x)[3]
+    x, v, rows = _raw_jacobian(field, x)
+    if all(n == 1 for n in rows.shape[1:-1]):
+        jt = rows.reshape(x.shape[-1], x.shape[-1])     # jt[j, i] = J[i, j]
+        a, b = x @ jt, x @ jt.T
+        frob = np.einsum("ji,ji->", jt, jt)
+        trace = np.trace(jt)
+    else:
+        a = np.einsum("j...i,...j->...i", rows, x)
+        b = np.einsum("j...i,...i->...j", rows, x)
+        frob = np.einsum("j...i,j...i->...", rows, rows)
+        trace = np.einsum("i...i->...", rows)
+
+    def dot(p, q):
+        return np.einsum("...i,...i->...", p, q)
+
+    return _norm_sq_from_invariants(dot, frob, trace, a, b, x, dot(v, x), x.shape[-1])
 
 
 def unit_shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
@@ -348,14 +340,50 @@ def unit_shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     so ‖S_N‖²_F = (‖S‖²_F − |Sᵀ N|²)/r², and Sᵀ N = P·(Jᵀ N) − k·N for
     tangent N.  Neither N nor its Jacobian goes through the dual engine;
     for a gradient V = ∇f, S is the Hessian of f and symmetric.
+
+    The points are flattened to one C-ordered (B, m+1) array for the
+    dual evaluation, and its results are transposed once to (m+1, B):
+    every per-point quantity is then a row of B values, and each inner
+    product one contraction over the short leading axis, which numpy
+    runs two to five times faster than a contraction over the last axis
+    of (B, m+1) rows (an einsum there, or :func:`inner`).
+    A J that does not depend on x stays one matrix, applied by one matmul
+    to all the points; otherwise it is held as (m+1, m+1, B).
     """
-    x, v, k, norm_sq, jt_apply = _shape_terms(field, x)
-    g = v - k[..., None] * x                            # P·V at unit x
-    r_sq = inner(g, g)
-    n = g / np.sqrt(r_sq)[..., None]
+    lead, dim = np.shape(x)[:-1], np.shape(x)[-1]
+    x, v, rows = _raw_jacobian(field, np.ascontiguousarray(x, dtype=float).reshape(-1, dim))
+    xt, vt = np.ascontiguousarray(x.T), np.ascontiguousarray(v.T)
+    if rows.shape[1] == 1:
+        jt = rows.reshape(dim, dim)                     # jt[j, i] = J[i, j]
+
+        def jt_apply(y):
+            return jt @ y
+
+        a = jt.T @ xt
+        frob = np.einsum("ji,ji->", jt, jt)
+        trace = np.trace(jt)
+    else:
+        jac = np.ascontiguousarray(rows.transpose(0, 2, 1))   # jac[j, i, p] = J[i, j] at p
+
+        def jt_apply(y):
+            return np.einsum("jip,ip->jp", jac, y)
+
+        a = np.einsum("jip,jp->ip", jac, xt)
+        frob = np.einsum("jip,jip->p", jac, jac)
+        trace = np.einsum("iip->p", jac)
+    b = jt_apply(xt)
+
+    def dot(p, q):
+        return np.einsum("ip,ip->p", p, q)
+
+    k = dot(vt, xt)
+    norm_sq = _norm_sq_from_invariants(dot, frob, trace, a, b, xt, k, dim)
+    g = vt - k * xt                                     # P·V at unit x
+    r_sq = dot(g, g)
+    n = g / np.sqrt(r_sq)
     w = jt_apply(n)
-    stn = w - inner(w, x)[..., None] * x - k[..., None] * n
-    return (norm_sq - inner(stn, stn)) / r_sq
+    stn = w - dot(w, xt) * xt - k * n
+    return ((norm_sq - dot(stn, stn)) / r_sq).reshape(lead)
 
 
 def divergence(field: AmbientVectorField, y):

@@ -28,7 +28,7 @@ from kontact.manifold import (
     shape_matrix,
     shape_norm_sq,
 )
-from kontact.scalar_fields import level_mean_curvature_batch
+from kontact.scalar_fields import EPS_REGULAR, gradient_batch, level_mean_curvature_batch
 
 from finite_differences import fd_curve_derivative_5pt
 from oracles import mean_curvature_derivative, trace_l, values
@@ -172,14 +172,20 @@ def cubic_field(dim):
         label="cubic")
 
 
+def potential_field(name, dim):
+    """The angle function of the shipped pair, the height function x_1 or
+    the cubic on S^dim."""
+    return {"angle": lambda: kt.standard_pair(dim).angle_function(),
+            "height": lambda: kt.coordinate_field(1, dim + 1),
+            "cubic": lambda: cubic_field(dim)}[name]()
+
+
 @pytest.mark.parametrize("dim", [3, 5, 7])
 @pytest.mark.parametrize("potential", ["angle", "height", "cubic"])
 def test_trace_l_of_unit_gradient_from_the_hessian(dim, potential):
     # the Hessian route against the dual Jacobian of N = ∇f/|∇f| itself;
     # a height function has J = 0, the cubic a Jacobian that varies by point
-    f = {"angle": lambda: kt.standard_pair(dim).angle_function(),
-         "height": lambda: kt.coordinate_field(1, dim + 1),
-         "cubic": lambda: cubic_field(dim)}[potential]()
+    f = potential_field(potential, dim)
     zf = kt.normalized_gradient_unit_field(f)
     assert zf.potential is f
     x = sample_coords(500, dim, dim + 1)
@@ -190,6 +196,88 @@ def test_trace_l_of_unit_gradient_from_the_hessian(dim, potential):
     hessian = _trace_l_batch(zf, x)
     dual = dim + shape_norm_sq(zf.field, x)
     assert np.max(np.abs(hessian - dual) / dual) <= 1e-12
+
+
+def gradient_norm_mask(f, x):
+    """The guard's reference: |P·∇f| >= EPS_REGULAR from ``gradient_batch``."""
+    g = gradient_batch(f, x)
+    return np.sqrt(inner(g, g)) >= EPS_REGULAR
+
+
+def scaled_potential(f, c):
+    """c·f, with c times the closed-form gradient of f if it has one."""
+    grad = None if f.grad is None else (lambda y: c * f.grad(y))
+    return kt.ScalarField(eval=lambda y: c * f.eval(y), grad=grad, label=f"{c}·{f.label}")
+
+
+def unit_rows(y):
+    return y / np.linalg.norm(y, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+@pytest.mark.parametrize("potential", ["angle", "height", "cubic"])
+def test_unit_gradient_guard_matches_the_gradient_norm(dim, potential):
+    # the guard takes |P·∇f| from one ambient gradient by its own
+    # contractions; it must keep exactly the points gradient_batch keeps
+    f = potential_field(potential, dim)
+    guard = kt.normalized_gradient_unit_field(f).guard
+    rng = np.random.default_rng(200 + dim)
+    x = sample_coords(2000, 50 + dim, dim + 1)
+    planted = []
+    if potential == "angle":
+        # the focal sets of f = xᵀAx: x₁ = x₂ = 0 (f = 1) and x₃ = … = 0
+        # (f = −1), and points that approach the first one, |∇f| ≈ 4t·|(x₁, x₂)|
+        for zero in (slice(0, 2), slice(2, None)):
+            y = rng.standard_normal((50, dim + 1))
+            y[:, zero] = 0.0
+            planted.append(unit_rows(y))
+        near = x[:60].copy()
+        near[:, :2] *= np.geomspace(1e-9, 1e-4, 60)[:, None]
+        x = np.concatenate([x, unit_rows(near)])
+    elif potential == "height":
+        e = np.eye(dim + 1)[1]
+        tangent = proj_np(e, rng.standard_normal((60, dim + 1)))
+        near = e + np.geomspace(1e-9, 1e-4, 60)[:, None] * unit_rows(tangent)
+        planted.append(np.stack([e, -e]))
+        x = np.concatenate([x, unit_rows(near)])
+    for y in planted:
+        assert not guard(y).any()
+        assert not gradient_norm_mask(f, y).any()
+    y = np.concatenate([x] + planted)
+    mask = guard(y)
+    assert np.array_equal(mask, gradient_norm_mask(f, y))
+    assert mask.any() and (potential == "cubic" or not mask.all())
+    # scale f so that |P·∇f| at a point lies a factor 1 ± δ from EPS_REGULAR
+    p = x[:10]
+    r = np.sqrt(inner(gradient_batch(f, p), gradient_batch(f, p)))
+    for point, norm in zip(p, r):
+        for step in (-1e-3, -1e-9, 1e-9, 1e-3):
+            fc = scaled_potential(f, EPS_REGULAR * (1.0 + step) / norm)
+            assert bool(gradient_norm_mask(fc, point)) is (step > 0)
+            assert bool(kt.normalized_gradient_unit_field(fc).guard(point)) is (step > 0)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+@pytest.mark.parametrize("field", ["angle", "cubic", "reeb"])
+def test_trace_l_follows_the_batch_convention(dim, field):
+    # the unit-gradient kernel lays its points out coordinate-major inside;
+    # two leading axes, a strided slice and a Fortran-ordered copy must give
+    # the rows of the flat C-ordered result bit for bit
+    if field == "reeb":
+        zf = kt.reeb_unit_field(kt.standard_pair(dim).s_alpha)
+    else:
+        zf = kt.normalized_gradient_unit_field(potential_field(field, dim))
+    x = sample_coords(600, 60 + dim, dim + 1)
+    x = x[zf.guard(x)][:400]
+    assert len(x) == 400
+    flat = _trace_l_batch(zf, x)
+    assert np.array_equal(_trace_l_batch(zf, x.reshape(2, 200, dim + 1)),
+                          flat.reshape(2, 200))
+    assert not x[::2].flags.c_contiguous
+    assert np.array_equal(_trace_l_batch(zf, x[::2]), flat[::2])
+    fortran = np.asfortranarray(x)
+    assert not fortran.flags.c_contiguous
+    assert np.array_equal(_trace_l_batch(zf, fortran), flat)
 
 
 def test_trace_l_equals_frame_sum(reeb3, nfield3, pts3):
