@@ -16,9 +16,11 @@ convention is frozen package-wide without a 1/2 factor:
 Checkers cover the three contact-metric axioms, the Killing property of
 the Reeb field, and the Sasakian identity (∇_A φ)B = g(A,B)Z − α(B)A.
 
-Kernels and checks follow the batch convention of :mod:`kontact.manifold`;
-the random tangent directions of a check come from one seeded stream,
-drawn block by block in point order.
+Kernels and checks follow the batch convention of :mod:`kontact.manifold`:
+each check is defined once, as a ``manifold.Check`` (its name, default
+tolerance and block kernel), by a function that ``manifold.checker``
+makes its public checker.  The random tangent directions of a check come
+from one seeded stream, drawn block by block in point order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from .ad import (
     axis0_to_last,
@@ -43,11 +44,13 @@ from .ad import (
 from .errors import ConstructionError
 from .manifold import (
     AmbientVectorField,
+    Check,
     Frame,
     OrthoComplexStructure,
     TangentVector,
     apply,
     as_points,
+    checker,
     constant_field,
     cov_deriv_batch,
     frame_batch,
@@ -57,9 +60,7 @@ from .manifold import (
     projected_eval,
     random_tangent_batch,
     sample_coords,
-    sweep,
 )
-from .report import ResidualReport
 
 D_ALPHA_CONVENTION = "d(alpha)(A,B) = A(alpha(B)) - B(alpha(A)) - alpha([A,B])"
 
@@ -281,79 +282,80 @@ def volume_form_constant(n: int) -> float:
 # ---------------------------------------------------------------------------
 # checkers
 
-def check_axiom_volume(s: ContactMetricStructure, points: ArrayLike,
-                       coeff_field: Optional[Callable] = None,
-                       tol: float = 1e-9) -> ResidualReport:
+@checker()
+def check_axiom_volume(s: ContactMetricStructure,
+                       coeff_field: Optional[Callable] = None) -> Check:
     """α∧(dα)^n must equal ±2^n·n! with constant sign.
 
     On every orthonormal frame of a contact metric structure
     |α∧(dα)^n| = 2^n·n! exactly (Blair, *Riemannian Geometry of Contact
     and Symplectic Manifolds*, 2nd ed., 2010), so the per-point residual
     is the relative deviation of |α∧(dα)^n| from 2^n·n!, plus a penalty
-    of 1 on any sign flip.
+    of 1 on any sign flip against the first point with a nonzero value.
     """
     coeff = coeff_field if coeff_field is not None else s.alpha_coeffs
     ref = volume_form_constant(s.n)
-    values, _ = sweep(lambda x: volume_form_batch(coeff, x, frame_batch(x), s.n),
-                      as_points(points, s.ambient_dim))
-    residuals = np.abs(np.abs(values) - ref) / ref
-    signs = np.sign(values)
-    signed = np.flatnonzero(signs)
-    if signed.size:
-        # The first point with a nonzero value fixes the sign.
-        flips = signs != signs[signed[0]]
-        flips[:signed[0] + 1] = False
-        residuals = residuals + flips
-    return ResidualReport.from_residuals(
-        f"axiom_volume_{s.label}", residuals, tol,
-        provenance="top form ±2^n·n! with constant sign")
+    first = []                  # (index, sign) of the first nonzero value
+
+    def kernel(b):
+        values = volume_form_batch(coeff, b.x, b.of(frame_batch), s.n)
+        signs = np.sign(values)
+        signed = np.flatnonzero(signs)
+        if not first and signed.size:
+            first.append((b.index[signed[0]], signs[signed[0]]))
+        residuals = np.abs(np.abs(values) - ref) / ref
+        if first:
+            at, sign = first[0]
+            residuals = residuals + ((signs != sign) & (b.index > at))
+        return residuals
+
+    return Check(f"axiom_volume_{s.label}", 1e-9, kernel,
+                 "top form ±2^n·n! with constant sign")
 
 
-def _direction_sweep(x: np.ndarray, seed: int, residual: Callable,
-                     pairs: bool = True) -> np.ndarray:
-    """``residual(p, u, v)`` over DIRECTIONS random tangent pairs at each
-    point of x (N, m+1), or ``residual(p, u)`` over DIRECTIONS single
-    directions if not ``pairs``, in point order.  Per block, p is
-    (B, 1, m+1) and u, v are (B, DIRECTIONS, m+1), drawn from one stream
-    seeded by ``seed``."""
+def _directions(seed: int, pairs: bool = True) -> Callable:
+    """Draws (p, u, v) of DIRECTIONS random tangent pairs at each point of
+    a block, or (p, u) of single directions if not ``pairs``, p (B, 1, m+1)
+    and u, v (B, DIRECTIONS, m+1), from one stream seeded by ``seed``."""
     rng = np.random.default_rng(seed)
 
-    def block(p):
+    def draw(b):
+        p = b.x[:, None, :]
         if not pairs:
-            return residual(p[:, None, :], random_tangent_batch(p, rng, (DIRECTIONS,)))
-        uv = random_tangent_batch(p, rng, (DIRECTIONS, 2))
-        return residual(p[:, None, :], uv[..., 0, :], uv[..., 1, :])
+            return p, random_tangent_batch(b.x, rng, (DIRECTIONS,))
+        uv = random_tangent_batch(b.x, rng, (DIRECTIONS, 2))
+        return p, uv[..., 0, :], uv[..., 1, :]
 
-    return sweep(block, x)[0]
+    return draw
 
 
-def check_axiom_ii(s: ContactMetricStructure, points: ArrayLike,
-                   tol: float = 1e-9) -> ResidualReport:
+@checker()
+def check_axiom_ii(s: ContactMetricStructure) -> Check:
     """‖φ²u + u − α(u)Z‖ over random tangent directions."""
-    def residual(p, u):
+    draw = _directions(AXIOM_II_SEED, pairs=False)
+
+    def kernel(b):
+        p, u = draw(b)
         z = apply(s.j_ambient.mat, p)
         r = s.phi_at(p, s.phi_at(p, u)) + u - inner(u, z)[..., None] * z
         return np.sqrt(inner(r, r))
 
-    return ResidualReport.from_residuals(
-        f"axiom_ii_{s.label}",
-        _direction_sweep(as_points(points, s.ambient_dim), AXIOM_II_SEED, residual,
-                         pairs=False), tol,
-        provenance="phi squared is -Id + alpha tensor reeb")
+    return Check(f"axiom_ii_{s.label}", 1e-9, kernel,
+                 "phi squared is -Id + alpha tensor reeb")
 
 
-def check_axiom_iii(s: ContactMetricStructure, points: ArrayLike,
-                    tol: float = 1e-8) -> ResidualReport:
+@checker()
+def check_axiom_iii(s: ContactMetricStructure) -> Check:
     """|dα(u,v) − 2 g(u, φv)| over random tangent pairs, with dα from one
     Jacobian of α's coefficients per block (:func:`d_on_pairs`)."""
-    def residual(x, u, v):
-        d_alpha = d_on_pairs(s.alpha_coeffs, x, u, v)
-        return np.abs(d_alpha - 2.0 * inner(u, s.phi_at(x, v)))
+    draw = _directions(AXIOM_III_SEED)
 
-    return ResidualReport.from_residuals(
-        f"axiom_iii_{s.label}",
-        _direction_sweep(as_points(points, s.ambient_dim), AXIOM_III_SEED, residual), tol,
-        provenance=D_ALPHA_CONVENTION + " against 2 g(., phi .)")
+    def kernel(b):
+        x, u, v = draw(b)
+        return np.abs(d_on_pairs(s.alpha_coeffs, x, u, v) - 2.0 * inner(u, s.phi_at(x, v)))
+
+    return Check(f"axiom_iii_{s.label}", 1e-8, kernel,
+                 D_ALPHA_CONVENTION + " against 2 g(., phi .)")
 
 
 def killing_residual_batch(field: AmbientVectorField, x: np.ndarray,
@@ -363,21 +365,19 @@ def killing_residual_batch(field: AmbientVectorField, x: np.ndarray,
             + inner(u, cov_deriv_batch(field, x, v)))
 
 
-def check_killing(field: AmbientVectorField, points: ArrayLike,
-                  check_name: str = "killing", tol: float = 1e-9) -> ResidualReport:
-    """Vanishing of the symmetrized covariant derivative (Killing equation)."""
-    residuals = _direction_sweep(as_points(points), KILLING_SEED,
-                                 lambda x, u, v: killing_residual_batch(field, x, u, v))
-    return ResidualReport.from_residuals(
-        check_name, residuals, tol,
-        provenance="symmetrized covariant derivative of the field")
+@checker(lambda field, points: as_points(points))
+def check_killing(field: AmbientVectorField, check_name: str = "killing") -> Check:
+    """Vanishing of the symmetrized covariant derivative (Killing equation)
+    over random tangent pairs."""
+    draw = _directions(KILLING_SEED)
+    return Check(check_name, 1e-9, lambda b: killing_residual_batch(field, *draw(b)),
+                 "symmetrized covariant derivative of the field")
 
 
-def check_kcontact(s: ContactMetricStructure, points: ArrayLike,
-                   tol: float = 1e-9) -> ResidualReport:
+@checker()
+def check_kcontact(s: ContactMetricStructure) -> Check:
     """The Reeb field must be an infinitesimal isometry."""
-    return check_killing(s.reeb_field(), as_points(points, s.ambient_dim),
-                         check_name=f"kcontact_{s.label}", tol=tol)
+    return check_killing.build(s.reeb_field(), f"kcontact_{s.label}")
 
 
 def sasakian_residual_batch(s: ContactMetricStructure, x: np.ndarray,
@@ -391,23 +391,21 @@ def sasakian_residual_batch(s: ContactMetricStructure, x: np.ndarray,
     return np.sqrt(inner(r, r))
 
 
-def check_sasakian(s: ContactMetricStructure, points: ArrayLike,
-                   tol: float = 1e-8) -> ResidualReport:
+@checker()
+def check_sasakian(s: ContactMetricStructure) -> Check:
     """(∇_A φ)B = g(A,B)Z − α(B)A over random tangent pairs."""
-    residuals = _direction_sweep(as_points(points, s.ambient_dim), SASAKIAN_SEED,
-                                 lambda x, u, v: sasakian_residual_batch(s, x, u, v))
-    return ResidualReport.from_residuals(
-        f"sasakian_{s.label}", residuals, tol,
-        provenance="covariant derivative of phi against the defining identity")
+    draw = _directions(SASAKIAN_SEED)
+    return Check(f"sasakian_{s.label}", 1e-8, lambda b: sasakian_residual_batch(s, *draw(b)),
+                 "covariant derivative of phi against the defining identity")
 
 
-def check_phi_skew(s: ContactMetricStructure, points: ArrayLike,
-                   tol: float = 1e-9) -> ResidualReport:
+@checker()
+def check_phi_skew(s: ContactMetricStructure) -> Check:
     """|g(φu, v) + g(u, φv)| — metric skewness of the structure tensor."""
-    def residual(x, u, v):
+    draw = _directions(PHI_SKEW_SEED)
+
+    def kernel(b):
+        x, u, v = draw(b)
         return np.abs(inner(s.phi_at(x, u), v) + inner(u, s.phi_at(x, v)))
 
-    return ResidualReport.from_residuals(
-        f"phi_skew_{s.label}",
-        _direction_sweep(as_points(points, s.ambient_dim), PHI_SKEW_SEED, residual),
-        tol, provenance="structure tensor is metric-skew")
+    return Check(f"phi_skew_{s.label}", 1e-9, kernel, "structure tensor is metric-skew")

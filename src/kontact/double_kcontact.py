@@ -15,13 +15,16 @@ The composite J φ (first structure's tensor after the second's) is, on
 that sub-bundle, symmetric with eigenvalues ±1 whenever the first
 structure is Sasakian; its eigenvalue pattern decides the ±4 branch.
 
-Kernels and checks follow the batch convention of :mod:`kontact.manifold`.
-The three checks on the sub-bundle (the Laplacian formula, the φJ
-spectrum and the restricted Hessian) are contractions of one sweep,
-:func:`hbundle_residuals`: one sub-bundle frame per block of points.
-They skip a point where Z, X and JX fail ``manifold.seeds_span``, the
-rank test ``manifold.frame_batch`` applies to its seeds (Gram determinant
-≈ (1 − f²)² below 1e-10, so 1 − |f| ≲ 5e-6).
+Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
+and checks are defined as in :mod:`kontact.contact`.  The three checks
+on the sub-bundle (the Laplacian formula, the φJ spectrum and the
+restricted Hessian) share one sub-bundle frame per block of a sweep
+(``manifold.Block``).  They skip a point where Z, X and JX fail
+``manifold.seeds_span``, the rank test ``manifold.frame_batch`` applies
+to its seeds (Gram determinant ≈ (1 − f²)² below 1e-10, so
+1 − |f| ≲ 5e-6).  The φJ and Hessian checks need the first structure to
+be Sasakian; where the sub-bundle is not zero (m ≥ 5), a sweep probes
+that once first (:func:`_sasakian_gate`).
 """
 
 from __future__ import annotations
@@ -30,9 +33,8 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from .ad import value
+from .ad import dot, matvec
 from .contact import (
     ContactMetricStructure,
     build_from_complex_structure,
@@ -45,13 +47,15 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .manifold import (
+    Block,
+    Check,
     Frame,
     OrthoComplexStructure,
     SpherePoint,
     TangentVector,
     apply,
-    as_points,
     block_diag_complex_structure,
+    checker,
     curvature_numeric_batch,
     frame_batch,
     inner,
@@ -59,17 +63,17 @@ from .manifold import (
     random_tangent_batch,
     sample_coords,
     seeds_span,
-    sweep,
 )
-from .report import ResidualReport
 from .scalar_fields import (
-    EPS_REGULAR,
     ScalarField,
     TransnormalProfile,
     check_transnormal,
+    gradient_and_norm,
     gradient_batch,
     hessian_matrix,
     laplacian_batch,
+    regular,
+    values_batch,
 )
 
 GRADIENT_PAIRING = ("grad(angle) = 2*phi_alpha(reeb_beta) = 2*phi_beta(reeb_alpha); "
@@ -78,14 +82,12 @@ GRADIENT_PAIRING = ("grad(angle) = 2*phi_alpha(reeb_beta) = 2*phi_beta(reeb_alph
 ANGLE_PROFILE = TransnormalProfile(b=lambda t: 4.0 * (1.0 - t * t),
                                    b_prime=lambda t: -8.0 * t)
 
-# Sub-residual bounds of phi_product_spectrum_check; its residual is in units
-# of EIG_TOL, its default tolerance.
+# Sub-residual bounds of phi_product_spectrum; its residual is in units of
+# EIG_TOL, its default tolerance.
 SYM_TOL = 1e-8
 COMMUTE_TOL = 1e-8
 EIG_TOL = 1e-7
 SQUARE_TOL = 1e-8
-LAPLACIAN_TOL = 1e-7    # default tolerances of the Laplacian and Hessian checks
-HESSIAN_TOL = 1e-7
 NUMERIC_SUBSET = 25     # leading points whose Ricci check repeats with numeric curvature
 
 
@@ -109,15 +111,18 @@ class DoubleKContact:
     def n(self) -> int:
         return self.s_alpha.n
 
-    def angle_function(self) -> ScalarField:
-        """f = g(X, Z), with its closed-form ambient gradient."""
+    def __post_init__(self):
         j1 = self.s_alpha.j_ambient.mat
         j2 = self.s_beta.j_ambient.mat
         grad_mat = -(j1 @ j2 + j2 @ j1)
-        from .ad import dot, matvec
-        return ScalarField(eval=lambda x: dot(matvec(j2, x), matvec(j1, x)),
-                           grad=lambda x: matvec(grad_mat, x),
-                           label="angle")
+        object.__setattr__(self, "_angle", ScalarField(
+            eval=lambda x: dot(matvec(j2, x), matvec(j1, x)),
+            grad=lambda x: matvec(grad_mat, x), label="angle"))
+
+    def angle_function(self) -> ScalarField:
+        """f = g(X, Z), with its closed-form ambient gradient: one object per
+        pair, so that the checks of a sweep share what they compute from f."""
+        return self._angle
 
     def to_descriptor(self) -> dict:
         return {
@@ -187,10 +192,10 @@ def _hbundle_seeds(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
     return np.stack([z, xb, d.s_alpha.phi_at(x, xb)], axis=-2)
 
 
-def _spans(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
-    """Where Z, X and JX span a 3-plane, by the very test that
+def _spans(b: Block, d: DoubleKContact) -> np.ndarray:
+    """Where Z, X and JX span a 3-plane in a block, by the very test that
     :func:`hbundle_frames` must pass (the Gram determinant is ≈ (1 − f²)²)."""
-    return seeds_span(x, _hbundle_seeds(d, x))
+    return seeds_span(b.x, _hbundle_seeds(d, b.x))
 
 
 def hbundle_frames(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
@@ -205,7 +210,7 @@ def hbundle_frames(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
 
 def hbundle_basis(d: DoubleKContact, p: SpherePoint) -> Frame:
     """Deterministic orthonormal basis of {Z, X, JX}^⊥ inside T_p."""
-    if not _spans(d, p.coords):
+    if not seeds_span(p.coords, _hbundle_seeds(d, p.coords)):
         raise RegularityError("the spanning fields degenerate where |f| ~ 1")
     return Frame(p, tuple(TangentVector(p, e) for e in hbundle_frames(d, p.coords)))
 
@@ -217,10 +222,10 @@ def _sasakian_gate(d: DoubleKContact, seed: int = 23) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkers
+# checks
 
-def commuting_invariants_check(d: DoubleKContact, points: ArrayLike,
-                               tol: float = 1e-10) -> ResidualReport:
+@checker()
+def commuting_invariants_check(d: DoubleKContact) -> Check:
     """Pair invariants: [X,Z] = 0, unit Reeb fields, α(Z)=1, φZ=0, |f| ≤ 1.
 
     α(Z) = g(Z, Z) here, so the unit-length residual also covers α(Z) = 1.
@@ -232,22 +237,21 @@ def commuting_invariants_check(d: DoubleKContact, points: ArrayLike,
     def norm(v):
         return np.sqrt(inner(v, v))
 
-    def residual(p):
+    def kernel(b):
+        p = b.x
         z, x = apply(j1, p), apply(j2, p)
         r = norm(lie_bracket_batch(xb, za, p))
         r = np.maximum(r, np.maximum(np.abs(inner(z, z) - 1.0), np.abs(inner(x, x) - 1.0)))
         r = np.maximum(r, np.maximum(norm(d.s_alpha.phi_at(p, z)),
                                      norm(d.s_beta.phi_at(p, x))))
-        fv = np.asarray(value(f.eval(p)), dtype=float)
-        return np.maximum(r, np.maximum(0.0, np.abs(fv) - 1.0))
+        return np.maximum(r, np.maximum(0.0, np.abs(b.of(values_batch, f)) - 1.0))
 
-    return ResidualReport.from_residuals(
-        "double_invariants", sweep(residual, as_points(points, d.ambient_dim))[0], tol,
-        provenance="commuting Reeb fields, unit length, structure algebra")
+    return Check("double_invariants", 1e-10, kernel,
+                 "commuting Reeb fields, unit length, structure algebra")
 
 
-def gradient_identity_check(d: DoubleKContact, points: ArrayLike,
-                            tol: float = 1e-9) -> ResidualReport:
+@checker()
+def gradient_identity_check(d: DoubleKContact) -> Check:
     """grad f against 2·phi_alpha(X) and 2·phi_beta(Z).  Both pairings
     hold for every commuting pair; the residual at a point is the larger
     of the two."""
@@ -255,23 +259,21 @@ def gradient_identity_check(d: DoubleKContact, points: ArrayLike,
     pairings = ((d.s_alpha, d.s_beta.j_ambient.mat),
                 (d.s_beta, d.s_alpha.j_ambient.mat))
 
-    def residual(x):
-        g = gradient_batch(f, x)
+    def kernel(b):
+        x, g = b.x, b.of(gradient_batch, f)
         res = [g - 2.0 * s.phi_at(x, apply(reeb, x)) for s, reeb in pairings]
         return np.maximum(*(np.sqrt(inner(r, r)) for r in res))
 
-    return ResidualReport.from_residuals(
-        "gradient_identity", sweep(residual, as_points(points, d.ambient_dim))[0],
-        tol, provenance=f"{GRADIENT_PAIRING}; gated on the worse pairing, "
-                        "so a pass means both pairings hold")
+    return Check("gradient_identity", 1e-9, kernel,
+                 f"{GRADIENT_PAIRING}; gated on the worse pairing, "
+                 "so a pass means both pairings hold")
 
 
-def transnormal_b_check(d: DoubleKContact, points: ArrayLike,
-                        tol: float = 1e-9) -> ResidualReport:
+@checker()
+def transnormal_b_check(d: DoubleKContact) -> Check:
     """‖grad f‖² = 4(1 − f²) for the angle function."""
-    rep = check_transnormal(d.angle_function(), ANGLE_PROFILE,
-                            as_points(points, d.ambient_dim), tol=tol)
-    return replace(rep, provenance="angle function with b(t) = 4(1-t^2)")
+    return replace(check_transnormal.build(d.angle_function(), ANGLE_PROFILE),
+                   provenance="angle function with b(t) = 4(1-t^2)")
 
 
 def _phi_chain(x: np.ndarray, first, second, u: np.ndarray) -> np.ndarray:
@@ -280,70 +282,39 @@ def _phi_chain(x: np.ndarray, first, second, u: np.ndarray) -> np.ndarray:
     return second.phi_at(p, first.phi_at(p, u))
 
 
-@dataclass(frozen=True, eq=False)
-class HBundleResiduals:
-    """Residuals of the three sub-bundle checks from one sweep, at the
-    points where {Z, X, JX} spans a 3-plane: one per point for the
-    Laplacian and φJ, one per point and pair of sub-bundle rows for the
-    Hessian.  With them, what the provenance of two of the reports says:
-    the eigenvalues of φJ seen and the largest residual of the ungated
-    full-argument Hessian identity."""
-
-    laplacian: np.ndarray
-    phi_product: np.ndarray
-    hessian: np.ndarray
-    skipped: int
-    eigenvalues: tuple
-    full_hessian_max: float
-
-    def laplacian_report(self, tol: float = LAPLACIAN_TOL) -> ResidualReport:
-        return ResidualReport.from_residuals(
-            "laplacian_formula", self.laplacian, tol, self.skipped,
-            provenance="laplacian vs (4n+4) f + 2 tr(J phi) on the sub-bundle")
-
-    def phi_product_report(self, tol: float = EIG_TOL) -> ResidualReport:
-        return ResidualReport.from_residuals(
-            "phi_product_spectrum", self.phi_product, tol, self.skipped,
-            provenance=("phi-product on the sub-bundle; eigenvalues seen: "
-                        f"{list(self.eigenvalues)}"))
-
-    def hessian_report(self, tol: float = HESSIAN_TOL) -> ResidualReport:
-        return ResidualReport.from_residuals(
-            "hessian_restricted", self.hessian, tol, self.skipped,
-            provenance=("hessian vs -2 f g - 2 g(J phi ., .) on the sub-bundle; "
-                        "full-argument diagnostic (ungated) max "
-                        f"{self.full_hessian_max:.3e}"))
-
-
-def hbundle_residuals(d: DoubleKContact, points: ArrayLike,
-                      verify_sasakian: bool = True) -> HBundleResiduals:
-    """The residuals of :func:`laplacian_formula_check`,
-    :func:`phi_product_spectrum_check` and :func:`hessian_restriction_check`
-    at the points (N, m+1) in one sweep: one mask of the points where the
-    sub-bundle is defined, and per block one angle-function value, one
-    sub-bundle frame and the three residuals.  The φJ and Hessian parts
-    need the first structure to be Sasakian; with ``verify_sasakian`` that
-    is probed once first (:func:`_sasakian_gate`), where the sub-bundle is
-    not zero (m ≥ 5).  Hessian directions come from one stream seeded
-    by 29, drawn block by block."""
-    x_all = as_points(points, d.ambient_dim)
-    if verify_sasakian and d.dim >= 5:
-        _sasakian_gate(d)
+@checker()
+def laplacian_formula_check(d: DoubleKContact) -> Check:
+    """Δf against (4n+4)·f + 2·Σ g(JφE_i, E_i) over the orthogonal sub-bundle."""
     f = d.angle_function()
-    rng = np.random.default_rng(29)
+
+    def kernel(b):
+        basis = b.of(hbundle_frames, d)
+        jphi = _phi_chain(b.x, d.s_beta, d.s_alpha, basis)
+        rhs = (4.0 * d.n + 4.0) * b.full(values_batch, f) + 2.0 * np.sum(
+            inner(jphi, basis), axis=-1)
+        return np.abs(b.full(laplacian_batch, f) - rhs)
+
+    return Check("laplacian_formula", 1e-7, kernel,
+                 "laplacian vs (4n+4) f + 2 tr(J phi) on the sub-bundle", keep=(_spans, d))
+
+
+@checker()
+def phi_product_spectrum_check(d: DoubleKContact) -> Check:
+    """On {Z,X,JX}^⊥ the composite φJ must be symmetric, square to the
+    identity, commute with Jφ, and have eigenvalues ±1.
+
+    Sub-residuals are rescaled to units of the default tolerance EIG_TOL,
+    so at the default each meets its own bound (symmetry/square/commutation
+    at 1e−8, eigenvalues at 1e−7) and a tighter ``tol`` tightens every one.
+    Vacuous in dimension 3, where the sub-bundle is zero.
+    """
     eigs_seen = set()
-    full_domain = [0.0]
 
-    def laplacian(x, fv, basis):
-        jphi = _phi_chain(x, d.s_beta, d.s_alpha, basis)
-        rhs = (4.0 * d.n + 4.0) * fv + 2.0 * np.sum(inner(jphi, basis), axis=-1)
-        return np.abs(laplacian_batch(f, x) - rhs)
-
-    def phi_product(x, basis):
-        # On {Z,X,JX}^⊥ the composite φJ must be symmetric, square to the
-        # identity, commute with Jφ, and have eigenvalues ±1; sub-residuals
-        # are in units of EIG_TOL.
+    def kernel(b):
+        x, basis = b.x, b.of(hbundle_frames, d)
         k = basis.shape[-2]
+        if k == 0:
+            return np.zeros(len(x))
         phi_j = _phi_chain(x, d.s_alpha, d.s_beta, basis)
         diff = phi_j - _phi_chain(x, d.s_beta, d.s_alpha, basis)
         commute_res = np.max(np.sqrt(inner(diff, diff)), axis=-1)
@@ -360,13 +331,38 @@ def hbundle_residuals(d: DoubleKContact, points: ArrayLike,
                                   square_res * (EIG_TOL / SQUARE_TOL),
                                   eig_res])
 
-    def hessian(x, fv, basis):
+    return Check("phi_product_spectrum", EIG_TOL, kernel,
+                 lambda: ("phi-product on the sub-bundle; eigenvalues seen: "
+                          f"{sorted(eigs_seen)}"),
+                 keep=(_spans, d), before=(_sasakian_gate, d) if d.dim >= 5 else ())
+
+
+@checker()
+def hessian_restriction_check(d: DoubleKContact) -> Check:
+    """Hess_f(A,B) = −2 f g(A,B) − 2 g(JφA, B) for A, B in {Z,X,JX}^⊥:
+    one residual per point and pair of sub-bundle rows, and one zero per
+    point on S³, where the sub-bundle is zero.
+
+    The full-argument identity (with its 2 g(A,X) g(Z,B) term) is a
+    diagnostic only, reported in the provenance as its maximum over one
+    random pair (u, v) per point, drawn from one stream seeded by 29; it
+    is not gated because the restriction to the sub-bundle is the part
+    with an unambiguous symmetric reading.
+    """
+    f = d.angle_function()
+    rng = np.random.default_rng(29)
+    full_domain = [0.0]
+
+    def kernel(b):
+        x, fv, basis = b.x, b.full(values_batch, f), b.of(hbundle_frames, d)
+        if basis.shape[-2] == 0:
+            return np.zeros(len(x))
         hess = hessian_matrix(f, x)
         i, j = np.triu_indices(basis.shape[-2])
-        a, b = basis[:, i], basis[:, j]
-        lhs = inner(apply(hess[:, None], a), b)
-        rhs = (-2.0 * fv[:, None] * inner(a, b)
-               - 2.0 * inner(_phi_chain(x, d.s_beta, d.s_alpha, a), b))
+        a, c = basis[:, i], basis[:, j]
+        lhs = inner(apply(hess[:, None], a), c)
+        rhs = (-2.0 * fv[:, None] * inner(a, c)
+               - 2.0 * inner(_phi_chain(x, d.s_beta, d.s_alpha, a), c))
         uv = random_tangent_batch(x, rng, (2,))
         u, v = uv[:, 0], uv[:, 1]
         xb = apply(d.s_beta.j_ambient.mat, x)
@@ -377,104 +373,59 @@ def hbundle_residuals(d: DoubleKContact, points: ArrayLike,
         full_domain.append(np.max(np.abs(inner(apply(hess, u), v) - full)))
         return np.abs(lhs - rhs)
 
-    def block(x, fv):
-        # Row per point: the Laplacian and φJ residuals, then one Hessian
-        # residual per pair of sub-bundle rows (one zero if there are none).
-        basis = hbundle_frames(d, x)
-        lap = laplacian(x, fv, basis)[:, None]
-        if basis.shape[-2] == 0:
-            return np.concatenate([lap, np.zeros((len(x), 2))], axis=-1)
-        return np.concatenate([lap, phi_product(x, basis)[:, None],
-                               hessian(x, fv, basis)], axis=-1)
-
-    k = d.dim - 3
-    fv = np.asarray(value(f.eval(x_all)), dtype=float)
-    residuals, skipped = sweep(block, x_all, fv, keep=_spans(d, x_all))
-    rows = residuals.reshape(-1, 2 + max(k * (k + 1) // 2, 1))
-    return HBundleResiduals(laplacian=rows[:, 0], phi_product=rows[:, 1],
-                            hessian=rows[:, 2:].ravel(), skipped=skipped,
-                            eigenvalues=tuple(sorted(eigs_seen)),
-                            full_hessian_max=float(max(full_domain)))
+    return Check("hessian_restricted", 1e-7, kernel,
+                 lambda: ("hessian vs -2 f g - 2 g(J phi ., .) on the sub-bundle; "
+                          "full-argument diagnostic (ungated) max "
+                          f"{float(max(full_domain)):.3e}"),
+                 keep=(_spans, d), before=(_sasakian_gate, d) if d.dim >= 5 else ())
 
 
-def laplacian_formula_check(d: DoubleKContact, points: ArrayLike,
-                            tol: float = LAPLACIAN_TOL) -> ResidualReport:
-    """Δf against (4n+4)·f + 2·Σ g(JφE_i, E_i) over the orthogonal sub-bundle."""
-    return hbundle_residuals(d, points, verify_sasakian=False).laplacian_report(tol)
-
-
-def dim_theorem_check(d: DoubleKContact, points: ArrayLike,
-                      tol_dim3: float = 1e-7, tol_dim5: float = 1e-6
-                      ) -> ResidualReport:
-    """Isoparametricity in low dimensions: Δf = 8f on S³; Δf = 12f + c0 on
-    S⁵ with c0 a point-independent constant of magnitude 4, estimated at
-    the first point (whose estimate is one more residual)."""
+@checker()
+def dim_theorem_check(d: DoubleKContact) -> Check:
+    """Isoparametricity in low dimensions: Δf = 8f on S³ (tolerance 1e-7);
+    Δf = 12f + c0 on S⁵ (tolerance 1e-6) with c0 a point-independent
+    constant of magnitude 4, estimated at the first point, whose estimate
+    is one more residual, after the last point's."""
     if d.dim not in (3, 5):
         raise UnsupportedDimensionError(
             "the low-dimension statement covers dimensions 3 and 5 only")
     f = d.angle_function()
-    x = as_points(points, d.ambient_dim)
-    fv = np.asarray(value(f.eval(x)), dtype=float)
-    lap, _ = sweep(lambda y: laplacian_batch(f, y), x)
+    first = {}                  # the first point's estimate of c0, and c0
+
+    def kernel(b):
+        fv, lap = b.of(values_batch, f), b.of(laplacian_batch, f)
+        if d.dim == 3:
+            return np.abs(lap - 8.0 * fv)
+        if not first:
+            est = lap[0] - 12.0 * fv[0]
+            first.update(est=est, c0=4.0 if abs(est - 4.0) <= abs(est + 4.0) else -4.0)
+        return np.abs(lap - 12.0 * fv - first["c0"])
+
     if d.dim == 3:
-        return ResidualReport.from_residuals(
-            "dimension_theorem", np.abs(lap - 8.0 * fv), tol_dim3,
-            provenance="laplacian = 8 f in dimension 3")
-    residuals, provenance = [], "laplacian = 12 f + c0 in dimension 5"
-    if len(x):
-        est = lap[0] - 12.0 * fv[0]
-        c0 = 4.0 if abs(est - 4.0) <= abs(est + 4.0) else -4.0
-        residuals = np.append(np.abs(lap - 12.0 * fv - c0), abs(est - c0))
-        provenance += f"; offset c0 = {c0:+.0f}"
-    return ResidualReport.from_residuals("dimension_theorem", residuals, tol_dim5,
-                                         provenance=provenance)
+        return Check("dimension_theorem", 1e-7, kernel, "laplacian = 8 f in dimension 3")
+    return Check("dimension_theorem", 1e-6, kernel,
+                 lambda: "laplacian = 12 f + c0 in dimension 5" + (
+                     f"; offset c0 = {first['c0']:+.0f}" if first else ""),
+                 tail=lambda: [abs(first["est"] - first["c0"])] if first else [])
 
 
-def phi_product_spectrum_check(d: DoubleKContact, points: ArrayLike,
-                               tol: float = EIG_TOL,
-                               verify_sasakian: bool = True) -> ResidualReport:
-    """On {Z,X,JX}^⊥ the composite φJ must be symmetric, square to the
-    identity, commute with Jφ, and have eigenvalues ±1.
-
-    Sub-residuals are rescaled to units of the default tolerance, so at
-    the default each meets its own bound (symmetry/square/commutation at
-    1e−8, eigenvalues at 1e−7) and a tighter ``tol`` tightens every one.
-    Vacuous in dimension 3, where the sub-bundle is zero.
-    """
-    return hbundle_residuals(d, points, verify_sasakian).phi_product_report(tol)
-
-
-def hessian_restriction_check(d: DoubleKContact, points: ArrayLike,
-                              tol: float = HESSIAN_TOL,
-                              verify_sasakian: bool = True) -> ResidualReport:
-    """Hess_f(A,B) = −2 f g(A,B) − 2 g(JφA, B) for A, B in {Z,X,JX}^⊥.
-
-    The full-argument identity (with its 2 g(A,X) g(Z,B) term) is a
-    diagnostic only, reported in the provenance as its maximum over one
-    random pair (u, v) per point (seed 29); it is not gated because the
-    restriction to the sub-bundle is the part with an unambiguous
-    symmetric reading.
-    """
-    return hbundle_residuals(d, points, verify_sasakian).hessian_report(tol)
-
-
-def ricci_normal_check(d: DoubleKContact, points: ArrayLike,
-                       tol: float = 1e-8) -> ResidualReport:
+@checker()
+def ricci_normal_check(d: DoubleKContact) -> Check:
     """ric(E, N) must vanish for every E tangent to the level set, and the
     Ricci endomorphism must commute with the structure tensor chain:
-    g(E, Q(JX)) = g(E, J(QX)).
+    g(E, Q(JX)) = g(E, J(QX)), at the regular points.
 
     The sweep uses the frame-contracted Ricci tensor with the analytic
-    curvature; a sub-sample (the first NUMERIC_SUBSET points) repeats it
-    with the numerical curvature to pin the implementation.
+    curvature; a sub-sample (the first NUMERIC_SUBSET points of the sweep)
+    repeats it with the numerical curvature to pin the implementation.
     """
-    x_all = as_points(points, d.ambient_dim)
-    grads = gradient_batch(d.angle_function(), x_all)
-    norms = np.sqrt(inner(grads, grads))
+    f = d.angle_function()
     mdim = d.dim
     jm2 = d.s_beta.j_ambient.mat
 
-    def residual(x, g, gn, idx):
+    def kernel(b):
+        x = b.x
+        g, gn = gradient_and_norm(b, f)
         nvec = g / gn[:, None]
         frames = frame_batch(x, nvec[:, None, :])
         level = frames[:, 1:]
@@ -488,7 +439,7 @@ def ricci_normal_check(d: DoubleKContact, points: ArrayLike,
         jqx = d.s_alpha.phi_at(x, (mdim - 1) * reeb_b)
         commute = np.abs(inner(frames, qjx[:, None, :]) - inner(frames, jqx[:, None, :]))
         r = np.maximum(r, np.max(commute, axis=-1))
-        sub = np.flatnonzero(idx < NUMERIC_SUBSET)
+        sub = np.flatnonzero(b.index < NUMERIC_SUBSET)
         if sub.size:
             num = curvature_numeric_batch(x[sub, None, None, :], e_i[sub],
                                           level[sub, None, :2], n_b[sub])
@@ -496,8 +447,5 @@ def ricci_normal_check(d: DoubleKContact, points: ArrayLike,
             r[sub] = np.maximum(r[sub], np.max(np.abs(ric), axis=-1))
         return r
 
-    residuals, skipped = sweep(residual, x_all, grads, norms, np.arange(len(x_all)),
-                               keep=norms >= EPS_REGULAR)
-    return ResidualReport.from_residuals(
-        "ricci_normal", residuals, tol, skipped,
-        provenance="ricci(E, N) = 0 and Q(JX) = J(QX) along level frames")
+    return Check("ricci_normal", 1e-8, kernel,
+                 "ricci(E, N) = 0 and Q(JX) = J(QX) along level frames", keep=(regular, f))

@@ -13,10 +13,12 @@ vanishes for all x ⟂ Z.  For a geodesic field N with integrable
 orthogonal complement this reduces to x(h) = ric(x, N) where h is the
 mean curvature of the orthogonal distribution.
 
-The suite checks both forms as contractions of one second-order jet
-(F, ∂F, ∂²F) of the projected field F = P·Z, P = I − y yᵀ/|y|², taken
-by ``ad.second_jet`` once per block of points.  At a unit point y, for
-tangent w and m the sphere dimension:
+The checks :func:`harmonicity_check` and :func:`critical_condition_check`
+are both contractions of one second-order jet (F, ∂F, ∂²F) of the
+projected field F = P·Z, P = I − y yᵀ/|y|², taken by ``ad.second_jet``
+once per block of a sweep and read by both from the block
+(``manifold.Block``).  At a unit point y, for tangent w and m the sphere
+dimension:
 
     w(h)  = −⟨w, ∇div F⟩,              (∇div F)_b = Σ_i ∂_b∂_i F_i
     nu(w) = m⟨w, D_y F⟩ − ⟨w, F⟩ − ⟨w, ΔF − D²_{y,y} F⟩,   ΔF = Σ_a ∂_a∂_a F
@@ -77,17 +79,19 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from . import ad, manifold
 from .ad import directional, dot, proj_tangent, value
 from .errors import PreconditionError, RegularityError, SamplingExhaustedError
 from .manifold import (
     AmbientVectorField,
+    Block,
+    Check,
     SpherePoint,
     TangentVector,
     as_field_points,
     blocks,
+    checker,
     divergence,
     frame_batch,
     inner,
@@ -97,10 +101,9 @@ from .manifold import (
     shape_matrix,
     shape_norm_sq,
     sphere_volume,
-    sweep,
     unit_shape_norm_sq,
 )
-from .report import EnergyEstimate, ResidualReport
+from .report import EnergyEstimate
 from .scalar_fields import (
     EPS_REGULAR,
     ScalarField,
@@ -365,68 +368,50 @@ def _contract(x, f, rows, second, w):
     return inner(w, nu[:, None, :]), -inner(w, grad_div[:, None, :])
 
 
-@dataclass(frozen=True, eq=False)
-class HarmonicResiduals:
-    """Per-point residuals of the two harmonicity checks from one sweep:
-    max over the frame directions x of Z^⊥ of |nu_Z(x)| and of
-    |x(h) − ric(x, Z)|, at the points inside the guard."""
-
-    nu: np.ndarray
-    critical: np.ndarray
-    skipped: int
-
-    def nu_report(self, tol: float = HARMONIC_TOL) -> ResidualReport:
-        return ResidualReport.from_residuals(
-            "nu_form", self.nu, tol, self.skipped,
-            provenance="first variation of the energy on the orthogonal complement")
-
-    def critical_report(self, tol: float = HARMONIC_TOL) -> ResidualReport:
-        return ResidualReport.from_residuals(
-            "critical_condition", self.critical, tol, self.skipped,
-            provenance="derivative of the mean curvature against ricci(., N)")
+def _harmonic_block(field: AmbientVectorField, x: np.ndarray) -> tuple:
+    """max over the Z^⊥ frame directions w of |nu_Z(w)| and of
+    |w(h) − ric(w, Z)| at the points x (B, m+1) inside the guard: one jet
+    of F, one set of Z^⊥ frames (built from F = Z) and both contractions.
+    On the unit sphere ric(w, Z) = (m−1)·g(w, Z)."""
+    f, rows, second = _jet(field, x)
+    frames = frame_batch(x, f[:, None, :])[:, 1:]
+    nu, wh = _contract(x, f, rows, second, frames)
+    ric = (x.shape[-1] - 2) * inner(frames, f[:, None, :])
+    return np.max(np.abs(nu), axis=-1), np.max(np.abs(wh - ric), axis=-1)
 
 
-def harmonic_residuals(zf: UnitVectorField, points: ArrayLike) -> HarmonicResiduals:
-    """Both harmonicity residuals at the points (N, m+1) in one sweep: per
-    block one jet of F, one set of Z^⊥ frames (built from F = Z), and
-    both contractions.  On the unit sphere ric(x, Z) = (m−1)·g(x, Z)."""
-    x_all = as_field_points(points, zf.field.eval)
-
-    def block(x):
-        f, rows, second = _jet(zf.field, x)
-        frames = frame_batch(x, f[:, None, :])[:, 1:]
-        nu, xh = _contract(x, f, rows, second, frames)
-        ric = (x.shape[-1] - 2) * inner(frames, f[:, None, :])
-        return np.stack([np.max(np.abs(nu), axis=-1),
-                         np.max(np.abs(xh - ric), axis=-1)], axis=-1)
-
-    residuals, skipped = sweep(block, x_all, keep=zf.guard(x_all))
-    pairs = residuals.reshape(-1, 2)
-    return HarmonicResiduals(nu=pairs[:, 0], critical=pairs[:, 1], skipped=skipped)
+def _guarded(b: Block, zf: UnitVectorField) -> np.ndarray:
+    """Where a block's points lie inside the field's guard."""
+    return np.asarray(zf.guard(b.x), dtype=bool)
 
 
-def harmonicity_check(zf: UnitVectorField, points: ArrayLike,
-                      tol: float = HARMONIC_TOL) -> ResidualReport:
+@checker(lambda zf, points: as_field_points(points, zf.field.eval))
+def harmonicity_check(zf: UnitVectorField) -> Check:
     """max |nu_Z(x)| over frame directions x ⟂ Z at each point."""
-    return harmonic_residuals(zf, points).nu_report(tol)
+    return Check("nu_form", HARMONIC_TOL, lambda b: b.of(_harmonic_block, zf.field)[0],
+                 "first variation of the energy on the orthogonal complement",
+                 keep=(_guarded, zf))
+
+
+@checker(lambda zf, points: as_field_points(points, zf.field.eval))
+def critical_condition_check(zf: UnitVectorField) -> Check:
+    """x(h) = ric(x, N) for all frame directions x ⟂ N.
+
+    x(h) is exact (a contraction of the same jet as the harmonicity
+    form, computed once per block for both), so the default tolerance
+    matches the harmonicity form's.
+    """
+    return Check("critical_condition", HARMONIC_TOL,
+                 lambda b: b.of(_harmonic_block, zf.field)[1],
+                 "derivative of the mean curvature against ricci(., N)",
+                 keep=(_guarded, zf))
 
 
 # ---------------------------------------------------------------------------
-# mean curvature and the reduced critical condition
+# mean curvature
 
 def mean_curvature_of_field(zf: UnitVectorField, p: SpherePoint) -> float:
     """h = −Σ g(∇_{E_i}Z, E_i) over a frame of Z^⊥ (trace of A_Z there)."""
     if not zf.guard(p.coords):
         raise RegularityError("mean curvature outside the guarded domain")
     return -float(divergence(zf.field, p.coords))
-
-
-def critical_condition_check(zf: UnitVectorField, points: ArrayLike,
-                             tol: float = HARMONIC_TOL) -> ResidualReport:
-    """x(h) = ric(x, N) for all frame directions x ⟂ N.
-
-    x(h) is exact (a contraction of the same jet as the harmonicity
-    form), so the default tolerance matches the harmonicity form's.  On
-    the unit sphere ric(x, N) = (m−1)·g(x, N).
-    """
-    return harmonic_residuals(zf, points).critical_report(tol)

@@ -16,28 +16,31 @@ from nested covariant derivatives; the checks use the constant-curvature
 expression g(v,w)u − g(u,w)v and repeat it with the numerical one.
 
 Batch convention (package-wide): points are (N, m+1) arrays of unit
-rows, drawn in batches by :func:`sample_coords` and validated once per
-check by :func:`as_points`, which also takes a list of
-:class:`SpherePoint`.  Kernels (names ending in ``_batch``, and
-:func:`shape_matrix`, :func:`divergence`, :func:`frame_batch` and their
-kin in the other modules) take plain arrays whose leading axes are batch
-axes (points, directions, frame slots) and broadcast them, contracting
-over the last axis only.  :class:`SpherePoint`, :class:`TangentVector`,
-:class:`Frame` and the few functions that take them (here
-:func:`cov_deriv`, :func:`lie_bracket`, :func:`curvature_numeric`,
+rows, drawn in batches by :func:`sample_coords` and validated by
+:func:`as_points`, which also takes a list of :class:`SpherePoint`.
+Kernels (names ending in ``_batch``, and :func:`shape_matrix`,
+:func:`divergence`, :func:`frame_batch` and their kin in the other
+modules) take plain arrays whose leading axes are batch axes (points,
+directions, frame slots) and broadcast them, contracting over the last
+axis only.  :class:`SpherePoint`, :class:`TangentVector`, :class:`Frame`
+and the few functions that take them (here :func:`cov_deriv`,
+:func:`lie_bracket`, :func:`curvature_numeric`,
 :func:`gram_schmidt_frame`, :func:`tangent_basis` and
 :func:`sample_points`) are one-row wrappers over the kernels that the
-package itself does not call; the benchmark's tracer binds them by
-name.  Every check evaluates its points through :func:`sweep`,
-in blocks of ``BLOCK`` points to bound memory, and counts the points its
-mask leaves out as skipped.  ``BLOCK`` is 1024 because a block's cost
-is mostly per-call numpy dispatch in the dual engine: check throughput
-is flat from 256 to 2048 points per block and falls at 32, while the
-traced peak of the largest check, a second-order jet per point, stays
-near 24 MB (s7).  ``harmonic.energy`` sweeps blocks of 4 · ``BLOCK``
-samples, because its integrand holds only a first-order Jacobian per
-point.  ``BLOCK`` is read at call time, so a test can shrink it to cover
-more than one block.
+package itself does not call; the benchmark's tracer binds them by name.
+
+Checks: a :class:`Check` is a kernel from a :class:`Block` of points to
+their residuals.  :func:`sweep` runs any number of checks over the
+points in one pass, in blocks of ``BLOCK`` points to bound memory, and
+each check folds a block's residuals into a running tally; a public
+checker sweeps its check alone (:func:`checker`), ``kontact verify`` the
+whole suite.  ``BLOCK`` is 1024 because a block's cost is mostly per-call
+numpy dispatch in the dual engine: check throughput is flat from 256 to
+2048 points per block and falls at 32, while the traced peak of the
+largest check, a second-order jet per point, stays near 24 MB (s7).
+``harmonic.energy`` sweeps blocks of 4 · ``BLOCK`` samples, because its
+integrand holds only a first-order Jacobian per point.  ``BLOCK`` is
+read at call time, so a test can shrink it to cover more than one block.
 
 Frames: :func:`frame_batch` builds the orthonormal tangent frames every
 frame-based check contracts over, from k+1 Householder reflectors of
@@ -57,6 +60,7 @@ Sign conventions (frozen package-wide, pinned by tests):
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -72,6 +76,7 @@ from .errors import (
     SamplingExhaustedError,
     TangencyError,
 )
+from .report import ResidualReport
 
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
@@ -637,22 +642,117 @@ def blocks(count: int, size: int) -> list:
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-def sweep(fn: Callable, x: np.ndarray, *aligned: np.ndarray,
-          keep: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
-    """``fn`` over the points of x (N, m+1) where the mask ``keep`` holds
-    (default: every point), in blocks of at most BLOCK kept points.
+class Block:
+    """The points ``x`` (B, m+1) of a block of a sweep, their positions
+    ``index`` in it, and what its checks share: ``of(fn, *args)`` is
+    ``fn(*args, x)``, computed once.  ``where(mask, *args)`` is the block
+    of the rows where ``mask(block, *args)`` holds, built once per mask;
+    its ``of`` computes at those rows only, and its ``full(fn, *args)``
+    takes those rows of ``fn`` at every point of the enclosing block."""
 
-    ``fn`` gets a block of points and the same rows of each per-point
-    array in ``aligned``.  Returns its results raveled into one float
-    array in point order, and the number of points not kept.
-    """
-    if keep is not None:
-        rows = np.flatnonzero(keep)
-        x, aligned = x[rows], [a[rows] for a in aligned]
-    values = [np.ravel(fn(x[sl], *(a[sl] for a in aligned)))
-              for sl in blocks(len(x), BLOCK)]
-    skipped = 0 if keep is None else len(keep) - len(x)
-    return np.concatenate([np.zeros(0)] + values), skipped
+    def __init__(self, x: np.ndarray, index: np.ndarray,
+                 parent: Optional["Block"] = None, rows: Optional[np.ndarray] = None):
+        self.x, self.index = x, index
+        self._parent, self._rows, self._kept = parent, rows, {}
+
+    def of(self, fn: Callable, *args):
+        key = (fn,) + args
+        if key not in self._kept:
+            self._kept[key] = fn(*args, self.x)
+        return self._kept[key]
+
+    def full(self, fn: Callable, *args):
+        if self._parent is None:
+            return self.of(fn, *args)
+        return self._parent.of(fn, *args)[self._rows]
+
+    def where(self, mask: Callable, *args) -> "Block":
+        key = ("where", mask) + args
+        if key not in self._kept:
+            keep = mask(self, *args)
+            # weakly, so no cycle keeps a block's arrays past its sweep step
+            self._kept[key] = Block(self.x[keep], self.index[keep], weakref.proxy(self), keep)
+        return self._kept[key]
+
+
+@dataclass(eq=False)
+class Check:
+    """One check of a sweep: the name and default tolerance of its report,
+    and the running count, maximum and sum of its absolute residuals.
+
+    ``kernel`` maps a :class:`Block` to the residuals of its points; with
+    ``keep``, (mask, *args), it gets ``block.where(*keep)`` instead and the
+    points left out count as skipped.  ``before``, (fn, *args), is a
+    precondition called once per sweep, however many checks name it;
+    ``tail`` gives residuals added after the last block.  The sum runs
+    left to right across blocks, not pairwise as ``np.mean`` does, so a
+    mean keeps its digits whatever the blocks."""
+
+    name: str
+    tol: float
+    kernel: Callable[[Block], ArrayLike]
+    provenance: str | Callable[[], str] = ""
+    keep: tuple = ()
+    before: tuple = ()
+    tail: Callable[[], ArrayLike] = list
+    count: int = 0
+    skipped: int = 0
+    max: float = 0.0
+    total: float = 0.0
+
+    def add(self, residuals: ArrayLike, skipped: int) -> None:
+        vals = np.abs(np.asarray(residuals, dtype=float)).ravel()
+        self.skipped += skipped
+        if vals.size:
+            self.count += vals.size
+            self.max = np.maximum(self.max, np.max(vals))
+            self.total = np.add.accumulate(np.append(self.total, vals))[-1]
+
+    def report(self, tol: Optional[float] = None) -> ResidualReport:
+        """The report of the residuals so far, gated at ``tol`` or the default."""
+        tol = float(self.tol if tol is None else tol)
+        return ResidualReport(
+            check_name=self.name, count=self.count, skipped=self.skipped,
+            max=float(self.max), mean=float(self.total) / self.count if self.count else 0.0,
+            tolerance=tol, passed=bool(self.max <= tol),
+            provenance=self.provenance() if callable(self.provenance) else self.provenance)
+
+
+def sweep(checks: Sequence[Check], x: np.ndarray) -> None:
+    """Every check over the points x (N, m+1) in one pass: one
+    :class:`Block` per BLOCK points, handed to each check in turn."""
+    for fn, *args in dict.fromkeys(c.before for c in checks if c.before):
+        fn(*args)
+    index = np.arange(len(x))
+    for sl in blocks(len(x), BLOCK):
+        block = Block(x[sl], index[sl])
+        for c in checks:
+            rows = block.where(*c.keep) if c.keep else block
+            c.add(c.kernel(rows) if len(rows.x) else [], len(block.x) - len(rows.x))
+    for c in checks:
+        c.add(c.tail(), 0)
+
+
+def checker(points_of: Callable = lambda s, points: as_points(points, s.ambient_dim)) -> Callable:
+    """Decorator that makes a check's definition ``build(subject, *args,
+    **options) -> Check`` its public checker ``check(subject, *args,
+    points, tol=None, **options)``: the check swept alone over the points
+    validated by ``points_of(subject, points)`` (by default, rows as wide
+    as the subject's ambient space), reported at ``tol`` or, if None, at
+    its default tolerance.  ``check.build`` is the definition."""
+    def decorate(build: Callable[..., Check]) -> Callable[..., ResidualReport]:
+        def check(subject, *args, tol: Optional[float] = None, **options) -> ResidualReport:
+            *args, points = args
+            one = build(subject, *args, **options)
+            sweep([one], points_of(subject, points))
+            return one.report(tol)
+
+        for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+            setattr(check, attr, getattr(build, attr))
+        check.build = build
+        return check
+
+    return decorate
 
 
 def sphere_volume(m: int) -> float:

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from numpy.typing import ArrayLike
-
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -24,19 +21,6 @@ class ResidualReport:
     tolerance: float
     passed: bool
     provenance: str = ""
-
-    @classmethod
-    def from_residuals(cls, check_name: str, residuals: ArrayLike,
-                       tolerance: float, skipped: int = 0,
-                       provenance: str = "") -> "ResidualReport":
-        """Aggregate the residuals.  The mean sums left to right, not
-        pairwise as ``np.mean`` does, so reported means keep their digits."""
-        vals = np.abs(np.asarray(residuals, dtype=float)).ravel()
-        mx = float(np.max(vals)) if vals.size else 0.0
-        mn = float(np.add.accumulate(vals)[-1]) / vals.size if vals.size else 0.0
-        return cls(check_name=check_name, count=vals.size, skipped=int(skipped),
-                   max=mx, mean=mn, tolerance=float(tolerance),
-                   passed=bool(mx <= tolerance), provenance=provenance)
 
     def as_dict(self) -> dict:
         return {

@@ -12,10 +12,10 @@ h = −Σ g(∇_{E_i}N, E_i).
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 so field formulas must contract over the last axis (``x[..., i]``, never
-``x[i]``).  Δf and the level mean curvature are both minus the ambient
-divergence (``manifold.divergence``) of a projected field, ∇f and
-N = ∇f/‖∇f‖.  Checks that need N skip the points where ‖∇f‖ is below
-EPS_REGULAR.
+``x[i]``), and checks are defined as in :mod:`kontact.contact`.  Δf and
+the level mean curvature are both minus the ambient divergence
+(``manifold.divergence``) of a projected field, ∇f and N = ∇f/‖∇f‖.
+Checks that need N skip the points where ‖∇f‖ is below EPS_REGULAR.
 """
 
 from __future__ import annotations
@@ -26,24 +26,26 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from . import ad
+from . import ad, manifold
 from .ad import dot, matvec, proj_tangent, value
 from .errors import RegularityError
 from .manifold import (
     AmbientVectorField,
+    Block,
+    Check,
     Frame,
     SpherePoint,
     TangentVector,
     apply,
     as_field_points,
+    blocks,
+    checker,
     cov_deriv_batch,
     divergence,
     inner,
     proj_np,
     shape_matrix,
-    sweep,
 )
-from .report import ResidualReport
 
 EPS_REGULAR = 1e-6
 SQRT_B_FLOOR = 1e-14
@@ -178,64 +180,80 @@ def level_mean_curvature(f: ScalarField, p: SpherePoint) -> float:
 # ---------------------------------------------------------------------------
 # checkers
 
+def values_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
+    """f at the points x (batched), as floats of shape x.shape[:-1]."""
+    return np.broadcast_to(np.asarray(value(f.eval(x)), dtype=float), x.shape[:-1])
+
+
+def gradient_and_norm(b: Block, f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """∇f, computed at every point of the enclosing block, and ‖∇f‖."""
+    g = b.full(gradient_batch, f)
+    return g, np.sqrt(inner(g, g))
+
+
+def regular(b: Block, f: ScalarField) -> np.ndarray:
+    """Where ‖∇f‖ ≥ EPS_REGULAR in a block: the points of the checks on N."""
+    return gradient_and_norm(b, f)[1] >= EPS_REGULAR
+
+
 def _gradient_points(f: ScalarField, points: ArrayLike) -> np.ndarray:
     """The points of a check on f, as wide as its ambient gradient."""
     return as_field_points(points, lambda y: ambient_gradient(f, y))
 
 
-def _regular_sweep(f: ScalarField, x: np.ndarray,
-                   residual: Callable) -> tuple[np.ndarray, int]:
-    """``residual(y, n, r)`` over the points x (N, m+1) where r = ‖∇f‖ is
-    at least EPS_REGULAR, with n = ∇f/r; returns the residuals in point
-    order and the number of points skipped."""
-    g = gradient_batch(f, x)
-    r = np.sqrt(inner(g, g))
-    return sweep(lambda y, gy, ry: residual(y, gy / ry[:, None], ry), x, g, r,
-                 keep=r >= EPS_REGULAR)
-
-
-def _values_and_laplacians(f: ScalarField, x: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """f and Δf at the points x (N, m+1)."""
-    fv, _ = sweep(lambda y: np.broadcast_to(value(f.eval(y)), y.shape[:-1]), x)
-    return fv, sweep(lambda y: laplacian_batch(f, y), x)[0]
-
-
-def check_geodesic(f: ScalarField, points: ArrayLike,
-                   tol: float = 1e-7) -> ResidualReport:
+@checker(_gradient_points)
+def check_geodesic(f: ScalarField) -> Check:
     """‖∇_N N‖ at every regular point; the unit gradient of a transnormal
     function is a geodesic field, so this must vanish."""
     nf = normalized_gradient_field(f)
 
-    def residual(x, n, r):
-        d = cov_deriv_batch(nf, x, n)
+    def kernel(b):
+        g, r = gradient_and_norm(b, f)
+        d = cov_deriv_batch(nf, b.x, g / r[:, None])
         return np.sqrt(inner(d, d))
 
-    residuals, skipped = _regular_sweep(f, _gradient_points(f, points), residual)
-    return ResidualReport.from_residuals(
-        "geodesic_field", residuals, tol, skipped,
-        provenance=f"|cov_deriv(N, N)| for N = unit grad({f.label})")
+    return Check("geodesic_field", 1e-7, kernel,
+                 f"|cov_deriv(N, N)| for N = unit grad({f.label})", keep=(regular, f))
 
 
-def check_transnormal(f: ScalarField, profile: TransnormalProfile,
-                      points: ArrayLike, tol: float = 1e-9) -> ResidualReport:
+@checker(_gradient_points)
+def check_transnormal(f: ScalarField, profile: TransnormalProfile) -> Check:
     """| ‖∇f‖² − b(f) | pointwise."""
-    def residual(x):
-        g = gradient_batch(f, x)
-        return np.abs(inner(g, g) - profile.b(np.asarray(value(f.eval(x)), dtype=float)))
+    def kernel(b):
+        g = b.of(gradient_batch, f)
+        return np.abs(inner(g, g) - profile.b(b.of(values_batch, f)))
 
-    return ResidualReport.from_residuals(
-        "transnormal_profile", sweep(residual, _gradient_points(f, points))[0], tol,
-        provenance=f"|grad norm squared - b(f)| for f = {f.label}")
+    return Check("transnormal_profile", 1e-9, kernel,
+                 f"|grad norm squared - b(f)| for f = {f.label}")
 
 
-def check_isoparametric(f: ScalarField, profile: IsoparametricProfile,
-                        points: ArrayLike, tol: float = 1e-7) -> ResidualReport:
+@checker(_gradient_points)
+def check_isoparametric(f: ScalarField, profile: IsoparametricProfile) -> Check:
     """| Δf − a(f) | pointwise."""
-    fv, lap = _values_and_laplacians(f, _gradient_points(f, points))
-    return ResidualReport.from_residuals(
-        "isoparametric_profile", np.abs(lap - profile.a(fv)), tol,
-        provenance=f"|laplacian - a(f)| for f = {f.label}")
+    return Check("isoparametric_profile", 1e-7,
+                 lambda b: np.abs(b.of(laplacian_batch, f) - profile.a(b.of(values_batch, f))),
+                 f"|laplacian - a(f)| for f = {f.label}")
+
+
+@checker(_gradient_points)
+def mean_curvature_identity_check(f: ScalarField,
+                                  profile: TransnormalProfile) -> Check:
+    """Level mean curvature against Δf/‖∇f‖ + b'(f)/(2√b) for transnormal f,
+    at the regular points."""
+    def kernel(b):
+        fv = b.full(values_batch, f)
+        b_raw = np.broadcast_to(profile.b(fv), fv.shape)
+        bad = np.flatnonzero(b_raw < -SQRT_B_FLOOR)
+        if bad.size:
+            raise ValueError(f"profile b({fv[bad[0]]}) = {b_raw[bad[0]]} is negative")
+        b_floor = np.maximum(b_raw, SQRT_B_FLOOR)
+        rhs = (b.full(laplacian_batch, f) / gradient_and_norm(b, f)[1]
+               + profile.b_prime(fv) / (2.0 * np.sqrt(b_floor)))
+        return np.abs(b.of(level_mean_curvature_batch, f) - rhs)
+
+    return Check("mean_curvature_identity", 1e-7, kernel,
+                 f"|h - (laplacian/|grad| + b'/(2 sqrt b))| for f = {f.label}",
+                 keep=(regular, f))
 
 
 def fit_affine_profile(f: ScalarField, points: ArrayLike
@@ -244,28 +262,12 @@ def fit_affine_profile(f: ScalarField, points: ArrayLike
 
     Returns (c1, c0, residual) with residual the max absolute deviation.
     """
-    fv, lap = _values_and_laplacians(f, _gradient_points(f, points))
+    x = _gradient_points(f, points)
+    fv = values_batch(f, x)
+    lap = np.concatenate([np.zeros(0)] + [laplacian_batch(f, x[sl])
+                                          for sl in blocks(len(x), manifold.BLOCK)])
     design = np.stack([fv, np.ones_like(fv)], axis=1)
     coeffs, *_ = np.linalg.lstsq(design, lap, rcond=None)
     c1, c0 = float(coeffs[0]), float(coeffs[1])
     residual = float(np.max(np.abs(lap - design @ coeffs)))
     return c1, c0, residual
-
-
-def mean_curvature_identity_check(f: ScalarField, profile: TransnormalProfile,
-                                  points: ArrayLike, tol: float = 1e-7) -> ResidualReport:
-    """Level mean curvature against Δf/‖∇f‖ + b'(f)/(2√b) for transnormal f."""
-    def residual(x, n, gn):
-        fv = np.asarray(value(f.eval(x)), dtype=float)
-        b_raw = np.broadcast_to(profile.b(fv), fv.shape)
-        bad = np.flatnonzero(b_raw < -SQRT_B_FLOOR)
-        if bad.size:
-            raise ValueError(f"profile b({fv[bad[0]]}) = {b_raw[bad[0]]} is negative")
-        b = np.maximum(b_raw, SQRT_B_FLOOR)
-        rhs = laplacian_batch(f, x) / gn + profile.b_prime(fv) / (2.0 * np.sqrt(b))
-        return np.abs(level_mean_curvature_batch(f, x) - rhs)
-
-    residuals, skipped = _regular_sweep(f, _gradient_points(f, points), residual)
-    return ResidualReport.from_residuals(
-        "mean_curvature_identity", residuals, tol, skipped,
-        provenance=f"|h - (laplacian/|grad| + b'/(2 sqrt b))| for f = {f.label}")

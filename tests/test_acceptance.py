@@ -83,7 +83,7 @@ def test_criterion_01_transnormality():
 
 
 def test_criterion_02_dimension_three_theorem():
-    rep = kt.dim_theorem_check(pair(3), points(3), tol_dim3=1e-7)
+    rep = kt.dim_theorem_check(pair(3), points(3), tol=1e-7)
     report_line(2, rep.passed, f"laplacian = 8f on S3, max {rep.max:.2e} <= 1e-7")
     assert rep.passed
 

@@ -1,6 +1,7 @@
 """Batched kernels against their one-row calls and the per-point loops."""
 
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 
 import kontact as kt
 from kontact import ad, manifold
+from kontact.cli import SuiteConfig, run_suite
 from kontact.contact import (
     _d_on_frames,
     d_on_pairs,
@@ -344,8 +346,8 @@ def test_guarded_point_is_skipped(dim):
             (lambda ps: kt.mean_curvature_identity_check(f, kt.ANGLE_PROFILE, ps), 1),
             # |f| = 1 there as well, so the sub-bundle is undefined
             (lambda ps: kt.laplacian_formula_check(pair, ps), 1),
-            (lambda ps: kt.phi_product_spectrum_check(pair, ps, verify_sasakian=False), 1),
-            (lambda ps: kt.hessian_restriction_check(pair, ps, verify_sasakian=False),
+            (lambda ps: kt.phi_product_spectrum_check(pair, ps), 1),
+            (lambda ps: kt.hessian_restriction_check(pair, ps),
              max(1, k * (k + 1) // 2))):
         with_crit, without = check(mixed), check(pts)
         assert (with_crit.count, with_crit.skipped) == (6 * per_point, 1)
@@ -605,10 +607,10 @@ PORTED = {
     "laplacian_formula": (kt.laplacian_formula_check, loop_laplacian_formula),
     "dimension_theorem": (kt.dim_theorem_check, loop_dim_theorem),
     "phi_product_spectrum": (
-        lambda d, pts: kt.phi_product_spectrum_check(d, pts, verify_sasakian=False),
+        lambda d, pts: kt.phi_product_spectrum_check(d, pts),
         loop_phi_product),
     "hessian_restricted": (
-        lambda d, pts: kt.hessian_restriction_check(d, pts, verify_sasakian=False),
+        lambda d, pts: kt.hessian_restriction_check(d, pts),
         loop_hessian),
     "geodesic_field": (lambda d, pts: kt.check_geodesic(d.angle_function(), pts),
                        loop_geodesic),
@@ -684,13 +686,79 @@ def test_pair_checks_draw_the_loop_stream(two_blocks, monkeypatch, check, seed):
 def test_hessian_diagnostic_draws_the_loop_stream_at_kept_points(two_blocks, monkeypatch):
     pair, pts, with_critical = two_blocks
     drawn = recorded_draws(monkeypatch, kt.double_kcontact)
-    kt.hessian_restriction_check(pair, with_critical, verify_sasakian=False)
+    kt.hessian_restriction_check(pair, with_critical)
     if pair.dim == 3:                   # the sub-bundle is zero: nothing drawn
         assert drawn == []
         return
     rng = np.random.default_rng(29)
     loop = [t for p in pts for t in loop_tangents(p, rng, 2)]
     assert np.array_equal(np.concatenate(drawn), np.array(loop))
+
+
+def rebind(monkeypatch, module, name, record):
+    """Replace ``module.name`` with one wrapper that passes each call's
+    arguments and result to ``record``, bound in every kontact module
+    that binds it, so the checks of a sweep still share one key for it."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        record(args, out)
+        return out
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "kontact" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+def loop_stream(points, seed, per_point):
+    """``per_point`` directions at each point, drawn as the per-point loop
+    draws them from one stream seeded by ``seed``."""
+    rng = np.random.default_rng(seed)
+    return np.array([t for p in points for _ in range(per_point // 2)
+                     for t in loop_tangents(p, rng, 2)])
+
+
+@pytest.mark.parametrize("dim", (5, 7))
+def test_suite_sweeps_its_points_once(dim, monkeypatch):
+    # 40 points in blocks of 16: three blocks, each computing the plain
+    # frame, ∇f, Δf, the sub-bundle frame and the harmonic jet once for
+    # every check that needs them
+    f = kt.standard_pair(dim).angle_function()
+    x = sample_coords(40, 3, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
+    monkeypatch.setattr(manifold, "BLOCK", 16)
+    calls = {name: [] for name in ("sweep", "frame_batch", "gradient_batch",
+                                   "laplacian_batch", "hbundle_frames", "second_jet")}
+    for module, name in ((manifold, "sweep"), (manifold, "frame_batch"),
+                         (kt.scalar_fields, "gradient_batch"),
+                         (kt.scalar_fields, "laplacian_batch"),
+                         (kt.double_kcontact, "hbundle_frames"), (ad, "second_jet")):
+        rebind(monkeypatch, module, name, lambda args, out, name=name: calls[name].append(args))
+    streams = {}
+    rebind(monkeypatch, manifold, "random_tangent_batch",
+           lambda args, out: streams.setdefault(args[1], []).append(
+               out.reshape(-1, args[0].shape[-1])))
+    reports = run_suite(SuiteConfig(manifold=f"s{dim}", samples=40, seed=3))
+    assert all(r.passed for r in reports)
+    # the suite's one sweep over its 40 points, and the Sasakian probe's
+    # over 6, which the suite's makes first and so ends first
+    assert [len(args[1]) for args in calls.pop("sweep")] == [6, 40]
+    plain = [args for args in calls.pop("frame_batch") if len(args) == 1]
+    assert len(plain) == 3
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 3)
+    # one generator per check that draws, in the order the checks first draw:
+    # the σ probes of both structures, the Sasakian probe, then the suite's
+    # axioms ii and iii of both structures, Killing, Sasakian and the Hessian
+    probe = sample_coords(4, kt.contact.PROBE_SEED, dim + 1)
+    expected = ([loop_stream(probe, kt.contact.PROBE_SEED + 1, 2)] * 2
+                + [loop_stream(sample_coords(6, 23, dim + 1), 17, 4)]
+                + [loop_stream(x, 7, 2), loop_stream(x, 11, 4)] * 2
+                + [loop_stream(x, 13, 4)] * 2 + [loop_stream(x, 17, 4)] * 2
+                + [loop_stream(x, 29, 2)])
+    drawn = [np.concatenate(s) for s in streams.values()]
+    assert len(drawn) == len(expected)
+    for got, want in zip(drawn, expected):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("dim", (5, 7))
@@ -747,6 +815,6 @@ def test_headroom_checks_are_bitwise_the_point_loop(two_blocks, check, loop):
     pair, pts, with_critical = two_blocks
     for points in (pts, with_critical):
         rep = check(pair, points)
-        ref = kt.ResidualReport.from_residuals(rep.check_name, loop(pair, points),
-                                               rep.tolerance)
-        assert (rep.count, rep.max, rep.mean) == (ref.count, ref.max, ref.mean)
+        vals = np.abs(np.asarray(loop(pair, points), dtype=float))
+        assert (rep.count, rep.max, rep.mean) == (
+            vals.size, np.max(vals), np.add.accumulate(vals)[-1] / vals.size)

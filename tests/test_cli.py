@@ -12,12 +12,14 @@ import kontact as kt
 from kontact import DoubleKContact, SpherePoint, ad, manifold, standard_pair
 from kontact.ad import value
 from kontact.cli import (
+    COMBINED_TOL,
     MANIFOLDS,
     SuiteConfig,
     _check_catalog,
     _energy_field,
     build_parser,
     check_names,
+    combine_scaled,
     describe,
     document,
     main,
@@ -96,15 +98,48 @@ def test_suite_evaluates_the_harmonic_jet_once_per_block(monkeypatch):
         assert reports[name].passed and reports[name].count == 40
 
 
-SUB_BUNDLE_CHECKS = {"laplacian_formula": kt.laplacian_formula_check,
-                     "phi_product_spectrum": kt.phi_product_spectrum_check,
-                     "hessian_restricted": kt.hessian_restriction_check}
+def per_structure(*checkers):
+    """The reports of the checkers on both structures of a pair, in the
+    order a combined catalog entry lists them."""
+    return lambda pair, x: [check(s, x) for s in (pair.s_alpha, pair.s_beta)
+                            for check in checkers]
 
 
-@pytest.mark.parametrize("name", ["s5", "s7"])
-def test_catalog_sub_bundle_reports_are_the_standalone_checkers(name, monkeypatch):
-    # blocks of 7 points, so the Hessian's direction stream crosses blocks;
-    # a critical point (f = -1) at index 10 is skipped
+def unit_gradient_checker(checker):
+    return lambda pair, x: checker(kt.normalized_gradient_unit_field(pair.angle_function()), x)
+
+
+# The public checker of each point check of the catalog; a list of reports
+# is combined as the catalog entry combines them (combine_scaled).
+PUBLIC_CHECKERS = {
+    "contact_axioms": per_structure(kt.check_axiom_ii, kt.check_axiom_iii,
+                                    kt.check_axiom_volume),
+    "kcontact": per_structure(kt.check_kcontact),
+    "sasakian": per_structure(kt.check_sasakian),
+    "double_invariants": kt.commuting_invariants_check,
+    "gradient_identity": kt.gradient_identity_check,
+    "transnormal_profile": kt.transnormal_b_check,
+    "laplacian_formula": kt.laplacian_formula_check,
+    "dimension_theorem": kt.dim_theorem_check,
+    "phi_product_spectrum": kt.phi_product_spectrum_check,
+    "hessian_restricted": kt.hessian_restriction_check,
+    "geodesic_field": lambda pair, x: kt.check_geodesic(pair.angle_function(), x),
+    "mean_curvature_identity": lambda pair, x: kt.mean_curvature_identity_check(
+        pair.angle_function(), kt.ANGLE_PROFILE, x),
+    "ricci_normal": kt.ricci_normal_check,
+    "nu_form": unit_gradient_checker(kt.harmonicity_check),
+    "critical_condition": unit_gradient_checker(kt.critical_condition_check),
+}
+MASKED_CHECKS = {"laplacian_formula", "phi_product_spectrum", "hessian_restricted",
+                 "geodesic_field", "mean_curvature_identity", "ricci_normal", "nu_form",
+                 "critical_condition"}
+
+
+@pytest.mark.parametrize("name", ["s3", "s5", "s7"])
+def test_catalog_reports_are_the_public_checkers(name, monkeypatch):
+    # blocks of 7 points, so the direction streams, the first-point steps
+    # and the numeric Ricci subset cross blocks; a critical point (f = -1)
+    # at index 10 is skipped by the checks that mask it
     monkeypatch.setattr(manifold, "BLOCK", 7)
     config = SuiteConfig(manifold=name, samples=40, seed=3)
     pair = standard_pair(MANIFOLDS[name])
@@ -112,21 +147,17 @@ def test_catalog_sub_bundle_reports_are_the_standalone_checkers(name, monkeypatc
     x = sample_coords(40, 3, pair.ambient_dim,
                       exclusion=lambda y: np.abs(value(f.eval(y))) > 0.9)
     x = np.insert(x, 10, np.eye(pair.ambient_dim)[0], axis=0)
-    frames = []
-    hbundle_frames = kt.double_kcontact.hbundle_frames
-
-    def counted(*args):
-        frames.append(1)
-        return hbundle_frames(*args)
-
-    monkeypatch.setattr(kt.double_kcontact, "hbundle_frames", counted)
-    catalog = dict(_check_catalog(pair, x, config))
-    shared = {check: catalog[check]() for check in SUB_BUNDLE_CHECKS}
-    assert len(frames) == 6         # 40 kept points in blocks of 7, built once
-    for check, standalone in SUB_BUNDLE_CHECKS.items():
-        rep = standalone(pair, x)
-        assert shared[check] == rep, check
-        assert rep.skipped == 1 and rep.passed
+    catalog = _check_catalog(pair, x, config)
+    assert [n for n, _ in catalog] == [n for n in PUBLIC_CHECKERS if n in check_names(name)
+                                       ] + ["energy_reeb"]
+    for check_name, check in catalog[:-1]:
+        rep = check()
+        public = PUBLIC_CHECKERS[check_name](pair, x)
+        if isinstance(public, list):
+            public = combine_scaled(check_name, public, COMBINED_TOL[check_name],
+                                    rep.provenance)
+        assert rep == public, check_name
+        assert rep.passed and rep.skipped == (check_name in MASKED_CHECKS), check_name
 
 
 @pytest.mark.parametrize("name, gates", [("s3", 0), ("s5", 1), ("s7", 1)])
@@ -141,6 +172,35 @@ def test_suite_probes_the_sasakian_precondition_once(name, gates, monkeypatch):
     monkeypatch.setattr(kt.double_kcontact, "_sasakian_gate", counted)
     assert all(r.passed for r in run_suite(SuiteConfig(manifold=name, samples=10, seed=3)))
     assert len(calls) == gates
+
+
+@pytest.mark.parametrize("name", ["s3", "s5", "s7"])
+def test_failing_sasakian_probe_stops_the_phi_product_and_hessian_checks(
+        name, monkeypatch, capsys):
+    # where the sub-bundle is not zero, the φJ and Hessian checks need the
+    # first structure to be Sasakian; the Laplacian formula does not
+    def failing(s, points, tol=None):
+        return kt.ResidualReport("sasakian_alpha", 6, 0, 1.0, 1.0, 1e-8, False)
+
+    monkeypatch.setattr(kt.double_kcontact, "check_sasakian", failing)
+    pair = standard_pair(MANIFOLDS[name])
+    f = pair.angle_function()
+    x = sample_coords(10, 3, pair.ambient_dim,
+                      exclusion=lambda y: np.abs(value(f.eval(y))) > 0.9)
+    assert kt.laplacian_formula_check(pair, x).passed
+    probed = pair.dim >= 5
+    for check in (kt.phi_product_spectrum_check, kt.hessian_restriction_check):
+        if probed:
+            with pytest.raises(kt.PreconditionError):
+                check(pair, x)
+        else:
+            assert check(pair, x).passed
+    code = main(["verify", name, "--samples", "10", "--seed", "3"])
+    out = capsys.readouterr()
+    assert code == (2 if probed else 0)
+    if probed:
+        assert out.out == ""
+        assert out.err == "error: first structure is not Sasakian at probe points\n"
 
 
 def test_json_document_byte_identical(small_reports):
@@ -310,6 +370,21 @@ def test_cli_energy_gradient_with_exclusion(capsys):
     assert doc["skipped"] > 0
     assert np.isfinite(doc["estimate"])
     assert "closed_form" not in doc
+
+
+@pytest.mark.parametrize("args, diverges", [
+    (["--field", "gradient"], True),
+    (["--field", "gradient", "--exclusion", "0.9"], False),
+    (["--field", "reeb_alpha"], False),
+], ids=["gradient", "gradient-exclusion", "reeb"])
+def test_cli_energy_flags_the_divergent_gradient_energy(args, diverges, capsys):
+    # without --exclusion the unit gradient's energy is infinite (it grows
+    # logarithmically at the focal sphere f = 1), so the document says so
+    code = main(["energy", "s5", *args, "--samples", "2000", "--seed", "3"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.get("diverges") is (True if diverges else None)
+    assert np.isfinite(doc["estimate"]) and np.isfinite(doc["stderr"])
 
 
 @pytest.mark.parametrize("exclusion", [[], ["--exclusion", "0.9"]],

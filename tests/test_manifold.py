@@ -1,6 +1,9 @@
 """Sphere geometry core: projection, connection, curvature, frames, sampling."""
 
+import gc
 import hashlib
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from kontact.errors import (
     SamplingExhaustedError,
 )
 from kontact.manifold import (
+    Check,
     as_points,
     constant_field,
     cov_deriv_batch,
@@ -30,6 +34,7 @@ from kontact.manifold import (
     shape_norm_sq,
     sweep,
 )
+from kontact.report import ResidualReport
 from kontact.scalar_fields import gradient_batch
 
 from oracles import curvature, ricci_frame_sum, ricci_operator_frame_sum, values
@@ -412,36 +417,94 @@ def test_as_points_and_checkers_reject_malformed_points(pair3, pts3, angle3, cas
 def test_sweep_keeps_point_order_across_blocks(monkeypatch):
     monkeypatch.setattr(manifold, "BLOCK", 32)
     x = sample_coords(70, 3, 4)
-    tag = np.arange(70.0)
     seen = []
 
-    def fn(y, t):
-        seen.append(len(y))
-        return np.stack([y[:, 0], t], axis=1)
+    def kernel(b):
+        seen.append((b.x, b.index))
+        return np.stack([b.x[:, 0], b.index], axis=1)
 
-    values, skipped = sweep(fn, x, tag)
-    assert seen == [32, 32, 6] and skipped == 0
-    assert np.array_equal(values, np.stack([x[:, 0], tag], axis=1).ravel())
+    check = Check("order", 1.0, kernel)
+    sweep([check], x)
+    assert [len(y) for y, _ in seen] == [32, 32, 6]
+    assert np.array_equal(np.concatenate([y for y, _ in seen]), x)
+    assert np.array_equal(np.concatenate([i for _, i in seen]), np.arange(70))
+    # the tally's sum carries over from block to block, left to right
+    vals = np.abs(np.stack([x[:, 0], np.arange(70.0)], axis=1)).ravel()
+    rep = check.report()
+    assert (rep.count, rep.skipped, rep.max) == (140, 0, np.max(vals))
+    assert rep.mean == np.add.accumulate(vals)[-1] / 140
 
 
-def test_sweep_mask_slices_aligned_arrays_and_counts_skips():
+def test_sweep_mask_slices_aligned_arrays_and_counts_skips(monkeypatch):
+    # a mask keeps rows of each block; the kernel computes at those rows
+    # (Block.of) or takes them from a quantity of the whole block
+    # (Block.full), which is computed once per block for every check
+    monkeypatch.setattr(manifold, "BLOCK", 32)
     x = sample_coords(70, 3, 4)
+    computed = []
+
+    def first_coordinate(y):
+        computed.append(len(y))
+        return y[:, 0]
+
+    def kept(b):
+        return b.index % 3 != 0
+
+    def kernel(b):
+        return b.full(first_coordinate) + b.of(first_coordinate) + b.x[:, 1]
+
+    checks = [Check(name, 3.0, kernel, keep=(kept,)) for name in ("a", "b")]
+    sweep(checks, x)
     keep = np.arange(70) % 3 != 0
-    values, skipped = sweep(lambda y, t: t + y[:, 1], x, np.arange(70.0), keep=keep)
-    assert skipped == 70 - np.count_nonzero(keep)
-    assert np.array_equal(values, (np.arange(70.0) + x[:, 1])[keep])
+    assert computed == [32, 21, 32, 21, 6, 4]
+    vals = np.abs(2.0 * x[:, 0] + x[:, 1])[keep]
+    ref = ResidualReport("a", vals.size, 70 - vals.size, np.max(vals),
+                         np.add.accumulate(vals)[-1] / vals.size, 3.0, True)
+    assert [c.report() for c in checks] == [ref, replace(ref, check_name="b")]
 
 
 @pytest.mark.parametrize("count, keep", [(0, None), (0, []), (5, [False] * 5)],
                          ids=["no points", "no points masked", "no point kept"])
-def test_sweep_of_nothing_is_an_empty_float_array(count, keep):
-    def fn(y):
+def test_sweep_of_nothing_calls_no_kernel(count, keep):
+    def kernel(b):
         raise AssertionError("called on an empty block")
 
-    values, skipped = sweep(fn, sample_coords(5, 3, 4)[:count],
-                            keep=None if keep is None else np.array(keep, dtype=bool))
-    assert values.dtype == float and values.shape == (0,)
-    assert skipped == count
+    mask = () if keep is None else (lambda b: np.array(keep, dtype=bool)[b.index],)
+    check = Check("empty", 1.0, kernel, keep=mask)
+    sweep([check], sample_coords(5, 3, 4)[:count])
+    assert check.report() == ResidualReport("empty", 0, count, 0.0, 0.0, 1.0, True)
+
+
+def test_sweep_frees_each_block_before_the_next(monkeypatch):
+    # a block and its masked sub-blocks hold the arrays the checks share;
+    # they go when the sweep moves on, not at the next cycle collection
+    monkeypatch.setattr(manifold, "BLOCK", 8)
+    seen = []
+
+    def kernel(b):
+        assert all(ref() is None for ref in seen)
+        seen.append(weakref.ref(b))
+        return b.full(lambda y: y[:, 0])
+
+    gc.disable()
+    try:
+        sweep([Check("freed", 1.0, kernel, keep=(lambda b: b.index % 2 == 0,))],
+              sample_coords(40, 3, 4))
+    finally:
+        gc.enable()
+    assert len(seen) == 5
+
+
+def test_sweep_probes_each_precondition_once():
+    probed = []
+
+    def probe(tag):
+        probed.append(tag)
+
+    checks = [Check(name, 1.0, lambda b: b.x[:, 0], before=(probe, tag))
+              for name, tag in (("a", 1), ("b", 1), ("c", 2))]
+    sweep(checks, sample_coords(5, 3, 4)[:0])
+    assert probed == [1, 2]
 
 
 def test_divergence_is_the_trace_of_the_shape_matrix(pair3, angle3, pts3_plain):
