@@ -25,6 +25,7 @@ from one seeded stream, drawn block by block in point order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -33,7 +34,6 @@ import numpy as np
 
 from .ad import (
     axis0_to_last,
-    directional,
     dot,
     jacobian_rows,
     matvec,
@@ -55,9 +55,7 @@ from .manifold import (
     cov_deriv_batch,
     frame_batch,
     inner,
-    lie_bracket_batch,
     linear_field,
-    projected_eval,
     random_tangent_batch,
     sample_coords,
 )
@@ -134,28 +132,11 @@ class ContactMetricStructure:
                    int(desc["sigma"]), label=label)
 
 
-def exterior_derivative_batch(coeff_field: Callable, x: np.ndarray,
-                              a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """dω(a,b) at the points x for a one-form given by ambient
-    coefficients, using projected-constant extensions of a and b; leading
-    axes of x, a and b broadcast.  This is the definition itself: the σ
-    probe checks the structure with it, and the one-Jacobian form
-    :func:`d_on_pairs` that the checks use is tested against it."""
-    ext_a, ext_b = constant_field(a), constant_field(b)
-    t1 = value(directional(
-        lambda y: dot(coeff_field(y), projected_eval(ext_b, y)), x, a))
-    t2 = value(directional(
-        lambda y: dot(coeff_field(y), projected_eval(ext_a, y)), x, b))
-    bracket = lie_bracket_batch(ext_a, ext_b, x)
-    t3 = inner(np.asarray(value(coeff_field(x)), dtype=float), bracket)
-    return t1 - t2 - t3
-
-
 def exterior_derivative(coeff_field: Callable, a: TangentVector,
                         b: TangentVector) -> float:
-    """dω(a,b) for a one-form given by ambient coefficients, using
-    projected-constant extensions of a and b."""
-    return float(exterior_derivative_batch(coeff_field, a.base.coords, a.vec, b.vec))
+    """dω(a,b) for a one-form given by ambient coefficients: one row of
+    :func:`d_on_pairs`."""
+    return float(d_on_pairs(coeff_field, a.base.coords, a.vec, b.vec))
 
 
 def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha"
@@ -165,15 +146,16 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha"
     Under the frozen convention dα(u,v) = ⟨D_u α, v⟩ − ⟨D_v α, u⟩ =
     2⟨v, Ju⟩ = −2⟨u, Jv⟩ for skew J, while 2 g(u, φv) = 2σ⟨u, Jv⟩ for
     u ⟂ x, so sigma = −1 for every generator.  The structure is built
-    with sigma = −1 and dα is taken once, on seeded probe points and
-    tangent directions u, v, to check that rather than assume it; if
-    it fails the generator is inconsistent with the frozen conventions.
+    with sigma = −1 and dα is taken once (:func:`d_on_pairs`), on seeded
+    probe points and tangent directions u, v, to check that rather than
+    assume it; if it fails the generator is inconsistent with the frozen
+    conventions.
     """
     x = sample_coords(4, PROBE_SEED, j.ambient_dim)
     uv = random_tangent_batch(x, np.random.default_rng(PROBE_SEED + 1), (2,))
     u, v = uv[:, 0], uv[:, 1]
     chosen = ContactMetricStructure(j, -1, label=label)
-    lhs = exterior_derivative_batch(chosen.alpha_coeffs, x, u, v)
+    lhs = d_on_pairs(chosen.alpha_coeffs, x, u, v)
     if np.max(np.abs(lhs - 2.0 * inner(u, chosen.phi_at(x, v)))) >= 1e-6:
         raise ConstructionError("sigma = -1 does not satisfy the dα compatibility")
     return chosen
@@ -182,6 +164,7 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha"
 # ---------------------------------------------------------------------------
 # top-form evaluation (axiom i)
 
+@functools.cache
 def _minor_index(k: int, drop: tuple) -> tuple:
     """Index arrays (rows, cols) that take the minor of a k×k matrix
     without the rows and columns in ``drop`` in one fancy-indexing step."""
@@ -189,19 +172,9 @@ def _minor_index(k: int, drop: tuple) -> tuple:
     return np.ix_(keep, keep)
 
 
-# The minors the top form takes up to S⁷: one dropped index for the
-# expansion of α∧(dα)^n on m = 3, 5, 7 frame vectors, the first and one
-# more for the expansion of an even Pfaffian.
-_MINORS = {(k, drop): _minor_index(k, drop)
-           for k in range(3, 8)
-           for drop in ([(j,) for j in range(k)] if k % 2
-                        else [(0, j) for j in range(1, k)])}
-
-
 def _minor(mat: np.ndarray, drop: tuple) -> np.ndarray:
     """``mat`` (..., k, k) without the rows and columns in ``drop``."""
-    k = mat.shape[-1]
-    rows, cols = _MINORS.get((k, drop)) or _minor_index(k, drop)
+    rows, cols = _minor_index(mat.shape[-1], drop)
     return mat[..., rows, cols]
 
 
@@ -226,9 +199,10 @@ def _d_matrix(coeff_field: Callable, x: np.ndarray) -> np.ndarray:
     """Jᵀ − J at the points x (..., m+1) for the ambient Jacobian of the
     coefficient field, J[..., i, j] = ∂_j ω_i, from one vector-mode
     evaluation, so that dω(u, v) = uᵀ(Jᵀ − J)v.  This is exact for any
-    coefficient field, because d commutes with restriction to the sphere,
-    and agrees with :func:`exterior_derivative_batch`.  A Jacobian that
-    does not depend on x keeps size-1 batch axes."""
+    coefficient field, because d commutes with restriction to the sphere:
+    the tests hold it to the definition A(ω(B)) − B(ω(A)) − ω([A,B]) on
+    projected-constant extensions.  A Jacobian that does not depend on x
+    keeps size-1 batch axes."""
     jac = axis0_to_last(value(jacobian_rows(coeff_field, x, x.shape[-1])))
     return np.swapaxes(jac, -1, -2) - jac
 

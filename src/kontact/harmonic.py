@@ -30,9 +30,9 @@ with P of D(A^t w̃), where A^t w̃ = −P·Jᵀ·P·w and J = ∂F:
   - the derivative of the outer P gives m⟨w, D_y F⟩, that of the inner
     P gives ⟨y, D_w F⟩, and that of Jᵀ gives −⟨w, ΔF − D²_{y,y} F⟩;
   - ⟨y, F⟩ ≡ 0 off the sphere, so ⟨y, D_w F⟩ = −⟨w, F⟩.
-:func:`harmonicity_form_batch` takes nu by nested directional
-derivatives, one evaluation per direction set, and serves as the
-oracle of the first contraction.
+The one-point :func:`harmonicity_form` is one row of the same
+contraction.  The tests hold the contractions to nested directional
+derivatives of A^t w̃ and of div F.
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 and a unit field's guard maps points (..., m+1) to a mask the same way;
@@ -48,9 +48,10 @@ a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, Z⟩,
     ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
 
 so neither P = I − x xᵀ nor S is formed (``manifold.shape_norm_sq``).
-Where J does not depend on x, as for every Reeb field x ↦ Jx, it stays
-one (m+1)×(m+1) matrix: a and b are one matmul each per block, and
-‖J‖²_F and tr J are computed once.
+The invariants are held coordinate-major, every per-point quantity as
+an (m+1, B) array.  Where J does not depend on x, as for every Reeb
+field x ↦ Jx, it stays one (m+1)×(m+1) matrix: a and b are one matmul
+each per block, and ‖J‖²_F and tr J are computed once.
 
 A unit gradient N = ∇f/r, r = |∇f|, whose field carries its potential
 f (``UnitVectorField.potential``, set by
@@ -62,15 +63,14 @@ so
 
 where H is the shape matrix of the raw ambient gradient V, whose
 Jacobian J is the ambient Hessian of f: ‖H‖²_F is the norm above, and
-H N = P·(J N) − ⟨x, V⟩·N (``manifold.unit_shape_norm_sq``, which holds
-every per-point quantity coordinate-major, as (m+1, B) arrays).  For the
-angle function V is linear, so J is again one matrix.  Every other
-field, and a unit gradient built without its potential, takes the
-Jacobian of its own formula.  The guard of such a field evaluates V once
-more, at every point of the block, for |P·V|.  It stays a pass of its
-own so that a guard composed over it (``dataclasses.replace(zf,
-guard=…)``, as the CLI's ``--exclusion``) still decides which points the
-integrand sees.
+H N = P·(J N) − ⟨x, V⟩·N (``manifold.unit_shape_norm_sq``, from the
+same invariants).  For the angle function V is linear, so J is again
+one matrix.  Every other field, and a unit gradient built without its
+potential, takes the Jacobian of its own formula.  The guard of such a
+field evaluates V once more, at every point of the block, for |P·V|.
+It stays a pass of its own so that a guard composed over it
+(``dataclasses.replace(zf, guard=…)``, as the CLI's ``--exclusion``)
+still decides which points the integrand sees.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ad, manifold
-from .ad import directional, dot, proj_tangent, value
+from .ad import dot, proj_tangent, value
 from .errors import PreconditionError, RegularityError, SamplingExhaustedError
 from .manifold import (
     AmbientVectorField,
@@ -92,7 +92,6 @@ from .manifold import (
     as_field_points,
     blocks,
     checker,
-    divergence,
     frame_batch,
     inner,
     proj_np,
@@ -100,6 +99,7 @@ from .manifold import (
     sample_coords,
     shape_matrix,
     shape_norm_sq,
+    shape_trace,
     sphere_volume,
     unit_shape_norm_sq,
 )
@@ -108,6 +108,7 @@ from .scalar_fields import (
     EPS_REGULAR,
     ScalarField,
     ambient_gradient,
+    ambient_gradient_field,
     normalized_gradient_field,
 )
 
@@ -228,9 +229,7 @@ def _trace_l_batch(zf: UnitVectorField, points: np.ndarray) -> np.ndarray:
     m = points.shape[-1] - 1
     if zf.potential is None:
         return m + shape_norm_sq(zf.field, points)
-    f = zf.potential
-    grad = AmbientVectorField(lambda y: ambient_gradient(f, y), tangent=False)
-    return m + unit_shape_norm_sq(grad, points)
+    return m + unit_shape_norm_sq(ambient_gradient_field(zf.potential), points)
 
 
 def energy(zf: UnitVectorField, sample_size: int, seed: int,
@@ -291,62 +290,19 @@ def reeb_energy_closed_form(m: int) -> float:
 # ---------------------------------------------------------------------------
 # first variation (harmonicity form)
 
-def _adjoint_apply(zf_field: AmbientVectorField, x, w):
-    """A^t at x applied to w, as a dual-evaluable ambient expression.
-
-    Row i of the batched Jacobian is D_{e_i}(projected field), so dotting
-    the rows with P·w assembles (Jacobian)^T · P·w in one evaluation.
-    Leading axes of x and w broadcast.
-    """
-    dim = value(x).shape[-1]
-    pw = proj_tangent(x, w)
-    rows = ad.jacobian_rows(lambda y: projected_eval(zf_field, y), x, dim)
-    jt_pw = ad.axis0_to_last(dot(rows, pw))
-    return -proj_tangent(x, jt_pw)
-
-
-def harmonicity_form_batch(field: AmbientVectorField, x: np.ndarray,
-                           directions: np.ndarray,
-                           frames: Optional[np.ndarray] = None) -> np.ndarray:
-    """nu_Z at the points x (..., m+1) for directions (..., k, m+1).
-
-    nu_Z(x) = Σ_i g(D_{u_i}(A^t x̃), u_i) with x̃ the projected-constant
-    extension; the term A^t(∇_u x̃) of (∇_u A^t)x vanishes because
-    ∇_u x̃ = 0 at the base point.  The sum over an orthonormal frame u_i
-    is the ambient Jacobian of A^t x̃ contracted with Σ_i u_i u_iᵀ, which
-    is P = I − x xᵀ unless ``frames`` (..., m, m+1) are given.  Returns
-    shape (..., k).
-    """
-    dim = x.shape[-1]
-    base = x[..., None, None, :]                          # (..., 1, 1, m+1)
-    axes = np.eye(dim)[:, None, :]                        # (m+1, 1, m+1)
-    w = directions[..., None, :, :]                       # (..., 1, k, m+1)
-    jac = value(directional(
-        lambda y: _adjoint_apply(field, y, ad.lift(w, y)), base, axes))
-    if frames is None:
-        trace = np.eye(dim) - x[..., :, None] * x[..., None, :]
-    else:
-        trace = np.swapaxes(frames, -1, -2) @ frames
-    return np.einsum("...bka,...ba->...k", jac, trace)
-
-
-def harmonicity_form(zf: UnitVectorField, x: TangentVector,
-                     frame=None) -> float:
-    """nu_Z(x) = Σ_i g((∇_{u_i} A^t) x, u_i) over a full orthonormal frame.
-
-    (∇_u A^t)x = ∇_u(A^t x̃) − A^t(∇_u x̃) with x̃ the projected-constant
-    extension of x; the result is extension-independent.  Without a
-    ``frame`` the trace is taken frame-free, as the contraction with P.
-    """
+def harmonicity_form(zf: UnitVectorField, x: TangentVector) -> float:
+    """nu_Z(x) = Σ_i g((∇_{u_i} A^t) x, u_i) over an orthonormal frame u_i:
+    one row of the contraction of the jet that the checks take
+    (:func:`_contract`), frame-free.  Raises outside the guard, and for a
+    direction not orthogonal to the field."""
     p = x.base
     if not zf.guard(p.coords):
         raise RegularityError("harmonicity form outside the guarded domain")
     z = proj_np(p.coords, np.asarray(value(zf.field.eval(p.coords)), dtype=float))
     if abs(inner(x.vec, z)) > 1e-8:
         raise PreconditionError("direction must be orthogonal to the field")
-    frames = frame.matrix if frame is not None else None
-    return float(harmonicity_form_batch(zf.field, p.coords, x.vec[None, :],
-                                        frames)[0])
+    y = p.coords[None, :]
+    return float(_contract(y, *_jet(zf.field, y), x.vec[None, None, :])[0][0, 0])
 
 
 def _jet(field: AmbientVectorField, x: np.ndarray) -> tuple:
@@ -411,7 +367,9 @@ def critical_condition_check(zf: UnitVectorField) -> Check:
 # mean curvature
 
 def mean_curvature_of_field(zf: UnitVectorField, p: SpherePoint) -> float:
-    """h = −Σ g(∇_{E_i}Z, E_i) over a frame of Z^⊥ (trace of A_Z there)."""
+    """h = −Σ g(∇_{E_i}Z, E_i) over a frame of Z^⊥ (trace of A_Z there),
+    taken frame-free as minus the trace of the shape matrix of the field
+    (``manifold.shape_trace``): g(∇_Z Z, Z) = 0 for a unit field."""
     if not zf.guard(p.coords):
         raise RegularityError("mean curvature outside the guarded domain")
-    return -float(divergence(zf.field, p.coords))
+    return -float(shape_trace(zf.field, p.coords))

@@ -6,20 +6,22 @@ stands for its projection F = P·V, P = I − x xᵀ, so the raw formula
 need not be tangent off the sphere.  The Levi-Civita connection is the
 tangential part of the ambient derivative of F (Gauss formula), which
 on the unit sphere has the closed form P·D_u F = P·D_u V − ⟨x, V⟩·P u:
-:func:`shape_matrix`, its Frobenius norm :func:`shape_norm_sq`, that
-norm for the normalized field P·V/|P·V| (:func:`unit_shape_norm_sq`)
-and :func:`cov_deriv_batch` differentiate the raw formula only.  The kernels
-that nest derivatives (:func:`divergence`, :func:`lie_bracket_batch` and
-their kin) differentiate F itself through :func:`projected_eval`, off
-the sphere too.  :func:`curvature_numeric_batch` assembles R(u,v)w
-from nested covariant derivatives; the checks use the constant-curvature
-expression g(v,w)u − g(u,w)v and repeat it with the numerical one.
+:func:`shape_matrix`, its trace :func:`shape_trace` and Frobenius norm
+:func:`shape_norm_sq`, that norm for the normalized field P·V/|P·V|
+(:func:`unit_shape_norm_sq`) and :func:`cov_deriv_batch` differentiate
+the raw formula only; the three readings of S come from one set of
+invariants of the raw Jacobian (:func:`_read_shape`).  The kernels that
+nest derivatives (:func:`lie_bracket_batch` and its kin) differentiate F
+itself through :func:`projected_eval`, off the sphere too.
+:func:`curvature_numeric_batch` assembles R(u,v)w from nested covariant
+derivatives; the checks use the constant-curvature expression
+g(v,w)u − g(u,w)v and repeat it with the numerical one.
 
 Batch convention (package-wide): points are (N, m+1) arrays of unit
 rows, drawn in batches by :func:`sample_coords` and validated by
 :func:`as_points`, which also takes a list of :class:`SpherePoint`.
 Kernels (names ending in ``_batch``, and :func:`shape_matrix`,
-:func:`divergence`, :func:`frame_batch` and their kin in the other
+:func:`shape_trace`, :func:`frame_batch` and their kin in the other
 modules) take plain arrays whose leading axes are batch axes (points,
 directions, frame slots) and broadcast them, contracting over the last
 axis only.  :class:`SpherePoint`, :class:`TangentVector`, :class:`Frame`
@@ -68,7 +70,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import ad
-from .ad import directional, dot, matvec, proj_tangent, value
+from .ad import directional, matvec, proj_tangent, value
 from .errors import (
     BasePointMismatchError,
     DegenerateInputError,
@@ -294,69 +296,39 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
 
 
-def _norm_sq_from_invariants(dot: Callable, frob, trace, a, b, x, k, dim: int):
-    """‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
-    c = ⟨a, x⟩ (:func:`shape_norm_sq`), with ``dot`` the inner product of
-    the layout a, b and x are in, point-major or coordinate-major."""
-    c = dot(a, x)
-    return (frob - dot(a, a) - dot(b, b) + c * c - 2.0 * k * (trace - c)
-            + k * k * (dim - dot(x, x)))
+def _cdot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """⟨p, q⟩ over the leading (coordinate) axis of (m+1, B) arrays."""
+    return np.einsum("ip,ip->p", p, q)
 
 
-def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
-    """‖S‖²_F for the shape matrix S of :func:`shape_matrix` at the points
-    x, shape (...), without forming P or S.
+def _read_shape(field: AmbientVectorField, x: np.ndarray, reading: str) -> np.ndarray:
+    """One reading of the shape matrix S = P·J·P − k·P at the points x,
+    shape (...), from invariants of the raw Jacobian J of V =
+    ``field.eval`` and without forming P or S.  With a = Jx, b = Jᵀx,
+    c = xᵀJx and k = ⟨x, V⟩, expanding S at unit x gives
 
-    With J the raw Jacobian, a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, V⟩,
-    expanding S = P·J·P − k·P at unit x gives
+        "trace":    tr S = tr J − c − k(m+1 − |x|²),
+        "norm_sq":  ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
 
-        ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
+    at O((m+1)²) per point instead of two (m+1)×(m+1) products, and
+    "unit" reads ‖S_N‖²_F for N = P·V/|P·V| (:func:`unit_shape_norm_sq`).
 
-    which costs O((m+1)²) per point instead of two (m+1)×(m+1) products.
-    When the rows have only size-1 batch axes, because J does not depend
-    on x (a linear formula, as every Reeb field, or a constant one) or
-    there is one point, J stays one (m+1)×(m+1) matrix: a and b are one
-    matmul each over all the points, and ‖J‖²_F and tr J are scalars.
-    Otherwise the invariants are contracted point by point.
-    """
-    x, v, rows = _raw_jacobian(field, x)
-    if all(n == 1 for n in rows.shape[1:-1]):
-        jt = rows.reshape(x.shape[-1], x.shape[-1])     # jt[j, i] = J[i, j]
-        a, b = x @ jt, x @ jt.T
-        frob = np.einsum("ji,ji->", jt, jt)
-        trace = np.trace(jt)
-    else:
-        a = np.einsum("j...i,...j->...i", rows, x)
-        b = np.einsum("j...i,...i->...j", rows, x)
-        frob = np.einsum("j...i,j...i->...", rows, rows)
-        trace = np.einsum("i...i->...", rows)
-
-    def dot(p, q):
-        return np.einsum("...i,...i->...", p, q)
-
-    return _norm_sq_from_invariants(dot, frob, trace, a, b, x, dot(v, x), x.shape[-1])
-
-
-def unit_shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
-    """‖S_N‖²_F for the unit field N = P·V/|P·V| at the points x, shape
-    (...), from the same one raw Jacobian of V as :func:`shape_norm_sq`.
-
-    With S the shape matrix of V and r = |P·V|, ∇_u N = (I − N Nᵀ)·S u / r,
-    so ‖S_N‖²_F = (‖S‖²_F − |Sᵀ N|²)/r², and Sᵀ N = P·(Jᵀ N) − k·N for
-    tangent N.  Neither N nor its Jacobian goes through the dual engine;
-    for a gradient V = ∇f, S is the Hessian of f and symmetric.
-
-    The points are flattened to one C-ordered (B, m+1) array for the
+    The points are flattened to one C-ordered (B, m+1) array for the one
     dual evaluation, and its results are transposed once to (m+1, B):
     every per-point quantity is then a row of B values, and each inner
     product one contraction over the short leading axis, which numpy
     runs two to five times faster than a contraction over the last axis
-    of (B, m+1) rows (an einsum there, or :func:`inner`).
-    A J that does not depend on x stays one matrix, applied by one matmul
-    to all the points; otherwise it is held as (m+1, m+1, B).
+    of (B, m+1) rows.  A J that does not depend on x (a linear formula,
+    as every Reeb field, or a constant one) stays one matrix, applied by
+    one matmul to all the points, and ‖J‖²_F and tr J are scalars;
+    otherwise J is held as (m+1, m+1, B).  One point is read as a batch
+    of two copies of it, so that it takes the branch and the rounding of
+    any batch: as one column, numpy would contract its coordinate axis
+    contiguously, in another order.
     """
     lead, dim = np.shape(x)[:-1], np.shape(x)[-1]
-    x, v, rows = _raw_jacobian(field, np.ascontiguousarray(x, dtype=float).reshape(-1, dim))
+    x = np.ascontiguousarray(x, dtype=float).reshape(-1, dim)
+    x, v, rows = _raw_jacobian(field, np.repeat(x, 2, axis=0) if len(x) == 1 else x)
     xt, vt = np.ascontiguousarray(x.T), np.ascontiguousarray(v.T)
     if rows.shape[1] == 1:
         jt = rows.reshape(dim, dim)                     # jt[j, i] = J[i, j]
@@ -376,32 +348,48 @@ def unit_shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
         a = np.einsum("jip,jp->ip", jac, xt)
         frob = np.einsum("jip,jip->p", jac, jac)
         trace = np.einsum("iip->p", jac)
-    b = jt_apply(xt)
+    k, c = _cdot(vt, xt), _cdot(a, xt)
+    if reading == "trace":
+        out = trace - c - k * (dim - _cdot(xt, xt))
+    else:
+        b = jt_apply(xt)
+        out = (frob - _cdot(a, a) - _cdot(b, b) + c * c - 2.0 * k * (trace - c)
+               + k * k * (dim - _cdot(xt, xt)))
+    if reading == "unit":
+        g = vt - k * xt                                 # P·V at unit x
+        r_sq = _cdot(g, g)
+        n = g / np.sqrt(r_sq)
+        w = jt_apply(n)
+        stn = w - _cdot(w, xt) * xt - k * n
+        out = (out - _cdot(stn, stn)) / r_sq
+    return out[:int(np.prod(lead))].reshape(lead)
 
-    def dot(p, q):
-        return np.einsum("ip,ip->p", p, q)
 
-    k = dot(vt, xt)
-    norm_sq = _norm_sq_from_invariants(dot, frob, trace, a, b, xt, k, dim)
-    g = vt - k * xt                                     # P·V at unit x
-    r_sq = dot(g, g)
-    n = g / np.sqrt(r_sq)
-    w = jt_apply(n)
-    stn = w - dot(w, xt) * xt - k * n
-    return ((norm_sq - dot(stn, stn)) / r_sq).reshape(lead)
+def shape_trace(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
+    """tr S for the shape matrix S of :func:`shape_matrix` at the points x,
+    shape (...), from the invariants of the raw Jacobian (:func:`_read_shape`).
+    For an ambient gradient V of f, −tr S is the Laplacian of f; for a
+    unit field N, −tr S is the mean curvature of N^⊥."""
+    return _read_shape(field, x, "trace")
 
 
-def divergence(field: AmbientVectorField, y):
-    """Ambient divergence Σᵢ ∂ᵢFᵢ of the projected field F = P·field at
-    the points y (dual-evaluable, leading axes broadcast).
+def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
+    """‖S‖²_F for the shape matrix S of :func:`shape_matrix` at the points
+    x, shape (...), from the invariants of the raw Jacobian
+    (:func:`_read_shape`)."""
+    return _read_shape(field, x, "norm_sq")
 
-    On the sphere this is the trace of the shape matrix P·J·P, J the
-    Jacobian of F, because F ⟂ y near the sphere makes yᵀJy = −⟨F, y⟩ = 0.
+
+def unit_shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
+    """‖S_N‖²_F for the unit field N = P·V/|P·V| at the points x, shape
+    (...), from the same one raw Jacobian of V as :func:`shape_norm_sq`.
+
+    With S the shape matrix of V and r = |P·V|, ∇_u N = (I − N Nᵀ)·S u / r,
+    so ‖S_N‖²_F = (‖S‖²_F − |Sᵀ N|²)/r², and Sᵀ N = P·(Jᵀ N) − k·N for
+    tangent N.  Neither N nor its Jacobian goes through the dual engine;
+    for a gradient V = ∇f, S is the Hessian of f and symmetric.
     """
-    dim = value(y).shape[-1]
-    jac = ad.axis0_to_last(
-        ad.jacobian_rows(lambda w: projected_eval(field, w), y, dim))
-    return dot(dot(jac, np.eye(dim)), np.ones(dim))
+    return _read_shape(field, x, "unit")
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,3 @@ class EnergyEstimate:
     stderr: float
     samples: int
     skipped: int
-
-    def as_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "skipped": self.skipped,
-        }

@@ -13,9 +13,12 @@ h = −Σ g(∇_{E_i}N, E_i).
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 so field formulas must contract over the last axis (``x[..., i]``, never
 ``x[i]``), and checks are defined as in :mod:`kontact.contact`.  Δf and
-the level mean curvature are both minus the ambient divergence
-(``manifold.divergence``) of a projected field, ∇f and N = ∇f/‖∇f‖.
-Checks that need N skip the points where ‖∇f‖ is below EPS_REGULAR.
+the level mean curvature are both minus the trace of a shape matrix
+(``manifold.shape_trace``), read from the raw Jacobian of one formula:
+the ambient gradient of f for Δf and the Hessian, and the unit gradient
+N = ∇f/‖∇f‖, differentiated through its own formula, for the mean
+curvature.  Checks that need N skip the points where ‖∇f‖ is below
+EPS_REGULAR.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ from .manifold import (
     blocks,
     checker,
     cov_deriv_batch,
-    divergence,
     inner,
     proj_np,
     shape_matrix,
+    shape_trace,
 )
 
 EPS_REGULAR = 1e-6
@@ -126,16 +129,22 @@ def gradient_field(f: ScalarField) -> AmbientVectorField:
         tangent=True, label=f"grad({f.label})")
 
 
+def ambient_gradient_field(f: ScalarField) -> AmbientVectorField:
+    """The ambient gradient of f as a raw formula, not tangent off the
+    sphere: its shape matrix is the Hessian matrix of f on the sphere."""
+    return AmbientVectorField(lambda x: ambient_gradient(f, x), tangent=False,
+                              label=f"ambient grad({f.label})")
+
+
 def hessian_matrix(f: ScalarField, x: np.ndarray) -> np.ndarray:
     """Ambient matrix S of Hess_f at the points x (batched): the shape
     matrix of ∇f, so Hess_f(a, b) = g(∇_a ∇f, b) = ⟨S a, b⟩."""
-    return shape_matrix(gradient_field(f), x)
+    return shape_matrix(ambient_gradient_field(f), x)
 
 
 def laplacian_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
-    """Δf = −div ∇f at the points x (batched), the ambient divergence of
-    the projected gradient being the trace of the Hessian matrix."""
-    return -divergence(gradient_field(f), x)
+    """Δf = −div ∇f = −tr Hess_f at the points x (batched)."""
+    return -shape_trace(ambient_gradient_field(f), x)
 
 
 def laplacian(f: ScalarField, p: SpherePoint, frame: Optional[Frame] = None) -> float:
@@ -161,7 +170,7 @@ def level_mean_curvature_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
     """Mean curvature h = −div N of the level sets through the regular
     points x (batched), N the unit gradient: the full tangential trace of
     ∇N equals its trace on N^⊥, since g(∇_N N, N) = 0 for a unit field."""
-    return -divergence(normalized_gradient_field(f), x)
+    return -shape_trace(normalized_gradient_field(f), x)
 
 
 def level_mean_curvature(f: ScalarField, p: SpherePoint) -> float:

@@ -3,14 +3,25 @@
 Each one takes the quantity by another route than the kernel it pins:
 the constant-curvature tensor in closed form, Ricci as a frame sum of
 curvatures, tr L_Z from the full shape matrix, the level mean curvature
-as an explicit frame sum, and x(h) by nested directional derivatives.  All take points (N, m+1) and
-broadcast leading axes as the kernels do.
+as an explicit frame sum, the divergence of a projected field from its
+dual Jacobian, x(h) by differentiating that divergence, dω from its
+definition on projected-constant extensions, and nu_Z by nested
+directional derivatives.  All take points (N, m+1) and broadcast
+leading axes as the kernels do.
 """
 
 import numpy as np
 
 from kontact import ad
-from kontact.manifold import cov_deriv_batch, divergence, frame_batch, inner, shape_matrix
+from kontact.manifold import (
+    constant_field,
+    cov_deriv_batch,
+    frame_batch,
+    inner,
+    lie_bracket_batch,
+    projected_eval,
+    shape_matrix,
+)
 from kontact.scalar_fields import gradient_batch, normalized_gradient_field
 
 
@@ -61,6 +72,20 @@ def mean_curvature_frame_sum(f, x):
     return -np.sum(inner(d, level), axis=-1)
 
 
+def divergence(field, y):
+    """Ambient divergence Σᵢ ∂ᵢFᵢ of the projected field F = P·field at
+    the points y (dual-evaluable, leading axes broadcast), from the dual
+    Jacobian of F.
+
+    On the sphere this is the trace of the shape matrix P·J·P, J the
+    Jacobian of F, because F ⟂ y near the sphere makes yᵀJy = −⟨F, y⟩ = 0.
+    """
+    dim = ad.value(y).shape[-1]
+    jac = ad.axis0_to_last(
+        ad.jacobian_rows(lambda w: projected_eval(field, w), y, dim))
+    return ad.dot(ad.dot(jac, np.eye(dim)), np.ones(dim))
+
+
 def mean_curvature_derivative(field, x, directions):
     """Directional derivatives of h = −div Z at the points x (..., m+1)
     along tangent directions (..., k, m+1), exact; returns shape (..., k).
@@ -71,3 +96,55 @@ def mean_curvature_derivative(field, x, directions):
     """
     return ad.value(ad.directional(lambda y: -divergence(field, y),
                                    x[..., None, :], directions))
+
+
+def exterior_derivative_batch(coeff_field, x, a, b):
+    """dω(a,b) at the points x for a one-form given by ambient
+    coefficients, by the definition A(ω(B)) − B(ω(A)) − ω([A,B]) on the
+    projected-constant extensions of a and b; leading axes of x, a and b
+    broadcast."""
+    ext_a, ext_b = constant_field(a), constant_field(b)
+    t1 = ad.value(ad.directional(
+        lambda y: ad.dot(coeff_field(y), projected_eval(ext_b, y)), x, a))
+    t2 = ad.value(ad.directional(
+        lambda y: ad.dot(coeff_field(y), projected_eval(ext_a, y)), x, b))
+    bracket = lie_bracket_batch(ext_a, ext_b, x)
+    t3 = inner(np.asarray(ad.value(coeff_field(x)), dtype=float), bracket)
+    return t1 - t2 - t3
+
+
+def adjoint_apply(field, x, w):
+    """A^t at x applied to w, as a dual-evaluable ambient expression.
+
+    Row i of the batched Jacobian is D_{e_i}(projected field), so dotting
+    the rows with P·w assembles (Jacobian)^T · P·w in one evaluation.
+    Leading axes of x and w broadcast.
+    """
+    dim = ad.value(x).shape[-1]
+    pw = ad.proj_tangent(x, w)
+    rows = ad.jacobian_rows(lambda y: projected_eval(field, y), x, dim)
+    jt_pw = ad.axis0_to_last(ad.dot(rows, pw))
+    return -ad.proj_tangent(x, jt_pw)
+
+
+def harmonicity_form_batch(field, x, directions, frames=None):
+    """nu_Z at the points x (..., m+1) for directions (..., k, m+1), by
+    nested directional derivatives; returns shape (..., k).
+
+    nu_Z(x) = Σ_i g(D_{u_i}(A^t x̃), u_i) with x̃ the projected-constant
+    extension; the term A^t(∇_u x̃) of (∇_u A^t)x vanishes because
+    ∇_u x̃ = 0 at the base point.  The sum over an orthonormal frame u_i
+    is the ambient Jacobian of A^t x̃ contracted with Σ_i u_i u_iᵀ, which
+    is P = I − x xᵀ unless ``frames`` (..., m, m+1) are given.
+    """
+    dim = x.shape[-1]
+    base = x[..., None, None, :]                          # (..., 1, 1, m+1)
+    axes = np.eye(dim)[:, None, :]                        # (m+1, 1, m+1)
+    w = directions[..., None, :, :]                       # (..., 1, k, m+1)
+    jac = ad.value(ad.directional(
+        lambda y: adjoint_apply(field, y, ad.lift(w, y)), base, axes))
+    if frames is None:
+        trace = np.eye(dim) - x[..., :, None] * x[..., None, :]
+    else:
+        trace = np.swapaxes(frames, -1, -2) @ frames
+    return np.einsum("...bka,...ba->...k", jac, trace)

@@ -14,16 +14,11 @@ from kontact.cli import SuiteConfig, run_suite
 from kontact.contact import (
     _d_on_frames,
     d_on_pairs,
-    exterior_derivative_batch,
     killing_residual_batch,
     sasakian_residual_batch,
     volume_form_batch,
 )
-from kontact.harmonic import (
-    _adjoint_apply,
-    _trace_l_batch,
-    harmonicity_form_batch,
-)
+from kontact.harmonic import _contract, _jet, _trace_l_batch
 from kontact.manifold import (
     BLOCK,
     apply,
@@ -36,9 +31,22 @@ from kontact.manifold import (
     random_tangent_batch,
     sample_coords,
 )
-from kontact.scalar_fields import EPS_REGULAR, hessian_matrix, normalized_gradient_field
+from kontact.scalar_fields import (
+    EPS_REGULAR,
+    hessian_matrix,
+    laplacian_batch,
+    level_mean_curvature_batch,
+    normalized_gradient_field,
+)
 
-from oracles import curvature, trace_l, values
+from oracles import (
+    adjoint_apply,
+    curvature,
+    exterior_derivative_batch,
+    harmonicity_form_batch,
+    trace_l,
+    values,
+)
 
 DIMS = (3, 5, 7)
 
@@ -281,6 +289,8 @@ def test_one_jacobian_d_is_the_exterior_derivative_on_pairs(setting):
 
 
 def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
+    # the one-point form is one row of the jet contraction the checks take;
+    # the nested oracle is held to the per-point frame loop
     pair, f, pts, x = setting
     dim = x.shape[1] - 1
     for zf in (kt.normalized_gradient_unit_field(f), twisted(dim)):
@@ -288,13 +298,34 @@ def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
         xk = np.array([p.coords for p in kept])
         z = kt.manifold.proj_np(xk, ad.value(zf.field.eval(xk)))
         frames = frame_batch(xk, z[:, None, :])
-        batch = harmonicity_form_batch(zf.field, xk, frames[:, 1:])
-        for p, row, fr, zp in zip(kept, batch, frames, z):
+        batch = _contract(xk, *_jet(zf.field, xk), frames[:, 1:])[0]
+        oracle = harmonicity_form_batch(zf.field, xk, frames[:, 1:])
+        for p, row, ref_row, fr, zp in zip(kept, batch, oracle, frames, z):
             frame = kt.gram_schmidt_frame(p, [kt.TangentVector(p, zp)])
-            for value, vec in zip(row, fr[1:]):
+            for value, ref, vec in zip(row, ref_row, fr[1:]):
                 x_dir = kt.TangentVector(p, vec)
-                assert abs(value - kt.harmonicity_form(zf, x_dir)) <= 1e-13
-                assert abs(value - loop_nu(zf, x_dir, frame)) <= 1e-12
+                assert kt.harmonicity_form(zf, x_dir) == value
+                assert abs(ref - loop_nu(zf, x_dir, frame)) <= 1e-12
+
+
+def test_bench_bound_wrappers_are_one_row_of_the_suite_kernels(setting):
+    # each one-point derivative wrapper the benchmark traces reads exactly
+    # the row of the batched kernel that the suite runs at that point
+    pair, f, pts, x = setting
+    s, zf = pair.s_alpha, kt.normalized_gradient_unit_field(f)
+    uv = random_tangent_batch(x, np.random.default_rng(3), (2,))
+    d_alpha = d_on_pairs(s.alpha_coeffs, x, uv[:, 0], uv[:, 1])
+    z = proj_np(x, ad.value(zf.field.eval(x)))
+    frames = frame_batch(x, z[:, None, :])[:, 1:]
+    nu = _contract(x, *_jet(zf.field, x), frames)[0]
+    lap, h = laplacian_batch(f, x), level_mean_curvature_batch(f, x)
+    for i, p in enumerate(pts):
+        u, v = (kt.TangentVector(p, w) for w in uv[i])
+        assert kt.exterior_derivative(s.alpha_coeffs, u, v) == d_alpha[i]
+        assert [kt.harmonicity_form(zf, kt.TangentVector(p, w)) for w in frames[i]] == list(nu[i])
+        assert kt.laplacian(f, p) == lap[i]
+        assert kt.level_mean_curvature(f, p) == h[i]
+        assert kt.mean_curvature_of_field(zf, p) == h[i]
 
 
 def loop_nu(zf, x, frame):
@@ -305,8 +336,8 @@ def loop_nu(zf, x, frame):
     total = 0.0
     for u in frame:
         d1 = ad.value(ad.directional(
-            lambda y: _adjoint_apply(zf.field, y, ad.lift(x.vec, y)), p, u.vec))
-        d2 = ad.value(_adjoint_apply(zf.field, p, kt.cov_deriv(ext_x, u).vec))
+            lambda y: adjoint_apply(zf.field, y, ad.lift(x.vec, y)), p, u.vec))
+        d2 = ad.value(adjoint_apply(zf.field, p, kt.cov_deriv(ext_x, u).vec))
         total += (proj_np(p, d1) - proj_np(p, d2)) @ u.vec
     return total
 

@@ -68,13 +68,13 @@ def seeded_generators(dim):
 @pytest.mark.parametrize("dim", [3, 5, 7])
 def test_sigma_probe_takes_d_alpha_once(dim, monkeypatch):
     calls = []
-    real = contact.exterior_derivative_batch
+    real = contact.d_on_pairs
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(contact, "exterior_derivative_batch", counting)
+    monkeypatch.setattr(contact, "d_on_pairs", counting)
     for j in seeded_generators(dim):
         calls.clear()
         assert kt.build_from_complex_structure(j).sigma == -1

@@ -22,7 +22,6 @@ from kontact.manifold import (
     constant_field,
     cov_deriv_batch,
     curvature_numeric_batch,
-    divergence,
     frame_batch,
     inner,
     lie_bracket_batch,
@@ -32,12 +31,13 @@ from kontact.manifold import (
     sample_coords,
     shape_matrix,
     shape_norm_sq,
+    shape_trace,
     sweep,
 )
 from kontact.report import ResidualReport
 from kontact.scalar_fields import gradient_batch
 
-from oracles import curvature, ricci_frame_sum, ricci_operator_frame_sum, values
+from oracles import curvature, divergence, ricci_frame_sum, ricci_operator_frame_sum, values
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 Q = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
@@ -507,14 +507,6 @@ def test_sweep_probes_each_precondition_once():
     assert probed == [1, 2]
 
 
-def test_divergence_is_the_trace_of_the_shape_matrix(pair3, angle3, pts3_plain):
-    x = pts3_plain
-    for field in (pair3.s_alpha.reeb_field(), constant_field(np.arange(4.0)),
-                  kt.gradient_field(angle3)):
-        trace = np.trace(shape_matrix(field, x), axis1=-2, axis2=-1)
-        assert np.max(np.abs(divergence(field, x) - trace)) < 1e-13
-
-
 def test_extension_field_restriction(pts3, rng):
     # the projected constant through a tangent vector restricts to it
     x = pts3[:1]
@@ -650,6 +642,22 @@ def test_shape_norm_sq_keeps_a_constant_jacobian_as_one_matrix(dim):
             got = (dim - 1) + shape_norm_sq(field, y)
             assert got.shape == ref.shape == y.shape[:-1], label
             assert np.max(np.abs(got - ref) / ref) < 1e-13, (label, y.shape)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8], ids=["s3", "s5", "s7"])
+def test_shape_trace_is_the_trace_of_the_shape_matrix(dim):
+    # on fields with ⟨x, V⟩ ≠ 0 and on fields whose Jacobian is one matrix,
+    # against the matrix and against the divergence of the projected field
+    x = sample_coords(200, dim + 5, dim)
+    fields = gauss_fields(dim) + [(label, field, None)
+                                  for label, field in constant_jacobian_fields(dim)]
+    for label, field, guard in fields:
+        y = x if guard is None else x[guard(x)]
+        got = shape_trace(field, y)
+        scale = np.maximum(1.0, np.abs(got))
+        matrix = np.trace(shape_matrix(field, y), axis1=-2, axis2=-1)
+        assert np.max(np.abs(got - matrix) / scale) <= 1e-13, label
+        assert np.max(np.abs(got - divergence(field, y)) / scale) <= 1e-13, label
 
 
 @pytest.mark.parametrize("make", [lambda c: (lambda x: ad.lift(c, x)),
