@@ -6,7 +6,21 @@ geometry quantitatively: contact axioms, Killing and Sasakian
 identities, transnormality and isoparametricity of the angle function
 between the Reeb fields, level-surface mean curvature, and the
 harmonicity of the normalized gradient as a unit vector field.
+
+Importing the package before numpy pins the BLAS thread pools to one
+thread (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``)
+unless the environment sets them: the kernels run many small products
+per block, and on them an unpinned pool measured slower than one
+thread.  Once numpy is imported its pools are sized, so nothing is set
+then.
 """
+
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, "1")
 
 from .errors import (
     BasePointMismatchError,

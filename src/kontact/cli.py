@@ -399,8 +399,7 @@ def _energy_field(args, pair) -> tuple[UnitVectorField, Optional[float]]:
     if not (0.0 < args.exclusion < 1.0):
         raise ValueError("exclusion must lie in (0, 1)")
     cutoff = args.exclusion
-    return replace(
-        zf, guard=lambda x: zf.guard(x) & (np.abs(value(f.eval(x))) <= cutoff)), None
+    return replace(zf, guard=lambda x: np.abs(value(f.eval(x))) <= cutoff), None
 
 
 def _cmd_energy(args) -> int:

@@ -35,15 +35,19 @@ contraction.  The tests hold the contractions to nested directional
 derivatives of A^t w̃ and of div F.
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
-and a unit field's guard maps points (..., m+1) to a mask the same way;
-checks skip the points outside the guard.  :func:`energy` draws its
-samples with ``manifold.sample_coords`` and evaluates them in blocks of
-4 · ``manifold.BLOCK``: its integrand holds one first-order Jacobian per
-point, (m+1)× less than the second-order jets ``BLOCK`` is sized for, so
-fewer, larger blocks pay less dispatch in the dual engine.  Its integrand
-is tr L_Z = m + ‖S‖²_F (S the shape matrix, ∇_u Z = S u), and ‖S‖²_F
-comes from invariants of the raw Jacobian J of Z's formula: with
-a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, Z⟩,
+and a unit field's domain (:meth:`UnitVectorField.domain`: its guard
+and, for a unit gradient, where its potential is regular) maps points
+(..., m+1) to a mask the same way; checks skip the points outside it.
+In a sweep a unit gradient reads its regularity from the block's ∇f
+(``scalar_fields.gradient_and_norm``), which the checks on f compute
+anyway.
+:func:`energy` draws its samples with ``manifold.sample_coords`` and
+evaluates them in blocks of 4 · ``manifold.BLOCK``: its integrand holds
+one first-order Jacobian per point, (m+1)× less than the second-order
+jets ``BLOCK`` is sized for, so fewer, larger blocks pay less dispatch
+in the dual engine.  Its integrand is tr L_Z = m + ‖S‖²_F (S the shape
+matrix, ∇_u Z = S u), and ‖S‖²_F comes from invariants of the raw
+Jacobian J of Z's formula: with a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, Z⟩,
 
     ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
 
@@ -65,12 +69,13 @@ where H is the shape matrix of the raw ambient gradient V, whose
 Jacobian J is the ambient Hessian of f: ‖H‖²_F is the norm above, and
 H N = P·(J N) − ⟨x, V⟩·N (``manifold.unit_shape_norm_sq``, from the
 same invariants).  For the angle function V is linear, so J is again
-one matrix.  Every other field, and a unit gradient built without its
-potential, takes the Jacobian of its own formula.  The guard of such a
-field evaluates V once more, at every point of the block, for |P·V|.
-It stays a pass of its own so that a guard composed over it
-(``dataclasses.replace(zf, guard=…)``, as the CLI's ``--exclusion``)
-still decides which points the integrand sees.
+one matrix.  The same reading returns r = |P·V|, so where f is regular
+comes from the integrand's own V: one evaluation of V per block, none
+for the domain.  Every other field, and a unit gradient built without
+its potential, takes the Jacobian of its own formula.  Either integrand
+runs on a copy of the block's rows inside the guard, as few as a narrow
+``--exclusion`` band keeps; the rows of a unit gradient where f is not
+regular are dropped from its values by one ``np.where``.
 """
 
 from __future__ import annotations
@@ -105,10 +110,11 @@ from .manifold import (
 )
 from .report import EnergyEstimate
 from .scalar_fields import (
-    EPS_REGULAR,
     ScalarField,
-    ambient_gradient,
     ambient_gradient_field,
+    gradient_and_norm,
+    gradient_norm,
+    is_regular,
     normalized_gradient_field,
 )
 
@@ -122,18 +128,38 @@ def _everywhere(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UnitVectorField:
-    """Tangent unit field with a domain guard for its singular set.
+    """Tangent unit field, defined on the points :meth:`domain` keeps.
 
     ``guard`` maps points (..., m+1) to a boolean mask (..., ), False
-    where the field is undefined; a single point is a 1-D array.
-    ``potential`` is f when the field is the unit gradient ∇f/|∇f|, and
-    None otherwise.
+    where the field is not to be evaluated; a single point is a 1-D
+    array.  ``potential`` is f when the field is the unit gradient
+    ∇f/|∇f|, and None otherwise.  A unit gradient is undefined where f is
+    not regular (``scalar_fields.is_regular``), which its potential
+    decides, so its guard holds only further limits, such as the
+    ``--exclusion`` band |f| ≤ c.  Dropping the potential of a unit
+    gradient drops its regularity with it: ``replace(zf, potential=None)``
+    is defined up to the critical set unless its guard takes the old
+    domain, ``replace(zf, potential=None, guard=zf.domain)``.
     """
 
     field: AmbientVectorField
     guard: Callable[[np.ndarray], np.ndarray] = _everywhere
     label: str = ""
     potential: Optional[ScalarField] = None
+
+    def domain(self, points: np.ndarray,
+               norm: Optional[Callable[[ScalarField], np.ndarray]] = None) -> np.ndarray:
+        """Where the field is defined at the points: inside its guard and,
+        for a unit gradient, where its potential f is regular.  ``norm(f)``
+        gives ‖∇f‖ at the points when the caller holds it already (the
+        block of a sweep); :func:`energy` applies the same two limits in
+        turn, the guard to the points and regularity to the |P·V| of its
+        integrand."""
+        keep = np.asarray(self.guard(points), dtype=bool)
+        if self.potential is None:
+            return keep
+        r = gradient_norm(self.potential, points) if norm is None else norm(self.potential)
+        return keep & is_regular(r)
 
 
 def reeb_unit_field(structure) -> UnitVectorField:
@@ -142,44 +168,23 @@ def reeb_unit_field(structure) -> UnitVectorField:
 
 
 def normalized_gradient_unit_field(f: ScalarField) -> UnitVectorField:
-    """N = ∇f/‖∇f‖ guarded away from the critical set (‖∇f‖ < EPS_REGULAR).
-
-    The guard evaluates the ambient gradient V once and takes ‖∇f‖ =
-    |V − ⟨x, V⟩x| with two einsum contractions over the rows of the
-    flattened points: the arithmetic of ``gradient_batch``, whose
-    stacked-matmul inner products round differently, at about three
-    quarters of its cost on a block of 4096 points."""
-
-    def guard(points: np.ndarray) -> np.ndarray:
-        x = np.asarray(points, dtype=float)
-        v = np.broadcast_to(value(ambient_gradient(f, x)), x.shape)
-        x2, v2 = x.reshape(-1, x.shape[-1]), v.reshape(-1, x.shape[-1])
-        g = v2 - np.einsum("pi,pi->p", v2, x2)[:, None] * x2
-        return (np.sqrt(np.einsum("pi,pi->p", g, g)) >= EPS_REGULAR).reshape(x.shape[:-1])
-
-    return UnitVectorField(normalized_gradient_field(f), guard=guard,
-                           label=f"N({f.label})", potential=f)
+    """N = ∇f/‖∇f‖, defined off the critical set of f (its potential)."""
+    return UnitVectorField(normalized_gradient_field(f), label=f"N({f.label})",
+                           potential=f)
 
 
 def normalized_constant_unit_field(c: np.ndarray) -> UnitVectorField:
     """Unit projection of a constant vector (the radial field between the
-    poles ±c/|c|), guarded where the projection is shorter than EPS_REGULAR.
+    poles ±c/|c|): the unit gradient of the height function ⟨x, c⟩.
 
-    Note this is the normalized gradient of the height function along c,
-    which is isoparametric, so the field is itself harmonic; use
+    That function is isoparametric, so the field is itself harmonic; use
     :func:`twisted_unit_field` when a non-harmonic control is needed.
     """
     c = np.asarray(c, dtype=float)
-
-    def evaluator(x):
-        return ad.unit(proj_tangent(x, ad.lift(c, x)))
-
-    def guard(points: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(proj_np(points, c), axis=-1) >= EPS_REGULAR
-
-    return UnitVectorField(
-        AmbientVectorField(evaluator, tangent=True, label="unit constant"),
-        guard=guard, label="unit projected constant")
+    height = ScalarField(eval=lambda x: dot(x, c), grad=lambda x: ad.lift(c, x),
+                         label="height along c")
+    return UnitVectorField(normalized_gradient_field(height), label="unit projected constant",
+                           potential=height)
 
 
 def twisted_unit_field(c: np.ndarray, a: np.ndarray, d: np.ndarray) -> UnitVectorField:
@@ -210,40 +215,61 @@ def twisted_unit_field(c: np.ndarray, a: np.ndarray, d: np.ndarray) -> UnitVecto
 
 def weingarten_ambient_matrix(zf: UnitVectorField, p: SpherePoint) -> np.ndarray:
     """Ambient matrix of A_Z at p: minus the shape matrix of the field."""
-    if not zf.guard(p.coords):
-        raise RegularityError("Weingarten operator outside the guarded domain")
+    if not zf.domain(p.coords):
+        raise RegularityError("Weingarten operator outside the field's domain")
     return -shape_matrix(zf.field, p.coords)
 
 
 # ---------------------------------------------------------------------------
 # energy
 
-def _trace_l_batch(zf: UnitVectorField, points: np.ndarray) -> np.ndarray:
-    """tr L_Z = m + ‖S‖²_F over a batch of points (rows of unit vectors),
-    S the shape matrix of the field, with ‖S‖²_F taken from invariants of
-    one raw Jacobian (formulas in the module docstring), so no
-    (m+1)×(m+1) matrix per point is built.  A unit gradient is
-    differentiated through the raw ambient gradient of its potential
-    (``manifold.unit_shape_norm_sq``), any other field through its own
-    formula (``manifold.shape_norm_sq``)."""
-    m = points.shape[-1] - 1
+def _trace_l_batch(zf: UnitVectorField, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tr L_Z = m + ‖S‖²_F at the points x (..., m+1) where Z is defined,
+    0 elsewhere, and that mask (its domain); S is the shape matrix of the
+    field, with ‖S‖²_F taken from invariants of one raw Jacobian (formulas
+    in the module docstring), so no (m+1)×(m+1) matrix per point is built.
+
+    The integrand runs on a copy of the rows inside the guard.  A unit
+    gradient is differentiated through the raw ambient gradient of its
+    potential (``manifold.unit_shape_norm_sq``), whose |P·V| = ‖∇f‖ there
+    decides where f is regular; any other field goes through its own
+    formula (``manifold.shape_norm_sq``).  Raises FloatingPointError if
+    a value inside the domain is not finite."""
+    m = np.shape(x)[-1] - 1
+    keep = np.array(zf.guard(x), dtype=bool)
+    vals = np.zeros(keep.shape)
+    if not keep.any():
+        return vals, keep
+    # np.compress copies a block of 4 · BLOCK rows of S^5, nine in ten
+    # kept, in a median 28 µs against 100 µs for x[keep]
+    rows = np.compress(keep.ravel(), np.reshape(x, (-1, m + 1)), axis=0)
     if zf.potential is None:
-        return m + shape_norm_sq(zf.field, points)
-    return m + unit_shape_norm_sq(ambient_gradient_field(zf.potential), points)
+        vals[keep] = m + shape_norm_sq(zf.field, rows)
+    else:
+        with np.errstate(all="ignore"):     # N is undefined where r = 0
+            norm_sq, r = unit_shape_norm_sq(ambient_gradient_field(zf.potential), rows)
+        inside = is_regular(r)
+        vals[keep] = np.where(inside, m + norm_sq, 0.0)
+        keep[keep] = inside
+    if not np.isfinite(vals).all():
+        raise FloatingPointError("tr L is not finite at a point of the field's domain")
+    return vals, keep
 
 
 def energy(zf: UnitVectorField, sample_size: int, seed: int,
            ambient_dim: int) -> EnergyEstimate:
     """Monte Carlo estimate of E(Z) = ½ ∫ tr L_Z dV with a standard error.
 
-    Guarded-out points contribute zero, so for a guard that excludes a
-    positive-measure region this estimates the energy of the restricted
-    domain.  The points and the integrand values are held for all samples,
-    so memory is O(sample_size); the guard and tr L_Z run over blocks of
-    4 · ``manifold.BLOCK`` samples (read at call time), which bounds only
-    the per-block Jacobians.  Summation is a single deterministic pairwise
-    reduction over all samples, so the result does not depend on the
-    block size.
+    Points outside the field's domain contribute zero and count as
+    skipped, so for a guard that excludes a positive-measure region this
+    estimates the energy of the restricted domain.  The points and the
+    integrand values are held for all samples, so memory is
+    O(sample_size); the guard and tr L_Z run over blocks of 4 ·
+    ``manifold.BLOCK`` samples (read at call time), which bounds only the
+    per-block Jacobians.  Each block is one pass of :func:`_trace_l_batch`,
+    which evaluates the integrand on the block's rows inside the guard.
+    Summation is a single deterministic pairwise reduction over all
+    samples, so the result does not depend on the block size.
 
     The samples are drawn all at once, not block by block.  Drawn per
     block, one energy s5 call in a fresh process (100 000 samples) took
@@ -256,7 +282,7 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     if sample_size < 2:
         raise ValueError("samples must be >= 2 for a standard error")
     points = sample_coords(sample_size, seed, ambient_dim)
-    vals = np.zeros(sample_size)
+    vals = np.empty(sample_size)
     kept = 0
     # A sample of this integrand carries one first-order Jacobian, (m+1)×
     # less than the second-order jet a check's point carries, so its
@@ -268,13 +294,10 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     # raises the peak RSS of verify s7 --samples 20 (its Reeb energy) from
     # 40.0 MB at one, 2 and 4 BLOCK to 40.7 MB; 8 BLOCK is (m+1)× there.
     for sl in blocks(sample_size, 4 * manifold.BLOCK):
-        x = points[sl]
-        mask = np.asarray(zf.guard(x), dtype=bool)
-        if np.any(mask):
-            vals[sl][mask] = _trace_l_batch(zf, x[mask])
-        kept += int(np.count_nonzero(mask))
+        vals[sl], keep = _trace_l_batch(zf, points[sl])
+        kept += int(np.count_nonzero(keep))
     if kept == 0:
-        raise SamplingExhaustedError("the guard rejected every sample")
+        raise SamplingExhaustedError("no sample lies in the field's domain")
     vol = sphere_volume(ambient_dim - 1)
     estimate = 0.5 * vol * float(np.mean(vals))
     stderr = 0.5 * vol * float(np.std(vals, ddof=1)) / np.sqrt(sample_size)
@@ -293,11 +316,11 @@ def reeb_energy_closed_form(m: int) -> float:
 def harmonicity_form(zf: UnitVectorField, x: TangentVector) -> float:
     """nu_Z(x) = Σ_i g((∇_{u_i} A^t) x, u_i) over an orthonormal frame u_i:
     one row of the contraction of the jet that the checks take
-    (:func:`_contract`), frame-free.  Raises outside the guard, and for a
-    direction not orthogonal to the field."""
+    (:func:`_contract`), frame-free.  Raises outside the field's domain,
+    and for a direction not orthogonal to the field."""
     p = x.base
-    if not zf.guard(p.coords):
-        raise RegularityError("harmonicity form outside the guarded domain")
+    if not zf.domain(p.coords):
+        raise RegularityError("harmonicity form outside the field's domain")
     z = proj_np(p.coords, np.asarray(value(zf.field.eval(p.coords)), dtype=float))
     if abs(inner(x.vec, z)) > 1e-8:
         raise PreconditionError("direction must be orthogonal to the field")
@@ -336,9 +359,11 @@ def _harmonic_block(field: AmbientVectorField, x: np.ndarray) -> tuple:
     return np.max(np.abs(nu), axis=-1), np.max(np.abs(wh - ric), axis=-1)
 
 
-def _guarded(b: Block, zf: UnitVectorField) -> np.ndarray:
-    """Where a block's points lie inside the field's guard."""
-    return np.asarray(zf.guard(b.x), dtype=bool)
+def _in_domain(b: Block, zf: UnitVectorField) -> np.ndarray:
+    """:meth:`UnitVectorField.domain` on a block: a unit gradient reads
+    where its potential is regular from the block's ∇f, which the checks
+    on f share."""
+    return zf.domain(b.x, lambda f: gradient_and_norm(b, f)[1])
 
 
 @checker(lambda zf, points: as_field_points(points, zf.field.eval))
@@ -346,7 +371,7 @@ def harmonicity_check(zf: UnitVectorField) -> Check:
     """max |nu_Z(x)| over frame directions x ⟂ Z at each point."""
     return Check("nu_form", HARMONIC_TOL, lambda b: b.of(_harmonic_block, zf.field)[0],
                  "first variation of the energy on the orthogonal complement",
-                 keep=(_guarded, zf))
+                 keep=(_in_domain, zf))
 
 
 @checker(lambda zf, points: as_field_points(points, zf.field.eval))
@@ -360,7 +385,7 @@ def critical_condition_check(zf: UnitVectorField) -> Check:
     return Check("critical_condition", HARMONIC_TOL,
                  lambda b: b.of(_harmonic_block, zf.field)[1],
                  "derivative of the mean curvature against ricci(., N)",
-                 keep=(_guarded, zf))
+                 keep=(_in_domain, zf))
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +395,6 @@ def mean_curvature_of_field(zf: UnitVectorField, p: SpherePoint) -> float:
     """h = −Σ g(∇_{E_i}Z, E_i) over a frame of Z^⊥ (trace of A_Z there),
     taken frame-free as minus the trace of the shape matrix of the field
     (``manifold.shape_trace``): g(∇_Z Z, Z) = 0 for a unit field."""
-    if not zf.guard(p.coords):
-        raise RegularityError("mean curvature outside the guarded domain")
+    if not zf.domain(p.coords):
+        raise RegularityError("mean curvature outside the field's domain")
     return -float(shape_trace(zf.field, p.coords))

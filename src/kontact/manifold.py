@@ -311,7 +311,8 @@ def _read_shape(field: AmbientVectorField, x: np.ndarray, reading: str) -> np.nd
         "norm_sq":  ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
 
     at O((m+1)²) per point instead of two (m+1)×(m+1) products, and
-    "unit" reads ‖S_N‖²_F for N = P·V/|P·V| (:func:`unit_shape_norm_sq`).
+    "unit" reads ‖S_N‖²_F for N = P·V/|P·V| together with |P·V|
+    (:func:`unit_shape_norm_sq`).
 
     The points are flattened to one C-ordered (B, m+1) array for the one
     dual evaluation, and its results are transposed once to (m+1, B):
@@ -355,14 +356,16 @@ def _read_shape(field: AmbientVectorField, x: np.ndarray, reading: str) -> np.nd
         b = jt_apply(xt)
         out = (frob - _cdot(a, a) - _cdot(b, b) + c * c - 2.0 * k * (trace - c)
                + k * k * (dim - _cdot(xt, xt)))
-    if reading == "unit":
-        g = vt - k * xt                                 # P·V at unit x
-        r_sq = _cdot(g, g)
-        n = g / np.sqrt(r_sq)
-        w = jt_apply(n)
-        stn = w - _cdot(w, xt) * xt - k * n
-        out = (out - _cdot(stn, stn)) / r_sq
-    return out[:int(np.prod(lead))].reshape(lead)
+    if reading != "unit":
+        return out[:int(np.prod(lead))].reshape(lead)
+    g = vt - k * xt                                     # P·V at unit x
+    r_sq = _cdot(g, g)
+    r = np.sqrt(r_sq)
+    n = g / r
+    w = jt_apply(n)
+    stn = w - _cdot(w, xt) * xt - k * n
+    out = (out - _cdot(stn, stn)) / r_sq
+    return tuple(q[:int(np.prod(lead))].reshape(lead) for q in (out, r))
 
 
 def shape_trace(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
@@ -380,14 +383,17 @@ def shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     return _read_shape(field, x, "norm_sq")
 
 
-def unit_shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
-    """‖S_N‖²_F for the unit field N = P·V/|P·V| at the points x, shape
-    (...), from the same one raw Jacobian of V as :func:`shape_norm_sq`.
+def unit_shape_norm_sq(field: AmbientVectorField, x: np.ndarray) -> tuple:
+    """‖S_N‖²_F for the unit field N = P·V/|P·V| at the points x, and
+    r = |P·V| there, each of shape (...), from the same one raw Jacobian
+    of V as :func:`shape_norm_sq`.
 
-    With S the shape matrix of V and r = |P·V|, ∇_u N = (I − N Nᵀ)·S u / r,
-    so ‖S_N‖²_F = (‖S‖²_F − |Sᵀ N|²)/r², and Sᵀ N = P·(Jᵀ N) − k·N for
+    With S the shape matrix of V, ∇_u N = (I − N Nᵀ)·S u / r, so
+    ‖S_N‖²_F = (‖S‖²_F − |Sᵀ N|²)/r², and Sᵀ N = P·(Jᵀ N) − k·N for
     tangent N.  Neither N nor its Jacobian goes through the dual engine;
-    for a gradient V = ∇f, S is the Hessian of f and symmetric.
+    for a gradient V = ∇f, S is the Hessian of f and symmetric, and r is
+    ‖∇f‖, so the caller can tell where N is defined without evaluating V
+    again.  Where r = 0 the norm is not finite.
     """
     return _read_shape(field, x, "unit")
 

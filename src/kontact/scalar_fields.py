@@ -18,7 +18,9 @@ the level mean curvature are both minus the trace of a shape matrix
 the ambient gradient of f for Δf and the Hessian, and the unit gradient
 N = ∇f/‖∇f‖, differentiated through its own formula, for the mean
 curvature.  Checks that need N skip the points where ‖∇f‖ is below
-EPS_REGULAR.
+EPS_REGULAR; :func:`is_regular` is that policy, applied to the norms
+of a block (:func:`regular`), of points (:func:`gradient_norm`) and of
+an integrand that holds them already (``harmonic.energy``).
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def level_mean_curvature(f: ScalarField, p: SpherePoint) -> float:
     set; it is evaluated frame-free as −div N.  Raises
     :class:`RegularityError` where ‖∇f‖ is below EPS_REGULAR.
     """
-    r = float(np.linalg.norm(gradient_batch(f, p.coords)))
-    if r < EPS_REGULAR:
+    r = float(gradient_norm(f, p.coords))
+    if not is_regular(r):
         raise RegularityError(f"gradient norm {r} below {EPS_REGULAR} at this point")
     return float(level_mean_curvature_batch(f, p.coords))
 
@@ -200,9 +202,22 @@ def gradient_and_norm(b: Block, f: ScalarField) -> tuple[np.ndarray, np.ndarray]
     return g, np.sqrt(inner(g, g))
 
 
+def is_regular(norm: ArrayLike) -> np.ndarray:
+    """Where a gradient norm ‖∇f‖ = |P·V| is at least EPS_REGULAR: the
+    one regularity policy, where the unit gradient ∇f/‖∇f‖ is defined."""
+    return np.asarray(norm) >= EPS_REGULAR
+
+
 def regular(b: Block, f: ScalarField) -> np.ndarray:
-    """Where ‖∇f‖ ≥ EPS_REGULAR in a block: the points of the checks on N."""
-    return gradient_and_norm(b, f)[1] >= EPS_REGULAR
+    """Where f is regular in a block (:func:`is_regular`): the points of
+    the checks on N."""
+    return is_regular(gradient_and_norm(b, f)[1])
+
+
+def gradient_norm(f: ScalarField, x: np.ndarray) -> np.ndarray:
+    """‖∇f‖ at the points x (batched)."""
+    g = gradient_batch(f, x)
+    return np.sqrt(inner(g, g))
 
 
 def _gradient_points(f: ScalarField, points: ArrayLike) -> np.ndarray:

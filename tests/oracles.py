@@ -22,12 +22,32 @@ from kontact.manifold import (
     projected_eval,
     shape_matrix,
 )
-from kontact.scalar_fields import gradient_batch, normalized_gradient_field
+from kontact.scalar_fields import (
+    EPS_REGULAR,
+    ambient_gradient,
+    gradient_batch,
+    normalized_gradient_field,
+)
 
 
 def values(f, x):
     """The scalar field f at the points x, as floats."""
     return np.asarray(ad.value(f.eval(x)), dtype=float)
+
+
+def regular_mask(f, x):
+    """Where |P·∇f| ≥ EPS_REGULAR at the points x, in plain numpy on the
+    ambient gradient: the reference for every mask of the regularity policy."""
+    v = np.broadcast_to(np.asarray(ad.value(ambient_gradient(f, x)), dtype=float), np.shape(x))
+    g = v - np.sum(v * x, axis=-1, keepdims=True) * x
+    return np.linalg.norm(g, axis=-1) >= EPS_REGULAR
+
+
+def domain_mask(zf, x):
+    """Where the unit field zf is defined at the points x: its guard and,
+    for a unit gradient, :func:`regular_mask` of its potential."""
+    keep = np.asarray(zf.guard(x), dtype=bool)
+    return keep if zf.potential is None else keep & regular_mask(zf.potential, x)
 
 
 def curvature(u, v, w):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kontact as kt
-from kontact import ad, manifold
+from kontact import ad, harmonic, manifold
 from kontact.cli import SuiteConfig, run_suite
 from kontact.contact import (
     _d_on_frames,
@@ -41,6 +41,7 @@ from kontact.scalar_fields import (
 
 from oracles import (
     adjoint_apply,
+    domain_mask,
     curvature,
     exterior_derivative_batch,
     harmonicity_form_batch,
@@ -294,7 +295,7 @@ def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
     pair, f, pts, x = setting
     dim = x.shape[1] - 1
     for zf in (kt.normalized_gradient_unit_field(f), twisted(dim)):
-        kept = [p for p in pts if zf.guard(p.coords)]
+        kept = [p for p in pts if zf.domain(p.coords)]
         xk = np.array([p.coords for p in kept])
         z = kt.manifold.proj_np(xk, ad.value(zf.field.eval(xk)))
         frames = frame_batch(xk, z[:, None, :])
@@ -388,22 +389,35 @@ def test_guarded_point_is_skipped(dim):
 
 def excluded_gradient_field(dim, cutoff=0.9):
     """The unit gradient of the angle function on |f| <= cutoff, as
-    ``kontact energy --field gradient --exclusion`` builds it."""
+    ``kontact energy --field gradient --exclusion`` builds it: the guard
+    holds the band only, regularity comes with the potential."""
     f = kt.standard_pair(dim).angle_function()
-    zf = kt.normalized_gradient_unit_field(f)
-    return replace(
-        zf, guard=lambda x: zf.guard(x) & (np.abs(ad.value(f.eval(x))) <= cutoff))
+    return replace(kt.normalized_gradient_unit_field(f),
+                   guard=lambda x: np.abs(ad.value(f.eval(x))) <= cutoff)
 
 
-def unblocked_energy(zf, sample_size, seed, ambient_dim):
+def twisted_with_a_zero(dim):
+    """A twisted unit field whose projected affine field vanishes exactly
+    at e₀ (c + ⟨e₀, a⟩d = e₀), so its integrand there is not finite."""
+    rng = np.random.default_rng(dim)
+    a, d = rng.standard_normal((2, dim + 1))
+    c = np.eye(dim + 1)[0] - a[0] * d
+    return kt.twisted_unit_field(c, a, d)
+
+
+def plant(points):
+    """The points with e₀ planted at the first, middle and last rows."""
+    out = points.copy()
+    out[[0, len(out) // 2, -1]] = np.eye(out.shape[1])[0]
+    return out
+
+
+def unblocked_energy(zf, points):
     """Estimate, stderr and skipped of the Monte Carlo energy in one pass
-    over all samples: per-axis directional derivatives, then P·J·P."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((sample_size, ambient_dim))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    points = g / norms[:, None]
-    mask = zf.guard(points)
+    over all the points: the field's domain from the numpy oracle, per-axis
+    directional derivatives at the rows inside it, then P·J·P."""
+    sample_size, ambient_dim = points.shape
+    mask = domain_mask(zf, points)
     x = points[mask]
     eye = np.eye(ambient_dim)
     jac = np.stack([ad.value(ad.directional(
@@ -419,19 +433,46 @@ def unblocked_energy(zf, sample_size, seed, ambient_dim):
             sample_size - int(np.count_nonzero(mask)))
 
 
-@pytest.mark.parametrize("dim", (3, 5))
+def drawn_points(sample_size, seed, ambient_dim):
+    """The sample points of ``energy``, drawn independently of ``sample_coords``."""
+    g = np.random.default_rng(seed).standard_normal((sample_size, ambient_dim))
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0.0] = 1.0
+    return g / norms[:, None]
+
+
+ENERGY_CASES = [(dim, field) for field in ("gradient", "twisted", "reeb") for dim in (3, 5)]
+
+
+@pytest.mark.parametrize("dim, field", ENERGY_CASES,
+                         ids=[f"{d}" if f == "gradient" else f"{d}-{f}" for d, f in ENERGY_CASES])
 @pytest.mark.parametrize("size", (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3))
-def test_blocked_energy_matches_one_pass(dim, size, monkeypatch):
+def test_blocked_energy_matches_one_pass(dim, field, size, monkeypatch):
     # energy sweeps blocks of 4 · manifold.BLOCK samples; a quarter BLOCK
-    # makes them BLOCK samples long, so the sizes straddle their boundaries
+    # makes them BLOCK samples long, so the sizes straddle their boundaries.
+    # e₀ is planted in the first, a middle and the last block: a focal point
+    # of the gradient's potential (outside its band too), a zero of the
+    # twisted field, where its integrand is not finite, and a plain point of
+    # the Reeb field; what the domain drops must not reach any output
     monkeypatch.setattr(manifold, "BLOCK", BLOCK // 4)
-    zf = excluded_gradient_field(dim)
+    monkeypatch.setattr(harmonic, "sample_coords",
+                        lambda *args, sample=harmonic.sample_coords: plant(sample(*args)))
+    zf = {"gradient": lambda: excluded_gradient_field(dim),
+          "twisted": lambda: twisted_with_a_zero(dim),
+          "reeb": lambda: kt.reeb_unit_field(kt.standard_pair(dim).s_alpha)}[field]()
+    if field == "twisted":
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(trace_l(zf, np.eye(dim + 1)[:1])).any()
     est = kt.energy(zf, size, 17, dim + 1)
-    estimate, stderr, skipped = unblocked_energy(zf, size, 17, dim + 1)
+    estimate, stderr, skipped = unblocked_energy(zf, plant(drawn_points(size, 17, dim + 1)))
     assert est.samples == size
-    assert est.skipped == skipped > 0
+    assert est.skipped == skipped
+    assert (skipped >= 3) if field != "reeb" else (skipped == 0)
+    assert np.isfinite(est.estimate) and np.isfinite(est.stderr)
     assert abs(est.estimate - estimate) <= 1e-13 * abs(estimate)
-    assert abs(est.stderr - stderr) <= 1e-13 * abs(stderr)
+    # the Reeb integrand is constant, so its stderr is rounding noise
+    scale = abs(estimate) if field == "reeb" else abs(stderr)
+    assert abs(est.stderr - stderr) <= 1e-13 * scale
 
 
 def test_trace_l_batch_matches_the_point_loop(setting):
@@ -439,8 +480,9 @@ def test_trace_l_batch_matches_the_point_loop(setting):
     dim = x.shape[1] - 1
     for zf in (kt.reeb_unit_field(pair.s_alpha),
                kt.normalized_gradient_unit_field(f), twisted(dim)):
-        kept = x[zf.guard(x)]
-        batch = _trace_l_batch(zf, kept)
+        kept = x[zf.domain(x)]
+        batch, keep = _trace_l_batch(zf, kept)
+        assert keep.all()
         loop = np.array([trace_l(zf, p) for p in kept])
         assert len(kept) > 0
         assert np.max(np.abs(batch - loop)) <= 1e-12

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -392,14 +395,25 @@ def test_cli_energy_flags_the_divergent_gradient_energy(args, diverges, capsys):
 @pytest.mark.parametrize("sphere", ["s3", "s5", "s7"])
 def test_cli_gradient_energy_takes_the_hessian_route(sphere, exclusion, monkeypatch):
     # the CLI's unit gradient keeps its potential, so energy differentiates
-    # the raw gradient of f and never N = ∇f/|∇f| itself; the same field
-    # without the potential goes through the dual Jacobian of N
+    # the raw gradient of f and never N = ∇f/|∇f| itself: one raw Jacobian
+    # per block, and no other evaluation of the ambient gradient (the
+    # regularity of f is read from that Jacobian's own values).  The same
+    # field without the potential, its regularity moved into the guard,
+    # goes through the dual Jacobian of N
     args = build_parser().parse_args(["energy", sphere, "--field", "gradient",
                                       "--samples", "100000", "--seed", "3", *exclusion])
     pair = standard_pair(MANIFOLDS[sphere])
+    f = pair.angle_function()
+    differentiated, gradients = [], []
+
+    def counted_gradient(x):
+        gradients.append(type(x) is ad.Dual)
+        return f.grad(x)
+
+    monkeypatch.setattr(DoubleKContact, "angle_function",
+                        lambda self: replace(f, grad=counted_gradient))
     zf, _ = _energy_field(args, pair)
-    generic = replace(zf, potential=None)
-    differentiated = []
+    generic = replace(zf, potential=None, guard=zf.domain)
     raw_jacobian = manifold._raw_jacobian
 
     def counted(field, x):
@@ -408,7 +422,10 @@ def test_cli_gradient_energy_takes_the_hessian_route(sphere, exclusion, monkeypa
 
     monkeypatch.setattr(manifold, "_raw_jacobian", counted)
     est = kt.energy(zf, args.samples, args.seed, pair.ambient_dim)
-    assert differentiated and zf.field not in differentiated
+    n_blocks = -(-args.samples // (4 * manifold.BLOCK))
+    assert len(differentiated) == n_blocks
+    assert {field.label for field in differentiated} == {f"ambient grad({zf.potential.label})"}
+    assert gradients == [True] * n_blocks
     ref = kt.energy(generic, args.samples, args.seed, pair.ambient_dim)
     assert zf.field in differentiated
     assert est.skipped == ref.skipped
@@ -534,3 +551,26 @@ def test_smoke_config_keeps_the_suite_shape(manifold, capsys):
               None if r["check_name"] == "energy_reeb" else r["tolerance"], r["pass"])
              for r in reports]
     assert shape == SMOKE_SHAPE[manifold]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, numpy_first, expected", [
+    (None, False, "1"), ("2", False, "2"), (None, True, None)],
+    ids=["unset", "set-by-user", "numpy-imported-first"])
+def test_import_pins_the_blas_pools_unless_set(preset, numpy_first, expected):
+    # importing kontact before numpy defaults each BLAS pool to one thread;
+    # a value the user set wins, and once numpy is loaded nothing is set
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    if preset is not None:
+        env.update(dict.fromkeys(BLAS_VARS, preset))
+    code = ("import os\n" + ("import numpy\n" if numpy_first else "") + "import kontact\n"
+            f"print([os.environ.get(v) for v in {BLAS_VARS!r}])")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == repr([expected] * len(BLAS_VARS))

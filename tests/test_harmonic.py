@@ -30,7 +30,13 @@ from kontact.manifold import (
 from kontact.scalar_fields import EPS_REGULAR, gradient_batch, level_mean_curvature_batch
 
 from finite_differences import fd_curve_derivative_5pt
-from oracles import harmonicity_form_batch, mean_curvature_derivative, trace_l, values
+from oracles import (
+    harmonicity_form_batch,
+    mean_curvature_derivative,
+    regular_mask,
+    trace_l,
+    values,
+)
 
 
 @pytest.fixture(scope="module")
@@ -156,19 +162,25 @@ def test_trace_l_of_unit_gradient_matches_the_closed_form(dim):
     keep = np.abs(fv) <= 0.9
     x, fv = x[keep][:2000], fv[keep][:2000]
     assert len(x) == 2000
-    tr = _trace_l_batch(kt.normalized_gradient_unit_field(f), x)
+    tr, keep = _trace_l_batch(kt.normalized_gradient_unit_field(f), x)
+    assert keep.all()
     closed = dim + (1 + fv) / (1 - fv) + (dim - 2) * (1 - fv) / (1 + fv)
     assert np.max(np.abs(tr - closed) / closed) <= 1e-12
 
 
-def cubic_field(dim):
-    """x ↦ ⟨x, a⟩³ + |x|²⟨x, b⟩: no closed-form gradient, and a Jacobian of
-    the ambient gradient that depends on x."""
+def cubic_field(dim, closed_gradient=False):
+    """x ↦ ⟨x, a⟩³ + |x|²⟨x, b⟩: a Jacobian of the ambient gradient that
+    depends on x, and no closed-form gradient unless asked for."""
     rng = np.random.default_rng(100 + dim)
     a, b = rng.standard_normal((2, dim + 1))
+
+    def grad(x):
+        return (ad.sv(3.0 * ad.dot(x, a) ** 2, ad.lift(a, x)) + ad.sv(2.0 * ad.dot(x, b), x)
+                + ad.sv(ad.dot(x, x), ad.lift(b, x)))
+
     return kt.ScalarField(
         eval=lambda x: ad.dot(x, a) ** 3 + ad.dot(x, x) * ad.dot(x, b),
-        label="cubic")
+        grad=grad if closed_gradient else None, label="cubic")
 
 
 def potential_field(name, dim):
@@ -188,19 +200,13 @@ def test_trace_l_of_unit_gradient_from_the_hessian(dim, potential):
     zf = kt.normalized_gradient_unit_field(f)
     assert zf.potential is f
     x = sample_coords(500, dim, dim + 1)
-    x = x[zf.guard(x)]
+    x = x[zf.domain(x)]
     if potential == "angle":
         x = x[np.abs(values(f, x)) <= 0.9]
     assert len(x) > 200
-    hessian = _trace_l_batch(zf, x)
+    hessian = _trace_l_batch(zf, x)[0]
     dual = dim + shape_norm_sq(zf.field, x)
     assert np.max(np.abs(hessian - dual) / dual) <= 1e-12
-
-
-def gradient_norm_mask(f, x):
-    """The guard's reference: |P·∇f| >= EPS_REGULAR from ``gradient_batch``."""
-    g = gradient_batch(f, x)
-    return np.sqrt(inner(g, g)) >= EPS_REGULAR
 
 
 def scaled_potential(f, c):
@@ -216,10 +222,14 @@ def unit_rows(y):
 @pytest.mark.parametrize("dim", [3, 5, 7])
 @pytest.mark.parametrize("potential", ["angle", "height", "cubic"])
 def test_unit_gradient_guard_matches_the_gradient_norm(dim, potential):
-    # the guard takes |P·∇f| from one ambient gradient by its own
-    # contractions; it must keep exactly the points gradient_batch keeps
+    # one regularity policy, |P·∇f| >= EPS_REGULAR, read three ways: the
+    # field's domain, the keep mask the sweep gives nu_form and
+    # critical_condition, and the rows the energy block kernel keeps (from
+    # the |P·V| of its own integrand); each must keep exactly the points
+    # an independent numpy norm keeps, and the one-point wrappers raise
     f = potential_field(potential, dim)
-    guard = kt.normalized_gradient_unit_field(f).guard
+    zf = kt.normalized_gradient_unit_field(f)
+    assert zf.guard(np.eye(dim + 1)).all()              # regularity is not the guard's
     rng = np.random.default_rng(200 + dim)
     x = sample_coords(2000, 50 + dim, dim + 1)
     planted = []
@@ -240,20 +250,40 @@ def test_unit_gradient_guard_matches_the_gradient_norm(dim, potential):
         planted.append(np.stack([e, -e]))
         x = np.concatenate([x, unit_rows(near)])
     for y in planted:
-        assert not guard(y).any()
-        assert not gradient_norm_mask(f, y).any()
+        assert not zf.domain(y).any()
+        assert not regular_mask(f, y).any()
+        p = kt.SpherePoint(y[0])
+        w = kt.TangentVector(p, proj_np(y[0], rng.standard_normal(dim + 1)))
+        for wrapper, arg in ((weingarten_ambient_matrix, p), (mean_curvature_of_field, p),
+                             (harmonicity_form, w)):
+            with pytest.raises(RegularityError):
+                wrapper(zf, arg)
     y = np.concatenate([x] + planted)
-    mask = guard(y)
-    assert np.array_equal(mask, gradient_norm_mask(f, y))
+    mask = regular_mask(f, y)
     assert mask.any() and (potential == "cubic" or not mask.all())
+    assert np.array_equal(zf.domain(y), mask)
+    vals, keep = _trace_l_batch(zf, y)
+    assert np.array_equal(keep, mask)
+    assert np.all(np.isfinite(vals)) and np.all(vals[~mask] == 0.0)
+    sub = np.concatenate([x[::10], x[2000:]] + planted)  # the planted rows, and a sample
+    skipped = int(np.count_nonzero(~regular_mask(f, sub)))
+    if potential == "cubic":
+        # the jet of N cannot nest the dual gradient of a formula (ad.jacobian_rows
+        # inside ad.second_jet), so the checks take the same cubic's closed-form one
+        zf = kt.normalized_gradient_unit_field(cubic_field(dim, closed_gradient=True))
+    for check in (kt.harmonicity_check, kt.critical_condition_check):
+        rep = check(zf, sub)
+        assert (rep.count, rep.skipped) == (len(sub) - skipped, skipped)
     # scale f so that |P·∇f| at a point lies a factor 1 ± δ from EPS_REGULAR
     p = x[:10]
     r = np.sqrt(inner(gradient_batch(f, p), gradient_batch(f, p)))
     for point, norm in zip(p, r):
         for step in (-1e-3, -1e-9, 1e-9, 1e-3):
             fc = scaled_potential(f, EPS_REGULAR * (1.0 + step) / norm)
-            assert bool(gradient_norm_mask(fc, point)) is (step > 0)
-            assert bool(kt.normalized_gradient_unit_field(fc).guard(point)) is (step > 0)
+            zc = kt.normalized_gradient_unit_field(fc)
+            assert bool(regular_mask(fc, point)) is (step > 0)
+            assert bool(zc.domain(point)) is (step > 0)
+            assert bool(_trace_l_batch(zc, point)[1]) is (step > 0)
 
 
 @pytest.mark.parametrize("dim", [3, 5, 7])
@@ -267,16 +297,18 @@ def test_trace_l_follows_the_batch_convention(dim, field):
     else:
         zf = kt.normalized_gradient_unit_field(potential_field(field, dim))
     x = sample_coords(600, 60 + dim, dim + 1)
-    x = x[zf.guard(x)][:400]
+    x = x[zf.domain(x)][:400]
     assert len(x) == 400
-    flat = _trace_l_batch(zf, x)
-    assert np.array_equal(_trace_l_batch(zf, x.reshape(2, 200, dim + 1)),
-                          flat.reshape(2, 200))
+    flat, keep = _trace_l_batch(zf, x)
+    assert keep.all()
+    for got, want in zip(_trace_l_batch(zf, x.reshape(2, 200, dim + 1)),
+                         (flat.reshape(2, 200), keep.reshape(2, 200))):
+        assert np.array_equal(got, want)
     assert not x[::2].flags.c_contiguous
-    assert np.array_equal(_trace_l_batch(zf, x[::2]), flat[::2])
+    assert np.array_equal(_trace_l_batch(zf, x[::2])[0], flat[::2])
     fortran = np.asfortranarray(x)
     assert not fortran.flags.c_contiguous
-    assert np.array_equal(_trace_l_batch(zf, fortran), flat)
+    assert np.array_equal(_trace_l_batch(zf, fortran)[0], flat)
 
 
 def test_trace_l_equals_frame_sum(reeb3, nfield3, pts3):
@@ -337,7 +369,7 @@ def test_energy_needs_two_samples(reeb3, samples):
 def test_energy_parallel_stub(reeb3, monkeypatch):
     # zero shape operator: E = (m/2) Vol
     monkeypatch.setattr("kontact.harmonic._trace_l_batch",
-                        lambda zf, pts: np.full(pts.shape[0], 3.0))
+                        lambda zf, pts: (np.full(len(pts), 3.0), np.ones(len(pts), bool)))
     est = kt.energy(reeb3, 10_000, 5, 4)
     assert abs(est.estimate - 1.5 * kt.sphere_volume(3)) < 1e-9
 
@@ -348,8 +380,9 @@ def test_energy_regression_of_gradient_field(angle3, nfield3):
 
     def guard(points):
         fv = np.asarray(ad.value(angle3.eval(points)), dtype=float)
-        return nfield3.guard(points) & (np.abs(fv) <= 0.9)
+        return nfield3.domain(points) & (np.abs(fv) <= 0.9)
 
+    # no potential: the guard holds the whole domain
     zf = UnitVectorField(nfield3.field, guard=guard, label="N|f|<=0.9")
     e1 = kt.energy(zf, 100_000, 1, 4)
     e2 = kt.energy(zf, 100_000, 2, 4)
@@ -357,6 +390,24 @@ def test_energy_regression_of_gradient_field(angle3, nfield3):
     band = 3.0 * np.hypot(e1.stderr, e2.stderr)
     assert abs(e1.estimate - e2.estimate) <= band
     assert e1.skipped > 0
+
+
+def test_energy_raises_where_its_integrand_is_not_finite_in_the_domain(monkeypatch):
+    # without its potential the unit gradient of f is defined up to the
+    # focal sets of f, where its own formula divides by |∇f| = 0: a focal
+    # sample raises instead of giving a NaN estimate; with the potential
+    # the same sample lies outside the domain and is skipped
+    f = kt.standard_pair(3).angle_function()
+    zf = kt.normalized_gradient_unit_field(f)
+    x = sample_coords(1000, 7, 4)
+    x[500] = [0.0, 0.0, 1.0, 0.0]
+    monkeypatch.setattr("kontact.harmonic.sample_coords", lambda n, seed, dim: x)
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+        kt.energy(replace(zf, potential=None), 1000, 7, 4)
+    skipped = int(np.count_nonzero(~regular_mask(f, x)))
+    assert skipped >= 1
+    assert kt.energy(zf, 1000, 7, 4).skipped == skipped
+    assert kt.energy(replace(zf, potential=None, guard=zf.domain), 1000, 7, 4).skipped == skipped
 
 
 def gradient_energy_closed_form(dim, cutoff=0.9):
@@ -382,8 +433,7 @@ def test_energy_of_gradient_field_matches_the_closed_form(dim, closed):
     assert abs(exact - closed) <= 1e-5
     f = kt.standard_pair(dim).angle_function()
     nfield = kt.normalized_gradient_unit_field(f)
-    zf = replace(nfield,
-                 guard=lambda x: nfield.guard(x) & (np.abs(ad.value(f.eval(x))) <= 0.9))
+    zf = replace(nfield, guard=lambda x: np.abs(ad.value(f.eval(x))) <= 0.9)
     est = kt.energy(zf, 100_000, 3, dim + 1)
     assert abs(est.estimate - exact) <= 4.0 * est.stderr
 
@@ -550,7 +600,7 @@ def test_jet_contractions_match_the_oracles(dim):
                          (kt.twisted_unit_field(c, a, d), False),
                          (kt.reeb_unit_field(pair.s_beta), True),
                          (normalized_constant_unit_field(c), True)):
-        x = x_all[zf.guard(x_all)]
+        x = x_all[zf.domain(x_all)]
         z = proj_np(x, ad.value(zf.field.eval(x)))
         frames = frame_batch(x, z[:, None, :])[:, 1:]
         # generic tangents, along Z too, where nu is not rounding noise

@@ -574,7 +574,7 @@ def gauss_fields(dim):
     gradient = kt.normalized_gradient_unit_field(angle)
     return [
         ("reeb", pair.s_alpha.reeb_field(), None),
-        ("unit gradient", gradient.field, gradient.guard),
+        ("unit gradient", gradient.field, gradient.domain),
         ("twisted", twisted.field, twisted.guard),
         ("projected constant", constant_field(coeff[0]), None),
         ("raw constant", kt.AmbientVectorField(lambda x: ad.lift(coeff[0], x)), None),

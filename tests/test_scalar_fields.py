@@ -177,7 +177,7 @@ def test_normalized_gradient_value(angle3):
 
 def test_normalized_gradient_regularity_error(angle3):
     pole = kt.SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]))  # f = -1 there
-    assert not kt.normalized_gradient_unit_field(angle3).guard(pole.coords)
+    assert not kt.normalized_gradient_unit_field(angle3).domain(pole.coords)
     with pytest.raises(RegularityError):
         kt.level_mean_curvature(angle3, pole)
 
