@@ -225,8 +225,30 @@ def jacobian_rows(f: Callable, x: Payload, dim: int) -> Payload:
     returned leaf carries the direction axis in front.  Existing batch
     axes of ``x`` stay distinct from it, also when the val and eps leaves
     of ``x`` differ in rank.
+
+    Nested in another evaluation in vector forward mode (``x`` a Dual
+    whose leaves carry direction axes, as inside :func:`second_jet`), the
+    directions carry a size-1 axis for every axis of ``x``'s widest leaf.
+    Each returned leaf drops those that the leaf of ``f``'s value at the
+    same place does not have, so it is that leaf's shape with the
+    direction axis in front, as a closed-form derivative would be.
     """
-    return directional(f, x, axis_directions(x, dim))
+    out = f(make_dual(x, axis_directions(x, dim)))
+    return _unpadded(out.eps, out.val)
+
+
+def _unpadded(rows: Payload, like: Payload) -> Payload:
+    """``rows`` with the size-1 axes after the leading (direction) axis
+    dropped, leaf by leaf, down to one axis more than the leaf of ``like``
+    at the same place."""
+    if type(rows) is Dual:
+        val, eps = (like.val, like.eps) if type(like) is Dual else (like, like)
+        return Dual(_unpadded(rows.val, val), _unpadded(rows.eps, eps))
+    shape = np.shape(rows)
+    drop = 0
+    while drop < len(shape) - 1 - np.ndim(value(like)) and shape[1 + drop] == 1:
+        drop += 1
+    return np.reshape(rows, shape[:1] + shape[1 + drop:]) if drop else rows
 
 
 def second_jet(f: Callable, x: Payload, dim: int) -> tuple:

@@ -10,12 +10,17 @@ unit field by Monte Carlo.
 
 Checks run one after another in catalog order, and rerunning a config
 reproduces the output byte for byte (timestamps are opt-in).
+
+Every call is a fresh process, so :func:`main` first raises glibc's
+allocator thresholds (:func:`tune_allocator`); the library itself leaves
+the allocator as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import json
 import sys
@@ -65,6 +70,9 @@ from .scalar_fields import check_geodesic, mean_curvature_identity_check
 from .errors import GeometryError
 
 MANIFOLDS = {"s3": 3, "s5": 5, "s7": 7}
+# mallopt(3) parameters and values, in the order tune_allocator sets them:
+# M_MMAP_THRESHOLD 64 MiB, M_TRIM_THRESHOLD 256 MiB, M_TOP_PAD 64 MiB
+MALLOPT_SETTINGS = ((-3, 64 << 20), (-1, 256 << 20), (-2, 64 << 20))
 ENERGY_SAMPLES = 20_000
 MAX_TOLERANCE = 1e-3
 
@@ -431,7 +439,30 @@ def _cmd_energy(args) -> int:
     return 0
 
 
+def tune_allocator() -> None:
+    """Set glibc's malloc thresholds (``MALLOPT_SETTINGS``) for this process.
+
+    glibc starts with a 128 KB mmap threshold and raises it, with its trim
+    threshold, only once a large block is freed; until then every numpy
+    temporary above it is mapped afresh and paid for in page faults, in
+    every block of a sweep.  Where libc is not glibc (no ``libc.so.6``, or
+    no ``mallopt`` in it) nothing is set, and the settings stop at the
+    first that glibc refuses, so the trim settings, which also freeze the
+    mmap threshold, never land without it.  Output does not depend on it.
+    """
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, size in MALLOPT_SETTINGS:
+        if mallopt(param, size) != 1:
+            return
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    tune_allocator()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":

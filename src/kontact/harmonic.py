@@ -41,13 +41,15 @@ and, for a unit gradient, where its potential is regular) maps points
 In a sweep a unit gradient reads its regularity from the block's ∇f
 (``scalar_fields.gradient_and_norm``), which the checks on f compute
 anyway.
-:func:`energy` draws its samples with ``manifold.sample_coords`` and
-evaluates them in blocks of 4 · ``manifold.BLOCK``: its integrand holds
-one first-order Jacobian per point, (m+1)× less than the second-order
-jets ``BLOCK`` is sized for, so fewer, larger blocks pay less dispatch
-in the dual engine.  Its integrand is tr L_Z = m + ‖S‖²_F (S the shape
-matrix, ∇_u Z = S u), and ‖S‖²_F comes from invariants of the raw
-Jacobian J of Z's formula: with a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, Z⟩,
+:func:`energy` draws its samples block by block
+(``manifold.sample_blocks``, bitwise the points of
+``manifold.sample_coords``) and evaluates each block of 4 ·
+``manifold.BLOCK`` as it is drawn: its integrand holds one first-order
+Jacobian per point, (m+1)× less than the second-order jets ``BLOCK`` is
+sized for, so fewer, larger blocks pay less dispatch in the dual
+engine.  Its integrand is tr L_Z = m + ‖S‖²_F (S the shape matrix,
+∇_u Z = S u), and ‖S‖²_F comes from invariants of the raw Jacobian J of
+Z's formula: with a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, Z⟩,
 
     ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
 
@@ -95,13 +97,12 @@ from .manifold import (
     SpherePoint,
     TangentVector,
     as_field_points,
-    blocks,
     checker,
     frame_batch,
     inner,
     proj_np,
     projected_eval,
-    sample_coords,
+    sample_blocks,
     shape_matrix,
     shape_norm_sq,
     shape_trace,
@@ -262,45 +263,54 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
 
     Points outside the field's domain contribute zero and count as
     skipped, so for a guard that excludes a positive-measure region this
-    estimates the energy of the restricted domain.  The points and the
-    integrand values are held for all samples, so memory is
-    O(sample_size); the guard and tr L_Z run over blocks of 4 ·
-    ``manifold.BLOCK`` samples (read at call time), which bounds only the
-    per-block Jacobians.  Each block is one pass of :func:`_trace_l_batch`,
+    estimates the energy of the restricted domain.  The samples are drawn
+    and evaluated in blocks of 4 · ``manifold.BLOCK`` (read at call time)
+    from one normal stream (``manifold.sample_blocks``), bitwise the points
+    ``manifold.sample_coords`` draws at once, so only the integrand values
+    are held for all samples: one float each, beside one block's points
+    and Jacobians.  Each block is one pass of :func:`_trace_l_batch`,
     which evaluates the integrand on the block's rows inside the guard.
     Summation is a single deterministic pairwise reduction over all
     samples, so the result does not depend on the block size.
 
-    The samples are drawn all at once, not block by block.  Drawn per
-    block, one energy s5 call in a fresh process (100 000 samples) took
-    a median 0.147 s of CPU time against 0.118 s and about 14 100 minor
-    page faults against 2 360 (8 processes each): glibc raises its mmap
-    and trim thresholds only once a large array is freed, as the
-    full-size temporaries of ``sample_coords`` are, and until then it
-    maps and trims every block's temporaries afresh.
+    Every block's temporaries lie above glibc's initial 128 KB mmap
+    threshold, which glibc raises only once a large array is freed, and
+    a streamed call frees none: a process that has not raised the
+    thresholds itself maps and trims each block's temporaries afresh and
+    pays page faults for them.  ``kontact`` raises them at start
+    (``cli.tune_allocator``); a library call on 100 000 s5 samples in a
+    fresh process without it takes about 20 000 minor faults against
+    6 700 when the points were drawn at once, and 11–13% longer.
     """
     if sample_size < 2:
         raise ValueError("samples must be >= 2 for a standard error")
-    points = sample_coords(sample_size, seed, ambient_dim)
+    draws = sample_blocks(sample_size, seed, ambient_dim, 4 * manifold.BLOCK)
     vals = np.empty(sample_size)
-    kept = 0
+    kept = done = 0
     # A sample of this integrand carries one first-order Jacobian, (m+1)×
     # less than the second-order jet a check's point carries, so its
-    # blocks can be larger.  On energy s5 --field gradient --exclusion 0.9
-    # at 100 000 samples (2-vCPU VM, BLAS at one thread, three runs of 40
-    # to 60 interleaved in-process calls each) blocks of 2, 4 and 8 BLOCK
-    # took a median 10–14%, 15–16% and 18–20% less time than blocks of one
-    # BLOCK.  8 beats 4 by 3–6%, inside the quartiles of the calls, and it
-    # raises the peak RSS of verify s7 --samples 20 (its Reeb energy) from
-    # 40.0 MB at one, 2 and 4 BLOCK to 40.7 MB; 8 BLOCK is (m+1)× there.
-    for sl in blocks(sample_size, 4 * manifold.BLOCK):
-        vals[sl], keep = _trace_l_batch(zf, points[sl])
+    # blocks can be larger.  As fresh CLI calls (2-vCPU VM, BLAS at one
+    # thread, medians of 12 interleaved runs), energy s5 --field gradient
+    # --exclusion 0.9 --samples 100000 took 0.303, 0.288, 0.270 and 0.265 s
+    # with blocks of 1, 2, 4 and 8 BLOCK, peaking at 37.5, 38.1, 39.3 and
+    # 42.0 MB; verify s7 --samples 20 (its Reeb energy; 6 runs) peaked at
+    # 37.8, 38.2, 39.2 and 41.3 MB.  8 BLOCK buys 2% for 2–3 MB.
+    for x in draws:
+        vals[done:done + len(x)], keep = _trace_l_batch(zf, x)
         kept += int(np.count_nonzero(keep))
+        done += len(x)
     if kept == 0:
         raise SamplingExhaustedError("no sample lies in the field's domain")
+    # np.mean and np.std(ddof=1) as numpy computes them (one pairwise sum
+    # each, the deviations squared), but in place: the values are not
+    # needed again, and the copy np.std takes would double the O(N) memory
+    mean = np.add.reduce(vals) / sample_size
+    vals -= mean
+    vals *= vals
+    std = np.sqrt(np.add.reduce(vals) / (sample_size - 1))
     vol = sphere_volume(ambient_dim - 1)
-    estimate = 0.5 * vol * float(np.mean(vals))
-    stderr = 0.5 * vol * float(np.std(vals, ddof=1)) / np.sqrt(sample_size)
+    estimate = 0.5 * vol * float(mean)
+    stderr = 0.5 * vol * float(std) / np.sqrt(sample_size)
     return EnergyEstimate(estimate=estimate, stderr=stderr,
                           samples=sample_size, skipped=sample_size - kept)
 

@@ -19,7 +19,8 @@ g(v,w)u − g(u,w)v and repeat it with the numerical one.
 
 Batch convention (package-wide): points are (N, m+1) arrays of unit
 rows, drawn in batches by :func:`sample_coords` and validated by
-:func:`as_points`, which also takes a list of :class:`SpherePoint`.
+:func:`as_points`, which also takes a list of :class:`SpherePoint`;
+:func:`sample_blocks` draws the same rows, bitwise, one block at a time.
 Kernels (names ending in ``_batch``, and :func:`shape_matrix`,
 :func:`shape_trace`, :func:`frame_batch` and their kin in the other
 modules) take plain arrays whose leading axes are batch axes (points,
@@ -40,9 +41,11 @@ whole suite.  ``BLOCK`` is 1024 because a block's cost is mostly per-call
 numpy dispatch in the dual engine: check throughput is flat from 256 to
 2048 points per block and falls at 32, while the traced peak of the
 largest check, a second-order jet per point, stays near 24 MB (s7).
-``harmonic.energy`` sweeps blocks of 4 · ``BLOCK`` samples, because its
-integrand holds only a first-order Jacobian per point.  ``BLOCK`` is
-read at call time, so a test can shrink it to cover more than one block.
+``harmonic.energy`` draws and evaluates blocks of 4 · ``BLOCK`` samples
+(:func:`sample_blocks`), because its integrand holds only a first-order
+Jacobian per point, so it holds one block of points, not all of them.
+``BLOCK`` is read at call time, so a test can shrink it to cover more
+than one block.
 
 Frames: :func:`frame_batch` builds the orthonormal tangent frames every
 frame-based check contracts over, from k+1 Householder reflectors of
@@ -546,9 +549,7 @@ def sample_coords(count: int, seed: int, ambient_dim: int,
     max_draws = max(10_000, 200 * count)
     while accepted < count:
         g = rng.standard_normal((max(count - accepted, 64), ambient_dim))
-        norms = np.sqrt(np.add.reduce(g * g, axis=1))   # np.linalg.norm's sum
-        keep = norms != 0.0
-        g /= np.where(keep, norms, 1.0)[:, None]
+        keep = _normalize_rows(g)
         if exclusion is not None:
             keep[keep] = ~np.asarray(exclusion(g[keep]), dtype=bool)
         rows = np.flatnonzero(keep)[:count - accepted]
@@ -562,6 +563,31 @@ def sample_coords(count: int, seed: int, ambient_dim: int,
         if drawn >= 100 * max_draws:
             raise SamplingExhaustedError("sampling budget exhausted")
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def sample_blocks(count: int, seed: int, ambient_dim: int, size: int):
+    """The rows of ``sample_coords(count, seed, ambient_dim)``, bitwise, as
+    consecutive blocks of at most ``size`` rows, drawn one block at a time
+    so that only one is held: the blocks consume the same normal stream in
+    the same order (chunked ``standard_normal`` draws are bitwise the one
+    draw) and are normalized by the same routine."""
+    rng = np.random.default_rng(seed)
+    accepted = 0
+    while accepted < count:
+        g = rng.standard_normal((min(size, count - accepted), ambient_dim))
+        keep = _normalize_rows(g)
+        g = g if keep.all() else g[keep]
+        accepted += len(g)
+        yield g
+
+
+def _normalize_rows(g: np.ndarray) -> np.ndarray:
+    """Divide the rows of the normal draws g (B, m+1) by their norms, in
+    place; returns the mask of the rows kept, those of nonzero norm."""
+    norms = np.sqrt(np.add.reduce(g * g, axis=1))   # np.linalg.norm's sum
+    keep = norms != 0.0
+    g /= np.where(keep, norms, 1.0)[:, None]
+    return keep
 
 
 def sample_points(count: int, seed: int, ambient_dim: int,

@@ -285,3 +285,27 @@ def test_second_jet_matches_nested_jacobian_rows(lead):
     assert second.shape == (4, 4) + lead + (4,)
     asym = np.max(np.abs(second - np.swapaxes(second, 0, 1)))
     assert asym <= 1e-13 * np.max(np.abs(second))
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (5,), (2, 3)])
+def test_second_jet_nests_jacobian_rows_like_a_closed_form(lead):
+    # the dual gradient of a formula, nested in a jet, against the same
+    # gradient written out: every leaf has the closed form's shape (no
+    # size-1 axes left over from the jet's directions) and its values
+    rng = np.random.default_rng(20 + len(lead))
+    x = rng.standard_normal(lead + (4,))
+    a, b = rng.standard_normal((2, 4))
+
+    def potential(y):
+        return ad.dot(y, a) ** 3.0 + ad.dot(y, y) * ad.dot(y, b)
+
+    def closed(y):
+        return (ad.sv(3.0 * ad.dot(y, a) ** 2.0, ad.lift(a, y))
+                + ad.sv(2.0 * ad.dot(y, b), y) + ad.sv(ad.dot(y, y), ad.lift(b, y)))
+
+    def dual(y):
+        return ad.axis0_to_last(ad.jacobian_rows(potential, y, 4))
+
+    for got, want in zip(ad.second_jet(dual, x, 4), ad.second_jet(closed, x, 4)):
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))

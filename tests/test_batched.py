@@ -22,6 +22,7 @@ from kontact.harmonic import _contract, _jet, _trace_l_batch
 from kontact.manifold import (
     BLOCK,
     apply,
+    blocks,
     constant_field,
     curvature_numeric_batch,
     frame_batch,
@@ -29,6 +30,7 @@ from kontact.manifold import (
     proj_np,
     projected_eval,
     random_tangent_batch,
+    sample_blocks,
     sample_coords,
 )
 from kontact.scalar_fields import (
@@ -204,6 +206,15 @@ def test_sample_coords_is_bitwise_the_draw_loop(dim, count):
                            exclusion=lambda p: abs(float(ad.value(f.eval(p)))) > 0.9)
         assert np.array_equal(batch, loop)
     assert np.array_equal(sample_coords(count, 3, dim + 1), loop_sample(count, 3, dim + 1))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("count", (1, 7, 64, 100, 256, 1000))
+def test_sample_blocks_are_bitwise_sample_coords(dim, count):
+    # blocks of 64 rows; counts below a block, of whole blocks and not
+    parts = list(sample_blocks(count, 3, dim + 1, 64))
+    assert [len(x) for x in parts] == [sl.stop - sl.start for sl in blocks(count, 64)]
+    assert np.array_equal(np.concatenate(parts), sample_coords(count, 3, dim + 1))
 
 
 @pytest.mark.parametrize("count, seed, cutoff, raises", [
@@ -405,11 +416,27 @@ def twisted_with_a_zero(dim):
     return kt.twisted_unit_field(c, a, d)
 
 
+def planted_rows(count):
+    return np.array([0, count // 2, count - 1])
+
+
 def plant(points):
     """The points with e₀ planted at the first, middle and last rows."""
     out = points.copy()
-    out[[0, len(out) // 2, -1]] = np.eye(out.shape[1])[0]
+    out[planted_rows(len(out))] = np.eye(out.shape[1])[0]
     return out
+
+
+def plant_blocks(count, seed, ambient_dim, size, draw=harmonic.sample_blocks):
+    """The blocks of ``draw``, with e₀ planted where :func:`plant` plants it
+    in the whole draw."""
+    lo = 0
+    for x in draw(count, seed, ambient_dim, size):
+        rows = planted_rows(count) - lo
+        x = x.copy()
+        x[rows[(rows >= 0) & (rows < len(x))]] = np.eye(ambient_dim)[0]
+        lo += len(x)
+        yield x
 
 
 def unblocked_energy(zf, points):
@@ -455,8 +482,7 @@ def test_blocked_energy_matches_one_pass(dim, field, size, monkeypatch):
     # twisted field, where its integrand is not finite, and a plain point of
     # the Reeb field; what the domain drops must not reach any output
     monkeypatch.setattr(manifold, "BLOCK", BLOCK // 4)
-    monkeypatch.setattr(harmonic, "sample_coords",
-                        lambda *args, sample=harmonic.sample_coords: plant(sample(*args)))
+    monkeypatch.setattr(harmonic, "sample_blocks", plant_blocks)
     zf = {"gradient": lambda: excluded_gradient_field(dim),
           "twisted": lambda: twisted_with_a_zero(dim),
           "reeb": lambda: kt.reeb_unit_field(kt.standard_pair(dim).s_alpha)}[field]()

@@ -452,7 +452,7 @@ def test_cli_energy_rejects_bad_input(args, capsys):
 
 @pytest.mark.parametrize("command, where", [
     (["verify", "s3"], "kontact.cli.sample_coords"),
-    (["energy", "s3"], "kontact.harmonic.sample_coords"),
+    (["energy", "s3"], "kontact.harmonic.sample_blocks"),
 ], ids=["verify", "energy"])
 def test_cli_reports_samples_too_large_to_allocate(command, where, monkeypatch,
                                                    capsys):
@@ -556,16 +556,29 @@ def test_smoke_config_keeps_the_suite_shape(manifold, capsys):
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def src_env(env):
+    """``env`` with this checkout's ``src`` first on PYTHONPATH."""
+    env = dict(env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def run_python(code, *args):
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+                          env=src_env(os.environ), capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
 @pytest.mark.parametrize("preset, numpy_first, expected", [
     (None, False, "1"), ("2", False, "2"), (None, True, None)],
     ids=["unset", "set-by-user", "numpy-imported-first"])
 def test_import_pins_the_blas_pools_unless_set(preset, numpy_first, expected):
     # importing kontact before numpy defaults each BLAS pool to one thread;
     # a value the user set wins, and once numpy is loaded nothing is set
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")]
-        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = src_env({k: v for k, v in os.environ.items() if k not in BLAS_VARS})
     if preset is not None:
         env.update(dict.fromkeys(BLAS_VARS, preset))
     code = ("import os\n" + ("import numpy\n" if numpy_first else "") + "import kontact\n"
@@ -574,3 +587,87 @@ def test_import_pins_the_blas_pools_unless_set(preset, numpy_first, expected):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == repr([expected] * len(BLAS_VARS))
+
+
+RECORD_MALLOPT = """
+import ctypes, io, sys
+calls = []
+
+
+class Mallopt:
+    def __call__(self, param, size):
+        calls.append((param, size))
+        return 1
+
+
+class Libc:
+    def __init__(self, name):
+        assert name == "libc.so.6"
+        self.mallopt = Mallopt()
+
+
+ctypes.CDLL = Libc
+import kontact
+import kontact.cli
+after_import = list(calls)
+sys.stdout = io.StringIO()
+kontact.cli.main(["describe", "s3"])
+sys.stdout = sys.__stdout__
+print(after_import, calls)
+"""
+
+
+def test_only_the_cli_sets_the_allocator():
+    # importing the library leaves glibc's allocator alone; cli.main sets
+    # the three thresholds, mmap first
+    out = run_python(RECORD_MALLOPT).stdout.decode().strip()
+    assert out == f"[] {list(kt.cli.MALLOPT_SETTINGS)}"
+    assert kt.cli.MALLOPT_SETTINGS == ((-3, 64 << 20), (-1, 256 << 20), (-2, 64 << 20))
+
+
+@pytest.mark.parametrize("refused", [0, 1, 2])
+def test_allocator_settings_stop_at_the_first_refused(refused, monkeypatch):
+    calls = []
+
+    class Libc:
+        def __init__(self, name):
+            self.mallopt = lambda param, size: calls.append(param) or int(len(calls) <= refused)
+
+    monkeypatch.setattr("ctypes.CDLL", Libc)
+    kt.cli.tune_allocator()
+    assert calls == [param for param, _ in kt.cli.MALLOPT_SETTINGS[:refused + 1]]
+
+
+NO_LIBC = """
+import ctypes, sys
+refused = []
+
+
+def refuse(name, *args, **kwargs):
+    refused.append(name)
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+ctypes.CDLL = refuse
+from kontact.cli import main
+code = main(sys.argv[1:])
+print(refused, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "s3", "--samples", "40", "--seed", "3"],
+    ["verify", "s5", "--samples", "40", "--seed", "3", "--format", "csv"],
+    ["energy", "s5", "--field", "gradient", "--exclusion", "0.9", "--samples", "20000",
+     "--seed", "3"],
+    ["energy", "s7", "--samples", "20000", "--seed", "3"],
+], ids=["verify-s3", "verify-s5-csv", "energy-s5", "energy-s7-reeb"])
+def test_cli_output_does_not_depend_on_the_allocator_call(args):
+    # the same bytes with glibc's thresholds set and where libc cannot be
+    # loaded, so that no setting is made
+    tuned = run_python("import sys; from kontact.cli import main; sys.exit(main(sys.argv[1:]))",
+                       *args)
+    untuned = run_python(NO_LIBC, *args)
+    assert tuned.stdout and tuned.stdout == untuned.stdout
+    assert tuned.stderr + b"['libc.so.6']\n" == untuned.stderr

@@ -168,19 +168,14 @@ def test_trace_l_of_unit_gradient_matches_the_closed_form(dim):
     assert np.max(np.abs(tr - closed) / closed) <= 1e-12
 
 
-def cubic_field(dim, closed_gradient=False):
+def cubic_field(dim):
     """x ↦ ⟨x, a⟩³ + |x|²⟨x, b⟩: a Jacobian of the ambient gradient that
-    depends on x, and no closed-form gradient unless asked for."""
+    depends on x, and no closed-form gradient, so the gradient is the
+    dual one (``ad.jacobian_rows``), nested in the jet of the checks."""
     rng = np.random.default_rng(100 + dim)
     a, b = rng.standard_normal((2, dim + 1))
-
-    def grad(x):
-        return (ad.sv(3.0 * ad.dot(x, a) ** 2, ad.lift(a, x)) + ad.sv(2.0 * ad.dot(x, b), x)
-                + ad.sv(ad.dot(x, x), ad.lift(b, x)))
-
     return kt.ScalarField(
-        eval=lambda x: ad.dot(x, a) ** 3 + ad.dot(x, x) * ad.dot(x, b),
-        grad=grad if closed_gradient else None, label="cubic")
+        eval=lambda x: ad.dot(x, a) ** 3 + ad.dot(x, x) * ad.dot(x, b), label="cubic")
 
 
 def potential_field(name, dim):
@@ -267,10 +262,6 @@ def test_unit_gradient_guard_matches_the_gradient_norm(dim, potential):
     assert np.all(np.isfinite(vals)) and np.all(vals[~mask] == 0.0)
     sub = np.concatenate([x[::10], x[2000:]] + planted)  # the planted rows, and a sample
     skipped = int(np.count_nonzero(~regular_mask(f, sub)))
-    if potential == "cubic":
-        # the jet of N cannot nest the dual gradient of a formula (ad.jacobian_rows
-        # inside ad.second_jet), so the checks take the same cubic's closed-form one
-        zf = kt.normalized_gradient_unit_field(cubic_field(dim, closed_gradient=True))
     for check in (kt.harmonicity_check, kt.critical_condition_check):
         rep = check(zf, sub)
         assert (rep.count, rep.skipped) == (len(sub) - skipped, skipped)
@@ -401,7 +392,7 @@ def test_energy_raises_where_its_integrand_is_not_finite_in_the_domain(monkeypat
     zf = kt.normalized_gradient_unit_field(f)
     x = sample_coords(1000, 7, 4)
     x[500] = [0.0, 0.0, 1.0, 0.0]
-    monkeypatch.setattr("kontact.harmonic.sample_coords", lambda n, seed, dim: x)
+    monkeypatch.setattr("kontact.harmonic.sample_blocks", lambda n, seed, dim, size: [x])
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
         kt.energy(replace(zf, potential=None), 1000, 7, 4)
     skipped = int(np.count_nonzero(~regular_mask(f, x)))

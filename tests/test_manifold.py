@@ -28,6 +28,7 @@ from kontact.manifold import (
     proj_np,
     projected_eval,
     random_tangent_batch,
+    sample_blocks,
     sample_coords,
     shape_matrix,
     shape_norm_sq,
@@ -355,19 +356,20 @@ def test_energy_draw_digest_is_pinned(dim, digest):
     assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
 
 
+class ZeroRowFirst:
+    """``np.random.default_rng`` whose first draw has an all-zero row 3."""
+
+    def __init__(self, seed, real=np.random.default_rng):
+        self.rng, self.first = real(seed), True
+
+    def standard_normal(self, shape):
+        g = self.rng.standard_normal(shape)
+        if self.first:
+            g[3], self.first = 0.0, False
+        return g
+
+
 def test_sample_coords_rejects_an_all_zero_draw(monkeypatch):
-    real = np.random.default_rng
-
-    class ZeroRowFirst:
-        def __init__(self, seed):
-            self.rng, self.first = real(seed), True
-
-        def standard_normal(self, shape):
-            g = self.rng.standard_normal(shape)
-            if self.first:
-                g[3], self.first = 0.0, False
-            return g
-
     monkeypatch.setattr(np.random, "default_rng", ZeroRowFirst)
     x = sample_coords(100, 5, 4)
     monkeypatch.undo()
@@ -376,6 +378,13 @@ def test_sample_coords_rejects_an_all_zero_draw(monkeypatch):
                         rng.standard_normal((64, 4))[:1]])
     assert np.array_equal(x, g / np.linalg.norm(g, axis=1)[:, None])
     assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) < 1e-15
+
+
+def test_sample_blocks_drop_an_all_zero_draw_as_sample_coords_does(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", ZeroRowFirst)
+    parts = list(sample_blocks(100, 5, 4, 64))
+    assert [len(x) for x in parts] == [63, 37]
+    assert np.array_equal(np.concatenate(parts), sample_coords(100, 5, 4))
 
 
 def test_as_points_takes_arrays_and_point_lists(pts3):
