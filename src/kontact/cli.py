@@ -64,7 +64,7 @@ from .harmonic import (
     reeb_energy_closed_form,
     reeb_unit_field,
 )
-from .manifold import as_points, sample_coords, sweep
+from .manifold import as_points, group_report, sample_coords, sweep
 from .report import ResidualReport
 from .scalar_fields import check_geodesic, mean_curvature_identity_check
 from .errors import GeometryError
@@ -129,44 +129,17 @@ class SuiteConfig:
         }
 
 
-# Default tolerances of the checks that combine sub-reports.
-COMBINED_TOL = {"contact_axioms": 1e-8, "kcontact": 1e-9, "sasakian": 1e-8}
-
-
-def combine_scaled(name: str, reports: Sequence[ResidualReport], tol: float,
-                   provenance: str) -> ResidualReport:
-    """Aggregate sub-reports gated at ``tol``.  Each residual is rescaled by
-    ``COMBINED_TOL[name]``/sub-tolerance, so at the default `max <= tol`
-    means every sub-check met its own bound and a tighter ``tol`` tightens
-    every one."""
-    unit = COMBINED_TOL[name]
-    count = sum(r.count for r in reports)
-    skipped = sum(r.skipped for r in reports)
-    mx = max((r.max * (unit / r.tolerance) for r in reports), default=0.0)
-    mean = (sum(r.mean * (unit / r.tolerance) * r.count for r in reports) / count
-            if count else 0.0)
-    return ResidualReport(check_name=name, count=count, skipped=skipped,
-                          max=float(mx), mean=float(mean), tolerance=float(tol),
-                          passed=bool(mx <= tol), provenance=provenance)
-
-
 def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
                    ) -> list[tuple[str, Callable[..., ResidualReport]]]:
     """Ordered catalog of suite checks; each entry makes its report, with
-    the check's default tolerance or with ``tol=`` an override.
+    the checks' tightest default tolerance or with ``tol=`` an override.
     Declaration order here is the report order in the output.  Every entry
-    but ``energy_reeb`` reports checks of one ``manifold.sweep``, made by
-    the first entry called."""
+    but ``energy_reeb`` reports one or more checks of one
+    ``manifold.sweep``, made by the first entry called, as one
+    ``manifold.group_report``: their largest raw residual is its max."""
     f = pair.angle_function()
     zf = normalized_gradient_unit_field(f)
     structures = (pair.s_alpha, pair.s_beta)
-
-    def combined(name, checks, provenance):
-        def report(tol=None):
-            return combine_scaled(name, [c.report() for c in checks],
-                                  COMBINED_TOL[name] if tol is None else tol, provenance)
-        return name, checks, report
-
     pair_checks = [commuting_invariants_check, gradient_identity_check, transnormal_b_check,
                    laplacian_formula_check]
     if pair.dim in (3, 5):
@@ -178,25 +151,25 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
         ricci_normal_check.build(pair), harmonicity_check.build(zf),
         critical_condition_check.build(zf)]
     table = [
-        combined("contact_axioms",
-                 [check.build(s) for s in structures
-                  for check in (check_axiom_ii, check_axiom_iii, check_axiom_volume)],
-                 "axioms i-iii for both structures, sub-residuals scaled"),
-        combined("kcontact", [check_kcontact.build(s) for s in structures],
-                 "both Reeb fields are infinitesimal isometries"),
-        combined("sasakian", [check_sasakian.build(s) for s in structures],
-                 "covariant derivative identity for both structures"),
-        *((c.name, [c], c.report) for c in singles),
+        ("contact_axioms",
+         [check.build(s) for s in structures
+          for check in (check_axiom_ii, check_axiom_iii, check_axiom_volume)],
+         "axioms i-iii for both structures"),
+        ("kcontact", [check_kcontact.build(s) for s in structures],
+         "both Reeb fields are infinitesimal isometries"),
+        ("sasakian", [check_sasakian.build(s) for s in structures],
+         "covariant derivative identity for both structures"),
+        *((c.name, [c], c.provenance) for c in singles),
     ]
 
     @cache
     def swept():
         sweep([c for _, checks, _ in table for c in checks], as_points(points, pair.ambient_dim))
 
-    def entry(report):
+    def entry(name, checks, provenance):
         def run(tol=None):
             swept()
-            return report(tol)
+            return group_report(name, checks, provenance, tol)
         return run
 
     def energy_reeb(tol=None):
@@ -212,7 +185,7 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
             provenance=(f"Monte Carlo energy of the first Reeb field vs "
                         f"closed form {closed!r}"))
 
-    return ([(name, entry(report)) for name, _, report in table]
+    return ([(name, entry(name, checks, provenance)) for name, checks, provenance in table]
             + [("energy_reeb", energy_reeb)])
 
 

@@ -730,12 +730,22 @@ class Check:
 
     def report(self, tol: Optional[float] = None) -> ResidualReport:
         """The report of the residuals so far, gated at ``tol`` or the default."""
-        tol = float(self.tol if tol is None else tol)
-        return ResidualReport(
-            check_name=self.name, count=self.count, skipped=self.skipped,
-            max=float(self.max), mean=float(self.total) / self.count if self.count else 0.0,
-            tolerance=tol, passed=bool(self.max <= tol),
-            provenance=self.provenance() if callable(self.provenance) else self.provenance)
+        return group_report(self.name, [self], self.provenance, tol)
+
+
+def group_report(name: str, checks: Sequence[Check], provenance: str | Callable[[], str],
+                 tol: Optional[float] = None) -> ResidualReport:
+    """One report of the residuals of ``checks`` so far: counts summed, the
+    largest residual (NaN if any check's is), the mean of every residual,
+    gated at ``tol`` or, if None, the tightest default among the checks."""
+    count = sum(c.count for c in checks)
+    mx = float(np.max([c.max for c in checks]))
+    tol = float(min(c.tol for c in checks) if tol is None else tol)
+    return ResidualReport(
+        check_name=name, count=count, skipped=sum(c.skipped for c in checks),
+        max=mx, mean=float(sum(c.total for c in checks)) / count if count else 0.0,
+        tolerance=tol, passed=bool(mx <= tol),
+        provenance=provenance() if callable(provenance) else provenance)
 
 
 def sweep(checks: Sequence[Check], x: np.ndarray) -> None:

@@ -619,8 +619,8 @@ def loop_phi_product(d, points):
         mat = np.array([[pj @ e2.vec for pj in phi_j] for e2 in basis])
         commute = max(np.linalg.norm(pj - jphi(d, x, e.vec)) for pj, e in zip(phi_j, basis))
         eig = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        return [max(np.max(np.abs(mat - mat.T)) * 10.0, commute * 10.0,
-                    np.max(np.abs(mat @ mat - np.eye(k))) * 10.0,
+        return [max(np.max(np.abs(mat - mat.T)), commute,
+                    np.max(np.abs(mat @ mat - np.eye(k))),
                     np.max(np.abs(np.abs(eig) - 1.0)))]
     return loop_hbundle(d, points, residual)
 
