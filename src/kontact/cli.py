@@ -26,7 +26,7 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +64,8 @@ from .harmonic import (
     reeb_energy_closed_form,
     reeb_unit_field,
 )
-from .manifold import as_points, group_report, sample_coords, sweep
+from . import manifold
+from .manifold import group_report, sample_blocks, sweep
 from .report import ResidualReport
 from .scalar_fields import check_geodesic, mean_curvature_identity_check
 from .errors import GeometryError
@@ -129,14 +130,15 @@ class SuiteConfig:
         }
 
 
-def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
-                   ) -> list[tuple[str, Callable[..., ResidualReport]]]:
+def _check_catalog(pair: DoubleKContact, point_blocks: Iterable[np.ndarray],
+                   config: SuiteConfig) -> list[tuple[str, Callable[..., ResidualReport]]]:
     """Ordered catalog of suite checks; each entry makes its report, with
     the checks' tightest default tolerance or with ``tol=`` an override.
     Declaration order here is the report order in the output.  Every entry
     but ``energy_reeb`` reports one or more checks of one
-    ``manifold.sweep``, made by the first entry called, as one
-    ``manifold.group_report``: their largest raw residual is its max."""
+    ``manifold.sweep`` over ``point_blocks``, made by the first entry
+    called, as one ``manifold.group_report``: their largest raw residual
+    is its max."""
     f = pair.angle_function()
     zf = normalized_gradient_unit_field(f)
     structures = (pair.s_alpha, pair.s_beta)
@@ -164,7 +166,7 @@ def _check_catalog(pair: DoubleKContact, points, config: SuiteConfig
 
     @cache
     def swept():
-        sweep([c for _, checks, _ in table for c in checks], as_points(points, pair.ambient_dim))
+        sweep([c for _, checks, _ in table for c in checks], point_blocks)
 
     def entry(name, checks, provenance):
         def run(tol=None):
@@ -193,16 +195,18 @@ def check_names(manifold: str) -> list[str]:
     """Report names of the suite on ``manifold``, in report order."""
     config = SuiteConfig(manifold=manifold)
     pair = standard_pair(MANIFOLDS[manifold])
-    return [name for name, _ in _check_catalog(pair, [], config)]
+    return [name for name, _ in _check_catalog(pair, (), config)]
 
 
 def run_suite(config: SuiteConfig) -> list[ResidualReport]:
-    """Run every check for the configured manifold, in declaration order."""
+    """Run every check for the configured manifold, in declaration order,
+    over the points drawn block by block as the one sweep takes them."""
     pair = standard_pair(MANIFOLDS[config.manifold])
     f = pair.angle_function()
-    points = sample_coords(config.samples, config.seed, pair.ambient_dim,
-                           exclusion=lambda x: np.abs(value(f.eval(x))) > config.exclusion)
-    catalog = _check_catalog(pair, points, config)
+    point_blocks = sample_blocks(
+        config.samples, config.seed, pair.ambient_dim, manifold.BLOCK,
+        exclusion=lambda x: np.abs(value(f.eval(x))) > config.exclusion)
+    catalog = _check_catalog(pair, point_blocks, config)
     unknown = sorted(set(config.tol_overrides) - {name for name, _ in catalog})
     if unknown:
         raise ValueError(f"unknown check name in tolerance override: {unknown[0]}")
@@ -317,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Bad input, a --samples too large to allocate and an --out path that
-# cannot be written end a command with exit status 2 and a one-line
-# message instead of a traceback.
+# Bad input, an energy --samples too large to allocate (its integrand
+# values) and an --out path that cannot be written end a command with
+# exit status 2 and a one-line message instead of a traceback.
 _RUN_ERRORS = (ValueError, GeometryError, MemoryError)
 
 

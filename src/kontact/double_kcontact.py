@@ -372,13 +372,12 @@ def hessian_restriction_check(d: DoubleKContact) -> Check:
 def dim_theorem_check(d: DoubleKContact) -> Check:
     """Isoparametricity in low dimensions: Δf = 8f on S³ (tolerance 1e-7);
     Δf = 12f + c0 on S⁵ (tolerance 1e-6) with c0 a point-independent
-    constant of magnitude 4, estimated at the first point, whose estimate
-    is one more residual, after the last point's."""
+    constant of magnitude 4, the one nearest the first point's Δf − 12f."""
     if d.dim not in (3, 5):
         raise UnsupportedDimensionError(
             "the low-dimension statement covers dimensions 3 and 5 only")
     f = d.angle_function()
-    first = {}                  # the first point's estimate of c0, and c0
+    first = {}                  # c0, from the first point
 
     def kernel(b):
         fv, lap = b.of(values_batch, f), b.of(laplacian_batch, f)
@@ -386,15 +385,14 @@ def dim_theorem_check(d: DoubleKContact) -> Check:
             return np.abs(lap - 8.0 * fv)
         if not first:
             est = lap[0] - 12.0 * fv[0]
-            first.update(est=est, c0=4.0 if abs(est - 4.0) <= abs(est + 4.0) else -4.0)
+            first["c0"] = 4.0 if abs(est - 4.0) <= abs(est + 4.0) else -4.0
         return np.abs(lap - 12.0 * fv - first["c0"])
 
     if d.dim == 3:
         return Check("dimension_theorem", 1e-7, kernel, "laplacian = 8 f in dimension 3")
     return Check("dimension_theorem", 1e-6, kernel,
                  lambda: "laplacian = 12 f + c0 in dimension 5" + (
-                     f"; offset c0 = {first['c0']:+.0f}" if first else ""),
-                 tail=lambda: [abs(first["est"] - first["c0"])] if first else [])
+                     f"; offset c0 = {first['c0']:+.0f}" if first else ""))
 
 
 @checker()

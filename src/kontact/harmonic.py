@@ -41,10 +41,10 @@ and, for a unit gradient, where its potential is regular) maps points
 In a sweep a unit gradient reads its regularity from the block's ∇f
 (``scalar_fields.gradient_and_norm``), which the checks on f compute
 anyway.
-:func:`energy` draws its samples block by block
-(``manifold.sample_blocks``, bitwise the points of
-``manifold.sample_coords``) and evaluates each block of 4 ·
-``manifold.BLOCK`` as it is drawn: its integrand holds one first-order
+:func:`energy` draws its samples block by block from the stream that
+``kontact verify`` sweeps (``manifold.sample_blocks``, whose blocks
+concatenate to ``manifold.sample_coords``) and evaluates each block of
+4 · ``manifold.BLOCK`` as it is drawn: its integrand holds one first-order
 Jacobian per point, (m+1)× less than the second-order jets ``BLOCK`` is
 sized for, so fewer, larger blocks pay less dispatch in the dual
 engine.  Its integrand is tr L_Z = m + ‖S‖²_F (S the shape matrix,
@@ -265,9 +265,10 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     skipped, so for a guard that excludes a positive-measure region this
     estimates the energy of the restricted domain.  The samples are drawn
     and evaluated in blocks of 4 · ``manifold.BLOCK`` (read at call time)
-    from one normal stream (``manifold.sample_blocks``), bitwise the points
-    ``manifold.sample_coords`` draws at once, so only the integrand values
-    are held for all samples: one float each, beside one block's points
+    from the package's one stream of sample points
+    (``manifold.sample_blocks``, whose blocks concatenate to
+    ``manifold.sample_coords``), so only the integrand values are held for
+    all samples: one float each, beside one block's points
     and Jacobians.  Each block is one pass of :func:`_trace_l_batch`,
     which evaluates the integrand on the block's rows inside the guard.
     Summation is a single deterministic pairwise reduction over all

@@ -18,9 +18,10 @@ derivatives; the checks use the constant-curvature expression
 g(v,w)u − g(u,w)v and repeat it with the numerical one.
 
 Batch convention (package-wide): points are (N, m+1) arrays of unit
-rows, drawn in batches by :func:`sample_coords` and validated by
-:func:`as_points`, which also takes a list of :class:`SpherePoint`;
-:func:`sample_blocks` draws the same rows, bitwise, one block at a time.
+rows.  :func:`sample_blocks` draws them one block at a time, and
+:func:`sample_coords` is the concatenation of its blocks; :func:`as_points`
+validates the points a caller gives, as such an array or as a list of
+:class:`SpherePoint`.
 Kernels (names ending in ``_batch``, and :func:`shape_matrix`,
 :func:`shape_trace`, :func:`frame_batch` and their kin in the other
 modules) take plain arrays whose leading axes are batch axes (points,
@@ -33,19 +34,20 @@ and the few functions that take them (here :func:`cov_deriv`,
 package itself does not call; the benchmark's tracer binds them by name.
 
 Checks: a :class:`Check` is a kernel from a :class:`Block` of points to
-their residuals.  :func:`sweep` runs any number of checks over the
-points in one pass, in blocks of ``BLOCK`` points to bound memory, and
-each check folds a block's residuals into a running tally; a public
-checker sweeps its check alone (:func:`checker`), ``kontact verify`` the
-whole suite.  ``BLOCK`` is 1024 because a block's cost is mostly per-call
-numpy dispatch in the dual engine: check throughput is flat from 256 to
-2048 points per block and falls at 32, while the traced peak of the
-largest check, a second-order jet per point, stays near 24 MB (s7).
+their residuals.  :func:`sweep` runs any number of checks over a stream
+of point blocks in one pass, and each check folds a block's residuals
+into a running tally; a public checker sweeps its check alone over its
+points cut into blocks of ``BLOCK`` (:func:`checker`), ``kontact verify``
+the whole suite over the ``BLOCK``-point blocks of :func:`sample_blocks`
+as they are drawn, so it holds one block of points, not all of them.
+``BLOCK`` is 1024 because a block's cost is mostly per-call numpy
+dispatch in the dual engine: check throughput is flat from 256 to 2048
+points per block and falls at 32, while the traced peak of the largest
+check, a second-order jet per point, stays near 24 MB (s7).
 ``harmonic.energy`` draws and evaluates blocks of 4 · ``BLOCK`` samples
-(:func:`sample_blocks`), because its integrand holds only a first-order
-Jacobian per point, so it holds one block of points, not all of them.
-``BLOCK`` is read at call time, so a test can shrink it to cover more
-than one block.
+from the same stream, because its integrand holds only a first-order
+Jacobian per point.  ``BLOCK`` is read at call time, so a test can
+shrink it to cover more than one block.
 
 Frames: :func:`frame_batch` builds the orthonormal tangent frames every
 frame-based check contracts over, from k+1 Householder reflectors of
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -530,55 +532,60 @@ def proj_np(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # sampling
 
-def sample_coords(count: int, seed: int, ambient_dim: int,
-                  exclusion: Optional[Callable[[np.ndarray], np.ndarray]] = None
-                  ) -> np.ndarray:
-    """Deterministic uniform points (normalized Gaussians) as a (count,
-    ambient_dim) array, optionally filtered.
+def sample_blocks(count: int, seed: int, ambient_dim: int, size: int,
+                  exclusion: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+    """Deterministic uniform points (normalized Gaussians), optionally
+    filtered, as consecutive (size, ambient_dim) blocks, the last one
+    possibly shorter: the package's one stream of sample points, drawn as
+    the blocks are taken, so that about one block is held.
 
-    ``exclusion`` maps a block of points (B, ambient_dim) to a mask that
-    is True for points to reject.  Draws come in batches of
-    max(remaining, 64) rows and are accepted in draw order.  Raises
-    :class:`SamplingExhaustedError` when more than 99% of draws are
-    rejected.
+    ``exclusion`` maps points (B, ambient_dim) to a mask that is True for
+    points to reject.  Draws come in batches of max(remaining, 64) rows,
+    each drawn in pieces of at most ``size`` rows, and are accepted in
+    draw order; chunked ``standard_normal`` draws are bitwise the one
+    draw, so the rows do not depend on ``size``.  Raises
+    :class:`SamplingExhaustedError` when, at the end of a batch, more
+    than 99% of draws have been rejected.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    parts, accepted, drawn = [], 0, 0
+    held, n_held, accepted, drawn = [], 0, 0, 0     # held: accepted rows not yet yielded
     max_draws = max(10_000, 200 * count)
     while accepted < count:
-        g = rng.standard_normal((max(count - accepted, 64), ambient_dim))
-        keep = _normalize_rows(g)
-        if exclusion is not None:
-            keep[keep] = ~np.asarray(exclusion(g[keep]), dtype=bool)
-        rows = np.flatnonzero(keep)[:count - accepted]
-        # Rows are examined in order up to the last one accepted.
-        drawn += len(g) if accepted + len(rows) < count else int(rows[-1]) + 1
-        accepted += len(rows)
-        parts.append(g if len(rows) == len(g) else g[rows])
+        batch = max(count - accepted, 64)
+        while batch and accepted < count:
+            g = rng.standard_normal((min(size, batch), ambient_dim))
+            batch -= len(g)
+            keep = _normalize_rows(g)
+            if exclusion is not None:
+                keep[keep] = ~np.asarray(exclusion(g[keep]), dtype=bool)
+            rows = np.flatnonzero(keep)[:count - accepted]
+            # Rows are examined in order up to the last one accepted.
+            drawn += len(g) if accepted + len(rows) < count else int(rows[-1]) + 1
+            accepted += len(rows)
+            held.append(g if len(rows) == len(g) else g[rows])
+            n_held += len(rows)
+            if n_held >= size:
+                # a whole piece that is a whole block is yielded as drawn
+                x = held[0] if len(held) == 1 else np.concatenate(held)
+                n_held -= size
+                held = [x[size:]] if n_held else []
+                yield x[:size]
         if drawn >= max_draws and accepted < max(1, drawn // 100):
             raise SamplingExhaustedError(
                 f"exclusion rejected {drawn - accepted} of {drawn} draws")
-        if drawn >= 100 * max_draws:
-            raise SamplingExhaustedError("sampling budget exhausted")
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if n_held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
-def sample_blocks(count: int, seed: int, ambient_dim: int, size: int):
-    """The rows of ``sample_coords(count, seed, ambient_dim)``, bitwise, as
-    consecutive blocks of at most ``size`` rows, drawn one block at a time
-    so that only one is held: the blocks consume the same normal stream in
-    the same order (chunked ``standard_normal`` draws are bitwise the one
-    draw) and are normalized by the same routine."""
-    rng = np.random.default_rng(seed)
-    accepted = 0
-    while accepted < count:
-        g = rng.standard_normal((min(size, count - accepted), ambient_dim))
-        keep = _normalize_rows(g)
-        g = g if keep.all() else g[keep]
-        accepted += len(g)
-        yield g
+def sample_coords(count: int, seed: int, ambient_dim: int,
+                  exclusion: Optional[Callable[[np.ndarray], np.ndarray]] = None
+                  ) -> np.ndarray:
+    """The points of :func:`sample_blocks` as one (count, ambient_dim)
+    array: one block, each batch drawn as one piece."""
+    return np.concatenate(list(sample_blocks(count, seed, ambient_dim, max(count, 64),
+                                             exclusion)))
 
 
 def _normalize_rows(g: np.ndarray) -> np.ndarray:
@@ -703,10 +710,9 @@ class Check:
     ``kernel`` maps a :class:`Block` to the residuals of its points; with
     ``keep``, (mask, *args), it gets ``block.where(*keep)`` instead and the
     points left out count as skipped.  ``before``, (fn, *args), is a
-    precondition called once per sweep, however many checks name it;
-    ``tail`` gives residuals added after the last block.  The sum runs
-    left to right across blocks, not pairwise as ``np.mean`` does, so a
-    mean keeps its digits whatever the blocks."""
+    precondition called once per sweep, however many checks name it.
+    The sum runs left to right across blocks, not pairwise as ``np.mean``
+    does, so a mean keeps its digits whatever the blocks."""
 
     name: str
     tol: float
@@ -714,7 +720,6 @@ class Check:
     provenance: str | Callable[[], str] = ""
     keep: tuple = ()
     before: tuple = ()
-    tail: Callable[[], ArrayLike] = list
     count: int = 0
     skipped: int = 0
     max: float = 0.0
@@ -748,19 +753,19 @@ def group_report(name: str, checks: Sequence[Check], provenance: str | Callable[
         provenance=provenance() if callable(provenance) else provenance)
 
 
-def sweep(checks: Sequence[Check], x: np.ndarray) -> None:
-    """Every check over the points x (N, m+1) in one pass: one
-    :class:`Block` per BLOCK points, handed to each check in turn."""
+def sweep(checks: Sequence[Check], point_blocks: Iterable[np.ndarray]) -> None:
+    """Every check over the points in one pass: one :class:`Block` per
+    array (B, m+1) of ``point_blocks``, taken in turn and handed to each
+    check, its points indexed by their position in the whole stream."""
     for fn, *args in dict.fromkeys(c.before for c in checks if c.before):
         fn(*args)
-    index = np.arange(len(x))
-    for sl in blocks(len(x), BLOCK):
-        block = Block(x[sl], index[sl])
+    done = 0
+    for x in point_blocks:
+        block = Block(x, np.arange(done, done + len(x)))
+        done += len(x)
         for c in checks:
             rows = block.where(*c.keep) if c.keep else block
             c.add(c.kernel(rows) if len(rows.x) else [], len(block.x) - len(rows.x))
-    for c in checks:
-        c.add(c.tail(), 0)
 
 
 def checker(points_of: Callable = lambda s, points: as_points(points, s.ambient_dim)) -> Callable:
@@ -768,13 +773,15 @@ def checker(points_of: Callable = lambda s, points: as_points(points, s.ambient_
     **options) -> Check`` its public checker ``check(subject, *args,
     points, tol=None, **options)``: the check swept alone over the points
     validated by ``points_of(subject, points)`` (by default, rows as wide
-    as the subject's ambient space), reported at ``tol`` or, if None, at
-    its default tolerance.  ``check.build`` is the definition."""
+    as the subject's ambient space) and cut into blocks of BLOCK points,
+    reported at ``tol`` or, if None, at its default tolerance.
+    ``check.build`` is the definition."""
     def decorate(build: Callable[..., Check]) -> Callable[..., ResidualReport]:
         def check(subject, *args, tol: Optional[float] = None, **options) -> ResidualReport:
             *args, points = args
             one = build(subject, *args, **options)
-            sweep([one], points_of(subject, points))
+            x = points_of(subject, points)
+            sweep([one], (x[sl] for sl in blocks(len(x), BLOCK)))
             return one.report(tol)
 
         for attr in ("__module__", "__name__", "__qualname__", "__doc__"):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kontact as kt
+from kontact import manifold
 from kontact.ad import value
 from kontact.cli import SuiteConfig, _check_catalog
 from kontact.errors import (
@@ -21,6 +22,7 @@ from kontact.manifold import (
     apply,
     block_diag_complex_structure,
     inner,
+    sample_blocks,
     sample_coords,
 )
 from kontact.scalar_fields import hessian_matrix, laplacian_batch
@@ -417,7 +419,7 @@ def test_rotated_pairs_pass_every_catalog_check(dim, signs):
     assert not pair.degenerate
     config = SuiteConfig(manifold=f"s{dim}", samples=30, seed=1)
     f = pair.angle_function()
-    x = sample_coords(config.samples, config.seed, pair.ambient_dim,
+    x = sample_blocks(config.samples, config.seed, pair.ambient_dim, manifold.BLOCK,
                       exclusion=lambda y: np.abs(value(f.eval(y))) > config.exclusion)
     for name, check in _check_catalog(pair, x, config):
         rep = check()
@@ -436,7 +438,7 @@ def catalog_reports(dim, samples=200, seed=1):
     pair = kt.standard_pair(dim)
     config = SuiteConfig(manifold=f"s{dim}", samples=samples, seed=seed)
     f = pair.angle_function()
-    x = sample_coords(samples, seed, pair.ambient_dim,
+    x = sample_blocks(samples, seed, pair.ambient_dim, manifold.BLOCK,
                       exclusion=lambda y: np.abs(value(f.eval(y))) > config.exclusion)
     return {name: check() for name, check in _check_catalog(pair, x, config)
             if name in FRAME_CHECKS}

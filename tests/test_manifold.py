@@ -348,6 +348,24 @@ def test_sample_coords_digest_is_pinned(dim, digest):
     assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("dim, count, seed, cutoff, digest", [
+    (7, 5000, 1, 0.9, "cfecc5cff059c2f3"), (3, 3000, 2, 0.3, "3bdde4110d082954"),
+    (5, 2500, 7, 0.9, "93c7d67167f2079f")])
+def test_multi_block_draws_are_pinned(dim, count, seed, cutoff, digest):
+    # the points of verify over several blocks, as one array and as the
+    # stream of BLOCK-point blocks the suite sweeps
+    f = kt.standard_pair(dim).angle_function()
+
+    def exclusion(x):
+        return np.abs(ad.value(f.eval(x))) > cutoff
+
+    parts = list(sample_blocks(count, seed, dim + 1, manifold.BLOCK, exclusion))
+    assert [len(x) for x in parts[:-1]] == [manifold.BLOCK] * (len(parts) - 1)
+    assert 0 < len(parts[-1]) <= manifold.BLOCK
+    for x in (sample_coords(count, seed, dim + 1, exclusion), np.concatenate(parts)):
+        assert hashlib.sha256(x.tobytes()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("dim, digest", [(3, "456bbe3c660c78b2"),
                                          (7, "6ef07b233069cd31")])
 def test_energy_draw_digest_is_pinned(dim, digest):
@@ -383,7 +401,7 @@ def test_sample_coords_rejects_an_all_zero_draw(monkeypatch):
 def test_sample_blocks_drop_an_all_zero_draw_as_sample_coords_does(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", ZeroRowFirst)
     parts = list(sample_blocks(100, 5, 4, 64))
-    assert [len(x) for x in parts] == [63, 37]
+    assert [len(x) for x in parts] == [64, 36]
     assert np.array_equal(np.concatenate(parts), sample_coords(100, 5, 4))
 
 
@@ -423,8 +441,7 @@ def test_as_points_and_checkers_reject_malformed_points(pair3, pts3, angle3, cas
             check()
 
 
-def test_sweep_keeps_point_order_across_blocks(monkeypatch):
-    monkeypatch.setattr(manifold, "BLOCK", 32)
+def test_sweep_keeps_point_order_across_blocks():
     x = sample_coords(70, 3, 4)
     seen = []
 
@@ -433,7 +450,7 @@ def test_sweep_keeps_point_order_across_blocks(monkeypatch):
         return np.stack([b.x[:, 0], b.index], axis=1)
 
     check = Check("order", 1.0, kernel)
-    sweep([check], x)
+    sweep([check], sample_blocks(70, 3, 4, 32))
     assert [len(y) for y, _ in seen] == [32, 32, 6]
     assert np.array_equal(np.concatenate([y for y, _ in seen]), x)
     assert np.array_equal(np.concatenate([i for _, i in seen]), np.arange(70))
@@ -444,11 +461,10 @@ def test_sweep_keeps_point_order_across_blocks(monkeypatch):
     assert rep.mean == np.add.accumulate(vals)[-1] / 140
 
 
-def test_sweep_mask_slices_aligned_arrays_and_counts_skips(monkeypatch):
+def test_sweep_mask_slices_aligned_arrays_and_counts_skips():
     # a mask keeps rows of each block; the kernel computes at those rows
     # (Block.of) or takes them from a quantity of the whole block
     # (Block.full), which is computed once per block for every check
-    monkeypatch.setattr(manifold, "BLOCK", 32)
     x = sample_coords(70, 3, 4)
     computed = []
 
@@ -463,7 +479,7 @@ def test_sweep_mask_slices_aligned_arrays_and_counts_skips(monkeypatch):
         return b.full(first_coordinate) + b.of(first_coordinate) + b.x[:, 1]
 
     checks = [Check(name, 3.0, kernel, keep=(kept,)) for name in ("a", "b")]
-    sweep(checks, x)
+    sweep(checks, sample_blocks(70, 3, 4, 32))
     keep = np.arange(70) % 3 != 0
     assert computed == [32, 21, 32, 21, 6, 4]
     vals = np.abs(2.0 * x[:, 0] + x[:, 1])[keep]
@@ -480,14 +496,13 @@ def test_sweep_of_nothing_calls_no_kernel(count, keep):
 
     mask = () if keep is None else (lambda b: np.array(keep, dtype=bool)[b.index],)
     check = Check("empty", 1.0, kernel, keep=mask)
-    sweep([check], sample_coords(5, 3, 4)[:count])
+    sweep([check], [sample_coords(5, 3, 4)[:count]])
     assert check.report() == ResidualReport("empty", 0, count, 0.0, 0.0, 1.0, True)
 
 
-def test_sweep_frees_each_block_before_the_next(monkeypatch):
+def test_sweep_frees_each_block_before_the_next():
     # a block and its masked sub-blocks hold the arrays the checks share;
     # they go when the sweep moves on, not at the next cycle collection
-    monkeypatch.setattr(manifold, "BLOCK", 8)
     seen = []
 
     def kernel(b):
@@ -498,7 +513,7 @@ def test_sweep_frees_each_block_before_the_next(monkeypatch):
     gc.disable()
     try:
         sweep([Check("freed", 1.0, kernel, keep=(lambda b: b.index % 2 == 0,))],
-              sample_coords(40, 3, 4))
+              sample_blocks(40, 3, 4, 8))
     finally:
         gc.enable()
     assert len(seen) == 5
@@ -512,7 +527,7 @@ def test_sweep_probes_each_precondition_once():
 
     checks = [Check(name, 1.0, lambda b: b.x[:, 0], before=(probe, tag))
               for name, tag in (("a", 1), ("b", 1), ("c", 2))]
-    sweep(checks, sample_coords(5, 3, 4)[:0])
+    sweep(checks, [])
     assert probed == [1, 2]
 
 
