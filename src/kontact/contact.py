@@ -20,7 +20,10 @@ Kernels and checks follow the batch convention of :mod:`kontact.manifold`:
 each check is defined once, as a ``manifold.Check`` (its name, default
 tolerance and block kernel), by a function that ``manifold.checker``
 makes its public checker.  The random tangent directions of a check come
-from one seeded stream, drawn block by block in point order.
+from the sweep, not the check: ``Block.tangents(seed, shape)`` draws them
+from one seeded stream block by block in point order, once per block
+for every check that names that stream, so the α and β checks of one
+identity share their directions.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .ad import (
 from .errors import ConstructionError
 from .manifold import (
     AmbientVectorField,
+    Block,
     Check,
     Frame,
     OrthoComplexStructure,
@@ -287,29 +291,23 @@ def check_axiom_volume(s: ContactMetricStructure,
                  "top form ±2^n·n! with constant sign")
 
 
-def _directions(seed: int, pairs: bool = True) -> Callable:
-    """Draws (p, u, v) of DIRECTIONS random tangent pairs at each point of
-    a block, or (p, u) of single directions if not ``pairs``, p (B, 1, m+1)
-    and u, v (B, DIRECTIONS, m+1), from one stream seeded by ``seed``."""
-    rng = np.random.default_rng(seed)
-
-    def draw(b):
-        p = b.x[:, None, :]
-        if not pairs:
-            return p, random_tangent_batch(b.x, rng, (DIRECTIONS,))
-        uv = random_tangent_batch(b.x, rng, (DIRECTIONS, 2))
-        return p, uv[..., 0, :], uv[..., 1, :]
-
-    return draw
+def _directions(b: Block, seed: int, pairs: bool = True) -> tuple:
+    """(p, u, v) of DIRECTIONS random tangent pairs at each point of the
+    block, or (p, u) of single directions if not ``pairs``, p (B, 1, m+1)
+    and u, v (B, DIRECTIONS, m+1), from the block's stream seeded by
+    ``seed``."""
+    p = b.x[:, None, :]
+    if not pairs:
+        return p, b.tangents(seed, (DIRECTIONS,))
+    uv = b.tangents(seed, (DIRECTIONS, 2))
+    return p, uv[..., 0, :], uv[..., 1, :]
 
 
 @checker()
 def check_axiom_ii(s: ContactMetricStructure) -> Check:
     """‖φ²u + u − α(u)Z‖ over random tangent directions."""
-    draw = _directions(AXIOM_II_SEED, pairs=False)
-
     def kernel(b):
-        p, u = draw(b)
+        p, u = _directions(b, AXIOM_II_SEED, pairs=False)
         z = apply(s.j_ambient.mat, p)
         r = s.phi_at(p, s.phi_at(p, u)) + u - inner(u, z)[..., None] * z
         return np.sqrt(inner(r, r))
@@ -322,10 +320,8 @@ def check_axiom_ii(s: ContactMetricStructure) -> Check:
 def check_axiom_iii(s: ContactMetricStructure) -> Check:
     """|dα(u,v) − 2 g(u, φv)| over random tangent pairs, with dα from one
     Jacobian of α's coefficients per block (:func:`d_on_pairs`)."""
-    draw = _directions(AXIOM_III_SEED)
-
     def kernel(b):
-        x, u, v = draw(b)
+        x, u, v = _directions(b, AXIOM_III_SEED)
         return np.abs(d_on_pairs(s.alpha_coeffs, x, u, v) - 2.0 * inner(u, s.phi_at(x, v)))
 
     return Check(f"axiom_iii_{s.label}", 1e-8, kernel,
@@ -343,8 +339,8 @@ def killing_residual_batch(field: AmbientVectorField, x: np.ndarray,
 def check_killing(field: AmbientVectorField, check_name: str = "killing") -> Check:
     """Vanishing of the symmetrized covariant derivative (Killing equation)
     over random tangent pairs."""
-    draw = _directions(KILLING_SEED)
-    return Check(check_name, 1e-9, lambda b: killing_residual_batch(field, *draw(b)),
+    return Check(check_name, 1e-9,
+                 lambda b: killing_residual_batch(field, *_directions(b, KILLING_SEED)),
                  "symmetrized covariant derivative of the field")
 
 
@@ -368,18 +364,16 @@ def sasakian_residual_batch(s: ContactMetricStructure, x: np.ndarray,
 @checker()
 def check_sasakian(s: ContactMetricStructure) -> Check:
     """(∇_A φ)B = g(A,B)Z − α(B)A over random tangent pairs."""
-    draw = _directions(SASAKIAN_SEED)
-    return Check(f"sasakian_{s.label}", 1e-8, lambda b: sasakian_residual_batch(s, *draw(b)),
+    return Check(f"sasakian_{s.label}", 1e-8,
+                 lambda b: sasakian_residual_batch(s, *_directions(b, SASAKIAN_SEED)),
                  "covariant derivative of phi against the defining identity")
 
 
 @checker()
 def check_phi_skew(s: ContactMetricStructure) -> Check:
     """|g(φu, v) + g(u, φv)| — metric skewness of the structure tensor."""
-    draw = _directions(PHI_SKEW_SEED)
-
     def kernel(b):
-        x, u, v = draw(b)
+        x, u, v = _directions(b, PHI_SKEW_SEED)
         return np.abs(inner(s.phi_at(x, u), v) + inner(u, s.phi_at(x, v)))
 
     return Check(f"phi_skew_{s.label}", 1e-9, kernel, "structure tensor is metric-skew")

@@ -18,13 +18,14 @@ structure is Sasakian; its eigenvalue pattern decides the ±4 branch.
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 and checks are defined as in :mod:`kontact.contact`.  The three checks
 on the sub-bundle (the Laplacian formula, the φJ spectrum and the
-restricted Hessian) share one sub-bundle frame per block of a sweep
-(``manifold.Block``).  They skip a point where Z, X and JX fail
-``manifold.seeds_span``, the rank test ``manifold.frame_batch`` applies
-to its seeds (Gram determinant ≈ (1 − f²)² below 1e-10, so
-1 − |f| ≲ 5e-6).  The φJ and Hessian checks need the first structure to
-be Sasakian; where the sub-bundle is not zero (m ≥ 5), a sweep probes
-that once first (:func:`_sasakian_gate`).
+restricted Hessian) share one sub-bundle frame and its image under Jφ
+per block of a sweep (:func:`_sub_bundle`, through ``manifold.Block``).
+They skip a point where Z, X and JX fail ``manifold.seeds_span``, the
+rank test ``manifold.frame_batch`` applies to its seeds (Gram
+determinant ≈ (1 − f²)² below 1e-10, so 1 − |f| ≲ 5e-6).  The φJ and
+Hessian checks need the first structure to be Sasakian; where the
+sub-bundle is not zero (m ≥ 5), a sweep probes that once first
+(:func:`_sasakian_gate`).
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .manifold import (
     frame_batch,
     inner,
     lie_bracket_batch,
-    random_tangent_batch,
     sample_coords,
     seeds_span,
 )
@@ -83,6 +83,7 @@ ANGLE_PROFILE = TransnormalProfile(b=lambda t: 4.0 * (1.0 - t * t),
                                    b_prime=lambda t: -8.0 * t)
 
 NUMERIC_SUBSET = 25     # leading points whose Ricci check repeats with numeric curvature
+HESSIAN_DIAGNOSTIC_SEED = 29
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,14 +277,21 @@ def _phi_chain(x: np.ndarray, first, second, u: np.ndarray) -> np.ndarray:
     return second.phi_at(p, first.phi_at(p, u))
 
 
+def _sub_bundle(d: DoubleKContact, x: np.ndarray) -> tuple:
+    """The sub-bundle bases E (..., m−3, m+1) at the points x
+    (:func:`hbundle_frames`) and Jφ E, the first structure's tensor after
+    the second's on each row."""
+    basis = hbundle_frames(d, x)
+    return basis, _phi_chain(x, d.s_beta, d.s_alpha, basis)
+
+
 @checker()
 def laplacian_formula_check(d: DoubleKContact) -> Check:
     """Δf against (4n+4)·f + 2·Σ g(JφE_i, E_i) over the orthogonal sub-bundle."""
     f = d.angle_function()
 
     def kernel(b):
-        basis = b.of(hbundle_frames, d)
-        jphi = _phi_chain(b.x, d.s_beta, d.s_alpha, basis)
+        basis, jphi = b.of(_sub_bundle, d)
         rhs = (4.0 * d.n + 4.0) * b.full(values_batch, f) + 2.0 * np.sum(
             inner(jphi, basis), axis=-1)
         return np.abs(b.full(laplacian_batch, f) - rhs)
@@ -302,12 +310,12 @@ def phi_product_spectrum_check(d: DoubleKContact) -> Check:
     eigs_seen = set()
 
     def kernel(b):
-        x, basis = b.x, b.of(hbundle_frames, d)
+        x, (basis, jphi) = b.x, b.of(_sub_bundle, d)
         k = basis.shape[-2]
         if k == 0:
             return np.zeros(len(x))
         phi_j = _phi_chain(x, d.s_alpha, d.s_beta, basis)
-        diff = phi_j - _phi_chain(x, d.s_beta, d.s_alpha, basis)
+        diff = phi_j - jphi
         commute_res = np.max(np.sqrt(inner(diff, diff)), axis=-1)
         # m_phi_j[j, i] = g(φJ e_i, e_j)
         m_phi_j = inner(phi_j[:, None, :, :], basis[:, :, None, :])
@@ -333,25 +341,24 @@ def hessian_restriction_check(d: DoubleKContact) -> Check:
 
     The full-argument identity (with its 2 g(A,X) g(Z,B) term) is a
     diagnostic only, reported in the provenance as its maximum over one
-    random pair (u, v) per point, drawn from one stream seeded by 29; it
-    is not gated because the restriction to the sub-bundle is the part
-    with an unambiguous symmetric reading.
+    random pair (u, v) per point, drawn at the kept points from the stream
+    seeded by HESSIAN_DIAGNOSTIC_SEED; it is not gated because the
+    restriction to the sub-bundle is the part with an unambiguous
+    symmetric reading.
     """
     f = d.angle_function()
-    rng = np.random.default_rng(29)
     full_domain = [0.0]
 
     def kernel(b):
-        x, fv, basis = b.x, b.full(values_batch, f), b.of(hbundle_frames, d)
+        x, fv, (basis, jphi) = b.x, b.full(values_batch, f), b.of(_sub_bundle, d)
         if basis.shape[-2] == 0:
             return np.zeros(len(x))
         hess = hessian_matrix(f, x)
         i, j = np.triu_indices(basis.shape[-2])
         a, c = basis[:, i], basis[:, j]
         lhs = inner(apply(hess[:, None], a), c)
-        rhs = (-2.0 * fv[:, None] * inner(a, c)
-               - 2.0 * inner(_phi_chain(x, d.s_beta, d.s_alpha, a), c))
-        uv = random_tangent_batch(x, rng, (2,))
+        rhs = -2.0 * fv[:, None] * inner(a, c) - 2.0 * inner(jphi[:, i], c)
+        uv = b.tangents(HESSIAN_DIAGNOSTIC_SEED, (2,))
         u, v = uv[:, 0], uv[:, 1]
         xb = apply(d.s_beta.j_ambient.mat, x)
         z = apply(d.s_alpha.j_ambient.mat, x)

@@ -36,10 +36,15 @@ package itself does not call; the benchmark's tracer binds them by name.
 Checks: a :class:`Check` is a kernel from a :class:`Block` of points to
 their residuals.  :func:`sweep` runs any number of checks over a stream
 of point blocks in one pass, and each check folds a block's residuals
-into a running tally; a public checker sweeps its check alone over its
-points cut into blocks of ``BLOCK`` (:func:`checker`), ``kontact verify``
-the whole suite over the ``BLOCK``-point blocks of :func:`sample_blocks`
-as they are drawn, so it holds one block of points, not all of them.
+into a running tally.  The random tangent directions of the checks come
+from the sweep: :meth:`Block.tangents` draws from a generator the sweep
+keeps per seed, shape and point set (the block or one masked sub-block),
+once per block for all the checks that name it, so a check holds no
+generator and draws what it would draw swept alone.  A public checker
+sweeps its check alone over its points cut into blocks of ``BLOCK``
+(:func:`checker`), ``kontact verify`` the whole suite over the
+``BLOCK``-point blocks of :func:`sample_blocks` as they are drawn, so it
+holds one block of points, not all of them.
 ``BLOCK`` is 1024 because a block's cost is mostly per-call numpy
 dispatch in the dual engine: check throughput is flat from 256 to 2048
 points per block and falls at 32, while the traced peak of the largest
@@ -675,17 +680,31 @@ class Block:
     ``fn(*args, x)``, computed once.  ``where(mask, *args)`` is the block
     of the rows where ``mask(block, *args)`` holds, built once per mask;
     its ``of`` computes at those rows only, and its ``full(fn, *args)``
-    takes those rows of ``fn`` at every point of the enclosing block."""
+    takes those rows of ``fn`` at every point of the enclosing block.
+    ``tangents(seed, shape)`` is :func:`random_tangent_batch` at x, drawn
+    once, from the generator seeded by ``seed`` that ``streams`` (the
+    sweep's table) keeps for this point set, the block or its sub-block
+    of one mask, and this shape: each such stream runs on block by block
+    in point order, and the checks that name it share each block's draw."""
 
-    def __init__(self, x: np.ndarray, index: np.ndarray,
+    def __init__(self, x: np.ndarray, index: np.ndarray, streams: dict, key: tuple = (),
                  parent: Optional["Block"] = None, rows: Optional[np.ndarray] = None):
-        self.x, self.index = x, index
+        self.x, self.index, self._streams, self._key = x, index, streams, key
         self._parent, self._rows, self._kept = parent, rows, {}
 
     def of(self, fn: Callable, *args):
         key = (fn,) + args
         if key not in self._kept:
             self._kept[key] = fn(*args, self.x)
+        return self._kept[key]
+
+    def tangents(self, seed: int, shape: tuple) -> np.ndarray:
+        key = ("tangents", seed, shape)
+        if key not in self._kept:
+            stream = (self._key, seed, shape)
+            if stream not in self._streams:
+                self._streams[stream] = np.random.default_rng(seed)
+            self._kept[key] = random_tangent_batch(self.x, self._streams[stream], shape)
         return self._kept[key]
 
     def full(self, fn: Callable, *args):
@@ -698,7 +717,8 @@ class Block:
         if key not in self._kept:
             keep = mask(self, *args)
             # weakly, so no cycle keeps a block's arrays past its sweep step
-            self._kept[key] = Block(self.x[keep], self.index[keep], weakref.proxy(self), keep)
+            self._kept[key] = Block(self.x[keep], self.index[keep], self._streams,
+                                    self._key + (key,), weakref.proxy(self), keep)
         return self._kept[key]
 
 
@@ -756,16 +776,21 @@ def group_report(name: str, checks: Sequence[Check], provenance: str | Callable[
 def sweep(checks: Sequence[Check], point_blocks: Iterable[np.ndarray]) -> None:
     """Every check over the points in one pass: one :class:`Block` per
     array (B, m+1) of ``point_blocks``, taken in turn and handed to each
-    check, its points indexed by their position in the whole stream."""
+    check, its points indexed by their position in the whole stream.  The
+    sweep holds the one table of tangent-direction generators its blocks
+    draw from (:meth:`Block.tangents`), so no check holds its own."""
     for fn, *args in dict.fromkeys(c.before for c in checks if c.before):
         fn(*args)
-    done = 0
+    done, streams = 0, {}
     for x in point_blocks:
-        block = Block(x, np.arange(done, done + len(x)))
+        block = Block(x, np.arange(done, done + len(x)), streams)
         done += len(x)
         for c in checks:
             rows = block.where(*c.keep) if c.keep else block
             c.add(c.kernel(rows) if len(rows.x) else [], len(block.x) - len(rows.x))
+
+
+_MISSING = object()
 
 
 def checker(points_of: Callable = lambda s, points: as_points(points, s.ambient_dim)) -> Callable:
@@ -774,11 +799,16 @@ def checker(points_of: Callable = lambda s, points: as_points(points, s.ambient_
     points, tol=None, **options)``: the check swept alone over the points
     validated by ``points_of(subject, points)`` (by default, rows as wide
     as the subject's ambient space) and cut into blocks of BLOCK points,
-    reported at ``tol`` or, if None, at its default tolerance.
-    ``check.build`` is the definition."""
+    reported at ``tol`` or, if None, at its default tolerance.  ``points``
+    is the last positional argument or a keyword one.  ``check.build`` is
+    the definition."""
     def decorate(build: Callable[..., Check]) -> Callable[..., ResidualReport]:
-        def check(subject, *args, tol: Optional[float] = None, **options) -> ResidualReport:
-            *args, points = args
+        def check(subject, *args, points=_MISSING, tol: Optional[float] = None,
+                  **options) -> ResidualReport:
+            if points is _MISSING:
+                if not args:
+                    raise TypeError(f"{build.__name__}() missing required argument: 'points'")
+                *args, points = args
             one = build(subject, *args, **options)
             x = points_of(subject, points)
             sweep([one], (x[sl] for sl in blocks(len(x), BLOCK)))

@@ -766,7 +766,9 @@ def test_ported_check_matches_the_point_loop(two_blocks, name):
         assert mx <= 10.0 * loop_max or mx <= 1e-13
 
 
-def recorded_draws(monkeypatch, module):
+def recorded_draws(monkeypatch):
+    """The directions every block of a sweep draws, recorded at their one
+    draw site, ``manifold.Block.tangents``."""
     drawn = []
 
     def recording(x, rng, shape):
@@ -774,7 +776,7 @@ def recorded_draws(monkeypatch, module):
         drawn.append(out.reshape(-1, x.shape[-1]))
         return out
 
-    monkeypatch.setattr(module, "random_tangent_batch", recording)
+    monkeypatch.setattr(manifold, "random_tangent_batch", recording)
     return drawn
 
 
@@ -782,7 +784,7 @@ def recorded_draws(monkeypatch, module):
                                          (kt.check_kcontact, 13)])
 def test_pair_checks_draw_the_loop_stream(two_blocks, monkeypatch, check, seed):
     pair, pts, with_critical = two_blocks
-    drawn = recorded_draws(monkeypatch, kt.contact)
+    drawn = recorded_draws(monkeypatch)
     check(pair.s_alpha, with_critical)
     rng = np.random.default_rng(seed)
     loop = [t for p in with_critical for _ in range(2) for t in loop_tangents(p, rng, 2)]
@@ -791,14 +793,16 @@ def test_pair_checks_draw_the_loop_stream(two_blocks, monkeypatch, check, seed):
 
 def test_hessian_diagnostic_draws_the_loop_stream_at_kept_points(two_blocks, monkeypatch):
     pair, pts, with_critical = two_blocks
-    drawn = recorded_draws(monkeypatch, kt.double_kcontact)
+    drawn = recorded_draws(monkeypatch)
     kt.hessian_restriction_check(pair, with_critical)
     if pair.dim == 3:                   # the sub-bundle is zero: nothing drawn
         assert drawn == []
         return
+    # the Sasakian probe's sweep draws first, from its own stream
+    gate = loop_stream(sample_coords(6, 23, pair.ambient_dim), 17, 4)
     rng = np.random.default_rng(29)
     loop = [t for p in pts for t in loop_tangents(p, rng, 2)]
-    assert np.array_equal(np.concatenate(drawn), np.array(loop))
+    assert np.array_equal(np.concatenate(drawn), np.concatenate([gate, loop]))
 
 
 def rebind(monkeypatch, module, name, record):
@@ -829,16 +833,19 @@ def loop_stream(points, seed, per_point):
 def test_suite_sweeps_its_points_once(dim, monkeypatch):
     # 40 points in blocks of 16: three blocks, each computing the plain
     # frame, ∇f, Δf, the sub-bundle frame and the harmonic jet once for
-    # every check that needs them
+    # every check that needs them, and the sub-bundle's Jφ with its frame
     f = kt.standard_pair(dim).angle_function()
     x = sample_coords(40, 3, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
     monkeypatch.setattr(manifold, "BLOCK", 16)
     calls = {name: [] for name in ("sweep", "frame_batch", "gradient_batch",
-                                   "laplacian_batch", "hbundle_frames", "second_jet")}
+                                   "laplacian_batch", "hbundle_frames", "_sub_bundle",
+                                   "second_jet", "_phi_chain")}
     for module, name in ((manifold, "sweep"), (manifold, "frame_batch"),
                          (kt.scalar_fields, "gradient_batch"),
                          (kt.scalar_fields, "laplacian_batch"),
-                         (kt.double_kcontact, "hbundle_frames"), (ad, "second_jet")):
+                         (kt.double_kcontact, "hbundle_frames"),
+                         (kt.double_kcontact, "_sub_bundle"), (ad, "second_jet"),
+                         (kt.double_kcontact, "_phi_chain")):
         rebind(monkeypatch, module, name, lambda args, out, name=name: calls[name].append(args))
     streams = {}
     rebind(monkeypatch, manifold, "random_tangent_batch",
@@ -851,20 +858,41 @@ def test_suite_sweeps_its_points_once(dim, monkeypatch):
     assert len(calls.pop("sweep")) == 2
     plain = [args for args in calls.pop("frame_batch") if len(args) == 1]
     assert [len(args[0]) for args in plain] == [16, 16, 8]
+    # Jφ on the sub-bundle once per block, and φJ once for the spectrum
+    assert len(calls.pop("_phi_chain")) == 6
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 3)
-    # one generator per check that draws, in the order the checks first draw:
-    # the σ probes of both structures, the Sasakian probe, then the suite's
-    # axioms ii and iii of both structures, Killing, Sasakian and the Hessian
+    # one generator per stream, in the order the checks first draw: the σ
+    # probes of both structures, the Sasakian probe, then the suite's
+    # streams, which the α and β checks share: axioms ii and iii, Killing,
+    # Sasakian and the Hessian diagnostic
     probe = sample_coords(4, kt.contact.PROBE_SEED, dim + 1)
     expected = ([loop_stream(probe, kt.contact.PROBE_SEED + 1, 2)] * 2
                 + [loop_stream(sample_coords(6, 23, dim + 1), 17, 4)]
-                + [loop_stream(x, 7, 2), loop_stream(x, 11, 4)] * 2
-                + [loop_stream(x, 13, 4)] * 2 + [loop_stream(x, 17, 4)] * 2
-                + [loop_stream(x, 29, 2)])
+                + [loop_stream(x, 7, 2), loop_stream(x, 11, 4), loop_stream(x, 13, 4),
+                   loop_stream(x, 17, 4), loop_stream(x, 29, 2)])
     drawn = [np.concatenate(s) for s in streams.values()]
     assert len(drawn) == len(expected)
     for got, want in zip(drawn, expected):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_structures_share_each_draw_and_report_as_alone(dim, monkeypatch):
+    # 40 points in blocks of 16: the checks of both structures swept
+    # together draw each stream once per block, and each reports what it
+    # reports swept alone
+    pair = kt.standard_pair(dim)
+    x = sample_coords(40, 9, dim + 1)
+    monkeypatch.setattr(manifold, "BLOCK", 16)
+    defs = (kt.check_axiom_ii, kt.check_axiom_iii, kt.check_kcontact,
+            kt.check_sasakian, kt.contact.check_phi_skew)
+    structures = (pair.s_alpha, pair.s_beta)
+    alone = [check(s, x) for s in structures for check in defs]
+    drawn = recorded_draws(monkeypatch)
+    together = [check.build(s) for s in structures for check in defs]
+    manifold.sweep(together, (x[sl] for sl in blocks(len(x), 16)))
+    assert [c.report() for c in together] == alone
+    assert len(drawn) == 3 * len(defs)
 
 
 @pytest.mark.parametrize("dim", (5, 7))

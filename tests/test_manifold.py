@@ -501,13 +501,17 @@ def test_sweep_of_nothing_calls_no_kernel(count, keep):
 
 
 def test_sweep_frees_each_block_before_the_next():
-    # a block and its masked sub-blocks hold the arrays the checks share;
-    # they go when the sweep moves on, not at the next cycle collection
-    seen = []
+    # a block and its masked sub-blocks hold the arrays the checks share,
+    # their tangent draws included; they go when the sweep moves on, not
+    # at the next cycle collection, and the sweep's stream table keeps
+    # generators only
+    seen, tables = [], []
 
     def kernel(b):
         assert all(ref() is None for ref in seen)
         seen.append(weakref.ref(b))
+        b.tangents(3, (2,))
+        tables.append(b._streams)
         return b.full(lambda y: y[:, 0])
 
     gc.disable()
@@ -517,6 +521,46 @@ def test_sweep_frees_each_block_before_the_next():
     finally:
         gc.enable()
     assert len(seen) == 5
+    assert all(t is tables[0] for t in tables)
+    assert [type(g) for g in tables[0].values()] == [np.random.Generator]
+
+
+def test_same_stream_on_other_points_draws_as_alone():
+    # one seed and shape on the whole block and on two masks: three
+    # streams, and each check draws what it draws swept alone
+    masks = [(), (lambda b: b.index % 3 == 0,), (lambda b: b.x[:, 0] > 0.0,)]
+
+    def drawing(keep):
+        drawn = []
+
+        def kernel(b):
+            drawn.append(b.tangents(5, (2,)))
+            return b.x[:, 0]
+
+        return drawn, Check("draws", 1.0, kernel, keep=keep)
+
+    alone = []
+    for keep in masks:
+        drawn, check = drawing(keep)
+        sweep([check], sample_blocks(40, 3, 4, 16))
+        alone.append(drawn)
+    together = [drawing(keep) for keep in masks]
+    sweep([check for _, check in together], sample_blocks(40, 3, 4, 16))
+    for (drawn, _), want in zip(together, alone):
+        assert len(drawn) == len(want) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(drawn, want))
+
+
+def test_checkers_take_points_by_position_or_keyword(pair5, pts5):
+    x = pts5[:20]
+    for check, args in ((kt.check_axiom_ii, (pair5.s_alpha,)),
+                        (kt.laplacian_formula_check, (pair5,)),
+                        (kt.contact.check_killing, (pair5.s_beta.reeb_field(), "killing_beta")),
+                        (kt.check_transnormal, (pair5.angle_function(), kt.ANGLE_PROFILE))):
+        assert check(*args, points=x) == check(*args, x)
+        assert check(*args, points=x, tol=1e-3) == check(*args, x, tol=1e-3)
+        with pytest.raises(TypeError, match="'points'"):
+            check(args[0])
 
 
 def test_sweep_probes_each_precondition_once():
