@@ -19,12 +19,10 @@ the allocator as it finds it.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import io
 import json
 import sys
-from dataclasses import dataclass, field, replace
 from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -92,20 +90,17 @@ CONVENTION_LEDGER = {
 }
 
 
-@dataclass
 class SuiteConfig:
     """Configuration of one verification run."""
 
-    manifold: str
-    samples: int = 500
-    seed: int = 42
-    exclusion: float = 0.9
-    tol_overrides: dict = field(default_factory=dict)
-    output_path: Optional[str] = None
-    format: str = "json"
-    include_timestamp: bool = False
-
-    def __post_init__(self):
+    def __init__(self, manifold: str, samples: int = 500, seed: int = 42,
+                 exclusion: float = 0.9, tol_overrides: Optional[dict] = None,
+                 output_path: Optional[str] = None, format: str = "json",
+                 include_timestamp: bool = False):
+        self.manifold, self.samples, self.seed, self.exclusion = manifold, samples, seed, exclusion
+        self.tol_overrides = {} if tol_overrides is None else tol_overrides
+        self.output_path, self.format = output_path, format
+        self.include_timestamp = include_timestamp
         if self.manifold not in MANIFOLDS:
             raise ValueError(f"unknown manifold {self.manifold!r}")
         if self.samples < 1:
@@ -261,6 +256,7 @@ CSV_COLUMNS = ["check_name", "count", "skipped", "max", "mean", "tolerance", "pa
 
 
 def render_csv(reports: Sequence[ResidualReport]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -384,7 +380,8 @@ def _energy_field(args, pair) -> tuple[UnitVectorField, Optional[float]]:
     if not (0.0 < args.exclusion < 1.0):
         raise ValueError("exclusion must lie in (0, 1)")
     cutoff = args.exclusion
-    return replace(zf, guard=lambda x: np.abs(value(f.eval(x))) <= cutoff), None
+    return UnitVectorField(zf.field, lambda x: np.abs(value(f.eval(x))) <= cutoff,
+                           zf.label, zf.potential), None
 
 
 def _cmd_energy(args) -> int:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,14 +74,12 @@ SASAKIAN_SEED = 17
 PHI_SKEW_SEED = 19
 
 
-@dataclass(frozen=True, eq=False)
 class ContactMetricStructure:
     """(alpha, Z, phi) over the round metric, generated by an ambient
     orthogonal complex structure."""
 
-    j_ambient: OrthoComplexStructure
-    sigma: int
-    label: str = "alpha"
+    def __init__(self, j_ambient: OrthoComplexStructure, sigma: int, label: str = "alpha"):
+        self.j_ambient, self.sigma, self.label = j_ambient, sigma, label
 
     @property
     def ambient_dim(self) -> int:

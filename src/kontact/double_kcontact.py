@@ -31,7 +31,6 @@ sub-bundle is not zero (m ≥ 5), a sweep probes that once first
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,13 +85,16 @@ NUMERIC_SUBSET = 25     # leading points whose Ricci check repeats with numeric 
 HESSIAN_DIAGNOSTIC_SEED = 29
 
 
-@dataclass(frozen=True, eq=False)
 class DoubleKContact:
     """Two commuting contact metric structures over the same round metric."""
 
-    s_alpha: ContactMetricStructure
-    s_beta: ContactMetricStructure
-    degenerate: bool = False
+    def __init__(self, s_alpha: ContactMetricStructure, s_beta: ContactMetricStructure,
+                 degenerate: bool = False):
+        self.s_alpha, self.s_beta, self.degenerate = s_alpha, s_beta, degenerate
+        j1, j2 = s_alpha.j_ambient.mat, s_beta.j_ambient.mat
+        grad_mat = -(j1 @ j2 + j2 @ j1)
+        self._angle = ScalarField(eval=lambda x: dot(matvec(j2, x), matvec(j1, x)),
+                                  grad=lambda x: matvec(grad_mat, x), label="angle")
 
     @property
     def ambient_dim(self) -> int:
@@ -105,14 +107,6 @@ class DoubleKContact:
     @property
     def n(self) -> int:
         return self.s_alpha.n
-
-    def __post_init__(self):
-        j1 = self.s_alpha.j_ambient.mat
-        j2 = self.s_beta.j_ambient.mat
-        grad_mat = -(j1 @ j2 + j2 @ j1)
-        object.__setattr__(self, "_angle", ScalarField(
-            eval=lambda x: dot(matvec(j2, x), matvec(j1, x)),
-            grad=lambda x: matvec(grad_mat, x), label="angle"))
 
     def angle_function(self) -> ScalarField:
         """f = g(X, Z), with its closed-form ambient gradient: one object per
@@ -267,8 +261,9 @@ def gradient_identity_check(d: DoubleKContact) -> Check:
 @checker()
 def transnormal_b_check(d: DoubleKContact) -> Check:
     """‖grad f‖² = 4(1 − f²) for the angle function."""
-    return replace(check_transnormal.build(d.angle_function(), ANGLE_PROFILE),
-                   provenance="angle function with b(t) = 4(1-t^2)")
+    c = check_transnormal.build(d.angle_function(), ANGLE_PROFILE)
+    return Check(c.name, c.tol, c.kernel, "angle function with b(t) = 4(1-t^2)",
+                 keep=c.keep, before=c.before)
 
 
 def _phi_chain(x: np.ndarray, first, second, u: np.ndarray) -> np.ndarray:

@@ -82,7 +82,6 @@ regular are dropped from its values by one ``np.where``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -127,7 +126,6 @@ def _everywhere(x: np.ndarray) -> np.ndarray:
     return np.ones(np.shape(x)[:-1], dtype=bool)
 
 
-@dataclass(frozen=True, eq=False)
 class UnitVectorField:
     """Tangent unit field, defined on the points :meth:`domain` keeps.
 
@@ -138,15 +136,16 @@ class UnitVectorField:
     not regular (``scalar_fields.is_regular``), which its potential
     decides, so its guard holds only further limits, such as the
     ``--exclusion`` band |f| ≤ c.  Dropping the potential of a unit
-    gradient drops its regularity with it: ``replace(zf, potential=None)``
-    is defined up to the critical set unless its guard takes the old
-    domain, ``replace(zf, potential=None, guard=zf.domain)``.
+    gradient drops its regularity with it: ``UnitVectorField(zf.field,
+    zf.guard, zf.label)`` is defined up to the critical set unless its
+    guard takes the old domain, ``UnitVectorField(zf.field, zf.domain,
+    zf.label)``.
     """
 
-    field: AmbientVectorField
-    guard: Callable[[np.ndarray], np.ndarray] = _everywhere
-    label: str = ""
-    potential: Optional[ScalarField] = None
+    def __init__(self, field: AmbientVectorField,
+                 guard: Callable[[np.ndarray], np.ndarray] = _everywhere,
+                 label: str = "", potential: Optional[ScalarField] = None):
+        self.field, self.guard, self.label, self.potential = field, guard, label, potential
 
     def domain(self, points: np.ndarray,
                norm: Optional[Callable[[ScalarField], np.ndarray]] = None) -> np.ndarray:

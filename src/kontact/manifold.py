@@ -73,11 +73,9 @@ Sign conventions (frozen package-wide, pinned by tests):
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from . import ad
 from .ad import directional, matvec, proj_tangent, value
@@ -90,20 +88,20 @@ from .errors import (
 )
 from .report import ResidualReport
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
 SEED_GRAM_TOL = 1e-10   # frame seeds with a smaller Gram determinant are rank deficient
 BLOCK = 1024        # points per batched evaluation; bounds peak memory
 
 
-@dataclass(frozen=True, eq=False)
 class SpherePoint:
     """Unit vector in ambient coordinates."""
 
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
+    def __init__(self, coords: np.ndarray):
+        self.coords = np.asarray(coords, dtype=float)
         r = float(np.linalg.norm(self.coords))
         if not abs(r - 1.0) <= POINT_TOL:
             raise GeometryError(f"point norm {r} is not 1 within {POINT_TOL}")
@@ -116,21 +114,16 @@ class SpherePoint:
         return self.coords.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
 class TangentVector:
     """Ambient vector attached to a sphere point, orthogonal to it."""
 
-    base: SpherePoint
-    vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", np.asarray(self.vec, dtype=float))
+    def __init__(self, base: SpherePoint, vec: np.ndarray):
+        self.base, self.vec = base, np.asarray(vec, dtype=float)
         straying = abs(float(self.vec @ self.base.coords))
         if not straying <= TANGENT_TOL * max(1.0, float(np.linalg.norm(self.vec))):
             raise TangencyError(f"vector strays {straying} from the tangent space")
 
 
-@dataclass(frozen=True, eq=False)
 class AmbientVectorField:
     """Vector field given by an ambient formula defined near the sphere.
 
@@ -140,9 +133,8 @@ class AmbientVectorField:
     away from the sphere.
     """
 
-    eval: Callable
-    tangent: bool = True
-    label: str = ""
+    def __init__(self, eval: Callable, tangent: bool = True, label: str = ""):
+        self.eval, self.tangent, self.label = eval, tangent, label
 
 
 def constant_field(c: np.ndarray, label: str = "") -> AmbientVectorField:
@@ -160,15 +152,11 @@ def linear_field(mat: np.ndarray, label: str = "") -> AmbientVectorField:
                               label=label or "linear")
 
 
-@dataclass(frozen=True, eq=False)
 class OrthoComplexStructure:
     """Orthogonal matrix with square −1 (hence skew-symmetric)."""
 
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", np.asarray(self.mat, dtype=float))
-        m = self.mat
+    def __init__(self, mat: np.ndarray):
+        self.mat = m = np.asarray(mat, dtype=float)
         eye = np.eye(m.shape[0])
         if np.max(np.abs(m @ m.T - eye)) > 1e-12:
             raise GeometryError("matrix is not orthogonal")
@@ -190,12 +178,11 @@ def block_diag_complex_structure(signs: Sequence[int]) -> OrthoComplexStructure:
     return OrthoComplexStructure(mat)
 
 
-@dataclass(frozen=True, eq=False)
 class Frame:
     """Orthonormal tangent frame at a point."""
 
-    base: SpherePoint
-    vectors: tuple
+    def __init__(self, base: SpherePoint, vectors: tuple):
+        self.base, self.vectors = base, vectors
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -550,10 +537,13 @@ def sample_blocks(count: int, seed: int, ambient_dim: int, size: int,
     draw order; chunked ``standard_normal`` draws are bitwise the one
     draw, so the rows do not depend on ``size``.  Raises
     :class:`SamplingExhaustedError` when, at the end of a batch, more
-    than 99% of draws have been rejected.
+    than 99% of draws have been rejected, and ``ValueError`` on a count
+    below 1 or a negative seed.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     held, n_held, accepted, drawn = [], 0, 0, 0     # held: accepted rows not yet yielded
     max_draws = max(10_000, 200 * count)
@@ -722,7 +712,6 @@ class Block:
         return self._kept[key]
 
 
-@dataclass(eq=False)
 class Check:
     """One check of a sweep: the name and default tolerance of its report,
     and the running count, maximum and sum of its absolute residuals.
@@ -734,16 +723,12 @@ class Check:
     The sum runs left to right across blocks, not pairwise as ``np.mean``
     does, so a mean keeps its digits whatever the blocks."""
 
-    name: str
-    tol: float
-    kernel: Callable[[Block], ArrayLike]
-    provenance: str | Callable[[], str] = ""
-    keep: tuple = ()
-    before: tuple = ()
-    count: int = 0
-    skipped: int = 0
-    max: float = 0.0
-    total: float = 0.0
+    def __init__(self, name: str, tol: float, kernel: Callable[[Block], ArrayLike],
+                 provenance: str | Callable[[], str] = "", keep: tuple = (),
+                 before: tuple = ()):
+        self.name, self.tol, self.kernel = name, tol, kernel
+        self.provenance, self.keep, self.before = provenance, keep, before
+        self.count, self.skipped, self.max, self.total = 0, 0, 0.0, 0.0
 
     def add(self, residuals: ArrayLike, skipped: int) -> None:
         vals = np.abs(np.asarray(residuals, dtype=float)).ravel()

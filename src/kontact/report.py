@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Named check → residual aggregates over sampled points.
 
     ``passed`` is always equivalent to ``max <= tolerance``; a check with
@@ -35,8 +34,7 @@ class ResidualReport:
         }
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
+class EnergyEstimate(NamedTuple):
     """Monte Carlo energy estimate with its standard error."""
 
     estimate: float

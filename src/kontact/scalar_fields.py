@@ -25,11 +25,9 @@ an integrand that holds them already (``harmonic.energy``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from . import ad, manifold
 from .ad import dot, matvec, proj_tangent, value
@@ -52,11 +50,13 @@ from .manifold import (
     shape_trace,
 )
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 EPS_REGULAR = 1e-6
 SQRT_B_FLOOR = 1e-14
 
 
-@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Scalar formula on ambient space near the sphere, C² there.
 
@@ -65,21 +65,18 @@ class ScalarField:
     automatic differentiation of ``eval``.
     """
 
-    eval: Callable
-    grad: Optional[Callable] = None
-    label: str = ""
+    def __init__(self, eval: Callable, grad: Optional[Callable] = None, label: str = ""):
+        self.eval, self.grad, self.label = eval, grad, label
 
 
-@dataclass(frozen=True)
-class TransnormalProfile:
+class TransnormalProfile(NamedTuple):
     """Profile b with ‖∇f‖² = b(f), together with its derivative."""
 
     b: Callable[[float], float]
     b_prime: Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class IsoparametricProfile:
+class IsoparametricProfile(NamedTuple):
     """Profile a with Δf = a(f)."""
 
     a: Callable[[float], float]

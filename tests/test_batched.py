@@ -3,7 +3,6 @@
 import re
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -410,8 +409,9 @@ def excluded_gradient_field(dim, cutoff=0.9):
     ``kontact energy --field gradient --exclusion`` builds it: the guard
     holds the band only, regularity comes with the potential."""
     f = kt.standard_pair(dim).angle_function()
-    return replace(kt.normalized_gradient_unit_field(f),
-                   guard=lambda x: np.abs(ad.value(f.eval(x))) <= cutoff)
+    zf = kt.normalized_gradient_unit_field(f)
+    return kt.UnitVectorField(zf.field, lambda x: np.abs(ad.value(f.eval(x))) <= cutoff,
+                              zf.label, zf.potential)
 
 
 def twisted_with_a_zero(dim):

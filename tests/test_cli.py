@@ -6,16 +6,24 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import kontact as kt
-from kontact import DoubleKContact, SpherePoint, ad, manifold, standard_pair
+from kontact import (
+    DoubleKContact,
+    ScalarField,
+    SpherePoint,
+    UnitVectorField,
+    ad,
+    manifold,
+    standard_pair,
+)
 from kontact.ad import value
 from kontact.cli import (
+    CSV_COLUMNS,
     MANIFOLDS,
     SuiteConfig,
     _check_catalog,
@@ -30,6 +38,7 @@ from kontact.cli import (
     run_suite,
 )
 from kontact.manifold import (
+    Check,
     as_points,
     block_diag_complex_structure,
     blocks,
@@ -344,7 +353,8 @@ def test_cli_a_nan_residual_fails_its_grouped_report(monkeypatch, capsys):
             if s.label == "beta":
                 residuals.flat[0] = np.nan
             return residuals
-        return replace(check, kernel=kernel)
+        return Check(check.name, check.tol, kernel, check.provenance, check.keep,
+                     check.before)
 
     monkeypatch.setattr(kt.cli, "check_axiom_iii", SimpleNamespace(build=poisoned))
     code = main(["verify", "s3", "--samples", "20", "--seed", "3"])
@@ -465,9 +475,9 @@ def test_cli_gradient_energy_takes_the_hessian_route(sphere, exclusion, monkeypa
         return f.grad(x)
 
     monkeypatch.setattr(DoubleKContact, "angle_function",
-                        lambda self: replace(f, grad=counted_gradient))
+                        lambda self: ScalarField(f.eval, counted_gradient, f.label))
     zf, _ = _energy_field(args, pair)
-    generic = replace(zf, potential=None, guard=zf.domain)
+    generic = UnitVectorField(zf.field, zf.domain, zf.label)
     raw_jacobian = manifold._raw_jacobian
 
     def counted(field, x):
@@ -502,6 +512,17 @@ def test_cli_energy_rejects_bad_input(args, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["verify", "s3", "--samples", "5"], ["energy", "s3"]],
+                         ids=["verify", "energy"])
+def test_cli_rejects_a_negative_seed(command, capsys):
+    # the one draw site, manifold.sample_blocks, names the seed
+    code = main([*command, "--seed", "-1"])
+    assert code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("command, where", [
@@ -641,6 +662,27 @@ def test_import_pins_the_blas_pools_unless_set(preset, numpy_first, expected):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == repr([expected] * len(BLAS_VARS))
+
+
+LEAN_START = """
+import sys
+import kontact.cli
+from kontact.double_kcontact import standard_pair
+standard_pair(5)
+print(sorted(m for m in ("dataclasses", "csv", "numpy.typing") if m in sys.modules))
+sys.exit(kontact.cli.main(["verify", "s3", "--samples", "5", "--format", "csv"]))
+"""
+
+
+def test_a_fresh_process_starts_without_the_modules_no_call_needs():
+    # every kontact call is a fresh process: importing the CLI and building
+    # a pair (the benchmark's set-up) loads neither dataclasses, nor
+    # numpy.typing (annotations only), nor csv, which the CSV renderer
+    # imports when it runs
+    out = run_python(LEAN_START).stdout.decode().splitlines()
+    assert out[0] == "[]"
+    assert out[1] == ",".join(CSV_COLUMNS)
+    assert [row.split(",")[0] for row in out[2:]] == check_names("s3")
 
 
 RECORD_MALLOPT = """

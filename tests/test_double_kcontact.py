@@ -1,6 +1,5 @@
 """Commuting pairs: angle function identities, spectra, Hessian, Ricci."""
 
-import dataclasses
 import itertools
 import json
 import sys
@@ -150,8 +149,10 @@ def test_gradient_identity(pair3, pair5, pts3, pts5):
 def test_gradient_identity_gates_both_pairings(pair5):
     # phi_beta at the wrong sign breaks only the second pairing; gating
     # the closer pairing alone let this pair pass
-    broken = dataclasses.replace(
-        pair5, s_beta=dataclasses.replace(pair5.s_beta, sigma=-pair5.s_beta.sigma))
+    s_beta = pair5.s_beta
+    broken = kt.DoubleKContact(
+        pair5.s_alpha, kt.ContactMetricStructure(s_beta.j_ambient, -s_beta.sigma, s_beta.label),
+        pair5.degenerate)
     f = broken.angle_function()
     x = sample_coords(30, 1, 6, exclusion=lambda y: np.abs(value(f.eval(y))) > 0.9)
     assert kt.gradient_identity_check(pair5, x).passed

@@ -1,6 +1,5 @@
 """Energy machinery: shape operators, first variation, spectra, criteria."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -394,11 +393,12 @@ def test_energy_raises_where_its_integrand_is_not_finite_in_the_domain(monkeypat
     x[500] = [0.0, 0.0, 1.0, 0.0]
     monkeypatch.setattr("kontact.harmonic.sample_blocks", lambda n, seed, dim, size: [x])
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="not finite"):
-        kt.energy(replace(zf, potential=None), 1000, 7, 4)
+        kt.energy(kt.UnitVectorField(zf.field, zf.guard, zf.label), 1000, 7, 4)
     skipped = int(np.count_nonzero(~regular_mask(f, x)))
     assert skipped >= 1
     assert kt.energy(zf, 1000, 7, 4).skipped == skipped
-    assert kt.energy(replace(zf, potential=None, guard=zf.domain), 1000, 7, 4).skipped == skipped
+    assert kt.energy(kt.UnitVectorField(zf.field, zf.domain, zf.label),
+                     1000, 7, 4).skipped == skipped
 
 
 def gradient_energy_closed_form(dim, cutoff=0.9):
@@ -424,7 +424,8 @@ def test_energy_of_gradient_field_matches_the_closed_form(dim, closed):
     assert abs(exact - closed) <= 1e-5
     f = kt.standard_pair(dim).angle_function()
     nfield = kt.normalized_gradient_unit_field(f)
-    zf = replace(nfield, guard=lambda x: np.abs(ad.value(f.eval(x))) <= 0.9)
+    zf = kt.UnitVectorField(nfield.field, lambda x: np.abs(ad.value(f.eval(x))) <= 0.9,
+                            nfield.label, nfield.potential)
     est = kt.energy(zf, 100_000, 3, dim + 1)
     assert abs(est.estimate - exact) <= 4.0 * est.stderr
 

@@ -3,7 +3,6 @@
 import gc
 import hashlib
 import weakref
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -485,7 +484,7 @@ def test_sweep_mask_slices_aligned_arrays_and_counts_skips():
     vals = np.abs(2.0 * x[:, 0] + x[:, 1])[keep]
     ref = ResidualReport("a", vals.size, 70 - vals.size, np.max(vals),
                          np.add.accumulate(vals)[-1] / vals.size, 3.0, True)
-    assert [c.report() for c in checks] == [ref, replace(ref, check_name="b")]
+    assert [c.report() for c in checks] == [ref, ref._replace(check_name="b")]
 
 
 @pytest.mark.parametrize("count, keep", [(0, None), (0, []), (5, [False] * 5)],
@@ -573,6 +572,39 @@ def test_sweep_probes_each_precondition_once():
               for name, tag in (("a", 1), ("b", 1), ("c", 2))]
     sweep(checks, [])
     assert probed == [1, 2]
+
+
+def test_value_records_compare_by_value_and_identity_records_by_identity():
+    # reports, estimates and profiles are values: equal fields make equal,
+    # equally hashed records that refuse assignment
+    values_twice = [(ResidualReport("a", 3, 0, 1e-16, 5e-17, 1e-9, True, "p"),
+                     ResidualReport("a", 3, 0, 1e-16, 5e-17, 1e-9, True, "p")),
+                    (kt.EnergyEstimate(1.5, 0.1, 10, 2), kt.EnergyEstimate(1.5, 0.1, 10, 2)),
+                    (kt.TransnormalProfile(abs, abs), kt.TransnormalProfile(abs, abs)),
+                    (kt.IsoparametricProfile(abs), kt.IsoparametricProfile(abs))]
+    for one, two in values_twice:
+        assert one is not two and one == two and hash(one) == hash(two)
+        first = one._fields[0]
+        assert one._replace(**{first: None}) != one
+        with pytest.raises(AttributeError):
+            setattr(one, first, None)
+    # the objects a sweep keys its shared quantities on are themselves:
+    # two equal pairs, their angle functions and unit gradients are
+    # distinct keys of Block.of, each computed once
+    pairs = kt.standard_pair(5), kt.standard_pair(5)
+    angles = [p.angle_function() for p in pairs]
+    computed = []
+
+    def compute(record, x):
+        computed.append(record)
+
+    for one, two in (pairs, angles, [kt.normalized_gradient_unit_field(f) for f in angles]):
+        assert one != two and hash(one) != hash(two)
+        block = manifold.Block(sample_coords(4, 1, 6), np.arange(4), {})
+        for record in (one, two, one, two):
+            block.of(compute, record)
+        assert computed == [one, two]
+        computed.clear()
 
 
 def test_extension_field_restriction(pts3, rng):
