@@ -22,6 +22,7 @@ import argparse
 import ctypes
 import io
 import json
+import math
 import sys
 from functools import cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -248,8 +249,18 @@ def document(config: SuiteConfig, reports: Sequence[ResidualReport]) -> dict:
     return doc
 
 
+def _null_if_not_finite(obj):
+    if isinstance(obj, dict):
+        return {key: _null_if_not_finite(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_if_not_finite(val) for val in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """Strict JSON (RFC 8259): a float that is not finite, as a failing
+    check's NaN residual, is written as null; ``pass`` carries the verdict."""
+    return json.dumps(_null_if_not_finite(doc), indent=2, allow_nan=False) + "\n"
 
 
 CSV_COLUMNS = ["check_name", "count", "skipped", "max", "mean", "tolerance", "pass"]

@@ -62,14 +62,15 @@ from .manifold import (
     lie_bracket_batch,
     sample_coords,
     seeds_span,
+    shape_form,
 )
 from .scalar_fields import (
     ScalarField,
     TransnormalProfile,
+    ambient_gradient_field,
     check_transnormal,
     gradient_and_norm,
     gradient_batch,
-    hessian_matrix,
     laplacian_batch,
     regular,
     values_batch,
@@ -83,6 +84,7 @@ ANGLE_PROFILE = TransnormalProfile(b=lambda t: 4.0 * (1.0 - t * t),
 
 NUMERIC_SUBSET = 25     # leading points whose Ricci check repeats with numeric curvature
 HESSIAN_DIAGNOSTIC_SEED = 29
+SASAKIAN_PROBE_SEED = 23    # the six points of the Sasakian precondition probe
 
 
 class DoubleKContact:
@@ -204,8 +206,8 @@ def hbundle_basis(d: DoubleKContact, p: SpherePoint) -> Frame:
     return Frame(p, tuple(TangentVector(p, e) for e in hbundle_frames(d, p.coords)))
 
 
-def _sasakian_gate(d: DoubleKContact, seed: int = 23) -> None:
-    rep = check_sasakian(d.s_alpha, sample_coords(6, seed, d.ambient_dim))
+def _sasakian_gate(d: DoubleKContact) -> None:
+    rep = check_sasakian(d.s_alpha, sample_coords(6, SASAKIAN_PROBE_SEED, d.ambient_dim))
     if not rep.passed:
         raise PreconditionError("first structure is not Sasakian at probe points")
 
@@ -332,7 +334,8 @@ def phi_product_spectrum_check(d: DoubleKContact) -> Check:
 def hessian_restriction_check(d: DoubleKContact) -> Check:
     """Hess_f(A,B) = −2 f g(A,B) − 2 g(JφA, B) for A, B in {Z,X,JX}^⊥:
     one residual per point and pair of sub-bundle rows, and one zero per
-    point on S³, where the sub-bundle is zero.
+    point on S³, where the sub-bundle is zero.  Hess_f(u, v) is read as
+    uᵀJv − ⟨x, ∇f⟩⟨u, v⟩, J the one raw Jacobian of ∇f (``shape_form``).
 
     The full-argument identity (with its 2 g(A,X) g(Z,B) term) is a
     diagnostic only, reported in the provenance as its maximum over one
@@ -342,16 +345,16 @@ def hessian_restriction_check(d: DoubleKContact) -> Check:
     symmetric reading.
     """
     f = d.angle_function()
+    grad = ambient_gradient_field(f)
     full_domain = [0.0]
 
     def kernel(b):
         x, fv, (basis, jphi) = b.x, b.full(values_batch, f), b.of(_sub_bundle, d)
         if basis.shape[-2] == 0:
             return np.zeros(len(x))
-        hess = hessian_matrix(f, x)
         i, j = np.triu_indices(basis.shape[-2])
         a, c = basis[:, i], basis[:, j]
-        lhs = inner(apply(hess[:, None], a), c)
+        lhs = shape_form(grad, x[:, None, :], a, c)
         rhs = -2.0 * fv[:, None] * inner(a, c) - 2.0 * inner(jphi[:, i], c)
         uv = b.tangents(HESSIAN_DIAGNOSTIC_SEED, (2,))
         u, v = uv[:, 0], uv[:, 1]
@@ -360,7 +363,7 @@ def hessian_restriction_check(d: DoubleKContact) -> Check:
         jphi_u = d.s_alpha.phi_at(x, d.s_beta.phi_at(x, u))
         full = (2.0 * inner(u, xb) * inner(z, v) - 2.0 * fv * inner(u, v)
                 - 2.0 * inner(jphi_u, v))
-        full_domain.append(np.max(np.abs(inner(apply(hess, u), v) - full)))
+        full_domain.append(np.max(np.abs(shape_form(grad, x, u, v) - full)))
         return np.abs(lhs - rhs)
 
     return Check("hessian_restricted", 1e-7, kernel,
@@ -403,9 +406,10 @@ def ricci_normal_check(d: DoubleKContact) -> Check:
     Ricci endomorphism must commute with the structure tensor chain:
     g(E, Q(JX)) = g(E, J(QX)), at the regular points.
 
-    The sweep uses the frame-contracted Ricci tensor with the analytic
-    curvature; a sub-sample (the first NUMERIC_SUBSET points of the sweep)
-    repeats it with the numerical curvature to pin the implementation.
+    The analytic part reads ric(E, N) = (m−1)·g(E, N) on the rows E of
+    the level frame seeded by N, so it tests that frame; a sub-sample (the
+    first NUMERIC_SUBSET points of the sweep) takes ric(E, N) as the frame
+    sum of the numerical curvature instead, to pin the curvature code.
     """
     f = d.angle_function()
     mdim = d.dim
@@ -417,11 +421,7 @@ def ricci_normal_check(d: DoubleKContact) -> Check:
         nvec = g / gn[:, None]
         frames = frame_batch(x, nvec[:, None, :])
         level = frames[:, 1:]
-        # Analytic curvature R(a,b)c = g(b,c)a − g(a,c)b, traced over the frame.
-        e_i, e_j = frames[:, :, None, :], level[:, None, :, :]
-        n_b = nvec[:, None, None, :]
-        curv = inner(e_j, n_b)[..., None] * e_i - inner(e_i, n_b)[..., None] * e_j
-        r = np.max(np.abs(np.sum(inner(curv, e_i), axis=1)), axis=-1)
+        r = (mdim - 1) * np.max(np.abs(inner(level, nvec[:, None, :])), axis=-1)
         reeb_b = apply(jm2, x)
         qjx = (mdim - 1) * d.s_alpha.phi_at(x, reeb_b)
         jqx = d.s_alpha.phi_at(x, (mdim - 1) * reeb_b)
@@ -429,9 +429,10 @@ def ricci_normal_check(d: DoubleKContact) -> Check:
         r = np.maximum(r, np.max(commute, axis=-1))
         sub = np.flatnonzero(b.index < NUMERIC_SUBSET)
         if sub.size:
-            num = curvature_numeric_batch(x[sub, None, None, :], e_i[sub],
-                                          level[sub, None, :2], n_b[sub])
-            ric = np.sum(inner(num, e_i[sub]), axis=1)
+            e_i = frames[sub, :, None, :]
+            num = curvature_numeric_batch(x[sub, None, None, :], e_i,
+                                          level[sub, None, :2], nvec[sub, None, None, :])
+            ric = np.sum(inner(num, e_i), axis=1)
             r[sub] = np.maximum(r[sub], np.max(np.abs(ric), axis=-1))
         return r
 

@@ -30,7 +30,10 @@ with P of D(A^t w̃), where A^t w̃ = −P·Jᵀ·P·w and J = ∂F:
   - the derivative of the outer P gives m⟨w, D_y F⟩, that of the inner
     P gives ⟨y, D_w F⟩, and that of Jᵀ gives −⟨w, ΔF − D²_{y,y} F⟩;
   - ⟨y, F⟩ ≡ 0 off the sphere, so ⟨y, D_w F⟩ = −⟨w, F⟩.
-The one-point :func:`harmonicity_form` is one row of the same
+Each check reports the norm of its covector, ν or −∇div F − (m−1)·Z
+(ric(w, Z) = (m−1)·g(w, Z) on the unit sphere), restricted to Z^⊥ ∩ T_y:
+frame-free, the root sum of squares of its components in any frame.
+The one-point :func:`harmonicity_form` is ⟨w, ν⟩, one row of the same
 contraction.  The tests hold the contractions to nested directional
 derivatives of A^t w̃ and of div F.
 
@@ -48,30 +51,20 @@ concatenate to ``manifold.sample_coords``) and evaluates each block of
 Jacobian per point, (m+1)× less than the second-order jets ``BLOCK`` is
 sized for, so fewer, larger blocks pay less dispatch in the dual
 engine.  Its integrand is tr L_Z = m + ‖S‖²_F (S the shape matrix,
-∇_u Z = S u), and ‖S‖²_F comes from invariants of the raw Jacobian J of
-Z's formula: with a = Jx, b = Jᵀx, c = xᵀJx and k = ⟨x, Z⟩,
-
-    ‖S‖²_F = ‖J‖²_F − |a|² − |b|² + c² − 2k(tr J − c) + k²(m+1 − |x|²),
-
-so neither P = I − x xᵀ nor S is formed (``manifold.shape_norm_sq``).
-The invariants are held coordinate-major, every per-point quantity as
-an (m+1, B) array.  Where J does not depend on x, as for every Reeb
-field x ↦ Jx, it stays one (m+1)×(m+1) matrix: a and b are one matmul
-each per block, and ‖J‖²_F and tr J are computed once.
+∇_u Z = S u), with ‖S‖²_F read from invariants of the raw Jacobian J of
+Z's formula (``manifold.shape_norm_sq``; formula in
+``manifold._read_shape``), so neither P = I − x xᵀ nor S is formed.
+Where J does not depend on x, as for every Reeb field x ↦ Jx, it stays
+one (m+1)×(m+1) matrix.
 
 A unit gradient N = ∇f/r, r = |∇f|, whose field carries its potential
 f (``UnitVectorField.potential``, set by
 :func:`normalized_gradient_unit_field`) is not differentiated through
-its own formula.  With H the Hessian matrix of f, ∇_u N = (I − N Nᵀ)·H u / r,
-so
-
-    tr L_N = m + (‖H‖²_F − |H N|²)/r²,
-
-where H is the shape matrix of the raw ambient gradient V, whose
-Jacobian J is the ambient Hessian of f: ‖H‖²_F is the norm above, and
-H N = P·(J N) − ⟨x, V⟩·N (``manifold.unit_shape_norm_sq``, from the
-same invariants).  For the angle function V is linear, so J is again
-one matrix.  The same reading returns r = |P·V|, so where f is regular
+its own formula: tr L_N = m + (‖H‖²_F − |H N|²)/r², H the Hessian
+matrix of f, which is the shape matrix of the raw ambient gradient V
+(``manifold.unit_shape_norm_sq``, from the same invariants).  For the
+angle function V is linear, so J is again one matrix.  The same reading
+returns r = |P·V|, so where f is regular
 comes from the integrand's own V: one evaluation of V per block, none
 for the domain.  Every other field, and a unit gradient built without
 its potential, takes the Jacobian of its own formula.  Either integrand
@@ -87,7 +80,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ad, manifold
-from .ad import dot, proj_tangent, value
+from .ad import dot, proj_tangent
 from .errors import PreconditionError, RegularityError, SamplingExhaustedError
 from .manifold import (
     AmbientVectorField,
@@ -97,7 +90,6 @@ from .manifold import (
     TangentVector,
     as_field_points,
     checker,
-    frame_batch,
     inner,
     proj_np,
     projected_eval,
@@ -227,7 +219,7 @@ def _trace_l_batch(zf: UnitVectorField, x: np.ndarray) -> tuple[np.ndarray, np.n
     """tr L_Z = m + ‖S‖²_F at the points x (..., m+1) where Z is defined,
     0 elsewhere, and that mask (its domain); S is the shape matrix of the
     field, with ‖S‖²_F taken from invariants of one raw Jacobian (formulas
-    in the module docstring), so no (m+1)×(m+1) matrix per point is built.
+    in ``manifold._read_shape``), so no (m+1)×(m+1) matrix per point is built.
 
     The integrand runs on a copy of the rows inside the guard.  A unit
     gradient is differentiated through the raw ambient gradient of its
@@ -273,28 +265,23 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     Summation is a single deterministic pairwise reduction over all
     samples, so the result does not depend on the block size.
 
-    Every block's temporaries lie above glibc's initial 128 KB mmap
-    threshold, which glibc raises only once a large array is freed, and
-    a streamed call frees none: a process that has not raised the
-    thresholds itself maps and trims each block's temporaries afresh and
-    pays page faults for them.  ``kontact`` raises them at start
-    (``cli.tune_allocator``); a library call on 100 000 s5 samples in a
-    fresh process without it takes about 20 000 minor faults against
-    6 700 when the points were drawn at once, and 11–13% longer.
+    Each block's temporaries lie above glibc's initial 128 KB mmap
+    threshold, which a streamed call never raises, so unless the process
+    raised it (``kontact`` does, ``cli.tune_allocator``) they are mapped
+    afresh per block: the s5 unit gradient on 100 000 samples in a fresh
+    process took 0.049 s and 16 900 minor faults against 0.033 s and 5 900.
     """
     if sample_size < 2:
         raise ValueError("samples must be >= 2 for a standard error")
     draws = sample_blocks(sample_size, seed, ambient_dim, 4 * manifold.BLOCK)
     vals = np.empty(sample_size)
     kept = done = 0
-    # A sample of this integrand carries one first-order Jacobian, (m+1)×
-    # less than the second-order jet a check's point carries, so its
-    # blocks can be larger.  As fresh CLI calls (2-vCPU VM, BLAS at one
-    # thread, medians of 12 interleaved runs), energy s5 --field gradient
+    # A sample carries one first-order Jacobian, (m+1)× less than a check's
+    # second-order jet, so blocks can be larger: energy s5 --field gradient
     # --exclusion 0.9 --samples 100000 took 0.303, 0.288, 0.270 and 0.265 s
-    # with blocks of 1, 2, 4 and 8 BLOCK, peaking at 37.5, 38.1, 39.3 and
-    # 42.0 MB; verify s7 --samples 20 (its Reeb energy; 6 runs) peaked at
-    # 37.8, 38.2, 39.2 and 41.3 MB.  8 BLOCK buys 2% for 2–3 MB.
+    # with blocks of 1, 2, 4 and 8 BLOCK and peaked at 37.5, 38.1, 39.3 and
+    # 42.0 MB (fresh CLI calls, 2-vCPU VM, medians of 12 interleaved runs):
+    # 8 BLOCK buys 2% for 2–3 MB.
     for x in draws:
         vals[done:done + len(x)], keep = _trace_l_batch(zf, x)
         kept += int(np.count_nonzero(keep))
@@ -325,17 +312,17 @@ def reeb_energy_closed_form(m: int) -> float:
 
 def harmonicity_form(zf: UnitVectorField, x: TangentVector) -> float:
     """nu_Z(x) = Σ_i g((∇_{u_i} A^t) x, u_i) over an orthonormal frame u_i:
-    one row of the contraction of the jet that the checks take
+    ⟨x, ν⟩ for the covector ν of the jet that the checks take
     (:func:`_contract`), frame-free.  Raises outside the field's domain,
     and for a direction not orthogonal to the field."""
     p = x.base
     if not zf.domain(p.coords):
         raise RegularityError("harmonicity form outside the field's domain")
-    z = proj_np(p.coords, np.asarray(value(zf.field.eval(p.coords)), dtype=float))
-    if abs(inner(x.vec, z)) > 1e-8:
-        raise PreconditionError("direction must be orthogonal to the field")
     y = p.coords[None, :]
-    return float(_contract(y, *_jet(zf.field, y), x.vec[None, None, :])[0][0, 0])
+    f, rows, second = _jet(zf.field, y)
+    if abs(inner(x.vec, f[0])) > 1e-8:
+        raise PreconditionError("direction must be orthogonal to the field")
+    return float(inner(x.vec, _contract(y, f, rows, second)[0][0]))
 
 
 def _jet(field: AmbientVectorField, x: np.ndarray) -> tuple:
@@ -343,30 +330,28 @@ def _jet(field: AmbientVectorField, x: np.ndarray) -> tuple:
     return ad.second_jet(lambda y: projected_eval(field, y), x, x.shape[-1])
 
 
-def _contract(x, f, rows, second, w):
-    """nu_Z(w) and w(h), each (B, k), for tangent directions w (B, k, m+1)
-    at the points x (B, m+1) from the jet of F there (:func:`_jet`: f
-    (B, m+1), rows (m+1, B, m+1), second (m+1, m+1, B, m+1)), by the
-    contractions of the module docstring."""
+def _contract(x, f, rows, second):
+    """ν and ∇div F, each (B, m+1), so that nu_Z(w) = ⟨w, ν⟩ and
+    w(h) = −⟨w, ∇div F⟩ for tangent w, at the points x (B, m+1) from the
+    jet of F there (:func:`_jet`: f (B, m+1), rows (m+1, B, m+1), second
+    (m+1, m+1, B, m+1)), by the contractions of the module docstring."""
     m = x.shape[-1] - 1
     d_y = np.einsum("apj,pa->pj", rows, x)                  # D_y F
     laplacian = np.einsum("aapj->pj", second)               # Σ_a ∂_a∂_a F
     d_yy = np.einsum("abpj,pa,pb->pj", second, x, x)        # D²_{y,y} F
     grad_div = np.einsum("ajpa->pj", second)                # ∇ div F
-    nu = m * d_y - f - (laplacian - d_yy)
-    return inner(w, nu[:, None, :]), -inner(w, grad_div[:, None, :])
+    return m * d_y - f - (laplacian - d_yy), grad_div
 
 
 def _harmonic_block(field: AmbientVectorField, x: np.ndarray) -> tuple:
-    """max over the Z^⊥ frame directions w of |nu_Z(w)| and of
-    |w(h) − ric(w, Z)| at the points x (B, m+1) inside the guard: one jet
-    of F, one set of Z^⊥ frames (built from F = Z) and both contractions.
-    On the unit sphere ric(w, Z) = (m−1)·g(w, Z)."""
+    """|ν| and |∇h − ric(·, Z)^♯| on Z^⊥ ∩ T_x at the points x (B, m+1)
+    inside the guard, with ∇h = −∇div F and ric(·, Z)^♯ = (m−1)·Z: one jet
+    of F (= Z on the sphere), both covectors of :func:`_contract`, no frame."""
     f, rows, second = _jet(field, x)
-    frames = frame_batch(x, f[:, None, :])[:, 1:]
-    nu, wh = _contract(x, f, rows, second, frames)
-    ric = (x.shape[-1] - 2) * inner(frames, f[:, None, :])
-    return np.max(np.abs(nu), axis=-1), np.max(np.abs(wh - ric), axis=-1)
+    nu, grad_div = _contract(x, f, rows, second)
+    v = np.stack([nu, -grad_div - (x.shape[-1] - 2) * f])
+    v -= inner(v, x)[..., None] * x + inner(v, f)[..., None] * f
+    return tuple(np.sqrt(inner(v, v)))
 
 
 def _in_domain(b: Block, zf: UnitVectorField) -> np.ndarray:
@@ -378,7 +363,8 @@ def _in_domain(b: Block, zf: UnitVectorField) -> np.ndarray:
 
 @checker(lambda zf, points: as_field_points(points, zf.field.eval))
 def harmonicity_check(zf: UnitVectorField) -> Check:
-    """max |nu_Z(x)| over frame directions x ⟂ Z at each point."""
+    """|nu_Z| on Z^⊥ at each point, frame-free: at least |nu_Z(x)| for
+    every unit x ⟂ Z."""
     return Check("nu_form", HARMONIC_TOL, lambda b: b.of(_harmonic_block, zf.field)[0],
                  "first variation of the energy on the orthogonal complement",
                  keep=(_in_domain, zf))
@@ -386,12 +372,9 @@ def harmonicity_check(zf: UnitVectorField) -> Check:
 
 @checker(lambda zf, points: as_field_points(points, zf.field.eval))
 def critical_condition_check(zf: UnitVectorField) -> Check:
-    """x(h) = ric(x, N) for all frame directions x ⟂ N.
-
-    x(h) is exact (a contraction of the same jet as the harmonicity
-    form, computed once per block for both), so the default tolerance
-    matches the harmonicity form's.
-    """
+    """x(h) = ric(x, N) for all x ⟂ N: |∇h − ric(·, N)^♯| on N^⊥ at each
+    point, frame-free.  ∇h is exact (a contraction of the jet that the
+    harmonicity form reads), so the default tolerance matches that form's."""
     return Check("critical_condition", HARMONIC_TOL,
                  lambda b: b.of(_harmonic_block, zf.field)[1],
                  "derivative of the mean curvature against ricci(., N)",

@@ -6,7 +6,8 @@ stands for its projection F = P·V, P = I − x xᵀ, so the raw formula
 need not be tangent off the sphere.  The Levi-Civita connection is the
 tangential part of the ambient derivative of F (Gauss formula), which
 on the unit sphere has the closed form P·D_u F = P·D_u V − ⟨x, V⟩·P u:
-:func:`shape_matrix`, its trace :func:`shape_trace` and Frobenius norm
+:func:`shape_matrix`, its bilinear form on tangent vectors
+:func:`shape_form`, its trace :func:`shape_trace` and Frobenius norm
 :func:`shape_norm_sq`, that norm for the normalized field P·V/|P·V|
 (:func:`unit_shape_norm_sq`) and :func:`cov_deriv_batch` differentiate
 the raw formula only; the three readings of S come from one set of
@@ -291,6 +292,15 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     jac = np.moveaxis(np.broadcast_to(rows, (x.shape[-1],) + x.shape), 0, -1)
     proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
     return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
+
+
+def shape_form(field: AmbientVectorField, x: np.ndarray, u: np.ndarray,
+               v: np.ndarray) -> np.ndarray:
+    """uᵀ S v = g(u, ∇_v V) for tangent u, v (..., m+1) at the points x
+    (broadcast), S of :func:`shape_matrix`: uᵀ J v − ⟨x, V⟩⟨u, v⟩, J the
+    raw Jacobian, from one dual evaluation along v and no matrix."""
+    val, dv = _raw_dual(field, x, v)
+    return inner(u, dv) - inner(x, val) * inner(u, v)
 
 
 def _cdot(p: np.ndarray, q: np.ndarray) -> np.ndarray:

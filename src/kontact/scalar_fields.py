@@ -15,9 +15,10 @@ so field formulas must contract over the last axis (``x[..., i]``, never
 ``x[i]``), and checks are defined as in :mod:`kontact.contact`.  Δf and
 the level mean curvature are both minus the trace of a shape matrix
 (``manifold.shape_trace``), read from the raw Jacobian of one formula:
-the ambient gradient of f for Δf and the Hessian, and the unit gradient
-N = ∇f/‖∇f‖, differentiated through its own formula, for the mean
-curvature.  Checks that need N skip the points where ‖∇f‖ is below
+the ambient gradient of f for Δf and the Hessian (on tangent vectors,
+``manifold.shape_form``), and the unit gradient N = ∇f/‖∇f‖,
+differentiated through its own formula, for the mean curvature.
+Checks that need N skip the points where ‖∇f‖ is below
 EPS_REGULAR; :func:`is_regular` is that policy, applied to the norms
 of a block (:func:`regular`), of points (:func:`gradient_norm`) and of
 an integrand that holds them already (``harmonic.energy``).
@@ -39,14 +40,13 @@ from .manifold import (
     Frame,
     SpherePoint,
     TangentVector,
-    apply,
     as_field_points,
     blocks,
     checker,
     cov_deriv_batch,
     inner,
     proj_np,
-    shape_matrix,
+    shape_form,
     shape_trace,
 )
 
@@ -135,12 +135,6 @@ def ambient_gradient_field(f: ScalarField) -> AmbientVectorField:
                               label=f"ambient grad({f.label})")
 
 
-def hessian_matrix(f: ScalarField, x: np.ndarray) -> np.ndarray:
-    """Ambient matrix S of Hess_f at the points x (batched): the shape
-    matrix of ∇f, so Hess_f(a, b) = g(∇_a ∇f, b) = ⟨S a, b⟩."""
-    return shape_matrix(ambient_gradient_field(f), x)
-
-
 def laplacian_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
     """Δf = −div ∇f = −tr Hess_f at the points x (batched)."""
     return -shape_trace(ambient_gradient_field(f), x)
@@ -152,7 +146,7 @@ def laplacian(f: ScalarField, p: SpherePoint, frame: Optional[Frame] = None) -> 
     if frame is None:
         return float(laplacian_batch(f, p.coords))
     e = frame.matrix
-    return -float(np.sum(inner(apply(hessian_matrix(f, p.coords), e), e)))
+    return -float(np.sum(shape_form(ambient_gradient_field(f), p.coords, e, e)))
 
 
 def normalized_gradient_field(f: ScalarField) -> AmbientVectorField:

@@ -254,6 +254,17 @@ def test_json_and_csv_round_trip_same_numbers(small_reports):
         assert (row["pass"] == "true") == rep["pass"]
 
 
+def test_render_json_writes_non_finite_floats_as_null(small_reports):
+    # strict JSON: no bare NaN or Infinity token; a finite document is the
+    # plain json.dumps rendering, byte for byte
+    assert render_json({"max": float("nan")}) == '{\n  "max": null\n}\n'
+    doc = {"a": [np.float64("inf"), -np.inf, 1.5, True, 2], "b": {"c": (np.nan, "NaN")}}
+    assert json.loads(render_json(doc)) == {"a": [None, None, 1.5, True, 2],
+                                            "b": {"c": [None, "NaN"]}}
+    finite = document(SuiteConfig(manifold="s3", samples=25, seed=42), small_reports)
+    assert render_json(finite) == json.dumps(finite, indent=2) + "\n"
+
+
 def test_document_contains_config_and_ledger(small_reports):
     cfg = SuiteConfig(manifold="s3", samples=25, seed=42)
     doc = document(cfg, small_reports)
@@ -360,8 +371,15 @@ def test_cli_a_nan_residual_fails_its_grouped_report(monkeypatch, capsys):
     code = main(["verify", "s3", "--samples", "20", "--seed", "3"])
     out = capsys.readouterr()
     assert code == 1
-    reports = {r["check_name"]: r for r in json.loads(out.out)["reports"]}
-    assert np.isnan(reports["contact_axioms"]["max"])
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    # strict JSON: the NaN maximum and mean are written as null
+    reports = {r["check_name"]: r
+               for r in json.loads(out.out, parse_constant=refuse)["reports"]}
+    assert reports["contact_axioms"]["max"] is None
+    assert reports["contact_axioms"]["mean"] is None
     assert reports["contact_axioms"]["pass"] is False
     assert [name for name, r in reports.items() if not r["pass"]] == ["contact_axioms"]
     assert "failed: contact_axioms (max nan > " in out.err

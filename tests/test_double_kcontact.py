@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import sys
 import warnings
 
@@ -23,8 +24,9 @@ from kontact.manifold import (
     inner,
     sample_blocks,
     sample_coords,
+    shape_matrix,
 )
-from kontact.scalar_fields import hessian_matrix, laplacian_batch
+from kontact.scalar_fields import ambient_gradient_field, laplacian_batch
 from oracles import values
 from rotated_frames import rotate_completion, rotated_frame_batch
 
@@ -365,7 +367,7 @@ def test_hessian_diagonal_value_s5(pair5, pts5):
     f = pair5.angle_function()
     x = pts5[:10]
     e = sub_bundle(pair5, x)[:, 0]
-    hess = inner(apply(hessian_matrix(f, x), e), e)
+    hess = inner(apply(shape_matrix(ambient_gradient_field(f), x), e), e)
     assert np.max(np.abs(hess - (2.0 - 2.0 * values(f, x)))) < 1e-10
 
 
@@ -380,6 +382,56 @@ def test_hessian_restricted_rhs_symmetric(pair5, pts5):
 def test_ricci_normal_check(pair3, pair5, pts3, pts5):
     assert kt.ricci_normal_check(pair3, pts3).passed
     assert kt.ricci_normal_check(pair5, pts5).passed
+
+
+@pytest.mark.parametrize("dim", (3, 5, 7))
+def test_ricci_normal_fails_on_level_rows_tilted_toward_n(dim, monkeypatch):
+    # ric(E, N) = (m−1)·g(E, N) on the level rows: turned by 1e-6 toward N,
+    # they read (m−1)·sin(1e-6); the numeric subset is switched off, so the
+    # analytic part alone must fail
+    pair = kt.standard_pair(dim)
+    x = angle_points(pair, 40, 5)
+    monkeypatch.setattr(kt.double_kcontact, "NUMERIC_SUBSET", 0)
+    assert kt.ricci_normal_check(pair, x).passed
+    real, eps = kt.double_kcontact.frame_batch, 1e-6
+
+    def tilted(y, seeds=None):
+        frames = real(y, seeds)
+        if np.shape(seeds)[-2] != 1:        # only the level frame, seeded by N
+            return frames
+        out = frames.copy()
+        out[..., 1:, :] = np.cos(eps) * frames[..., 1:, :] + np.sin(eps) * frames[..., :1, :]
+        return out
+
+    monkeypatch.setattr(kt.double_kcontact, "frame_batch", tilted)
+    rep = kt.ricci_normal_check(pair, x)
+    assert not rep.passed
+    assert abs(rep.max - (dim - 1) * np.sin(eps)) <= 1e-12
+
+
+def scaled_gradient_pair(dim, scale):
+    """The standard pair whose angle function keeps its values but carries
+    its closed-form gradient times ``scale``."""
+    pair = kt.standard_pair(dim)
+    f = pair.angle_function()
+    pair.angle_function = lambda: kt.ScalarField(
+        eval=f.eval, grad=lambda y: scale * f.grad(y), label=f.label)
+    return pair
+
+
+@pytest.mark.parametrize("dim", (5, 7))
+def test_hessian_restricted_fails_for_a_scaled_gradient(dim):
+    # Hess_f read from a gradient 1 + 1e-6 too long is 1e-6 too large
+    # relative, against |Hess| ≈ 2 on the sub-bundle
+    x = angle_points(kt.standard_pair(dim), 40, 5)
+    diagnostics = []
+    for scale in (1.0, 1.0 + 1e-6):
+        rep = kt.hessian_restriction_check(scaled_gradient_pair(dim, scale), x)
+        assert rep.passed is (scale == 1.0)
+        assert (scale == 1.0) or 1e-6 < rep.max < 1e-5
+        diagnostics.append(float(re.search(r"max (\S+)$", rep.provenance).group(1)))
+    assert diagnostics[0] <= 1e-14
+    assert 5e-7 < diagnostics[1] < 5e-6
 
 
 def test_pair_descriptor_round_trip(pair5):
@@ -451,7 +503,9 @@ def test_frame_checks_do_not_depend_on_the_completion(dim, monkeypatch):
     real = kt.manifold.frame_batch
     binding = [mod for name, mod in list(sys.modules.items())
                if name.split(".")[0] == "kontact" and vars(mod).get("frame_batch") is real]
-    assert len(binding) >= 4    # manifold, contact, double_kcontact, harmonic
+    # harmonic reads its residuals as norms on Z^⊥ and builds no frame
+    assert {mod.__name__ for mod in binding} == {
+        "kontact.manifold", "kontact.contact", "kontact.double_kcontact"}
     for mod in binding:
         monkeypatch.setattr(mod, "frame_batch", rotated_frame_batch(real))
     turned = catalog_reports(dim)

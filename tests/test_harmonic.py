@@ -9,6 +9,7 @@ from kontact import ad
 from kontact.errors import PreconditionError, RegularityError
 from kontact.harmonic import (
     _contract,
+    _harmonic_block,
     _jet,
     _trace_l_batch,
     harmonicity_form,
@@ -36,6 +37,7 @@ from oracles import (
     trace_l,
     values,
 )
+from rotated_frames import rotate_completion
 
 
 @pytest.fixture(scope="module")
@@ -597,9 +599,42 @@ def test_jet_contractions_match_the_oracles(dim):
         frames = frame_batch(x, z[:, None, :])[:, 1:]
         # generic tangents, along Z too, where nu is not rounding noise
         generic = proj_np(x[:, None, :], rng.standard_normal((len(x), 3, dim + 1)))
+        nu_vec, grad_div = _contract(x, *_jet(zf.field, x))
         for w, noise in ((generic, False), (frames, harmonic)):
-            nu, xh = _contract(x, *_jet(zf.field, x), w)
+            nu, xh = inner(w, nu_vec[:, None, :]), -inner(w, grad_div[:, None, :])
             for got, oracle in ((nu, harmonicity_form_batch(zf.field, x, w)),
                                 (xh, mean_curvature_derivative(zf.field, x, w))):
                 bound = 1e-11 if noise else 1e-13 * np.maximum(1.0, np.abs(oracle))
                 assert np.all(np.abs(got - oracle) <= bound), zf.label
+
+
+@pytest.mark.parametrize("dim", (3, 5, 7))
+def test_harmonic_residuals_are_norms_on_the_complement(dim):
+    # nu_form and critical_condition read |ν| and |∇h − ric(·, Z)^♯| on Z^⊥:
+    # the root sum of squares of the oracles' components over an orthonormal
+    # frame of Z^⊥, the same over two frames that differ in their completion
+    pair = kt.standard_pair(dim)
+    f = pair.angle_function()
+    c, a, d = np.random.default_rng(dim).standard_normal((3, dim + 1))
+    x_all = sample_coords(60, 13, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
+    for zf, harmonic in ((kt.twisted_unit_field(c, a, d), False),
+                         (kt.normalized_gradient_unit_field(cubic_field(dim)), False),
+                         (kt.normalized_gradient_unit_field(f), True),
+                         (kt.reeb_unit_field(pair.s_alpha), True)):
+        x = x_all[zf.domain(x_all)]
+        z = field_at(zf, x)
+        got = _harmonic_block(zf.field, x)
+        frames = frame_batch(x, z[:, None, :])
+        for w in (frames[:, 1:], rotate_completion(frames, 1)[:, 1:]):
+            ric = (dim - 1) * inner(w, z[:, None, :])
+            for norm, components in ((got[0], harmonicity_form_batch(zf.field, x, w)),
+                                     (got[1], mean_curvature_derivative(zf.field, x, w) - ric)):
+                rss = np.sqrt(np.sum(components ** 2, axis=-1))
+                if harmonic:
+                    assert np.max(norm) <= 1e-13 and np.max(rss) <= 1e-11, zf.label
+                else:
+                    assert np.all(np.abs(norm - rss) <= 1e-12 * np.maximum(1.0, rss)), zf.label
+        for check, norm in zip((kt.harmonicity_check, kt.critical_condition_check), got):
+            rep = check(zf, x)
+            assert rep.max == np.max(norm)
+            assert rep.passed is harmonic, (zf.label, check)

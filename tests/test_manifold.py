@@ -29,6 +29,7 @@ from kontact.manifold import (
     random_tangent_batch,
     sample_blocks,
     sample_coords,
+    shape_form,
     shape_matrix,
     shape_norm_sq,
     shape_trace,
@@ -710,6 +711,29 @@ def test_closed_form_gauss_derivative_matches_the_projected_jacobian(dim):
     # Only where ⟨x, V⟩ ≠ 0 do the −⟨x, V⟩·P term of the closed form and the
     # k = ⟨x, V⟩ terms of shape_norm_sq count.
     assert off_tangent > 0.1
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8], ids=["s3", "s5", "s7"])
+def test_shape_form_is_the_shape_matrix_on_tangent_pairs(dim):
+    # uᵀ S v from one dual evaluation along v, against the full matrix:
+    # for fields whose S is not symmetric this also pins the order of u, v
+    x = sample_coords(300, dim + 7, dim)
+    u, v = np.moveaxis(random_tangent_batch(x, np.random.default_rng(dim), (2,)), 1, 0)
+    for label, field, guard in gauss_fields(dim):
+        keep = np.ones(len(x), dtype=bool) if guard is None else guard(x)
+        y, a, b = x[keep], u[keep], v[keep]
+        assert len(y) > 200, label
+        s = shape_matrix(field, y)
+        want = inner(a, manifold.apply(s, b))
+        scale = np.maximum(1.0, np.max(np.abs(s), axis=(-2, -1)))
+        assert np.max(np.abs(shape_form(field, y, a, b) - want) / scale) < 1e-13, label
+        # the points broadcast against several directions each
+        pairs = shape_form(field, y[:, None, :], np.stack([a, b], axis=1), b[:, None, :])
+        assert pairs.shape == (len(y), 2)
+        assert np.max(np.abs(pairs[:, 0] - want) / scale) < 1e-13, label
+    reeb = gauss_fields(dim)[0][1]
+    s = shape_matrix(reeb, x)
+    assert np.max(np.abs(inner(u, manifold.apply(s, v)) - inner(v, manifold.apply(s, u)))) > 0.1
 
 
 def constant_jacobian_fields(dim):

@@ -11,12 +11,13 @@ from kontact.manifold import (
     inner,
     random_tangent_batch,
     sample_coords,
+    shape_matrix,
 )
 from kontact.scalar_fields import (
     ScalarField,
     ambient_gradient,
+    ambient_gradient_field,
     gradient_batch,
-    hessian_matrix,
     laplacian_batch,
     level_mean_curvature_batch,
 )
@@ -52,7 +53,7 @@ def tangent_pairs(x, rng):
 
 def hessian(f, x, u, v):
     """Hess_f(u, v) = g(∇_u ∇f, v) at the points x."""
-    return inner(apply(hessian_matrix(f, x), u), v)
+    return inner(apply(shape_matrix(ambient_gradient_field(f), x), u), v)
 
 
 def unit_gradient(f, x):
