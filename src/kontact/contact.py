@@ -56,9 +56,9 @@ from .manifold import (
     checker,
     constant_field,
     cov_deriv_batch,
-    frame_batch,
     inner,
     linear_field,
+    projector,
     random_tangent_batch,
     sample_coords,
 )
@@ -105,6 +105,11 @@ class ContactMetricStructure:
         jm = self.j_ambient.mat
         a = inner(u, apply(jm, x))[..., None]
         return self.sigma * (apply(jm, u) + a * x)
+
+    def phi_matrix(self, x: np.ndarray) -> np.ndarray:
+        """The structure tensor at the points x as matrices (..., m+1, m+1):
+        σ·P·J with P = I − x xᵀ, which :meth:`phi_at` applies to u."""
+        return self.sigma * (projector(x) @ self.j_ambient.mat)
 
     def phi_field(self, V: AmbientVectorField) -> AmbientVectorField:
         """phi applied to a whole field, as a dual-evaluable ambient formula."""
@@ -223,9 +228,9 @@ def _d_on_frames(coeff_field: Callable, x: np.ndarray, frames: np.ndarray) -> np
 
 def volume_form_batch(coeff_field: Callable, x: np.ndarray, frames: np.ndarray,
                       n: int) -> np.ndarray:
-    """α∧(dα)^n on the frames (..., m, m+1) at the points x (..., m+1),
-    corrected for frame orientation; dα on the frame pairs comes from one
-    Jacobian (:func:`_d_on_frames`)."""
+    """α∧(dα)^n on the m tangent vectors ``frames`` (..., m, m+1) at the
+    points x (..., m+1), not corrected for their orientation; dα on their
+    pairs comes from one Jacobian (:func:`_d_on_frames`)."""
     m = frames.shape[-2]
     omega = np.asarray(value(coeff_field(x)), dtype=float)
     a = inner(omega[..., None, :], frames)
@@ -235,8 +240,7 @@ def volume_form_batch(coeff_field: Callable, x: np.ndarray, frames: np.ndarray,
     for k in range(m):
         sign = -1.0 if k % 2 else 1.0
         total = total + sign * a[..., k] * fact_n * pfaffian(_minor(w, (k,)))
-    orientation = np.sign(np.linalg.det(np.concatenate([x[..., None, :], frames], axis=-2)))
-    return total * orientation
+    return total
 
 
 def volume_form_value(coeff_field: Callable, frame: Frame, n: int) -> float:
@@ -246,7 +250,9 @@ def volume_form_value(coeff_field: Callable, frame: Frame, n: int) -> float:
     independent of which orthonormal frame was produced, so constancy of
     sign across points is meaningful.
     """
-    return float(volume_form_batch(coeff_field, frame.base.coords, frame.matrix, n))
+    x, frames = frame.base.coords, frame.matrix
+    return float(volume_form_batch(coeff_field, x, frames, n)
+                 * np.sign(np.linalg.det(np.concatenate([x[None, :], frames]))))
 
 
 def volume_form_constant(n: int) -> float:
@@ -260,29 +266,28 @@ def volume_form_constant(n: int) -> float:
 @checker()
 def check_axiom_volume(s: ContactMetricStructure,
                        coeff_field: Optional[Callable] = None) -> Check:
-    """α∧(dα)^n must equal ±2^n·n! with constant sign.
+    """α∧(dα)^n must equal ±2^n·n! times the volume form, with constant sign.
 
     On every orthonormal frame of a contact metric structure
     |α∧(dα)^n| = 2^n·n! exactly (Blair, *Riemannian Geometry of Contact
-    and Symplectic Manifolds*, 2nd ed., 2010), so the per-point residual
-    is the relative deviation of |α∧(dα)^n| from 2^n·n!, plus a penalty
-    of 1 on any sign flip against the first point with a nonzero value.
+    and Symplectic Manifolds*, 2nd ed., 2010), so this is an equality of
+    alternating m-forms.  It is read on the projected axes P·e_c, c ≠ a,
+    for the a of the largest |x_a| ≥ 1/√(m+1), where the volume form is
+    det[x, P·e_c …] = (−1)^a·x_a: the residual is |ω/det − s·2^n·n!| / 2^n·n!,
+    s the sign of the first nonzero ω/det, so a sign flip reads 2.
     """
     coeff = coeff_field if coeff_field is not None else s.alpha_coeffs
     ref = volume_form_constant(s.n)
-    first = []                  # (index, sign) of the first nonzero value
+    first = []                  # s, the sign of the first nonzero ω/det
 
     def kernel(b):
-        values = volume_form_batch(coeff, b.x, b.of(frame_batch), s.n)
-        signs = np.sign(values)
-        signed = np.flatnonzero(signs)
-        if not first and signed.size:
-            first.append((b.index[signed[0]], signs[signed[0]]))
-        residuals = np.abs(np.abs(values) - ref) / ref
-        if first:
-            at, sign = first[0]
-            residuals = residuals + ((signs != sign) & (b.index > at))
-        return residuals
+        x, a = b.x, np.argmax(np.abs(b.x), axis=-1)
+        axes = projector(x)[np.arange(x.shape[-1]) != a[:, None]].reshape(len(x), -1, x.shape[-1])
+        det = np.where(a % 2, -1.0, 1.0) * x[np.arange(len(x)), a]
+        values = volume_form_batch(coeff, x, axes, s.n) / (det * ref)
+        if not first:
+            first.extend(np.sign(values[np.flatnonzero(values)[:1]]))
+        return np.abs(values - (first[0] if first else 1.0))
 
     return Check(f"axiom_volume_{s.label}", 1e-9, kernel,
                  "top form ±2^n·n! with constant sign")

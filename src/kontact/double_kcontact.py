@@ -16,12 +16,11 @@ that sub-bundle, symmetric with eigenvalues ±1 whenever the first
 structure is Sasakian; its eigenvalue pattern decides the ±4 branch.
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
-and checks are defined as in :mod:`kontact.contact`.  The three checks
-on the sub-bundle (the Laplacian formula, the φJ spectrum and the
-restricted Hessian) share one sub-bundle frame and its image under Jφ
-per block of a sweep (:func:`_sub_bundle`, through ``manifold.Block``).
-They skip a point where Z, X and JX fail ``manifold.seeds_span``, the
-rank test ``manifold.frame_batch`` applies to its seeds (Gram
+and checks are defined as in :mod:`kontact.contact`; none builds a frame.
+The three checks on the sub-bundle (the Laplacian formula, the φJ
+spectrum and the restricted Hessian) share its projector Q and Jφ Q per
+block of a sweep (:func:`_sub_bundle`, through ``manifold.Block``).
+They skip a point where Z, X and JX fail ``manifold.seeds_span`` (Gram
 determinant ≈ (1 − f²)² below 1e-10, so 1 − |f| ≲ 5e-6).  The φJ and
 Hessian checks need the first structure to be Sasakian; where the
 sub-bundle is not zero (m ≥ 5), a sweep probes that once first
@@ -60,6 +59,7 @@ from .manifold import (
     frame_batch,
     inner,
     lie_bracket_batch,
+    projector,
     sample_coords,
     seeds_span,
     shape_form,
@@ -83,7 +83,8 @@ ANGLE_PROFILE = TransnormalProfile(b=lambda t: 4.0 * (1.0 - t * t),
                                    b_prime=lambda t: -8.0 * t)
 
 NUMERIC_SUBSET = 25     # leading points whose Ricci check repeats with numeric curvature
-HESSIAN_DIAGNOSTIC_SEED = 29
+HESSIAN_SEED = 29       # the sub-bundle Hessian's m−3 tangent draws per point
+RICCI_SEED = 31         # the two level directions per point of the Ricci check
 SASAKIAN_PROBE_SEED = 23    # the six points of the Sasakian precondition probe
 
 
@@ -184,26 +185,16 @@ def _hbundle_seeds(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
 
 
 def _spans(b: Block, d: DoubleKContact) -> np.ndarray:
-    """Where Z, X and JX span a 3-plane in a block, by the very test that
-    :func:`hbundle_frames` must pass (the Gram determinant is ≈ (1 − f²)²)."""
+    """Where Z, X and JX span a 3-plane in a block (``manifold.seeds_span``)."""
     return seeds_span(b.x, _hbundle_seeds(d, b.x))
 
 
-def hbundle_frames(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of {Z, X, JX}^⊥ at the regular points x (batched),
-    shape (..., m−3, m+1): the tail of the frame seeded by Z, X, JX.  On
-    S³ the sub-bundle is zero and the bases are empty, with no frame built;
-    callers mask the points where the seeds do not span (:func:`_spans`)."""
-    if d.dim == 3:
-        return np.empty(x.shape[:-1] + (0, x.shape[-1]))
-    return frame_batch(x, _hbundle_seeds(d, x))[..., 3:, :]
-
-
 def hbundle_basis(d: DoubleKContact, p: SpherePoint) -> Frame:
-    """Deterministic orthonormal basis of {Z, X, JX}^⊥ inside T_p."""
-    if not seeds_span(p.coords, _hbundle_seeds(d, p.coords)):
+    """Orthonormal basis of {Z, X, JX}^⊥ in T_p: the tail of their frame."""
+    seeds = _hbundle_seeds(d, p.coords)
+    if not seeds_span(p.coords, seeds):
         raise RegularityError("the spanning fields degenerate where |f| ~ 1")
-    return Frame(p, tuple(TangentVector(p, e) for e in hbundle_frames(d, p.coords)))
+    return Frame(p, tuple(TangentVector(p, e) for e in frame_batch(p.coords, seeds)[3:]))
 
 
 def _sasakian_gate(d: DoubleKContact) -> None:
@@ -268,29 +259,37 @@ def transnormal_b_check(d: DoubleKContact) -> Check:
                  keep=c.keep, before=c.before)
 
 
-def _phi_chain(x: np.ndarray, first, second, u: np.ndarray) -> np.ndarray:
-    """second.phi(first.phi(u)) at the points x for vectors u (..., k, m+1)."""
-    p = x[..., None, :]
-    return second.phi_at(p, first.phi_at(p, u))
+def _phi_chain(x: np.ndarray, first, second) -> np.ndarray:
+    """second.φ ∘ first.φ at the points x, as matrices (..., m+1, m+1)."""
+    return second.phi_matrix(x) @ first.phi_matrix(x)
 
 
 def _sub_bundle(d: DoubleKContact, x: np.ndarray) -> tuple:
-    """The sub-bundle bases E (..., m−3, m+1) at the points x
-    (:func:`hbundle_frames`) and Jφ E, the first structure's tensor after
-    the second's on each row."""
-    basis = hbundle_frames(d, x)
-    return basis, _phi_chain(x, d.s_beta, d.s_alpha, basis)
+    """The projector Q onto {Z, X, JX}^⊥ ∩ T_x at the points x (..., m+1,
+    m+1), with no rows on S³, and Q·(Jφ)ᵀ, the rows Jφ q_a for the rows q_a
+    of Q.  From Q = P = I − x xᵀ, each seed s sets r = Q·s and
+    Q ← Q − r rᵀ/|r|²: no square root, and the rounding stays at a few
+    units as |f| → 1, where P − Sᵀ(SSᵀ)⁻¹S loses digits like ε/(1 − |f|)."""
+    if d.dim == 3:
+        q = np.empty(x.shape[:-1] + (0, x.shape[-1]))
+        return q, q
+    q = projector(x)
+    for seed in np.moveaxis(_hbundle_seeds(d, x), -2, 0):
+        r = apply(q, seed)
+        q = q - r[..., :, None] * (r / inner(r, r)[..., None])[..., None, :]
+    return q, q @ np.swapaxes(_phi_chain(x, d.s_beta, d.s_alpha), -1, -2)
 
 
 @checker()
 def laplacian_formula_check(d: DoubleKContact) -> Check:
-    """Δf against (4n+4)·f + 2·Σ g(JφE_i, E_i) over the orthogonal sub-bundle."""
+    """Δf against (4n+4)·f + 2·Σ g(JφE_i, E_i) over the orthogonal
+    sub-bundle, the sum read as tr(Q·Jφ) = Σ_a g(Jφ q_a, q_a)."""
     f = d.angle_function()
 
     def kernel(b):
-        basis, jphi = b.of(_sub_bundle, d)
+        q, jphi = b.of(_sub_bundle, d)
         rhs = (4.0 * d.n + 4.0) * b.full(values_batch, f) + 2.0 * np.sum(
-            inner(jphi, basis), axis=-1)
+            inner(jphi, q), axis=-1)
         return np.abs(b.full(laplacian_batch, f) - rhs)
 
     return Check("laplacian_formula", 1e-7, kernel,
@@ -300,29 +299,26 @@ def laplacian_formula_check(d: DoubleKContact) -> Check:
 @checker()
 def phi_product_spectrum_check(d: DoubleKContact) -> Check:
     """On {Z,X,JX}^⊥ the composite φJ must be symmetric, square to the
-    identity, commute with Jφ, and have eigenvalues ±1: one residual per
-    point, the largest of the four.  Vacuous in dimension 3, where the
-    sub-bundle is zero.
-    """
+    identity and commute with Jφ: one residual per point, the largest entry
+    of M − Mᵀ, M² − Q and (φJ − Jφ)Q for M = Q·φJ·Q.  Its eigenvalues there
+    are then ±1, of multiplicities (tr Q ± tr M)/2, the eigenvalues seen.
+    Vacuous in dimension 3."""
     eigs_seen = set()
 
     def kernel(b):
-        x, (basis, jphi) = b.x, b.of(_sub_bundle, d)
-        k = basis.shape[-2]
-        if k == 0:
+        x, (q, jphi) = b.x, b.of(_sub_bundle, d)
+        if d.dim == 3:
             return np.zeros(len(x))
-        phi_j = _phi_chain(x, d.s_alpha, d.s_beta, basis)
+        phi_j = q @ np.swapaxes(_phi_chain(x, d.s_alpha, d.s_beta), -1, -2)
+        m = q @ np.swapaxes(phi_j, -1, -2)
         diff = phi_j - jphi
         commute_res = np.max(np.sqrt(inner(diff, diff)), axis=-1)
-        # m_phi_j[j, i] = g(φJ e_i, e_j)
-        m_phi_j = inner(phi_j[:, None, :, :], basis[:, :, None, :])
-        m_t = np.swapaxes(m_phi_j, -1, -2)
-        sym_res = np.max(np.abs(m_phi_j - m_t), axis=(-2, -1))
-        square_res = np.max(np.abs(m_phi_j @ m_phi_j - np.eye(k)), axis=(-2, -1))
-        eigvals = np.linalg.eigvalsh(0.5 * (m_phi_j + m_t))
-        eig_res = np.max(np.abs(np.abs(eigvals) - 1.0), axis=-1)
-        eigs_seen.update(np.rint(eigvals).astype(int).ravel().tolist())
-        return np.maximum.reduce([sym_res, commute_res, square_res, eig_res])
+        sym_res = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1))
+        square_res = np.max(np.abs(m @ m - q), axis=(-2, -1))
+        trace_q, trace_m = (np.trace(a, axis1=-2, axis2=-1) for a in (q, m))
+        eigs_seen.update(eig for eig, twice in ((1, trace_q + trace_m), (-1, trace_q - trace_m))
+                         if np.any(np.rint(0.5 * twice) > 0))
+        return np.maximum.reduce([sym_res, commute_res, square_res])
 
     return Check("phi_product_spectrum", 1e-8, kernel,
                  lambda: ("phi-product on the sub-bundle; eigenvalues seen: "
@@ -332,38 +328,34 @@ def phi_product_spectrum_check(d: DoubleKContact) -> Check:
 
 @checker()
 def hessian_restriction_check(d: DoubleKContact) -> Check:
-    """Hess_f(A,B) = −2 f g(A,B) − 2 g(JφA, B) for A, B in {Z,X,JX}^⊥:
-    one residual per point and pair of sub-bundle rows, and one zero per
-    point on S³, where the sub-bundle is zero.  Hess_f(u, v) is read as
-    uᵀJv − ⟨x, ∇f⟩⟨u, v⟩, J the one raw Jacobian of ∇f (``shape_form``).
+    """Hess_f(A,B) = −2 f g(A,B) − 2 g(JφA, B) for A, B in {Z,X,JX}^⊥,
+    read on A_i = Q·u_i for m−3 tangent draws u_i per point (HESSIAN_SEED):
+    one residual per pair i ≤ j, and one zero per point on S³, where nothing
+    is drawn.  Hess_f(u, v) is uᵀJv − ⟨x, ∇f⟩⟨u, v⟩ (``shape_form``).
 
-    The full-argument identity (with its 2 g(A,X) g(Z,B) term) is a
-    diagnostic only, reported in the provenance as its maximum over one
-    random pair (u, v) per point, drawn at the kept points from the stream
-    seeded by HESSIAN_DIAGNOSTIC_SEED; it is not gated because the
-    restriction to the sub-bundle is the part with an unambiguous
-    symmetric reading.
+    The full-argument identity (with its 2 g(A,X) g(Z,B) term), read on
+    (u_0, u_1), is a diagnostic only, its maximum reported in the
+    provenance: the restriction is the part with a symmetric reading.
     """
     f = d.angle_function()
     grad = ambient_gradient_field(f)
     full_domain = [0.0]
 
     def kernel(b):
-        x, fv, (basis, jphi) = b.x, b.full(values_batch, f), b.of(_sub_bundle, d)
-        if basis.shape[-2] == 0:
+        x, fv, (q, jphi) = b.x, b.full(values_batch, f), b.of(_sub_bundle, d)
+        if d.dim == 3:
             return np.zeros(len(x))
-        i, j = np.triu_indices(basis.shape[-2])
-        a, c = basis[:, i], basis[:, j]
-        lhs = shape_form(grad, x[:, None, :], a, c)
-        rhs = -2.0 * fv[:, None] * inner(a, c) - 2.0 * inner(jphi[:, i], c)
-        uv = b.tangents(HESSIAN_DIAGNOSTIC_SEED, (2,))
-        u, v = uv[:, 0], uv[:, 1]
-        xb = apply(d.s_beta.j_ambient.mat, x)
-        z = apply(d.s_alpha.j_ambient.mat, x)
-        jphi_u = d.s_alpha.phi_at(x, d.s_beta.phi_at(x, u))
-        full = (2.0 * inner(u, xb) * inner(z, v) - 2.0 * fv * inner(u, v)
-                - 2.0 * inner(jphi_u, v))
-        full_domain.append(np.max(np.abs(shape_form(grad, x, u, v) - full)))
+        u = b.tangents(HESSIAN_SEED, (d.dim - 3,))
+        a, ja = u @ q, u @ jphi                 # Q·u_i and Jφ Q·u_i, Q symmetric
+        i, j = np.triu_indices(d.dim - 3)
+        lhs = shape_form(grad, x[:, None, :], a[:, i], a[:, j])
+        rhs = -2.0 * fv[:, None] * inner(a[:, i], a[:, j]) - 2.0 * inner(ja[:, i], a[:, j])
+        v, w = u[:, 0], u[:, 1]
+        z, xb = apply(d.s_alpha.j_ambient.mat, x), apply(d.s_beta.j_ambient.mat, x)
+        jphi_v = d.s_alpha.phi_at(x, d.s_beta.phi_at(x, v))
+        full = (2.0 * inner(v, xb) * inner(z, w) - 2.0 * fv * inner(v, w)
+                - 2.0 * inner(jphi_v, w))
+        full_domain.append(np.max(np.abs(shape_form(grad, x, v, w) - full)))
         return np.abs(lhs - rhs)
 
     return Check("hessian_restricted", 1e-7, kernel,
@@ -404,13 +396,13 @@ def dim_theorem_check(d: DoubleKContact) -> Check:
 def ricci_normal_check(d: DoubleKContact) -> Check:
     """ric(E, N) must vanish for every E tangent to the level set, and the
     Ricci endomorphism must commute with the structure tensor chain:
-    g(E, Q(JX)) = g(E, J(QX)), at the regular points.
+    g(u, Q(JX)) = g(u, J(QX)), at the regular points, for two tangent
+    draws u per point (RICCI_SEED) and their level parts E = u − ⟨u, N⟩N.
 
-    The analytic part reads ric(E, N) = (m−1)·g(E, N) on the rows E of
-    the level frame seeded by N, so it tests that frame; a sub-sample (the
-    first NUMERIC_SUBSET points of the sweep) takes ric(E, N) as the frame
-    sum of the numerical curvature instead, to pin the curvature code.
-    """
+    The analytic part reads ric(E, N) = (m−1)·g(E, N); the first
+    NUMERIC_SUBSET points of the sweep take ric(E, N) from the numerical
+    curvature instead, to pin the curvature code, as the trace
+    Σ_a g(R(Pe_a, E)N, Pe_a) over the rows of P (``manifold.projector``)."""
     f = d.angle_function()
     mdim = d.dim
     jm2 = d.s_beta.j_ambient.mat
@@ -418,21 +410,20 @@ def ricci_normal_check(d: DoubleKContact) -> Check:
     def kernel(b):
         x = b.x
         g, gn = gradient_and_norm(b, f)
-        nvec = g / gn[:, None]
-        frames = frame_batch(x, nvec[:, None, :])
-        level = frames[:, 1:]
-        r = (mdim - 1) * np.max(np.abs(inner(level, nvec[:, None, :])), axis=-1)
+        nvec = g[:, None, :] / gn[:, None, None]
+        u = b.tangents(RICCI_SEED, (2,))
+        level = u - inner(u, nvec)[..., None] * nvec
+        r = (mdim - 1) * np.max(np.abs(inner(level, nvec)), axis=-1)
         reeb_b = apply(jm2, x)
         qjx = (mdim - 1) * d.s_alpha.phi_at(x, reeb_b)
         jqx = d.s_alpha.phi_at(x, (mdim - 1) * reeb_b)
-        commute = np.abs(inner(frames, qjx[:, None, :]) - inner(frames, jqx[:, None, :]))
+        commute = np.abs(inner(u, qjx[:, None, :]) - inner(u, jqx[:, None, :]))
         r = np.maximum(r, np.max(commute, axis=-1))
         sub = np.flatnonzero(b.index < NUMERIC_SUBSET)
         if sub.size:
-            e_i = frames[sub, :, None, :]
-            num = curvature_numeric_batch(x[sub, None, None, :], e_i,
-                                          level[sub, None, :2], nvec[sub, None, None, :])
-            ric = np.sum(inner(num, e_i), axis=1)
+            y, axes = x[sub, None, None], projector(x[sub])[:, :, None, :]
+            num = curvature_numeric_batch(y, axes, level[sub, None], nvec[sub, None])
+            ric = np.sum(inner(num, axes), axis=1)
             r[sub] = np.maximum(r[sub], np.max(np.abs(ric), axis=-1))
         return r
 

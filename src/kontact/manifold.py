@@ -24,7 +24,7 @@ rows.  :func:`sample_blocks` draws them one block at a time, and
 validates the points a caller gives, as such an array or as a list of
 :class:`SpherePoint`.
 Kernels (names ending in ``_batch``, and :func:`shape_matrix`,
-:func:`shape_trace`, :func:`frame_batch` and their kin in the other
+:func:`shape_trace`, :func:`projector` and their kin in the other
 modules) take plain arrays whose leading axes are batch axes (points,
 directions, frame slots) and broadcast them, contracting over the last
 axis only.  :class:`SpherePoint`, :class:`TangentVector`, :class:`Frame`
@@ -55,13 +55,12 @@ from the same stream, because its integrand holds only a first-order
 Jacobian per point.  ``BLOCK`` is read at call time, so a test can
 shrink it to cover more than one block.
 
-Frames: :func:`frame_batch` builds the orthonormal tangent frames every
-frame-based check contracts over, from k+1 Householder reflectors of
-[x | seeds] applied to a block of points at once.  Its rows are tangent
-and orthonormal to a few units of rounding at every point, so a frame
-sum reads the same in any frame; the leading rows follow the seeds, and
-the completion after them is whatever orthonormal basis the reflectors
-give.  :func:`seeds_span` is its rank test on the seeds.
+Frames: no check builds one.  Each identity is linear or multilinear
+in the vectors it is read on, so the checks read it on projectors
+(:func:`projector`) and drawn vectors, whose numbers depend on no
+completion.  :func:`frame_batch` (Householder reflectors of [x | seeds])
+serves the one-point layer and the tests; :func:`seeds_span` is its rank
+test on the seeds, and the mask of the checks on a seeded sub-bundle.
 
 Sign conventions (frozen package-wide, pinned by tests):
 
@@ -290,7 +289,7 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     """
     x, v, rows = _raw_jacobian(field, x)
     jac = np.moveaxis(np.broadcast_to(rows, (x.shape[-1],) + x.shape), 0, -1)
-    proj = np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
+    proj = projector(x)
     return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
 
 
@@ -524,6 +523,11 @@ def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """mat·v for vectors v (..., n), rounded as the one-row ``mat @ v``."""
     return (mat @ v[..., :, None])[..., 0]
+
+
+def projector(x: np.ndarray) -> np.ndarray:
+    """P = I − x xᵀ at the points x, (..., m+1, m+1), rows P·e_a = P's columns."""
+    return np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
 
 
 def proj_np(x: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,18 +1,21 @@
 """Reference formulas the tests compare the package's kernels against.
 
 Each one takes the quantity by another route than the kernel it pins:
-the constant-curvature tensor in closed form, Ricci as a frame sum of
-curvatures, tr L_Z from the full shape matrix, the level mean curvature
-as an explicit frame sum, the divergence of a projected field from its
-dual Jacobian, x(h) by differentiating that divergence, dω from its
-definition on projected-constant extensions, and nu_Z by nested
-directional derivatives.  All take points (N, m+1) and broadcast
+orthonormal frames of the sub-bundle {Z, X, JX}^⊥, which the checks
+read through its projector, the constant-curvature tensor in closed
+form, Ricci as a frame sum of curvatures, tr L_Z from the full shape
+matrix, the level mean curvature as an explicit frame sum, the
+divergence of a projected field from its dual Jacobian, x(h) by
+differentiating that divergence, dω from its definition on
+projected-constant extensions, and nu_Z by nested directional
+derivatives.  All take points (N, m+1) and broadcast
 leading axes as the kernels do.
 """
 
 import numpy as np
 
 from kontact import ad
+from kontact.double_kcontact import _hbundle_seeds
 from kontact.manifold import (
     constant_field,
     cov_deriv_batch,
@@ -48,6 +51,15 @@ def domain_mask(zf, x):
     for a unit gradient, :func:`regular_mask` of its potential."""
     keep = np.asarray(zf.guard(x), dtype=bool)
     return keep if zf.potential is None else keep & regular_mask(zf.potential, x)
+
+
+def hbundle_frames(d, x):
+    """Orthonormal bases of {Z, X, JX}^⊥ at the points x (N, m+1) where Z, X
+    and JX span, shape (N, m−3, m+1): the tail of the frame seeded by them,
+    empty on S³, where the sub-bundle is zero."""
+    if d.dim == 3:
+        return np.empty(x.shape[:-1] + (0, x.shape[-1]))
+    return frame_batch(x, _hbundle_seeds(d, x))[..., 3:, :]
 
 
 def curvature(u, v, w):

@@ -1,8 +1,8 @@
 """Frames whose completion is turned by a fixed orthogonal matrix.
 
-A check built on orthonormal frames must not depend on which frame of
-the complement of its seeds it is given; these helpers supply another
-one, the same at every point.
+A frame sum must not depend on which frame of the complement of its
+seeds it is taken over; this helper supplies another one, the same at
+every point.
 """
 
 import numpy as np
@@ -18,11 +18,3 @@ def rotate_completion(frames, k):
     out = np.array(frames, dtype=float)
     out[..., k:, :] = q @ out[..., k:, :]
     return out
-
-
-def rotated_frame_batch(frame_batch):
-    """``frame_batch`` with the completion after the seeds rotated."""
-    def rotated(x, seeds=None):
-        return rotate_completion(frame_batch(x, seeds),
-                                 0 if seeds is None else np.shape(seeds)[-2])
-    return rotated

@@ -13,7 +13,6 @@ import pytest
 import kontact as kt
 from kontact import ad
 from kontact.contact import check_killing
-from kontact.double_kcontact import hbundle_frames
 from kontact.manifold import (
     constant_field,
     cov_deriv_batch,
@@ -28,7 +27,13 @@ from kontact.manifold import (
     sample_coords,
 )
 from kontact.scalar_fields import ScalarField, gradient_batch, laplacian_batch
-from oracles import curvature, ricci_frame_sum, ricci_operator_frame_sum, values
+from oracles import (
+    curvature,
+    hbundle_frames,
+    ricci_frame_sum,
+    ricci_operator_frame_sum,
+    values,
+)
 from rotated_frames import rotate_completion
 
 SAMPLES = 500

@@ -257,14 +257,18 @@ def test_exterior_derivative_batch_matches_one_row(setting):
 
 
 def test_volume_form_batch_matches_one_row(setting):
+    # the batch kernel reads the alternating form as it stands; the
+    # one-point value corrects it for the frame's orientation
     pair, f, pts, x = setting
     s = pair.s_alpha
 
     def scaled_coeffs(y):
         return ad.sv(f.eval(y), s.alpha_coeffs(y))
 
+    frames = frame_batch(x)
+    orientation = np.sign(np.linalg.det(np.concatenate([x[:, None, :], frames], axis=1)))
     for coeff in (s.alpha_coeffs, scaled_coeffs):
-        batch = volume_form_batch(coeff, x, frame_batch(x), s.n)
+        batch = volume_form_batch(coeff, x, frames, s.n) * orientation
         one = [kt.contact.volume_form_value(coeff, kt.tangent_basis(p), s.n)
                for p in pts]
         assert np.max(np.abs(batch - one)) <= 1e-13
@@ -648,7 +652,8 @@ def loop_hessian(d, points):
 
 def hessian_diagnostic(d, points):
     """Max over the points with a nonempty sub-bundle of the full-argument
-    Hessian identity at one random pair (u, v) each, seed 29."""
+    Hessian identity at one random pair (u, v) each: the first two of the
+    m−3 directions drawn per point from the stream seeded by 29."""
     f = d.angle_function()
     rng = np.random.default_rng(29)
     worst = 0.0
@@ -658,7 +663,7 @@ def hessian_diagnostic(d, points):
                 continue
         except kt.RegularityError:
             continue
-        u, v = loop_tangents(x, rng, 2)
+        u, v = loop_tangents(x, rng, d.dim - 3)[:2]
         z, xb = d.s_alpha.j_ambient.mat @ x, d.s_beta.j_ambient.mat @ x
         full = (2.0 * (u @ xb) * (z @ v)
                 - 2.0 * values(f, x) * (u @ v) - 2.0 * (jphi(d, x, u) @ v))
@@ -799,10 +804,11 @@ def test_hessian_diagnostic_draws_the_loop_stream_at_kept_points(two_blocks, mon
     if pair.dim == 3:                   # the sub-bundle is zero: nothing drawn
         assert drawn == []
         return
-    # the Sasakian probe's sweep draws first, from its own stream
+    # the Sasakian probe's sweep draws first, from its own stream; then
+    # m−3 directions per kept point
     gate = loop_stream(sample_coords(6, 23, pair.ambient_dim), 17, 4)
     rng = np.random.default_rng(29)
-    loop = [t for p in pts for t in loop_tangents(p, rng, 2)]
+    loop = [t for p in pts for t in loop_tangents(p, rng, pair.dim - 3)]
     assert np.array_equal(np.concatenate(drawn), np.concatenate([gate, loop]))
 
 
@@ -832,22 +838,24 @@ def loop_stream(points, seed, per_point):
 
 @pytest.mark.parametrize("dim", (5, 7))
 def test_suite_sweeps_its_points_once(dim, monkeypatch):
-    # 40 points in blocks of 16: three blocks, each computing the plain
-    # frame, ∇f, Δf, the sub-bundle frame and the harmonic jet once for
-    # every check that needs them, and the sub-bundle's Jφ with its frame
+    # 40 points in blocks of 16: three blocks, each computing ∇f, Δf, the
+    # sub-bundle projector and the harmonic jet once for every check that
+    # needs them, and the sub-bundle's Jφ with its projector; no frame is
+    # built and no eigensolver runs
     f = kt.standard_pair(dim).angle_function()
     x = sample_coords(40, 3, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
     monkeypatch.setattr(manifold, "BLOCK", 16)
     calls = {name: [] for name in ("sweep", "frame_batch", "gradient_batch",
-                                   "laplacian_batch", "hbundle_frames", "_sub_bundle",
-                                   "second_jet", "_phi_chain")}
+                                   "laplacian_batch", "_sub_bundle", "second_jet",
+                                   "_phi_chain")}
     for module, name in ((manifold, "sweep"), (manifold, "frame_batch"),
                          (kt.scalar_fields, "gradient_batch"),
                          (kt.scalar_fields, "laplacian_batch"),
-                         (kt.double_kcontact, "hbundle_frames"),
                          (kt.double_kcontact, "_sub_bundle"), (ad, "second_jet"),
                          (kt.double_kcontact, "_phi_chain")):
         rebind(monkeypatch, module, name, lambda args, out, name=name: calls[name].append(args))
+    eigvalsh = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: eigvalsh.append(args))
     streams = {}
     rebind(monkeypatch, manifold, "random_tangent_batch",
            lambda args, out: streams.setdefault(args[1], []).append(
@@ -857,20 +865,19 @@ def test_suite_sweeps_its_points_once(dim, monkeypatch):
     # the suite's one sweep over its 40 points, and the Sasakian probe's
     # over 6, which the suite's makes first and so ends first
     assert len(calls.pop("sweep")) == 2
-    plain = [args for args in calls.pop("frame_batch") if len(args) == 1]
-    assert [len(args[0]) for args in plain] == [16, 16, 8]
+    assert calls.pop("frame_batch") == [] and eigvalsh == []
     # Jφ on the sub-bundle once per block, and φJ once for the spectrum
     assert len(calls.pop("_phi_chain")) == 6
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 3)
     # one generator per stream, in the order the checks first draw: the σ
     # probes of both structures, the Sasakian probe, then the suite's
     # streams, which the α and β checks share: axioms ii and iii, Killing,
-    # Sasakian and the Hessian diagnostic
+    # Sasakian, the sub-bundle Hessian (m−3 per point) and the Ricci check
     probe = sample_coords(4, kt.contact.PROBE_SEED, dim + 1)
     expected = ([loop_stream(probe, kt.contact.PROBE_SEED + 1, 2)] * 2
                 + [loop_stream(sample_coords(6, 23, dim + 1), 17, 4)]
                 + [loop_stream(x, 7, 2), loop_stream(x, 11, 4), loop_stream(x, 13, 4),
-                   loop_stream(x, 17, 4), loop_stream(x, 29, 2)])
+                   loop_stream(x, 17, 4), loop_stream(x, 29, dim - 3), loop_stream(x, 31, 2)])
     drawn = [np.concatenate(s) for s in streams.values()]
     assert len(drawn) == len(expected)
     for got, want in zip(drawn, expected):

@@ -179,6 +179,21 @@ def test_volume_form_gate_is_an_equality(dim):
     assert kt.check_axiom_volume(s, pts).max <= 1e-14
 
 
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_volume_form_gate_fails_on_a_sign_flip(dim, monkeypatch):
+    # the top form negated on the half-sphere x₀ < 0 keeps |α∧(dα)^n| on
+    # every orthonormal frame, and reads 2 against the sign of the first point
+    s = kt.standard_pair(dim).s_alpha
+    pts = sample_coords(50, dim, s.ambient_dim)
+    assert (pts[:, 0] < 0).any() and (pts[:, 0] > 0).any()
+    real = contact.volume_form_batch
+    monkeypatch.setattr(contact, "volume_form_batch", lambda c, x, vectors, n: np.where(
+        x[..., 0] < 0, -1.0, 1.0) * real(c, x, vectors, n))
+    rep = kt.check_axiom_volume(s, pts)
+    assert not rep.passed
+    assert abs(rep.max - 2.0) <= 1e-12
+
+
 def test_kcontact_standard(pair3, pts3):
     rep = kt.check_kcontact(pair3.s_alpha, pts3)
     assert rep.passed and rep.max < 1e-9

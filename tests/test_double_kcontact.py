@@ -3,7 +3,7 @@
 import itertools
 import json
 import re
-import sys
+import types
 import warnings
 
 import numpy as np
@@ -27,8 +27,8 @@ from kontact.manifold import (
     shape_matrix,
 )
 from kontact.scalar_fields import ambient_gradient_field, laplacian_batch
-from oracles import values
-from rotated_frames import rotate_completion, rotated_frame_batch
+from oracles import hbundle_frames, values
+from rotated_frames import rotate_completion
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -187,21 +187,30 @@ def s3_points_with_poles(pts3):
 
 def test_s3_sub_bundle_builds_no_frame(pair3, pts3, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("frame_batch called for the zero sub-bundle")
+        raise AssertionError("a frame or projector built for the zero sub-bundle")
 
-    monkeypatch.setattr(kt.double_kcontact, "frame_batch", refuse)
+    for name in ("frame_batch", "projector"):
+        monkeypatch.setattr(kt.double_kcontact, name, refuse)
     rep = kt.laplacian_formula_check(pair3, s3_points_with_poles(pts3))
     assert rep.passed and (rep.count, rep.skipped) == (len(pts3), 2)
 
 
 def test_s3_laplacian_report_matches_the_seeded_frame_tail(pair3, pts3, monkeypatch):
-    # the empty basis against the tail of the frame seeded by Z, X, JX
+    # the empty sub-bundle of S³ against the tail of the frame seeded by
+    # Z, X, JX, and against the residue projector built past the S³ branch,
+    # whose rows vanish to rounding
     x = s3_points_with_poles(pts3)
     empty = kt.laplacian_formula_check(pair3, x)
     dk = kt.double_kcontact
-    monkeypatch.setattr(dk, "hbundle_frames", lambda d, y: dk.frame_batch(
-        y, dk._hbundle_seeds(d, y))[..., 3:, :])
+    real = dk._sub_bundle
+    as_if_larger = types.SimpleNamespace(dim=5, s_alpha=pair3.s_alpha, s_beta=pair3.s_beta)
+    assert np.max(np.abs(real(as_if_larger, pts3)[0])) <= 1e-15
+    monkeypatch.setattr(dk, "_sub_bundle", lambda d, y: (hbundle_frames(d, y),) * 2)
     assert kt.laplacian_formula_check(pair3, x) == empty
+    monkeypatch.setattr(dk, "_sub_bundle", lambda d, y: real(as_if_larger, y))
+    rep = kt.laplacian_formula_check(pair3, x)
+    assert (rep.count, rep.skipped, rep.passed) == (empty.count, empty.skipped, empty.passed)
+    assert abs(rep.max - empty.max) <= 1e-15
 
 
 def test_hbundle_s5_orthogonality(pair5, pts5):
@@ -251,6 +260,32 @@ def test_sub_bundle_checks_evaluate_just_outside_the_skip_band(pair5):
         rep = check(pair5, [p])
         assert rep.skipped == 0 and rep.count > 0 and rep.passed
     assert len(kt.hbundle_basis(pair5, p)) == 2
+
+
+def near_focal(dim, f, count=20):
+    """Seeded points of S^dim where the standard pair's angle function
+    f = 1 − 2|(x₀, x₁)|² takes the value f."""
+    rng = np.random.default_rng(dim)
+    head, rest = rng.standard_normal((count, 2)), rng.standard_normal((count, dim - 1))
+    for part, square in ((head, (1.0 - f) / 2.0), (rest, (1.0 + f) / 2.0)):
+        part *= np.sqrt(square) / np.linalg.norm(part, axis=1, keepdims=True)
+    return np.hstack([head, rest])
+
+
+@pytest.mark.parametrize("dim", (5, 7))
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_sub_bundle_checks_stay_at_rounding_near_the_focal_sets(dim, delta):
+    # down to the edge of the seeds_span skip band the residue projector
+    # keeps every sub-bundle reading at a few units of rounding, where a
+    # Gram-inverse projector loses digits like ε/(1 − |f|)
+    pair = kt.standard_pair(dim)
+    for sign in (1, -1):
+        x = near_focal(dim, sign * (1.0 - delta))
+        assert np.max(np.abs(values(pair.angle_function(), x) - sign * (1.0 - delta))) <= 1e-12
+        for check in SUB_BUNDLE_CHECKS:
+            rep = check(pair, x)
+            assert (rep.count > 0, rep.skipped, rep.passed) == (True, 0, True), check.__name__
+            assert rep.max <= 1e-13, (check.__name__, sign, rep.max)
 
 
 def test_laplacian_formula_s3_reduces_to_8f(pair3, pts3):
@@ -350,6 +385,22 @@ def test_phi_product_spectrum_vacuous_on_s3(pair3, pts3):
     assert rep.passed and rep.max == 0.0
 
 
+@pytest.mark.parametrize("dim", (5, 7))
+def test_phi_product_spectrum_fails_for_a_scaled_phi_j(dim, monkeypatch):
+    # φJ 1 + 1e-6 too long: M² − Q reads 2e-6 on the projector's largest
+    # entries, (φJ − Jφ)Q 1e-6
+    pair = kt.standard_pair(dim)
+    x = angle_points(pair, 40, 5)
+    assert kt.phi_product_spectrum_check(pair, x).passed
+    dk, eps = kt.double_kcontact, 1e-6
+    real = dk._phi_chain
+    monkeypatch.setattr(dk, "_phi_chain", lambda y, first, second: real(y, first, second) * (
+        1.0 + eps if first is pair.s_alpha else 1.0))
+    rep = kt.phi_product_spectrum_check(pair, x)
+    assert not rep.passed
+    assert 1.5 * eps < rep.max < 2.0 * eps + 1e-12
+
+
 def test_phi_product_alternate_pair_mixed_spectrum():
     pair = block_pair([1, 1, 1], [-1, -1, 1])
     rep = kt.phi_product_spectrum_check(pair, angle_points(pair, 20, 13))
@@ -385,28 +436,20 @@ def test_ricci_normal_check(pair3, pair5, pts3, pts5):
 
 
 @pytest.mark.parametrize("dim", (3, 5, 7))
-def test_ricci_normal_fails_on_level_rows_tilted_toward_n(dim, monkeypatch):
-    # ric(E, N) = (m−1)·g(E, N) on the level rows: turned by 1e-6 toward N,
-    # they read (m−1)·sin(1e-6); the numeric subset is switched off, so the
-    # analytic part alone must fail
+def test_ricci_normal_fails_for_a_curvature_off_by_its_first_argument(dim, monkeypatch):
+    # R(u, v)w + ε·u adds ε·Σ_a |P·e_a|² = ε·tr P = m·ε to the trace
+    # Σ_a g(R(P·e_a, E)N, P·e_a) that the first NUMERIC_SUBSET points read
     pair = kt.standard_pair(dim)
     x = angle_points(pair, 40, 5)
-    monkeypatch.setattr(kt.double_kcontact, "NUMERIC_SUBSET", 0)
     assert kt.ricci_normal_check(pair, x).passed
-    real, eps = kt.double_kcontact.frame_batch, 1e-6
-
-    def tilted(y, seeds=None):
-        frames = real(y, seeds)
-        if np.shape(seeds)[-2] != 1:        # only the level frame, seeded by N
-            return frames
-        out = frames.copy()
-        out[..., 1:, :] = np.cos(eps) * frames[..., 1:, :] + np.sin(eps) * frames[..., :1, :]
-        return out
-
-    monkeypatch.setattr(kt.double_kcontact, "frame_batch", tilted)
+    real, eps = kt.double_kcontact.curvature_numeric_batch, 1e-6
+    monkeypatch.setattr(kt.double_kcontact, "curvature_numeric_batch",
+                        lambda y, u, v, w: real(y, u, v, w) + eps * u)
     rep = kt.ricci_normal_check(pair, x)
     assert not rep.passed
-    assert abs(rep.max - (dim - 1) * np.sin(eps)) <= 1e-12
+    assert abs(rep.max - dim * eps) <= 1e-12
+    monkeypatch.setattr(kt.double_kcontact, "NUMERIC_SUBSET", 0)
+    assert kt.ricci_normal_check(pair, x).passed
 
 
 def scaled_gradient_pair(dim, scale):
@@ -481,39 +524,65 @@ def test_rotated_pairs_pass_every_catalog_check(dim, signs):
             assert "both pairings hold" in rep.provenance
 
 
-FRAME_CHECKS = ("laplacian_formula", "phi_product_spectrum", "hessian_restricted",
-                "ricci_normal", "nu_form", "critical_condition")
+FRAME_FREE_CHECKS = ("contact_axioms", "laplacian_formula", "phi_product_spectrum",
+                     "hessian_restricted", "ricci_normal")
 
 
 def catalog_reports(dim, samples=200, seed=1):
-    """The reports of the catalog checks built on frames, on the standard
-    pair at ``samples`` points drawn as ``run_suite`` draws them."""
+    """The reports of the catalog checks read on projectors and drawn
+    vectors, on the standard pair at ``samples`` points drawn as
+    ``run_suite`` draws them."""
     pair = kt.standard_pair(dim)
     config = SuiteConfig(manifold=f"s{dim}", samples=samples, seed=seed)
     f = pair.angle_function()
     x = sample_blocks(samples, seed, pair.ambient_dim, manifold.BLOCK,
                       exclusion=lambda y: np.abs(value(f.eval(y))) > config.exclusion)
     return {name: check() for name, check in _check_catalog(pair, x, config)
-            if name in FRAME_CHECKS}
+            if name in FRAME_FREE_CHECKS}
 
 
 @pytest.mark.parametrize("dim", (3, 5, 7))
-def test_frame_checks_do_not_depend_on_the_completion(dim, monkeypatch):
+def test_frame_free_checks_do_not_depend_on_the_draw(dim, monkeypatch):
+    # the drawn directions play the part a frame's completion used to
     plain = catalog_reports(dim)
-    real = kt.manifold.frame_batch
-    binding = [mod for name, mod in list(sys.modules.items())
-               if name.split(".")[0] == "kontact" and vars(mod).get("frame_batch") is real]
-    # harmonic reads its residuals as norms on Z^⊥ and builds no frame
-    assert {mod.__name__ for mod in binding} == {
-        "kontact.manifold", "kontact.contact", "kontact.double_kcontact"}
-    for mod in binding:
-        monkeypatch.setattr(mod, "frame_batch", rotated_frame_batch(real))
-    turned = catalog_reports(dim)
-    assert turned.keys() == plain.keys()
-    for name, rep in turned.items():
+    dk = kt.double_kcontact
+    monkeypatch.setattr(dk, "HESSIAN_SEED", dk.HESSIAN_SEED + 1000)
+    monkeypatch.setattr(dk, "RICCI_SEED", dk.RICCI_SEED + 1000)
+    redrawn = catalog_reports(dim)
+    assert redrawn.keys() == plain.keys()
+    for name, rep in redrawn.items():
         assert (rep.count, rep.skipped, rep.passed) == (
             plain[name].count, plain[name].skipped, plain[name].passed), name
         assert rep.max <= 1e-13, (name, rep.max)
+    drawn = ["ricci_normal"] + ["hessian_restricted"] * (dim > 3)
+    assert all(redrawn[name].mean != plain[name].mean for name in drawn)
+
+
+SUB_BUNDLE_PAIRS = [(dim, None) for dim in (5, 7)] + [
+    (dim, signs) for dim, signs in ROTATED if dim > 3]
+
+
+@pytest.mark.parametrize("dim, signs", SUB_BUNDLE_PAIRS, ids=[
+    f"s{dim}" + ("" if signs is None else "".join("+-"[s < 0] for s in signs))
+    for dim, signs in SUB_BUNDLE_PAIRS])
+def test_sub_bundle_readings_match_the_frame_oracle(dim, signs):
+    # tr(Q·Jφ) is the frame trace Σ g(JφE_i, E_i), and tr Q ± tr M are twice
+    # the counts of the eigenvalues ±1 of φJ on the frame
+    pair = kt.standard_pair(dim) if signs is None else rotated_pair(dim, signs)
+    x = angle_points(pair, 30, 7)
+    dk = kt.double_kcontact
+    q, jphi_rows = dk._sub_bundle(pair, x)
+    frames = hbundle_frames(pair, x)
+    assert np.max(np.abs(np.sum(inner(jphi_rows, q), axis=-1)
+                         - trace_jphi(pair, x, frames))) <= 1e-13
+    m = q @ dk._phi_chain(x, pair.s_alpha, pair.s_beta) @ q
+    eig = np.linalg.eigvalsh(phi_product_matrix(pair, x, frames))
+    tr_q, tr_m = np.trace(q, axis1=1, axis2=2), np.trace(m, axis1=1, axis2=2)
+    for sign, twice in ((1, tr_q + tr_m), (-1, tr_q - tr_m)):
+        assert np.array_equal(np.rint(0.5 * twice), np.sum(np.rint(eig) == sign, axis=-1))
+    seen = sorted(set(np.rint(eig).astype(int).ravel().tolist()))
+    rep = kt.phi_product_spectrum_check(pair, x)
+    assert rep.provenance.endswith(f"eigenvalues seen: {seen}")
 
 
 def test_rotated_pair_descriptor_round_trip():
