@@ -428,4 +428,5 @@ def ricci_normal_check(d: DoubleKContact) -> Check:
         return r
 
     return Check("ricci_normal", 1e-8, kernel,
-                 "ricci(E, N) = 0 and Q(JX) = J(QX) along level frames", keep=(regular, f))
+                 "ricci(E, N) = 0 and Q(JX) = J(QX) on projected draws E = u - <u, N>N",
+                 keep=(regular, f))

@@ -46,7 +46,8 @@ In a sweep a unit gradient reads its regularity from the block's ∇f
 anyway.
 :func:`energy` draws its samples block by block from the stream that
 ``kontact verify`` sweeps (``manifold.sample_blocks``, whose blocks
-concatenate to ``manifold.sample_coords``) and evaluates each block of
+concatenate to ``manifold.sample_coords``, and which on two CPUs draws
+the next block on a worker thread) and evaluates each block of
 4 · ``manifold.BLOCK`` as it is drawn: its integrand holds one first-order
 Jacobian per point, (m+1)× less than the second-order jets ``BLOCK`` is
 sized for, so fewer, larger blocks pay less dispatch in the dual
@@ -262,8 +263,10 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     all samples: one float each, beside one block's points
     and Jacobians.  Each block is one pass of :func:`_trace_l_batch`,
     which evaluates the integrand on the block's rows inside the guard.
-    Summation is a single deterministic pairwise reduction over all
-    samples, so the result does not depend on the block size.
+    On two CPUs or more the stream draws each next block on a worker
+    thread while this one is evaluated, with the same rows.  Summation is
+    a single deterministic pairwise reduction over all samples, so the
+    result does not depend on the block size or on the worker.
 
     Each block's temporaries lie above glibc's initial 128 KB mmap
     threshold, which a streamed call never raises, so unless the process
@@ -277,11 +280,12 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     vals = np.empty(sample_size)
     kept = done = 0
     # A sample carries one first-order Jacobian, (m+1)× less than a check's
-    # second-order jet, so blocks can be larger: energy s5 --field gradient
-    # --exclusion 0.9 --samples 100000 took 0.303, 0.288, 0.270 and 0.265 s
-    # with blocks of 1, 2, 4 and 8 BLOCK and peaked at 37.5, 38.1, 39.3 and
-    # 42.0 MB (fresh CLI calls, 2-vCPU VM, medians of 12 interleaved runs):
-    # 8 BLOCK buys 2% for 2–3 MB.
+    # second-order jet, so blocks can be larger: with the next block drawn
+    # on a worker, cli.main for energy s5 --field gradient --exclusion 0.9
+    # --samples 100000 took 55.9, 43.1, 37.9 and 37.8 ms with blocks of 1,
+    # 2, 4 and 8 BLOCK and peaked at 37.3, 38.2, 39.9 and 43.3 MB (fresh
+    # processes, 2-vCPU VM, medians of 12 interleaved runs): 8 BLOCK buys
+    # nothing for 3.5 MB.
     for x in draws:
         vals[done:done + len(x)], keep = _trace_l_batch(zf, x)
         kept += int(np.count_nonzero(keep))

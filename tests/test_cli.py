@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -543,22 +544,46 @@ def test_cli_rejects_a_negative_seed(command, capsys):
     assert out.err == "error: seed must be >= 0, got -1\n"
 
 
-@pytest.mark.parametrize("command, where", [
-    (["energy", "s3"], "kontact.harmonic.sample_blocks"),
-], ids=["energy"])
-def test_cli_reports_samples_too_large_to_allocate(command, where, monkeypatch,
-                                                   capsys):
-    def too_large(count, *args, **kwargs):
-        raise MemoryError(f"Unable to allocate 29.1 TiB for an array with "
-                          f"shape ({count}, 4) and data type float64")
+def too_large(count, *args, **kwargs):
+    """A ``sample_blocks`` for a sample count that cannot be allocated."""
+    raise MemoryError(f"Unable to allocate 29.1 TiB for an array with "
+                      f"shape ({count}, 4) and data type float64")
 
-    monkeypatch.setattr(where, too_large)
-    code = main([*command, "--samples", "1000000000000"])
+
+class SecondDrawTooLarge:
+    """``np.random.default_rng`` whose second draw cannot be allocated."""
+
+    def __init__(self, seed, real=np.random.default_rng):
+        self.rng, self.draws = real(seed), 0
+
+    def standard_normal(self, shape):
+        self.draws += 1
+        if self.draws == 2:
+            raise MemoryError(f"Unable to allocate 128. KiB for an array with "
+                              f"shape {shape} and data type float64")
+        return self.rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("samples, where, fake, message", [
+    # the whole draw, before any piece
+    ("1000000000000", "kontact.harmonic.sample_blocks", too_large,
+     "Unable to allocate 29.1 TiB for an array with shape (1000000000000, 4) "
+     "and data type float64"),
+    # the second of 25 pieces, drawn ahead on the worker thread
+    ("100000", "numpy.random.default_rng", SecondDrawTooLarge,
+     "Unable to allocate 128. KiB for an array with shape (4096, 4) and data type float64"),
+], ids=["energy", "energy-second-piece"])
+def test_cli_reports_samples_too_large_to_allocate(samples, where, fake, message, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(manifold.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(where, fake)
+    before = threading.active_count()
+    code = main(["energy", "s3", "--samples", samples])
     assert code == 2
+    assert threading.active_count() == before
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == ("error: Unable to allocate 29.1 TiB for an array with "
-                       "shape (1000000000000, 4) and data type float64\n")
+    assert out.err == f"error: {message}\n"
 
 
 def test_thread_env_does_not_change_output(small_reports, monkeypatch):

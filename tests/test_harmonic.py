@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kontact as kt
-from kontact import ad
+from kontact import ad, manifold
 from kontact.errors import PreconditionError, RegularityError
 from kontact.harmonic import (
     _contract,
@@ -430,6 +430,32 @@ def test_energy_of_gradient_field_matches_the_closed_form(dim, closed):
                             nfield.label, nfield.potential)
     est = kt.energy(zf, 100_000, 3, dim + 1)
     assert abs(est.estimate - exact) <= 4.0 * est.stderr
+
+
+def test_energy_does_not_depend_on_the_block_size_or_the_worker(monkeypatch):
+    # one piece of 4 · BLOCK ≥ samples, drawn on the calling thread, against
+    # 25 pieces at the default BLOCK, each next one drawn on the worker
+    monkeypatch.setattr(manifold.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    workers = []
+
+    class Recorded(manifold._DrawAhead):
+        def __init__(self, *args):
+            workers.append(manifold.BLOCK)
+            super().__init__(*args)
+
+    monkeypatch.setattr(manifold, "_DrawAhead", Recorded)
+    f = kt.standard_pair(5).angle_function()
+    nfield = kt.normalized_gradient_unit_field(f)
+    zf = kt.UnitVectorField(nfield.field, lambda x: np.abs(ad.value(f.eval(x))) <= 0.9,
+                            nfield.label, nfield.potential)
+    default = manifold.BLOCK
+    monkeypatch.setattr(manifold, "BLOCK", 25_000)
+    one_piece = kt.energy(zf, 100_000, 3, 6)
+    monkeypatch.setattr(manifold, "BLOCK", default)
+    ahead = kt.energy(zf, 100_000, 3, 6)
+    assert workers == [default]
+    assert ahead == one_piece
+    assert one_piece.skipped > 0
 
 
 def test_nu_vanishes_for_reeb(reeb3, pts3):

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import threading
 import weakref
 
 import numpy as np
@@ -403,6 +404,97 @@ def test_sample_blocks_drop_an_all_zero_draw_as_sample_coords_does(monkeypatch):
     parts = list(sample_blocks(100, 5, 4, 64))
     assert [len(x) for x in parts] == [64, 36]
     assert np.array_equal(np.concatenate(parts), sample_coords(100, 5, 4))
+
+
+class RecordedDraws:
+    """``np.random.default_rng`` that records the thread of each draw in
+    ``threads`` and cannot allocate its ``fail``-th draw."""
+
+    def __init__(self, seed, fail=0, real=np.random.default_rng):
+        self.rng, self.fail, self.threads = real(seed), fail, []
+
+    def standard_normal(self, shape):
+        self.threads.append(threading.get_ident())
+        if len(self.threads) == self.fail:
+            raise MemoryError(f"draw {self.fail} of shape {shape}")
+        return self.rng.standard_normal(shape)
+
+
+def cpus(monkeypatch, n):
+    """Make the process's affinity mask read ``n`` CPUs."""
+    monkeypatch.setattr(manifold.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def worker_alive():
+    return any(t.name == "kontact-draw-ahead" for t in threading.enumerate())
+
+
+# 1000 points in blocks of 64: the first batch is sixteen pieces
+EXCLUSIONS = {"plain": None, "excluded": lambda x: x[:, 0] > 0.5}
+
+
+@pytest.mark.parametrize("exclusion", EXCLUSIONS.values(), ids=EXCLUSIONS.keys())
+def test_sample_blocks_draw_ahead_on_a_worker_and_join_it(exclusion, monkeypatch):
+    cpus(monkeypatch, 2)
+    before = threading.active_count()
+    seen = []
+    for x in sample_blocks(1000, 3, 4, 64, exclusion):
+        seen.append(worker_alive())
+    assert seen[0]
+    assert threading.active_count() == before
+    stream = sample_blocks(1000, 3, 4, 64, exclusion)
+    next(stream)
+    assert worker_alive()
+    stream.close()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("exclusion", EXCLUSIONS.values(), ids=EXCLUSIONS.keys())
+def test_sample_blocks_raise_a_failed_draw_ahead_in_the_caller(exclusion, monkeypatch):
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: RecordedDraws(seed, fail=2))
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="draw 2 of shape \\(64, 4\\)") as failed:
+        list(sample_blocks(1000, 3, 4, 64, exclusion))
+    assert failed.type is MemoryError
+    assert threading.active_count() == before
+
+
+def test_sample_blocks_draw_ahead_on_the_worker_and_exclude_on_the_caller(monkeypatch):
+    cpus(monkeypatch, 2)
+    made = []
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: made.append(RecordedDraws(seed)) or made[-1])
+    me, excluders = threading.get_ident(), set()
+
+    def exclusion(x):
+        excluders.add(threading.get_ident())
+        return x[:, 0] > 0.5
+
+    list(sample_blocks(1000, 3, 4, 64))
+    list(sample_blocks(1000, 3, 4, 64, exclusion))
+    plain, excluded = (rng.threads for rng in made)
+    # the first piece of a batch is drawn on the caller, the rest ahead
+    assert len(plain) == 16 and plain[0] == me and me not in set(plain[1:])
+    assert len(set(plain[1:])) == 1
+    assert excluded[0] == me and len(set(excluded)) == 2
+    assert excluders == {me}
+
+
+@pytest.mark.parametrize("exclusion", EXCLUSIONS.values(), ids=EXCLUSIONS.keys())
+def test_sample_blocks_on_one_cpu_start_no_thread(exclusion, monkeypatch):
+    cpus(monkeypatch, 2)
+    ahead = np.concatenate(list(sample_blocks(1000, 3, 4, 64, exclusion)))
+    cpus(monkeypatch, 1)
+    before, counts = threading.active_count(), []
+    parts = []
+    for x in sample_blocks(1000, 3, 4, 64, exclusion):
+        counts.append(threading.active_count())
+        parts.append(x)
+    assert counts == [before] * len(parts)
+    assert np.array_equal(np.concatenate(parts), ahead)
+    assert np.array_equal(ahead, sample_coords(1000, 3, 4, exclusion))
 
 
 def test_as_points_takes_arrays_and_point_lists(pts3):
