@@ -14,11 +14,23 @@ orthogonal complement this reduces to x(h) = ric(x, N) where h is the
 mean curvature of the orthogonal distribution.
 
 The checks :func:`harmonicity_check` and :func:`critical_condition_check`
-are both contractions of one second-order jet (F, ∂F, ∂²F) of the
-projected field F = P·Z, P = I − y yᵀ/|y|², taken by ``ad.second_jet``
-once per block of a sweep and read by both from the block
-(``manifold.Block``).  At a unit point y, for tangent w and m the sphere
-dimension:
+both read four contractions of the first and second derivatives of the
+projected field F = P·Z, P = I − y yᵀ/|y|², computed once per block of a
+sweep and read by both from the block (``manifold.Block``).  There are
+two routes to them (:func:`_covectors`):
+  - a unit gradient that carries its potential f
+    (``UnitVectorField.potential``) takes them in closed form from the raw
+    ambient gradient V = ∇f, its Jacobian and, where that Jacobian varies,
+    three contractions of its second derivative
+    (:func:`_unit_gradient_covectors`): no jet of N, nothing larger than
+    (B, m+1, m+1), about 1.5 ms for a 1024-point block on S⁷ against 26 ms
+    for the jet;
+  - every other field (a Reeb field, the twisted control) and a unit
+    gradient built without its potential take one second-order jet
+    (F, ∂F, ∂²F) from ``ad.second_jet`` (:func:`_jet`, :func:`_contract`),
+    which is also the tests' oracle for the closed form.
+This is the same split that the energy integrand makes.  At a unit point
+y, for tangent w and m the sphere dimension:
 
     w(h)  = −⟨w, ∇div F⟩,              (∇div F)_b = Σ_i ∂_b∂_i F_i
     nu(w) = m⟨w, D_y F⟩ − ⟨w, F⟩ − ⟨w, ΔF − D²_{y,y} F⟩,   ΔF = Σ_a ∂_a∂_a F
@@ -34,8 +46,8 @@ Each check reports the norm of its covector, ν or −∇div F − (m−1)·Z
 (ric(w, Z) = (m−1)·g(w, Z) on the unit sphere), restricted to Z^⊥ ∩ T_y:
 frame-free, the root sum of squares of its components in any frame.
 The one-point :func:`harmonicity_form` is ⟨w, ν⟩, one row of the same
-contraction.  The tests hold the contractions to nested directional
-derivatives of A^t w̃ and of div F.
+covector.  The tests hold the jet's contractions to nested directional
+derivatives of A^t w̃ and of div F, and the closed form to the jet.
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 and a unit field's domain (:meth:`UnitVectorField.domain`: its guard
@@ -50,11 +62,12 @@ concatenate to ``manifold.sample_coords``, and which on two CPUs draws
 the next block on a worker thread) and evaluates each block of
 4 · ``manifold.BLOCK`` as it is drawn: its integrand holds one first-order
 Jacobian per point, (m+1)× less than the second-order jets ``BLOCK`` is
-sized for, so fewer, larger blocks pay less dispatch in the dual
-engine.  Its integrand is tr L_Z = m + ‖S‖²_F (S the shape matrix,
-∇_u Z = S u), with ‖S‖²_F read from invariants of the raw Jacobian J of
-Z's formula (``manifold.shape_norm_sq``; formula in
-``manifold._read_shape``), so neither P = I − x xᵀ nor S is formed.
+sized for (those of a field without a potential), so fewer, larger
+blocks pay less dispatch in the dual engine.  Its integrand is
+tr L_Z = m + ‖S‖²_F (S the shape matrix, ∇_u Z = S u), with ‖S‖²_F read
+from invariants of the raw Jacobian J of Z's formula
+(``manifold.shape_norm_sq``; formula in ``manifold._read_shape``), so
+neither P = I − x xᵀ nor S is formed.
 Where J does not depend on x, as for every Reeb field x ↦ Jx, it stays
 one (m+1)×(m+1) matrix.
 
@@ -316,17 +329,16 @@ def reeb_energy_closed_form(m: int) -> float:
 
 def harmonicity_form(zf: UnitVectorField, x: TangentVector) -> float:
     """nu_Z(x) = Σ_i g((∇_{u_i} A^t) x, u_i) over an orthonormal frame u_i:
-    ⟨x, ν⟩ for the covector ν of the jet that the checks take
-    (:func:`_contract`), frame-free.  Raises outside the field's domain,
-    and for a direction not orthogonal to the field."""
+    ⟨x, ν⟩ for the covector ν that the checks take (:func:`_covectors`),
+    frame-free.  Raises outside the field's domain, and for a direction
+    not orthogonal to the field."""
     p = x.base
     if not zf.domain(p.coords):
         raise RegularityError("harmonicity form outside the field's domain")
-    y = p.coords[None, :]
-    f, rows, second = _jet(zf.field, y)
+    f, nu, _ = _covectors(zf, p.coords[None, :])
     if abs(inner(x.vec, f[0])) > 1e-8:
         raise PreconditionError("direction must be orthogonal to the field")
-    return float(inner(x.vec, _contract(y, f, rows, second)[0][0]))
+    return float(inner(x.vec, nu[0]))
 
 
 def _jet(field: AmbientVectorField, x: np.ndarray) -> tuple:
@@ -347,12 +359,126 @@ def _contract(x, f, rows, second):
     return m * d_y - f - (laplacian - d_yy), grad_div
 
 
-def _harmonic_block(field: AmbientVectorField, x: np.ndarray) -> tuple:
+def _unit_gradient_covectors(f: ScalarField, x: np.ndarray) -> tuple:
+    """N, ν and ∇div N, each (B, m+1), at the points x (B, m+1) for the
+    unit gradient N of f, the contractions of :func:`_contract` in closed
+    form from the raw ambient gradient V = ∇f: one ``manifold._raw_jacobian``
+    of V gives V and its Jacobian H, no jet of N is taken, and nothing
+    larger than (B, m+1, m+1) is held.
+
+    At any y off the critical set, s = |y|², k = ⟨y, V⟩, c = k/s,
+    u = V − c·y, ρ = |u| and N = u/ρ; ⟨y, u⟩ ≡ 0, so F = P·N = N near the
+    sphere, and every term that carries ⟨y, N⟩ vanishes identically and is
+    left out.  With ∇c = (V + H y)/s − 2k·y/s², U = ∂u = H − y ∇cᵀ − c·I,
+    g = Uᵀ N = ∇ρ and Q = I − N Nᵀ:
+      - ∂N = Q U/ρ, so D_y N = Q U y/ρ;
+      - ∂_a∂_b u = T e_a e_b − (∂_a∂_b c)·y − ∂_b c·e_a − ∂_a c·e_b, T the
+        second derivative of V;
+      - ∂_a∂_b N = (∂_a∂_b u − ∂_a N·g_b − ∂_b N·g_a − N·∂_b g_a)/ρ,
+        ∂_b g_a = ⟨∂_b N, U e_a⟩ + ⟨N, ∂_a∂_b u⟩,
+    and ΔN, D²_{y,y}N and ∇div N are these contracted before they are
+    expanded, by vectors and H applied to them.  V is a gradient, so T is
+    symmetric in all three slots, and ∇div V = ΔV: T enters only as ΔV,
+    T(y, y) and T(N, N).  T = 0 where the Jacobian rows of V do not depend
+    on x (the angle and height functions, one matrix H); otherwise the
+    three come from one nested dual evaluation of V along the pairs
+    (e_a, e_a), (y, y) and (N, N).  V is the evaluated one, never H·y:
+    the height function has V constant and H = 0.  D_y N and D²_{y,y}N
+    vanish in exact arithmetic where V is linear (N is homogeneous of
+    degree 0 there), but are computed, so a field for which they do not
+    vanish is read as it is."""
+    field = ambient_gradient_field(f)
+    y, v, rows = manifold._raw_jacobian(field, x)
+    n = y.shape[-1]
+    constant = rows.shape[1] == 1
+    if constant:
+        jac = rows.reshape(n, n)                            # jac[a, i] = H[i, a]
+
+        def hess(w):
+            return w @ jac
+
+        tr_h, frob_h = np.trace(jac), np.sum(jac * jac)
+    else:
+        def hess(w):
+            return np.einsum("api,pa->pi", rows, w)
+
+        tr_h, frob_h = np.einsum("apa->p", rows), np.einsum("api,api->p", rows, rows)
+
+    def col(q):
+        return q[:, None]
+
+    s, k = inner(y, y), inner(y, v)
+    c = k / s
+    hy = hess(y)
+    kg = v + hy                                             # ∇k
+    cg = kg / col(s) - col(2.0 * k / (s * s)) * y           # ∇c
+    u = v - col(c) * y
+    # off y a second time: near a focal set |u| is small against |V|, and
+    # the part along y that rounding leaves in u would carry the terms
+    # along N, which reach 1/ρ², through the projection of the residuals
+    # onto y^⊥ (up to 15× the jet's maxima at 1 − f² = 4e-4 on S⁷)
+    u -= col(inner(u, y) / s) * y
+    rho = np.sqrt(inner(u, u))
+    nv = u / col(rho)
+    if constant:
+        lap_v = t_yy = t_nn = np.zeros_like(y)
+    else:
+        pairs = np.concatenate([np.broadcast_to(np.eye(n)[:, None, :], (n,) + y.shape),
+                                y[None], nv[None]])
+        out = field.eval(ad.make_dual(ad.make_dual(y, pairs), pairs))
+        second = np.broadcast_to(out.eps.eps, pairs.shape)
+        lap_v, t_yy, t_nn = np.sum(second[:n], axis=0), second[n], second[n + 1]
+
+    def q(w):
+        return w - col(inner(nv, w)) * nv
+
+    a, kg_y, cg_n = inner(cg, y), inner(kg, y), inner(cg, nv)
+    g = hess(nv) - col(c) * nv                              # Uᵀ N
+    uy = hy - col(a + c) * y                                # U y
+    d_y = q(uy) / col(rho)
+    # ΔN: Σ_a ∂_a∂_a u = ΔV − tr(∂²c)·y − 2∇c, Σ_a ∂_a N·g_a = Q U g/ρ, and
+    # Σ_a ∂_a g_a = ⟨∂N, U⟩_F + ⟨N, Σ_a ∂_a∂_a u⟩, ⟨∂N, U⟩_F = (‖U‖²_F − |g|²)/ρ
+    tr_cc = ((2.0 * tr_h + inner(y, lap_v)) / s + (8.0 - 2.0 * n) * k / (s * s)
+             - 4.0 * kg_y / (s * s))
+    ug = hess(g) - col(inner(cg, g)) * y - col(c) * g
+    frob_u = (frob_h + s * inner(cg, cg) + c * c * n - 2.0 * inner(y, hess(cg))
+              - 2.0 * c * tr_h + 2.0 * c * a)
+    laplacian = (q(lap_v - 2.0 * cg - 2.0 * ug / col(rho)) - col(tr_cc) * y
+                 - col((frob_u - inner(g, g)) / rho) * nv) / col(rho)
+    # D²_{y,y}N: u_yy = T(y, y) − (yᵀ ∂²c y)·y − 2⟨∇c, y⟩·y
+    y_cc_y = (2.0 * inner(y, hy) + inner(y, t_yy)) / s + (6.0 * k - 4.0 * kg_y) / s
+    u_yy = t_yy - col(y_cc_y + 2.0 * a) * y
+    g_yy = inner(d_y, uy) + inner(nv, u_yy)
+    d_yy = (u_yy - col(2.0 * inner(g, y)) * d_y - col(g_yy) * nv) / col(rho)
+    # ∇div N: Σ_i ∂_b∂_i u_i = ∇div V − (∂²c y)_b − (m+2)·∂_b c, the rest
+    # through tr ∂N = (tr U − ⟨g, N⟩)/ρ and ∂Nᵀ w = Uᵀ Q w/ρ
+    cc_y = (2.0 * hy + t_yy - 2.0 * kg) / col(s) + col((6.0 * k - 2.0 * kg_y) / (s * s)) * y
+    tr_dn = (tr_h - a - c * n - inner(g, nv)) / rho
+    qg = q(g)
+    dnt_g = (hess(qg) - col(inner(y, qg)) * cg - col(c) * qg) / col(rho)
+    dnt_y = (hy - col(s) * cg - col(c) * y) / col(rho)
+    grad_div = (lap_v - cc_y - n * cg - col(tr_dn) * g - 2.0 * dnt_g + col(cg_n) * dnt_y
+                - t_nn + col(cg_n) * nv) / col(rho)
+    return nv, (n - 1) * d_y - nv - (laplacian - d_yy), grad_div
+
+
+def _covectors(zf: UnitVectorField, x: np.ndarray) -> tuple:
+    """F, ν and ∇div F, each (B, m+1), at the points x (B, m+1): in closed
+    form from the potential of a unit gradient that carries it
+    (:func:`_unit_gradient_covectors`), else from the jet of F
+    (:func:`_jet`, :func:`_contract`)."""
+    if zf.potential is not None:
+        return _unit_gradient_covectors(zf.potential, x)
+    f, rows, second = _jet(zf.field, x)
+    return (f,) + _contract(x, f, rows, second)
+
+
+def _harmonic_block(zf: UnitVectorField, x: np.ndarray) -> tuple:
     """|ν| and |∇h − ric(·, Z)^♯| on Z^⊥ ∩ T_x at the points x (B, m+1)
-    inside the guard, with ∇h = −∇div F and ric(·, Z)^♯ = (m−1)·Z: one jet
-    of F (= Z on the sphere), both covectors of :func:`_contract`, no frame."""
-    f, rows, second = _jet(field, x)
-    nu, grad_div = _contract(x, f, rows, second)
+    inside the field's domain, with ∇h = −∇div F and ric(·, Z)^♯ =
+    (m−1)·Z: both covectors of :func:`_covectors` (F = Z on the sphere),
+    no frame."""
+    f, nu, grad_div = _covectors(zf, x)
     v = np.stack([nu, -grad_div - (x.shape[-1] - 2) * f])
     v -= inner(v, x)[..., None] * x + inner(v, f)[..., None] * f
     return tuple(np.sqrt(inner(v, v)))
@@ -369,7 +495,7 @@ def _in_domain(b: Block, zf: UnitVectorField) -> np.ndarray:
 def harmonicity_check(zf: UnitVectorField) -> Check:
     """|nu_Z| on Z^⊥ at each point, frame-free: at least |nu_Z(x)| for
     every unit x ⟂ Z."""
-    return Check("nu_form", HARMONIC_TOL, lambda b: b.of(_harmonic_block, zf.field)[0],
+    return Check("nu_form", HARMONIC_TOL, lambda b: b.of(_harmonic_block, zf)[0],
                  "first variation of the energy on the orthogonal complement",
                  keep=(_in_domain, zf))
 
@@ -377,10 +503,10 @@ def harmonicity_check(zf: UnitVectorField) -> Check:
 @checker(lambda zf, points: as_field_points(points, zf.field.eval))
 def critical_condition_check(zf: UnitVectorField) -> Check:
     """x(h) = ric(x, N) for all x ⟂ N: |∇h − ric(·, N)^♯| on N^⊥ at each
-    point, frame-free.  ∇h is exact (a contraction of the jet that the
-    harmonicity form reads), so the default tolerance matches that form's."""
+    point, frame-free.  ∇h is exact (∇div F, read with the covector of the
+    harmonicity form), so the default tolerance matches that form's."""
     return Check("critical_condition", HARMONIC_TOL,
-                 lambda b: b.of(_harmonic_block, zf.field)[1],
+                 lambda b: b.of(_harmonic_block, zf)[1],
                  "derivative of the mean curvature against ricci(., N)",
                  keep=(_in_domain, zf))
 

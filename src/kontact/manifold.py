@@ -51,7 +51,8 @@ caller works on the one before, with the same rows.
 ``BLOCK`` is 1024 because a block's cost is mostly per-call numpy
 dispatch in the dual engine: check throughput is flat from 256 to 2048
 points per block and falls at 32, while the traced peak of the largest
-check, a second-order jet per point, stays near 24 MB (s7).
+check, a second-order jet per point (of a unit field without a
+potential), stays near 24 MB (s7).
 ``harmonic.energy`` draws and evaluates blocks of 4 · ``BLOCK`` samples
 from the same stream, because its integrand holds only a first-order
 Jacobian per point.  ``BLOCK`` is read at call time, so a test can
@@ -424,10 +425,12 @@ def _second_cov_field(W: AmbientVectorField, V: AmbientVectorField) -> Callable:
 def curvature_numeric_batch(x: np.ndarray, u: np.ndarray, v: np.ndarray,
                             w: np.ndarray) -> np.ndarray:
     """R(u,v)w at the points x from nested covariant derivatives of the
-    projected-constant extensions (batched)."""
+    projected-constant extensions (batched).  ∇_u∇_v w and ∇_v∇_u w are one
+    nested evaluation: the constant field on the stack [v, u] differentiated
+    along the stack [u, v], each row rounded as a pass of its own would be."""
     U, V, W = constant_field(u), constant_field(v), constant_field(w)
-    t1 = value(directional(_second_cov_field(W, V), x, u))
-    t2 = value(directional(_second_cov_field(W, U), x, v))
+    vu = np.stack(np.broadcast_arrays(v, u))
+    t1, t2 = value(directional(_second_cov_field(W, constant_field(vu)), x, vu[::-1]))
     bracket = lie_bracket_batch(U, V, x)
     t3 = value(directional(lambda y: projected_eval(W, y), x, bracket))
     return proj_np(x, t1 - t2 - t3)

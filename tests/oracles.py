@@ -5,6 +5,7 @@ orthonormal frames of the sub-bundle {Z, X, JX}^⊥, which the checks
 read through its projector, the constant-curvature tensor in closed
 form, Ricci as a frame sum of curvatures, tr L_Z from the full shape
 matrix, the level mean curvature as an explicit frame sum, the
+numerical curvature with its two nested passes taken apart, the
 divergence of a projected field from its dual Jacobian, x(h) by
 differentiating that divergence, dω from its definition on
 projected-constant extensions, and nu_Z by nested directional
@@ -17,11 +18,13 @@ import numpy as np
 from kontact import ad
 from kontact.double_kcontact import _hbundle_seeds
 from kontact.manifold import (
+    _second_cov_field,
     constant_field,
     cov_deriv_batch,
     frame_batch,
     inner,
     lie_bracket_batch,
+    proj_np,
     projected_eval,
     shape_matrix,
 )
@@ -78,6 +81,18 @@ def ricci_frame_sum(x, u, v, curvature_fn=curvature, frames=None):
     else:
         r = curvature_fn(x[lead], e, u[lead], v[lead])
     return np.sum(inner(r, e), axis=-1)
+
+
+def curvature_numeric_two_pass(x, u, v, w):
+    """R(u,v)w at the points x from nested covariant derivatives of the
+    projected-constant extensions, ∇_u∇_v w and ∇_v∇_u w each in a pass of
+    its own (leading axes broadcast)."""
+    U, V, W = constant_field(u), constant_field(v), constant_field(w)
+    t1 = ad.value(ad.directional(_second_cov_field(W, V), x, u))
+    t2 = ad.value(ad.directional(_second_cov_field(W, U), x, v))
+    bracket = lie_bracket_batch(U, V, x)
+    t3 = ad.value(ad.directional(lambda y: projected_eval(W, y), x, bracket))
+    return proj_np(x, t1 - t2 - t3)
 
 
 def ricci_operator_frame_sum(x, u, curvature_fn=curvature):

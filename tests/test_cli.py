@@ -1,6 +1,7 @@
 """Verification driver: suite composition, output formats, exit codes."""
 
 import csv
+import gc
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from kontact import (
     SpherePoint,
     UnitVectorField,
     ad,
+    harmonic,
     manifold,
     standard_pair,
 )
@@ -102,22 +104,23 @@ def test_catalog_reports_equal_for_arrays_and_point_lists(manifold):
         assert check() == check_listed(), name
 
 
-def test_suite_evaluates_the_harmonic_jet_once_per_block(monkeypatch):
+def test_suite_evaluates_the_harmonic_covectors_once_per_block(monkeypatch):
     # nu_form and critical_condition share one sweep: 40 points in blocks
-    # of 16 are three jets, not six
-    calls = []
-    second_jet = ad.second_jet
+    # of 16 are three closed-form evaluations, not six, and the unit
+    # gradient of the shipped pair takes no second-order jet
+    calls = {"second_jet": [], "_unit_gradient_covectors": []}
+    for module, name in ((ad, "second_jet"), (harmonic, "_unit_gradient_covectors")):
+        def counted(*args, original=getattr(module, name), name=name):
+            calls[name].append(1)
+            return original(*args)
 
-    def counted(*args):
-        calls.append(1)
-        return second_jet(*args)
-
-    monkeypatch.setattr(ad, "second_jet", counted)
+        monkeypatch.setattr(module, name, counted)
     monkeypatch.setattr(manifold, "BLOCK", 16)
     config = SuiteConfig(manifold="s3", samples=40, seed=3,
                          tol_overrides={"critical_condition": 1e-5})
     reports = {r.check_name: r for r in run_suite(config)}
-    assert len(calls) == 3
+    assert {name: len(c) for name, c in calls.items()} == {
+        "second_jet": 0, "_unit_gradient_covectors": 3}
     assert reports["nu_form"].tolerance == 1e-6
     assert reports["critical_condition"].tolerance == 1e-5
     for name in ("nu_form", "critical_condition"):
@@ -762,6 +765,37 @@ def test_only_the_cli_sets_the_allocator():
     out = run_python(RECORD_MALLOPT).stdout.decode().strip()
     assert out == f"[] {list(kt.cli.MALLOPT_SETTINGS)}"
     assert kt.cli.MALLOPT_SETTINGS == ((-3, 64 << 20), (-1, 256 << 20), (-2, 64 << 20))
+
+
+def test_main_leaves_the_freeze_count_as_it_found_it(monkeypatch, capsys):
+    # main freezes start-up's objects for the call and unfreezes them on
+    # the way out, also on an error
+    seen = []
+    monkeypatch.setattr(kt.cli, "tune_allocator", lambda: seen.append(gc.get_freeze_count()))
+    assert gc.get_freeze_count() == 0
+    assert main(["describe", "s3"]) == 0
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        main(["verify", "s9"])
+    assert gc.get_freeze_count() == 0
+    capsys.readouterr()
+    assert len(seen) == 2 and min(seen) > 0
+
+
+def test_main_keeps_a_callers_freeze(monkeypatch, capsys):
+    # a caller that froze objects itself keeps them frozen, and main adds none
+    seen = []
+    monkeypatch.setattr(kt.cli, "tune_allocator", lambda: seen.append(gc.get_freeze_count()))
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        assert main(["describe", "s3"]) == 0
+        after = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()
+    # frozen objects that die during the call leave the count
+    assert 0 < after <= seen[0] <= before
 
 
 @pytest.mark.parametrize("refused", [0, 1, 2])

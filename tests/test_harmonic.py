@@ -8,7 +8,9 @@ import kontact as kt
 from kontact import ad, manifold
 from kontact.errors import PreconditionError, RegularityError
 from kontact.harmonic import (
+    UnitVectorField,
     _contract,
+    _covectors,
     _harmonic_block,
     _jet,
     _trace_l_batch,
@@ -38,6 +40,7 @@ from oracles import (
     values,
 )
 from rotated_frames import rotate_completion
+from test_double_kcontact import ROTATED, rotated_pair
 
 
 @pytest.fixture(scope="module")
@@ -634,6 +637,51 @@ def test_jet_contractions_match_the_oracles(dim):
                 assert np.all(np.abs(got - oracle) <= bound), zf.label
 
 
+CLOSED_FORM_POTENTIALS = (
+    [("angle", dim, None) for dim in (3, 5, 7)]
+    + [("angle", dim, signs) for dim, signs in ROTATED]
+    + [(name, dim, None) for name in ("height", "cubic") for dim in (3, 5, 7)])
+
+
+@pytest.mark.parametrize("name, dim, signs", CLOSED_FORM_POTENTIALS, ids=[
+    f"{name}-s{dim}" + ("" if signs is None else "".join("+-"[s < 0] for s in signs))
+    for name, dim, signs in CLOSED_FORM_POTENTIALS])
+def test_unit_gradient_covectors_match_the_jet(name, dim, signs):
+    # the closed form from the potential against the jet of the field's own
+    # formula (the route of a field without its potential): N, ν and ∇div N
+    # on the sphere and off it, where the jet is taken as well; the height
+    # function has V constant and H = 0, the cubic a T ≠ 0
+    f = (rotated_pair(dim, signs).angle_function() if signs is not None
+         else potential_field(name, dim))
+    zf = kt.normalized_gradient_unit_field(f)
+    x = sample_coords(300, 21, dim + 1)
+    x = x[zf.domain(x)]
+    scale = np.random.default_rng(dim).uniform(0.7, 1.4, (len(x), 1))
+    for y in (x, scale * x):
+        got = _covectors(zf, y)
+        f_jet, rows, second = _jet(zf.field, y)
+        for a, b in zip(got, (f_jet,) + _contract(y, f_jet, rows, second)):
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (name, dim)
+
+
+def test_only_fields_without_a_potential_take_the_jet(twisted, pts3, monkeypatch):
+    # the unit gradient with its potential takes no jet; the same field
+    # without it, and the twisted control, one per check; the control still
+    # fails
+    calls = []
+    second_jet = ad.second_jet
+    monkeypatch.setattr(ad, "second_jet", lambda *args: calls.append(1) or second_jet(*args))
+    zf = kt.normalized_gradient_unit_field(kt.standard_pair(3).angle_function())
+    for field, jets, harmonic in ((zf, 0, True),
+                                  (UnitVectorField(zf.field, zf.domain, zf.label), 1, True),
+                                  (twisted, 1, False)):
+        calls.clear()
+        for check in (kt.harmonicity_check, kt.critical_condition_check):
+            rep = check(field, pts3)
+            assert rep.passed is harmonic and (harmonic or rep.max > 1e-3)
+        assert len(calls) == 2 * jets, field.label
+
+
 @pytest.mark.parametrize("dim", (3, 5, 7))
 def test_harmonic_residuals_are_norms_on_the_complement(dim):
     # nu_form and critical_condition read |ν| and |∇h − ric(·, Z)^♯| on Z^⊥:
@@ -649,7 +697,7 @@ def test_harmonic_residuals_are_norms_on_the_complement(dim):
                          (kt.reeb_unit_field(pair.s_alpha), True)):
         x = x_all[zf.domain(x_all)]
         z = field_at(zf, x)
-        got = _harmonic_block(zf.field, x)
+        got = _harmonic_block(zf, x)
         frames = frame_batch(x, z[:, None, :])
         for w in (frames[:, 1:], rotate_completion(frames, 1)[:, 1:]):
             ric = (dim - 1) * inner(w, z[:, None, :])

@@ -39,7 +39,14 @@ from kontact.manifold import (
 from kontact.report import ResidualReport
 from kontact.scalar_fields import gradient_batch
 
-from oracles import curvature, divergence, ricci_frame_sum, ricci_operator_frame_sum, values
+from oracles import (
+    curvature,
+    curvature_numeric_two_pass,
+    divergence,
+    ricci_frame_sum,
+    ricci_operator_frame_sum,
+    values,
+)
 
 E1 = np.array([1.0, 0.0, 0.0, 0.0])
 Q = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
@@ -229,6 +236,20 @@ def test_curvature_numeric_matches_analytic(pts3_plain, rng):
     p = kt.SpherePoint(x[0])
     one = kt.curvature_numeric(*(kt.TangentVector(p, t[0]) for t in (u, v, w)))
     assert np.array_equal(one.vec, got[0])
+
+
+@pytest.mark.parametrize("dim", (3, 7))
+@pytest.mark.parametrize("count", (20, 25, 1024))
+def test_curvature_numeric_stacks_its_two_passes_bitwise(dim, count):
+    # one nested evaluation on the stack [v, u] rounds as the two passes do,
+    # on plain rows and on the broadcast shapes of the Ricci check
+    x = sample_coords(count, dim, dim + 1)
+    rng = np.random.default_rng(count)
+    u, v, w = np.moveaxis(random_tangent_batch(x, rng, (3,)), 1, 0)
+    y, axes = x[:, None, None], manifold.projector(x)[:, :, None, :]
+    level = random_tangent_batch(x, rng, (2,))[:, None]
+    for args in ((x, u, v, w), (y, axes, level, w[:, None, None])):
+        assert np.array_equal(curvature_numeric_batch(*args), curvature_numeric_two_pass(*args))
 
 
 def test_curvature_plane_orthogonal_to_normal_term(angle3, pts3, rng):
