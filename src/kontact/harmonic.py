@@ -386,7 +386,11 @@ def _unit_gradient_covectors(f: ScalarField, x: np.ndarray) -> tuple:
     the height function has V constant and H = 0.  D_y N and D²_{y,y}N
     vanish in exact arithmetic where V is linear (N is homogeneous of
     degree 0 there), but are computed, so a field for which they do not
-    vanish is read as it is."""
+    vanish is read as it is.  One point is read as a batch of two copies
+    of it, its first row kept: its Jacobian rows have a size-1 batch axis
+    whatever V is, and would be taken for a constant H."""
+    if len(x) == 1:
+        return tuple(a[:1] for a in _unit_gradient_covectors(f, np.repeat(x, 2, axis=0)))
     field = ambient_gradient_field(f)
     y, v, rows = manifold._raw_jacobian(field, x)
     n = y.shape[-1]

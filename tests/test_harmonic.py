@@ -664,6 +664,30 @@ def test_unit_gradient_covectors_match_the_jet(name, dim, signs):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (name, dim)
 
 
+@pytest.mark.parametrize("name", ["angle", "height", "cubic"])
+@pytest.mark.parametrize("dim", [3, 7])
+def test_unit_gradient_covectors_at_one_point(name, dim):
+    # a batch of one point (the one-point form, a remainder block, a block
+    # with one kept row) carries size-1 batch axes whatever its potential;
+    # the closed form must still read T where V is nonlinear, so at each
+    # point alone it matches the jet there, and the one-point form agrees
+    zf = kt.normalized_gradient_unit_field(potential_field(name, dim))
+    x = sample_coords(40, 31, dim + 1)
+    x = x[zf.domain(x)][:8]
+    rng = np.random.default_rng(dim)
+    for y in x:
+        row = y[None, :]
+        f_jet, rows, second = _jet(zf.field, row)
+        jet = (f_jet,) + _contract(row, f_jet, rows, second)
+        for a, b in zip(_covectors(zf, row), jet):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (name, dim)
+        w = proj_np(y, rng.standard_normal(dim + 1))
+        w -= inner(w, jet[0][0]) * jet[0][0]
+        got = harmonicity_form(zf, kt.TangentVector(kt.SpherePoint(y), w))
+        assert abs(got - inner(w, jet[1][0])) <= 1e-13 * np.max(np.abs(jet[1])) * np.abs(w).sum()
+
+
 def test_only_fields_without_a_potential_take_the_jet(twisted, pts3, monkeypatch):
     # the unit gradient with its potential takes no jet; the same field
     # without it, and the twisted control, one per check; the control still
