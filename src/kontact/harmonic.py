@@ -16,21 +16,13 @@ mean curvature of the orthogonal distribution.
 The checks :func:`harmonicity_check` and :func:`critical_condition_check`
 both read four contractions of the first and second derivatives of the
 projected field F = P·Z, P = I − y yᵀ/|y|², computed once per block of a
-sweep and read by both from the block (``manifold.Block``).  There are
-two routes to them (:func:`_covectors`):
-  - a unit gradient that carries its potential f
-    (``UnitVectorField.potential``) takes them in closed form from the raw
-    ambient gradient V = ∇f, its Jacobian and, where that Jacobian varies,
-    three contractions of its second derivative
-    (:func:`_unit_gradient_covectors`): no jet of N, nothing larger than
-    (B, m+1, m+1), about 1.5 ms for a 1024-point block on S⁷ against 26 ms
-    for the jet;
-  - every other field (a Reeb field, the twisted control) and a unit
-    gradient built without its potential take one second-order jet
-    (F, ∂F, ∂²F) from ``ad.second_jet`` (:func:`_jet`, :func:`_contract`),
-    which is also the tests' oracle for the closed form.
-This is the same split that the energy integrand makes.  At a unit point
-y, for tangent w and m the sphere dimension:
+sweep and read by both from the block (``manifold.Block``).  One closed
+form (:func:`_covectors`) takes them for every unit field from one
+``ad.second_jet`` of a raw formula W whose P·W/|P·W| is the field: the
+ambient gradient ∇f of a unit gradient that carries its potential f
+(``UnitVectorField.potential``), else the field's own formula.  No jet
+of N is taken.  At a unit point y, for tangent w and m the sphere
+dimension:
 
     w(h)  = −⟨w, ∇div F⟩,              (∇div F)_b = Σ_i ∂_b∂_i F_i
     nu(w) = m⟨w, D_y F⟩ − ⟨w, F⟩ − ⟨w, ΔF − D²_{y,y} F⟩,   ΔF = Σ_a ∂_a∂_a F
@@ -45,9 +37,12 @@ with P of D(A^t w̃), where A^t w̃ = −P·Jᵀ·P·w and J = ∂F:
 Each check reports the norm of its covector, ν or −∇div F − (m−1)·Z
 (ric(w, Z) = (m−1)·g(w, Z) on the unit sphere), restricted to Z^⊥ ∩ T_y:
 frame-free, the root sum of squares of its components in any frame.
+There the covectors do not depend on how Z is extended off the sphere,
+so the closed form may take F = P·W/|P·W| in place of P·Z.
 The one-point :func:`harmonicity_form` is ⟨w, ν⟩, one row of the same
-covector.  The tests hold the jet's contractions to nested directional
-derivatives of A^t w̃ and of div F, and the closed form to the jet.
+covector.  The tests hold the jet of P·Z (``tests/oracles.py``) to nested
+directional derivatives of A^t w̃ and of div F, and the closed form to
+that jet.
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 and a unit field's domain (:meth:`UnitVectorField.domain`: its guard
@@ -61,9 +56,9 @@ anyway.
 concatenate to ``manifold.sample_coords``, and which on two CPUs draws
 the next block on a worker thread) and evaluates each block of
 4 · ``manifold.BLOCK`` as it is drawn: its integrand holds one first-order
-Jacobian per point, (m+1)× less than the second-order jets ``BLOCK`` is
-sized for (those of a field without a potential), so fewer, larger
-blocks pay less dispatch in the dual engine.  Its integrand is
+Jacobian per point, (m+1)× less than the second derivative T of a raw
+formula whose Jacobian varies, which ``BLOCK`` is sized for, so fewer,
+larger blocks pay less dispatch in the dual engine.  Its integrand is
 tr L_Z = m + ‖S‖²_F (S the shape matrix, ∇_u Z = S u), with ‖S‖²_F read
 from invariants of the raw Jacobian J of Z's formula
 (``manifold.shape_norm_sq``; formula in ``manifold._read_shape``), so
@@ -106,7 +101,6 @@ from .manifold import (
     checker,
     inner,
     proj_np,
-    projected_eval,
     sample_blocks,
     shape_matrix,
     shape_norm_sq,
@@ -138,14 +132,15 @@ class UnitVectorField:
     ``guard`` maps points (..., m+1) to a boolean mask (..., ), False
     where the field is not to be evaluated; a single point is a 1-D
     array.  ``potential`` is f when the field is the unit gradient
-    ∇f/|∇f|, and None otherwise.  A unit gradient is undefined where f is
-    not regular (``scalar_fields.is_regular``), which its potential
-    decides, so its guard holds only further limits, such as the
-    ``--exclusion`` band |f| ≤ c.  Dropping the potential of a unit
-    gradient drops its regularity with it: ``UnitVectorField(zf.field,
-    zf.guard, zf.label)`` is defined up to the critical set unless its
-    guard takes the old domain, ``UnitVectorField(zf.field, zf.domain,
-    zf.label)``.
+    ∇f/|∇f|, and None otherwise; the checks and :func:`energy`
+    differentiate the raw ∇f of a field that carries it, any other field
+    its own formula.  A unit gradient is undefined where f is not regular
+    (``scalar_fields.is_regular``), which its potential decides, so its
+    guard holds only further limits, such as the ``--exclusion`` band
+    |f| ≤ c.  Dropping the potential of a unit gradient drops its
+    regularity with it: ``UnitVectorField(zf.field, zf.guard, zf.label)``
+    is defined up to the critical set unless its guard takes the old
+    domain, ``UnitVectorField(zf.field, zf.domain, zf.label)``.
     """
 
     def __init__(self, field: AmbientVectorField,
@@ -292,13 +287,13 @@ def energy(zf: UnitVectorField, sample_size: int, seed: int,
     draws = sample_blocks(sample_size, seed, ambient_dim, 4 * manifold.BLOCK)
     vals = np.empty(sample_size)
     kept = done = 0
-    # A sample carries one first-order Jacobian, (m+1)× less than a check's
-    # second-order jet, so blocks can be larger: with the next block drawn
-    # on a worker, cli.main for energy s5 --field gradient --exclusion 0.9
-    # --samples 100000 took 55.9, 43.1, 37.9 and 37.8 ms with blocks of 1,
-    # 2, 4 and 8 BLOCK and peaked at 37.3, 38.2, 39.9 and 43.3 MB (fresh
-    # processes, 2-vCPU VM, medians of 12 interleaved runs): 8 BLOCK buys
-    # nothing for 3.5 MB.
+    # A sample carries one first-order Jacobian, (m+1)× less than the T of
+    # a check's raw formula whose Jacobian varies, so blocks can be larger:
+    # with the next block drawn on a worker, cli.main for energy s5 --field
+    # gradient --exclusion 0.9 --samples 100000 took 55.9, 43.1, 37.9 and
+    # 37.8 ms with blocks of 1, 2, 4 and 8 BLOCK and peaked at 37.3, 38.2,
+    # 39.9 and 43.3 MB (fresh processes, 2-vCPU VM, medians of 12
+    # interleaved runs): 8 BLOCK buys nothing for 3.5 MB.
     for x in draws:
         vals[done:done + len(x)], keep = _trace_l_batch(zf, x)
         kept += int(np.count_nonzero(keep))
@@ -341,140 +336,115 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector) -> float:
     return float(inner(x.vec, nu[0]))
 
 
-def _jet(field: AmbientVectorField, x: np.ndarray) -> tuple:
-    """(F, ∂F, ∂²F) of F = P·field at the points x (B, m+1)."""
-    return ad.second_jet(lambda y: projected_eval(field, y), x, x.shape[-1])
+def _covectors(zf: UnitVectorField, y: np.ndarray) -> tuple:
+    """N, ν and ∇div N, each (B, m+1), at the points y (B, m+1), for
+    N = P·W/|P·W| and the raw formula W of the module docstring, in closed
+    form from W, its Jacobian H[i, a] = ∂_a W_i and its second derivative T
+    (one ``ad.second_jet`` of W).
 
-
-def _contract(x, f, rows, second):
-    """ν and ∇div F, each (B, m+1), so that nu_Z(w) = ⟨w, ν⟩ and
-    w(h) = −⟨w, ∇div F⟩ for tangent w, at the points x (B, m+1) from the
-    jet of F there (:func:`_jet`: f (B, m+1), rows (m+1, B, m+1), second
-    (m+1, m+1, B, m+1)), by the contractions of the module docstring."""
-    m = x.shape[-1] - 1
-    d_y = np.einsum("apj,pa->pj", rows, x)                  # D_y F
-    laplacian = np.einsum("aapj->pj", second)               # Σ_a ∂_a∂_a F
-    d_yy = np.einsum("abpj,pa,pb->pj", second, x, x)        # D²_{y,y} F
-    grad_div = np.einsum("ajpa->pj", second)                # ∇ div F
-    return m * d_y - f - (laplacian - d_yy), grad_div
-
-
-def _unit_gradient_covectors(f: ScalarField, x: np.ndarray) -> tuple:
-    """N, ν and ∇div N, each (B, m+1), at the points x (B, m+1) for the
-    unit gradient N of f, the contractions of :func:`_contract` in closed
-    form from the raw ambient gradient V = ∇f: one ``manifold._raw_jacobian``
-    of V gives V and its Jacobian H, no jet of N is taken, and nothing
-    larger than (B, m+1, m+1) is held.
-
-    At any y off the critical set, s = |y|², k = ⟨y, V⟩, c = k/s,
-    u = V − c·y, ρ = |u| and N = u/ρ; ⟨y, u⟩ ≡ 0, so F = P·N = N near the
+    At any y off the zeros of P·W, s = |y|², k = ⟨y, W⟩, c = k/s,
+    u = W − c·y, ρ = |u| and N = u/ρ; ⟨y, u⟩ ≡ 0, so P·N = N near the
     sphere, and every term that carries ⟨y, N⟩ vanishes identically and is
-    left out.  With ∇c = (V + H y)/s − 2k·y/s², U = ∂u = H − y ∇cᵀ − c·I,
-    g = Uᵀ N = ∇ρ and Q = I − N Nᵀ:
-      - ∂N = Q U/ρ, so D_y N = Q U y/ρ;
-      - ∂_a∂_b u = T e_a e_b − (∂_a∂_b c)·y − ∂_b c·e_a − ∂_a c·e_b, T the
-        second derivative of V;
+    left out.  With ∇k = W + Hᵀy, ∇c = ∇k/s − 2k·y/s², U = ∂u =
+    H − y ∇cᵀ − c·I, g = Uᵀ N = ∇ρ and Q = I − N Nᵀ:
+      - ∂N = Q U/ρ, so D_y N = Q U y/ρ and ∂Nᵀ w = Uᵀ Q w/ρ;
+      - ∂_a∂_b u = T e_a e_b − (∂_a∂_b c)·y − ∂_b c·e_a − ∂_a c·e_b, with
+        ∂²k = H + Hᵀ + ⟨y, T(·, ·)⟩;
       - ∂_a∂_b N = (∂_a∂_b u − ∂_a N·g_b − ∂_b N·g_a − N·∂_b g_a)/ρ,
         ∂_b g_a = ⟨∂_b N, U e_a⟩ + ⟨N, ∂_a∂_b u⟩,
     and ΔN, D²_{y,y}N and ∇div N are these contracted before they are
-    expanded, by vectors and H applied to them.  V is a gradient, so T is
-    symmetric in all three slots, and ∇div V = ΔV: T enters only as ΔV,
-    T(y, y) and T(N, N).  T = 0 where the Jacobian rows of V do not depend
-    on x (the angle and height functions, one matrix H); otherwise the
-    three come from one nested dual evaluation of V along the pairs
-    (e_a, e_a), (y, y) and (N, N).  V is the evaluated one, never H·y:
-    the height function has V constant and H = 0.  D_y N and D²_{y,y}N
-    vanish in exact arithmetic where V is linear (N is homogeneous of
-    degree 0 there), but are computed, so a field for which they do not
-    vanish is read as it is.  One point is read as a batch of two copies
-    of it, its first row kept: its Jacobian rows have a size-1 batch axis
-    whatever V is, and would be taken for a constant H."""
-    if len(x) == 1:
-        return tuple(a[:1] for a in _unit_gradient_covectors(f, np.repeat(x, 2, axis=0)))
-    field = ambient_gradient_field(f)
-    y, v, rows = manifold._raw_jacobian(field, x)
+    expanded.  T enters only as ΔW, ∇div W, T(y, y), ⟨y, T(y, ·)⟩ and
+    ⟨N, T(N, ·)⟩, contracted only where T has a nonzero entry: never where
+    W is linear (the angle function, every Reeb field) or constant.  W is
+    the evaluated one, never H·y: the height function has W constant and
+    H = 0.  H is applied as one matrix where its rows have a size-1 batch
+    axis and T = 0; a varying H at one point takes the route of a batch, so
+    that the one-point form is one row of it.  D_y N and D²_{y,y}N vanish
+    in exact arithmetic where W is linear (N is homogeneous of degree 0
+    there), but are computed, so a field for which they do not vanish is
+    read as it is."""
+    field = zf.field if zf.potential is None else ambient_gradient_field(zf.potential)
     n = y.shape[-1]
-    constant = rows.shape[1] == 1
-    if constant:
+    w, rows, second = ad.second_jet(field.eval, y, n)
+    varies = np.any(second)                                 # T ≠ 0: H depends on the point
+    rows = np.broadcast_to(rows, np.broadcast_shapes(np.shape(rows), (n, 1, n)))
+    if rows.shape[1] == 1 and not varies:
         jac = rows.reshape(n, n)                            # jac[a, i] = H[i, a]
 
-        def hess(w):
-            return w @ jac
+        def hess(v):
+            return v @ jac
+
+        def hess_t(v):
+            return v @ jac.T
 
         tr_h, frob_h = np.trace(jac), np.sum(jac * jac)
     else:
-        def hess(w):
-            return np.einsum("api,pa->pi", rows, w)
+        rows = np.broadcast_to(rows, (n,) + y.shape)
 
-        tr_h, frob_h = np.einsum("apa->p", rows), np.einsum("api,api->p", rows, rows)
+        def hess(v):
+            return np.einsum("api,pa->pi", rows, v)
+
+        def hess_t(v):
+            return np.einsum("api,pi->pa", rows, v)
+
+        flat = np.moveaxis(rows, 1, 0).reshape(len(y), -1)  # one row of n² per point
+        tr_h, frob_h = np.einsum("apa->p", rows), inner(flat, flat)
 
     def col(q):
         return q[:, None]
 
-    s, k = inner(y, y), inner(y, v)
+    w = np.broadcast_to(w, y.shape)
+    s, k = inner(y, y), inner(y, w)
     c = k / s
-    hy = hess(y)
-    kg = v + hy                                             # ∇k
+    hy, hty = hess(y), hess_t(y)
+    kg = w + hty                                            # ∇k
     cg = kg / col(s) - col(2.0 * k / (s * s)) * y           # ∇c
-    u = v - col(c) * y
-    # off y a second time: near a focal set |u| is small against |V|, and
+    u = w - col(c) * y
+    # off y a second time: near a focal set |u| is small against |W|, and
     # the part along y that rounding leaves in u would carry the terms
     # along N, which reach 1/ρ², through the projection of the residuals
     # onto y^⊥ (up to 15× the jet's maxima at 1 − f² = 4e-4 on S⁷)
     u -= col(inner(u, y) / s) * y
     rho = np.sqrt(inner(u, u))
     nv = u / col(rho)
-    if constant:
-        lap_v = t_yy = t_nn = np.zeros_like(y)
+    if varies:
+        second = np.broadcast_to(second, (n, n) + y.shape)  # second[a, b, p, i] = T[i, a, b]
+        lap_w, div_w = np.einsum("aapi->pi", second), np.einsum("ibpi->pb", second)
+        t_yy = np.einsum("abpi,pa,pb->pi", second, y, y)
+        t_y = np.einsum("abpi,pa,pi->pb", second, y, y)
+        t_nn = np.einsum("abpi,pa,pi->pb", second, nv, nv)
     else:
-        pairs = np.concatenate([np.broadcast_to(np.eye(n)[:, None, :], (n,) + y.shape),
-                                y[None], nv[None]])
-        out = field.eval(ad.make_dual(ad.make_dual(y, pairs), pairs))
-        second = np.broadcast_to(out.eps.eps, pairs.shape)
-        lap_v, t_yy, t_nn = np.sum(second[:n], axis=0), second[n], second[n + 1]
+        lap_w = div_w = t_yy = t_y = t_nn = np.zeros_like(y)
 
-    def q(w):
-        return w - col(inner(nv, w)) * nv
+    def q(v):
+        return v - col(inner(nv, v)) * nv
 
     a, kg_y, cg_n = inner(cg, y), inner(kg, y), inner(cg, nv)
-    g = hess(nv) - col(c) * nv                              # Uᵀ N
+    g = hess_t(nv) - col(c) * nv                            # Uᵀ N
     uy = hy - col(a + c) * y                                # U y
     d_y = q(uy) / col(rho)
-    # ΔN: Σ_a ∂_a∂_a u = ΔV − tr(∂²c)·y − 2∇c, Σ_a ∂_a N·g_a = Q U g/ρ, and
+    # ΔN: Σ_a ∂_a∂_a u = ΔW − tr(∂²c)·y − 2∇c, Σ_a ∂_a N·g_a = Q U g/ρ, and
     # Σ_a ∂_a g_a = ⟨∂N, U⟩_F + ⟨N, Σ_a ∂_a∂_a u⟩, ⟨∂N, U⟩_F = (‖U‖²_F − |g|²)/ρ
-    tr_cc = ((2.0 * tr_h + inner(y, lap_v)) / s + (8.0 - 2.0 * n) * k / (s * s)
+    tr_cc = ((2.0 * tr_h + inner(y, lap_w)) / s + (8.0 - 2.0 * n) * k / (s * s)
              - 4.0 * kg_y / (s * s))
     ug = hess(g) - col(inner(cg, g)) * y - col(c) * g
     frob_u = (frob_h + s * inner(cg, cg) + c * c * n - 2.0 * inner(y, hess(cg))
               - 2.0 * c * tr_h + 2.0 * c * a)
-    laplacian = (q(lap_v - 2.0 * cg - 2.0 * ug / col(rho)) - col(tr_cc) * y
+    laplacian = (q(lap_w - 2.0 * cg - 2.0 * ug / col(rho)) - col(tr_cc) * y
                  - col((frob_u - inner(g, g)) / rho) * nv) / col(rho)
     # D²_{y,y}N: u_yy = T(y, y) − (yᵀ ∂²c y)·y − 2⟨∇c, y⟩·y
     y_cc_y = (2.0 * inner(y, hy) + inner(y, t_yy)) / s + (6.0 * k - 4.0 * kg_y) / s
     u_yy = t_yy - col(y_cc_y + 2.0 * a) * y
     g_yy = inner(d_y, uy) + inner(nv, u_yy)
     d_yy = (u_yy - col(2.0 * inner(g, y)) * d_y - col(g_yy) * nv) / col(rho)
-    # ∇div N: Σ_i ∂_b∂_i u_i = ∇div V − (∂²c y)_b − (m+2)·∂_b c, the rest
-    # through tr ∂N = (tr U − ⟨g, N⟩)/ρ and ∂Nᵀ w = Uᵀ Q w/ρ
-    cc_y = (2.0 * hy + t_yy - 2.0 * kg) / col(s) + col((6.0 * k - 2.0 * kg_y) / (s * s)) * y
+    # ∇div N: Σ_i ∂_b∂_i u_i = (∇div W)_b − (∂²c y)_b − (m+2)·∂_b c, the rest
+    # through tr ∂N = (tr U − ⟨g, N⟩)/ρ, ∂Nᵀ(g + U N) and ⟨N, T(N, ·)⟩
+    cc_y = (hy + hty + t_y - 2.0 * kg) / col(s) + col((6.0 * k - 2.0 * kg_y) / (s * s)) * y
     tr_dn = (tr_h - a - c * n - inner(g, nv)) / rho
-    qg = q(g)
-    dnt_g = (hess(qg) - col(inner(y, qg)) * cg - col(c) * qg) / col(rho)
-    dnt_y = (hy - col(s) * cg - col(c) * y) / col(rho)
-    grad_div = (lap_v - cc_y - n * cg - col(tr_dn) * g - 2.0 * dnt_g + col(cg_n) * dnt_y
-                - t_nn + col(cg_n) * nv) / col(rho)
+    qv = q(g + hess(nv) - col(cg_n) * y - col(c) * nv)      # Q (g + U N)
+    dnt = (hess_t(qv) - col(inner(y, qv)) * cg - col(c) * qv) / col(rho)   # ∂Nᵀ(g + U N)
+    grad_div = (div_w - cc_y - n * cg - col(tr_dn) * g - dnt - t_nn + col(cg_n) * nv) / col(rho)
     return nv, (n - 1) * d_y - nv - (laplacian - d_yy), grad_div
-
-
-def _covectors(zf: UnitVectorField, x: np.ndarray) -> tuple:
-    """F, ν and ∇div F, each (B, m+1), at the points x (B, m+1): in closed
-    form from the potential of a unit gradient that carries it
-    (:func:`_unit_gradient_covectors`), else from the jet of F
-    (:func:`_jet`, :func:`_contract`)."""
-    if zf.potential is not None:
-        return _unit_gradient_covectors(zf.potential, x)
-    f, rows, second = _jet(zf.field, x)
-    return (f,) + _contract(x, f, rows, second)
 
 
 def _harmonic_block(zf: UnitVectorField, x: np.ndarray) -> tuple:

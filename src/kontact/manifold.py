@@ -61,9 +61,10 @@ shrink it to cover more than one block.
 Frames: no check builds one.  Each identity is linear or multilinear
 in the vectors it is read on, so the checks read it on projectors
 (:func:`projector`) and drawn vectors, whose numbers depend on no
-completion.  :func:`frame_batch` (Householder reflectors of [x | seeds])
-serves the one-point layer and the tests; :func:`seeds_span` is its rank
-test on the seeds, and the mask of the checks on a seeded sub-bundle.
+completion.  :func:`frame_batch` (the complete QR factorization of
+[x | seeds]) serves the one-point layer, the tests and the demos;
+:func:`seeds_span` is its rank test on the seeds, and the mask of the
+checks on a seeded sub-bundle.
 
 Sign conventions (frozen package-wide, pinned by tests):
 
@@ -461,16 +462,15 @@ def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None) -> np.ndarray
     whose leading k rows are the Gram–Schmidt directions of the seeds
     (..., k, m+1) projected to T_x.
 
-    The frame is rows 1..m of Qᵀ for the Householder QR factorization
-    [x | seeds] = Q·R (Householder, J. ACM 5, 1958; Golub & Van Loan,
-    *Matrix Computations*, §5.1–5.2): k+1 reflectors H_j = I − 2vvᵀ/vᵀv,
-    applied to all the points at once, so Qᵀ = H_k ⋯ H_0.  Column 0 of Q
-    is ±x, so the other columns are tangent; column j ≤ k spans the
-    residue of seed j against x and the earlier seeds, and its row is
-    flipped by the sign of R_jj to point the way of that residue.  The
-    rest of Q completes the frame.  Every row is orthonormal and tangent
-    to a few units of rounding, whatever the point: no candidate is
-    dropped and nothing is divided by a short residue.  Seeds that fail
+    The frame is rows 1..m of Qᵀ for the complete QR factorization
+    [x | seeds] = Q·R of each point (``np.linalg.qr``, LAPACK's Householder
+    QR; Golub & Van Loan, *Matrix Computations*, §5.2).  Column 0 of Q is
+    ±x, so the other columns are tangent; column j ≤ k spans the residue
+    of seed j against x and the earlier seeds, and its row is flipped by
+    the sign of R_jj to point the way of that residue.  The rest of Q
+    completes the frame.  Every row is orthonormal and tangent to a few
+    units of rounding, whatever the point: no candidate is dropped and
+    nothing is divided by a short residue.  Seeds that fail
     :func:`seeds_span` anywhere raise :class:`DegenerateInputError`.
     """
     x = np.asarray(x, dtype=float)
@@ -482,32 +482,18 @@ def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None) -> np.ndarray
     seeds = np.broadcast_to(seeds, lead + (k, dim)).reshape(len(pts), k, dim)
     if k and not seeds_span(pts, seeds).all():
         raise DegenerateInputError("seed vectors are rank deficient")
-    cols = np.concatenate([pts[:, None, :], seeds], axis=1)     # columns of [x | seeds]
-    reflectors, signs = [], []
-    for j in range(k + 1):
-        v = cols[:, j].copy()
-        v[:, :j] = 0.0                          # the part of column j that H_j reduces
-        s = np.where(v[:, j] >= 0.0, 1.0, -1.0)
-        v[:, j] += s * np.sqrt(inner(v, v))     # H_j maps that part to −s·|part|·e_j
-        c = 2.0 / inner(v, v)
-        rest = cols[:, j + 1:]
-        cols[:, j + 1:] = rest - (c[:, None] * apply(rest, v))[..., None] * v[:, None, :]
-        reflectors.append((v, c))
-        signs.append(-s)                        # sign of R_jj
-    v, c = reflectors[-1]
-    frames = np.eye(dim)[1:] - (c[:, None] * v[:, 1:])[..., None] * v[:, None, :]
-    for v, c in reversed(reflectors[:-1]):
-        frames -= (c[:, None] * apply(frames, v))[..., None] * v[:, None, :]
-    if k:
-        frames[:, :k] *= np.stack(signs[1:], axis=1)[..., None]
+    cols = np.concatenate([pts[:, :, None], np.swapaxes(seeds, -1, -2)], axis=-1)
+    q, r = np.linalg.qr(cols, mode="complete")
+    frames = np.swapaxes(q, -1, -2)[:, 1:]
+    frames[:, :k] *= np.sign(np.diagonal(r, axis1=-2, axis2=-1)[:, 1:, None])
     return frames.reshape(lead + (dim - 1, dim))
 
 
 def gram_schmidt_frame(p: SpherePoint,
                        seeds: Sequence[TangentVector] = ()) -> Frame:
     """Orthonormal tangent frame whose leading vectors are the Gram–Schmidt
-    directions of the seeds: one row of :func:`frame_batch`, which builds
-    it from Householder reflectors."""
+    directions of the seeds: one row of :func:`frame_batch`, which takes
+    it from a QR factorization."""
     _require_same_base(p, *seeds)
     seed_arr = np.array([s.vec for s in seeds]).reshape(len(seeds), p.ambient_dim)
     rows = frame_batch(p.coords, seed_arr)

@@ -8,8 +8,9 @@ matrix, the level mean curvature as an explicit frame sum, the
 numerical curvature with its two nested passes taken apart, the
 divergence of a projected field from its dual Jacobian, x(h) by
 differentiating that divergence, dω from its definition on
-projected-constant extensions, and nu_Z by nested directional
-derivatives.  All take points (N, m+1) and broadcast
+projected-constant extensions, nu_Z by nested directional
+derivatives, and both harmonic covectors from the second-order jet of
+the projected field.  All take points (N, m+1) and broadcast
 leading axes as the kernels do.
 """
 
@@ -195,3 +196,22 @@ def harmonicity_form_batch(field, x, directions, frames=None):
     else:
         trace = np.swapaxes(frames, -1, -2) @ frames
     return np.einsum("...bka,...ba->...k", jac, trace)
+
+
+def jet_covectors(field, x):
+    """F, ν and ∇div F, each (N, m+1), at the points x (N, m+1) for the
+    projected field F = P·field, from one ``ad.second_jet`` of F itself:
+    nu_Z(w) = ⟨w, ν⟩ and w(h) = −⟨w, ∇div F⟩ for tangent w, by the
+    contractions of the ``kontact.harmonic`` docstring,
+
+        ν = m·D_x F − F − (ΔF − D²_{x,x} F),   (∇div F)_b = Σ_i ∂_b∂_i F_i.
+
+    The reference for ``harmonic._covectors``, which reads the same two
+    covectors in closed form from the raw formula."""
+    m = x.shape[-1] - 1
+    f, rows, second = ad.second_jet(lambda y: projected_eval(field, y), x, m + 1)
+    d_x = np.einsum("apj,pa->pj", rows, x)                  # D_x F
+    laplacian = np.einsum("aapj->pj", second)               # Σ_a ∂_a∂_a F
+    d_xx = np.einsum("abpj,pa,pb->pj", second, x, x)        # D²_{x,x} F
+    grad_div = np.einsum("ajpa->pj", second)                # ∇ div F
+    return f, m * d_x - f - (laplacian - d_xx), grad_div

@@ -313,9 +313,10 @@ def test_one_jacobian_d_is_the_exterior_derivative_on_pairs(setting):
 
 
 def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
-    # the one-point form is one row of the covector the checks take (in
-    # closed form for the unit gradient, from the jet for the control); the
-    # nested oracle is held to the per-point frame loop
+    # the one-point form is one row of the covector the checks take, for a
+    # Jacobian that is one matrix (the unit gradient) and one that varies by
+    # point (the control); the nested oracle is held to the per-point frame
+    # loop
     pair, f, pts, x = setting
     dim = x.shape[1] - 1
     for zf in (kt.normalized_gradient_unit_field(f), twisted(dim)):
@@ -843,20 +844,21 @@ def loop_stream(points, seed, per_point):
 @pytest.mark.parametrize("dim", (5, 7))
 def test_suite_sweeps_its_points_once(dim, monkeypatch):
     # 40 points in blocks of 16: three blocks, each computing ∇f, Δf, the
-    # sub-bundle projector and the harmonic covectors once for every check
-    # that needs them, and the sub-bundle's Jφ with its projector; no frame
-    # is built, no eigensolver runs and no second-order jet is taken
+    # sub-bundle projector and the harmonic covectors (one second-order jet
+    # of the raw ∇f) once for every check that needs them, and the
+    # sub-bundle's Jφ with its projector; no frame is built and no
+    # eigensolver runs
     f = kt.standard_pair(dim).angle_function()
     x = sample_coords(40, 3, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
     monkeypatch.setattr(manifold, "BLOCK", 16)
     calls = {name: [] for name in ("sweep", "frame_batch", "gradient_batch",
                                    "laplacian_batch", "_sub_bundle",
-                                   "_unit_gradient_covectors", "second_jet", "_phi_chain")}
+                                   "_covectors", "second_jet", "_phi_chain")}
     for module, name in ((manifold, "sweep"), (manifold, "frame_batch"),
                          (kt.scalar_fields, "gradient_batch"),
                          (kt.scalar_fields, "laplacian_batch"),
                          (kt.double_kcontact, "_sub_bundle"),
-                         (kt.harmonic, "_unit_gradient_covectors"), (ad, "second_jet"),
+                         (kt.harmonic, "_covectors"), (ad, "second_jet"),
                          (kt.double_kcontact, "_phi_chain")):
         rebind(monkeypatch, module, name, lambda args, out, name=name: calls[name].append(args))
     eigvalsh = []
@@ -871,7 +873,6 @@ def test_suite_sweeps_its_points_once(dim, monkeypatch):
     # over 6, which the suite's makes first and so ends first
     assert len(calls.pop("sweep")) == 2
     assert calls.pop("frame_batch") == [] and eigvalsh == []
-    assert calls.pop("second_jet") == []
     # Jφ on the sub-bundle once per block, and φJ once for the spectrum
     assert len(calls.pop("_phi_chain")) == 6
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 3)

@@ -48,6 +48,7 @@ from kontact.manifold import (
     sample_blocks,
     sample_coords,
 )
+from kontact.scalar_fields import ambient_gradient
 
 
 @pytest.fixture(scope="module")
@@ -106,12 +107,13 @@ def test_catalog_reports_equal_for_arrays_and_point_lists(manifold):
 
 def test_suite_evaluates_the_harmonic_covectors_once_per_block(monkeypatch):
     # nu_form and critical_condition share one sweep: 40 points in blocks
-    # of 16 are three closed-form evaluations, not six, and the unit
-    # gradient of the shipped pair takes no second-order jet
-    calls = {"second_jet": [], "_unit_gradient_covectors": []}
-    for module, name in ((ad, "second_jet"), (harmonic, "_unit_gradient_covectors")):
+    # of 16 are three evaluations of the covectors, not six, each with one
+    # second-order jet, taken of the raw ambient gradient of the shipped
+    # pair's angle function and never of its unit gradient
+    calls = {"second_jet": [], "_covectors": []}
+    for module, name in ((ad, "second_jet"), (harmonic, "_covectors")):
         def counted(*args, original=getattr(module, name), name=name):
-            calls[name].append(1)
+            calls[name].append(args)
             return original(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -119,8 +121,11 @@ def test_suite_evaluates_the_harmonic_covectors_once_per_block(monkeypatch):
     config = SuiteConfig(manifold="s3", samples=40, seed=3,
                          tol_overrides={"critical_condition": 1e-5})
     reports = {r.check_name: r for r in run_suite(config)}
-    assert {name: len(c) for name, c in calls.items()} == {
-        "second_jet": 0, "_unit_gradient_covectors": 3}
+    assert {name: len(c) for name, c in calls.items()} == {"second_jet": 3, "_covectors": 3}
+    y = 1.5 * np.eye(4)[:2] + 0.5
+    raw = ad.value(ambient_gradient(standard_pair(3).angle_function(), y))
+    for formula, *_ in calls["second_jet"]:
+        assert np.array_equal(ad.value(formula(y)), raw)
     assert reports["nu_form"].tolerance == 1e-6
     assert reports["critical_condition"].tolerance == 1e-5
     for name in ("nu_form", "critical_condition"):

@@ -9,10 +9,8 @@ from kontact import ad, manifold
 from kontact.errors import PreconditionError, RegularityError
 from kontact.harmonic import (
     UnitVectorField,
-    _contract,
     _covectors,
     _harmonic_block,
-    _jet,
     _trace_l_batch,
     harmonicity_form,
     mean_curvature_of_field,
@@ -29,11 +27,17 @@ from kontact.manifold import (
     shape_matrix,
     shape_norm_sq,
 )
-from kontact.scalar_fields import EPS_REGULAR, gradient_batch, level_mean_curvature_batch
+from kontact.scalar_fields import (
+    EPS_REGULAR,
+    ambient_gradient,
+    gradient_batch,
+    level_mean_curvature_batch,
+)
 
 from finite_differences import fd_curve_derivative_5pt
 from oracles import (
     harmonicity_form_batch,
+    jet_covectors,
     mean_curvature_derivative,
     regular_mask,
     trace_l,
@@ -613,6 +617,8 @@ def test_unit_field_norm_invariant(nfield3, nfield5, pts3, pts5):
 
 @pytest.mark.parametrize("dim", (3, 5, 7))
 def test_jet_contractions_match_the_oracles(dim):
+    # the jet oracle of the closed form against nested directional
+    # derivatives of A^t w̃ and of div F
     pair = kt.standard_pair(dim)
     f = pair.angle_function()
     rng = np.random.default_rng(dim)
@@ -628,7 +634,7 @@ def test_jet_contractions_match_the_oracles(dim):
         frames = frame_batch(x, z[:, None, :])[:, 1:]
         # generic tangents, along Z too, where nu is not rounding noise
         generic = proj_np(x[:, None, :], rng.standard_normal((len(x), 3, dim + 1)))
-        nu_vec, grad_div = _contract(x, *_jet(zf.field, x))
+        _, nu_vec, grad_div = jet_covectors(zf.field, x)
         for w, noise in ((generic, False), (frames, harmonic)):
             nu, xh = inner(w, nu_vec[:, None, :]), -inner(w, grad_div[:, None, :])
             for got, oracle in ((nu, harmonicity_form_batch(zf.field, x, w)),
@@ -648,9 +654,9 @@ CLOSED_FORM_POTENTIALS = (
     for name, dim, signs in CLOSED_FORM_POTENTIALS])
 def test_unit_gradient_covectors_match_the_jet(name, dim, signs):
     # the closed form from the potential against the jet of the field's own
-    # formula (the route of a field without its potential): N, ν and ∇div N
-    # on the sphere and off it, where the jet is taken as well; the height
-    # function has V constant and H = 0, the cubic a T ≠ 0
+    # formula: N, ν and ∇div N on the sphere and off it, where the jet is
+    # taken as well; the height function has V constant and H = 0, the
+    # cubic a T ≠ 0
     f = (rotated_pair(dim, signs).angle_function() if signs is not None
          else potential_field(name, dim))
     zf = kt.normalized_gradient_unit_field(f)
@@ -658,9 +664,7 @@ def test_unit_gradient_covectors_match_the_jet(name, dim, signs):
     x = x[zf.domain(x)]
     scale = np.random.default_rng(dim).uniform(0.7, 1.4, (len(x), 1))
     for y in (x, scale * x):
-        got = _covectors(zf, y)
-        f_jet, rows, second = _jet(zf.field, y)
-        for a, b in zip(got, (f_jet,) + _contract(y, f_jet, rows, second)):
+        for a, b in zip(_covectors(zf, y), jet_covectors(zf.field, y)):
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (name, dim)
 
 
@@ -677,8 +681,7 @@ def test_unit_gradient_covectors_at_one_point(name, dim):
     rng = np.random.default_rng(dim)
     for y in x:
         row = y[None, :]
-        f_jet, rows, second = _jet(zf.field, row)
-        jet = (f_jet,) + _contract(row, f_jet, rows, second)
+        jet = jet_covectors(zf.field, row)
         for a, b in zip(_covectors(zf, row), jet):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (name, dim)
@@ -688,22 +691,67 @@ def test_unit_gradient_covectors_at_one_point(name, dim):
         assert abs(got - inner(w, jet[1][0])) <= 1e-13 * np.max(np.abs(jet[1])) * np.abs(w).sum()
 
 
-def test_only_fields_without_a_potential_take_the_jet(twisted, pts3, monkeypatch):
-    # the unit gradient with its potential takes no jet; the same field
-    # without it, and the twisted control, one per check; the control still
-    # fails
-    calls = []
+def unit_field(name, dim):
+    """A unit field on S^dim with no potential to read: a Reeb field of the
+    shipped pair or of a rotated one, the angle gradient with its potential
+    dropped, or the twisted control."""
+    pair = kt.standard_pair(dim)
+    rotated = rotated_pair(dim, [1] + [-1] * ((dim - 1) // 2))
+    if name in ("reeb_alpha", "reeb_beta", "rotated_reeb"):
+        return kt.reeb_unit_field({"reeb_alpha": pair.s_alpha, "reeb_beta": pair.s_beta,
+                                   "rotated_reeb": rotated.s_beta}[name])
+    if name == "twisted":
+        return kt.twisted_unit_field(*np.random.default_rng(dim).standard_normal((3, dim + 1)))
+    zf = kt.normalized_gradient_unit_field(
+        (pair if name == "no_potential" else rotated).angle_function())
+    return UnitVectorField(zf.field, zf.domain, zf.label)
+
+
+@pytest.mark.parametrize("name", ["reeb_alpha", "reeb_beta", "rotated_reeb", "no_potential",
+                                  "rotated_no_potential", "twisted"])
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_covectors_match_the_jet_on_the_complement(name, dim):
+    # a field without a potential takes N = P·Z/|P·Z| of its own formula Z,
+    # which is Z on the sphere but not off it; on Z^⊥ ∩ T_x, where the
+    # checks read them, ν and ∇div N do not depend on the extension and
+    # match the jet of P·Z, in a batch and at each point alone
+    zf = unit_field(name, dim)
+    x = sample_coords(200, 41, dim + 1)
+    x = x[zf.domain(x)]
+    for y in [x] + [x[i:i + 1] for i in range(6)]:
+        z, *jet = jet_covectors(zf.field, y)
+        n, *got = _covectors(zf, y)
+        assert np.max(np.abs(n - z)) <= 1e-15
+        scale = max(np.max(np.abs(v)) for v in jet)
+        for a, b in zip(got, jet):
+            diff = a - b
+            diff -= inner(diff, y)[:, None] * y + inner(diff, z)[:, None] * z
+            assert np.max(np.abs(diff)) <= 1e-13 * scale, (name, dim, len(y))
+
+
+def test_every_field_takes_one_jet_of_its_raw_formula(twisted, pts3, monkeypatch):
+    # one ad.second_jet per block, which both covectors share: of the raw
+    # ambient gradient for a unit gradient that carries its potential, of
+    # its own formula for the same field without it and for the twisted
+    # control, never of P·N; the control still fails both checks
+    formulas = []
     second_jet = ad.second_jet
-    monkeypatch.setattr(ad, "second_jet", lambda *args: calls.append(1) or second_jet(*args))
-    zf = kt.normalized_gradient_unit_field(kt.standard_pair(3).angle_function())
-    for field, jets, harmonic in ((zf, 0, True),
-                                  (UnitVectorField(zf.field, zf.domain, zf.label), 1, True),
-                                  (twisted, 1, False)):
-        calls.clear()
+    monkeypatch.setattr(ad, "second_jet", lambda formula, *args: (
+        formulas.append(formula) or second_jet(formula, *args)))
+    f = kt.standard_pair(3).angle_function()
+    zf = kt.normalized_gradient_unit_field(f)
+    y = 1.5 * pts3[:5]
+    for field, raw, harmonic in (
+            (zf, ad.value(ambient_gradient(f, y)), True),
+            (UnitVectorField(zf.field, zf.domain, zf.label), ad.value(zf.field.eval(y)), True),
+            (twisted, ad.value(twisted.field.eval(y)), False)):
+        formulas.clear()
         for check in (kt.harmonicity_check, kt.critical_condition_check):
             rep = check(field, pts3)
             assert rep.passed is harmonic and (harmonic or rep.max > 1e-3)
-        assert len(calls) == 2 * jets, field.label
+        assert len(formulas) == 2, field.label
+        for formula in formulas:
+            assert np.array_equal(ad.value(formula(y)), raw), field.label
 
 
 @pytest.mark.parametrize("dim", (3, 5, 7))
