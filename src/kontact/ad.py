@@ -128,13 +128,23 @@ def make_dual(x: Payload, d: Payload) -> Dual:
     return Dual(x, d)
 
 
+def parts(out: Payload, d: Payload) -> tuple:
+    """The value and the derivative of ``out``, a formula's output at a
+    point fed the directions ``d``.  An output with no dual part is
+    constant: it differentiates to zeros shaped like ``d``, leaf by leaf."""
+    if type(out) is Dual:
+        return out.val, out.eps
+    return out, _zero(d)
+
+
 def directional(f: Callable, x: Payload, d: Payload):
     """Directional derivative of ``f`` at ``x`` along ``d``.
 
     Exact (no truncation error) and composable: ``x`` and ``d`` may carry
     dual structure themselves, which is how second derivatives arise.
     """
-    return f(make_dual(x, d)).eps
+    y = make_dual(x, d)
+    return parts(f(y), y.eps)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +243,9 @@ def jacobian_rows(f: Callable, x: Payload, dim: int) -> Payload:
     same place does not have, so it is that leaf's shape with the
     direction axis in front, as a closed-form derivative would be.
     """
-    out = f(make_dual(x, axis_directions(x, dim)))
-    return _unpadded(out.eps, out.val)
+    y = make_dual(x, axis_directions(x, dim))
+    val, rows = parts(f(y), y.eps)
+    return _unpadded(rows, val)
 
 
 def _unpadded(rows: Payload, like: Payload) -> Payload:
@@ -263,8 +274,9 @@ def second_jet(f: Callable, x: Payload, dim: int) -> tuple:
     derivative once per direction.
     """
     outer = make_dual(x, axis_directions(x, dim))
-    out = f(make_dual(outer, axis_directions(outer, dim)))
-    return out.val.val, out.val.eps, out.eps.eps
+    y = make_dual(outer, axis_directions(outer, dim))
+    first, second = parts(f(y), y.eps)
+    return parts(first, outer.eps) + (second.eps,)
 
 
 def axis_directions(x: Payload, dim: int) -> np.ndarray:

@@ -20,11 +20,12 @@ and checks are defined as in :mod:`kontact.contact`; none builds a frame.
 The three checks on the sub-bundle (the Laplacian formula, the φJ
 spectrum and the restricted Hessian) share its projector Q and Jφ Q per
 block of a sweep (:func:`_sub_bundle`, through ``manifold.Block``).
-They skip a point where Z, X and JX fail ``manifold.seeds_span`` (Gram
-determinant ≈ (1 − f²)² below 1e-10, so 1 − |f| ≲ 5e-6).  The φJ and
-Hessian checks need the first structure to be Sasakian; where the
-sub-bundle is not zero (m ≥ 5), a sweep probes that once first
-(:func:`_sasakian_gate`).
+They skip the points that the other level-set checks skip, where f is
+not regular (``scalar_fields.regular``): Z, X and JX have Gram
+determinant (1 − f²)² and |∇f|² = 4(1 − f²), so they span a 3-plane
+exactly where ∇f ≠ 0.  The φJ and Hessian checks need the first
+structure to be Sasakian; where the sub-bundle is not zero (m ≥ 5), a
+sweep probes that once first (:func:`_sasakian_gate`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .errors import (
     UnsupportedDimensionError,
 )
 from .manifold import (
-    Block,
     Check,
     Frame,
     OrthoComplexStructure,
@@ -184,11 +184,6 @@ def _hbundle_seeds(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
     return np.stack([z, xb, d.s_alpha.phi_at(x, xb)], axis=-2)
 
 
-def _spans(b: Block, d: DoubleKContact) -> np.ndarray:
-    """Where Z, X and JX span a 3-plane in a block (``manifold.seeds_span``)."""
-    return seeds_span(b.x, _hbundle_seeds(d, b.x))
-
-
 def hbundle_basis(d: DoubleKContact, p: SpherePoint) -> Frame:
     """Orthonormal basis of {Z, X, JX}^⊥ in T_p: the tail of their frame."""
     seeds = _hbundle_seeds(d, p.coords)
@@ -293,7 +288,7 @@ def laplacian_formula_check(d: DoubleKContact) -> Check:
         return np.abs(b.full(laplacian_batch, f) - rhs)
 
     return Check("laplacian_formula", 1e-7, kernel,
-                 "laplacian vs (4n+4) f + 2 tr(J phi) on the sub-bundle", keep=(_spans, d))
+                 "laplacian vs (4n+4) f + 2 tr(J phi) on the sub-bundle", keep=(regular, f))
 
 
 @checker()
@@ -303,6 +298,7 @@ def phi_product_spectrum_check(d: DoubleKContact) -> Check:
     of M − Mᵀ, M² − Q and (φJ − Jφ)Q for M = Q·φJ·Q.  Its eigenvalues there
     are then ±1, of multiplicities (tr Q ± tr M)/2, the eigenvalues seen.
     Vacuous in dimension 3."""
+    f = d.angle_function()
     eigs_seen = set()
 
     def kernel(b):
@@ -323,7 +319,7 @@ def phi_product_spectrum_check(d: DoubleKContact) -> Check:
     return Check("phi_product_spectrum", 1e-8, kernel,
                  lambda: ("phi-product on the sub-bundle; eigenvalues seen: "
                           f"{sorted(eigs_seen)}"),
-                 keep=(_spans, d), before=(_sasakian_gate, d) if d.dim >= 5 else ())
+                 keep=(regular, f), before=(_sasakian_gate, d) if d.dim >= 5 else ())
 
 
 @checker()
@@ -362,42 +358,36 @@ def hessian_restriction_check(d: DoubleKContact) -> Check:
                  lambda: ("hessian vs -2 f g - 2 g(J phi ., .) on the sub-bundle; "
                           "full-argument diagnostic (ungated) max "
                           f"{float(max(full_domain)):.3e}"),
-                 keep=(_spans, d), before=(_sasakian_gate, d) if d.dim >= 5 else ())
+                 keep=(regular, f), before=(_sasakian_gate, d) if d.dim >= 5 else ())
 
 
 @checker()
 def dim_theorem_check(d: DoubleKContact) -> Check:
-    """Isoparametricity in low dimensions: Δf = 8f on S³ (tolerance 1e-7);
-    Δf = 12f + c0 on S⁵ (tolerance 1e-6) with c0 a point-independent
-    constant of magnitude 4, the one nearest the first point's Δf − 12f."""
+    """Isoparametricity in low dimensions: Δf = 8f on S³ (tolerance 1e-7)
+    and Δf = 12f + c0 on S⁵ (tolerance 1e-6), read as |Δf − slope·f − c0|
+    for the profile of :func:`expected_laplacian_profile`, so that c0 =
+    2·tr(Jt1·Jt2) comes from the generators: ±4 unless they agree up to
+    sign."""
     if d.dim not in (3, 5):
         raise UnsupportedDimensionError(
             "the low-dimension statement covers dimensions 3 and 5 only")
     f = d.angle_function()
-    first = {}                  # c0, from the first point
+    slope, offset = expected_laplacian_profile(d)
 
     def kernel(b):
-        fv, lap = b.of(values_batch, f), b.of(laplacian_batch, f)
-        if d.dim == 3:
-            return np.abs(lap - 8.0 * fv)
-        if not first:
-            est = lap[0] - 12.0 * fv[0]
-            first["c0"] = 4.0 if abs(est - 4.0) <= abs(est + 4.0) else -4.0
-        return np.abs(lap - 12.0 * fv - first["c0"])
+        return np.abs(b.of(laplacian_batch, f) - slope * b.of(values_batch, f) - offset)
 
     if d.dim == 3:
         return Check("dimension_theorem", 1e-7, kernel, "laplacian = 8 f in dimension 3")
     return Check("dimension_theorem", 1e-6, kernel,
-                 lambda: "laplacian = 12 f + c0 in dimension 5" + (
-                     f"; offset c0 = {first['c0']:+.0f}" if first else ""))
+                 f"laplacian = 12 f + c0 in dimension 5; offset c0 = {offset:+.0f}")
 
 
 @checker()
 def ricci_normal_check(d: DoubleKContact) -> Check:
-    """ric(E, N) must vanish for every E tangent to the level set, and the
-    Ricci endomorphism must commute with the structure tensor chain:
-    g(u, Q(JX)) = g(u, J(QX)), at the regular points, for two tangent
-    draws u per point (RICCI_SEED) and their level parts E = u − ⟨u, N⟩N.
+    """ric(E, N) must vanish for every E tangent to the level set, at the
+    regular points, for two tangent draws u per point (RICCI_SEED) and
+    their level parts E = u − ⟨u, N⟩N.
 
     The analytic part reads ric(E, N) = (m−1)·g(E, N); the first
     NUMERIC_SUBSET points of the sweep take ric(E, N) from the numerical
@@ -405,7 +395,6 @@ def ricci_normal_check(d: DoubleKContact) -> Check:
     Σ_a g(R(Pe_a, E)N, Pe_a) over the rows of P (``manifold.projector``)."""
     f = d.angle_function()
     mdim = d.dim
-    jm2 = d.s_beta.j_ambient.mat
 
     def kernel(b):
         x = b.x
@@ -414,11 +403,6 @@ def ricci_normal_check(d: DoubleKContact) -> Check:
         u = b.tangents(RICCI_SEED, (2,))
         level = u - inner(u, nvec)[..., None] * nvec
         r = (mdim - 1) * np.max(np.abs(inner(level, nvec)), axis=-1)
-        reeb_b = apply(jm2, x)
-        qjx = (mdim - 1) * d.s_alpha.phi_at(x, reeb_b)
-        jqx = d.s_alpha.phi_at(x, (mdim - 1) * reeb_b)
-        commute = np.abs(inner(u, qjx[:, None, :]) - inner(u, jqx[:, None, :]))
-        r = np.maximum(r, np.max(commute, axis=-1))
         sub = np.flatnonzero(b.index < NUMERIC_SUBSET)
         if sub.size:
             y, axes = x[sub, None, None], projector(x[sub])[:, :, None, :]
@@ -428,5 +412,5 @@ def ricci_normal_check(d: DoubleKContact) -> Check:
         return r
 
     return Check("ricci_normal", 1e-8, kernel,
-                 "ricci(E, N) = 0 and Q(JX) = J(QX) on projected draws E = u - <u, N>N",
+                 "ricci(E, N) = 0 on projected draws E = u - <u, N>N",
                  keep=(regular, f))

@@ -63,8 +63,9 @@ in the vectors it is read on, so the checks read it on projectors
 (:func:`projector`) and drawn vectors, whose numbers depend on no
 completion.  :func:`frame_batch` (the complete QR factorization of
 [x | seeds]) serves the one-point layer, the tests and the demos;
-:func:`seeds_span` is its rank test on the seeds, and the mask of the
-checks on a seeded sub-bundle.
+:func:`seeds_span` is its rank test on the seeds.  No check masks points
+by it: a check that skips points skips those where the function it
+reads is not regular (``scalar_fields.is_regular``).
 
 Sign conventions (frozen package-wide, pinned by tests):
 
@@ -223,13 +224,11 @@ def projected_eval(field: AmbientVectorField, x):
 
 def _raw_dual(field: AmbientVectorField, x: np.ndarray, d: np.ndarray):
     """V(x) and D_d V(x) for the raw formula V = ``field.eval``, from one
-    dual evaluation; a formula that returns no dual part is constant and
-    differentiates to 0.  Both broadcast against the leaves of the dual
-    point, so V may carry size-1 axes where the derivative has d's axes."""
-    out = field.eval(ad.make_dual(x, d))
-    if type(out) is ad.Dual:
-        return out.val, out.eps
-    return out, np.zeros(np.shape(d))
+    dual evaluation (``ad.parts``: a formula that returns no dual part is
+    constant).  Both broadcast against the leaves of the dual point, so V
+    may carry size-1 axes where the derivative has d's axes."""
+    y = ad.make_dual(x, d)
+    return ad.parts(field.eval(y), y.eps)
 
 
 def cov_deriv_batch(V: AmbientVectorField, x: np.ndarray,

@@ -61,8 +61,9 @@ class ScalarField:
     """Scalar formula on ambient space near the sphere, C² there.
 
     ``grad``, when provided, is the closed-form ambient gradient (itself
-    dual-evaluable); otherwise gradients fall back to per-component
-    automatic differentiation of ``eval``.
+    dual-evaluable; one that returns a plain array, such as ``lambda x:
+    c``, is read as constant, ``ad.parts``); otherwise gradients fall back
+    to per-component automatic differentiation of ``eval``.
     """
 
     def __init__(self, eval: Callable, grad: Optional[Callable] = None, label: str = ""):

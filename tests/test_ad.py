@@ -237,6 +237,19 @@ def test_self_dot_matches_the_product_rule_bitwise(nested):
         assert a.shape == b.shape and np.array_equal(a, b)
 
 
+def test_an_output_with_no_dual_part_differentiates_to_zeros():
+    # a formula that ignores the dual point is constant: zeros shaped like
+    # the directions it was fed, in every entry point
+    c = np.array([1.0, -2.0, 0.5])
+    x = np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])
+    d = np.ones_like(x)
+    assert np.array_equal(ad.directional(lambda y: c, x, d), np.zeros_like(d))
+    assert np.array_equal(ad.jacobian_rows(lambda y: c, x, 3), np.zeros((3, 3)))
+    val, rows, second = ad.second_jet(lambda y: c, x, 3)
+    assert val is c and not np.any(rows) and not np.any(second)
+    assert np.broadcast_shapes(rows.shape, second.shape[1:], (3, 2, 3)) == (3, 2, 3)
+
+
 def test_value_and_lift_round_trip():
     x = np.array([1.0, 2.0])
     d = ad.make_dual(x, np.array([0.0, 1.0]))

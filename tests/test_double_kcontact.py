@@ -12,7 +12,7 @@ import pytest
 import kontact as kt
 from kontact import manifold
 from kontact.ad import value
-from kontact.cli import SuiteConfig, _check_catalog
+from kontact.cli import SuiteConfig, _check_catalog, run_suite
 from kontact.errors import (
     ConstructionError,
     RegularityError,
@@ -241,17 +241,18 @@ SUB_BUNDLE_CHECKS = (kt.laplacian_formula_check, kt.phi_product_spectrum_check,
                      kt.hessian_restriction_check)
 
 
-@pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8])
-def test_sub_bundle_checks_skip_points_near_the_pole(pair5, delta):
-    # the Gram determinant of Z, X, JX is ≈ (1 − f²)², below the frame's
-    # 1e-10 rank test here although |f| < 1 − 1e-9
-    p = near_pole(delta)
-    assert abs(values(pair5.angle_function(), p.coords) - (1.0 - delta)) < 1e-15
-    for check in SUB_BUNDLE_CHECKS:
-        rep = check(pair5, [p])
-        assert (rep.count, rep.skipped) == (0, 1)
-    with pytest.raises(RegularityError):
-        kt.hbundle_basis(pair5, p)
+def test_sub_bundle_checks_evaluate_every_regular_point_near_the_pole(pair5):
+    # the Gram determinant of Z, X, JX is (1 − f²)², below the frame's 1e-10
+    # rank test here although |f| < 1 − 1e-9: the one-point basis refuses
+    # these points, while the checks read them, regular as ∇f ≠ 0
+    for delta in (1e-6, 1e-7, 1e-8):
+        p = near_pole(delta)
+        assert abs(values(pair5.angle_function(), p.coords) - (1.0 - delta)) < 1e-15
+        for check, count in zip(SUB_BUNDLE_CHECKS, (1, 1, 3)):
+            rep = check(pair5, [p])
+            assert (rep.count, rep.skipped, rep.passed) == (count, 0, True), (check.__name__, delta)
+        with pytest.raises(RegularityError):
+            kt.hbundle_basis(pair5, p)
 
 
 def test_sub_bundle_checks_evaluate_just_outside_the_skip_band(pair5):
@@ -273,11 +274,13 @@ def near_focal(dim, f, count=20):
 
 
 @pytest.mark.parametrize("dim", (5, 7))
-@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-8, 1e-12, 1.5e-13])
 def test_sub_bundle_checks_stay_at_rounding_near_the_focal_sets(dim, delta):
-    # down to the edge of the seeds_span skip band the residue projector
-    # keeps every sub-bundle reading at a few units of rounding, where a
-    # Gram-inverse projector loses digits like ε/(1 − |f|)
+    # down to 1 − f² ≈ 2·delta = 3e-13, just above the regularity floor
+    # 2.5e-13, the residue projector keeps the Laplacian and Hessian readings
+    # at a few units of rounding, where a Gram-inverse projector loses digits
+    # like ε/(1 − |f|); φJ squared against Q grows like ε/√(1 − f²), so
+    # within 1e-13 only down to delta = 1e-5 and within 1e-9 to the floor
     pair = kt.standard_pair(dim)
     for sign in (1, -1):
         x = near_focal(dim, sign * (1.0 - delta))
@@ -285,7 +288,42 @@ def test_sub_bundle_checks_stay_at_rounding_near_the_focal_sets(dim, delta):
         for check in SUB_BUNDLE_CHECKS:
             rep = check(pair, x)
             assert (rep.count > 0, rep.skipped, rep.passed) == (True, 0, True), check.__name__
-            assert rep.max <= 1e-13, (check.__name__, sign, rep.max)
+            bound = 1e-9 if check is kt.phi_product_spectrum_check and delta < 1e-5 else 1e-13
+            assert rep.max <= bound, (check.__name__, sign, rep.max)
+
+
+LEVEL_SET_CHECKS = ("geodesic_field", "mean_curvature_identity", "ricci_normal", "nu_form",
+                    "critical_condition", "laplacian_formula", "phi_product_spectrum",
+                    "hessian_restricted")
+
+
+@pytest.mark.parametrize("dim", (3, 5, 7))
+def test_level_set_checks_skip_the_same_focal_points(dim):
+    # one regularity mask: at points where f = ±1 exactly, every check read
+    # on the level sets skips them, and reads the regular points beside them
+    pair = kt.standard_pair(dim)
+    x = np.vstack([angle_points(pair, 10, 5), near_focal(dim, 1.0, 3), near_focal(dim, -1.0, 4)])
+    assert np.max(np.abs(np.abs(values(pair.angle_function(), x[10:])) - 1.0)) <= 1e-15
+    config = SuiteConfig(manifold=f"s{dim}", samples=len(x), seed=1)
+    reports = {name: check() for name, check in _check_catalog(pair, [x], config)}
+    assert all(rep.passed for rep in reports.values())
+    skipped = {name: reports[name].skipped for name in LEVEL_SET_CHECKS if name in reports}
+    assert len(skipped) == (8 if dim > 3 else 6)
+    assert set(skipped.values()) == {7}, skipped
+
+
+@pytest.mark.parametrize("dim", (3, 5, 7))
+def test_default_verify_never_asks_whether_the_seeds_span(dim, monkeypatch):
+    # the seeds' rank test belongs to the frames only, which verify builds none of
+    def refuse(*args):
+        raise AssertionError("seeds_span called")
+
+    monkeypatch.setattr(manifold, "seeds_span", refuse)
+    monkeypatch.setattr(kt.double_kcontact, "seeds_span", refuse)
+    assert all(rep.passed for rep in run_suite(SuiteConfig(manifold=f"s{dim}")))
+    pair = kt.standard_pair(dim)
+    with pytest.raises(AssertionError, match="seeds_span"):
+        kt.hbundle_basis(pair, kt.SpherePoint(angle_points(pair, 1, 1)[0]))
 
 
 def test_laplacian_formula_s3_reduces_to_8f(pair3, pts3):
@@ -337,6 +375,16 @@ def test_dim_theorem_alternate_pair_offset_plus_four():
     rep = kt.dim_theorem_check(pair, angle_points(pair, 30, 13))
     assert rep.passed
     assert "c0 = +4" in rep.provenance
+
+
+def test_dim_theorem_fails_for_a_shifted_offset(pair5, pts5, monkeypatch):
+    # c0 comes from the generators' profile, not from the points
+    profile = kt.double_kcontact.expected_laplacian_profile
+    assert kt.dim_theorem_check(pair5, pts5).passed
+    monkeypatch.setattr(kt.double_kcontact, "expected_laplacian_profile",
+                        lambda d: (profile(d)[0], profile(d)[1] + 1e-5))
+    rep = kt.dim_theorem_check(pair5, pts5)
+    assert not rep.passed and abs(rep.max - 1e-5) <= 1e-9
 
 
 def test_dim_theorem_unsupported_dimension():

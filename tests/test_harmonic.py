@@ -754,6 +754,24 @@ def test_every_field_takes_one_jet_of_its_raw_formula(twisted, pts3, monkeypatch
             assert np.array_equal(ad.value(formula(y)), raw), field.label
 
 
+def test_a_plain_array_gradient_reads_as_its_lifted_form():
+    # a closed-form gradient that returns a plain array is constant in every
+    # ad entry point (ad.parts), so the harmonic checks, energy and the
+    # geodesic check read bitwise what they read with the array lifted
+    c = np.array([0.3, -0.2, 0.5, 0.1])
+    x = sample_coords(50, 1, 4)
+    readings = []
+    for grad in (lambda y: c, lambda y: ad.lift(c, y)):
+        f = kt.ScalarField(eval=lambda y: ad.dot(y, c), grad=grad)
+        zf = kt.normalized_gradient_unit_field(f)
+        reports = [check(zf, x) for check in (kt.harmonicity_check,
+                                              kt.critical_condition_check)]
+        assert all(r.passed and (r.count, r.skipped) == (50, 0) for r in reports)
+        readings.append(reports + [kt.check_geodesic(f, x),
+                                   kt.energy(zf, 200, 3, 4)])
+    assert readings[0] == readings[1]
+
+
 @pytest.mark.parametrize("dim", (3, 5, 7))
 def test_harmonic_residuals_are_norms_on_the_complement(dim):
     # nu_form and critical_condition read |ν| and |∇h − ric(·, Z)^♯| on Z^⊥:
