@@ -241,18 +241,21 @@ SUB_BUNDLE_CHECKS = (kt.laplacian_formula_check, kt.phi_product_spectrum_check,
                      kt.hessian_restriction_check)
 
 
-def test_sub_bundle_checks_evaluate_every_regular_point_near_the_pole(pair5):
+@pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8])
+def test_sub_bundle_checks_skip_points_near_the_pole(pair5, delta):
     # the Gram determinant of Z, X, JX is (1 − f²)², below the frame's 1e-10
     # rank test here although |f| < 1 − 1e-9: the one-point basis refuses
-    # these points, while the checks read them, regular as ∇f ≠ 0
-    for delta in (1e-6, 1e-7, 1e-8):
-        p = near_pole(delta)
-        assert abs(values(pair5.angle_function(), p.coords) - (1.0 - delta)) < 1e-15
-        for check, count in zip(SUB_BUNDLE_CHECKS, (1, 1, 3)):
-            rep = check(pair5, [p])
-            assert (rep.count, rep.skipped, rep.passed) == (count, 0, True), (check.__name__, delta)
-        with pytest.raises(RegularityError):
-            kt.hbundle_basis(pair5, p)
+    # the point, while the checks skip only the pole beside it, where ∇f = 0,
+    # and read the point, regular as ∇f ≠ 0
+    p = near_pole(delta)
+    assert abs(values(pair5.angle_function(), p.coords) - (1.0 - delta)) < 1e-15
+    x = np.vstack([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0], p.coords])
+    for check, count in zip(SUB_BUNDLE_CHECKS, (1, 1, 3)):
+        assert check(pair5, [p]).skipped == 0, check.__name__
+        rep = check(pair5, x)
+        assert (rep.count, rep.skipped, rep.passed) == (count, 1, True), check.__name__
+    with pytest.raises(RegularityError):
+        kt.hbundle_basis(pair5, p)
 
 
 def test_sub_bundle_checks_evaluate_just_outside_the_skip_band(pair5):
