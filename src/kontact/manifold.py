@@ -45,9 +45,8 @@ generator and draws what it would draw swept alone.  A public checker
 sweeps its check alone over its points cut into blocks of ``BLOCK``
 (:func:`checker`), ``kontact verify`` the whole suite over the
 ``BLOCK``-point blocks of :func:`sample_blocks` as they are drawn, so it
-holds one block of points, not all of them.  On two CPUs or more
-:func:`sample_blocks` draws each next piece on a worker thread while its
-caller works on the one before, with the same rows.
+holds one block of points, not all of them.  :func:`sample_blocks` draws
+every piece on the calling thread.
 ``BLOCK`` is 1024 because a block's cost is mostly per-call numpy
 dispatch in the dual engine: check throughput is flat from 256 to 2048
 points per block and falls at 32, while the traced peak of the largest
@@ -77,8 +76,6 @@ Sign conventions (frozen package-wide, pinned by tests):
 
 from __future__ import annotations
 
-import os
-import threading
 import weakref
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
@@ -546,13 +543,8 @@ def sample_blocks(count: int, seed: int, ambient_dim: int, size: int,
     than 99% of draws have been rejected, and ``ValueError`` on a count
     below 1 or a negative seed.
 
-    A batch of more than one piece, in a process that may run on two
-    CPUs or more, draws and normalizes each next piece on a worker thread
-    (:class:`_DrawAhead`) while the exclusion mask and the caller work on
-    the piece before: the normal fill and numpy's loops release the GIL.
-    One piece at most is drawn ahead, the exclusion runs on the calling
-    thread, a failed draw raises in the caller, and the worker is joined
-    when the stream ends or is closed.  The rows are the same either way.
+    Every piece is drawn, normalized and filtered on the calling thread
+    as the blocks are taken.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -561,106 +553,31 @@ def sample_blocks(count: int, seed: int, ambient_dim: int, size: int,
     rng = np.random.default_rng(seed)
     held, n_held, accepted, drawn = [], 0, 0, 0     # held: accepted rows not yet yielded
     max_draws = max(10_000, 200 * count)
-    ahead = None            # started by the first batch of several pieces
-    try:
-        while accepted < count:
-            batch = max(count - accepted, 64)
-            if ahead is None and batch > size and _cpu_count() >= 2:
-                ahead = _DrawAhead(rng, ambient_dim)
-            asked = False
-            while batch and accepted < count:
-                g, keep = ahead.take() if asked else _draw(rng, min(size, batch), ambient_dim)
-                batch -= len(g)
-                asked = ahead is not None and batch > 0
-                if asked:
-                    ahead.ask(min(size, batch))
-                if exclusion is not None:
-                    keep[keep] = ~np.asarray(exclusion(g[keep]), dtype=bool)
-                rows = np.flatnonzero(keep)[:count - accepted]
-                # Rows are examined in order up to the last one accepted.
-                drawn += len(g) if accepted + len(rows) < count else int(rows[-1]) + 1
-                accepted += len(rows)
-                held.append(g if len(rows) == len(g) else g[rows])
-                n_held += len(rows)
-                if n_held >= size:
-                    # a whole piece that is a whole block is yielded as drawn
-                    x = held[0] if len(held) == 1 else np.concatenate(held)
-                    n_held -= size
-                    held = [x[size:]] if n_held else []
-                    yield x[:size]
-            if drawn >= max_draws and accepted < max(1, drawn // 100):
-                raise SamplingExhaustedError(
-                    f"exclusion rejected {drawn - accepted} of {drawn} draws")
-        if n_held:
-            yield held[0] if len(held) == 1 else np.concatenate(held)
-    finally:
-        if ahead is not None:
-            ahead.close()
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on: its affinity mask where the OS keeps one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _draw(rng: np.random.Generator, n: int, ambient_dim: int) -> tuple:
-    """n normal rows (n, ambient_dim) of ``rng``, normalized in place by
-    :func:`_normalize_rows`, and the mask of the rows kept."""
-    g = rng.standard_normal((n, ambient_dim))
-    return g, _normalize_rows(g)
-
-
-class _DrawAhead:
-    """A worker thread that draws the next piece of a generator while its
-    caller works on the one before.  ``ask(n)`` starts :func:`_draw` of n
-    rows and ``take()`` waits for it and returns it, or raises what it
-    raised; the caller asks only once it has taken the piece before, so
-    one thread uses the generator at a time.  ``close()`` lets a piece
-    asked for finish and joins the thread.  Two locks pass the turn, each
-    released by the other thread: ``_asked`` once ``_n`` holds a size (or
-    None, to stop), ``_ready`` once ``_out`` holds the piece; ``_n`` stays
-    set until the piece is taken."""
-
-    def __init__(self, rng: np.random.Generator, ambient_dim: int):
-        self._asked, self._ready = threading.Lock(), threading.Lock()
-        self._asked.acquire()
-        self._ready.acquire()
-        self._n, self._out = None, None
-        # a daemon, so that a stream left open does not keep the process alive
-        self._thread = threading.Thread(target=self._work, args=(rng, ambient_dim),
-                                        name="kontact-draw-ahead", daemon=True)
-        self._thread.start()
-
-    def _work(self, rng: np.random.Generator, ambient_dim: int) -> None:
-        while True:
-            self._asked.acquire()
-            if self._n is None:
-                return
-            try:
-                self._out = _draw(rng, self._n, ambient_dim)
-            except Exception as exc:        # raised again in the caller by take()
-                self._out = exc
-            self._ready.release()
-
-    def ask(self, n: int) -> None:
-        self._n = n
-        self._asked.release()
-
-    def take(self) -> tuple:
-        self._ready.acquire()
-        out, self._n, self._out = self._out, None, None
-        if isinstance(out, Exception):
-            raise out
-        return out
-
-    def close(self) -> None:
-        if self._n is not None:         # a piece asked for and not taken
-            self._ready.acquire()
-        self._n = self._out = None
-        self._asked.release()
-        self._thread.join()
+    while accepted < count:
+        batch = max(count - accepted, 64)
+        while batch and accepted < count:
+            g = rng.standard_normal((min(size, batch), ambient_dim))
+            keep = _normalize_rows(g)
+            batch -= len(g)
+            if exclusion is not None:
+                keep[keep] = ~np.asarray(exclusion(g[keep]), dtype=bool)
+            rows = np.flatnonzero(keep)[:count - accepted]
+            # Rows are examined in order up to the last one accepted.
+            drawn += len(g) if accepted + len(rows) < count else int(rows[-1]) + 1
+            accepted += len(rows)
+            held.append(g if len(rows) == len(g) else g[rows])
+            n_held += len(rows)
+            if n_held >= size:
+                # a whole piece that is a whole block is yielded as drawn
+                x = held[0] if len(held) == 1 else np.concatenate(held)
+                n_held -= size
+                held = [x[size:]] if n_held else []
+                yield x[:size]
+        if drawn >= max_draws and accepted < max(1, drawn // 100):
+            raise SamplingExhaustedError(
+                f"exclusion rejected {drawn - accepted} of {drawn} draws")
+    if n_held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
 def sample_coords(count: int, seed: int, ambient_dim: int,

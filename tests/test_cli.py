@@ -577,13 +577,13 @@ class SecondDrawTooLarge:
     ("1000000000000", "kontact.harmonic.sample_blocks", too_large,
      "Unable to allocate 29.1 TiB for an array with shape (1000000000000, 4) "
      "and data type float64"),
-    # the second of 25 pieces, drawn ahead on the worker thread
+    # the second of 25 pieces
     ("100000", "numpy.random.default_rng", SecondDrawTooLarge,
      "Unable to allocate 128. KiB for an array with shape (4096, 4) and data type float64"),
 ], ids=["energy", "energy-second-piece"])
 def test_cli_reports_samples_too_large_to_allocate(samples, where, fake, message, monkeypatch,
                                                    capsys):
-    monkeypatch.setattr(manifold.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(where, fake)
     before = threading.active_count()
     code = main(["energy", "s3", "--samples", samples])

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import os
 import threading
 import weakref
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import kontact as kt
-from kontact import ad, manifold
+from kontact import ad, cli, manifold
 from kontact.errors import (
     BasePointMismatchError,
     DegenerateInputError,
@@ -443,12 +444,7 @@ class RecordedDraws:
 
 def cpus(monkeypatch, n):
     """Make the process's affinity mask read ``n`` CPUs."""
-    monkeypatch.setattr(manifold.os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
-def worker_alive():
-    return any(t.name == "kontact-draw-ahead" for t in threading.enumerate())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 # 1000 points in blocks of 64: the first batch is sixteen pieces
@@ -456,23 +452,8 @@ EXCLUSIONS = {"plain": None, "excluded": lambda x: x[:, 0] > 0.5}
 
 
 @pytest.mark.parametrize("exclusion", EXCLUSIONS.values(), ids=EXCLUSIONS.keys())
-def test_sample_blocks_draw_ahead_on_a_worker_and_join_it(exclusion, monkeypatch):
-    cpus(monkeypatch, 2)
-    before = threading.active_count()
-    seen = []
-    for x in sample_blocks(1000, 3, 4, 64, exclusion):
-        seen.append(worker_alive())
-    assert seen[0]
-    assert threading.active_count() == before
-    stream = sample_blocks(1000, 3, 4, 64, exclusion)
-    next(stream)
-    assert worker_alive()
-    stream.close()
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("exclusion", EXCLUSIONS.values(), ids=EXCLUSIONS.keys())
 def test_sample_blocks_raise_a_failed_draw_ahead_in_the_caller(exclusion, monkeypatch):
+    # the second of sixteen pieces cannot be allocated: its own error, no thread left
     cpus(monkeypatch, 2)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: RecordedDraws(seed, fail=2))
     before = threading.active_count()
@@ -482,31 +463,51 @@ def test_sample_blocks_raise_a_failed_draw_ahead_in_the_caller(exclusion, monkey
     assert threading.active_count() == before
 
 
-def test_sample_blocks_draw_ahead_on_the_worker_and_exclude_on_the_caller(monkeypatch):
+# Calls that draw many pieces from one generator, each with whether it
+# filters them with the mask it is given (sample_blocks' exclusion, energy's
+# guard): sample_blocks in sixteen pieces of 64 and more, energy and the
+# CLI's energy in 25 pieces of 4 · BLOCK.
+STREAMS = {
+    "plain": (lambda mask: list(sample_blocks(1000, 3, 4, 64)), False),
+    "excluded": (lambda mask: list(sample_blocks(1000, 3, 4, 64, mask)), True),
+    "energy": (lambda mask: kt.energy(
+        kt.UnitVectorField(kt.reeb_unit_field(kt.standard_pair(3).s_alpha).field, mask, "reeb"),
+        100_000, 3, 4), True),
+    "cli-energy": (lambda mask: cli.main(
+        ["energy", "s3", "--field", "gradient", "--exclusion", "0.9", "--samples", "100000"]),
+        False),
+}
+
+
+@pytest.mark.parametrize("call, masked", STREAMS.values(), ids=STREAMS.keys())
+def test_sample_streams_draw_and_filter_on_the_caller_and_start_no_thread(call, masked,
+                                                                         monkeypatch, capsys):
     cpus(monkeypatch, 2)
-    made = []
+    made, started, maskers = [], [], []
     monkeypatch.setattr(np.random, "default_rng",
                         lambda seed: made.append(RecordedDraws(seed)) or made[-1])
-    me, excluders = threading.get_ident(), set()
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread.name) or start(thread))
 
-    def exclusion(x):
-        excluders.add(threading.get_ident())
-        return x[:, 0] > 0.5
+    def mask(x):
+        maskers.append(threading.get_ident())
+        return np.abs(x[:, 0]) <= 0.9
 
-    list(sample_blocks(1000, 3, 4, 64))
-    list(sample_blocks(1000, 3, 4, 64, exclusion))
-    plain, excluded = (rng.threads for rng in made)
-    # the first piece of a batch is drawn on the caller, the rest ahead
-    assert len(plain) == 16 and plain[0] == me and me not in set(plain[1:])
-    assert len(set(plain[1:])) == 1
-    assert excluded[0] == me and len(set(excluded)) == 2
-    assert excluders == {me}
+    before = threading.active_count()
+    call(mask)
+    assert started == [] and threading.active_count() == before
+    me = threading.get_ident()
+    draws = [thread for rng in made for thread in rng.threads]
+    assert len(draws) >= 16 and set(draws) == {me}
+    assert set(maskers) == ({me} if masked else set())
 
 
 @pytest.mark.parametrize("exclusion", EXCLUSIONS.values(), ids=EXCLUSIONS.keys())
 def test_sample_blocks_on_one_cpu_start_no_thread(exclusion, monkeypatch):
+    # the rows do not depend on how many CPUs the process may run on
     cpus(monkeypatch, 2)
-    ahead = np.concatenate(list(sample_blocks(1000, 3, 4, 64, exclusion)))
+    two = np.concatenate(list(sample_blocks(1000, 3, 4, 64, exclusion)))
     cpus(monkeypatch, 1)
     before, counts = threading.active_count(), []
     parts = []
@@ -514,8 +515,8 @@ def test_sample_blocks_on_one_cpu_start_no_thread(exclusion, monkeypatch):
         counts.append(threading.active_count())
         parts.append(x)
     assert counts == [before] * len(parts)
-    assert np.array_equal(np.concatenate(parts), ahead)
-    assert np.array_equal(ahead, sample_coords(1000, 3, 4, exclusion))
+    assert np.array_equal(np.concatenate(parts), two)
+    assert np.array_equal(two, sample_coords(1000, 3, 4, exclusion))
 
 
 def test_as_points_takes_arrays_and_point_lists(pts3):
