@@ -9,12 +9,11 @@
 import numpy as np
 
 import kontact as kt
-from kontact.ad import value
+from kontact.ad import dot, value
 from kontact.manifold import (
     cov_deriv_batch,
     curvature_numeric_batch,
     frame_batch,
-    inner,
     lie_bracket_batch,
     proj_np,
     random_tangent_batch,
@@ -45,7 +44,7 @@ print("torsion residual:", np.max(np.linalg.norm(torsion, axis=-1)))
 
 def constant_curvature(u, v, w):
     """The constant-curvature formula R(u,v)w = g(v,w)u - g(u,w)v."""
-    return inner(v, w)[:, None] * u - inner(u, w)[:, None] * v
+    return dot(v, w)[:, None] * u - dot(u, w)[:, None] * v
 
 
 # curvature: the analytic formula against the numeric double covariant
@@ -54,12 +53,12 @@ r_numeric = curvature_numeric_batch(x, u, v, w)
 print("curvature agreement:", np.max(np.abs(constant_curvature(u, v, w) - r_numeric)))
 
 # sectional curvature of any orthonormal plane is 1
-v_unit = v - inner(u, v)[:, None] * u
+v_unit = v - dot(u, v)[:, None] * u
 v_unit /= np.linalg.norm(v_unit, axis=-1, keepdims=True)
-print("sectional curvature:", inner(constant_curvature(u, v_unit, v_unit), u))
+print("sectional curvature:", dot(constant_curvature(u, v_unit, v_unit), u))
 
 # Ricci: ric(u,u) = sum_i g(R(E_i,u)u, E_i) = (m-1) g(u,u) in any frame E_i
 frames = frame_batch(x)
-ric = np.sum(inner(curvature_numeric_batch(x[:, None], frames, u[:, None], u[:, None]),
+ric = np.sum(dot(curvature_numeric_batch(x[:, None], frames, u[:, None], u[:, None]),
                    frames), axis=-1)
-print("ricci(u,u) =", ric, " with |u|^2 =", inner(u, u))
+print("ricci(u,u) =", ric, " with |u|^2 =", dot(u, u))

@@ -131,15 +131,11 @@ class SuiteConfig:
         }
 
 
-def _check_catalog(pair: DoubleKContact, point_blocks: Iterable[np.ndarray],
-                   config: SuiteConfig) -> list[tuple[str, Callable[..., ResidualReport]]]:
-    """Ordered catalog of suite checks; each entry makes its report, with
-    the checks' tightest default tolerance or with ``tol=`` an override.
-    Declaration order here is the report order in the output.  Every entry
-    but ``energy_reeb`` reports one or more checks of one
-    ``manifold.sweep`` over ``point_blocks``, made by the first entry
-    called, as one ``manifold.group_report``: their largest raw residual
-    is its max."""
+def _catalog_rows(pair: DoubleKContact) -> list[tuple[str, list[manifold.Check], str]]:
+    """The swept reports of the suite on ``pair`` in report order, as
+    (name, checks, provenance): every report but ``energy_reeb``.  The
+    rows whose checks all carry a ``keep`` mask are the checks read on the
+    level sets of the angle function, which skip the same points."""
     f = pair.angle_function()
     zf = normalized_gradient_unit_field(f)
     structures = (pair.s_alpha, pair.s_beta)
@@ -153,7 +149,7 @@ def _check_catalog(pair: DoubleKContact, point_blocks: Iterable[np.ndarray],
         check_geodesic.build(f), mean_curvature_identity_check.build(f, ANGLE_PROFILE),
         ricci_normal_check.build(pair), harmonicity_check.build(zf),
         critical_condition_check.build(zf)]
-    table = [
+    return [
         ("contact_axioms",
          [check.build(s) for s in structures
           for check in (check_axiom_ii, check_axiom_iii, check_axiom_volume)],
@@ -164,6 +160,18 @@ def _check_catalog(pair: DoubleKContact, point_blocks: Iterable[np.ndarray],
          "covariant derivative identity for both structures"),
         *((c.name, [c], c.provenance) for c in singles),
     ]
+
+
+def _check_catalog(pair: DoubleKContact, point_blocks: Iterable[np.ndarray],
+                   config: SuiteConfig) -> list[tuple[str, Callable[..., ResidualReport]]]:
+    """Ordered catalog of suite checks; each entry makes its report, with
+    the checks' tightest default tolerance or with ``tol=`` an override.
+    Declaration order here is the report order in the output.  Every entry
+    but ``energy_reeb`` reports one or more checks of one
+    ``manifold.sweep`` over ``point_blocks``, made by the first entry
+    called, as one ``manifold.group_report``: their largest raw residual
+    is its max."""
+    table = _catalog_rows(pair)
 
     @cache
     def swept():
@@ -194,9 +202,10 @@ def _check_catalog(pair: DoubleKContact, point_blocks: Iterable[np.ndarray],
 
 def check_names(manifold: str) -> list[str]:
     """Report names of the suite on ``manifold``, in report order."""
-    config = SuiteConfig(manifold=manifold)
-    pair = standard_pair(MANIFOLDS[manifold])
-    return [name for name, _ in _check_catalog(pair, (), config)]
+    if manifold not in MANIFOLDS:
+        raise ValueError(f"unknown manifold {manifold!r}")
+    rows = _catalog_rows(standard_pair(MANIFOLDS[manifold]))
+    return [name for name, _, _ in rows] + ["energy_reeb"]
 
 
 def run_suite(config: SuiteConfig) -> list[ResidualReport]:

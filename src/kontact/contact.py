@@ -39,6 +39,7 @@ from .ad import (
     dot,
     jacobian_rows,
     matvec,
+    norm,
     proj_tangent,
     sv,
     value,
@@ -51,12 +52,10 @@ from .manifold import (
     Frame,
     OrthoComplexStructure,
     TangentVector,
-    apply,
     as_points,
     checker,
     constant_field,
     cov_deriv_batch,
-    inner,
     linear_field,
     projector,
     random_tangent_batch,
@@ -103,8 +102,8 @@ class ContactMetricStructure:
     def phi_at(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Structure tensor at the points x applied to the vectors u (batched)."""
         jm = self.j_ambient.mat
-        a = inner(u, apply(jm, x))[..., None]
-        return self.sigma * (apply(jm, u) + a * x)
+        a = dot(u, matvec(jm, x))[..., None]
+        return self.sigma * (matvec(jm, u) + a * x)
 
     def phi_matrix(self, x: np.ndarray) -> np.ndarray:
         """The structure tensor at the points x as matrices (..., m+1, m+1):
@@ -162,7 +161,7 @@ def build_from_complex_structure(j: OrthoComplexStructure, label: str = "alpha"
     u, v = uv[:, 0], uv[:, 1]
     chosen = ContactMetricStructure(j, -1, label=label)
     lhs = d_on_pairs(chosen.alpha_coeffs, x, u, v)
-    if np.max(np.abs(lhs - 2.0 * inner(u, chosen.phi_at(x, v)))) >= 1e-6:
+    if np.max(np.abs(lhs - 2.0 * dot(u, chosen.phi_at(x, v)))) >= 1e-6:
         raise ConstructionError("sigma = -1 does not satisfy the dα compatibility")
     return chosen
 
@@ -217,7 +216,7 @@ def d_on_pairs(coeff_field: Callable, x: np.ndarray, u: np.ndarray,
                v: np.ndarray) -> np.ndarray:
     """dω(u, v) at the points x for tangent vectors u, v, from one Jacobian
     (:func:`_d_matrix`); leading axes of x, u and v broadcast."""
-    return inner(u, apply(_d_matrix(coeff_field, x), v))
+    return np.einsum("...i,...ij,...j->...", u, _d_matrix(coeff_field, x), v)
 
 
 def _d_on_frames(coeff_field: Callable, x: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -233,7 +232,7 @@ def volume_form_batch(coeff_field: Callable, x: np.ndarray, frames: np.ndarray,
     pairs comes from one Jacobian (:func:`_d_on_frames`)."""
     m = frames.shape[-2]
     omega = np.asarray(value(coeff_field(x)), dtype=float)
-    a = inner(omega[..., None, :], frames)
+    a = dot(omega[..., None, :], frames)
     w = _d_on_frames(coeff_field, x, frames)
     fact_n = float(math.factorial(n))
     total = 0.0
@@ -310,9 +309,8 @@ def check_axiom_ii(s: ContactMetricStructure) -> Check:
     """‖φ²u + u − α(u)Z‖ over random tangent directions."""
     def kernel(b):
         p, u = _directions(b, AXIOM_II_SEED, pairs=False)
-        z = apply(s.j_ambient.mat, p)
-        r = s.phi_at(p, s.phi_at(p, u)) + u - inner(u, z)[..., None] * z
-        return np.sqrt(inner(r, r))
+        z = matvec(s.j_ambient.mat, p)
+        return norm(s.phi_at(p, s.phi_at(p, u)) + u - dot(u, z)[..., None] * z)
 
     return Check(f"axiom_ii_{s.label}", 1e-9, kernel,
                  "phi squared is -Id + alpha tensor reeb")
@@ -324,7 +322,7 @@ def check_axiom_iii(s: ContactMetricStructure) -> Check:
     Jacobian of α's coefficients per block (:func:`d_on_pairs`)."""
     def kernel(b):
         x, u, v = _directions(b, AXIOM_III_SEED)
-        return np.abs(d_on_pairs(s.alpha_coeffs, x, u, v) - 2.0 * inner(u, s.phi_at(x, v)))
+        return np.abs(d_on_pairs(s.alpha_coeffs, x, u, v) - 2.0 * dot(u, s.phi_at(x, v)))
 
     return Check(f"axiom_iii_{s.label}", 1e-8, kernel,
                  D_ALPHA_CONVENTION + " against 2 g(., phi .)")
@@ -333,8 +331,7 @@ def check_axiom_iii(s: ContactMetricStructure) -> Check:
 def killing_residual_batch(field: AmbientVectorField, x: np.ndarray,
                            u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(L_V g)(u,v) = g(∇_u V, v) + g(u, ∇_v V) at the points x (batched)."""
-    return (inner(cov_deriv_batch(field, x, u), v)
-            + inner(u, cov_deriv_batch(field, x, v)))
+    return dot(cov_deriv_batch(field, x, u), v) + dot(u, cov_deriv_batch(field, x, v))
 
 
 @checker(lambda field, points: as_points(points))
@@ -358,9 +355,8 @@ def sasakian_residual_batch(s: ContactMetricStructure, x: np.ndarray,
     (∇_uφ)v = ∇_u(φṽ) − φ(∇_u ṽ) for the projected-constant extension ṽ."""
     ext_v = constant_field(v)
     lhs = cov_deriv_batch(s.phi_field(ext_v), x, u) - s.phi_at(x, cov_deriv_batch(ext_v, x, u))
-    z = apply(s.j_ambient.mat, x)
-    r = lhs - (inner(u, v)[..., None] * z - inner(v, z)[..., None] * u)
-    return np.sqrt(inner(r, r))
+    z = matvec(s.j_ambient.mat, x)
+    return norm(lhs - (dot(u, v)[..., None] * z - dot(v, z)[..., None] * u))
 
 
 @checker()
@@ -376,6 +372,6 @@ def check_phi_skew(s: ContactMetricStructure) -> Check:
     """|g(φu, v) + g(u, φv)| — metric skewness of the structure tensor."""
     def kernel(b):
         x, u, v = _directions(b, PHI_SKEW_SEED)
-        return np.abs(inner(s.phi_at(x, u), v) + inner(u, s.phi_at(x, v)))
+        return np.abs(dot(s.phi_at(x, u), v) + dot(u, s.phi_at(x, v)))
 
     return Check(f"phi_skew_{s.label}", 1e-9, kernel, "structure tensor is metric-skew")

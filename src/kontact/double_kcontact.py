@@ -34,7 +34,7 @@ import warnings
 
 import numpy as np
 
-from .ad import dot, matvec
+from .ad import dot, matvec, norm
 from .contact import (
     ContactMetricStructure,
     build_from_complex_structure,
@@ -52,16 +52,13 @@ from .manifold import (
     OrthoComplexStructure,
     SpherePoint,
     TangentVector,
-    apply,
     block_diag_complex_structure,
     checker,
     curvature_numeric_batch,
     frame_batch,
-    inner,
     lie_bracket_batch,
     projector,
     sample_coords,
-    seeds_span,
     shape_form,
 )
 from .scalar_fields import (
@@ -71,6 +68,8 @@ from .scalar_fields import (
     check_transnormal,
     gradient_and_norm,
     gradient_batch,
+    gradient_norm,
+    is_regular,
     laplacian_batch,
     regular,
     values_batch,
@@ -179,16 +178,20 @@ def expected_laplacian_profile(d: DoubleKContact) -> tuple[float, float]:
 
 def _hbundle_seeds(d: DoubleKContact, x: np.ndarray) -> np.ndarray:
     """Z, X and JX at the points x, shape (..., 3, m+1)."""
-    z = apply(d.s_alpha.j_ambient.mat, x)
-    xb = apply(d.s_beta.j_ambient.mat, x)
+    z = matvec(d.s_alpha.j_ambient.mat, x)
+    xb = matvec(d.s_beta.j_ambient.mat, x)
     return np.stack([z, xb, d.s_alpha.phi_at(x, xb)], axis=-2)
 
 
 def hbundle_basis(d: DoubleKContact, p: SpherePoint) -> Frame:
-    """Orthonormal basis of {Z, X, JX}^⊥ in T_p: the tail of their frame."""
+    """Orthonormal basis of {Z, X, JX}^⊥ in T_p: the tail of their frame.
+    Raises :class:`RegularityError` where f is not regular
+    (``scalar_fields.is_regular``), the points the sub-bundle checks skip;
+    elsewhere the seeds' residues in the frame's QR are about √(1 − f²) =
+    ‖∇f‖/2 ≥ 5e-7 long, far above the frame's rank test."""
+    if not is_regular(gradient_norm(d.angle_function(), p.coords)):
+        raise RegularityError("the spanning fields degenerate where f is not regular")
     seeds = _hbundle_seeds(d, p.coords)
-    if not seeds_span(p.coords, seeds):
-        raise RegularityError("the spanning fields degenerate where |f| ~ 1")
     return Frame(p, tuple(TangentVector(p, e) for e in frame_batch(p.coords, seeds)[3:]))
 
 
@@ -211,14 +214,11 @@ def commuting_invariants_check(d: DoubleKContact) -> Check:
     za, xb = d.s_alpha.reeb_field(), d.s_beta.reeb_field()
     f = d.angle_function()
 
-    def norm(v):
-        return np.sqrt(inner(v, v))
-
     def kernel(b):
         p = b.x
-        z, x = apply(j1, p), apply(j2, p)
+        z, x = matvec(j1, p), matvec(j2, p)
         r = norm(lie_bracket_batch(xb, za, p))
-        r = np.maximum(r, np.maximum(np.abs(inner(z, z) - 1.0), np.abs(inner(x, x) - 1.0)))
+        r = np.maximum(r, np.maximum(np.abs(dot(z, z) - 1.0), np.abs(dot(x, x) - 1.0)))
         r = np.maximum(r, np.maximum(norm(d.s_alpha.phi_at(p, z)),
                                      norm(d.s_beta.phi_at(p, x))))
         return np.maximum(r, np.maximum(0.0, np.abs(b.of(values_batch, f)) - 1.0))
@@ -238,8 +238,8 @@ def gradient_identity_check(d: DoubleKContact) -> Check:
 
     def kernel(b):
         x, g = b.x, b.of(gradient_batch, f)
-        res = [g - 2.0 * s.phi_at(x, apply(reeb, x)) for s, reeb in pairings]
-        return np.maximum(*(np.sqrt(inner(r, r)) for r in res))
+        res = [g - 2.0 * s.phi_at(x, matvec(reeb, x)) for s, reeb in pairings]
+        return np.maximum(*(norm(r) for r in res))
 
     return Check("gradient_identity", 1e-9, kernel,
                  f"{GRADIENT_PAIRING}; gated on the worse pairing, "
@@ -270,8 +270,8 @@ def _sub_bundle(d: DoubleKContact, x: np.ndarray) -> tuple:
         return q, q
     q = projector(x)
     for seed in np.moveaxis(_hbundle_seeds(d, x), -2, 0):
-        r = apply(q, seed)
-        q = q - r[..., :, None] * (r / inner(r, r)[..., None])[..., None, :]
+        r = np.einsum("...ij,...j->...i", q, seed)
+        q = q - r[..., :, None] * (r / dot(r, r)[..., None])[..., None, :]
     return q, q @ np.swapaxes(_phi_chain(x, d.s_beta, d.s_alpha), -1, -2)
 
 
@@ -284,7 +284,7 @@ def laplacian_formula_check(d: DoubleKContact) -> Check:
     def kernel(b):
         q, jphi = b.of(_sub_bundle, d)
         rhs = (4.0 * d.n + 4.0) * b.full(values_batch, f) + 2.0 * np.sum(
-            inner(jphi, q), axis=-1)
+            dot(jphi, q), axis=-1)
         return np.abs(b.full(laplacian_batch, f) - rhs)
 
     return Check("laplacian_formula", 1e-7, kernel,
@@ -308,7 +308,7 @@ def phi_product_spectrum_check(d: DoubleKContact) -> Check:
         phi_j = q @ np.swapaxes(_phi_chain(x, d.s_alpha, d.s_beta), -1, -2)
         m = q @ np.swapaxes(phi_j, -1, -2)
         diff = phi_j - jphi
-        commute_res = np.max(np.sqrt(inner(diff, diff)), axis=-1)
+        commute_res = np.max(norm(diff), axis=-1)
         sym_res = np.max(np.abs(m - np.swapaxes(m, -1, -2)), axis=(-2, -1))
         square_res = np.max(np.abs(m @ m - q), axis=(-2, -1))
         trace_q, trace_m = (np.trace(a, axis1=-2, axis2=-1) for a in (q, m))
@@ -345,12 +345,12 @@ def hessian_restriction_check(d: DoubleKContact) -> Check:
         a, ja = u @ q, u @ jphi                 # Q·u_i and Jφ Q·u_i, Q symmetric
         i, j = np.triu_indices(d.dim - 3)
         lhs = shape_form(grad, x[:, None, :], a[:, i], a[:, j])
-        rhs = -2.0 * fv[:, None] * inner(a[:, i], a[:, j]) - 2.0 * inner(ja[:, i], a[:, j])
+        rhs = -2.0 * fv[:, None] * dot(a[:, i], a[:, j]) - 2.0 * dot(ja[:, i], a[:, j])
         v, w = u[:, 0], u[:, 1]
-        z, xb = apply(d.s_alpha.j_ambient.mat, x), apply(d.s_beta.j_ambient.mat, x)
+        z, xb = matvec(d.s_alpha.j_ambient.mat, x), matvec(d.s_beta.j_ambient.mat, x)
         jphi_v = d.s_alpha.phi_at(x, d.s_beta.phi_at(x, v))
-        full = (2.0 * inner(v, xb) * inner(z, w) - 2.0 * fv * inner(v, w)
-                - 2.0 * inner(jphi_v, w))
+        full = (2.0 * dot(v, xb) * dot(z, w) - 2.0 * fv * dot(v, w)
+                - 2.0 * dot(jphi_v, w))
         full_domain.append(np.max(np.abs(shape_form(grad, x, v, w) - full)))
         return np.abs(lhs - rhs)
 
@@ -401,13 +401,13 @@ def ricci_normal_check(d: DoubleKContact) -> Check:
         g, gn = gradient_and_norm(b, f)
         nvec = g[:, None, :] / gn[:, None, None]
         u = b.tangents(RICCI_SEED, (2,))
-        level = u - inner(u, nvec)[..., None] * nvec
-        r = (mdim - 1) * np.max(np.abs(inner(level, nvec)), axis=-1)
+        level = u - dot(u, nvec)[..., None] * nvec
+        r = (mdim - 1) * np.max(np.abs(dot(level, nvec)), axis=-1)
         sub = np.flatnonzero(b.index < NUMERIC_SUBSET)
         if sub.size:
             y, axes = x[sub, None, None], projector(x[sub])[:, :, None, :]
             num = curvature_numeric_batch(y, axes, level[sub, None], nvec[sub, None])
-            ric = np.sum(inner(num, axes), axis=1)
+            ric = np.sum(dot(num, axes), axis=1)
             r[sub] = np.maximum(r[sub], np.max(np.abs(ric), axis=-1))
         return r
 

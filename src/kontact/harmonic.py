@@ -39,10 +39,9 @@ Each check reports the norm of its covector, ν or −∇div F − (m−1)·Z
 frame-free, the root sum of squares of its components in any frame.
 There the covectors do not depend on how Z is extended off the sphere,
 so the closed form may take F = P·W/|P·W| in place of P·Z.
-The one-point :func:`harmonicity_form` is ⟨w, ν⟩, one row of the same
-covector.  The tests hold the jet of P·Z (``tests/oracles.py``) to nested
-directional derivatives of A^t w̃ and of div F, and the closed form to
-that jet.
+The one-point :func:`harmonicity_form` reads ⟨w, ν⟩ at one point.  The
+tests hold the jet of P·Z (``tests/oracles.py``) to nested directional
+derivatives of A^t w̃ and of div F, and the closed form to that jet.
 
 Kernels and checks follow the batch convention of :mod:`kontact.manifold`,
 and a unit field's domain (:meth:`UnitVectorField.domain`: its guard
@@ -88,7 +87,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import ad, manifold
-from .ad import dot, proj_tangent
+from .ad import dot, norm, proj_tangent
 from .errors import PreconditionError, RegularityError, SamplingExhaustedError
 from .manifold import (
     AmbientVectorField,
@@ -98,7 +97,6 @@ from .manifold import (
     TangentVector,
     as_field_points,
     checker,
-    inner,
     proj_np,
     sample_blocks,
     shape_matrix,
@@ -202,7 +200,7 @@ def twisted_unit_field(c: np.ndarray, a: np.ndarray, d: np.ndarray) -> UnitVecto
         return ad.unit(proj_tangent(x, base))
 
     def guard(points: np.ndarray) -> np.ndarray:
-        v = c + inner(points, a)[..., None] * d
+        v = c + dot(points, a)[..., None] * d
         return np.linalg.norm(proj_np(points, v), axis=-1) >= TWISTED_EPS_REG
 
     return UnitVectorField(
@@ -328,9 +326,9 @@ def harmonicity_form(zf: UnitVectorField, x: TangentVector) -> float:
     if not zf.domain(p.coords):
         raise RegularityError("harmonicity form outside the field's domain")
     f, nu, _ = _covectors(zf, p.coords[None, :])
-    if abs(inner(x.vec, f[0])) > 1e-8:
+    if abs(dot(x.vec, f[0])) > 1e-8:
         raise PreconditionError("direction must be orthogonal to the field")
-    return float(inner(x.vec, nu[0]))
+    return float(dot(x.vec, nu[0]))
 
 
 def _covectors(zf: UnitVectorField, y: np.ndarray) -> tuple:
@@ -355,8 +353,7 @@ def _covectors(zf: UnitVectorField, y: np.ndarray) -> tuple:
     W is linear (the angle function, every Reeb field) or constant.  W is
     the evaluated one, never H·y: the height function has W constant and
     H = 0.  H is applied as one matrix where its rows have a size-1 batch
-    axis and T = 0; a varying H at one point takes the route of a batch, so
-    that the one-point form is one row of it.  D_y N and D²_{y,y}N vanish
+    axis (W linear or constant, or one point).  D_y N and D²_{y,y}N vanish
     in exact arithmetic where W is linear (N is homogeneous of degree 0
     there), but are computed, so a field for which they do not vanish is
     read as it is."""
@@ -365,7 +362,7 @@ def _covectors(zf: UnitVectorField, y: np.ndarray) -> tuple:
     w, rows, second = ad.second_jet(field.eval, y, n)
     varies = np.any(second)                                 # T ≠ 0: H depends on the point
     rows = np.broadcast_to(rows, np.broadcast_shapes(np.shape(rows), (n, 1, n)))
-    if rows.shape[1] == 1 and not varies:
+    if rows.shape[1] == 1:
         jac = rows.reshape(n, n)                            # jac[a, i] = H[i, a]
 
         def hess(v):
@@ -385,13 +382,13 @@ def _covectors(zf: UnitVectorField, y: np.ndarray) -> tuple:
             return np.einsum("api,pi->pa", rows, v)
 
         flat = np.moveaxis(rows, 1, 0).reshape(len(y), -1)  # one row of n² per point
-        tr_h, frob_h = np.einsum("apa->p", rows), inner(flat, flat)
+        tr_h, frob_h = np.einsum("apa->p", rows), dot(flat, flat)
 
     def col(q):
         return q[:, None]
 
     w = np.broadcast_to(w, y.shape)
-    s, k = inner(y, y), inner(y, w)
+    s, k = dot(y, y), dot(y, w)
     c = k / s
     hy, hty = hess(y), hess_t(y)
     kg = w + hty                                            # ∇k
@@ -401,8 +398,8 @@ def _covectors(zf: UnitVectorField, y: np.ndarray) -> tuple:
     # the part along y that rounding leaves in u would carry the terms
     # along N, which reach 1/ρ², through the projection of the residuals
     # onto y^⊥ (up to 15× the jet's maxima at 1 − f² = 4e-4 on S⁷)
-    u -= col(inner(u, y) / s) * y
-    rho = np.sqrt(inner(u, u))
+    u -= col(dot(u, y) / s) * y
+    rho = norm(u)
     nv = u / col(rho)
     if varies:
         second = np.broadcast_to(second, (n, n) + y.shape)  # second[a, b, p, i] = T[i, a, b]
@@ -414,32 +411,32 @@ def _covectors(zf: UnitVectorField, y: np.ndarray) -> tuple:
         lap_w = div_w = t_yy = t_y = t_nn = np.zeros_like(y)
 
     def q(v):
-        return v - col(inner(nv, v)) * nv
+        return v - col(dot(nv, v)) * nv
 
-    a, kg_y, cg_n = inner(cg, y), inner(kg, y), inner(cg, nv)
+    a, kg_y, cg_n = dot(cg, y), dot(kg, y), dot(cg, nv)
     g = hess_t(nv) - col(c) * nv                            # Uᵀ N
     uy = hy - col(a + c) * y                                # U y
     d_y = q(uy) / col(rho)
     # ΔN: Σ_a ∂_a∂_a u = ΔW − tr(∂²c)·y − 2∇c, Σ_a ∂_a N·g_a = Q U g/ρ, and
     # Σ_a ∂_a g_a = ⟨∂N, U⟩_F + ⟨N, Σ_a ∂_a∂_a u⟩, ⟨∂N, U⟩_F = (‖U‖²_F − |g|²)/ρ
-    tr_cc = ((2.0 * tr_h + inner(y, lap_w)) / s + (8.0 - 2.0 * n) * k / (s * s)
+    tr_cc = ((2.0 * tr_h + dot(y, lap_w)) / s + (8.0 - 2.0 * n) * k / (s * s)
              - 4.0 * kg_y / (s * s))
-    ug = hess(g) - col(inner(cg, g)) * y - col(c) * g
-    frob_u = (frob_h + s * inner(cg, cg) + c * c * n - 2.0 * inner(y, hess(cg))
+    ug = hess(g) - col(dot(cg, g)) * y - col(c) * g
+    frob_u = (frob_h + s * dot(cg, cg) + c * c * n - 2.0 * dot(y, hess(cg))
               - 2.0 * c * tr_h + 2.0 * c * a)
     laplacian = (q(lap_w - 2.0 * cg - 2.0 * ug / col(rho)) - col(tr_cc) * y
-                 - col((frob_u - inner(g, g)) / rho) * nv) / col(rho)
+                 - col((frob_u - dot(g, g)) / rho) * nv) / col(rho)
     # D²_{y,y}N: u_yy = T(y, y) − (yᵀ ∂²c y)·y − 2⟨∇c, y⟩·y
-    y_cc_y = (2.0 * inner(y, hy) + inner(y, t_yy)) / s + (6.0 * k - 4.0 * kg_y) / s
+    y_cc_y = (2.0 * dot(y, hy) + dot(y, t_yy)) / s + (6.0 * k - 4.0 * kg_y) / s
     u_yy = t_yy - col(y_cc_y + 2.0 * a) * y
-    g_yy = inner(d_y, uy) + inner(nv, u_yy)
-    d_yy = (u_yy - col(2.0 * inner(g, y)) * d_y - col(g_yy) * nv) / col(rho)
+    g_yy = dot(d_y, uy) + dot(nv, u_yy)
+    d_yy = (u_yy - col(2.0 * dot(g, y)) * d_y - col(g_yy) * nv) / col(rho)
     # ∇div N: Σ_i ∂_b∂_i u_i = (∇div W)_b − (∂²c y)_b − (m+2)·∂_b c, the rest
     # through tr ∂N = (tr U − ⟨g, N⟩)/ρ, ∂Nᵀ(g + U N) and ⟨N, T(N, ·)⟩
     cc_y = (hy + hty + t_y - 2.0 * kg) / col(s) + col((6.0 * k - 2.0 * kg_y) / (s * s)) * y
-    tr_dn = (tr_h - a - c * n - inner(g, nv)) / rho
+    tr_dn = (tr_h - a - c * n - dot(g, nv)) / rho
     qv = q(g + hess(nv) - col(cg_n) * y - col(c) * nv)      # Q (g + U N)
-    dnt = (hess_t(qv) - col(inner(y, qv)) * cg - col(c) * qv) / col(rho)   # ∂Nᵀ(g + U N)
+    dnt = (hess_t(qv) - col(dot(y, qv)) * cg - col(c) * qv) / col(rho)   # ∂Nᵀ(g + U N)
     grad_div = (div_w - cc_y - n * cg - col(tr_dn) * g - dnt - t_nn + col(cg_n) * nv) / col(rho)
     return nv, (n - 1) * d_y - nv - (laplacian - d_yy), grad_div
 
@@ -451,8 +448,8 @@ def _harmonic_block(zf: UnitVectorField, x: np.ndarray) -> tuple:
     no frame."""
     f, nu, grad_div = _covectors(zf, x)
     v = np.stack([nu, -grad_div - (x.shape[-1] - 2) * f])
-    v -= inner(v, x)[..., None] * x + inner(v, f)[..., None] * f
-    return tuple(np.sqrt(inner(v, v)))
+    v -= dot(v, x)[..., None] * x + dot(v, f)[..., None] * f
+    return tuple(norm(v))
 
 
 def _in_domain(b: Block, zf: UnitVectorField) -> np.ndarray:

@@ -27,12 +27,15 @@ Kernels (names ending in ``_batch``, and :func:`shape_matrix`,
 :func:`shape_trace`, :func:`projector` and their kin in the other
 modules) take plain arrays whose leading axes are batch axes (points,
 directions, frame slots) and broadcast them, contracting over the last
-axis only.  :class:`SpherePoint`, :class:`TangentVector`, :class:`Frame`
-and the few functions that take them (here :func:`cov_deriv`,
-:func:`lie_bracket`, :func:`curvature_numeric`,
+axis only, with the vector helpers of :mod:`kontact.ad` (``dot``,
+``matvec``, ``norm``).  :class:`SpherePoint`, :class:`TangentVector`,
+:class:`Frame` and the few functions that take them (here
+:func:`cov_deriv`, :func:`lie_bracket`, :func:`curvature_numeric`,
 :func:`gram_schmidt_frame`, :func:`tangent_basis` and
 :func:`sample_points`) are one-row wrappers over the kernels that the
 package itself does not call; the benchmark's tracer binds them by name.
+A wrapper reads its kernel's row to rounding, not bitwise: numpy may
+contract one row in another order than a batch.
 
 Checks: a :class:`Check` is a kernel from a :class:`Block` of points to
 their residuals.  :func:`sweep` runs any number of checks over a stream
@@ -61,10 +64,10 @@ Frames: no check builds one.  Each identity is linear or multilinear
 in the vectors it is read on, so the checks read it on projectors
 (:func:`projector`) and drawn vectors, whose numbers depend on no
 completion.  :func:`frame_batch` (the complete QR factorization of
-[x | seeds]) serves the one-point layer, the tests and the demos;
-:func:`seeds_span` is its rank test on the seeds.  No check masks points
-by it: a check that skips points skips those where the function it
-reads is not regular (``scalar_fields.is_regular``).
+[x | seeds], whose diagonal is also its rank test on the seeds) serves
+the one-point layer, the tests and the demos.  No check masks points by
+it: a check that skips points skips those where the function it reads
+is not regular (``scalar_fields.is_regular``).
 
 Sign conventions (frozen package-wide, pinned by tests):
 
@@ -82,7 +85,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import ad
-from .ad import directional, matvec, proj_tangent, value
+from .ad import directional, dot, matvec, norm, proj_tangent, value
 from .errors import (
     BasePointMismatchError,
     DegenerateInputError,
@@ -97,7 +100,7 @@ if TYPE_CHECKING:
 
 POINT_TOL = 1e-12
 TANGENT_TOL = 1e-10
-SEED_GRAM_TOL = 1e-10   # frame seeds with a smaller Gram determinant are rank deficient
+SEED_RANK_TOL = 1e-10   # a frame seed's QR residue |R_jj| must exceed this times |seed|
 BLOCK = 1024        # points per batched evaluation; bounds peak memory
 
 
@@ -240,7 +243,7 @@ def cov_deriv_batch(V: AmbientVectorField, x: np.ndarray,
     if not V.tangent:
         raise TangencyError("covariant derivative requires a tangent-flagged field")
     v, dv = _raw_dual(V, x, u)
-    return proj_np(x, dv) - inner(x, v)[..., None] * proj_np(x, u)
+    return proj_np(x, dv) - dot(x, v)[..., None] * proj_np(x, u)
 
 
 def cov_deriv(V: AmbientVectorField, u: TangentVector) -> TangentVector:
@@ -292,7 +295,7 @@ def shape_matrix(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
     x, v, rows = _raw_jacobian(field, x)
     jac = np.moveaxis(np.broadcast_to(rows, (x.shape[-1],) + x.shape), 0, -1)
     proj = projector(x)
-    return proj @ jac @ proj - inner(x, v)[..., None, None] * proj
+    return proj @ jac @ proj - dot(x, v)[..., None, None] * proj
 
 
 def shape_form(field: AmbientVectorField, x: np.ndarray, u: np.ndarray,
@@ -301,7 +304,7 @@ def shape_form(field: AmbientVectorField, x: np.ndarray, u: np.ndarray,
     (broadcast), S of :func:`shape_matrix`: uᵀ J v − ⟨x, V⟩⟨u, v⟩, J the
     raw Jacobian, from one dual evaluation along v and no matrix."""
     val, dv = _raw_dual(field, x, v)
-    return inner(u, dv) - inner(x, val) * inner(u, v)
+    return dot(u, dv) - dot(x, val) * dot(u, v)
 
 
 def _cdot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -330,14 +333,11 @@ def _read_shape(field: AmbientVectorField, x: np.ndarray, reading: str) -> np.nd
     of (B, m+1) rows.  A J that does not depend on x (a linear formula,
     as every Reeb field, or a constant one) stays one matrix, applied by
     one matmul to all the points, and ‖J‖²_F and tr J are scalars;
-    otherwise J is held as (m+1, m+1, B).  One point is read as a batch
-    of two copies of it, so that it takes the branch and the rounding of
-    any batch: as one column, numpy would contract its coordinate axis
-    contiguously, in another order.
+    otherwise J is held as (m+1, m+1, B).
     """
     lead, dim = np.shape(x)[:-1], np.shape(x)[-1]
     x = np.ascontiguousarray(x, dtype=float).reshape(-1, dim)
-    x, v, rows = _raw_jacobian(field, np.repeat(x, 2, axis=0) if len(x) == 1 else x)
+    x, v, rows = _raw_jacobian(field, x)
     xt, vt = np.ascontiguousarray(x.T), np.ascontiguousarray(v.T)
     if rows.shape[1] == 1:
         jt = rows.reshape(dim, dim)                     # jt[j, i] = J[i, j]
@@ -365,7 +365,7 @@ def _read_shape(field: AmbientVectorField, x: np.ndarray, reading: str) -> np.nd
         out = (frob - _cdot(a, a) - _cdot(b, b) + c * c - 2.0 * k * (trace - c)
                + k * k * (dim - _cdot(xt, xt)))
     if reading != "unit":
-        return out[:int(np.prod(lead))].reshape(lead)
+        return out.reshape(lead)
     g = vt - k * xt                                     # P·V at unit x
     r_sq = _cdot(g, g)
     r = np.sqrt(r_sq)
@@ -373,7 +373,7 @@ def _read_shape(field: AmbientVectorField, x: np.ndarray, reading: str) -> np.nd
     w = jt_apply(n)
     stn = w - _cdot(w, xt) * xt - k * n
     out = (out - _cdot(stn, stn)) / r_sq
-    return tuple(q[:int(np.prod(lead))].reshape(lead) for q in (out, r))
+    return out.reshape(lead), r.reshape(lead)
 
 
 def shape_trace(field: AmbientVectorField, x: np.ndarray) -> np.ndarray:
@@ -424,7 +424,7 @@ def curvature_numeric_batch(x: np.ndarray, u: np.ndarray, v: np.ndarray,
     """R(u,v)w at the points x from nested covariant derivatives of the
     projected-constant extensions (batched).  ∇_u∇_v w and ∇_v∇_u w are one
     nested evaluation: the constant field on the stack [v, u] differentiated
-    along the stack [u, v], each row rounded as a pass of its own would be."""
+    along the stack [u, v]."""
     U, V, W = constant_field(u), constant_field(v), constant_field(w)
     vu = np.stack(np.broadcast_arrays(v, u))
     t1, t2 = value(directional(_second_cov_field(W, constant_field(vu)), x, vu[::-1]))
@@ -444,15 +444,6 @@ def curvature_numeric(u: TangentVector, v: TangentVector,
 # ---------------------------------------------------------------------------
 # frames
 
-def seeds_span(x: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Where the seeds (..., k, m+1), projected to T_x, are independent:
-    their Gram determinant is at least SEED_GRAM_TOL.  This is the rank
-    test of :func:`frame_batch`, row by row the same arithmetic, so a
-    frame seeded where it holds is built and one seeded elsewhere raises."""
-    t = proj_np(x[..., None, :], seeds)
-    return np.abs(np.linalg.det(t @ np.swapaxes(t, -1, -2))) >= SEED_GRAM_TOL
-
-
 def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None) -> np.ndarray:
     """Orthonormal tangent frames at the points x, shape (..., m, m+1),
     whose leading k rows are the Gram–Schmidt directions of the seeds
@@ -462,12 +453,13 @@ def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None) -> np.ndarray
     [x | seeds] = Q·R of each point (``np.linalg.qr``, LAPACK's Householder
     QR; Golub & Van Loan, *Matrix Computations*, §5.2).  Column 0 of Q is
     ±x, so the other columns are tangent; column j ≤ k spans the residue
-    of seed j against x and the earlier seeds, and its row is flipped by
-    the sign of R_jj to point the way of that residue.  The rest of Q
-    completes the frame.  Every row is orthonormal and tangent to a few
-    units of rounding, whatever the point: no candidate is dropped and
-    nothing is divided by a short residue.  Seeds that fail
-    :func:`seeds_span` anywhere raise :class:`DegenerateInputError`.
+    of seed j against x and the earlier seeds, |R_jj| long, and its row is
+    flipped by the sign of R_jj to point the way of that residue.  The rest
+    of Q completes the frame.  Every row is orthonormal and tangent to a
+    few units of rounding, whatever the point: no candidate is dropped and
+    nothing is divided by a short residue.  A seed whose residue is not
+    longer than SEED_RANK_TOL times its length, at any point, depends on x
+    and the earlier seeds there and raises :class:`DegenerateInputError`.
     """
     x = np.asarray(x, dtype=float)
     lead, dim = x.shape[:-1], x.shape[-1]
@@ -476,12 +468,13 @@ def frame_batch(x: np.ndarray, seeds: Optional[np.ndarray] = None) -> np.ndarray
         seeds = np.zeros((0, dim))
     k = np.shape(seeds)[-2]
     seeds = np.broadcast_to(seeds, lead + (k, dim)).reshape(len(pts), k, dim)
-    if k and not seeds_span(pts, seeds).all():
-        raise DegenerateInputError("seed vectors are rank deficient")
     cols = np.concatenate([pts[:, :, None], np.swapaxes(seeds, -1, -2)], axis=-1)
     q, r = np.linalg.qr(cols, mode="complete")
+    residues = np.diagonal(r, axis1=-2, axis2=-1)[:, 1:]
+    if not np.all(np.abs(residues) > SEED_RANK_TOL * norm(seeds)):
+        raise DegenerateInputError("seed vectors are rank deficient")
     frames = np.swapaxes(q, -1, -2)[:, 1:]
-    frames[:, :k] *= np.sign(np.diagonal(r, axis1=-2, axis2=-1)[:, 1:, None])
+    frames[:, :k] *= np.sign(residues[:, :, None])
     return frames.reshape(lead + (dim - 1, dim))
 
 
@@ -500,20 +493,6 @@ def tangent_basis(p: SpherePoint) -> Frame:
     return gram_schmidt_frame(p)
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """⟨a, b⟩ over the last axis, leading axes broadcast.
-
-    Stacked matmul rounds each row exactly as the one-row ``a @ b`` does,
-    so batched kernels reproduce the per-point arithmetic.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """mat·v for vectors v (..., n), rounded as the one-row ``mat @ v``."""
-    return (mat @ v[..., :, None])[..., 0]
-
-
 def projector(x: np.ndarray) -> np.ndarray:
     """P = I − x xᵀ at the points x, (..., m+1, m+1), rows P·e_a = P's columns."""
     return np.eye(x.shape[-1]) - x[..., :, None] * x[..., None, :]
@@ -521,7 +500,7 @@ def projector(x: np.ndarray) -> np.ndarray:
 
 def proj_np(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Tangential projection v − ⟨v,x⟩x at unit points x (leading axes broadcast)."""
-    return v - inner(v, x)[..., None] * x
+    return v - dot(v, x)[..., None] * x
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +635,12 @@ def random_tangent_batch(x: np.ndarray, rng: np.random.Generator,
     """
     base = x.reshape((x.shape[0],) + (1,) * len(shape) + (x.shape[-1],))
     v = proj_np(base, rng.standard_normal((x.shape[0],) + tuple(shape) + (x.shape[-1],)))
-    r = np.sqrt(inner(v, v))
+    r = norm(v)
     while np.any(r < 1e-8):
         bad = np.nonzero(r < 1e-8)
         v[bad] = proj_np(np.broadcast_to(base, v.shape)[bad],
                          rng.standard_normal((len(bad[0]), x.shape[-1])))
-        r = np.sqrt(inner(v, v))
+        r = norm(v)
     return v / r[..., None]
 
 

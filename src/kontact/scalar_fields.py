@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 from . import ad, manifold
-from .ad import dot, matvec, proj_tangent, value
+from .ad import dot, matvec, norm, proj_tangent, value
 from .errors import RegularityError
 from .manifold import (
     AmbientVectorField,
@@ -44,7 +44,6 @@ from .manifold import (
     blocks,
     checker,
     cov_deriv_batch,
-    inner,
     proj_np,
     shape_form,
     shape_trace,
@@ -191,7 +190,7 @@ def values_batch(f: ScalarField, x: np.ndarray) -> np.ndarray:
 def gradient_and_norm(b: Block, f: ScalarField) -> tuple[np.ndarray, np.ndarray]:
     """∇f, computed at every point of the enclosing block, and ‖∇f‖."""
     g = b.full(gradient_batch, f)
-    return g, np.sqrt(inner(g, g))
+    return g, norm(g)
 
 
 def is_regular(norm: ArrayLike) -> np.ndarray:
@@ -208,8 +207,7 @@ def regular(b: Block, f: ScalarField) -> np.ndarray:
 
 def gradient_norm(f: ScalarField, x: np.ndarray) -> np.ndarray:
     """‖∇f‖ at the points x (batched)."""
-    g = gradient_batch(f, x)
-    return np.sqrt(inner(g, g))
+    return norm(gradient_batch(f, x))
 
 
 def _gradient_points(f: ScalarField, points: ArrayLike) -> np.ndarray:
@@ -225,8 +223,7 @@ def check_geodesic(f: ScalarField) -> Check:
 
     def kernel(b):
         g, r = gradient_and_norm(b, f)
-        d = cov_deriv_batch(nf, b.x, g / r[:, None])
-        return np.sqrt(inner(d, d))
+        return norm(cov_deriv_batch(nf, b.x, g / r[:, None]))
 
     return Check("geodesic_field", 1e-7, kernel,
                  f"|cov_deriv(N, N)| for N = unit grad({f.label})", keep=(regular, f))
@@ -237,7 +234,7 @@ def check_transnormal(f: ScalarField, profile: TransnormalProfile) -> Check:
     """| ‖∇f‖² − b(f) | pointwise."""
     def kernel(b):
         g = b.of(gradient_batch, f)
-        return np.abs(inner(g, g) - profile.b(b.of(values_batch, f)))
+        return np.abs(dot(g, g) - profile.b(b.of(values_batch, f)))
 
     return Check("transnormal_profile", 1e-9, kernel,
                  f"|grad norm squared - b(f)| for f = {f.label}")

@@ -18,12 +18,12 @@ import numpy as np
 
 from kontact import ad
 from kontact.double_kcontact import _hbundle_seeds
+from kontact.ad import dot
 from kontact.manifold import (
     _second_cov_field,
     constant_field,
     cov_deriv_batch,
     frame_batch,
-    inner,
     lie_bracket_batch,
     proj_np,
     projected_eval,
@@ -68,7 +68,7 @@ def hbundle_frames(d, x):
 
 def curvature(u, v, w):
     """R(u,v)w on the unit sphere: g(v,w)u − g(u,w)v."""
-    return inner(v, w)[..., None] * u - inner(u, w)[..., None] * v
+    return dot(v, w)[..., None] * u - dot(u, w)[..., None] * v
 
 
 def ricci_frame_sum(x, u, v, curvature_fn=curvature, frames=None):
@@ -81,7 +81,7 @@ def ricci_frame_sum(x, u, v, curvature_fn=curvature, frames=None):
         r = curvature(e, u[lead], v[lead])
     else:
         r = curvature_fn(x[lead], e, u[lead], v[lead])
-    return np.sum(inner(r, e), axis=-1)
+    return np.sum(dot(r, e), axis=-1)
 
 
 def curvature_numeric_two_pass(x, u, v, w):
@@ -114,10 +114,10 @@ def mean_curvature_frame_sum(f, x):
     """h = −Σ g(∇_{E_i}N, E_i) over a frame E_i of N^⊥, N = ∇f/‖∇f‖, at
     regular points x (N, m+1)."""
     g = gradient_batch(f, x)
-    n = g / np.sqrt(inner(g, g))[:, None]
+    n = g / np.sqrt(dot(g, g))[:, None]
     level = frame_batch(x, n[:, None, :])[:, 1:]
     d = cov_deriv_batch(normalized_gradient_field(f), x[:, None, :], level)
-    return -np.sum(inner(d, level), axis=-1)
+    return -np.sum(dot(d, level), axis=-1)
 
 
 def divergence(field, y):
@@ -157,7 +157,7 @@ def exterior_derivative_batch(coeff_field, x, a, b):
     t2 = ad.value(ad.directional(
         lambda y: ad.dot(coeff_field(y), projected_eval(ext_a, y)), x, b))
     bracket = lie_bracket_batch(ext_a, ext_b, x)
-    t3 = inner(np.asarray(ad.value(coeff_field(x)), dtype=float), bracket)
+    t3 = dot(np.asarray(ad.value(coeff_field(x)), dtype=float), bracket)
     return t1 - t2 - t3
 
 

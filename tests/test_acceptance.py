@@ -13,12 +13,12 @@ import pytest
 import kontact as kt
 from kontact import ad
 from kontact.contact import check_killing
+from kontact.ad import dot
 from kontact.manifold import (
     constant_field,
     cov_deriv_batch,
     curvature_numeric_batch,
     frame_batch,
-    inner,
     lie_bracket_batch,
     linear_field,
     proj_np,
@@ -65,7 +65,7 @@ def height_points(count: int = SAMPLES, seed: int = SEED):
 def jphi_trace(p, x, basis):
     """Σ g(J φ E_i, E_i) over the sub-bundle frames (N, k, m+1) at x."""
     y = x[:, None, :]
-    return np.sum(inner(p.s_alpha.phi_at(y, p.s_beta.phi_at(y, basis)), basis), axis=-1)
+    return np.sum(dot(p.s_alpha.phi_at(y, p.s_beta.phi_at(y, basis)), basis), axis=-1)
 
 
 def value_at(field, x):
@@ -166,7 +166,7 @@ def test_criterion_07_product_spectrum_on_s5():
     basis = hbundle_frames(p5, x)
     y = x[:, None, :]
     phi_j = p5.s_beta.phi_at(y, p5.s_alpha.phi_at(y, basis))
-    m = inner(phi_j[:, None, :, :], basis[:, :, None, :])     # m[j, i] = g(φJ e_i, e_j)
+    m = dot(phi_j[:, None, :, :], basis[:, :, None, :])     # m[j, i] = g(φJ e_i, e_j)
     m_t = np.swapaxes(m, -1, -2)
     sym = float(np.max(np.abs(m - m_t)))
     sq = float(np.max(np.abs(m @ m - np.eye(basis.shape[1]))))
@@ -210,7 +210,7 @@ def test_criterion_10_ricci_pinning():
         qz = ricci_operator_frame_sum(x, z, curvature_fn=curvature_numeric_batch)
         worst_q = max(worst_q, float(np.max(np.linalg.norm(qz - two_n * z, axis=-1))))
         g = gradient_batch(angle(dim), x)
-        n = g / np.sqrt(inner(g, g))[:, None]
+        n = g / np.sqrt(dot(g, g))[:, None]
         frames = frame_batch(x, n[:, None, :])
         for k in range(1, dim):
             rho = ricci_frame_sum(x, frames[:, k], n, curvature_numeric_batch, frames)
@@ -280,8 +280,8 @@ def test_criterion_13_property_suites_and_negative_controls():
     u = random_tangent_batch(x, rng, ())
     lhs = ad.value(ad.directional(
         lambda y: ad.dot(projected_eval(v, y), projected_eval(w, y)), x, u))
-    rhs = (inner(cov_deriv_batch(v, x, u), w_at[:50])
-           + inner(v_at[:50], cov_deriv_batch(w, x, u)))
+    rhs = (dot(cov_deriv_batch(v, x, u), w_at[:50])
+           + dot(v_at[:50], cov_deriv_batch(w, x, u)))
     compat = float(np.max(np.abs(lhs - rhs)))
     # curvature cross-check
     a, b, c = np.moveaxis(random_tangent_batch(x, rng, (3,)), 1, 0)

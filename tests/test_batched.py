@@ -18,14 +18,13 @@ from kontact.contact import (
     volume_form_batch,
 )
 from kontact.harmonic import _covectors, _trace_l_batch
+from kontact.ad import dot
 from kontact.manifold import (
     BLOCK,
-    apply,
     blocks,
     constant_field,
     curvature_numeric_batch,
     frame_batch,
-    inner,
     proj_np,
     projected_eval,
     random_tangent_batch,
@@ -51,8 +50,28 @@ from oracles import (
     trace_l,
     values,
 )
+from test_double_kcontact import scaled_gradient_pair
 
 DIMS = (3, 5, 7)
+# A one-row wrapper or per-point loop against its batch kernel's row, at
+# most ROW_BOUND·max(1, |reference|) apart: numpy contracts one row in
+# another order than a batch.  Over 600 points of s3, s5 and s7 the largest
+# gap was 1.8e-15·max(1, |row|), the Laplacian's.
+ROW_BOUND = 1e-14
+
+
+def assert_rows(got, ref):
+    """``got`` within ROW_BOUND·max(1, |ref|) of the reference ``ref``."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= ROW_BOUND * np.maximum(1.0, np.abs(ref))), (got, ref)
+
+
+def assert_draws(got, want):
+    """The same draws in the same order, to rounding: a wrong or misplaced
+    draw is off by O(1)."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
 
 
 @pytest.fixture(scope="module", params=DIMS, ids=lambda d: f"s{d}")
@@ -152,7 +171,7 @@ def test_random_tangent_batch_follows_the_loop_stream(setting):
     batch = random_tangent_batch(x, np.random.default_rng(7), (2, 2))
     rng = np.random.default_rng(7)
     loop = [[loop_tangents(p, rng, 2) for _ in range(2)] for p in x]
-    assert np.array_equal(batch, np.array(loop))
+    assert_draws(batch, np.array(loop))
 
 
 def test_random_tangent_batch_redraws_a_normal_draw():
@@ -313,10 +332,9 @@ def test_one_jacobian_d_is_the_exterior_derivative_on_pairs(setting):
 
 
 def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
-    # the one-point form is one row of the covector the checks take, for a
-    # Jacobian that is one matrix (the unit gradient) and one that varies by
-    # point (the control); the nested oracle is held to the per-point frame
-    # loop
+    # the one-point form reads the covector the checks take, for a Jacobian
+    # that is one matrix (the unit gradient) and one that varies by point
+    # (the control); the nested oracle is held to the per-point frame loop
     pair, f, pts, x = setting
     dim = x.shape[1] - 1
     for zf in (kt.normalized_gradient_unit_field(f), twisted(dim)):
@@ -324,34 +342,35 @@ def test_nu_batch_matches_one_row_and_the_frame_loop(setting):
         xk = np.array([p.coords for p in kept])
         z = kt.manifold.proj_np(xk, ad.value(zf.field.eval(xk)))
         frames = frame_batch(xk, z[:, None, :])
-        batch = inner(frames[:, 1:], _covectors(zf, xk)[1][:, None, :])
+        batch = dot(frames[:, 1:], _covectors(zf, xk)[1][:, None, :])
         oracle = harmonicity_form_batch(zf.field, xk, frames[:, 1:])
         for p, row, ref_row, fr, zp in zip(kept, batch, oracle, frames, z):
             frame = kt.gram_schmidt_frame(p, [kt.TangentVector(p, zp)])
             for value, ref, vec in zip(row, ref_row, fr[1:]):
                 x_dir = kt.TangentVector(p, vec)
-                assert kt.harmonicity_form(zf, x_dir) == value
+                assert_rows(kt.harmonicity_form(zf, x_dir), value)
                 assert abs(ref - loop_nu(zf, x_dir, frame)) <= 1e-12
 
 
 def test_bench_bound_wrappers_are_one_row_of_the_suite_kernels(setting):
-    # each one-point derivative wrapper the benchmark traces reads exactly
-    # the row of the batched kernel that the suite runs at that point
+    # each one-point derivative wrapper the benchmark traces reads the row
+    # of the batched kernel that the suite runs at that point: dω and ν
+    # exactly, the shape-matrix traces within ROW_BOUND
     pair, f, pts, x = setting
     s, zf = pair.s_alpha, kt.normalized_gradient_unit_field(f)
     uv = random_tangent_batch(x, np.random.default_rng(3), (2,))
     d_alpha = d_on_pairs(s.alpha_coeffs, x, uv[:, 0], uv[:, 1])
     z = proj_np(x, ad.value(zf.field.eval(x)))
     frames = frame_batch(x, z[:, None, :])[:, 1:]
-    nu = inner(frames, _covectors(zf, x)[1][:, None, :])
+    nu = dot(frames, _covectors(zf, x)[1][:, None, :])
     lap, h = laplacian_batch(f, x), level_mean_curvature_batch(f, x)
     for i, p in enumerate(pts):
         u, v = (kt.TangentVector(p, w) for w in uv[i])
         assert kt.exterior_derivative(s.alpha_coeffs, u, v) == d_alpha[i]
         assert [kt.harmonicity_form(zf, kt.TangentVector(p, w)) for w in frames[i]] == list(nu[i])
-        assert kt.laplacian(f, p) == lap[i]
-        assert kt.level_mean_curvature(f, p) == h[i]
-        assert kt.mean_curvature_of_field(zf, p) == h[i]
+        assert_rows(kt.laplacian(f, p), lap[i])
+        assert_rows(kt.level_mean_curvature(f, p), h[i])
+        assert_rows(kt.mean_curvature_of_field(zf, p), h[i])
 
 
 def loop_nu(zf, x, frame):
@@ -614,7 +633,7 @@ def jphi(d, p, u):
 
 def hessian(f, p, u, v):
     """Hess_f(u, v) at the point p (m+1,)."""
-    return float(inner(apply(shape_matrix(ambient_gradient_field(f), p), u), v))
+    return float(np.einsum("i,ij,j->", v, shape_matrix(ambient_gradient_field(f), p), u))
 
 
 def loop_laplacian_formula(d, points):
@@ -799,7 +818,7 @@ def test_pair_checks_draw_the_loop_stream(two_blocks, monkeypatch, check, seed):
     check(pair.s_alpha, with_critical)
     rng = np.random.default_rng(seed)
     loop = [t for p in with_critical for _ in range(2) for t in loop_tangents(p, rng, 2)]
-    assert np.array_equal(np.concatenate(drawn), np.array(loop))
+    assert_draws(np.concatenate(drawn), np.array(loop))
 
 
 def test_hessian_diagnostic_draws_the_loop_stream_at_kept_points(two_blocks, monkeypatch):
@@ -814,7 +833,7 @@ def test_hessian_diagnostic_draws_the_loop_stream_at_kept_points(two_blocks, mon
     gate = loop_stream(sample_coords(6, 23, pair.ambient_dim), 17, 4)
     rng = np.random.default_rng(29)
     loop = [t for p in pts for t in loop_tangents(p, rng, pair.dim - 3)]
-    assert np.array_equal(np.concatenate(drawn), np.concatenate([gate, loop]))
+    assert_draws(np.concatenate(drawn), np.concatenate([gate, loop]))
 
 
 def rebind(monkeypatch, module, name, record):
@@ -888,7 +907,7 @@ def test_suite_sweeps_its_points_once(dim, monkeypatch):
     drawn = [np.concatenate(s) for s in streams.values()]
     assert len(drawn) == len(expected)
     for got, want in zip(drawn, expected):
-        assert np.array_equal(got, want)
+        assert_draws(got, want)
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -910,24 +929,34 @@ def test_structures_share_each_draw_and_report_as_alone(dim, monkeypatch):
     assert len(drawn) == 3 * len(defs)
 
 
+def reported_diagnostic(rep):
+    """The full-argument diagnostic max printed in a Hessian report."""
+    match = re.search(r"full-argument diagnostic \(ungated\) max (\S+)$", rep.provenance)
+    assert match is not None
+    return float(match.group(1))
+
+
 @pytest.mark.parametrize("dim", (5, 7))
 def test_hessian_diagnostic_is_reported(dim):
+    # with the true gradient the diagnostic is rounding noise; read through
+    # a gradient twice too long, the full-argument identity misses by
+    # |Hess_f(u, v)|, O(1) and different for each pair (u, v), so the
+    # printed max (four significant digits, matched to half a unit in the
+    # last) tells which draws it read
     pair = kt.standard_pair(dim)
     f = pair.angle_function()
     pts = sample_coords(40, 31, dim + 1, exclusion=lambda y: np.abs(values(f, y)) > 0.9)
-    rep = kt.hessian_restriction_check(pair, pts)
-    match = re.search(r"full-argument diagnostic \(ungated\) max (\S+)$", rep.provenance)
-    assert match is not None
-    # both maxima are rounding noise, a few units of 1e-16, so only the same
-    # draws read the same: the report prints four significant digits, and
-    # the reference must match it to half a unit in the last
-    reported = float(match.group(1))
-    assert reported == pytest.approx(hessian_diagnostic(pair, pts), rel=5e-4, abs=0.0)
+    assert reported_diagnostic(kt.hessian_restriction_check(pair, pts)) <= 1e-14
+    scaled = scaled_gradient_pair(dim, 2.0)
+    rep = kt.hessian_restriction_check(scaled, pts)
+    reported = reported_diagnostic(rep)
+    assert reported > 0.1
+    assert reported == pytest.approx(hessian_diagnostic(scaled, pts), rel=5e-4, abs=0.0)
     if dim == 7:
         # two draws per point instead of the first two of m − 3 = 4 fail it
-        assert reported != pytest.approx(hessian_diagnostic(pair, pts, draws=2),
-                                         rel=5e-4, abs=0.0)
-    assert rep.provenance == kt.hessian_restriction_check(pair, pts).provenance
+        assert reported != pytest.approx(hessian_diagnostic(scaled, pts, draws=2),
+                                         rel=1e-2, abs=0.0)
+    assert rep.provenance == kt.hessian_restriction_check(scaled, pts).provenance
 
 
 def loop_invariants(d, points):
@@ -968,10 +997,11 @@ def loop_transnormal(d, points):
     (kt.gradient_identity_check, loop_gradient_identity),
     (kt.transnormal_b_check, loop_transnormal)], ids=lambda c: c.__name__)
 def test_headroom_checks_are_bitwise_the_point_loop(two_blocks, check, loop):
-    # these checks sit at about 1 ulp and set the suite's smallest headroom
+    # these checks sit at about 1 ulp and set the suite's smallest headroom;
+    # the point loop is their oracle to ROW_BOUND, no longer bitwise
     pair, pts, with_critical = two_blocks
     for points in (pts, with_critical):
         rep = check(pair, points)
         vals = np.abs(np.asarray(loop(pair, points), dtype=float))
-        assert (rep.count, rep.max, rep.mean) == (
-            vals.size, np.max(vals), np.add.accumulate(vals)[-1] / vals.size)
+        assert rep.count == vals.size
+        assert_rows([rep.max, rep.mean], [np.max(vals), np.add.accumulate(vals)[-1] / vals.size])

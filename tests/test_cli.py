@@ -72,6 +72,28 @@ def test_report_count_bookkeeping(manifold):
         assert r.passed == (r.max <= r.tolerance)
 
 
+def readme_reports():
+    """The report table of README.md, the one headed "| report | s3 | s5 |
+    s7 |": for each sphere, the report names marked in its column, in
+    table order."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    start = lines.index("| report | s3 | s5 | s7 | reads |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.split("|")[1:5]])
+    return {sphere: [name.strip("`") for name, *marks in rows if marks[col]]
+            for col, sphere in enumerate(("s3", "s5", "s7"))}
+
+
+def test_readme_lists_the_reports_of_each_sphere():
+    # adding a check to the catalog and not to the README fails here
+    assert readme_reports() == {m: check_names(m) for m in MANIFOLDS}
+
+
 def test_check_name_lists_by_manifold():
     assert len(check_names("s3")) == 14
     assert len(check_names("s5")) == 16

@@ -13,9 +13,9 @@ from kontact.contact import (
     sasakian_residual_batch,
     volume_form_value,
 )
+from kontact.ad import dot
 from kontact.manifold import (
     constant_field,
-    inner,
     random_tangent_batch,
     sample_coords,
 )
@@ -30,15 +30,15 @@ def reeb(structure, x):
 
 def alpha(structure, x, u):
     """The contact form α(u) = g(u, Z) at the points x."""
-    return inner(u, reeb(structure, x))
+    return dot(u, reeb(structure, x))
 
 
 def unit_transverse(structure, x, rng):
     """Random unit tangent directions orthogonal to the Reeb field."""
     z = reeb(structure, x)
     u = random_tangent_batch(x, rng, ())
-    u = u - inner(u, z)[..., None] * z
-    return u / np.sqrt(inner(u, u))[..., None]
+    u = u - dot(u, z)[..., None] * z
+    return u / np.sqrt(dot(u, u))[..., None]
 
 
 def test_standard_structure_reeb_values(pair3):
@@ -240,7 +240,7 @@ def ricci_operator(x, u):
     """Q(u) = Σ_j ric(u, E_j) E_j over a frame at x, with the
     constant-curvature Ricci tensor ric = (m−1)·g."""
     e = kt.manifold.frame_batch(x)
-    ric = (x.shape[-1] - 2) * inner(u[..., None, :], e)
+    ric = (x.shape[-1] - 2) * dot(u[..., None, :], e)
     return np.sum(ric[..., None] * e, axis=-2)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import kontact as kt
 from kontact import manifold
-from kontact.ad import value
+from kontact.ad import dot, value
 from kontact.cli import SuiteConfig, _check_catalog, run_suite
 from kontact.errors import (
     ConstructionError,
@@ -19,14 +19,17 @@ from kontact.errors import (
     UnsupportedDimensionError,
 )
 from kontact.manifold import (
-    apply,
     block_diag_complex_structure,
-    inner,
     sample_blocks,
     sample_coords,
     shape_matrix,
 )
-from kontact.scalar_fields import ambient_gradient_field, laplacian_batch
+from kontact.scalar_fields import (
+    ambient_gradient_field,
+    gradient_norm,
+    is_regular,
+    laplacian_batch,
+)
 from oracles import hbundle_frames, values
 from rotated_frames import rotate_completion
 
@@ -127,8 +130,8 @@ def test_reeb_coincidence_at_angle_extremes(pair3, pts3):
     x = pts3[:20]
     z, xb = reebs(pair3, x)
     fv = values(f, x)
-    assert np.max(np.abs(inner(xb - z, xb - z) - 2.0 * (1.0 - fv))) < 1e-12
-    assert np.max(np.abs(inner(xb + z, xb + z) - 2.0 * (1.0 + fv))) < 1e-12
+    assert np.max(np.abs(dot(xb - z, xb - z) - 2.0 * (1.0 - fv))) < 1e-12
+    assert np.max(np.abs(dot(xb + z, xb + z) - 2.0 * (1.0 + fv))) < 1e-12
     plus = np.array([0.0, 0.0, 1.0, 0.0])   # f = +1
     z, xb = reebs(pair3, np.vstack([plus, E1]))
     assert np.linalg.norm(xb[0] - z[0]) < 1e-6
@@ -220,7 +223,7 @@ def test_hbundle_s5_orthogonality(pair5, pts5):
     z, xb = reebs(pair5, x)
     jx = pair5.s_alpha.phi_at(x, xb)
     for v in (z, xb, jx):
-        assert np.max(np.abs(inner(basis, v[:, None, :]))) < 1e-9
+        assert np.max(np.abs(dot(basis, v[:, None, :]))) < 1e-9
     gram = basis @ np.swapaxes(basis, -1, -2)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-9
 
@@ -243,10 +246,9 @@ SUB_BUNDLE_CHECKS = (kt.laplacian_formula_check, kt.phi_product_spectrum_check,
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8])
 def test_sub_bundle_checks_skip_points_near_the_pole(pair5, delta):
-    # the Gram determinant of Z, X, JX is (1 − f²)², below the frame's 1e-10
-    # rank test here although |f| < 1 − 1e-9: the one-point basis refuses
-    # the point, while the checks skip only the pole beside it, where ∇f = 0,
-    # and read the point, regular as ∇f ≠ 0
+    # the checks skip only the pole beside the point, where ∇f = 0, and read
+    # the point, regular as ∇f ≠ 0; so does the one-point basis, whose QR
+    # residues are about √(1 − f²) there, and its projector is the checks' Q
     p = near_pole(delta)
     assert abs(values(pair5.angle_function(), p.coords) - (1.0 - delta)) < 1e-15
     x = np.vstack([[0.0, 0.0, 1.0, 0.0, 0.0, 0.0], p.coords])
@@ -254,8 +256,27 @@ def test_sub_bundle_checks_skip_points_near_the_pole(pair5, delta):
         assert check(pair5, [p]).skipped == 0, check.__name__
         rep = check(pair5, x)
         assert (rep.count, rep.skipped, rep.passed) == (count, 1, True), check.__name__
+    basis = kt.hbundle_basis(pair5, p).matrix
+    assert basis.shape == (2, 6)
+    q = kt.double_kcontact._sub_bundle(pair5, p.coords)[0]
+    assert np.max(np.abs(basis.T @ basis - q)) <= 1e-10
     with pytest.raises(RegularityError):
-        kt.hbundle_basis(pair5, p)
+        kt.hbundle_basis(pair5, kt.SpherePoint(x[0]))
+
+
+def test_hbundle_basis_refuses_exactly_the_points_the_checks_skip(pair5):
+    # about the regularity floor |∇f| = 2√(1 − f²) = EPS_REGULAR
+    f = pair5.angle_function()
+    for delta in np.geomspace(1e-14, 1e-12, 9):
+        p = near_pole(delta)
+        regular = bool(is_regular(gradient_norm(f, p.coords)))
+        skipped = kt.laplacian_formula_check(pair5, [p]).skipped == 1
+        assert regular is not skipped
+        if regular:
+            assert len(kt.hbundle_basis(pair5, p)) == 2
+        else:
+            with pytest.raises(RegularityError):
+                kt.hbundle_basis(pair5, p)
 
 
 def test_sub_bundle_checks_evaluate_just_outside_the_skip_band(pair5):
@@ -317,15 +338,16 @@ def test_level_set_checks_skip_the_same_focal_points(dim):
 
 @pytest.mark.parametrize("dim", (3, 5, 7))
 def test_default_verify_never_asks_whether_the_seeds_span(dim, monkeypatch):
-    # the seeds' rank test belongs to the frames only, which verify builds none of
+    # the seeds' rank test belongs to the frames only (the diagonal of
+    # frame_batch's QR), which verify builds none of
     def refuse(*args):
-        raise AssertionError("seeds_span called")
+        raise AssertionError("frame_batch called")
 
-    monkeypatch.setattr(manifold, "seeds_span", refuse)
-    monkeypatch.setattr(kt.double_kcontact, "seeds_span", refuse)
+    monkeypatch.setattr(manifold, "frame_batch", refuse)
+    monkeypatch.setattr(kt.double_kcontact, "frame_batch", refuse)
     assert all(rep.passed for rep in run_suite(SuiteConfig(manifold=f"s{dim}")))
     pair = kt.standard_pair(dim)
-    with pytest.raises(AssertionError, match="seeds_span"):
+    with pytest.raises(AssertionError, match="frame_batch"):
         kt.hbundle_basis(pair, kt.SpherePoint(angle_points(pair, 1, 1)[0]))
 
 
@@ -336,7 +358,7 @@ def test_laplacian_formula_s3_reduces_to_8f(pair3, pts3):
 
 def trace_jphi(pair, x, basis):
     """Σ g(J φ E_i, E_i) over the rows E_i of the frames (N, k, m+1)."""
-    return np.sum(inner(jphi(pair, x[:, None, :], basis), basis), axis=-1)
+    return np.sum(dot(jphi(pair, x[:, None, :], basis), basis), axis=-1)
 
 
 def test_laplacian_formula_s5_trace_term(pair5, pts5):
@@ -422,7 +444,7 @@ def phi_product_matrix(pair, x, basis):
     """m[j, i] = g(φJ E_i, E_j) over the frames (N, k, m+1) at x."""
     p = x[:, None, :]
     phi_j = pair.s_beta.phi_at(p, pair.s_alpha.phi_at(p, basis))
-    return inner(phi_j[:, None, :, :], basis[:, :, None, :])
+    return dot(phi_j[:, None, :, :], basis[:, :, None, :])
 
 
 def test_phi_product_squares_to_identity(pair5, pts5):
@@ -469,15 +491,15 @@ def test_hessian_diagonal_value_s5(pair5, pts5):
     f = pair5.angle_function()
     x = pts5[:10]
     e = sub_bundle(pair5, x)[:, 0]
-    hess = inner(apply(shape_matrix(ambient_gradient_field(f), x), e), e)
+    hess = np.einsum("...i,...ij,...j->...", e, shape_matrix(ambient_gradient_field(f), x), e)
     assert np.max(np.abs(hess - (2.0 - 2.0 * values(f, x)))) < 1e-10
 
 
 def test_hessian_restricted_rhs_symmetric(pair5, pts5):
     x = pts5[:10]
     a, b = np.moveaxis(sub_bundle(pair5, x), 1, 0)
-    lhs = inner(jphi(pair5, x, a), b)
-    rhs = inner(jphi(pair5, x, b), a)
+    lhs = dot(jphi(pair5, x, a), b)
+    rhs = dot(jphi(pair5, x, b), a)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
@@ -624,7 +646,7 @@ def test_sub_bundle_readings_match_the_frame_oracle(dim, signs):
     dk = kt.double_kcontact
     q, jphi_rows = dk._sub_bundle(pair, x)
     frames = hbundle_frames(pair, x)
-    assert np.max(np.abs(np.sum(inner(jphi_rows, q), axis=-1)
+    assert np.max(np.abs(np.sum(dot(jphi_rows, q), axis=-1)
                          - trace_jphi(pair, x, frames))) <= 1e-13
     m = q @ dk._phi_chain(x, pair.s_alpha, pair.s_beta) @ q
     eig = np.linalg.eigvalsh(phi_product_matrix(pair, x, frames))

@@ -17,10 +17,10 @@ from kontact.harmonic import (
     normalized_constant_unit_field,
     weingarten_ambient_matrix,
 )
+from kontact.ad import dot
 from kontact.manifold import (
     cov_deriv_batch,
     frame_batch,
-    inner,
     proj_np,
     random_tangent_batch,
     sample_coords,
@@ -113,7 +113,7 @@ def test_weingarten_of_reeb_is_phi(pair3, reeb3, pts3, rng):
 def test_weingarten_preserves_orthogonality_to_unit_field(reeb3, pts3):
     x = pts3[:1]
     z = field_at(reeb3, x)
-    assert abs(inner(weingarten(reeb3, x, z), z)[0]) < 1e-12
+    assert abs(dot(weingarten(reeb3, x, z), z)[0]) < 1e-12
 
 
 def test_weingarten_of_gradient_kills_normal(nfield3, pts3):
@@ -135,8 +135,8 @@ def test_weingarten_transpose_adjoint_contract(reeb3, nfield3, pts3, rng):
     for zf in (reeb3, nfield3):
         u, v = np.moveaxis(random_tangent_batch(x, rng, (2,)), 1, 0)
         at_u = np.einsum("pji,pj->pi", weingarten_matrix(zf, x), u)
-        lhs = inner(at_u, v)
-        rhs = inner(u, weingarten(zf, x, v))
+        lhs = dot(at_u, v)
+        rhs = dot(u, weingarten(zf, x, v))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -275,7 +275,7 @@ def test_unit_gradient_guard_matches_the_gradient_norm(dim, potential):
         assert (rep.count, rep.skipped) == (len(sub) - skipped, skipped)
     # scale f so that |P·∇f| at a point lies a factor 1 ± δ from EPS_REGULAR
     p = x[:10]
-    r = np.sqrt(inner(gradient_batch(f, p), gradient_batch(f, p)))
+    r = np.sqrt(dot(gradient_batch(f, p), gradient_batch(f, p)))
     for point, norm in zip(p, r):
         for step in (-1e-3, -1e-9, 1e-9, 1e-3):
             fc = scaled_potential(f, EPS_REGULAR * (1.0 + step) / norm)
@@ -315,19 +315,19 @@ def test_trace_l_equals_frame_sum(reeb3, nfield3, pts3):
     frame = frame_batch(x)
     for zf in (reeb3, nfield3):
         a_e = weingarten(zf, x[:, None, :], frame)
-        frame_sum = 3.0 + np.sum(inner(a_e, a_e), axis=-1)
+        frame_sum = 3.0 + np.sum(dot(a_e, a_e), axis=-1)
         assert abs(trace_l(zf, x)[0] - frame_sum[0]) < 1e-10
 
 
 def pullback_metric(zf, x, u, v):
     """Induced metric g(u,v) + g(∇_u Z, ∇_v Z) at the points x."""
-    return inner(u, v) + inner(cov_deriv_batch(zf.field, x, u), cov_deriv_batch(zf.field, x, v))
+    return dot(u, v) + dot(cov_deriv_batch(zf.field, x, u), cov_deriv_batch(zf.field, x, v))
 
 
 def test_pullback_metric_dominates_round_metric(reeb3, pts3, rng):
     x = pts3[:6]
     u = random_tangent_batch(x, rng, ())
-    assert np.all(pullback_metric(reeb3, x, u, u) >= inner(u, u) - 1e-14)
+    assert np.all(pullback_metric(reeb3, x, u, u) >= dot(u, u) - 1e-14)
 
 
 def test_pullback_metric_value_on_reeb(pair3, reeb3, pts3, rng):
@@ -335,8 +335,8 @@ def test_pullback_metric_value_on_reeb(pair3, reeb3, pts3, rng):
     x = pts3[:1]
     z = x @ pair3.s_alpha.j_ambient.mat.T
     u = random_tangent_batch(x, rng, ())
-    u = u - inner(u, z)[:, None] * z
-    u = u / np.sqrt(inner(u, u))[:, None]
+    u = u - dot(u, z)[:, None] * z
+    u = u / np.sqrt(dot(u, u))[:, None]
     assert abs(pullback_metric(reeb3, x, u, u)[0] - 2.0) < 1e-12
 
 
@@ -625,7 +625,7 @@ def test_jet_contractions_match_the_oracles(dim):
         generic = proj_np(x[:, None, :], rng.standard_normal((len(x), 3, dim + 1)))
         _, nu_vec, grad_div = jet_covectors(zf.field, x)
         for w, noise in ((generic, False), (frames, harmonic)):
-            nu, xh = inner(w, nu_vec[:, None, :]), -inner(w, grad_div[:, None, :])
+            nu, xh = dot(w, nu_vec[:, None, :]), -dot(w, grad_div[:, None, :])
             for got, oracle in ((nu, harmonicity_form_batch(zf.field, x, w)),
                                 (xh, mean_curvature_derivative(zf.field, x, w))):
                 bound = 1e-11 if noise else 1e-13 * np.maximum(1.0, np.abs(oracle))
@@ -675,9 +675,9 @@ def test_unit_gradient_covectors_at_one_point(name, dim):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (name, dim)
         w = proj_np(y, rng.standard_normal(dim + 1))
-        w -= inner(w, jet[0][0]) * jet[0][0]
+        w -= dot(w, jet[0][0]) * jet[0][0]
         got = harmonicity_form(zf, kt.TangentVector(kt.SpherePoint(y), w))
-        assert abs(got - inner(w, jet[1][0])) <= 1e-13 * np.max(np.abs(jet[1])) * np.abs(w).sum()
+        assert abs(got - dot(w, jet[1][0])) <= 1e-13 * np.max(np.abs(jet[1])) * np.abs(w).sum()
 
 
 def unit_field(name, dim):
@@ -714,7 +714,7 @@ def test_covectors_match_the_jet_on_the_complement(name, dim):
         scale = max(np.max(np.abs(v)) for v in jet)
         for a, b in zip(got, jet):
             diff = a - b
-            diff -= inner(diff, y)[:, None] * y + inner(diff, z)[:, None] * z
+            diff -= dot(diff, y)[:, None] * y + dot(diff, z)[:, None] * z
             assert np.max(np.abs(diff)) <= 1e-13 * scale, (name, dim, len(y))
 
 
@@ -779,7 +779,7 @@ def test_harmonic_residuals_are_norms_on_the_complement(dim):
         got = _harmonic_block(zf, x)
         frames = frame_batch(x, z[:, None, :])
         for w in (frames[:, 1:], rotate_completion(frames, 1)[:, 1:]):
-            ric = (dim - 1) * inner(w, z[:, None, :])
+            ric = (dim - 1) * dot(w, z[:, None, :])
             for norm, components in ((got[0], harmonicity_form_batch(zf.field, x, w)),
                                      (got[1], mean_curvature_derivative(zf.field, x, w) - ric)):
                 rss = np.sqrt(np.sum(components ** 2, axis=-1))

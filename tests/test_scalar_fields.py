@@ -6,9 +6,8 @@ import pytest
 import kontact as kt
 from kontact import ad
 from kontact.errors import RegularityError
+from kontact.ad import dot
 from kontact.manifold import (
-    apply,
-    inner,
     random_tangent_batch,
     sample_coords,
     shape_matrix,
@@ -53,13 +52,13 @@ def tangent_pairs(x, rng):
 
 def hessian(f, x, u, v):
     """Hess_f(u, v) = g(∇_u ∇f, v) at the points x."""
-    return inner(apply(shape_matrix(ambient_gradient_field(f), x), u), v)
+    return np.einsum("...i,...ij,...j->...", v, shape_matrix(ambient_gradient_field(f), x), u)
 
 
 def unit_gradient(f, x):
     """N = ∇f/‖∇f‖ at the points x."""
     g = gradient_batch(f, x)
-    return g / np.sqrt(inner(g, g))[..., None]
+    return g / np.sqrt(dot(g, g))[..., None]
 
 
 def height_points(count, seed):
@@ -83,7 +82,7 @@ def test_gradient_duality(angle3, pts3, rng):
     x = pts3[:34]
     for f in fields:
         u = random_tangent_batch(x, rng, ())
-        lhs = inner(gradient_batch(f, x), u)
+        lhs = dot(gradient_batch(f, x), u)
         rhs = ad.value(ad.directional(f.eval, x, u))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
         for p, row in zip(x[:3], gradient_batch(f, x)):
@@ -117,7 +116,7 @@ def test_hessian_matches_ambient_formula(angle3, pts3, rng):
     hmat = np.stack([ad.value(ad.directional(
         lambda y: ambient_gradient(angle3, y), x, np.eye(4)[i])) for i in range(4)], axis=-1)
     gvec = ad.value(ambient_gradient(angle3, x))
-    expect = inner(u, apply(hmat, v)) - inner(gvec, x) * inner(u, v)
+    expect = np.einsum("...i,...ij,...j->...", u, hmat, v) - dot(gvec, x) * dot(u, v)
     assert np.max(np.abs(got - expect)) < 1e-10
 
 
