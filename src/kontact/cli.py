@@ -131,7 +131,7 @@ class SuiteConfig:
         }
 
 
-def _catalog_rows(pair: DoubleKContact) -> list[tuple[str, list[manifold.Check], str]]:
+def _catalog_rows(pair: DoubleKContact) -> list[tuple]:
     """The swept reports of the suite on ``pair`` in report order, as
     (name, checks, provenance): every report but ``energy_reeb``.  The
     rows whose checks all carry a ``keep`` mask are the checks read on the

@@ -17,8 +17,8 @@ leading axes as the kernels do.
 import numpy as np
 
 from kontact import ad
-from kontact.double_kcontact import _hbundle_seeds
 from kontact.ad import dot
+from kontact.double_kcontact import _hbundle_seeds
 from kontact.manifold import (
     _second_cov_field,
     constant_field,

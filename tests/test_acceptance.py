@@ -12,8 +12,8 @@ import pytest
 
 import kontact as kt
 from kontact import ad
-from kontact.contact import check_killing
 from kontact.ad import dot
+from kontact.contact import check_killing
 from kontact.manifold import (
     constant_field,
     cov_deriv_batch,

@@ -5,6 +5,7 @@ import pytest
 
 import kontact as kt
 from kontact import ad, contact
+from kontact.ad import dot
 from kontact.contact import (
     check_phi_skew,
     exterior_derivative,
@@ -13,7 +14,6 @@ from kontact.contact import (
     sasakian_residual_batch,
     volume_form_value,
 )
-from kontact.ad import dot
 from kontact.manifold import (
     constant_field,
     random_tangent_batch,

@@ -6,6 +6,7 @@ import pytest
 
 import kontact as kt
 from kontact import ad, manifold
+from kontact.ad import dot
 from kontact.errors import PreconditionError, RegularityError
 from kontact.harmonic import (
     UnitVectorField,
@@ -17,7 +18,6 @@ from kontact.harmonic import (
     normalized_constant_unit_field,
     weingarten_ambient_matrix,
 )
-from kontact.ad import dot
 from kontact.manifold import (
     cov_deriv_batch,
     frame_batch,

@@ -11,13 +11,13 @@ import pytest
 
 import kontact as kt
 from kontact import ad, cli, manifold
+from kontact.ad import dot
 from kontact.errors import (
     BasePointMismatchError,
     DegenerateInputError,
     GeometryError,
     SamplingExhaustedError,
 )
-from kontact.ad import dot
 from kontact.manifold import (
     Check,
     as_points,

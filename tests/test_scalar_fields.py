@@ -5,8 +5,8 @@ import pytest
 
 import kontact as kt
 from kontact import ad
-from kontact.errors import RegularityError
 from kontact.ad import dot
+from kontact.errors import RegularityError
 from kontact.manifold import (
     random_tangent_batch,
     sample_coords,
